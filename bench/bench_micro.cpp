@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: tensor matmul (square, rectangular, and allocation-free
-// variants), codec encode/decode/train (single and batched), the selector
+// variants), codec encode/decode/train (single and batched), a whole
+// fine-tune and its Adam step on both SIMD tiers, the selector
 // forward pass, cache get/put and eviction, gradient-sync compression,
 // Viterbi decoding, Huffman coding, quantization, and the event loop.
 #include <benchmark/benchmark.h>
@@ -16,11 +17,13 @@
 #include "compress/huffman.hpp"
 #include "edge/sim.hpp"
 #include "fl/compressor.hpp"
+#include "nn/optimizer.hpp"
 #include "select/gru_classifier.hpp"
 #include "semantic/codec.hpp"
 #include "semantic/quantizer.hpp"
 #include "semantic/trainer.hpp"
 #include "tensor/ops.hpp"
+#include "text/corpus.hpp"
 
 using namespace semcache;
 
@@ -160,6 +163,75 @@ static void BM_CodecTrainStepBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(count));
 }
 BENCHMARK(BM_CodecTrainStepBatch)->Arg(8)->Arg(32);
+
+// The fine-tune that builds a user's individual model (§II-D), shaped like
+// the `personalize` workload's: a codec over its 4-domain world (10,855
+// parameters), 24 buffered samples from one domain, and the system
+// defaults of 6 epochs at batch 1 (144 optimizer steps) and lr 1.5e-3.
+// Each iteration clones the codec first, as run_update does, so every
+// iteration trains the same weights. BM_CodecTrainStep times forward and
+// backward only; this row adds gradient clipping and the Adam step.
+namespace {
+struct FinetuneSetup {
+  semantic::CodecConfig config;
+  std::vector<semantic::Sample> samples;
+};
+
+FinetuneSetup finetune_setup() {
+  text::WorldConfig wc;
+  wc.concepts_per_domain = 20;  // perfbench's world: 174 x 125 vocab
+  Rng rng(2023);
+  const text::World world = text::World::generate(wc, rng);
+  FinetuneSetup s{micro_codec_config(), {}};
+  s.config.surface_vocab = world.surface_count();
+  s.config.meaning_vocab = world.meaning_count();
+  for (int i = 0; i < 24; ++i) {
+    s.samples.push_back(
+        semantic::CodecTrainer::draw_sample(world, 0, nullptr, rng));
+  }
+  return s;
+}
+}  // namespace
+
+static void BM_CodecFinetune(benchmark::State& state) {
+  const FinetuneSetup setup = finetune_setup();
+  Rng init(15);
+  const semantic::SemanticCodec base(setup.config, init);
+  for (auto _ : state) {
+    const auto codec = base.clone();
+    Rng rng(16);
+    benchmark::DoNotOptimize(semantic::CodecTrainer::finetune(
+        *codec, setup.samples, 6, 1.5e-3, rng));
+  }
+}
+BENCHMARK(BM_CodecFinetune)->Unit(benchmark::kMillisecond);
+
+// One Adam step over the same codec's parameters, with the gradients of
+// one of those samples, so the embedding rows the sample does not touch
+// carry zero gradient and zero moments, as in a fine-tune. Arg(0) pins
+// the scalar loop, Arg(1) the AVX2 tier (scalar too on a host without
+// AVX2+FMA, so the pair then reads 1.0). Both tiers write the same bits
+// (test_simd), so the rows differ in wall time only.
+static void BM_AdamStep(benchmark::State& state) {
+  const auto tier = state.range(0) == 0 ? common::SimdTier::kScalar
+                                        : common::SimdTier::kAvx2;
+  const common::SimdTier prev = common::set_simd_tier(tier);
+  const FinetuneSetup setup = finetune_setup();
+  Rng init(15);
+  semantic::SemanticCodec codec(setup.config, init);
+  nn::ParameterSet params = codec.parameters();
+  codec.forward_loss(setup.samples[0].surface, setup.samples[0].meanings);
+  codec.backward();
+  nn::Adam opt(1.5e-3);
+  for (auto _ : state) {
+    opt.step(params.params());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(params.scalar_count()));
+  common::set_simd_tier(prev);
+}
+BENCHMARK(BM_AdamStep)->Arg(0)->Arg(1);
 
 // Selector forward pass: the per-message model-selection cost on the
 // transmit hot path (§III-A), measured on the GRU classifier with a few

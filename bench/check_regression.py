@@ -5,8 +5,9 @@ Compares a bench_micro JSON capture (Google Benchmark format, as written
 by bench/run_all.sh into BENCH_bench_micro.json) against the multi-core
 baseline recorded in bench/BASELINE.json under "regression_gate", and
 fails when a pinned bench regresses by more than the threshold, or when
-the cross-pair serving wave stops showing a wall speedup over its
-sequential row.
+a `speedup` pair's fast row (the cross-pair serving wave at 4 threads,
+the AVX2 Adam step) stops beating its reference row in the same capture
+by the pair's min_ratio.
 
 The gate is CONTEXT-AWARE: baselines are captured on the CI runner class
 (ci_micro_ns, with the capturing host's core count alongside), and the
@@ -149,7 +150,7 @@ def main():
         values = {}
         names = list(gate.get("pinned", []))
         for pair in gate.get("speedup", []):
-            names += [pair["sequential"], pair["threaded"]]
+            names += [pair["reference"], pair["fast"]]
         missing = [n for n in names if n not in current]
         if missing:
             print("check_regression: capture lacks benches: "
@@ -205,28 +206,28 @@ def main():
         else:
             print(f"  ok   {line}")
 
-    # ---- cross-pair wall-speedup assertion (within this capture) ----
+    # ---- wall-speedup assertions (within this capture) ----
     # Armed only once a CI baseline exists with matching context: before
     # the first --record the multi-core win is unproven (the gate ships
     # armed-but-empty), and a congested bootstrap run must not fail CI.
     for pair in gate.get("speedup", []):
-        seq, thr = pair["sequential"], pair["threaded"]
+        ref, fast = pair["reference"], pair["fast"]
         min_ratio = float(pair.get("min_ratio", 1.0))
         if not values:
-            warnings.append(f"speedup {seq} / {thr}: disarmed until a CI "
+            warnings.append(f"speedup {ref} / {fast}: disarmed until a CI "
                             f"baseline is recorded (--record)")
             continue
         if recorded_cores is not None and recorded_cores != cores:
-            warnings.append(f"speedup {seq} / {thr}: baseline context is "
+            warnings.append(f"speedup {ref} / {fast}: baseline context is "
                             f"{recorded_cores}-core, this host has {cores}; "
                             f"skipping")
             continue
-        if seq not in current or thr not in current:
-            warnings.append(f"speedup {seq} / {thr}: rows missing from "
+        if ref not in current or fast not in current:
+            warnings.append(f"speedup {ref} / {fast}: rows missing from "
                             f"capture")
             continue
-        ratio = current[seq] / current[thr]
-        line = (f"speedup {seq} over {thr}: {ratio:.2f}x "
+        ratio = current[ref] / current[fast]
+        line = (f"speedup of {fast} over {ref}: {ratio:.2f}x "
                 f"(required > {min_ratio:.2f}x)")
         if ratio <= min_ratio:
             failures.append(line)

@@ -44,6 +44,7 @@
 
 #include "common/check.hpp"
 #include "common/grouping.hpp"
+#include "common/hashing.hpp"
 #include "common/log.hpp"
 #include "metrics/ngram.hpp"
 #include "nn/loss.hpp"
@@ -855,7 +856,7 @@ void SemanticEdgeSystem::transmit_pairs_at(edge::SimTime t, PairBatch batch,
   auto task = std::make_shared<PairTask>();
   task->pair_index = pair_index;
   task->batch = std::move(batch);
-  const std::uint64_t lane = std::hash<std::string>{}(task->batch.sender);
+  const std::uint64_t lane = common::stable_hash(task->batch.sender);
   sim_.schedule_concurrent_at(
       t, lane, [this, task] { prepare_pair(*task); },
       [this, task] { compute_pair(*task); },

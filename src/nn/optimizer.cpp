@@ -84,24 +84,15 @@ void Adam::step(std::span<Parameter* const> params) {
     t_ = 0;
   }
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const tensor::AdamCoefficients c{
+      lr_, beta1_, beta2_, eps_,
+      /*bc1=*/1.0 - std::pow(beta1_, static_cast<double>(t_)),
+      /*bc2=*/1.0 - std::pow(beta2_, static_cast<double>(t_))};
   for (std::size_t i = 0; i < params.size(); ++i) {
     Parameter* p = params[i];
     SEMCACHE_CHECK(m_[i].same_shape(p->value),
                    "adam: parameter list changed between steps");
-    float* pm = m_[i].data();
-    float* pv = v_[i].data();
-    float* pval = p->value.data();
-    const float* pg = p->grad.data();
-    for (std::size_t j = 0; j < p->value.size(); ++j) {
-      const double g = pg[j];
-      pm[j] = static_cast<float>(beta1_ * pm[j] + (1.0 - beta1_) * g);
-      pv[j] = static_cast<float>(beta2_ * pv[j] + (1.0 - beta2_) * g * g);
-      const double mhat = pm[j] / bc1;
-      const double vhat = pv[j] / bc2;
-      pval[j] -= static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + eps_));
-    }
+    tensor::adam_update(p->value, p->grad, m_[i], v_[i], c);
   }
 }
 

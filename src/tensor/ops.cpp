@@ -156,6 +156,30 @@ void bias_relu_epilogue(std::size_t m, std::size_t n,
   }
 }
 
+// Scalar reference for adam_update. The two moment updates name their
+// fusion: a contracting build for FMA hardware (Release: -O3
+// -march=native) fuses the plain expressions into exactly these FMAs, and
+// builds without __FMA__ (the -O1 sanitizer configs, Debug) cannot fuse.
+// Spelling it out pins the bits of every build type without a probe and
+// lets adam_update pick the AVX2 flavor from the same macro.
+void adam_scalar(std::size_t n, const AdamCoefficients& c, const float* grad,
+                 float* m, float* v, float* value) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const double g = grad[j];
+#if defined(__FMA__)
+    m[j] = static_cast<float>(std::fma(c.beta1, m[j], (1.0 - c.beta1) * g));
+    v[j] = static_cast<float>(
+        std::fma(c.beta2, v[j], (1.0 - c.beta2) * g * g));
+#else
+    m[j] = static_cast<float>(c.beta1 * m[j] + (1.0 - c.beta1) * g);
+    v[j] = static_cast<float>(c.beta2 * v[j] + (1.0 - c.beta2) * g * g);
+#endif
+    const double mhat = m[j] / c.bc1;
+    const double vhat = v[j] / c.bc2;
+    value[j] -= static_cast<float>(c.lr * mhat / (std::sqrt(vhat) + c.eps));
+  }
+}
+
 // ---- SIMD dispatch -------------------------------------------------------
 //
 // The AVX2 kernel table (ops_avx2.cpp) carries each gemm in two flavors:
@@ -219,6 +243,7 @@ struct SimdDispatch {
   detail::GemmFn tn = nullptr;
   detail::EpilogueFn bias = nullptr;
   detail::EpilogueFn bias_relu = nullptr;
+  detail::AdamFn adam = nullptr;
   const char* path = "scalar";
 };
 
@@ -235,6 +260,12 @@ const SimdDispatch& simd_dispatch() {
                        common::LogLevel::kInfo);
       return d;
     }
+    // Adam needs no probe: adam_scalar names its fusion by the same macro.
+#if defined(__FMA__)
+    d.adam = kt->adam_fma;
+#else
+    d.adam = kt->adam_muladd;
+#endif
     const bool nn_fma = probe_matches(false, kt->gemm_nn_fma);
     const bool nn_mul = !nn_fma && probe_matches(false, kt->gemm_nn_muladd);
     const bool tn_fma = probe_matches(true, kt->gemm_tn_fma);
@@ -392,6 +423,21 @@ Tensor& axpy_inplace(Tensor& a, const Tensor& b, float s) {
   const float* pb = b.data();
   for (std::size_t i = 0; i < a.size(); ++i) pa[i] += pb[i] * s;
   return a;
+}
+
+void adam_update(Tensor& value, const Tensor& grad, Tensor& m, Tensor& v,
+                 const AdamCoefficients& c) {
+  require_same_shape(value, grad, "adam_update");
+  require_same_shape(value, m, "adam_update");
+  require_same_shape(value, v, "adam_update");
+  const SimdDispatch& d = simd_dispatch();
+  if (d.adam != nullptr &&
+      common::active_simd_tier() == common::SimdTier::kAvx2) {
+    d.adam(value.size(), c, grad.data(), m.data(), v.data(), value.data());
+  } else {
+    adam_scalar(value.size(), c, grad.data(), m.data(), v.data(),
+                value.data());
+  }
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

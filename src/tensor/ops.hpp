@@ -40,6 +40,27 @@ Tensor& add_inplace(Tensor& a, const Tensor& b);
 /// a += b * s (same shape); fused scale-accumulate for optimizers.
 Tensor& axpy_inplace(Tensor& a, const Tensor& b, float s);
 
+/// Hyperparameters of one Adam step (Kingma & Ba 2015) plus its bias
+/// corrections bc1 = 1 - beta1^t and bc2 = 1 - beta2^t at step t.
+struct AdamCoefficients {
+  double lr;
+  double beta1;
+  double beta2;
+  double eps;
+  double bc1;
+  double bc2;
+};
+
+/// One Adam update of `value` from `grad`, moments m and v updated in
+/// place (all four the same shape). Per element, in double precision with
+/// float storage:
+///   m = beta1*m + (1-beta1)*g,   v = beta2*v + (1-beta2)*g*g,
+///   value -= lr * (m/bc1) / (sqrt(v/bc2) + eps).
+/// The AVX2 tier runs four elements per instruction and is bit-identical to
+/// the scalar loop on every build type (see README "SIMD kernels").
+void adam_update(Tensor& value, const Tensor& grad, Tensor& m, Tensor& v,
+                 const AdamCoefficients& c);
+
 /// Matrix product of rank-2 tensors: (m x k) * (k x n) -> (m x n).
 Tensor matmul(const Tensor& a, const Tensor& b);
 /// Naive triple-loop matmul kept as the bit-exact oracle for kernel tests.

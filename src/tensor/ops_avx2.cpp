@@ -1,7 +1,8 @@
-// AVX2/FMA micro-kernels for the matmul family. This TU is compiled with
-// -mavx2 -mfma -ffp-contract=off (see CMakeLists.txt) and is the only one
-// carrying AVX2 code; everything here is reached through the kernel table in
-// simd_kernels.hpp after ops.cpp's equivalence probe picks a flavor.
+// AVX2/FMA micro-kernels for the matmul family and the Adam update. This
+// TU is compiled with -mavx2 -mfma -ffp-contract=off (see CMakeLists.txt)
+// and is the only one carrying AVX2 code; everything here is reached
+// through the kernel table in simd_kernels.hpp after ops.cpp picks a
+// flavor (by its equivalence probe for the gemms, by __FMA__ for Adam).
 //
 // Shape of the kernel: C accumulators live in ymm registers across the whole
 // k panel (6 rows x 16 columns = 12 independent FMA chains, enough to hide
@@ -18,6 +19,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstring>
 
 namespace semcache::tensor::detail {
 namespace {
@@ -260,6 +262,86 @@ void bias_relu_avx2(std::size_t m, std::size_t n, const float* bias,
   }
 }
 
+// Adam: the scalar loop's double-precision arithmetic, four elements per
+// instruction (floats widened to a __m256d, narrowed back with the same
+// round-to-nearest conversion the scalar static_cast uses). IEEE division
+// and square root are correctly rounded per lane, so keeping the scalar
+// operation order — m/bc1 and v/bc2 as divisions, (lr*mhat)/(sqrt(vhat)+eps)
+// — makes every lane bit-identical to the scalar element.
+template <bool kFma>
+inline __m256d madd(__m256d a, __m256d b, __m256d c) {
+  if constexpr (kFma) {
+    return _mm256_fmadd_pd(a, b, c);
+  } else {
+    return _mm256_add_pd(_mm256_mul_pd(a, b), c);
+  }
+}
+
+struct AdamLanes {
+  __m256d lr, beta1, beta2, one_minus_beta1, one_minus_beta2, eps, bc1, bc2;
+};
+
+// One group of four elements. A group whose gradient and both moments are
+// all +0.0 bits is skipped: its update is exactly value -= +0.0f, a no-op
+// for every value, -0.0f included (the zero test is on bits because a -0.0
+// moment becomes +0.0 once updated). These are the embedding rows a
+// fine-tune's samples never touch.
+template <bool kFma>
+inline void adam4(const AdamLanes& k, const float* grad, float* m, float* v,
+                  float* value) {
+  const __m128 gf = _mm_loadu_ps(grad);
+  const __m128 mf = _mm_loadu_ps(m);
+  const __m128 vf = _mm_loadu_ps(v);
+  const __m128i bits = _mm_or_si128(
+      _mm_or_si128(_mm_castps_si128(gf), _mm_castps_si128(mf)),
+      _mm_castps_si128(vf));
+  if (_mm_testz_si128(bits, bits)) return;
+  const __m256d g = _mm256_cvtps_pd(gf);
+  const __m128 m1 = _mm256_cvtpd_ps(madd<kFma>(
+      k.beta1, _mm256_cvtps_pd(mf), _mm256_mul_pd(k.one_minus_beta1, g)));
+  const __m128 v1 = _mm256_cvtpd_ps(
+      madd<kFma>(k.beta2, _mm256_cvtps_pd(vf),
+                 _mm256_mul_pd(_mm256_mul_pd(k.one_minus_beta2, g), g)));
+  _mm_storeu_ps(m, m1);
+  _mm_storeu_ps(v, v1);
+  const __m256d mhat = _mm256_div_pd(_mm256_cvtps_pd(m1), k.bc1);
+  const __m256d vhat = _mm256_div_pd(_mm256_cvtps_pd(v1), k.bc2);
+  const __m256d step =
+      _mm256_div_pd(_mm256_mul_pd(k.lr, mhat),
+                    _mm256_add_pd(_mm256_sqrt_pd(vhat), k.eps));
+  _mm_storeu_ps(value,
+                _mm_sub_ps(_mm_loadu_ps(value), _mm256_cvtpd_ps(step)));
+}
+
+template <bool kFma>
+void adam_avx2(std::size_t n, const AdamCoefficients& c, const float* grad,
+               float* m, float* v, float* value) {
+  const AdamLanes k = {
+      _mm256_set1_pd(c.lr),           _mm256_set1_pd(c.beta1),
+      _mm256_set1_pd(c.beta2),        _mm256_set1_pd(1.0 - c.beta1),
+      _mm256_set1_pd(1.0 - c.beta2),  _mm256_set1_pd(c.eps),
+      _mm256_set1_pd(c.bc1),          _mm256_set1_pd(c.bc2),
+  };
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    adam4<kFma>(k, grad + j, m + j, v + j, value + j);
+  }
+  if (j < n) {
+    // Tail: the same group arithmetic on zero-padded copies. Padding lanes
+    // hold +0.0 everywhere, so they compute 0 - 0 and are never stored.
+    const std::size_t bytes = (n - j) * sizeof(float);
+    float g4[4] = {}, m4[4] = {}, v4[4] = {}, val4[4] = {};
+    std::memcpy(g4, grad + j, bytes);
+    std::memcpy(m4, m + j, bytes);
+    std::memcpy(v4, v + j, bytes);
+    std::memcpy(val4, value + j, bytes);
+    adam4<kFma>(k, g4, m4, v4, val4);
+    std::memcpy(m + j, m4, bytes);
+    std::memcpy(v + j, v4, bytes);
+    std::memcpy(value + j, val4, bytes);
+  }
+}
+
 constexpr Avx2TensorKernels kKernels = {
     /*gemm_nn_fma=*/gemm<true, false>,
     /*gemm_nn_muladd=*/gemm<false, false>,
@@ -267,6 +349,8 @@ constexpr Avx2TensorKernels kKernels = {
     /*gemm_tn_muladd=*/gemm<false, true>,
     /*bias=*/bias_avx2,
     /*bias_relu=*/bias_relu_avx2,
+    /*adam_fma=*/adam_avx2<true>,
+    /*adam_muladd=*/adam_avx2<false>,
 };
 
 }  // namespace

@@ -18,6 +18,8 @@
 
 #include <cstddef>
 
+#include "tensor/ops.hpp"  // AdamCoefficients
+
 namespace semcache::tensor::detail {
 
 /// c (m x n) += a * b, identical contract to the scalar gemm_nn/gemm_tn in
@@ -34,6 +36,15 @@ using GemmFn = void (*)(std::size_t m, std::size_t k, std::size_t n,
 using EpilogueFn = void (*)(std::size_t m, std::size_t n, const float* bias,
                             float* c);
 
+/// tensor::adam_update over n flat elements. The two moment updates are
+/// the only multiply-adds: the fma flavor computes fma(beta1, m, (1-beta1)*g)
+/// and fma(beta2, v, ((1-beta2)*g)*g), the fused form a contracting scalar
+/// build produces; the muladd flavor rounds every product. Unlike the gemm
+/// flavors this choice is made at compile time (__FMA__ in ops.cpp), because
+/// the scalar reference spells its fusion out with std::fma.
+using AdamFn = void (*)(std::size_t n, const AdamCoefficients& c,
+                        const float* grad, float* m, float* v, float* value);
+
 struct Avx2TensorKernels {
   GemmFn gemm_nn_fma;
   GemmFn gemm_nn_muladd;
@@ -41,6 +52,8 @@ struct Avx2TensorKernels {
   GemmFn gemm_tn_muladd;
   EpilogueFn bias;
   EpilogueFn bias_relu;
+  AdamFn adam_fma;
+  AdamFn adam_muladd;
 };
 
 /// The AVX2 kernel table, or nullptr when this build carries no AVX2 code

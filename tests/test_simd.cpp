@@ -28,6 +28,8 @@
 #include "nn/gradcheck.hpp"
 #include "nn/layers.hpp"
 #include "nn/optimizer.hpp"
+#include "semantic/codec.hpp"
+#include "semantic/trainer.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "test_util.hpp"
@@ -62,7 +64,10 @@ bool avx2_host() {
   if (!a.same_shape(b)) {
     return ::testing::AssertionFailure() << "shape mismatch";
   }
-  if (std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0) {
+  // An empty tensor's data() may be null, and memcmp on null is undefined
+  // even for zero bytes.
+  if (a.size() == 0 ||
+      std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0) {
     return ::testing::AssertionSuccess();
   }
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -377,6 +382,112 @@ TEST(SimdKernels, LinearReluGradcheckAcrossShapes) {
         << ": rel " << result.max_rel_error << " abs "
         << result.max_abs_error << " above_tol " << result.above_tol;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Adam update and the fine-tune that runs it.
+
+struct AdamState {
+  Tensor value, grad, m, v;
+};
+
+// Adversarial Adam inputs of length n, in groups of four (the kernel's
+// width): kind 1 has grad, m and v all +0.0, which the kernel skips (its
+// values include -0.0, which must survive); kind 2 differs from kind 1
+// only by m = -0.0, which the update turns into +0.0, so it must not be
+// skipped. Other groups mix -0.0, subnormal and huge magnitudes into
+// ordinary draws; v stays >= 0 as a second moment does.
+AdamState adam_inputs(std::size_t n, Rng& rng) {
+  const float specials[] = {0.0f,  -0.0f, 1e-40f, -7e-42f,
+                            std::numeric_limits<float>::denorm_min(),
+                            3e38f, -1e30f, 1e20f};
+  const auto draw = [&](double stddev) {
+    const auto k = static_cast<std::size_t>(rng.uniform_int(0, 15));
+    return k < std::size(specials)
+               ? specials[k]
+               : static_cast<float>(rng.gaussian(0.0, stddev));
+  };
+  AdamState s{Tensor({n}), Tensor({n}), Tensor({n}), Tensor({n})};
+  for (std::size_t i = 0; i < n; ++i) {
+    s.value.data()[i] = draw(1.0);
+    const std::size_t kind = i / 4 % 4;
+    if (kind == 1) continue;  // grad, m and v stay +0.0
+    if (kind == 2) {
+      s.m.data()[i] = -0.0f;
+      continue;
+    }
+    s.grad.data()[i] = draw(1.0);
+    s.m.data()[i] = draw(0.1);
+    s.v.data()[i] = std::fabs(draw(0.01));
+  }
+  return s;
+}
+
+TEST(SimdKernels, AdamUpdateTierTwinEveryTail) {
+  Rng rng(2718);
+  for (const double t : {1.0, 1000.0}) {
+    const tensor::AdamCoefficients c{3e-3, 0.9, 0.999, 1e-8,
+                                     1.0 - std::pow(0.9, t),
+                                     1.0 - std::pow(0.999, t)};
+    for (std::size_t n = 0; n <= 67; ++n) {
+      const AdamState in = adam_inputs(n, rng);
+      AdamState scalar = in, simd = in;
+      {
+        TierGuard guard(common::SimdTier::kScalar);
+        tensor::adam_update(scalar.value, scalar.grad, scalar.m, scalar.v, c);
+      }
+      {
+        TierGuard guard(common::SimdTier::kAvx2);
+        tensor::adam_update(simd.value, simd.grad, simd.m, simd.v, c);
+      }
+      EXPECT_TRUE(BitEqual(scalar.value, simd.value))
+          << "n " << n << " t " << t;
+      EXPECT_TRUE(BitEqual(scalar.m, simd.m)) << "n " << n << " t " << t;
+      EXPECT_TRUE(BitEqual(scalar.v, simd.v)) << "n " << n << " t " << t;
+    }
+  }
+}
+
+TEST(SimdKernels, AdamUpdateRejectsShapeMismatch) {
+  Tensor value({4}), grad({4}), m({4}), v({5});
+  const tensor::AdamCoefficients c{1e-3, 0.9, 0.999, 1e-8, 0.1, 0.001};
+  EXPECT_THROW(tensor::adam_update(value, grad, m, v, c), Error);
+}
+
+TEST(SimdKernels, FinetuneTierTwinByteEqualParameters) {
+  // The write path end to end: 24 samples x 6 epochs at batch 1, the
+  // system's default fine-tune, from the same codec and seed on each tier.
+  // Surfaces come from the first third of the vocabulary, so the other
+  // embedding rows are never touched and the kernel's zero-group skip runs
+  // next to the full update.
+  semantic::CodecConfig cc;
+  cc.surface_vocab = 60;
+  cc.meaning_vocab = 40;
+  cc.sentence_length = 6;
+  cc.embed_dim = 10;
+  cc.feature_dim = 12;
+  cc.hidden_dim = 16;
+  Rng init(808);
+  const semantic::SemanticCodec base(cc, init);
+  std::vector<semantic::Sample> samples(24);
+  for (semantic::Sample& s : samples) {
+    for (std::size_t i = 0; i < cc.sentence_length; ++i) {
+      s.surface.push_back(static_cast<std::int32_t>(init.uniform_int(0, 19)));
+      s.meanings.push_back(static_cast<std::int32_t>(init.uniform_int(0, 39)));
+    }
+  }
+  std::vector<std::vector<float>> tuned;
+  for (const common::SimdTier tier :
+       {common::SimdTier::kScalar, common::SimdTier::kAvx2}) {
+    TierGuard guard(tier);
+    const auto codec = base.clone();
+    Rng rng(909);
+    semantic::CodecTrainer::finetune(*codec, samples, 6, 3e-3, rng);
+    tuned.push_back(codec->parameters().flatten_values());
+  }
+  ASSERT_EQ(tuned[0].size(), tuned[1].size());
+  EXPECT_EQ(0, std::memcmp(tuned[0].data(), tuned[1].data(),
+                           tuned[0].size() * sizeof(float)));
 }
 
 // ---------------------------------------------------------------------------
