@@ -36,20 +36,9 @@ BitVec ChannelPipeline::transmit_at(const BitVec& payload, Rng& rng,
 }
 
 std::vector<BitVec> ChannelPipeline::transmit_batch(
-    const std::vector<BitVec>& payloads, std::span<Rng> rngs) {
-  return transmit_batch_collect(payloads, rngs, {}, stats_, pool_);
-}
-
-std::vector<BitVec> ChannelPipeline::transmit_batch(
     const std::vector<BitVec>& payloads, std::span<Rng> rngs,
     std::span<const std::uint64_t> slots) {
   return transmit_batch_collect(payloads, rngs, slots, stats_, pool_);
-}
-
-std::vector<BitVec> ChannelPipeline::transmit_batch_collect(
-    const std::vector<BitVec>& payloads, std::span<Rng> rngs,
-    PipelineStats& sink, common::ThreadPool* pool) const {
-  return transmit_batch_collect(payloads, rngs, {}, sink, pool);
 }
 
 std::vector<BitVec> ChannelPipeline::transmit_batch_collect(
@@ -89,12 +78,6 @@ std::vector<BitVec> ChannelPipeline::transmit_batch_collect(
     sink.messages += 1;
   }
   return received;
-}
-
-void ChannelPipeline::fold_stats(const PipelineStats& delta) {
-  stats_.payload_bits += delta.payload_bits;
-  stats_.airtime_bits += delta.airtime_bits;
-  stats_.messages += delta.messages;
 }
 
 BitVec ChannelPipeline::transmit_one(const BitVec& payload, Rng& rng,

@@ -20,6 +20,13 @@ struct PipelineStats {
   std::size_t payload_bits = 0;   ///< information bits handed in
   std::size_t airtime_bits = 0;   ///< coded bits actually on the channel
   std::size_t messages = 0;
+
+  PipelineStats& operator+=(const PipelineStats& o) {
+    payload_bits += o.payload_bits;
+    airtime_bits += o.airtime_bits;
+    messages += o.messages;
+    return *this;
+  }
 };
 
 class ChannelPipeline {
@@ -51,27 +58,20 @@ class ChannelPipeline {
   /// its own rngs[i], so the received bits are bit-identical to the
   /// sequential path regardless of worker count — and the per-message
   /// stats are committed in ascending index order after the join.
-  std::vector<BitVec> transmit_batch(const std::vector<BitVec>& payloads,
-                                     std::span<Rng> rngs);
-  /// Slot-aware batch booking into the pipeline's own stats.
-  std::vector<BitVec> transmit_batch(const std::vector<BitVec>& payloads,
-                                     std::span<Rng> rngs,
-                                     std::span<const std::uint64_t> slots);
+  /// `slots` as in transmit_batch_collect.
+  std::vector<BitVec> transmit_batch(
+      const std::vector<BitVec>& payloads, std::span<Rng> rngs,
+      std::span<const std::uint64_t> slots = {});
 
   /// transmit_batch with the accounting redirected into `sink` instead of
   /// the pipeline's own stats, leaving the pipeline const — the form the
   /// cross-pair serving tasks use: several pairs share one pipeline, each
   /// collects into a pair-local sink on its worker, and the caller folds
-  /// the sinks back in pair order after the join (fold_stats). Bits and
-  /// accounting are identical to transmit_batch; on an error, `sink`
-  /// holds the pre-throw prefix exactly as member stats would.
-  std::vector<BitVec> transmit_batch_collect(
-      const std::vector<BitVec>& payloads, std::span<Rng> rngs,
-      PipelineStats& sink, common::ThreadPool* pool) const;
-
-  /// Slot-aware batch: `slots[i]` is forwarded as message i's slot (empty
-  /// span = all slot 0, the legacy behavior). Bits stay identical to N
-  /// sequential transmit_at calls under any pool.
+  /// the sinks back in pair order after the join (fold_stats). `slots[i]`
+  /// is forwarded as message i's slot (empty span = all slot 0, the
+  /// legacy behavior). Bits and accounting are identical to N sequential
+  /// transmit_at calls under any pool; on an error, `sink` holds the
+  /// pre-throw prefix exactly as member stats would.
   std::vector<BitVec> transmit_batch_collect(
       const std::vector<BitVec>& payloads, std::span<Rng> rngs,
       std::span<const std::uint64_t> slots, PipelineStats& sink,
@@ -90,10 +90,9 @@ class ChannelPipeline {
   void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
 
   const PipelineStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
   /// Merge a collected sink into the pipeline's own stats (the commit
   /// half of transmit_batch_collect).
-  void fold_stats(const PipelineStats& delta);
+  void fold_stats(const PipelineStats& delta) { stats_ += delta; }
   const ChannelCode& code() const { return *code_; }
   std::string description() const;
 

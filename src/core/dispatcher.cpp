@@ -107,13 +107,10 @@ std::size_t ParallelDispatcher::flush_sharded(
   // Fan the busy shards out, one thread per shard: each serves its wave
   // (the shard's own pool parallelizes across ITS pairs — the dispatcher
   // thread is not a pool worker, so shard-internal fan-out stays live)
-  // and drains its simulator so delivery chains complete. That drain is
-  // also where the timing plane's link-lane waves run: every data-plane
-  // hop is a Link::send_concurrent event, so same-time hops across
-  // different links compute in parallel on the shard's pool while each
-  // link's FIFO commits stay ordered. Completions buffer per shard;
-  // everything shard threads touch is shard-owned, so the threads share
-  // nothing.
+  // and drains its simulator so delivery chains complete. Every
+  // data-plane hop in that drain is a plain Link::send on the shard's own
+  // event loop. Completions buffer per shard; everything shard threads
+  // touch is shard-owned, so the threads share nothing.
   struct Completion {
     std::size_t pair;
     std::size_t index;
@@ -177,7 +174,7 @@ std::size_t ParallelDispatcher::flush_sharded(
     std::vector<Completion>& out = collected[s];
     for (std::size_t j = 0; j < backup[s].size(); ++j) {
       const std::size_t g = global_pair[s][j];
-      shard.serve_degraded(backup[s][j],
+      shard.serve_degraded(std::move(backup[s][j]),
                            [&out, g](std::size_t index, TransmitReport report) {
                              out.push_back({g, index, std::move(report)});
                            });

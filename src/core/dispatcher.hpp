@@ -24,15 +24,18 @@
 // simulator), and delivers the merged completions on the calling thread
 // in (global pair, message) order. A sharded flush is therefore
 // synchronous-complete: when it returns, every delivery chain has run —
-// there is no single simulator left for the caller to drive.
+// there is no single simulator left for the caller to drive. A stalled or
+// failed shard's pairs are re-served through serve_degraded, the same
+// pair wave over the frozen general models.
 //
 // Determinism: both modes inherit transmit_pairs' contract — results are
 // byte-identical to num_threads = 0 for any worker count, and to serving
-// the pairs one at a time through transmit_many in order. The sharded
-// front door extends it across deployments: for the same enqueue stream,
-// every K and every thread count produce byte-identical reports, weights,
-// and merged stats (latency too once pairs do not contend across shards;
-// see sharded.hpp). test_sharded pins the matrix.
+// the pairs one at a time through transmit_many (a one-pair wave) in
+// order. The sharded front door extends it across deployments: for the
+// same enqueue stream, every K and every thread count produce
+// byte-identical reports, weights, and merged stats (latency too once
+// pairs do not contend across shards; see sharded.hpp). test_sharded pins
+// the matrix.
 #pragma once
 
 #include <cstddef>

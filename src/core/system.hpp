@@ -280,15 +280,16 @@ class SemanticEdgeSystem {
                       text::Sentence message,
                       std::function<void(TransmitReport)> on_done);
 
-  /// Batched end-to-end transmission: N messages from `sender` to
-  /// `receiver` run the data plane once per (selected domain, fine-tune
-  /// interval) group — one encode_batch, one quantize_batch, one
-  /// channel transmit_batch (per-message forked RNG, so message i sees
-  /// exactly the noise stream i sequential calls would), and one
-  /// decode_logits_batch on the receiver replica — instead of N single
-  /// passes. `on_done(i, report)` fires as message i arrives at the
-  /// receiver device; each message keeps its own timing-plane event chain,
-  /// so latency and queueing behaviour match N transmit_async calls.
+  /// Batched end-to-end transmission: a one-pair transmit_pairs wave. N
+  /// messages from `sender` to `receiver` run the data plane once per
+  /// (selected domain, fine-tune interval) group — one encode_batch, one
+  /// quantize_batch, one channel transmit_batch (per-message forked RNG,
+  /// so message i sees exactly the noise stream i sequential calls
+  /// would), and one decode_logits_batch on the receiver replica —
+  /// instead of N single passes. `on_done(i, report)` fires as message i
+  /// arrives at the receiver device; each message keeps its own
+  /// timing-plane event chain, so latency and queueing behaviour match N
+  /// transmit_async calls.
   ///
   /// Equivalence guarantee: reports and aggregate stats are bit-identical
   /// to calling transmit_async once per message in order (without running
@@ -348,11 +349,14 @@ class SemanticEdgeSystem {
   /// model replicas — selection, encode, quantize, channel, decode,
   /// delivery chains — with NO personalization and NO state mutation (no
   /// slot establishment, no buffer adds, no fine-tune, no sync, no cache
-  /// touches). Every report is flagged `degraded` and counted in
-  /// SystemStats::degraded_serves. Channel noise keeps the identity-keyed
-  /// fork discipline via the batch's pinned noise base, so degraded
-  /// serving is itself deterministic.
-  void serve_degraded(const PairBatch& batch,
+  /// touches). It is the pair wave's prepare / compute / commit on a
+  /// buffer-less slot aliasing the general, so reports follow the healthy
+  /// definitions field for field (mismatch included). Every report is
+  /// flagged `degraded` and counted in SystemStats::degraded_serves.
+  /// Channel noise keeps the identity-keyed fork discipline via the
+  /// batch's pinned noise base, so degraded serving is itself
+  /// deterministic.
+  void serve_degraded(PairBatch batch,
                       std::function<void(std::size_t, TransmitReport)> on_done);
 
   /// Schedule a pair batch for simulated time t on the simulator's
@@ -438,21 +442,17 @@ class SemanticEdgeSystem {
     std::size_t receiver_edge = 0;
   };
 
-  /// Where a serving pass routes its order-sensitive side effects. The
-  /// direct mode (transmit_many on the calling thread) writes straight to
-  /// the global sinks and ships updates immediately; the deferred mode
-  /// (cross-pair compute tasks on pool workers) collects into pair-local
-  /// sinks that the commit phase folds back in pair order.
-  struct ServeContext {
-    SystemStats* stats;                     ///< accounting sink
-    channel::PipelineStats* channel_stats;  ///< null = pipeline's own stats
-    common::ThreadPool* row_pool;           ///< row-level fan-outs
-    std::vector<PendingShip>* outbox;       ///< null = ship updates now
-  };
+  /// One pair's wave-scoped state: resolved profiles, per-message reports
+  /// and domain groups from the prepare phase, and the pair-local sinks
+  /// (stats, channel stats, sync outbox) the compute phase collects into
+  /// and the commit phase folds back in pair order.
+  struct PairTask;
 
-  void run_update(const std::string& sender, std::size_t domain,
-                  EdgeServerState& sender_state, EdgeServerState& recv_state,
-                  TransmitReport& report, const ServeContext& ctx);
+  /// Fine-tune `sslot` on its buffered transactions and build the decoder
+  /// sync; intra-edge it applies in place, cross-edge it joins the pair's
+  /// outbox.
+  void run_update(PairTask& task, std::size_t domain, UserModelSlot& sslot,
+                  TransmitReport& report);
   /// Apply one delivered sync message to the receiver-edge replica
   /// (version advance, replay drop, or gap-triggered full resync).
   void apply_sync_at_receiver(EdgeServerState& recv_state,
@@ -461,38 +461,25 @@ class SemanticEdgeSystem {
                               const std::vector<float>& snapshot,
                               SystemStats& stats);
   /// Queue a cross-edge gradient ship on the backbone (the commit half of
-  /// a deferred update; the direct path calls it in place). Takes the
-  /// ship by value: msg and the decoder snapshot move into the event.
+  /// an update). Takes the ship by value: msg and the decoder snapshot
+  /// move into the event.
   /// With sync faults active, resolves the message's full retry schedule
   /// here from identity-keyed coins (see the implementation comment).
   void ship_sync(PendingShip ship);
 
-  // --- transmit_many stages (transmit_async is the N = 1 case) ---
-  /// Selection, general-cache touches, and user-slot establishment for one
-  /// message; fills the corresponding report fields and returns the
-  /// selected domain.
-  std::size_t prepare_message(EdgeServerState& sstate, EdgeServerState& rstate,
-                              const std::string& sender,
-                              const text::Sentence& message,
-                              TransmitReport& report);
-  /// Eager data plane for the subset `indices` of `messages` that selected
-  /// domain `m`: batched encode/quantize/channel/decode plus the
-  /// per-message mismatch, buffer add, and update trigger, split into
-  /// chunks at the exact messages where the sequential path fine-tunes.
-  void process_domain_group(
-      const std::string& sender, std::size_t m, EdgeServerState& sstate,
-      EdgeServerState& rstate, bool cross_edge,
-      std::uint64_t base_message_index,
-      const std::vector<text::Sentence>& messages,
-      const std::vector<std::size_t>& indices,
-      const std::vector<std::shared_ptr<TransmitReport>>& reports,
-      const ServeContext& ctx);
-
-  // --- cross-pair serving phases (transmit_pairs / transmit_pairs_at) ---
-  /// One pair's wave-scoped state: resolved profiles, per-message reports
-  /// and domain groups from the prepare phase, and the pair-local sinks
-  /// the compute phase collects into.
-  struct PairTask;
+  // --- the pair wave (every serving entry point runs these phases) ---
+  /// Selection for message `i` of the task, then — unless the task is
+  /// degraded — general-cache touches and user-slot establishment; fills
+  /// the corresponding report fields and returns the selected domain.
+  std::size_t prepare_message(PairTask& task, std::size_t i);
+  /// Eager data plane for domain group `group` of the task: batched
+  /// encode/quantize/channel/decode plus the per-message mismatch, buffer
+  /// add, and update trigger, split into chunks at the exact messages
+  /// where the sequential path fine-tunes. `sslot` / `rslot` are the
+  /// sender's model and the receiver's replica (the same buffer-less slot
+  /// for degraded serving, which then buffers and trains nothing).
+  void process_domain_group(PairTask& task, std::size_t group,
+                            UserModelSlot& sslot, UserModelSlot& rslot);
   /// Phase 1 (calling thread, pair order): validation, selection, cache
   /// touches, slot establishment, global message-index assignment.
   void prepare_pair(PairTask& task);

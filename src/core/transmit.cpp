@@ -1,42 +1,47 @@
-// The Fig. 1 end-to-end workflow, single-message and batched.
+// The Fig. 1 end-to-end workflow.
 //
 // Structure note: the DATA plane (encode/quantize/channel/decode, mismatch,
-// fine-tuning) is computed eagerly when transmit_async / transmit_many is
-// called — its results do not depend on simulated time. The TIMING plane
-// (uplink, compute queueing, backbone transfer, downlink, sync shipping) is
-// a callback chain through the discrete-event simulator, so open-loop
-// workloads (E7/E10) see real queueing contention. Weight updates therefore
-// take effect in transmit-call order, which is deterministic.
+// fine-tuning) is computed eagerly when a wave is served — its results do
+// not depend on simulated time. The TIMING plane (uplink, compute
+// queueing, backbone transfer, downlink, sync shipping) is a callback
+// chain through the discrete-event simulator, so open-loop workloads
+// (E7/E10) see real queueing contention. Weight updates therefore take
+// effect in serving order, which is deterministic.
 //
-// transmit_many batches the data plane: messages are grouped by selected
-// domain and each group runs encode_batch / quantize_batch /
-// transmit_batch / decode_logits_batch once per chunk, where chunk
-// boundaries fall exactly on the messages whose buffer add trips the
-// fine-tune trigger (the sequential path updates the weights there, so
-// later messages must be encoded by the post-update model). Per-message
-// channel noise keeps the sequential fork discipline: message i (counted
-// across the whole system) forks rng_ with tag 0xC4A2 ^ (i * 2654435761),
-// so batched and sequential runs consume identical noise streams.
+// There is one serving driver, the pair wave of transmit_pairs: prepare
+// (selection, caches, slots; calling thread, pair order), compute (the
+// batched data plane; lanes keyed by sender), commit (stats folds, sync
+// ships, delivery chains; calling thread, pair order). transmit_many is a
+// one-pair wave (transmit_async and transmit are its N = 1 case), and
+// serve_degraded runs the same three phases over frozen, buffer-less
+// slots.
+//
+// Within a pair, messages are grouped by selected domain and each group
+// runs encode_batch / quantize_batch / transmit_batch /
+// decode_logits_batch once per chunk, where chunk boundaries fall exactly
+// on the messages whose buffer add trips the fine-tune trigger (the
+// sequential path updates the weights there, so later messages must be
+// encoded by the post-update model). Per-message channel noise keeps the
+// sequential fork discipline: message i (counted across the whole system)
+// forks rng_ with tag 0xC4A2 ^ (i * 2654435761), so batched and sequential
+// runs consume identical noise streams.
 //
 // With SystemConfig::num_threads > 0, the per-row stages of each chunk
-// (quantize, channel pass, dequantize) additionally fan out over the
-// system's worker pool. The forked-RNG discipline makes those rows
-// embarrassingly parallel, so threads=N output is bit-identical to
-// threads=0 (test_transmit_parallel pins the whole matrix); everything
-// stateful stays on the calling thread.
+// (quantize, channel pass, dequantize) fan out over the system's worker
+// pool. The forked-RNG discipline makes those rows embarrassingly
+// parallel, so threads=N output is bit-identical to threads=0
+// (test_transmit_parallel pins the whole matrix); everything stateful
+// stays on the thread computing the pair.
 //
-// transmit_pairs serves ACROSS user pairs: every mutable serving object —
-// user-model slot, transaction buffer, fine-tune scratch, decoder replica
-// — is keyed by (sending user, domain), so pairs with distinct senders
-// own disjoint state and their data planes run concurrently (lanes keyed
-// by sender; pairs sharing a sender serialize within one lane). What the
-// pairs DO share is routed around the fan-out: the selector, LRU caches,
-// and slot creation run in the sequential prepare phase; system/channel
-// accounting collects into pair-local sinks; gradient-sync ships and
-// delivery scheduling defer to the commit phase, folded back in pair
-// order. The ServeContext below is the switch between the direct
-// (transmit_many) and deferred (pair-task) routing; both produce
-// byte-identical results for any worker count.
+// Across pairs, every mutable serving object — user-model slot,
+// transaction buffer, fine-tune scratch, decoder replica — is keyed by
+// (sending user, domain), so pairs with distinct senders own disjoint
+// state and their compute phases run concurrently. What the pairs DO
+// share is routed around the fan-out: the selector, LRU caches, and slot
+// creation run in the prepare phase; system/channel accounting collects
+// into the pair's own sinks; cross-edge gradient-sync ships and delivery
+// scheduling wait for the commit phase. A one-pair wave computes inline
+// on the calling thread, so transmit_many keeps its row-level fan-out.
 #include "core/system.hpp"
 
 #include <algorithm>
@@ -69,26 +74,44 @@ std::uint64_t channel_fork_tag(std::uint64_t index) {
 }
 }  // namespace
 
-void SemanticEdgeSystem::run_update(const std::string& sender,
-                                    std::size_t domain,
-                                    EdgeServerState& sender_state,
-                                    EdgeServerState& recv_state,
-                                    TransmitReport& report,
-                                    const ServeContext& ctx) {
-  UserModelSlot* sslot = sender_state.find_slot(sender, domain);
-  SEMCACHE_CHECK(sslot != nullptr && sslot->buffer != nullptr,
-                 "run_update: missing sender slot");
+struct SemanticEdgeSystem::PairTask {
+  std::size_t pair_index = 0;
+  PairBatch batch;
+  /// serve_degraded: selection only at prepare, frozen buffer-less slots
+  /// at compute — no serving state is created or written.
+  bool degraded = false;
+  const UserProfile* sprofile = nullptr;
+  const UserProfile* rprofile = nullptr;
+  EdgeServerState* sstate = nullptr;
+  EdgeServerState* rstate = nullptr;
+  bool cross_edge = false;
+  std::uint64_t base_message_index = 0;
+  std::vector<std::size_t> domains;
+  std::vector<std::shared_ptr<TransmitReport>> reports;
+  // Selected-domain grouping (first-appearance order).
+  std::vector<std::size_t> group_domains;
+  std::vector<std::vector<std::size_t>> groups;
+  // Pair-local sinks the commit phase folds back in pair order.
+  SystemStats stats_delta;
+  channel::PipelineStats channel_delta;
+  std::vector<PendingShip> outbox;
+};
+
+void SemanticEdgeSystem::run_update(PairTask& task, std::size_t domain,
+                                    UserModelSlot& sslot,
+                                    TransmitReport& report) {
+  const std::string& sender = task.batch.sender;
   // First weight write for this slot: copy-on-write materializes a private
   // clone of the general model here, so the bytes are charged exactly when
   // the user develops state of their own.
-  materialize_slot(*sslot, domain);
+  materialize_slot(sslot, domain);
 
   // Fine-tune a scratch clone on the buffered transactions (§II-D: the
   // user-specialized encoder and decoder "start to be trained together
   // after enough collected data at b^m").
-  auto scratch = sslot->model->clone();
-  Rng ft_rng = rng_.fork(0xF17E ^ (sslot->send_version + 1));
-  semantic::CodecTrainer::finetune(*scratch, sslot->buffer->samples(),
+  auto scratch = sslot.model->clone();
+  Rng ft_rng = rng_.fork(0xF17E ^ (sslot.send_version + 1));
+  semantic::CodecTrainer::finetune(*scratch, sslot.buffer->samples(),
                                    config_.finetune_epochs,
                                    config_.finetune_lr, ft_rng,
                                    config_.pretrain.feature_noise,
@@ -96,39 +119,39 @@ void SemanticEdgeSystem::run_update(const std::string& sender,
 
   // Build the decoder sync message from pre/post snapshots.
   const std::vector<float> before =
-      sslot->model->decoder().parameters().flatten_values();
+      sslot.model->decoder().parameters().flatten_values();
   const std::vector<float> after =
       scratch->decoder().parameters().flatten_values();
   fl::SyncMessage msg = synchronizer_->make_message(
       before, after, sender, static_cast<std::uint32_t>(domain),
-      ++sslot->send_version);
+      ++sslot.send_version);
 
   // Encoder adopts the exact fine-tuned weights (it lives only at the
   // sender edge); the decoder COPY applies the same lossy delta the
   // receiver will apply, so the replicas stay bit-identical.
-  nn::ParameterSet senc = sslot->model->encoder().parameters();
+  nn::ParameterSet senc = sslot.model->encoder().parameters();
   senc.copy_values_from(scratch->encoder().parameters());
-  nn::ParameterSet sdec = sslot->model->decoder().parameters();
+  nn::ParameterSet sdec = sslot.model->decoder().parameters();
   synchronizer_->apply(sdec, msg);
-  sslot->buffer->consume();
+  sslot.buffer->consume();
 
   report.triggered_update = true;
   report.sync_bytes = msg.byte_size();
-  ctx.stats->sync_bytes += msg.byte_size();
-  ++ctx.stats->updates;
+  task.stats_delta.sync_bytes += msg.byte_size();
+  ++task.stats_delta.updates;
 
   // Ship the gradient to the receiver edge (④). The snapshot of the
   // sender's post-update decoder rides along for gap recovery — on the
   // wire it would be fetched on demand, so its bytes are only charged when
   // a resync actually happens. Intra-edge, the replica is slot-local
-  // state this call owns, so the apply runs in place (both modes);
-  // cross-edge the backbone send mutates link/simulator state, so
-  // deferred mode queues it for the wave's ordered commit phase.
+  // state this pair owns, so the apply runs in place; cross-edge the
+  // backbone send mutates link/simulator state, so it queues for the
+  // wave's ordered commit phase.
   std::vector<float> snapshot =
-      sslot->model->decoder().parameters().flatten_values();
-  if (sender_state.index() == recv_state.index()) {
-    apply_sync_at_receiver(recv_state, sender, domain, msg, snapshot,
-                           *ctx.stats);
+      sslot.model->decoder().parameters().flatten_values();
+  if (task.sstate->index() == task.rstate->index()) {
+    apply_sync_at_receiver(*task.rstate, sender, domain, msg, snapshot,
+                           task.stats_delta);
     return;
   }
   PendingShip ship;
@@ -136,13 +159,9 @@ void SemanticEdgeSystem::run_update(const std::string& sender,
   ship.snapshot = std::move(snapshot);
   ship.sender = sender;
   ship.domain = domain;
-  ship.sender_edge = sender_state.index();
-  ship.receiver_edge = recv_state.index();
-  if (ctx.outbox != nullptr) {
-    ctx.outbox->push_back(std::move(ship));
-  } else {
-    ship_sync(std::move(ship));
-  }
+  ship.sender_edge = task.sstate->index();
+  ship.receiver_edge = task.rstate->index();
+  task.outbox.push_back(std::move(ship));
 }
 
 void SemanticEdgeSystem::apply_sync_at_receiver(
@@ -179,17 +198,16 @@ void SemanticEdgeSystem::ship_sync(PendingShip ship) {
   if (!fault_plane_.config().sync_faults_active()) {
     // Fault-free fast path, bit-compatible with the pre-fault-plane wire:
     // msg and the decoder snapshot MOVE into the closure (the snapshot is
-    // a full parameter vector — both call sites hand over a ship they are
-    // done with). The apply runs at arrival time on the event loop, where
-    // accounting is the global stats in every mode.
-    fwd.send_concurrent(
-        sim_, byte_size,
-        [this, &recv_state, sender = std::move(ship.sender),
-         domain = ship.domain, msg = std::move(ship.msg),
-         snapshot = std::move(ship.snapshot)] {
-          apply_sync_at_receiver(recv_state, sender, domain, msg, snapshot,
-                                 stats_);
-        });
+    // a full parameter vector — the caller hands over a ship it is done
+    // with). The apply runs at arrival time on the event loop, where
+    // accounting is the global stats.
+    fwd.send(sim_, byte_size,
+             [this, &recv_state, sender = std::move(ship.sender),
+              domain = ship.domain, msg = std::move(ship.msg),
+              snapshot = std::move(ship.snapshot)] {
+               apply_sync_at_receiver(recv_state, sender, domain, msg,
+                                      snapshot, stats_);
+             });
     return;
   }
 
@@ -216,11 +234,11 @@ void SemanticEdgeSystem::ship_sync(PendingShip ship) {
   const auto send_attempt = [this, &fwd](double after, std::size_t bytes,
                                          edge::Simulator::Handler handler) {
     if (after <= 0.0) {
-      fwd.send_concurrent(sim_, bytes, std::move(handler));
+      fwd.send(sim_, bytes, std::move(handler));
     } else {
       sim_.schedule_after(after, [this, &fwd, bytes,
                                   handler = std::move(handler)]() mutable {
-        fwd.send_concurrent(sim_, bytes, std::move(handler));
+        fwd.send(sim_, bytes, std::move(handler));
       });
     }
   };
@@ -288,7 +306,7 @@ void SemanticEdgeSystem::ship_sync(PendingShip ship) {
     topology_.net
         ->link(topology_.edges[payload->receiver_edge],
                topology_.edges[payload->sender_edge])
-        .send_concurrent(sim_, kSyncAckBytes, [] {});
+        .send(sim_, kSyncAckBytes, [] {});
   });
   if (duplicate) {
     ++stats_.sync_duplicates;
@@ -309,12 +327,12 @@ void SemanticEdgeSystem::set_sync_loss_probability(double p) {
   fault_plane_ = FaultPlane(config_.faults);
 }
 
-std::size_t SemanticEdgeSystem::prepare_message(EdgeServerState& sstate,
-                                                EdgeServerState& rstate,
-                                                const std::string& sender,
-                                                const text::Sentence& message,
-                                                TransmitReport& report) {
+std::size_t SemanticEdgeSystem::prepare_message(PairTask& task,
+                                                std::size_t i) {
+  const text::Sentence& message = task.batch.messages[i];
+  TransmitReport& report = *task.reports[i];
   report.domain_true = message.domain;
+  report.degraded = task.degraded;
 
   // --- Model selection (§III-A). ---
   const std::size_t m = config_.oracle_selection
@@ -323,8 +341,14 @@ std::size_t SemanticEdgeSystem::prepare_message(EdgeServerState& sstate,
   report.domain_selected = m;
   report.selection_correct = (m == message.domain);
   if (!report.selection_correct) ++stats_.selection_errors;
+  // Degraded serving stops here: it touches no cache and establishes no
+  // slot (compute_pair serves it from the frozen general).
+  if (task.degraded) return m;
 
   // --- General models through the edge caches (①). ---
+  EdgeServerState& sstate = *task.sstate;
+  EdgeServerState& rstate = *task.rstate;
+  const std::string& sender = task.batch.sender;
   report.general_cache_hit = touch_general_cache(sstate, m);
   touch_general_cache(rstate, m);
 
@@ -347,18 +371,21 @@ std::size_t SemanticEdgeSystem::prepare_message(EdgeServerState& sstate,
   return m;
 }
 
-void SemanticEdgeSystem::process_domain_group(
-    const std::string& sender, std::size_t m, EdgeServerState& sstate,
-    EdgeServerState& rstate, bool cross_edge,
-    std::uint64_t base_message_index,
-    const std::vector<text::Sentence>& messages,
-    const std::vector<std::size_t>& indices,
-    const std::vector<std::shared_ptr<TransmitReport>>& reports,
-    const ServeContext& ctx) {
-  UserModelSlot& sslot = *sstate.find_slot(sender, m);
-  UserModelSlot& rslot = *rstate.find_slot(sender, m);
+void SemanticEdgeSystem::process_domain_group(PairTask& task,
+                                              std::size_t group,
+                                              UserModelSlot& sslot,
+                                              UserModelSlot& rslot) {
+  const std::size_t m = task.group_domains[group];
+  const std::vector<std::size_t>& indices = task.groups[group];
+  const std::vector<text::Sentence>& messages = task.batch.messages;
+  const std::vector<std::shared_ptr<TransmitReport>>& reports = task.reports;
   const std::size_t length = config_.codec.sentence_length;
   const std::size_t vocab = config_.codec.meaning_vocab;
+  // Row-level fan-outs name the system pool: on a wave worker they
+  // degrade to inline loops (nested-engagement rule), while a one-lane
+  // wave computing on the calling thread keeps the row parallelism.
+  // Bits are identical either way.
+  common::ThreadPool* const row_pool = pool_.get();
 
   // Per-lane scratch for the parallel outcome assembly: the CE loss object
   // caches its softmax internally and the logits slice is reused across
@@ -369,9 +396,8 @@ void SemanticEdgeSystem::process_domain_group(
     nn::SoftmaxCrossEntropy ce;
   };
   std::vector<LaneScratch> lanes(
-      ctx.row_pool != nullptr
-          ? std::max<std::size_t>(1, ctx.row_pool->worker_count())
-          : 1);
+      row_pool != nullptr ? std::max<std::size_t>(1, row_pool->worker_count())
+                          : 1);
 
   nn::SoftmaxCrossEntropy ce;  // calling-thread fallback path only
   std::vector<std::int32_t> surfaces;
@@ -380,10 +406,13 @@ void SemanticEdgeSystem::process_domain_group(
   while (pos < indices.size()) {
     // Chunk boundary: the sequential path fine-tunes at the message whose
     // buffer add trips the trigger, and every later message is encoded by
-    // the updated weights — so a chunk may extend at most that far.
-    const std::size_t until_ready =
-        std::max<std::size_t>(1, sslot.buffer->adds_until_ready());
-    const std::size_t chunk = std::min(indices.size() - pos, until_ready);
+    // the updated weights — so a chunk may extend at most that far. A
+    // buffer-less (degraded) slot never trains: one chunk takes the group.
+    std::size_t chunk = indices.size() - pos;
+    if (sslot.buffer != nullptr) {
+      chunk = std::min(
+          chunk, std::max<std::size_t>(1, sslot.buffer->adds_until_ready()));
+    }
 
     // ---- One batched pass over the chunk. ----
     surfaces.clear();
@@ -396,13 +425,12 @@ void SemanticEdgeSystem::process_domain_group(
     // Valid until this encoder's next encode, which happens only after
     // this chunk (the mismatch pass reads it through roundtrip_batch).
     //
-    // Parallel sections: encode/decode stay batched on the calling thread
-    // (they own per-model Workspace scratch), while the per-row quantize /
-    // channel / dequantize passes fan out over pool_ when one is attached
-    // — each row's work touches only row-owned state plus its own forked
-    // RNG, so the bits are identical on any worker count. All mutation
-    // (buffers, caches, stats, timing-plane scheduling) stays below, on
-    // the calling thread.
+    // Parallel sections: encode/decode stay batched on this thread (they
+    // own per-model Workspace scratch), while the per-row quantize /
+    // channel / dequantize passes fan out over row_pool when one is
+    // attached — each row's work touches only row-owned state plus its own
+    // forked RNG, so the bits are identical on any worker count. All
+    // mutation (buffers, pair-local stats) stays below, on this thread.
     //
     // serving_codec is resolved per chunk, not hoisted: the update trigger
     // at a chunk boundary may MATERIALIZE the sender slot (copy-on-write),
@@ -411,10 +439,10 @@ void SemanticEdgeSystem::process_domain_group(
     const tensor::Tensor& features =
         serving_codec(sslot, m).encoder().encode_batch(surfaces, chunk);
     const std::vector<BitVec> payloads =
-        quantizer_->quantize_batch(features, ctx.row_pool);
+        quantizer_->quantize_batch(features, row_pool);
 
     std::vector<BitVec> received;
-    if (cross_edge) {
+    if (task.cross_edge) {
       std::vector<Rng> rngs;
       std::vector<std::uint64_t> slots;
       rngs.reserve(chunk);
@@ -423,29 +451,26 @@ void SemanticEdgeSystem::process_domain_group(
       // fork — channels with memory (Gilbert–Elliott) key their burst
       // weather on it, so waves stay byte-identical across threads/shards.
       for (std::size_t j = 0; j < chunk; ++j) {
-        const std::uint64_t ordinal = base_message_index + indices[pos + j];
+        const std::uint64_t ordinal =
+            task.base_message_index + indices[pos + j];
         rngs.push_back(rng_.fork(channel_fork_tag(ordinal)));
         slots.push_back(ordinal);
       }
-      // Deferred mode collects the channel accounting into the pair-local
-      // sink (the pipeline is shared across concurrently-served pairs);
-      // direct mode books into the pipeline's own stats as always.
-      received = ctx.channel_stats != nullptr
-                     ? pipeline_->transmit_batch_collect(payloads, rngs, slots,
-                                                         *ctx.channel_stats,
-                                                         ctx.row_pool)
-                     : pipeline_->transmit_batch(payloads, rngs, slots);
+      // The channel accounting collects into the pair-local sink: the
+      // pipeline is shared across concurrently-served pairs.
+      received = pipeline_->transmit_batch_collect(
+          payloads, rngs, slots, task.channel_delta, row_pool);
     } else {
       received = payloads;
     }
     const tensor::Tensor rx_features =
-        quantizer_->dequantize_batch(received, ctx.row_pool);
+        quantizer_->dequantize_batch(received, row_pool);
     // Keep the receiver logits alive past the argmax: the mismatch-reuse
     // fast path below reads per-message row slices out of them.
     const tensor::Tensor& rx_logits =
         serving_codec(rslot, m).decoder().decode_logits_batch(rx_features);
     const std::vector<std::int32_t> decoded =
-        tensor::row_argmax(rx_logits, ctx.row_pool);
+        tensor::row_argmax(rx_logits, row_pool);
 
     // --- Mismatch calculation (③). With the decoder copy the sender can
     // evaluate its own clean quantized features locally; without it, the
@@ -465,7 +490,7 @@ void SemanticEdgeSystem::process_domain_group(
     const tensor::Tensor* copy_logits = nullptr;
     if (config_.decoder_copy_enabled && !reuse) {
       const tensor::Tensor clean =
-          quantizer_->roundtrip_batch(features, ctx.row_pool);
+          quantizer_->roundtrip_batch(features, row_pool);
       // Note: sslot and rslot may alias the same decoder (intra-edge, or
       // both copy-on-write slots routed to one serving replica); the
       // decoded ids above are already copied out, so overwriting its
@@ -479,7 +504,7 @@ void SemanticEdgeSystem::process_domain_group(
     // over the pool with the lane scratch above; message j writes only
     // report j. The reuse fallback for channel-corrupted messages needs a
     // decoder forward (per-model Workspace), so it is only FLAGGED here
-    // and computed on the calling thread in the commit loop below. ----
+    // and computed on this thread in the commit loop below. ----
     std::vector<std::uint8_t> wants_copy_fallback(chunk, 0);
     const auto assemble = [&](std::size_t j, std::size_t lane) {
       const std::size_t idx = indices[pos + j];
@@ -493,7 +518,7 @@ void SemanticEdgeSystem::process_domain_group(
           metrics::token_accuracy(message.meanings, report.decoded_meanings);
       report.exact = (report.decoded_meanings == message.meanings);
       report.payload_bytes = (payloads[j].size() + 7) / 8 + kHeaderBytes;
-      if (cross_edge) {
+      if (task.cross_edge) {
         report.airtime_bits =
             pipeline_->code().encoded_length(payloads[j].size());
       }
@@ -509,9 +534,9 @@ void SemanticEdgeSystem::process_domain_group(
                       length * vocab * sizeof(float));
           report.mismatch = scratch.ce.forward(scratch.slice, message.meanings);
         } else if (reuse) {
-          // Channel-corrupted message: needs the decoder copy (sslot !=
-          // rslot here — a corrupted payload implies a cross-edge
-          // channel). Deferred to the calling thread.
+          // Channel-corrupted message: the mismatch is defined on the
+          // decoder copy's view of the CLEAN features, which the corrupted
+          // receiver logits are not. Deferred to this thread.
           wants_copy_fallback[j] = 1;
         } else {
           scratch.slice.resize({length, vocab});
@@ -527,10 +552,10 @@ void SemanticEdgeSystem::process_domain_group(
         report.mismatch = 1.0 - report.token_accuracy;
       }
     };
-    common::parallel_for_or_inline(ctx.row_pool, chunk, assemble);
+    common::parallel_for_or_inline(row_pool, chunk, assemble);
 
     // ---- Commit, in arrival order within the chunk (all mutation —
-    // fallback decoder passes, buffers, stats — on the calling thread). --
+    // fallback decoder passes, buffers, stats — on this thread). ----
     for (std::size_t j = 0; j < chunk; ++j) {
       const std::size_t idx = indices[pos + j];
       const text::Sentence& message = messages[idx];
@@ -550,17 +575,19 @@ void SemanticEdgeSystem::process_domain_group(
         report.mismatch = ce.forward(logits, message.meanings);
       }
       if (!config_.decoder_copy_enabled) {
-        ctx.stats->output_return_bytes += report.output_return_bytes;
+        task.stats_delta.output_return_bytes += report.output_return_bytes;
       }
-      sslot.buffer->add({message.surface, message.meanings}, report.mismatch);
-      ctx.stats->feature_bytes += report.payload_bytes;
+      if (sslot.buffer != nullptr) {
+        sslot.buffer->add({message.surface, message.meanings},
+                          report.mismatch);
+      }
+      task.stats_delta.feature_bytes += report.payload_bytes;
     }
 
     // --- Update trigger (④): fires on the chunk's last message, exactly
     // where the sequential path fires it. ---
-    if (sslot.buffer->ready()) {
-      run_update(sender, m, sstate, rstate, *reports[indices[pos + chunk - 1]],
-                 ctx);
+    if (sslot.buffer != nullptr && sslot.buffer->ready()) {
+      run_update(task, m, sslot, *reports[indices[pos + chunk - 1]]);
     }
     pos += chunk;
   }
@@ -611,7 +638,7 @@ void SemanticEdgeSystem::schedule_delivery(
   const std::size_t payload_bytes = report->payload_bytes;
   auto downlink = [this, &net, r_edge, r_dev, down_bytes,
                    done = std::move(done)]() mutable {
-    net.link(r_edge, r_dev).send_concurrent(sim_, down_bytes, std::move(done));
+    net.link(r_edge, r_dev).send(sim_, down_bytes, std::move(done));
   };
   auto decode = [this, &net, r_edge, dec_flops,
                  downlink = std::move(downlink)]() mutable {
@@ -620,8 +647,7 @@ void SemanticEdgeSystem::schedule_delivery(
   auto backbone = [this, &net, cross_edge, s_edge, r_edge, payload_bytes,
                    decode = std::move(decode)]() mutable {
     if (cross_edge) {
-      net.link(s_edge, r_edge).send_concurrent(sim_, payload_bytes,
-                                               std::move(decode));
+      net.link(s_edge, r_edge).send(sim_, payload_bytes, std::move(decode));
     } else {
       decode();
     }
@@ -630,7 +656,7 @@ void SemanticEdgeSystem::schedule_delivery(
                  backbone = std::move(backbone)]() mutable {
     net.node(s_edge).submit_compute(sim_, enc_flops, std::move(backbone));
   };
-  net.link(s_dev, s_edge).send_concurrent(sim_, up_bytes, std::move(encode));
+  net.link(s_dev, s_edge).send(sim_, up_bytes, std::move(encode));
 }
 
 void SemanticEdgeSystem::transmit_many(
@@ -638,73 +664,18 @@ void SemanticEdgeSystem::transmit_many(
     std::vector<text::Sentence> messages,
     std::function<void(std::size_t, TransmitReport)> on_done) {
   SEMCACHE_CHECK(on_done != nullptr, "transmit_many: null completion");
-  SEMCACHE_CHECK(!messages.empty(), "transmit_many: empty batch");
-  for (const text::Sentence& message : messages) {
-    SEMCACHE_CHECK(message.surface.size() == config_.codec.sentence_length,
-                   "transmit_many: message length must match codec window");
-  }
-  const UserProfile& sprofile = user(sender);
-  const UserProfile& rprofile = user(receiver);
-  EdgeServerState& sstate = edge_state(sprofile.edge_index);
-  EdgeServerState& rstate = edge_state(rprofile.edge_index);
-  const bool cross_edge = sprofile.edge_index != rprofile.edge_index;
-  const std::size_t n = messages.size();
-
-  // ---- Selection / caches / slots, strictly in arrival order (the
-  // selector and the LRU cache are stateful). ----
-  std::vector<std::shared_ptr<TransmitReport>> reports(n);
-  std::vector<std::size_t> domains(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    reports[i] = std::make_shared<TransmitReport>();
-    domains[i] = prepare_message(sstate, rstate, sender, messages[i],
-                                 *reports[i]);
-  }
-
-  // ================= data plane (eager, batched) =================
-  // Group by selected domain (first-appearance order); within a group the
-  // arrival order is preserved, and each message keeps the channel-noise
-  // fork of its system-wide index.
-  const std::uint64_t base_message_index = stats_.messages;
-  const auto grouped = common::group_by_first_appearance(
-      n, [&](std::size_t i) { return domains[i]; });
-  const ServeContext direct{&stats_, nullptr, pool_.get(), nullptr};
-  for (std::size_t g = 0; g < grouped.groups.size(); ++g) {
-    process_domain_group(sender, grouped.keys[g], sstate, rstate, cross_edge,
-                         base_message_index, messages, grouped.groups[g],
-                         reports, direct);
-  }
-  stats_.messages += n;
-
-  // ================= timing plane (one event chain per message) =========
-  for (std::size_t i = 0; i < n; ++i) {
-    schedule_delivery(sprofile, rprofile, domains[i], messages[i], reports[i],
-                      [on_done, i](TransmitReport report) {
-                        on_done(i, std::move(report));
-                      });
-  }
+  std::vector<PairBatch> wave(1);
+  wave[0].sender = sender;
+  wave[0].receiver = receiver;
+  wave[0].messages = std::move(messages);
+  transmit_pairs(std::move(wave),
+                 [on_done = std::move(on_done)](std::size_t, std::size_t index,
+                                                TransmitReport report) {
+                   on_done(index, std::move(report));
+                 });
 }
 
-// ===================== cross-pair parallel serving ======================
-
-struct SemanticEdgeSystem::PairTask {
-  std::size_t pair_index = 0;
-  PairBatch batch;
-  const UserProfile* sprofile = nullptr;
-  const UserProfile* rprofile = nullptr;
-  EdgeServerState* sstate = nullptr;
-  EdgeServerState* rstate = nullptr;
-  bool cross_edge = false;
-  std::uint64_t base_message_index = 0;
-  std::vector<std::size_t> domains;
-  std::vector<std::shared_ptr<TransmitReport>> reports;
-  // Selected-domain grouping (first-appearance order, as transmit_many).
-  std::vector<std::size_t> group_domains;
-  std::vector<std::vector<std::size_t>> groups;
-  // Pair-local sinks the commit phase folds back in pair order.
-  SystemStats stats_delta;
-  channel::PipelineStats channel_delta;
-  std::vector<PendingShip> outbox;
-};
+// ===================== the pair wave ======================
 
 void SemanticEdgeSystem::validate_pair_batch(const PairBatch& batch) const {
   SEMCACHE_CHECK(!batch.messages.empty(), "transmit_pairs: empty pair batch");
@@ -726,18 +697,17 @@ void SemanticEdgeSystem::prepare_pair(PairTask& task) {
   task.rstate = &edge_state(task.rprofile->edge_index);
   task.cross_edge = task.sprofile->edge_index != task.rprofile->edge_index;
 
+  // Selection / caches / slots, strictly in arrival order (the selector
+  // and the LRU caches are stateful).
   const std::size_t n = task.batch.messages.size();
   task.reports.resize(n);
   task.domains.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     task.reports[i] = std::make_shared<TransmitReport>();
-    task.domains[i] = prepare_message(*task.sstate, *task.rstate,
-                                      task.batch.sender,
-                                      task.batch.messages[i],
-                                      *task.reports[i]);
+    task.domains[i] = prepare_message(task, i);
   }
   // Claim this pair's run of global message indices now, in pair order —
-  // exactly the channel-noise forks n sequential transmit_many calls
+  // exactly the channel-noise forks n sequential transmit_async calls
   // would consume (the counter's only other reader is the next prepare).
   // A batch with a PINNED noise base (the sharded front door assigns them
   // from its deployment-wide counter in first-enqueue order) uses that
@@ -748,7 +718,11 @@ void SemanticEdgeSystem::prepare_pair(PairTask& task) {
                                 ? stats_.messages
                                 : task.batch.noise_base;
   stats_.messages += n;
+  if (task.degraded) task.stats_delta.degraded_serves = n;
 
+  // Group by selected domain (first-appearance order); within a group the
+  // arrival order is preserved, and each message keeps the channel-noise
+  // fork of its system-wide index.
   auto grouped = common::group_by_first_appearance(
       n, [&](std::size_t i) { return task.domains[i]; });
   task.group_domains = std::move(grouped.keys);
@@ -756,40 +730,31 @@ void SemanticEdgeSystem::prepare_pair(PairTask& task) {
 }
 
 void SemanticEdgeSystem::compute_pair(PairTask& task) {
-  // Row-level fan-outs still name the system pool: on a wave worker they
-  // degrade to inline loops (nested-engagement rule), while a
-  // single-lane wave computing on the calling thread keeps the row
-  // parallelism of transmit_many. Bits are identical either way.
-  const ServeContext deferred{&task.stats_delta, &task.channel_delta,
-                              pool_.get(), &task.outbox};
   for (std::size_t g = 0; g < task.groups.size(); ++g) {
-    process_domain_group(task.batch.sender, task.group_domains[g],
-                         *task.sstate, *task.rstate, task.cross_edge,
-                         task.base_message_index, task.batch.messages,
-                         task.groups[g], task.reports, deferred);
+    const std::size_t m = task.group_domains[g];
+    if (task.degraded) {
+      // A stack-local slot that aliases the frozen general and has no
+      // transaction buffer: the group is served as one chunk, nothing is
+      // buffered and no update can trigger. It stands in for both ends,
+      // so the replicas count as in sync.
+      UserModelSlot frozen;
+      frozen.model = general_models_[m];
+      process_domain_group(task, g, frozen, frozen);
+    } else {
+      process_domain_group(task, g,
+                           *task.sstate->find_slot(task.batch.sender, m),
+                           *task.rstate->find_slot(task.batch.sender, m));
+    }
   }
 }
 
 void SemanticEdgeSystem::commit_pair(PairTask& task, const PairDone& on_done) {
-  // Fold the pair-local accounting into the global sinks. `messages` was
-  // claimed at prepare; uplink/downlink book in schedule_delivery below;
-  // selection_errors booked in prepare. The fault/resync counters are
-  // structurally zero here (ship_sync books them at commit time, into
-  // the global stats) but fold anyway so the invariant lives in one
-  // place.
-  stats_.feature_bytes += task.stats_delta.feature_bytes;
-  stats_.sync_bytes += task.stats_delta.sync_bytes;
-  stats_.output_return_bytes += task.stats_delta.output_return_bytes;
-  stats_.updates += task.stats_delta.updates;
-  stats_.sync_drops += task.stats_delta.sync_drops;
-  stats_.sync_retries += task.stats_delta.sync_retries;
-  stats_.sync_corrupt_drops += task.stats_delta.sync_corrupt_drops;
-  stats_.sync_duplicates += task.stats_delta.sync_duplicates;
-  stats_.sync_expired += task.stats_delta.sync_expired;
-  stats_.sync_ack_bytes += task.stats_delta.sync_ack_bytes;
-  stats_.full_resyncs += task.stats_delta.full_resyncs;
-  stats_.resync_bytes += task.stats_delta.resync_bytes;
-  stats_.degraded_serves += task.stats_delta.degraded_serves;
+  // Fold the pair-local accounting into the global sinks. The counters
+  // the delta never carries — messages and selection_errors (prepare),
+  // uplink/downlink bytes (schedule_delivery), the outage counters (the
+  // links' sinks) and the sync-fault ladder (ship_sync) — are booked
+  // straight into stats_, so they are zero here.
+  stats_ += task.stats_delta;
   pipeline_->fold_stats(task.channel_delta);
   // Ship deferred gradient syncs in trigger order, exactly where the
   // sequential path would have sent them: after this pair's data plane,
@@ -815,7 +780,7 @@ void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
   // global message indices and mutates caches/slots, so a mid-wave
   // rejection would leave earlier pairs prepared but later ones dropped,
   // with every later channel-noise fork shifted. Rejecting up front
-  // keeps a failed call side-effect-free, like a failed transmit_many.
+  // keeps a failed call side-effect-free.
   // Fault injection needs no special casing here: every fault coin is
   // keyed by message identity (FaultPlane), so waves stay parallel — and
   // byte-identical — under active injection.
@@ -832,7 +797,8 @@ void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
   // Phase 2: partition pairs into lanes by sending user — every mutable
   // serving object is keyed by (sender, domain), so pairs sharing a
   // sender share slots and must serialize (in pair order, within one
-  // lane); distinct senders own disjoint state and fan out.
+  // lane); distinct senders own disjoint state and fan out. A single
+  // lane runs inline on the calling thread.
   const auto lanes = common::group_by_first_appearance(
       tasks.size(),
       [&](std::size_t p) -> const std::string& { return tasks[p].batch.sender; });
@@ -866,78 +832,26 @@ void SemanticEdgeSystem::transmit_pairs_at(edge::SimTime t, PairBatch batch,
 }
 
 void SemanticEdgeSystem::serve_degraded(
-    const PairBatch& batch,
-    std::function<void(std::size_t, TransmitReport)> on_done) {
+    PairBatch batch, std::function<void(std::size_t, TransmitReport)> on_done) {
   SEMCACHE_CHECK(on_done != nullptr, "serve_degraded: null completion");
-  validate_pair_batch(batch);
-  const UserProfile& sprofile = user(batch.sender);
-  const UserProfile& rprofile = user(batch.receiver);
-  const bool cross_edge = sprofile.edge_index != rprofile.edge_index;
-  const std::uint64_t base = batch.noise_base == PairBatch::kAutoNoiseBase
-                                 ? stats_.messages
-                                 : batch.noise_base;
-  nn::SoftmaxCrossEntropy ce;
-
-  // Availability mode: every message runs the full Fig. 1 data plane on a
-  // FROZEN general-model replica — no slot creation, no cache touches, no
-  // transaction buffering, no fine-tune, no sync. Worker slot 0 is safe:
-  // degraded serving runs on the dispatcher's calling thread, never
-  // inside a wave fan-out. The channel keeps the identity-keyed noise
-  // fork, so a degraded wave is itself bit-reproducible.
-  for (std::size_t i = 0; i < batch.messages.size(); ++i) {
-    const text::Sentence& message = batch.messages[i];
-    auto report = std::make_shared<TransmitReport>();
-    report->degraded = true;
-    report->domain_true = message.domain;
-    const std::size_t m = config_.oracle_selection
-                              ? message.domain
-                              : selector_->select(message.surface);
-    report->domain_selected = m;
-    report->selection_correct = (m == message.domain);
-    if (!report->selection_correct) ++stats_.selection_errors;
-
-    semantic::SemanticCodec& codec = *serving_replicas_[m][0];
-    const tensor::Tensor& features =
-        codec.encoder().encode_batch(message.surface, 1);
-    const std::vector<BitVec> payloads =
-        quantizer_->quantize_batch(features, nullptr);
-    std::vector<BitVec> received;
-    if (cross_edge) {
-      std::vector<Rng> rngs;
-      rngs.push_back(rng_.fork(channel_fork_tag(base + i)));
-      const std::uint64_t slot[] = {base + i};
-      received = pipeline_->transmit_batch(payloads, rngs, slot);
-    } else {
-      received = payloads;
-    }
-    const tensor::Tensor rx_features =
-        quantizer_->dequantize_batch(received, nullptr);
-    const tensor::Tensor& rx_logits =
-        codec.decoder().decode_logits_batch(rx_features);
-    report->decoded_meanings = tensor::row_argmax(rx_logits, nullptr);
-    report->token_accuracy =
-        metrics::token_accuracy(message.meanings, report->decoded_meanings);
-    report->exact = (report->decoded_meanings == message.meanings);
-    report->payload_bytes = (payloads[0].size() + 7) / 8 + kHeaderBytes;
-    if (cross_edge) {
-      report->airtime_bits = pipeline_->code().encoded_length(payloads[0].size());
-    }
-    if (config_.decoder_copy_enabled) {
-      // Encoder and decoder are the SAME frozen general here, trivially
-      // in sync: the receiver logits ARE the decoder-copy logits.
-      report->mismatch = ce.forward(rx_logits, message.meanings);
-    } else {
-      report->output_return_bytes =
-          kHeaderBytes + kTokenBytes * report->decoded_meanings.size();
-      report->mismatch = 1.0 - report->token_accuracy;
-      stats_.output_return_bytes += report->output_return_bytes;
-    }
-    ++stats_.degraded_serves;
-    stats_.feature_bytes += report->payload_bytes;
-    schedule_delivery(sprofile, rprofile, m, message, report,
-                      [on_done, i](TransmitReport r) { on_done(i, std::move(r)); });
-  }
-  stats_.messages += batch.messages.size();
+  // Availability mode: the pair wave's three phases, inline, with the
+  // task flagged degraded (selection only, frozen buffer-less slots). The
+  // calling thread is the dispatcher's, never a pool worker, so the
+  // frozen serving replicas of worker slot 0 are free. The channel keeps
+  // the identity-keyed noise fork, so a degraded wave is itself
+  // bit-reproducible.
+  PairTask task;
+  task.batch = std::move(batch);
+  task.degraded = true;
+  prepare_pair(task);
+  compute_pair(task);
+  // Deliveries fire after this call returns: the completion is captured
+  // by value.
+  commit_pair(task, [on_done = std::move(on_done)](std::size_t,
+                                                   std::size_t index,
+                                                   TransmitReport report) {
+    on_done(index, std::move(report));
+  });
 }
 
 void SemanticEdgeSystem::transmit_async(

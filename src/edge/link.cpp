@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
 
 namespace semcache::edge {
 
@@ -17,8 +16,6 @@ Link::Link(LinkId id, NodeId from, NodeId to, double bandwidth_bps,
       propagation_(propagation_s) {
   SEMCACHE_CHECK(bandwidth_bps > 0.0, "Link: bandwidth must be positive");
   SEMCACHE_CHECK(propagation_s >= 0.0, "Link: negative propagation delay");
-  std::uint64_t seed = static_cast<std::uint64_t>(id_);
-  lane_key_ = semcache::splitmix64(seed);
 }
 
 double Link::transfer_time(std::size_t bytes) const {
@@ -134,65 +131,6 @@ SimTime Link::send(Simulator& sim, std::size_t bytes,
   ++transfers_;
   sim.schedule_at(delivered, std::move(on_delivered));
   return delivered;
-}
-
-void Link::send_concurrent(Simulator& sim, std::size_t bytes,
-                           Simulator::Handler on_delivered) {
-  struct Outcome {
-    SimTime delivered = 0.0;
-    bool dropped = false;
-    bool queued = false;
-  };
-  // `at` and the outage policy are captured at the schedule site, where
-  // send() would have read them: the compute phase must not touch the
-  // Simulator, and a policy toggled between this call and the wave must
-  // not retroactively change this send's fate. (now() at wave time
-  // equals now() here anyway — the event runs at its own timestamp.)
-  const SimTime at = sim.now();
-  const OutagePolicy policy = outage_policy_;
-  // The delivery event's insertion seq is reserved HERE, where send()
-  // would have allocated it, and the commit schedules with it — so a
-  // same-timestamp event the caller schedules between this call and the
-  // wave breaks the tie exactly as under send(). A kDrop refusal simply
-  // leaves the reservation unused (seq gaps are harmless).
-  const std::uint64_t delivery_seq = sim.reserve_seq();
-  auto outcome = std::make_shared<Outcome>();
-  sim.schedule_concurrent_at(
-      at, lane_key_, /*prepare=*/nullptr,
-      // Compute: the full serialization/outage math, writing only this
-      // link's own state. Same-link sends share the lane and therefore
-      // run in scheduling order — the same FIFO send() enforces — while
-      // different links' computes fan out in parallel.
-      [this, at, bytes, policy, outcome] {
-        const double serialization =
-            static_cast<double>(bytes) * 8.0 / bandwidth_;
-        SimTime start = std::max(at, busy_until_);
-        if (is_down(start)) {
-          if (policy == OutagePolicy::kDrop) {
-            ++outage_drops_;
-            outcome->dropped = true;
-            return;
-          }
-          start = next_up(start);
-          ++outage_queued_;
-          outcome->queued = true;
-        }
-        busy_until_ = start + serialization;
-        outcome->delivered = start + serialization + propagation_;
-        bytes_carried_ += bytes;
-        ++transfers_;
-      },
-      // Commit: shared sinks and simulator scheduling, ordered.
-      [this, &sim, outcome, delivery_seq,
-       fn = std::move(on_delivered)]() mutable {
-        if (outcome->dropped) {
-          if (drop_sink_ != nullptr) ++*drop_sink_;
-          return;
-        }
-        if (outcome->queued && queue_sink_ != nullptr) ++*queue_sink_;
-        sim.schedule_at_reserved(outcome->delivered, delivery_seq,
-                                 std::move(fn));
-      });
 }
 
 }  // namespace semcache::edge

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -50,27 +49,6 @@ class Link {
   /// when the transfer would start inside an outage under kDrop policy.
   SimTime send(Simulator& sim, std::size_t bytes,
                Simulator::Handler on_delivered);
-
-  /// send() for the parallel timing plane: registers the serialization
-  /// math as a three-phase concurrent event at sim.now() on this link's
-  /// lane, so a wave of sends across many links fans out over the pool
-  /// while each link's FIFO (`busy_until_`) stays serialized in
-  /// scheduling order. The compute phase touches only this link's own
-  /// state; shared sinks and the delivery scheduling happen in the
-  /// commit. Bit-identical timing/accounting to the same sends issued
-  /// through send() at the same timestamps in the same order — including
-  /// same-timestamp ordering against other events the caller schedules
-  /// after this call (the delivery's insertion seq is reserved at call
-  /// time, where send() would have allocated it, not at the wave's
-  /// commit); a kDrop refusal simply never schedules `on_delivered`
-  /// (there is no return value to observe — callers that need the
-  /// delivery time use send()).
-  void send_concurrent(Simulator& sim, std::size_t bytes,
-                       Simulator::Handler on_delivered);
-
-  /// Lane key for send_concurrent waves (splitmix64 of the link id, so
-  /// small sequential link ids don't collide with other lane keyspaces).
-  std::uint64_t lane_key() const { return lane_key_; }
 
   /// Idle-link transfer latency for `bytes` (serialization + propagation).
   double transfer_time(std::size_t bytes) const;
@@ -115,7 +93,6 @@ class Link {
   NodeId to_;
   double bandwidth_;
   double propagation_;
-  std::uint64_t lane_key_;
   SimTime busy_until_ = 0.0;
   std::uint64_t bytes_carried_ = 0;
   std::size_t transfers_ = 0;

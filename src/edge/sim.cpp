@@ -37,17 +37,6 @@ void Simulator::schedule_after(SimTime dt, Handler fn) {
   schedule_at(now_ + dt, std::move(fn));
 }
 
-void Simulator::schedule_at_reserved(SimTime t, std::uint64_t seq,
-                                     Handler fn) {
-  SEMCACHE_CHECK(t >= now_, "Simulator: cannot schedule in the past");
-  SEMCACHE_CHECK(fn != nullptr, "Simulator: null handler");
-  Event ev;
-  ev.t = t;
-  ev.seq = seq;
-  ev.fn = std::move(fn);
-  push_event(std::move(ev));
-}
-
 void Simulator::schedule_concurrent_at(SimTime t, std::uint64_t lane,
                                        Handler prepare, Handler compute,
                                        Handler commit) {

@@ -93,22 +93,11 @@ class Simulator {
   /// Schedule a handler `dt >= 0` seconds from now.
   void schedule_after(SimTime dt, Handler fn);
 
-  /// Reserve the insertion-sequence slot the next scheduled event would
-  /// get, for a later schedule_at_reserved(). Lets a deferred commit
-  /// (e.g. Link::send_concurrent's delivery) keep the same-timestamp
-  /// ordering of its reservation site, exactly as if scheduled here. An
-  /// unused reservation is harmless — seq gaps never affect ordering.
-  std::uint64_t reserve_seq() { return next_seq_++; }
-  /// schedule_at() with a sequence from reserve_seq(). `t` must still be
-  /// >= now; the reserved seq orders same-timestamp ties, it cannot
-  /// reorder against events that already executed.
-  void schedule_at_reserved(SimTime t, std::uint64_t seq, Handler fn);
-
   /// Schedule a three-phase concurrent event (see file comment). Events
   /// sharing a `lane` key never run their compute phases concurrently
   /// with each other (serving layers key lanes by the state they own,
-  /// e.g. the sending user; links key them by link id). `prepare` and
-  /// `commit` may be null; `compute` must not be.
+  /// e.g. the sending user). `prepare` and `commit` may be null;
+  /// `compute` must not be.
   void schedule_concurrent_at(SimTime t, std::uint64_t lane, Handler prepare,
                               Handler compute, Handler commit);
 

@@ -613,136 +613,5 @@ TEST(Simulator, FarHorizonAndClampedTimersRunInOrder) {
   EXPECT_EQ(sim.now(), 5e12 + 2.0);
 }
 
-TEST(Link, SendConcurrentMatchesSendTimingAndAccounting) {
-  // The lane-scheduled send must reproduce send()'s FIFO serialization
-  // math, delivery times, and counters exactly — same sends, issued at
-  // the same instants in the same order, through each API.
-  OutageRig direct;
-  OutageRig lane;
-  std::vector<double> direct_arrivals;
-  std::vector<double> lane_arrivals;
-  const auto issue = [](OutageRig& rig, std::vector<double>& arrivals,
-                        bool concurrent) {
-    const auto at = [&arrivals, &rig] {
-      return [&arrivals, &rig] { arrivals.push_back(rig.sim.now()); };
-    };
-    // Two back-to-back at t=0 (FIFO on busy_until_), one mid-flight.
-    if (concurrent) {
-      rig.link->send_concurrent(rig.sim, 1000, at());
-      rig.link->send_concurrent(rig.sim, 1000, at());
-    } else {
-      rig.link->send(rig.sim, 1000, at());
-      rig.link->send(rig.sim, 1000, at());
-    }
-    rig.sim.schedule_at(0.0015, [&rig, &arrivals, at, concurrent] {
-      if (concurrent) {
-        rig.link->send_concurrent(rig.sim, 2000, at());
-      } else {
-        rig.link->send(rig.sim, 2000, at());
-      }
-    });
-    rig.sim.run();
-  };
-  issue(direct, direct_arrivals, false);
-  issue(lane, lane_arrivals, true);
-  ASSERT_EQ(lane_arrivals.size(), 3u);
-  EXPECT_EQ(lane_arrivals, direct_arrivals);
-  EXPECT_EQ(lane.link->transfers(), direct.link->transfers());
-  EXPECT_EQ(lane.link->bytes_carried(), direct.link->bytes_carried());
-}
-
-TEST(Link, SendConcurrentDeliveryOrdersAsIfScheduledAtCallTime) {
-  // The delivery event's insertion seq is reserved when send_concurrent is
-  // CALLED — where send() would have allocated it — not when the wave
-  // commit schedules it. So an event the caller schedules at the delivery
-  // timestamp between the call and the wave breaks the tie identically
-  // under both APIs: the delivery fires first.
-  for (const bool concurrent : {false, true}) {
-    OutageRig rig;
-    std::vector<int> order;
-    const double delivered = rig.link->transfer_time(1000);
-    if (concurrent) {
-      rig.link->send_concurrent(rig.sim, 1000, [&] { order.push_back(0); });
-    } else {
-      rig.link->send(rig.sim, 1000, [&] { order.push_back(0); });
-    }
-    rig.sim.schedule_at(delivered, [&] { order.push_back(1); });
-    rig.sim.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1})) << "concurrent=" << concurrent;
-  }
-}
-
-TEST(Link, SendConcurrentOutagePoliciesMatchSend) {
-  // kDrop refuses without scheduling the handler; kQueue shifts the start
-  // and counts it — identical to send(), including the external sinks.
-  for (const bool concurrent : {false, true}) {
-    OutageRig rig;
-    std::size_t drops = 0;
-    std::size_t queued = 0;
-    rig.link->set_outage_sinks(&drops, &queued);
-    rig.link->add_outage(0.0, 0.5);
-    std::vector<double> arrivals;
-    const auto at = [&arrivals, &rig] { arrivals.push_back(rig.sim.now()); };
-    bool dropped_delivery = false;
-    rig.link->set_outage_policy(OutagePolicy::kDrop);
-    if (concurrent) {
-      rig.link->send_concurrent(rig.sim, 1000,
-                                [&] { dropped_delivery = true; });
-    } else {
-      rig.link->send(rig.sim, 1000, [&] { dropped_delivery = true; });
-    }
-    rig.link->set_outage_policy(OutagePolicy::kQueue);
-    if (concurrent) {
-      rig.link->send_concurrent(rig.sim, 1000, at);
-    } else {
-      rig.link->send(rig.sim, 1000, at);
-    }
-    rig.sim.run();
-    EXPECT_FALSE(dropped_delivery) << "concurrent=" << concurrent;
-    ASSERT_EQ(arrivals.size(), 1u) << "concurrent=" << concurrent;
-    EXPECT_NEAR(arrivals[0], 0.5 + 0.001 + 0.001, 1e-9);
-    EXPECT_EQ(drops, 1u);
-    EXPECT_EQ(queued, 1u);
-    EXPECT_EQ(rig.link->outage_drops(), 1u);
-    EXPECT_EQ(rig.link->outage_queued(), 1u);
-    EXPECT_EQ(rig.link->transfers(), 1u);
-    EXPECT_EQ(rig.link->bytes_carried(), 1000u);
-  }
-}
-
-TEST(Link, SendConcurrentLanesFanOutAcrossLinksUnderAPool) {
-  // Sends on different links at one instant form one wave with per-link
-  // lanes: with a pool attached the computes fan out, and the result is
-  // bit-identical to inline execution (the ThreadPool contract).
-  const auto drive = [](common::ThreadPool* pool) {
-    Network net;
-    const NodeId a = net.add_node("a", NodeKind::kEdgeServer, 1e9);
-    const NodeId b = net.add_node("b", NodeKind::kEdgeServer, 1e9);
-    const NodeId c = net.add_node("c", NodeKind::kDevice, 1e9);
-    const NodeId d = net.add_node("d", NodeKind::kDevice, 1e9);
-    net.connect(a, b, 8e6, 0.001);
-    net.connect(a, c, 4e6, 0.002);
-    net.connect(a, d, 2e6, 0.003);
-    Simulator sim;
-    sim.set_thread_pool(pool);
-    std::vector<std::pair<int, double>> arrivals;
-    Link* links[] = {&net.link(a, b), &net.link(a, c), &net.link(a, d)};
-    for (int round = 0; round < 3; ++round) {
-      for (int l = 0; l < 3; ++l) {
-        links[l]->send_concurrent(sim, 500 * (l + 1), [&arrivals, l, &sim] {
-          arrivals.emplace_back(l, sim.now());
-        });
-      }
-    }
-    sim.run();
-    return arrivals;
-  };
-  common::ThreadPool pool(4);
-  const auto inline_arrivals = drive(nullptr);
-  const auto pooled_arrivals = drive(&pool);
-  ASSERT_EQ(inline_arrivals.size(), 9u);
-  EXPECT_EQ(pooled_arrivals, inline_arrivals);
-}
-
 }  // namespace
 }  // namespace semcache::edge

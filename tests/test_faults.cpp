@@ -522,5 +522,58 @@ TEST(Degradation, DropPolicyOutagesLoseCompletionsButNeverHang) {
   EXPECT_EQ(system->stats().outage_queued, 0u);
 }
 
+TEST(Degradation, DegradedReportsMatchHealthyServingWhileNothingTrains) {
+  // With a trigger the batch never reaches, healthy serving never
+  // fine-tunes, so its models ARE the frozen generals and a degraded
+  // serve of the same messages must report the same data plane — the
+  // mismatch of channel-corrupted payloads included (the decoder copy's
+  // loss on the clean features, not the receiver's on the corrupted
+  // ones). 7 dB puts a few of the 24 payloads through decode errors.
+  SystemConfig config = test::tiny_system_config(77);
+  config.pretrain.steps = 150;
+  config.buffer_trigger = 64;
+  config.channel.snr_db = 7.0;
+  auto healthy = SemanticEdgeSystem::build(config);
+  auto degraded = SemanticEdgeSystem::build(config);
+  std::vector<text::Sentence> messages;
+  for (auto* system : {healthy.get(), degraded.get()}) {
+    system->register_user("a", 0, nullptr);
+    system->register_user("b", 1, nullptr);
+    messages.clear();
+    for (int i = 0; i < 24; ++i) {
+      messages.push_back(system->sample_message("a", i % 2));
+    }
+  }
+
+  std::vector<TransmitReport> want(messages.size());
+  std::vector<TransmitReport> got(messages.size());
+  healthy->transmit_many("a", "b", messages,
+                         [&want](std::size_t i, TransmitReport report) {
+                           want[i] = std::move(report);
+                         });
+  SemanticEdgeSystem::PairBatch batch;
+  batch.sender = "a";
+  batch.receiver = "b";
+  batch.messages = messages;
+  degraded->serve_degraded(std::move(batch),
+                           [&got](std::size_t i, TransmitReport report) {
+                             got[i] = std::move(report);
+                           });
+  healthy->simulator().run();
+  degraded->simulator().run();
+
+  ASSERT_EQ(healthy->stats().updates, 0u);
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    SCOPED_TRACE("message " + std::to_string(i));
+    EXPECT_TRUE(got[i].degraded);
+    EXPECT_EQ(want[i].decoded_meanings, got[i].decoded_meanings);
+    EXPECT_EQ(want[i].mismatch, got[i].mismatch);  // exact doubles
+    EXPECT_EQ(want[i].payload_bytes, got[i].payload_bytes);
+    EXPECT_EQ(want[i].airtime_bits, got[i].airtime_bits);
+    EXPECT_EQ(want[i].latency_s, got[i].latency_s);
+  }
+  EXPECT_EQ(healthy->stats().feature_bytes, degraded->stats().feature_bytes);
+}
+
 }  // namespace
 }  // namespace semcache::core
