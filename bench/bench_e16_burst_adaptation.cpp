@@ -15,9 +15,9 @@
 //
 // Determinism: burst weather is a pure function of (seed, slot) and every
 // message RNG is an identity fork, so all counters in these tables are
-// byte-identical across SEMCACHE_THREADS settings (the fixed arms batch
-// over the worker pool; the adaptive arm is genuinely sequential — the
-// controller is a serial dependency).
+// reproducible from the seeds alone. The fixed arms run one batched
+// transmit; the adaptive arm runs message by message, because the
+// controller is a serial dependency.
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,7 +25,6 @@
 #include "bench_util.hpp"
 #include "channel/adaptive.hpp"
 #include "channel/pipeline.hpp"
-#include "common/thread_pool.hpp"
 #include "metrics/ngram.hpp"
 #include "metrics/stats.hpp"
 #include "semantic/quantizer.hpp"
@@ -118,12 +117,11 @@ DecodeResult decode_quality(semantic::SemanticCodec& codec,
 ArmResult run_fixed(const std::string& code, const Scenario& sc,
                     semantic::SemanticCodec& codec,
                     const semantic::FeatureQuantizer& quantizer,
-                    const Workload& w, common::ThreadPool* pool) {
+                    const Workload& w) {
   auto pipe = channel::make_burst_pipeline(channel::make_code(code),
                                            channel::Modulation::kQpsk,
                                            sc.burst, kInterleaveDepth);
   pipe->set_soft_decision(true);
-  pipe->set_thread_pool(pool);
   std::vector<Rng> rngs;
   std::vector<std::uint64_t> slots;
   Rng base(9090);
@@ -177,12 +175,6 @@ int main(int argc, char** argv) {
   auto codec = bench::train_domain_codec(world, 0, cc, 6000,
                                          quantizer.max_error() / 2, 18);
 
-  // One worker pool for the fixed arms' batches; SEMCACHE_THREADS=0 (or
-  // unset) keeps everything sequential. Counters must not depend on this.
-  const std::size_t threads = common::resolve_thread_count(0);
-  std::unique_ptr<common::ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<common::ThreadPool>(threads);
-
   metrics::Table summary(
       "E16 — adaptive vs best fixed rate (goodput, per scenario)",
       {"scenario", "r12", "r23", "r34", "adaptive", "best_fixed",
@@ -199,8 +191,7 @@ int main(int argc, char** argv) {
 
     std::vector<std::pair<std::string, ArmResult>> arms;
     for (const char* code : {"conv_k3_r12", "conv_k3_r23", "conv_k3_r34"}) {
-      arms.emplace_back(code,
-                        run_fixed(code, sc, *codec, quantizer, w, pool.get()));
+      arms.emplace_back(code, run_fixed(code, sc, *codec, quantizer, w));
     }
     arms.emplace_back("adaptive", run_adaptive(sc, *codec, quantizer, w));
 

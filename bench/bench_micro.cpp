@@ -311,14 +311,15 @@ static void BM_TransmitBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TransmitBatch)->Arg(1)->Arg(8)->Arg(32);
 
-// The worker-pool serving path: BM_TransmitBatch's exact workload on a
-// system built with num_threads = {1, 2, 4} (args: {threads, batch}).
-// Output is bit-identical to the sequential path by construction
-// (test_transmit_parallel), so the only thing this measures is how much
-// of the per-message channel-noise floor the pool recovers; compare
-// against BM_TransmitBatch at the same batch for the speedup. One system
-// per thread count (the pool is fixed at build), built lazily and leaked
-// like BM_TransmitBatch's.
+// BM_TransmitBatch's exact workload on a system built with num_threads =
+// {1, 2, 4} (args: {threads, batch}). transmit_many is a one-pair wave,
+// and the pool runs only a wave's sender lanes, so this one-lane wave
+// computes inline on the calling thread: each row should match its
+// BM_TransmitBatch twin at the same batch, and a row slower than the twin
+// means the pooled system taxes the path it does not parallelize. Output
+// is bit-identical to the sequential path by construction
+// (test_transmit_parallel). One system per thread count (the pool is
+// fixed at build), built lazily and leaked like BM_TransmitBatch's.
 static void BM_TransmitBatchThreaded(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   const auto count = static_cast<std::size_t>(state.range(1));

@@ -38,13 +38,12 @@ BitVec ChannelPipeline::transmit_at(const BitVec& payload, Rng& rng,
 std::vector<BitVec> ChannelPipeline::transmit_batch(
     const std::vector<BitVec>& payloads, std::span<Rng> rngs,
     std::span<const std::uint64_t> slots) {
-  return transmit_batch_collect(payloads, rngs, slots, stats_, pool_);
+  return transmit_batch_collect(payloads, rngs, slots, stats_);
 }
 
 std::vector<BitVec> ChannelPipeline::transmit_batch_collect(
     const std::vector<BitVec>& payloads, std::span<Rng> rngs,
-    std::span<const std::uint64_t> slots, PipelineStats& sink,
-    common::ThreadPool* pool) const {
+    std::span<const std::uint64_t> slots, PipelineStats& sink) const {
   SEMCACHE_CHECK(slots.empty() || slots.size() == payloads.size(),
                  "pipeline: transmit_batch slots span must be empty or match "
                  "the payload count");
@@ -52,29 +51,18 @@ std::vector<BitVec> ChannelPipeline::transmit_batch_collect(
                  "pipeline: transmit_batch needs one rng per payload (" +
                      std::to_string(payloads.size()) + " payloads, " +
                      std::to_string(rngs.size()) + " rngs)");
-  const std::size_t n = payloads.size();
-  std::vector<BitVec> received(n);
-  std::vector<std::size_t> airtime(n, 0);
-  std::vector<std::exception_ptr> errors(n);
   // Per-message noise streams stay independent: message i consumes only
-  // rngs[i], so bits match N sequential transmit() calls exactly whether
-  // the passes run inline or on the pool. Exceptions are captured per
-  // index instead of letting the fan-out rethrow: the stats commit below
-  // must replay the sequential order (messages before the first throwing
-  // index count, the rest do not).
-  common::parallel_for_or_inline(pool, n, [&](std::size_t i, std::size_t) {
-    try {
-      const std::uint64_t slot = slots.empty() ? 0 : slots[i];
-      received[i] =
-          transmit_one(payloads[i], rngs[i], airtime[i], slot, nullptr);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  });
-  for (std::size_t i = 0; i < n; ++i) {
-    if (errors[i]) std::rethrow_exception(errors[i]);
+  // rngs[i], so bits match N sequential transmit() calls exactly. Each
+  // message is accounted as it completes, so a throw leaves `sink` holding
+  // exactly the messages before it.
+  std::vector<BitVec> received(payloads.size());
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    std::size_t airtime_bits = 0;
+    const std::uint64_t slot = slots.empty() ? 0 : slots[i];
+    received[i] =
+        transmit_one(payloads[i], rngs[i], airtime_bits, slot, nullptr);
     sink.payload_bits += payloads[i].size();
-    sink.airtime_bits += airtime[i];
+    sink.airtime_bits += airtime_bits;
     sink.messages += 1;
   }
   return received;

@@ -12,7 +12,6 @@
 #include "channel/code.hpp"
 #include "channel/interleaver.hpp"
 #include "channel/physical.hpp"
-#include "common/thread_pool.hpp"
 
 namespace semcache::channel {
 
@@ -51,14 +50,8 @@ class ChannelPipeline {
   /// `rngs[i]`, so result i is bit-identical to `transmit(payloads[i],
   /// rngs[i])` and the caller's per-message fork discipline is preserved.
   /// Stats account per message: `messages` grows by payloads.size() and the
-  /// payload/airtime bit sums equal N sequential transmits.
-  ///
-  /// With a thread pool attached, the per-message modulate/noise/
-  /// demodulate/decode passes run in parallel — each message consumes only
-  /// its own rngs[i], so the received bits are bit-identical to the
-  /// sequential path regardless of worker count — and the per-message
-  /// stats are committed in ascending index order after the join.
-  /// `slots` as in transmit_batch_collect.
+  /// payload/airtime bit sums equal N sequential transmits. `slots` as in
+  /// transmit_batch_collect.
   std::vector<BitVec> transmit_batch(
       const std::vector<BitVec>& payloads, std::span<Rng> rngs,
       std::span<const std::uint64_t> slots = {});
@@ -70,12 +63,11 @@ class ChannelPipeline {
   /// the sinks back in pair order after the join (fold_stats). `slots[i]`
   /// is forwarded as message i's slot (empty span = all slot 0, the
   /// legacy behavior). Bits and accounting are identical to N sequential
-  /// transmit_at calls under any pool; on an error, `sink` holds the
-  /// pre-throw prefix exactly as member stats would.
+  /// transmit_at calls; on an error, `sink` holds the pre-throw prefix
+  /// exactly as member stats would.
   std::vector<BitVec> transmit_batch_collect(
       const std::vector<BitVec>& payloads, std::span<Rng> rngs,
-      std::span<const std::uint64_t> slots, PipelineStats& sink,
-      common::ThreadPool* pool) const;
+      std::span<const std::uint64_t> slots, PipelineStats& sink) const;
 
   /// Switch the receive side between hard-decision slicing (default; the
   /// pre-existing bit-exact path) and soft-decision LLR decoding. Soft
@@ -83,11 +75,6 @@ class ChannelPipeline {
   /// (BSC). Not thread-safe against in-flight batches.
   void set_soft_decision(bool on) { soft_ = on; }
   bool soft_decision() const { return soft_; }
-
-  /// Attach a worker pool for transmit_batch (non-owning; nullptr detaches
-  /// and restores the pure sequential loop). The pool only affects wall
-  /// clock, never bits or stats.
-  void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
 
   const PipelineStats& stats() const { return stats_; }
   /// Merge a collected sink into the pipeline's own stats (the commit
@@ -110,7 +97,6 @@ class ChannelPipeline {
   std::unique_ptr<BitChannel> channel_;
   BlockInterleaver interleaver_;
   PipelineStats stats_;
-  common::ThreadPool* pool_ = nullptr;
   bool soft_ = false;
 };
 

@@ -1,10 +1,9 @@
-// First-appearance grouping — the one partition shape the serving and
-// simulation layers keep needing: batch messages by selected domain,
-// wave pairs into lanes by sending user, concurrent events into lanes by
-// key. Groups appear in the order their key is first seen and preserve
-// the original index order inside each group, which is exactly what the
-// determinism contracts lean on (commit order == first-appearance order
-// == the order a sequential loop would discover the keys).
+// First-appearance grouping — the one partition shape the serving layer
+// keeps needing: batch messages by selected domain, wave pairs into lanes
+// by sending user. Groups appear in the order their key is first seen and
+// preserve the original index order inside each group, which is exactly
+// what the determinism contracts lean on (commit order == first-appearance
+// order == the order a sequential loop would discover the keys).
 #pragma once
 
 #include <cstddef>

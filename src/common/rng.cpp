@@ -12,13 +12,15 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-Rng::Rng(std::uint64_t seed) : seed_(seed) {
-  // Run the seed through splitmix64 so that adjacent seeds (0, 1, 2, ...)
-  // produce uncorrelated mt19937_64 states.
-  std::uint64_t s = seed;
-  const std::uint64_t mixed = splitmix64(s);
-  engine_.seed(mixed);
-}
+namespace {
+// Run the seed through splitmix64 so that adjacent seeds (0, 1, 2, ...)
+// produce uncorrelated mt19937_64 states.
+std::uint64_t mix_seed(std::uint64_t seed) { return splitmix64(seed); }
+}  // namespace
+
+// The engine is constructed from the mixed seed: default-constructing it
+// and then re-seeding would run its 312-word state initialization twice.
+Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(mix_seed(seed)) {}
 
 Rng Rng::fork(std::uint64_t tag) const {
   std::uint64_t s = seed_ ^ (tag * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL);

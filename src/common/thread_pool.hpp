@@ -1,4 +1,4 @@
-// Deterministic worker pool for the data-plane hot paths.
+// Deterministic worker pool for the pair wave's sender lanes.
 //
 // parallel_for(count, body) fans body(index, worker_slot) out over a fixed
 // set of worker threads and blocks until every index has run. The
@@ -6,10 +6,10 @@
 // bit-identical to the sequential ones:
 //
 //  * body(i, slot) may write only state owned by index i (its own output
-//    slot) or by the executing worker (slot-indexed scratch, e.g. a
-//    tensor::Workspace clone per worker). Because output slots are
-//    disjoint, the computed values are independent of scheduling and of
-//    the worker count.
+//    slot) or by the executing worker (slot-indexed scratch, e.g. the
+//    per-worker serving replicas). Because output slots are disjoint, the
+//    computed values are independent of scheduling and of the worker
+//    count.
 //  * Anything order-sensitive — stats accumulation, buffer mutation, RNG
 //    stream consumption from a shared generator — happens on the calling
 //    thread, either before the fan-out (e.g. forking one Rng per index in
@@ -100,31 +100,6 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Run body(index, worker_slot) over [0, count): on the pool when one is
-/// attached and there is real fan-out to do, inline on the caller (slot 0)
-/// otherwise. This is the one engagement predicate every pooled call site
-/// shares; the template keeps the ubiquitous null-pool path free of
-/// std::function construction, which parallel_for's signature would pay
-/// even for its internal inline fallback.
-///
-/// Nested engagement: when the caller is ITSELF a pool worker (a
-/// cross-pair serving task, say, reaching a row-partitioned kernel whose
-/// model still holds the system pool), the fan-out degrades to the inline
-/// loop instead of tripping parallel_for's nested-fan-out rejection. The
-/// caller already owns a full worker, and inline execution is
-/// bit-identical to pooled execution by the disjoint-writes contract, so
-/// this is purely a scheduling choice.
-template <typename Fn>
-void parallel_for_or_inline(ThreadPool* pool, std::size_t count,
-                            const Fn& body) {
-  if (pool != nullptr && pool->worker_count() > 0 && count > 1 &&
-      !ThreadPool::on_worker_thread()) {
-    pool->parallel_for(count, body);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) body(i, std::size_t{0});
-  }
-}
-
 /// Largest worker count resolve_thread_count accepts from the
 /// environment; anything above it (or non-numeric, including negatives)
 /// is ignored as garbage rather than spawning a runaway thread herd.
@@ -133,7 +108,7 @@ inline constexpr std::size_t kMaxEnvThreads = 256;
 /// Resolve the effective worker count: when `configured` is 0 (the
 /// sequential default) and the SEMCACHE_THREADS environment variable holds
 /// a plain decimal integer in [0, kMaxEnvThreads], the env value wins —
-/// benches and the TSan CI job use it to thread default-configured
+/// benches and the sanitizer CI jobs use it to thread default-configured
 /// systems without code changes. An explicit non-zero `configured` always
 /// wins over the environment; unparseable env values are ignored.
 std::size_t resolve_thread_count(std::size_t configured);

@@ -214,7 +214,8 @@ std::size_t ParallelDispatcher::transmit_at(
   batch.receiver = receiver;
   batch.messages = std::move(messages);
   SemanticEdgeSystem& target = system_for(sender);
-  // Fail fast at schedule time (prepare_pair re-validates at fire time).
+  // Fail fast at schedule time (transmit_pairs checks the wave again when
+  // it fires).
   target.validate_pair_batch(batch);
   if (sharded_ != nullptr) {
     // Deployment-wide noise order = schedule order (fire order may

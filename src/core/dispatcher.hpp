@@ -3,17 +3,18 @@
 // The paper's data plane serves many independent user pairs per edge
 // (Fig. 1); the dispatcher collects their ready-to-serve transmissions and
 // hands them to the system as ONE wave, so pairs with distinct senders run
-// their data planes concurrently on common::ThreadPool while everything
-// they share (selector, LRU caches, stats, the event loop) keeps its
-// sequential order. Two modes:
+// their data planes concurrently on the system's lane workers while
+// everything they share (selector, LRU caches, stats, the event loop)
+// keeps its sequential order. Two modes:
 //
 //  * enqueue() + flush(): accumulate pair batches (merged per (sender,
 //    receiver) pair) and serve them immediately as one
 //    SemanticEdgeSystem::transmit_pairs wave.
 //  * transmit_at(): schedule a pair's messages for a simulated send time;
-//    all pairs landing on the same timestamp form one concurrent wave in
-//    the event loop (edge::Simulator's deterministic parallel phase) when
-//    the simulation reaches it — the open-loop (E7/E10-style) shape.
+//    all pairs landing on the same timestamp form one wave, served by a
+//    single simulator event when the simulation reaches it
+//    (SemanticEdgeSystem::transmit_pairs_at) — the open-loop
+//    (E7/E10-style) shape.
 //
 // Constructed over a ShardedEdgeServing instead of a single system, the
 // same front door scales OUT: enqueue routes each pair to
@@ -76,8 +77,8 @@ class ParallelDispatcher {
   std::size_t flush(SemanticEdgeSystem::PairDone on_done);
 
   /// Schedule `messages` from a pair for simulated time t
-  /// (transmit_pairs_at). Pairs scheduled for the same t form one
-  /// concurrent wave when the event loop reaches it. The pair index
+  /// (transmit_pairs_at). Pairs scheduled for the same t form one wave
+  /// when the event loop reaches it. The pair index
   /// reported to `on_done` is this dispatcher's running schedule count
   /// (returned), so interleaved schedules stay distinguishable. Sharded
   /// mode schedules on the OWNING shard's simulator with the noise base
@@ -91,7 +92,7 @@ class ParallelDispatcher {
   std::size_t queued_pairs() const { return queue_.size(); }
   std::size_t queued_messages() const;
   /// Waves served through flush() so far (scheduling via transmit_at
-  /// forms waves inside the simulator instead). A sharded flush counts as
+  /// forms waves in simulator events instead). A sharded flush counts as
   /// ONE wave however many shards it fanned out to.
   std::size_t waves_served() const { return waves_; }
   std::size_t pairs_served() const { return pairs_served_; }

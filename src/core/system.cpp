@@ -47,18 +47,14 @@ std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
   sys->pipeline_->set_soft_decision(
       channel::resolve_soft_decision(ch.soft_decision));
 
-  // Data-plane worker pool (README "Threading model"): resolved once at
-  // build — an explicit num_threads wins, SEMCACHE_THREADS fills in for
-  // the default 0, and a resolved 0 leaves pool_ null so every consumer
-  // falls back to its sequential loop.
+  // Lane worker pool (README "Threading model"): resolved once at build —
+  // an explicit num_threads wins, SEMCACHE_THREADS fills in for the
+  // default 0, and a resolved 0 leaves pool_ null so every wave runs its
+  // lanes inline.
   sys->config_.num_threads =
       common::resolve_thread_count(sys->config_.num_threads);
   if (sys->config_.num_threads > 0) {
     sys->pool_ = std::make_unique<common::ThreadPool>(sys->config_.num_threads);
-    sys->pipeline_->set_thread_pool(sys->pool_.get());
-    // Concurrent waves (transmit_pairs_at) fan their per-pair compute
-    // phases out over the same pool.
-    sys->sim_.set_thread_pool(sys->pool_.get());
   }
 
   sys->pretrain_models();
@@ -95,7 +91,7 @@ std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
   for (std::size_t d = 0; d < sys->world_.num_domains(); ++d) {
     sys->serving_replicas_[d].reserve(lanes);
     for (std::size_t w = 0; w < lanes; ++w) {
-      sys->serving_replicas_[d].push_back(sys->clone_general(d));
+      sys->serving_replicas_[d].push_back(sys->general_model(d).clone());
     }
   }
   return sys;
@@ -110,7 +106,7 @@ semantic::SemanticCodec& SemanticEdgeSystem::serving_codec(
 void SemanticEdgeSystem::materialize_slot(UserModelSlot& slot,
                                           std::size_t domain) {
   if (slot.owns_model) return;
-  slot.model = clone_general(domain);
+  slot.model = general_model(domain).clone();
   slot.owns_model = true;
 }
 
@@ -222,17 +218,6 @@ semantic::SemanticCodec& SemanticEdgeSystem::general_model(
   SEMCACHE_CHECK(domain < general_models_.size(),
                  "general_model: domain out of range");
   return *general_models_[domain];
-}
-
-std::unique_ptr<semantic::SemanticCodec> SemanticEdgeSystem::clone_general(
-    std::size_t domain) {
-  auto codec = general_model(domain).clone();
-  // Serving-path models row-partition their batch forwards over the
-  // system pool (null = sequential). The general models and fine-tune
-  // scratch clones stay pool-free: training runs entirely on the calling
-  // thread either way, and results are bit-identical regardless.
-  codec->set_thread_pool(pool_.get());
-  return codec;
 }
 
 bool SemanticEdgeSystem::touch_general_cache(EdgeServerState& state,

@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/pipeline.hpp"
@@ -106,15 +107,13 @@ struct SystemConfig {
   /// §III-A). Ignored under oracle_selection.
   std::string selector = "nb";
 
-  /// Worker threads for the data-plane parallel sections (the channel
-  /// pipeline's per-message passes and the quantizer's per-row passes in
-  /// transmit_many). 0 — the default — compiles down to today's
-  /// sequential code path: no pool is built and no std::thread is ever
-  /// spawned. Any value N >= 1 builds a common::ThreadPool whose results
-  /// are BIT-IDENTICAL to the sequential path (per-message Rng forks +
-  /// index-ordered stats commit; see README "Threading model"); the
+  /// Lane workers: a pair wave's sender lanes (transmit_pairs) compute
+  /// concurrently on this many threads. 0 — the default — builds no pool
+  /// and never spawns a std::thread. Any value N >= 1 builds a
+  /// common::ThreadPool whose results are BIT-IDENTICAL to the sequential
+  /// path (lanes own disjoint state; see README "Threading model"); the
   /// SEMCACHE_THREADS environment variable overrides a default-0 config
-  /// at build() time (benches and the TSan CI job use it).
+  /// at build() time (benches and the sanitizer CI jobs use it).
   std::size_t num_threads = 0;
 
   // Edge deployment.
@@ -359,10 +358,10 @@ class SemanticEdgeSystem {
   void serve_degraded(PairBatch batch,
                       std::function<void(std::size_t, TransmitReport)> on_done);
 
-  /// Schedule a pair batch for simulated time t on the simulator's
-  /// concurrent phase (edge::Simulator::schedule_concurrent_at, lane-keyed
-  /// by sender). All pair batches landing on the same timestamp form one
-  /// cross-pair parallel wave when the event loop reaches it. Typically
+  /// Schedule a pair batch for simulated time t. Batches land in one
+  /// bucket per time; the first one schedules an ordinary simulator event
+  /// that serves the whole bucket as one transmit_pairs wave, in schedule
+  /// order, and `on_done` receives `pair_index` as its pair. Typically
   /// reached through core::ParallelDispatcher.
   void transmit_pairs_at(edge::SimTime t, PairBatch batch, PairDone on_done,
                          std::size_t pair_index = 0);
@@ -370,10 +369,10 @@ class SemanticEdgeSystem {
   /// Admission checks for one pair batch (non-empty, known users,
   /// message lengths); throws semcache::Error on violation. The single
   /// source of truth: transmit_pairs runs it wave-wide BEFORE any
-  /// prepare so a rejected wave is side-effect-free, prepare_pair
-  /// re-runs it for simulator-scheduled batches (fire-time state), and
-  /// ParallelDispatcher fails fast at enqueue/schedule time so a queued
-  /// wave can never be lost to a validation throw mid-flush.
+  /// prepare so a rejected wave is side-effect-free (a scheduled wave is
+  /// checked again when it fires), serve_degraded runs it on its batch,
+  /// and ParallelDispatcher fails fast at enqueue/schedule time so a
+  /// queued wave can never be lost to a validation throw mid-flush.
   void validate_pair_batch(const PairBatch& batch) const;
 
   // --- introspection used by tests, examples, and benches ---
@@ -387,8 +386,8 @@ class SemanticEdgeSystem {
   semantic::SemanticCodec& general_model(std::size_t domain);
   select::DomainSelector& selector() { return *selector_; }
   const semantic::FeatureQuantizer& quantizer() const { return *quantizer_; }
-  /// The data-plane worker pool; nullptr when the resolved num_threads is
-  /// 0 (pure sequential build).
+  /// The lane worker pool; nullptr when the resolved num_threads is 0
+  /// (pure sequential build).
   common::ThreadPool* thread_pool() { return pool_.get(); }
   /// The deterministic fault-injection plane built from config().faults.
   const FaultPlane& fault_plane() const { return fault_plane_; }
@@ -413,7 +412,6 @@ class SemanticEdgeSystem {
   explicit SemanticEdgeSystem(SystemConfig config);
   void pretrain_models();
   void build_topology();
-  std::unique_ptr<semantic::SemanticCodec> clone_general(std::size_t domain);
   /// The codec that actually runs a slot's forward passes: the slot's own
   /// model once materialized, else the per-(domain, worker-slot) serving
   /// replica of the general model — never the shared general itself, whose
@@ -480,8 +478,8 @@ class SemanticEdgeSystem {
   /// for degraded serving, which then buffers and trains nothing).
   void process_domain_group(PairTask& task, std::size_t group,
                             UserModelSlot& sslot, UserModelSlot& rslot);
-  /// Phase 1 (calling thread, pair order): validation, selection, cache
-  /// touches, slot establishment, global message-index assignment.
+  /// Phase 1 (calling thread, pair order): selection, cache touches,
+  /// slot establishment, global message-index assignment.
   void prepare_pair(PairTask& task);
   /// Phase 2 (pool worker, lane-keyed by sender): the pair's batched data
   /// plane — encode/quantize/channel/decode, mismatch, buffer adds,
@@ -501,8 +499,7 @@ class SemanticEdgeSystem {
   SystemConfig config_;
   Rng rng_;
   FaultPlane fault_plane_;  ///< rebuilt whenever config_.faults changes
-  /// Destroyed after everything that borrows it (pipeline_ holds a
-  /// non-owning pointer); declared early so it outlives those members.
+  /// Runs the sender lanes of transmit_pairs; null when num_threads is 0.
   std::unique_ptr<common::ThreadPool> pool_;
   text::World world_;
   std::vector<std::shared_ptr<semantic::SemanticCodec>> general_models_;
@@ -518,6 +515,17 @@ class SemanticEdgeSystem {
   std::unique_ptr<fl::ModelSynchronizer> synchronizer_;
 
   edge::Simulator sim_;
+  /// Pairs transmit_pairs_at has scheduled for one simulated time, in
+  /// schedule order. Each pair's (schedule index, completion) sits behind
+  /// one shared_ptr because the wave's completion is copied into every
+  /// message's delivery closure, and deliveries fire after the event.
+  struct ScheduledWave {
+    std::vector<PairBatch> batches;
+    std::shared_ptr<std::vector<std::pair<std::size_t, PairDone>>> done =
+        std::make_shared<std::vector<std::pair<std::size_t, PairDone>>>();
+  };
+  /// Open buckets by time; a bucket leaves the map when its event fires.
+  std::map<edge::SimTime, ScheduledWave> scheduled_waves_;
   edge::StandardTopology topology_;
   std::vector<std::unique_ptr<EdgeServerState>> edge_states_;
   std::map<std::string, UserProfile> users_;

@@ -26,30 +26,26 @@
 // forks rng_ with tag 0xC4A2 ^ (i * 2654435761), so batched and sequential
 // runs consume identical noise streams.
 //
-// With SystemConfig::num_threads > 0, the per-row stages of each chunk
-// (quantize, channel pass, dequantize) fan out over the system's worker
-// pool. The forked-RNG discipline makes those rows embarrassingly
-// parallel, so threads=N output is bit-identical to threads=0
-// (test_transmit_parallel pins the whole matrix); everything stateful
-// stays on the thread computing the pair.
-//
-// Across pairs, every mutable serving object — user-model slot,
-// transaction buffer, fine-tune scratch, decoder replica — is keyed by
-// (sending user, domain), so pairs with distinct senders own disjoint
-// state and their compute phases run concurrently. What the pairs DO
-// share is routed around the fan-out: the selector, LRU caches, and slot
-// creation run in the prepare phase; system/channel accounting collects
-// into the pair's own sinks; cross-edge gradient-sync ships and delivery
-// scheduling wait for the commit phase. A one-pair wave computes inline
-// on the calling thread, so transmit_many keeps its row-level fan-out.
+// Threads parallelize one thing: the sender lanes of a wave. Every
+// mutable serving object — user-model slot, transaction buffer, fine-tune
+// scratch, decoder replica — is keyed by (sending user, domain), so pairs
+// with distinct senders own disjoint state and their compute phases run
+// concurrently on the system pool (SystemConfig::num_threads > 0). What
+// the pairs DO share is routed around the fan-out: the selector, LRU
+// caches, and slot creation run in the prepare phase; system/channel
+// accounting collects into the pair's own sinks; cross-edge gradient-sync
+// ships and delivery scheduling wait for the commit phase. Inside a lane
+// everything runs sequentially, so threads=N output is bit-identical to
+// threads=0 (test_transmit_parallel and test_serve_pairs pin the matrix).
+// A one-lane wave computes inline on the calling thread.
 #include "core/system.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "common/check.hpp"
 #include "common/grouping.hpp"
-#include "common/hashing.hpp"
 #include "common/log.hpp"
 #include "metrics/ngram.hpp"
 #include "nn/loss.hpp"
@@ -381,25 +377,9 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
   const std::vector<std::shared_ptr<TransmitReport>>& reports = task.reports;
   const std::size_t length = config_.codec.sentence_length;
   const std::size_t vocab = config_.codec.meaning_vocab;
-  // Row-level fan-outs name the system pool: on a wave worker they
-  // degrade to inline loops (nested-engagement rule), while a one-lane
-  // wave computing on the calling thread keeps the row parallelism.
-  // Bits are identical either way.
-  common::ThreadPool* const row_pool = pool_.get();
 
-  // Per-lane scratch for the parallel outcome assembly: the CE loss object
-  // caches its softmax internally and the logits slice is reused across
-  // messages, so each worker lane owns one of each (pool-slot-indexed —
-  // no shared mutable state crosses workers).
-  struct LaneScratch {
-    tensor::Tensor slice;  // one message's logits (L x V)
-    nn::SoftmaxCrossEntropy ce;
-  };
-  std::vector<LaneScratch> lanes(
-      row_pool != nullptr ? std::max<std::size_t>(1, row_pool->worker_count())
-                          : 1);
-
-  nn::SoftmaxCrossEntropy ce;  // calling-thread fallback path only
+  nn::SoftmaxCrossEntropy ce;
+  tensor::Tensor slice;  // one message's logits (L x V)
   std::vector<std::int32_t> surfaces;
 
   std::size_t pos = 0;
@@ -425,21 +405,13 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
     // Valid until this encoder's next encode, which happens only after
     // this chunk (the mismatch pass reads it through roundtrip_batch).
     //
-    // Parallel sections: encode/decode stay batched on this thread (they
-    // own per-model Workspace scratch), while the per-row quantize /
-    // channel / dequantize passes fan out over row_pool when one is
-    // attached — each row's work touches only row-owned state plus its own
-    // forked RNG, so the bits are identical on any worker count. All
-    // mutation (buffers, pair-local stats) stays below, on this thread.
-    //
     // serving_codec is resolved per chunk, not hoisted: the update trigger
     // at a chunk boundary may MATERIALIZE the sender slot (copy-on-write),
     // after which later chunks must run on the private fine-tuned model
     // instead of the shared-general serving replica.
     const tensor::Tensor& features =
         serving_codec(sslot, m).encoder().encode_batch(surfaces, chunk);
-    const std::vector<BitVec> payloads =
-        quantizer_->quantize_batch(features, row_pool);
+    const std::vector<BitVec> payloads = quantizer_->quantize_batch(features);
 
     std::vector<BitVec> received;
     if (task.cross_edge) {
@@ -458,19 +430,17 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
       }
       // The channel accounting collects into the pair-local sink: the
       // pipeline is shared across concurrently-served pairs.
-      received = pipeline_->transmit_batch_collect(
-          payloads, rngs, slots, task.channel_delta, row_pool);
+      received = pipeline_->transmit_batch_collect(payloads, rngs, slots,
+                                                   task.channel_delta);
     } else {
       received = payloads;
     }
-    const tensor::Tensor rx_features =
-        quantizer_->dequantize_batch(received, row_pool);
+    const tensor::Tensor rx_features = quantizer_->dequantize_batch(received);
     // Keep the receiver logits alive past the argmax: the mismatch-reuse
     // fast path below reads per-message row slices out of them.
     const tensor::Tensor& rx_logits =
         serving_codec(rslot, m).decoder().decode_logits_batch(rx_features);
-    const std::vector<std::int32_t> decoded =
-        tensor::row_argmax(rx_logits, row_pool);
+    const std::vector<std::int32_t> decoded = tensor::row_argmax(rx_logits);
 
     // --- Mismatch calculation (③). With the decoder copy the sender can
     // evaluate its own clean quantized features locally; without it, the
@@ -489,8 +459,7 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
                        config_.mismatch_reuse && replicas_synced;
     const tensor::Tensor* copy_logits = nullptr;
     if (config_.decoder_copy_enabled && !reuse) {
-      const tensor::Tensor clean =
-          quantizer_->roundtrip_batch(features, row_pool);
+      const tensor::Tensor clean = quantizer_->roundtrip_batch(features);
       // Note: sslot and rslot may alias the same decoder (intra-edge, or
       // both copy-on-write slots routed to one serving replica); the
       // decoded ids above are already copied out, so overwriting its
@@ -499,14 +468,14 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
       copy_logits = &serving_codec(sslot, m).decoder().decode_logits_batch(clean);
     }
 
-    // ---- Per-message outcome assembly. Report fields and the mismatch
-    // CE are pure functions of (message, batch outputs), so they fan out
-    // over the pool with the lane scratch above; message j writes only
-    // report j. The reuse fallback for channel-corrupted messages needs a
-    // decoder forward (per-model Workspace), so it is only FLAGGED here
-    // and computed on this thread in the commit loop below. ----
+    // ---- Per-message outcome assembly: report fields and the mismatch
+    // CE, pure functions of (message, batch outputs). The reuse fallback
+    // for channel-corrupted messages needs a decoder forward that may
+    // overwrite rx_logits (sslot and rslot can share a serving replica),
+    // so it is only FLAGGED here and computed in the commit loop below,
+    // after every rx_logits slice has been read. ----
     std::vector<std::uint8_t> wants_copy_fallback(chunk, 0);
-    const auto assemble = [&](std::size_t j, std::size_t lane) {
+    for (std::size_t j = 0; j < chunk; ++j) {
       const std::size_t idx = indices[pos + j];
       const text::Sentence& message = messages[idx];
       TransmitReport& report = *reports[idx];
@@ -524,26 +493,23 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
       }
 
       if (config_.decoder_copy_enabled) {
-        LaneScratch& scratch = lanes[lane];
         if (reuse && received[j] == payloads[j]) {
           // Clean payload + synced replicas: rx_logits rows j*L..(j+1)*L
           // are bit-identical to what the decoder copy would produce.
-          scratch.slice.resize({length, vocab});
-          std::memcpy(scratch.slice.data(),
-                      rx_logits.data() + j * length * vocab,
+          slice.resize({length, vocab});
+          std::memcpy(slice.data(), rx_logits.data() + j * length * vocab,
                       length * vocab * sizeof(float));
-          report.mismatch = scratch.ce.forward(scratch.slice, message.meanings);
+          report.mismatch = ce.forward(slice, message.meanings);
         } else if (reuse) {
           // Channel-corrupted message: the mismatch is defined on the
           // decoder copy's view of the CLEAN features, which the corrupted
-          // receiver logits are not. Deferred to this thread.
+          // receiver logits are not. Deferred to the commit loop.
           wants_copy_fallback[j] = 1;
         } else {
-          scratch.slice.resize({length, vocab});
-          std::memcpy(scratch.slice.data(),
-                      copy_logits->data() + j * length * vocab,
+          slice.resize({length, vocab});
+          std::memcpy(slice.data(), copy_logits->data() + j * length * vocab,
                       length * vocab * sizeof(float));
-          report.mismatch = scratch.ce.forward(scratch.slice, message.meanings);
+          report.mismatch = ce.forward(slice, message.meanings);
         }
       } else {
         report.output_return_bytes =
@@ -551,11 +517,10 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
         // Error-rate proxy computed from the returned output.
         report.mismatch = 1.0 - report.token_accuracy;
       }
-    };
-    common::parallel_for_or_inline(row_pool, chunk, assemble);
+    }
 
-    // ---- Commit, in arrival order within the chunk (all mutation —
-    // fallback decoder passes, buffers, stats — on this thread). ----
+    // ---- Commit, in arrival order within the chunk: fallback decoder
+    // passes, buffers, stats. ----
     for (std::size_t j = 0; j < chunk; ++j) {
       const std::size_t idx = indices[pos + j];
       const text::Sentence& message = messages[idx];
@@ -564,7 +529,7 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
       if (wants_copy_fallback[j]) {
         // Evaluate this one clean feature row through the decoder copy.
         // Safe even when the copy shares a serving replica with the
-        // receiver side: the assembly join above already consumed every
+        // receiver side: the assembly loop above already consumed every
         // rx_logits slice, so nothing reads that buffer again.
         tensor::Tensor row({1, config_.codec.feature_dim});
         std::memcpy(row.data(), features.data() + j * row.size(),
@@ -688,9 +653,6 @@ void SemanticEdgeSystem::validate_pair_batch(const PairBatch& batch) const {
 }
 
 void SemanticEdgeSystem::prepare_pair(PairTask& task) {
-  // Re-validate here for the simulator-scheduled path (the batch was
-  // admitted at schedule time, but fire-time state is what counts).
-  validate_pair_batch(task.batch);
   task.sprofile = &user(task.batch.sender);
   task.rprofile = &user(task.batch.receiver);
   task.sstate = &edge_state(task.sprofile->edge_index);
@@ -797,15 +759,21 @@ void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
   // Phase 2: partition pairs into lanes by sending user — every mutable
   // serving object is keyed by (sender, domain), so pairs sharing a
   // sender share slots and must serialize (in pair order, within one
-  // lane); distinct senders own disjoint state and fan out. A single
-  // lane runs inline on the calling thread.
+  // lane); distinct senders own disjoint state and fan out over the
+  // pool. A single lane runs inline on the calling thread.
   const auto lanes = common::group_by_first_appearance(
       tasks.size(),
       [&](std::size_t p) -> const std::string& { return tasks[p].batch.sender; });
-  common::parallel_for_or_inline(
-      pool_.get(), lanes.groups.size(), [&](std::size_t lane, std::size_t) {
-        for (const std::size_t p : lanes.groups[lane]) compute_pair(tasks[p]);
-      });
+  const auto compute_lane = [&](std::size_t lane, std::size_t) {
+    for (const std::size_t p : lanes.groups[lane]) compute_pair(tasks[p]);
+  };
+  if (pool_ != nullptr && lanes.groups.size() > 1) {
+    pool_->parallel_for(lanes.groups.size(), compute_lane);
+  } else {
+    for (std::size_t lane = 0; lane < lanes.groups.size(); ++lane) {
+      compute_lane(lane, 0);
+    }
+  }
 
   // Phase 3: sequential commits in pair order.
   for (PairTask& task : tasks) commit_pair(task, on_done);
@@ -815,25 +783,35 @@ void SemanticEdgeSystem::transmit_pairs_at(edge::SimTime t, PairBatch batch,
                                            PairDone on_done,
                                            std::size_t pair_index) {
   SEMCACHE_CHECK(on_done != nullptr, "transmit_pairs_at: null completion");
-  // One three-phase simulator event per pair, lane-keyed by sender: every
-  // pair batch landing on the same timestamp joins one concurrent wave
-  // (edge::Simulator batches consecutive concurrent events), with the
-  // same prepare/compute/commit discipline as an immediate wave.
-  auto task = std::make_shared<PairTask>();
-  task->pair_index = pair_index;
-  task->batch = std::move(batch);
-  const std::uint64_t lane = common::stable_hash(task->batch.sender);
-  sim_.schedule_concurrent_at(
-      t, lane, [this, task] { prepare_pair(*task); },
-      [this, task] { compute_pair(*task); },
-      [this, task, on_done = std::move(on_done)] {
-        commit_pair(*task, on_done);
-      });
+  // NaN compares false against every key, so a map lookup would hand it
+  // some other time's bucket; refuse it before looking.
+  SEMCACHE_CHECK(!std::isnan(t), "transmit_pairs_at: time is NaN");
+  auto bucket = scheduled_waves_.find(t);
+  if (bucket == scheduled_waves_.end()) {
+    // Schedule before inserting: schedule_at throws on a past time, and a
+    // bucket left without its event would swallow every later pair for t.
+    // The event takes the bucket out of the map before serving it, so a
+    // pair scheduled for t while the wave runs opens a fresh bucket.
+    sim_.schedule_at(t, [this, t] {
+      ScheduledWave wave = std::move(scheduled_waves_.extract(t).mapped());
+      transmit_pairs(
+          std::move(wave.batches),
+          [done = std::move(wave.done)](std::size_t pair, std::size_t index,
+                                        TransmitReport report) {
+            const auto& [schedule_index, pair_done] = (*done)[pair];
+            pair_done(schedule_index, index, std::move(report));
+          });
+    });
+    bucket = scheduled_waves_.emplace(t, ScheduledWave{}).first;
+  }
+  bucket->second.batches.push_back(std::move(batch));
+  bucket->second.done->emplace_back(pair_index, std::move(on_done));
 }
 
 void SemanticEdgeSystem::serve_degraded(
     PairBatch batch, std::function<void(std::size_t, TransmitReport)> on_done) {
   SEMCACHE_CHECK(on_done != nullptr, "serve_degraded: null completion");
+  validate_pair_batch(batch);
   // Availability mode: the pair wave's three phases, inline, with the
   // task flagged degraded (selection only, frozen buffer-less slots). The
   // calling thread is the dispatcher's, never a pool worker, so the

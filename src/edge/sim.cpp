@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <exception>
 
 #include "common/check.hpp"
-#include "common/grouping.hpp"
 
 namespace semcache::edge {
 
@@ -35,22 +33,6 @@ void Simulator::schedule_at(SimTime t, Handler fn) {
 void Simulator::schedule_after(SimTime dt, Handler fn) {
   SEMCACHE_CHECK(dt >= 0.0, "Simulator: negative delay");
   schedule_at(now_ + dt, std::move(fn));
-}
-
-void Simulator::schedule_concurrent_at(SimTime t, std::uint64_t lane,
-                                       Handler prepare, Handler compute,
-                                       Handler commit) {
-  SEMCACHE_CHECK(t >= now_, "Simulator: cannot schedule in the past");
-  SEMCACHE_CHECK(compute != nullptr, "Simulator: null compute handler");
-  Event ev;
-  ev.t = t;
-  ev.seq = next_seq_++;
-  ev.fn = std::move(commit);
-  ev.conc = std::make_unique<ConcurrentParts>();
-  ev.conc->prepare = std::move(prepare);
-  ev.conc->compute = std::move(compute);
-  ev.conc->lane = lane;
-  push_event(std::move(ev));
 }
 
 std::uint64_t Simulator::tick_of(SimTime t) const {
@@ -208,90 +190,9 @@ bool Simulator::step() {
   Event ev = std::move(ready_[ready_head_++]);
   --size_;
   now_ = ev.t;
-  if (ev.conc == nullptr) {
-    ++processed_;
-    ev.fn();
-    return true;
-  }
-  // Concurrent wave: the maximal run of consecutive (by queue order)
-  // concurrent events at this timestamp. An ordinary event interleaved by
-  // scheduling order sits next in the ready run and ends the wave; events
-  // at the same time always share a tick, so the whole wave is already in
-  // the ready run — no refill can be needed mid-collection.
-  std::vector<Event> wave;
-  wave.push_back(std::move(ev));
-  while (ready_head_ < ready_.size() &&
-         ready_[ready_head_].conc != nullptr &&
-         ready_[ready_head_].t == wave.front().t) {
-    wave.push_back(std::move(ready_[ready_head_++]));
-    --size_;
-  }
-  run_wave(wave);
+  ++processed_;
+  ev.fn();
   return true;
-}
-
-void Simulator::run_wave(std::vector<Event>& wave) {
-  processed_ += wave.size();
-  // Per-event failure isolation: the wave's events are already popped,
-  // so an uncaught throw from one handler would silently discard every
-  // sibling's remaining phases. Instead a throwing phase fails only ITS
-  // event (skipping its later phases) plus later events in the SAME lane
-  // (they share state by contract, so running them against a
-  // half-mutated lane would be worse); sibling lanes and their commits
-  // still run, and the earliest-scheduled exception rethrows afterwards
-  // — mirroring ThreadPool's lowest-index discipline.
-  std::vector<std::exception_ptr> errors(wave.size());
-  std::vector<std::uint8_t> failed(wave.size(), 0);
-
-  // Phase 1: prepares, scheduling order, calling thread. May touch any
-  // shared state and may schedule (>= now) — new same-time concurrent
-  // events join a LATER wave, deterministically.
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    if (!wave[i].conc->prepare) continue;
-    try {
-      wave[i].conc->prepare();
-    } catch (...) {
-      errors[i] = std::current_exception();
-      failed[i] = 1;
-    }
-  }
-  // Phase 2: computes, partitioned into lanes by key (first-appearance
-  // order, scheduling order within a lane), fanned out over the pool.
-  // The lane bodies catch everything themselves, so the fan-out never
-  // short-circuits.
-  const auto lanes = common::group_by_first_appearance(
-      wave.size(), [&](std::size_t i) { return wave[i].conc->lane; });
-  common::parallel_for_or_inline(
-      pool_, lanes.groups.size(), [&](std::size_t lane, std::size_t) {
-        bool lane_failed = false;
-        for (const std::size_t i : lanes.groups[lane]) {
-          lane_failed = lane_failed || failed[i] != 0;
-          if (lane_failed) {
-            failed[i] = 1;
-            continue;
-          }
-          try {
-            wave[i].conc->compute();
-          } catch (...) {
-            errors[i] = std::current_exception();
-            failed[i] = 1;
-            lane_failed = true;
-          }
-        }
-      });
-  // Phase 3: commits, scheduling order, calling thread (skipping events
-  // whose earlier phases failed — their state was never computed).
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    if (failed[i] || !wave[i].fn) continue;
-    try {
-      wave[i].fn();
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
 }
 
 }  // namespace semcache::edge

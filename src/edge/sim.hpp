@@ -23,53 +23,21 @@
 //    out, never copied.
 //  * determinism: one level-0 slot holds exactly one tick; sorting the
 //    ready run by (time, seq) reproduces the heap's total order exactly.
-//    Quantization is a bucketing choice only — it never reorders events,
-//    so wave formation (below) is unchanged.
+//    Quantization is a bucketing choice only — it never reorders events.
 //  * horizon: events beyond the top level's reach (and times too large to
 //    tick at all) wait in an overflow far list; when the wheels drain,
 //    the cursor jumps to the far list's earliest tick and the newly
 //    in-horizon events migrate in.
 //
-// Concurrent phase: schedule_concurrent_at() registers THREE-PHASE events
-// for the deterministic parallel phase. When the queue head is a
-// concurrent event, the maximal run of consecutive (by queue order)
-// concurrent events at the same timestamp forms one WAVE:
-//
-//   1. every `prepare` runs on the calling thread in scheduling order —
-//      this is where order-sensitive shared state (selectors, caches,
-//      shared RNG streams) is touched;
-//   2. the `compute` handlers are partitioned into lanes by `lane` key
-//      (first-appearance order; scheduling order within a lane) and the
-//      lanes fan out over the attached ThreadPool — compute bodies in
-//      DIFFERENT lanes must not share mutable state and must not touch
-//      this Simulator (the disjoint-writes contract of
-//      common::ThreadPool), which is what makes the result independent of
-//      the worker count;
-//   3. every `commit` runs on the calling thread in scheduling order —
-//      stats merges, event scheduling, link sends.
-//
-// With no pool attached (or worker_count 0) the lanes run inline in lane
-// order, which is bit-identical to any pooled execution by the contract
-// above. An ordinary event interleaved (by scheduling order) between two
-// concurrent events at the same timestamp splits the wave — the ordinary
-// handler observes exactly the prefix's committed state, as it would have
-// sequentially.
-//
-// Error path: a phase that throws fails only ITS event (later phases
-// skipped) and later events in the SAME lane (they share state by
-// contract); sibling lanes still compute and commit, and the
-// earliest-scheduled captured exception rethrows from step()/run() after
-// the wave — mirroring ThreadPool's lowest-index discipline, so a bad
-// pair cannot silently discard its siblings' already-popped events.
+// The loop is single-threaded: every handler runs on the thread that
+// drives run()/step(). Work that fans out (a pair wave's sender lanes)
+// does so inside one handler and joins before it returns.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
-
-#include "common/thread_pool.hpp"
 
 namespace semcache::edge {
 
@@ -93,45 +61,22 @@ class Simulator {
   /// Schedule a handler `dt >= 0` seconds from now.
   void schedule_after(SimTime dt, Handler fn);
 
-  /// Schedule a three-phase concurrent event (see file comment). Events
-  /// sharing a `lane` key never run their compute phases concurrently
-  /// with each other (serving layers key lanes by the state they own,
-  /// e.g. the sending user). `prepare` and `commit` may be null;
-  /// `compute` must not be.
-  void schedule_concurrent_at(SimTime t, std::uint64_t lane, Handler prepare,
-                              Handler compute, Handler commit);
-
-  /// Worker pool for the concurrent waves (non-owning; nullptr restores
-  /// inline execution). Affects wall clock only, never results.
-  void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
-
   /// Run until the event queue drains.
   void run();
   /// Run events with time <= t, then advance now to t. A target in the
   /// past is clamped: time never moves backwards and no event is lost.
   void run_until(SimTime t);
   /// Execute only the next event (test hook); returns false when empty.
-  /// A concurrent wave counts as one step (all its events execute).
   bool step();
 
   std::size_t processed() const { return processed_; }
   std::size_t pending() const { return size_; }
 
  private:
-  /// Concurrent-phase extras, boxed so ordinary events — the event
-  /// loop's hot path — stay one pointer wide. Owned by the event and
-  /// moved with it (the old shared_ptr existed only because
-  /// priority_queue::top() forced a copy on every pop).
-  struct ConcurrentParts {
-    Handler prepare;
-    Handler compute;
-    std::uint64_t lane = 0;
-  };
   struct Event {
     SimTime t;
     std::uint64_t seq;
-    Handler fn;  ///< ordinary handler, or the concurrent event's commit
-    std::unique_ptr<ConcurrentParts> conc;  ///< null for ordinary events
+    Handler fn;
   };
 
   static constexpr int kSlotBits = 6;
@@ -152,7 +97,6 @@ class Simulator {
   /// Ensure the ready run holds the next pending tick's events (sorted by
   /// (t, seq)); false when no events remain anywhere.
   bool fill_ready();
-  void run_wave(std::vector<Event>& wave);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
@@ -175,8 +119,6 @@ class Simulator {
   /// splices here, keeping the exact global order.
   std::vector<Event> ready_;
   std::size_t ready_head_ = 0;
-
-  common::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace semcache::edge

@@ -23,7 +23,7 @@ const Tensor& Linear::forward(const Tensor& x) {
                  name_ + ": input shape " + x.shape_string() +
                      " incompatible with weight " + w_.value.shape_string());
   last_input_ = x;
-  affine_into(out_, x, w_.value, b_.value, pool_);
+  affine_into(out_, x, w_.value, b_.value);
   return out_;
 }
 
@@ -50,7 +50,7 @@ const Tensor& LinearReLU::forward(const Tensor& x) {
                  name_ + ": input shape " + x.shape_string() +
                      " incompatible with weight " + w_.value.shape_string());
   last_input_ = x;
-  tensor::affine_relu_into(out_, x, w_.value, b_.value, pool_);
+  tensor::affine_relu_into(out_, x, w_.value, b_.value);
   return out_;
 }
 

@@ -53,13 +53,6 @@ class Layer {
   virtual const Tensor& backward(const Tensor& grad_out) = 0;
   virtual std::vector<Parameter*> parameters() { return {}; }
   virtual std::string name() const = 0;
-
-  /// Attach a worker pool (non-owning; nullptr detaches) for layers whose
-  /// forward kernels row-partition — results are bit-identical with or
-  /// without it (the pooled tensor kernels guarantee this), so attaching a
-  /// pool is purely a throughput decision. Default: no-op; containers
-  /// propagate to children.
-  virtual void set_thread_pool(common::ThreadPool* /*pool*/) {}
 };
 
 /// y = x W + b.
@@ -72,7 +65,6 @@ class Linear : public Layer {
   const Tensor& backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&w_, &b_}; }
   std::string name() const override { return name_; }
-  void set_thread_pool(common::ThreadPool* pool) override { pool_ = pool; }
 
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
@@ -84,7 +76,6 @@ class Linear : public Layer {
   Tensor last_input_;
   Tensor out_;
   Tensor dx_;
-  common::ThreadPool* pool_ = nullptr;  ///< row-partitions the forward affine
 };
 
 /// y = relu(x W + b), the affine and the clamp fused into one kernel pass
@@ -101,7 +92,6 @@ class LinearReLU : public Layer {
   const Tensor& backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&w_, &b_}; }
   std::string name() const override { return name_; }
-  void set_thread_pool(common::ThreadPool* pool) override { pool_ = pool; }
 
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
@@ -114,7 +104,6 @@ class LinearReLU : public Layer {
   Tensor out_;  // doubles as the ReLU mask: y == 0 exactly when pre <= 0
   Tensor masked_grad_;
   Tensor dx_;
-  common::ThreadPool* pool_ = nullptr;
 };
 
 /// y = max(x, 0).
@@ -187,9 +176,6 @@ class Sequential : public Layer {
   const Tensor& backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "sequential"; }
-  void set_thread_pool(common::ThreadPool* pool) override {
-    for (auto& layer : layers_) layer->set_thread_pool(pool);
-  }
 
   std::size_t size() const { return layers_.size(); }
 

@@ -74,10 +74,6 @@ class KbEncoder {
   /// Accumulate gradients given dL/dfeatures (count x k) from the last
   /// encode_batch.
   void backward_batch(const Tensor& grad_features);
-  /// Row-partition large batch forwards over `pool` (bit-identical).
-  void set_thread_pool(common::ThreadPool* pool) {
-    mlp_.set_thread_pool(pool);
-  }
 
   nn::ParameterSet parameters();
   const CodecConfig& config() const { return config_; }
@@ -111,10 +107,6 @@ class KbDecoder {
   /// Batched backward: dL/dlogits (count*L x V) -> dL/dfeatures
   /// (count x k) in an internal buffer.
   const Tensor& backward_batch(const Tensor& grad_logits);
-  /// Row-partition large batch forwards over `pool` (bit-identical).
-  void set_thread_pool(common::ThreadPool* pool) {
-    mlp_.set_thread_pool(pool);
-  }
 
   nn::ParameterSet parameters();
   const CodecConfig& config() const { return config_; }
@@ -158,16 +150,6 @@ class SemanticCodec {
 
   /// End-to-end greedy reconstruction (clean features, no channel).
   std::vector<std::int32_t> reconstruct(std::span<const std::int32_t> surface);
-
-  /// Attach a worker pool: large batch forwards (serving-path
-  /// encode_batch / decode_logits_batch) row-partition across its workers
-  /// with bit-identical results; single-row and small calls stay inline.
-  /// Non-owning; clone() deliberately does NOT carry the pool (clones
-  /// default to sequential until their owner attaches one).
-  void set_thread_pool(common::ThreadPool* pool) {
-    encoder_->set_thread_pool(pool);
-    decoder_->set_thread_pool(pool);
-  }
 
   nn::ParameterSet parameters();
   /// Deep copy with byte-identical weights (used to spawn user models from

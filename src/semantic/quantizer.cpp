@@ -61,54 +61,46 @@ tensor::Tensor FeatureQuantizer::roundtrip(
   return dequantize(quantize(feature));
 }
 
-// Fan-out shape of the *_batch methods (common::parallel_for_or_inline):
-// row bodies only write their own output slot, so pooled and inline
-// execution are bit-identical.
-
 std::vector<BitVec> FeatureQuantizer::quantize_batch(
-    const tensor::Tensor& features, common::ThreadPool* pool) const {
+    const tensor::Tensor& features) const {
   SEMCACHE_CHECK(features.rank() == 2 && features.dim(1) == dims_,
                  "quantizer: batch must be (N x " + std::to_string(dims_) +
                      "), got " + features.shape_string());
   std::vector<BitVec> payloads(features.dim(0));
-  common::parallel_for_or_inline(
-      pool, features.dim(0), [&](std::size_t r, std::size_t) {
-        payloads[r].reserve(total_bits());
-        quantize_row(features.data() + r * dims_, payloads[r]);
-      });
+  for (std::size_t r = 0; r < payloads.size(); ++r) {
+    payloads[r].reserve(total_bits());
+    quantize_row(features.data() + r * dims_, payloads[r]);
+  }
   return payloads;
 }
 
 tensor::Tensor FeatureQuantizer::dequantize_batch(
-    const std::vector<BitVec>& payloads, common::ThreadPool* pool) const {
+    const std::vector<BitVec>& payloads) const {
   SEMCACHE_CHECK(!payloads.empty(), "quantizer: empty payload batch");
   tensor::Tensor out({payloads.size(), dims_});
-  common::parallel_for_or_inline(
-      pool, payloads.size(), [&](std::size_t r, std::size_t) {
-        SEMCACHE_CHECK(payloads[r].size() == total_bits(),
-                       "quantizer: payload " + std::to_string(r) + " has " +
-                           std::to_string(payloads[r].size()) +
-                           " bits, expected " + std::to_string(total_bits()));
-        dequantize_row(payloads[r], 0, out.data() + r * dims_);
-      });
+  for (std::size_t r = 0; r < payloads.size(); ++r) {
+    SEMCACHE_CHECK(payloads[r].size() == total_bits(),
+                   "quantizer: payload " + std::to_string(r) + " has " +
+                       std::to_string(payloads[r].size()) +
+                       " bits, expected " + std::to_string(total_bits()));
+    dequantize_row(payloads[r], 0, out.data() + r * dims_);
+  }
   return out;
 }
 
 tensor::Tensor FeatureQuantizer::roundtrip_batch(
-    const tensor::Tensor& features, common::ThreadPool* pool) const {
+    const tensor::Tensor& features) const {
   SEMCACHE_CHECK(features.rank() == 2 && features.dim(1) == dims_,
                  "quantizer: batch must be (N x " + std::to_string(dims_) +
                      "), got " + features.shape_string());
   tensor::Tensor out({features.dim(0), dims_});
-  // Per-row bit scratch (not hoisted): each lane needs its own BitVec, and
-  // at dims*bits bits the row-local buffer costs nothing measurable.
-  common::parallel_for_or_inline(
-      pool, features.dim(0), [&](std::size_t r, std::size_t) {
-        BitVec bits;
-        bits.reserve(total_bits());
-        quantize_row(features.data() + r * dims_, bits);
-        dequantize_row(bits, 0, out.data() + r * dims_);
-      });
+  BitVec bits;
+  bits.reserve(total_bits());
+  for (std::size_t r = 0; r < features.dim(0); ++r) {
+    bits.clear();
+    quantize_row(features.data() + r * dims_, bits);
+    dequantize_row(bits, 0, out.data() + r * dims_);
+  }
   return out;
 }
 

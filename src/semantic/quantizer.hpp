@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/bits.hpp"
-#include "common/thread_pool.hpp"
 #include "tensor/tensor.hpp"
 
 namespace semcache::semantic {
@@ -31,20 +30,14 @@ class FeatureQuantizer {
 
   // --- Batched row-wise variants (the transmit_many data plane). Row i of
   // every batch call is bit-identical to the single-feature call on row i,
-  // so the batched system path reproduces the sequential one exactly.
-  // Rows are independent, so a non-null `pool` fans them out across
-  // workers (each row writes only its own output slot — same bits on any
-  // worker count); nullptr keeps the caller-thread loop. ---
+  // so the batched system path reproduces the sequential one exactly. ---
 
   /// (N x dims) features -> N payloads; payload i == quantize(row i).
-  std::vector<BitVec> quantize_batch(const tensor::Tensor& features,
-                                     common::ThreadPool* pool = nullptr) const;
+  std::vector<BitVec> quantize_batch(const tensor::Tensor& features) const;
   /// N payloads -> (N x dims) reconstructions; row i == dequantize(bits i).
-  tensor::Tensor dequantize_batch(const std::vector<BitVec>& payloads,
-                                  common::ThreadPool* pool = nullptr) const;
+  tensor::Tensor dequantize_batch(const std::vector<BitVec>& payloads) const;
   /// Row-wise quantize-then-dequantize of an (N x dims) feature batch.
-  tensor::Tensor roundtrip_batch(const tensor::Tensor& features,
-                                 common::ThreadPool* pool = nullptr) const;
+  tensor::Tensor roundtrip_batch(const tensor::Tensor& features) const;
 
   std::size_t dims() const { return dims_; }
   unsigned bits_per_dim() const { return bits_; }

@@ -9,7 +9,6 @@
 #include "common/check.hpp"
 #include "common/cpu.hpp"
 #include "common/log.hpp"
-#include "common/thread_pool.hpp"
 #include "tensor/simd_kernels.hpp"
 
 namespace semcache::tensor {
@@ -336,43 +335,6 @@ void bias_relu_epilogue_d(std::size_t m, std::size_t n, const float* bias,
     bias_relu_epilogue(m, n, bias, c);
   }
 }
-
-// Row-partitioned dispatch for the pooled kernels: run(begin, end) covers
-// a contiguous, kRowTile-aligned block of output rows per worker. Bit-
-// exactness never depends on the partition — each output row's summation
-// order is fixed by the kernel — so where the cuts fall (and whether the
-// pool engages at all) is purely a scheduling/throughput choice; `grain`
-// is the per-row work floor below which a fan-out costs more than it buys.
-// Templated on the body so the ubiquitous sequential case (null pool —
-// every training step, every small forward) is a direct inlined call:
-// type erasure only happens on the branch that actually fans out.
-template <typename RowRangeFn>
-void parallel_rows(std::size_t m, std::size_t row_work, std::size_t grain,
-                   common::ThreadPool* pool, const RowRangeFn& run) {
-  const std::size_t workers = pool != nullptr ? pool->worker_count() : 0;
-  // On a pool worker already (e.g. a cross-pair serving task driving this
-  // model), nested fan-out is rejected by the pool — run the whole range
-  // inline instead; the cut placement never changes the bits.
-  if (workers < 2 || m < 2 * kRowTile || m * row_work < grain ||
-      common::ThreadPool::on_worker_thread()) {
-    run(0, m);
-    return;
-  }
-  const std::size_t blocks = std::min(workers, m / kRowTile);
-  const std::size_t per =
-      (m / blocks + kRowTile - 1) / kRowTile * kRowTile;  // tile-aligned
-  pool->parallel_for(blocks, [&](std::size_t block, std::size_t) {
-    const std::size_t begin = block * per;
-    const std::size_t end = block + 1 == blocks ? m : std::min(m, begin + per);
-    if (begin < end) run(begin, end);
-  });
-}
-
-// Fan-out floor in per-element kernel work units (MAC-equivalents): below
-// this the pool wake-up dominates. The serving decoder's hidden->vocab
-// affine (256 x 48 x 200 at batch 32) sits well above it, the per-message
-// single-row passes well below.
-constexpr std::size_t kParallelKernelGrain = 100'000;
 }  // namespace
 
 Tensor add(const Tensor& a, const Tensor& b) {
@@ -471,21 +433,12 @@ Tensor matmul_reference(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void matmul_into(Tensor& c, const Tensor& a, const Tensor& b,
-                 common::ThreadPool* pool) {
+void matmul_into(Tensor& c, const Tensor& a, const Tensor& b) {
   require_matmul_shapes(a, b, "matmul_into");
   require_no_alias(c, a, b, "matmul_into");
-  const std::size_t m = a.dim(0);
-  const std::size_t k = a.dim(1);
-  const std::size_t n = b.dim(1);
-  c.resize({m, n});
-  parallel_rows(m, k * n, kParallelKernelGrain, pool,
-                [&](std::size_t begin, std::size_t end) {
-                  std::memset(c.data() + begin * n, 0,
-                              (end - begin) * n * sizeof(float));
-                  gemm_nn_d(end - begin, k, n, a.data() + begin * k, b.data(),
-                            c.data() + begin * n);
-                });
+  c.resize({a.dim(0), b.dim(1)});
+  std::memset(c.data(), 0, c.size() * sizeof(float));
+  gemm_nn_d(a.dim(0), a.dim(1), b.dim(1), a.data(), b.data(), c.data());
 }
 
 void matmul_acc(Tensor& c, const Tensor& a, const Tensor& b) {
@@ -535,7 +488,7 @@ void matmul_nt_acc(Tensor& c, const Tensor& a, const Tensor& b) {
 }
 
 void affine_into(Tensor& y, const Tensor& x, const Tensor& w,
-                 const Tensor& bias, common::ThreadPool* pool) {
+                 const Tensor& bias) {
   SEMCACHE_CHECK(bias.rank() == 1, "affine_into: bias must be rank-1");
   SEMCACHE_CHECK(w.rank() == 2 && bias.dim(0) == w.dim(1),
                  "affine_into: bias length must equal W cols");
@@ -547,22 +500,15 @@ void affine_into(Tensor& y, const Tensor& x, const Tensor& w,
   const std::size_t k = x.dim(1);
   const std::size_t n = w.dim(1);
   y.resize({m, n});
-  parallel_rows(m, k * n, kParallelKernelGrain, pool,
-                [&](std::size_t begin, std::size_t end) {
-                  std::memset(y.data() + begin * n, 0,
-                              (end - begin) * n * sizeof(float));
-                  gemm_nn_d(end - begin, k, n, x.data() + begin * k, w.data(),
-                            y.data() + begin * n);
-                  // Bias rides in the epilogue while y is still cache-hot
-                  // (and without the per-element bounds checks the old
-                  // at(i,j) second pass paid).
-                  bias_epilogue_d(end - begin, n, bias.data(),
-                                  y.data() + begin * n);
-                });
+  std::memset(y.data(), 0, y.size() * sizeof(float));
+  gemm_nn_d(m, k, n, x.data(), w.data(), y.data());
+  // Bias rides in the epilogue while y is still cache-hot (and without the
+  // per-element bounds checks the old at(i,j) second pass paid).
+  bias_epilogue_d(m, n, bias.data(), y.data());
 }
 
 void affine_relu_into(Tensor& y, const Tensor& x, const Tensor& w,
-                      const Tensor& bias, common::ThreadPool* pool) {
+                      const Tensor& bias) {
   SEMCACHE_CHECK(bias.rank() == 1, "affine_relu_into: bias must be rank-1");
   SEMCACHE_CHECK(w.rank() == 2 && bias.dim(0) == w.dim(1),
                  "affine_relu_into: bias length must equal W cols");
@@ -574,18 +520,12 @@ void affine_relu_into(Tensor& y, const Tensor& x, const Tensor& w,
   const std::size_t k = x.dim(1);
   const std::size_t n = w.dim(1);
   y.resize({m, n});
-  parallel_rows(m, k * n, kParallelKernelGrain, pool,
-                [&](std::size_t begin, std::size_t end) {
-                  std::memset(y.data() + begin * n, 0,
-                              (end - begin) * n * sizeof(float));
-                  gemm_nn_d(end - begin, k, n, x.data() + begin * k, w.data(),
-                            y.data() + begin * n);
-                  // ReLU is an elementwise clamp after the full sum, so
-                  // fusing it into the bias epilogue changes no bits vs.
-                  // affine_into followed by a standalone ReLU pass.
-                  bias_relu_epilogue_d(end - begin, n, bias.data(),
-                                       y.data() + begin * n);
-                });
+  std::memset(y.data(), 0, y.size() * sizeof(float));
+  gemm_nn_d(m, k, n, x.data(), w.data(), y.data());
+  // ReLU is an elementwise clamp after the full sum, so fusing it into the
+  // bias epilogue changes no bits vs. affine_into followed by a standalone
+  // ReLU pass.
+  bias_relu_epilogue_d(m, n, bias.data(), y.data());
 }
 
 const char* active_matmul_path() {
@@ -641,27 +581,20 @@ Tensor row_softmax(const Tensor& logits) {
   return out;
 }
 
-std::vector<std::int32_t> row_argmax(const Tensor& t,
-                                     common::ThreadPool* pool) {
+std::vector<std::int32_t> row_argmax(const Tensor& t) {
   SEMCACHE_CHECK(t.rank() == 2, "row_argmax: rank-2 required");
   const std::size_t m = t.dim(0);
   const std::size_t n = t.dim(1);
   std::vector<std::int32_t> out(m);
   const float* __restrict p = t.data();
-  // A compare is cheaper than a MAC but the scan is memory-bound; the
-  // halved floor lets serving-size logit batches (batch 32 x L x vocab)
-  // shed their scan while single messages stay inline.
-  parallel_rows(m, n, kParallelKernelGrain / 2, pool,
-                [&](std::size_t begin, std::size_t end) {
-                  for (std::size_t i = begin; i < end; ++i) {
-                    const float* __restrict row = p + i * n;
-                    std::size_t best = 0;
-                    for (std::size_t j = 1; j < n; ++j) {
-                      if (row[j] > row[best]) best = j;
-                    }
-                    out[i] = static_cast<std::int32_t>(best);
-                  }
-                });
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* __restrict row = p + i * n;
+    std::size_t best = 0;
+    for (std::size_t j = 1; j < n; ++j) {
+      if (row[j] > row[best]) best = j;
+    }
+    out[i] = static_cast<std::int32_t>(best);
+  }
   return out;
 }
 

@@ -6,13 +6,6 @@
 // The matmul family shares one register-tiled kernel (see ops.cpp). Per
 // C-element summation order is identical to the naive reference, so the fast
 // kernels are bit-exact against matmul_reference — tests rely on this.
-//
-// Worker pools: the forward kernels the serving path leans on
-// (matmul_into, affine_into, row_argmax) accept an optional
-// common::ThreadPool and row-partition the output across workers when the
-// shape is worth a fan-out. Because each output row's summation order is
-// fixed, the result is bit-identical for ANY partition — pool, worker
-// count, and scheduling never change a single bit (tests pin this).
 #pragma once
 
 #include <cstdint>
@@ -20,10 +13,6 @@
 #include <vector>
 
 #include "tensor/tensor.hpp"
-
-namespace semcache::common {
-class ThreadPool;
-}  // namespace semcache::common
 
 namespace semcache::tensor {
 
@@ -75,10 +64,8 @@ Tensor affine(const Tensor& x, const Tensor& w, const Tensor& bias);
 // (resizing it, reusing capacity); `_acc` accumulates into it and requires
 // the exact result shape.
 
-/// c = a * b. A non-null pool row-partitions C across workers for large
-/// shapes (bit-identical to the sequential kernel, see file comment).
-void matmul_into(Tensor& c, const Tensor& a, const Tensor& b,
-                 common::ThreadPool* pool = nullptr);
+/// c = a * b.
+void matmul_into(Tensor& c, const Tensor& a, const Tensor& b);
 /// c += a * b.
 void matmul_acc(Tensor& c, const Tensor& a, const Tensor& b);
 /// c = aᵀ * b for a (k x m), b (k x n): the dW = xᵀ·dy shape.
@@ -89,24 +76,21 @@ void matmul_tn_acc(Tensor& c, const Tensor& a, const Tensor& b);
 void matmul_nt_into(Tensor& c, const Tensor& a, const Tensor& b);
 /// c += a * bᵀ.
 void matmul_nt_acc(Tensor& c, const Tensor& a, const Tensor& b);
-/// y = x * W + broadcast(bias), bias added in the kernel epilogue. A
-/// non-null pool row-partitions like matmul_into.
+/// y = x * W + broadcast(bias), bias added in the kernel epilogue.
 void affine_into(Tensor& y, const Tensor& x, const Tensor& w,
-                 const Tensor& bias, common::ThreadPool* pool = nullptr);
+                 const Tensor& bias);
 /// y = relu(x * W + broadcast(bias)) with the clamp fused into the bias
 /// epilogue — bit-identical to affine_into followed by an elementwise
 /// `v < 0 ? 0 : v` pass, one less sweep over y.
 void affine_relu_into(Tensor& y, const Tensor& x, const Tensor& w,
-                      const Tensor& bias, common::ThreadPool* pool = nullptr);
+                      const Tensor& bias);
 /// t = aᵀ.
 void transpose_into(Tensor& t, const Tensor& a);
 
 /// Row-wise softmax of a rank-2 tensor (numerically stabilized).
 Tensor row_softmax(const Tensor& logits);
-/// Row-wise argmax of a rank-2 tensor. A non-null pool row-partitions
-/// large inputs (each row writes only its own output slot).
-std::vector<std::int32_t> row_argmax(const Tensor& t,
-                                     common::ThreadPool* pool = nullptr);
+/// Row-wise argmax of a rank-2 tensor.
+std::vector<std::int32_t> row_argmax(const Tensor& t);
 
 /// Apply f element-wise.
 Tensor map(const Tensor& a, const std::function<float(float)>& f);

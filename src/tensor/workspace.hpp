@@ -9,8 +9,8 @@
 // Slots are plain indices so a module can enumerate its intermediates in an
 // enum and keep the mapping readable. A workspace is single-owner state
 // (not thread-safe); share one per model instance, not across threads.
-// Parallel sections that need per-worker scratch take clone()s — copying
-// is deleted outright so two owners can never silently alias one arena.
+// Copying is deleted outright so two owners can never silently alias one
+// arena.
 #pragma once
 
 #include <cstddef>
@@ -32,27 +32,6 @@ class Workspace {
   Workspace& operator=(const Workspace&) = delete;
   Workspace(Workspace&&) noexcept = default;
   Workspace& operator=(Workspace&&) noexcept = default;
-
-  /// Independent arena with the same slot table and per-slot reserved
-  /// capacities (contents unspecified, like any acquire()): the factory
-  /// for per-worker instances on parallel sections — a clone warmed from a
-  /// warmed source runs allocation-free from its first use and shares no
-  /// storage with the source.
-  Workspace clone() const {
-    Workspace w;
-    w.slots_.reserve(slots_.size());
-    for (const auto& t : slots_) {
-      if (t) {
-        auto fresh = std::make_unique<Tensor>();
-        fresh->resize({t->capacity()});  // reproduce the high-water mark
-        fresh->resize(t->shape());
-        w.slots_.push_back(std::move(fresh));
-      } else {
-        w.slots_.push_back(nullptr);
-      }
-    }
-    return w;
-  }
 
   /// Scratch tensor for `slot`, resized to `shape`. Contents are
   /// unspecified — callers must fully overwrite (the `_into` kernels do).

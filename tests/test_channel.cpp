@@ -314,47 +314,6 @@ TEST(Pipeline, TransmitBatchMatchesSequentialBitsAndStats) {
   EXPECT_EQ(batched->stats().airtime_bits, sequential->stats().airtime_bits);
 }
 
-TEST(Pipeline, TransmitBatchOnPoolBitIdenticalToSequential) {
-  // With a worker pool attached, transmit_batch runs the per-message
-  // passes concurrently but must stay bit-identical — received bits AND
-  // stats — to the detached pipeline, for every worker count. Message i
-  // consumes only rngs[i] and stats commit in index order after the join.
-  auto make = [] {
-    return make_awgn_pipeline(std::make_unique<ConvolutionalCode>(),
-                              Modulation::kQam16, 4.0, 8);
-  };
-  const Rng parent(27);
-  Rng payload_rng(27);
-  std::vector<BitVec> payloads;
-  for (std::uint64_t i = 0; i < 9; ++i) {
-    payloads.push_back(random_bits(120, payload_rng));
-  }
-  auto fork_all = [&] {
-    std::vector<Rng> rngs;
-    for (std::uint64_t i = 0; i < payloads.size(); ++i) {
-      rngs.push_back(parent.fork(i));
-    }
-    return rngs;
-  };
-
-  auto reference = make();
-  std::vector<Rng> ref_rngs = fork_all();
-  const std::vector<BitVec> expected =
-      reference->transmit_batch(payloads, ref_rngs);
-
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    common::ThreadPool pool(workers);
-    auto pooled = make();
-    pooled->set_thread_pool(&pool);
-    std::vector<Rng> rngs = fork_all();
-    EXPECT_EQ(pooled->transmit_batch(payloads, rngs), expected)
-        << workers << " workers";
-    EXPECT_EQ(pooled->stats().messages, reference->stats().messages);
-    EXPECT_EQ(pooled->stats().payload_bits, reference->stats().payload_bits);
-    EXPECT_EQ(pooled->stats().airtime_bits, reference->stats().airtime_bits);
-  }
-}
-
 TEST(Pipeline, TransmitBatchRejectsRngCountMismatch) {
   auto pipe = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.0);
   Rng rng(20);

@@ -28,7 +28,6 @@
 #include "channel/adaptive.hpp"
 #include "channel/pipeline.hpp"
 #include "channel/puncture.hpp"
-#include "common/thread_pool.hpp"
 #include "core/dispatcher.hpp"
 #include "core/sharded.hpp"
 #include "core/system.hpp"
@@ -263,32 +262,29 @@ TEST(GilbertElliott, BatchMatchesSequentialUnderPool) {
     }
   }
   for (const bool soft : {false, true}) {
-    for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " soft=" + std::to_string(soft));
-      auto batch = make();
-      batch->set_soft_decision(soft);
-      std::unique_ptr<common::ThreadPool> pool;
-      if (threads > 0) {
-        pool = std::make_unique<common::ThreadPool>(threads);
-        batch->set_thread_pool(pool.get());
+    SCOPED_TRACE("soft=" + std::to_string(soft));
+    auto batch = make();
+    batch->set_soft_decision(soft);
+    std::vector<Rng> rngs = fork_rngs();
+    const std::vector<BitVec> got =
+        batch->transmit_batch(payloads, rngs, slots);
+    if (soft) {
+      // Soft vs hard may legitimately differ (that is the point); the
+      // soft batch must match soft one-at-a-time transmits.
+      auto ref = make();
+      ref->set_soft_decision(true);
+      std::vector<Rng> ref_rngs = fork_rngs();
+      std::vector<BitVec> soft_expected;
+      for (std::size_t i = 0; i < payloads.size(); ++i) {
+        soft_expected.push_back(
+            ref->transmit_at(payloads[i], ref_rngs[i], slots[i]));
       }
-      std::vector<Rng> rngs = fork_rngs();
-      const std::vector<BitVec> got =
-          batch->transmit_batch(payloads, rngs, slots);
-      if (soft) {
-        // Soft vs hard may legitimately differ (that is the point); the
-        // pinned property is pool-invariance, checked against threads=0.
-        auto ref = make();
-        ref->set_soft_decision(true);
-        std::vector<Rng> ref_rngs = fork_rngs();
-        EXPECT_EQ(got, ref->transmit_batch(payloads, ref_rngs, slots));
-      } else {
-        EXPECT_EQ(got, expected);
-      }
-      EXPECT_EQ(batch->stats().messages, payloads.size());
-      EXPECT_EQ(batch->stats().airtime_bits, sequential->stats().airtime_bits);
+      EXPECT_EQ(got, soft_expected);
+    } else {
+      EXPECT_EQ(got, expected);
     }
+    EXPECT_EQ(batch->stats().messages, payloads.size());
+    EXPECT_EQ(batch->stats().airtime_bits, sequential->stats().airtime_bits);
   }
 }
 

@@ -1,11 +1,9 @@
-// Unit tests for semcache::compress — Huffman optimality and round-trips,
-// LZ77 round-trips and corruption tolerance.
+// Unit tests for semcache::compress — Huffman optimality, round-trips and
+// corruption tolerance.
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "compress/huffman.hpp"
-#include "compress/lz77.hpp"
 
 namespace semcache::compress {
 namespace {
@@ -109,79 +107,6 @@ TEST(Entropy, KnownValues) {
   EXPECT_NEAR(entropy_bits(single), 0.0, 1e-9);
   EXPECT_DOUBLE_EQ(entropy_bits(ByteHistogram{}), 0.0);
 }
-
-TEST(Lz77, RoundTripRepetitiveData) {
-  std::vector<std::uint8_t> data;
-  for (int i = 0; i < 100; ++i) {
-    for (const char c : std::string("abcabcabd")) {
-      data.push_back(static_cast<std::uint8_t>(c));
-    }
-  }
-  Lz77 lz;
-  const BitVec bits = lz.compress(data);
-  EXPECT_EQ(lz.decompress(bits), data);
-  // Repetitive data compresses well below 8 bits/byte.
-  EXPECT_LT(bits.size(), data.size() * 4);
-}
-
-TEST(Lz77, RoundTripRandomData) {
-  Rng rng(5);
-  const auto data = random_bytes(300, rng);
-  Lz77 lz;
-  EXPECT_EQ(lz.decompress(lz.compress(data)), data);
-}
-
-TEST(Lz77, EmptyAndTinyInputs) {
-  Lz77 lz;
-  const std::vector<std::uint8_t> empty;
-  EXPECT_EQ(lz.decompress(lz.compress(empty)), empty);
-  const std::vector<std::uint8_t> one = {42};
-  EXPECT_EQ(lz.decompress(lz.compress(one)), one);
-}
-
-TEST(Lz77, TruncatedStreamPadsToSize) {
-  Rng rng(6);
-  const auto data = random_bytes(100, rng);
-  Lz77 lz;
-  BitVec bits = lz.compress(data);
-  bits.resize(bits.size() / 3);
-  // Keep the 32-bit header intact.
-  ASSERT_GE(bits.size(), 32u);
-  const auto out = lz.decompress(bits);
-  EXPECT_EQ(out.size(), data.size());
-}
-
-TEST(Lz77, HeaderTooShortThrows) {
-  Lz77 lz;
-  BitVec tiny(16, 0);
-  EXPECT_THROW(lz.decompress(tiny), Error);
-}
-
-TEST(Lz77, ConfigValidation) {
-  Lz77Config bad;
-  bad.window_bits = 0;
-  EXPECT_THROW(Lz77{bad}, Error);
-  bad = {};
-  bad.min_match = 1;
-  EXPECT_THROW(Lz77{bad}, Error);
-}
-
-class Lz77Sweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(Lz77Sweep, RoundTripVariedSizes) {
-  Rng rng(GetParam());
-  // Mixed content: text-like runs plus random noise.
-  std::vector<std::uint8_t> data;
-  for (std::size_t i = 0; i < GetParam() * 17 + 3; ++i) {
-    data.push_back(rng.bernoulli(0.6)
-                       ? static_cast<std::uint8_t>('a' + (i % 5))
-                       : random_bytes(1, rng)[0]);
-  }
-  Lz77 lz;
-  EXPECT_EQ(lz.decompress(lz.compress(data)), data);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, Lz77Sweep, ::testing::Range<std::size_t>(1, 9));
 
 }  // namespace
 }  // namespace semcache::compress

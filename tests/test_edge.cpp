@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 #include "edge/network.hpp"
 #include "edge/sim.hpp"
 
@@ -93,141 +92,6 @@ TEST(Simulator, RunUntilPastTargetClampsInsteadOfRewinding) {
   sim.run();
   EXPECT_EQ(fired, 3);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-}
-
-TEST(Simulator, ConcurrentWaveRunsThreePhasesInScheduleOrder) {
-  // Inline mode (no pool): prepares in schedule order, then every
-  // compute, then commits in schedule order.
-  Simulator sim;
-  std::vector<std::string> log;
-  for (int i = 0; i < 3; ++i) {
-    sim.schedule_concurrent_at(
-        1.0, /*lane=*/static_cast<std::uint64_t>(i),
-        [&log, i] { log.push_back("p" + std::to_string(i)); },
-        [&log, i] { log.push_back("x" + std::to_string(i)); },
-        [&log, i] { log.push_back("c" + std::to_string(i)); });
-  }
-  EXPECT_TRUE(sim.step());  // the whole wave is one step
-  EXPECT_EQ(sim.processed(), 3u);
-  EXPECT_EQ(sim.pending(), 0u);
-  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
-  EXPECT_EQ(log, (std::vector<std::string>{"p0", "p1", "p2", "x0", "x1", "x2",
-                                           "c0", "c1", "c2"}));
-}
-
-TEST(Simulator, ConcurrentLaneKeySerializesComputes) {
-  // Two events sharing a lane key run their computes in schedule order on
-  // one worker (appending to an unsynchronized lane-local vector is safe);
-  // the third lane runs concurrently and only its own state moves.
-  common::ThreadPool pool(4);
-  Simulator sim;
-  sim.set_thread_pool(&pool);
-  std::vector<int> lane_a;
-  std::vector<int> lane_b;
-  sim.schedule_concurrent_at(1.0, 7, nullptr,
-                             [&] { lane_a.push_back(1); }, nullptr);
-  sim.schedule_concurrent_at(1.0, 9, nullptr,
-                             [&] { lane_b.push_back(10); }, nullptr);
-  sim.schedule_concurrent_at(1.0, 7, nullptr,
-                             [&] { lane_a.push_back(2); }, nullptr);
-  sim.run();
-  EXPECT_EQ(lane_a, (std::vector<int>{1, 2}));
-  EXPECT_EQ(lane_b, (std::vector<int>{10}));
-  EXPECT_EQ(sim.processed(), 3u);
-}
-
-TEST(Simulator, OrdinaryEventSplitsConcurrentWave) {
-  // An ordinary event scheduled (by order) between two concurrent events
-  // at the same timestamp observes exactly the prefix's committed state —
-  // the wave must not leap over it.
-  Simulator sim;
-  std::vector<std::string> log;
-  sim.schedule_concurrent_at(1.0, 0, nullptr,
-                             [&] { log.push_back("x0"); },
-                             [&] { log.push_back("c0"); });
-  sim.schedule_at(1.0, [&] { log.push_back("ordinary"); });
-  sim.schedule_concurrent_at(1.0, 0, nullptr,
-                             [&] { log.push_back("x1"); },
-                             [&] { log.push_back("c1"); });
-  sim.run();
-  EXPECT_EQ(log, (std::vector<std::string>{"x0", "c0", "ordinary", "x1",
-                                           "c1"}));
-  EXPECT_EQ(sim.processed(), 3u);
-}
-
-TEST(Simulator, ConcurrentPhasesMayScheduleMoreWork) {
-  // prepare/commit run on the calling thread and may schedule freely;
-  // same-time concurrent events scheduled mid-wave join a LATER wave.
-  Simulator sim;
-  std::vector<std::string> log;
-  sim.schedule_concurrent_at(
-      1.0, 0,
-      [&] {
-        sim.schedule_concurrent_at(1.0, 0, nullptr,
-                                   [&] { log.push_back("x-late"); }, nullptr);
-      },
-      [&] { log.push_back("x0"); },
-      [&] { sim.schedule_after(0.5, [&] { log.push_back("after"); }); });
-  sim.run();
-  EXPECT_EQ(log, (std::vector<std::string>{"x0", "x-late", "after"}));
-  EXPECT_DOUBLE_EQ(sim.now(), 1.5);
-}
-
-TEST(Simulator, ConcurrentResultsMatchInlineWithPool) {
-  // The same schedule, pooled and inline, must produce identical
-  // lane-local sequences — the pool is a wall-clock lever only.
-  auto drive = [](common::ThreadPool* pool) {
-    Simulator sim;
-    if (pool != nullptr) sim.set_thread_pool(pool);
-    std::vector<std::vector<int>> lanes(4);
-    for (int round = 0; round < 3; ++round) {
-      for (std::uint64_t lane = 0; lane < 4; ++lane) {
-        sim.schedule_concurrent_at(
-            1.0 + round, lane, nullptr,
-            [&lanes, lane, round] {
-              lanes[lane].push_back(round * 10 + static_cast<int>(lane));
-            },
-            nullptr);
-      }
-    }
-    sim.run();
-    return lanes;
-  };
-  common::ThreadPool pool(4);
-  EXPECT_EQ(drive(nullptr), drive(&pool));
-}
-
-TEST(Simulator, ConcurrentFailureIsolatedToItsLane) {
-  // A throwing compute fails its event and later events in the SAME
-  // lane, but sibling lanes still compute and commit; the exception
-  // surfaces from run() after the wave.
-  Simulator sim;
-  std::vector<std::string> log;
-  sim.schedule_concurrent_at(1.0, 7, nullptr,
-                             [] { throw Error("lane 7 event 0 exploded"); },
-                             [&] { log.push_back("c-bad"); });
-  sim.schedule_concurrent_at(1.0, 9, nullptr,
-                             [&] { log.push_back("x-other"); },
-                             [&] { log.push_back("c-other"); });
-  sim.schedule_concurrent_at(1.0, 7, nullptr,
-                             [&] { log.push_back("x-same-lane"); },
-                             [&] { log.push_back("c-same-lane"); });
-  EXPECT_THROW(sim.run(), Error);
-  // The sibling lane ran to commit; the failed lane's events did not,
-  // and nothing from them leaked into the log.
-  EXPECT_EQ(log, (std::vector<std::string>{"x-other", "c-other"}));
-  EXPECT_EQ(sim.processed(), 3u);
-  EXPECT_EQ(sim.pending(), 0u);
-}
-
-TEST(Simulator, ConcurrentRejectsBadArguments) {
-  Simulator sim;
-  sim.schedule_at(2.0, [] {});
-  sim.run();
-  EXPECT_THROW(sim.schedule_concurrent_at(1.0, 0, nullptr, [] {}, nullptr),
-               Error);
-  EXPECT_THROW(sim.schedule_concurrent_at(3.0, 0, nullptr, nullptr, nullptr),
-               Error);
 }
 
 TEST(Node, ServiceTimeScalesWithCapacity) {

@@ -1,26 +1,21 @@
 // Randomized equivalence fuzz: the timing-wheel Simulator against a
 // reference reimplementation of the pre-wheel binary-heap event queue
 // (std::priority_queue ordered by (time, seq), the exact code the wheel
-// replaced). Random schedules mix ordinary and concurrent events,
-// duplicate timestamps, sub-tick spacings, far-horizon and clamp-region
-// times, re-entrant scheduling from handlers, and run_until boundaries
-// including the past-target clamp — asserting identical execution order
-// (the full phase trace) and identical processed()/pending() counts at
-// every checkpoint. Inline-only on purpose: pooled-vs-inline identity is
-// pinned separately in test_edge.
+// replaced). Random schedules of ordinary events mix duplicate
+// timestamps, sub-tick spacings, far-horizon and clamp-region times,
+// re-entrant scheduling from handlers, and run_until boundaries including
+// the past-target clamp — asserting identical execution order (the full
+// trace) and identical processed()/pending() counts at every checkpoint.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <random>
 #include <vector>
 
-#include "common/grouping.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "edge/sim.hpp"
 #include "test_util.hpp"
 
@@ -28,8 +23,7 @@ namespace semcache {
 namespace {
 
 // The pre-wheel event queue, verbatim semantics: non-destructive
-// priority_queue top (events COPY out — shared_ptr ConcurrentParts),
-// (t, seq) ordering, identical wave formation and three-phase run.
+// priority_queue top (events COPY out), (t, seq) ordering.
 class ReferenceSimulator {
  public:
   using Handler = std::function<void()>;
@@ -48,19 +42,6 @@ class ReferenceSimulator {
     schedule_at(now_ + dt, std::move(fn));
   }
 
-  void schedule_concurrent_at(double t, std::uint64_t lane, Handler prepare,
-                              Handler compute, Handler commit) {
-    Event ev;
-    ev.t = t;
-    ev.seq = next_seq_++;
-    ev.fn = std::move(commit);
-    ev.conc = std::make_shared<ConcurrentParts>();
-    ev.conc->prepare = std::move(prepare);
-    ev.conc->compute = std::move(compute);
-    ev.conc->lane = lane;
-    queue_.push(std::move(ev));
-  }
-
   void run() {
     while (step()) {
     }
@@ -76,19 +57,8 @@ class ReferenceSimulator {
     Event ev = queue_.top();
     queue_.pop();
     now_ = ev.t;
-    if (ev.conc == nullptr) {
-      ++processed_;
-      ev.fn();
-      return true;
-    }
-    std::vector<Event> wave;
-    wave.push_back(std::move(ev));
-    while (!queue_.empty() && queue_.top().conc != nullptr &&
-           queue_.top().t == wave.front().t) {
-      wave.push_back(queue_.top());
-      queue_.pop();
-    }
-    run_wave(wave);
+    ++processed_;
+    ev.fn();
     return true;
   }
 
@@ -96,40 +66,16 @@ class ReferenceSimulator {
   std::size_t pending() const { return queue_.size(); }
 
  private:
-  struct ConcurrentParts {
-    Handler prepare;
-    Handler compute;
-    std::uint64_t lane = 0;
-  };
   struct Event {
     double t;
     std::uint64_t seq;
     Handler fn;
-    std::shared_ptr<ConcurrentParts> conc;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       return a.t != b.t ? a.t > b.t : a.seq > b.seq;
     }
   };
-
-  void run_wave(std::vector<Event>& wave) {
-    processed_ += wave.size();
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      if (wave[i].conc->prepare) wave[i].conc->prepare();
-    }
-    const auto lanes = common::group_by_first_appearance(
-        wave.size(), [&](std::size_t i) { return wave[i].conc->lane; });
-    common::parallel_for_or_inline(
-        nullptr, lanes.groups.size(), [&](std::size_t lane, std::size_t) {
-          for (const std::size_t i : lanes.groups[lane]) {
-            wave[i].conc->compute();
-          }
-        });
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      if (wave[i].fn) wave[i].fn();
-    }
-  }
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
@@ -138,7 +84,7 @@ class ReferenceSimulator {
 };
 
 struct Entry {
-  char tag;  // 'o' ordinary, 'p' prepare, 'x' compute, 'c' commit, 'C'/'P'
+  char tag;  // 'o' event, 'C' processed / 'P' pending checkpoint
   long long id;
   double at;
   bool operator==(const Entry&) const = default;
@@ -157,8 +103,7 @@ class Driver {
     std::mt19937_64 rng(seed);
     for (int i = 0; i < 40; ++i) {
       const std::uint64_t r = rng();
-      schedule_op(i, root_time(r), (r >> 40) % 2 != 0,
-                  (r >> 42) % 4, 0);
+      schedule_op(i, root_time(r), 0);
     }
     checkpoint();
     sim_.run_until(0.5e-3);
@@ -169,8 +114,7 @@ class Driver {
     checkpoint();
     for (int i = 100; i < 108; ++i) {  // late arrivals, relative to now
       const std::uint64_t r = rng();
-      schedule_op(i, sim_.now() + root_time(r), (r >> 40) % 2 != 0,
-                  (r >> 42) % 4, 0);
+      schedule_op(i, sim_.now() + root_time(r), 0);
     }
     sim_.run_until(1.5);  // past target again, now with a repopulated queue
     checkpoint();
@@ -202,28 +146,11 @@ class Driver {
     }
   }
 
-  void schedule_op(long long id, double t, bool conc, std::uint64_t lane,
-                   int depth) {
-    if (!conc) {
-      sim_.schedule_at(t, [this, id, depth] {
-        trace_.push_back({'o', id, sim_.now()});
-        spawn_children(id, depth);
-      });
-      return;
-    }
-    sim_.schedule_concurrent_at(
-        t, lane,
-        [this, id, depth] {  // prepare may schedule re-entrantly
-          trace_.push_back({'p', id, sim_.now()});
-          spawn_children(id, depth);
-        },
-        [this, id] {  // compute must not touch the simulator
-          trace_.push_back({'x', id, 0.0});
-        },
-        [this, id, depth] {
-          trace_.push_back({'c', id, sim_.now()});
-          spawn_children(id, depth);
-        });
+  void schedule_op(long long id, double t, int depth) {
+    sim_.schedule_at(t, [this, id, depth] {
+      trace_.push_back({'o', id, sim_.now()});
+      spawn_children(id, depth);
+    });
   }
 
   void spawn_children(long long parent, int depth) {
@@ -239,8 +166,7 @@ class Driver {
       static constexpr double kDts[] = {0.0,  1e-7, 2.5e-7, 27e-6,
                                         1e-3, 0.05, 1.0};
       const long long id = next_child_++;
-      schedule_op(id, sim_.now() + kDts[r % 7], (r >> 3) % 2 != 0,
-                  (r >> 4) % 4, depth + 1);
+      schedule_op(id, sim_.now() + kDts[r % 7], depth + 1);
     }
   }
 

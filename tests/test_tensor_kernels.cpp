@@ -15,7 +15,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "nn/gru.hpp"
 #include "nn/layers.hpp"
 #include "semantic/codec.hpp"
@@ -59,41 +58,6 @@ TEST(KernelEquivalence, MatmulBitExactAcrossShapes) {
     matmul_into(c, a, b);
     EXPECT_TRUE(test::AllNear(c, expected, 0.0))
         << "into " << sh.m << "x" << sh.k << "x" << sh.n;
-  }
-}
-
-TEST(KernelEquivalence, PooledKernelsBitExactAcrossWorkerCounts) {
-  // The pooled row-partitioned entry points must match the sequential
-  // kernels bit-for-bit on every partition: shapes large enough to fan
-  // out (above the internal grain), prime/remainder row counts that land
-  // partition cuts off the 4-row tile, and small shapes that stay inline.
-  const std::vector<Shape> pooled_shapes = {
-      {256, 48, 200},  // serving decoder affine at batch 32 — fans out
-      {261, 40, 64},   // prime-ish rows: last block is a remainder
-      {64, 48, 200},   // smallest serving-ish shape above the grain
-      {8, 48, 200},    // below the grain: must stay inline
-      {3, 5, 7},       // tiny: must stay inline
-  };
-  for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
-    common::ThreadPool pool(workers);
-    for (const Shape& sh : pooled_shapes) {
-      Rng rng(300 + sh.m);
-      const Tensor a = random_tensor(sh.m, sh.k, rng);
-      const Tensor b = random_tensor(sh.k, sh.n, rng);
-      const Tensor bias = Tensor::uniform({sh.n}, 1.0f, rng);
-      const std::string label = std::to_string(workers) + " workers " +
-                                std::to_string(sh.m) + "x" +
-                                std::to_string(sh.k) + "x" +
-                                std::to_string(sh.n);
-      Tensor seq, pooled;
-      matmul_into(seq, a, b);
-      matmul_into(pooled, a, b, &pool);
-      EXPECT_TRUE(test::AllNear(pooled, seq, 0.0)) << "matmul " << label;
-      affine_into(seq, a, b, bias);
-      affine_into(pooled, a, b, bias, &pool);
-      EXPECT_TRUE(test::AllNear(pooled, seq, 0.0)) << "affine " << label;
-      EXPECT_EQ(row_argmax(seq, &pool), row_argmax(seq)) << "argmax " << label;
-    }
   }
 }
 
@@ -240,33 +204,13 @@ TEST(KernelAllocation, WorkspaceSlotsArePointerStable) {
 }
 
 TEST(KernelAllocation, WorkspaceIsCloneOnlyNeverCopied) {
-  // Per-worker arenas on parallel sections must come from clone():
-  // copying is deleted so two owners can never silently alias one arena,
-  // and a clone reproduces the slot table and reserved capacities with
-  // fully independent storage.
+  // Copying is deleted so two owners can never silently alias one arena.
   static_assert(!std::is_copy_constructible_v<Workspace>);
   static_assert(!std::is_copy_assignable_v<Workspace>);
   static_assert(std::is_move_constructible_v<Workspace>);
 
   Workspace ws;
   Tensor& a = ws.acquire(0, {8, 8});
-  a.fill(1.0f);
-  ws.acquire(2, {6, 6});       // slot 1 stays empty; slot 2 high-water 36
-  ws.acquire(2, {2, 2});       // shrink: capacity keeps the high-water mark
-  const std::size_t reserved = ws.floats_reserved();
-
-  Workspace clone = ws.clone();
-  EXPECT_EQ(clone.slot_count(), ws.slot_count());
-  EXPECT_EQ(clone.floats_reserved(), reserved);
-  Tensor& ca = clone.acquire(0, {8, 8});
-  EXPECT_NE(ca.data(), a.data());  // distinct storage
-  ca.fill(2.0f);
-  EXPECT_EQ(a.at(0, 0), 1.0f);     // writes through the clone never alias
-  // A warmed clone is already at steady state: reusing its slots at or
-  // under the inherited capacities allocates nothing.
-  clone.acquire(2, {6, 6});
-  clone.acquire(2, {3, 3});
-  EXPECT_EQ(clone.floats_reserved(), reserved);
 
   // Moves hand over the heap-anchored slots: references and storage
   // handed out before the move stay valid and pointer-stable.
