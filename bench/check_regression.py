@@ -6,8 +6,8 @@ by bench/run_all.sh into BENCH_bench_micro.json) against the multi-core
 baseline recorded in bench/BASELINE.json under "regression_gate", and
 fails when a pinned bench regresses by more than the threshold, or when
 a `speedup` pair's fast row (the cross-pair serving wave at 4 threads,
-the AVX2 Adam step) stops beating its reference row in the same capture
-by the pair's min_ratio.
+the AVX2 Adam step, the AVX2 channel bit-pipeline) stops beating its
+reference row in the same capture by the pair's min_ratio.
 
 The gate is CONTEXT-AWARE: baselines are captured on the CI runner class
 (ci_micro_ns, with the capturing host's core count alongside), and the

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "channel/noise.hpp"
 #include "common/check.hpp"
 #include "common/hashing.hpp"
 
@@ -47,20 +48,26 @@ void GilbertElliottChannel::apply(std::vector<Symbol>& symbols, Rng& rng) {
 
 void GilbertElliottChannel::apply_slot(std::vector<Symbol>& symbols, Rng& rng,
                                        std::uint64_t slot) {
+  // Symbol s takes gaussian pair s of the message key whatever the chain
+  // does; the chain only picks its sigma. Each run of symbols in one
+  // state gets its noise in one call.
+  const std::uint64_t key = rng.next_key();
+  double* data = reinterpret_cast<double*>(symbols.data());
   bool bad = starts_bad(slot);
+  std::size_t run_start = 0;
   for (std::size_t s = 0; s < symbols.size(); ++s) {
-    const double sigma = bad ? sigma_bad_ : sigma_good_;
-    symbols[s] += Symbol(rng.gaussian(0.0, sigma), rng.gaussian(0.0, sigma));
     // Transition AFTER the symbol so the epoch weather governs symbol 0.
-    // The coin is keyed, not drawn from `rng`: the chain path is a pure
-    // function of (seed, slot, s), and the message RNG spends exactly two
-    // gaussians per symbol regardless of the path taken.
+    // The coin is keyed, not drawn: the chain path is a pure function of
+    // (seed, slot, s).
     const double u = common::to_unit_interval(
         common::identity_mix(cfg_.seed, kChainTag, slot, s, bad ? 1 : 0));
-    if (bad) {
-      if (u < cfg_.p_bad_to_good) bad = false;
-    } else {
-      if (u < cfg_.p_good_to_bad) bad = true;
+    const bool next_bad = bad ? !(u < cfg_.p_bad_to_good)
+                              : u < cfg_.p_good_to_bad;
+    if (next_bad != bad || s + 1 == symbols.size()) {
+      add_keyed_noise(data + 2 * run_start, s + 1 - run_start, key, run_start,
+                      bad ? sigma_bad_ : sigma_good_);
+      run_start = s + 1;
+      bad = next_bad;
     }
   }
 }

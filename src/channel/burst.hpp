@@ -8,9 +8,9 @@
 //  * fast intra-message chain: per-symbol state transitions are keyed by
 //    (slot, symbol index), so the burst structure inside a message is
 //    deterministic too.
-// Gaussian noise samples still come from the caller's per-message RNG in
-// symbol order (exactly like AwgnChannel), only the per-symbol sigma is
-// driven by the chain.
+// The gaussian noise is keyed like AwgnChannel's (channel/noise.hpp):
+// symbol s takes pair s of the message's rng.next_key() whatever path the
+// chain takes; the chain only picks the sigma that scales it.
 #pragma once
 
 #include <cstdint>

@@ -176,13 +176,9 @@ void demap_into(BitVec& out, const Symbol* symbols, std::size_t count,
       }
       break;
     case Modulation::kQpsk:
-      if (k != nullptr) {
-        k->demod_qpsk(sym, count, out.data());
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          out[2 * i] = sym[2 * i] >= 0.0 ? 1 : 0;
-          out[2 * i + 1] = sym[2 * i + 1] >= 0.0 ? 1 : 0;
-        }
+      for (std::size_t i = 0; i < count; ++i) {
+        out[2 * i] = sym[2 * i] >= 0.0 ? 1 : 0;
+        out[2 * i + 1] = sym[2 * i + 1] >= 0.0 ? 1 : 0;
       }
       break;
     case Modulation::kQam16:
@@ -204,9 +200,7 @@ void demap_into(BitVec& out, const Symbol* symbols, std::size_t count,
 }
 
 namespace {
-// Scalar 16-QAM per-coordinate max-log LLR pair. The expression shapes are
-// mirrored exactly by the AVX2 kernel (mul and sub kept as separate ops, no
-// a*b+c pattern a contraction could fuse), so both tiers round identically.
+// 16-QAM per-coordinate max-log LLR pair.
 void qam16_soft_pair(double v, float& l0, float& l1) {
   double a = v;
   if (v > 2.0) a = 2.0 * (v - 1.0);
@@ -219,38 +213,23 @@ void qam16_soft_pair(double v, float& l0, float& l1) {
 void demap_soft_into(std::vector<float>& out, const Symbol* symbols,
                      std::size_t count, Modulation m) {
   out.resize(count * bits_per_symbol(m));
-  if (count == 0) return;
   const double* sym = reinterpret_cast<const double*>(symbols);
-  const detail::Avx2ChannelKernels* k = detail::engaged_channel_kernels();
   switch (m) {
     case Modulation::kBpsk:
-      if (k != nullptr) {
-        k->demod_soft_bpsk(sym, count, out.data());
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          out[i] = static_cast<float>(sym[2 * i]);
-        }
+      for (std::size_t i = 0; i < count; ++i) {
+        out[i] = static_cast<float>(sym[2 * i]);
       }
       break;
     case Modulation::kQpsk:
-      if (k != nullptr) {
-        k->demod_soft_qpsk(sym, count, out.data());
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          out[2 * i] = static_cast<float>(sym[2 * i]);
-          out[2 * i + 1] = static_cast<float>(sym[2 * i + 1]);
-        }
+      for (std::size_t i = 0; i < 2 * count; ++i) {
+        out[i] = static_cast<float>(sym[i]);
       }
       break;
     case Modulation::kQam16:
-      if (k != nullptr) {
-        k->demod_soft_qam16(sym, count, kQam16Scale, out.data());
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          for (int c = 0; c < 2; ++c) {
-            const double v = sym[2 * i + c] / kQam16Scale;
-            qam16_soft_pair(v, out[4 * i + 2 * c], out[4 * i + 2 * c + 1]);
-          }
+      for (std::size_t i = 0; i < count; ++i) {
+        for (int c = 0; c < 2; ++c) {
+          const double v = sym[2 * i + c] / kQam16Scale;
+          qam16_soft_pair(v, out[4 * i + 2 * c], out[4 * i + 2 * c + 1]);
         }
       }
       break;

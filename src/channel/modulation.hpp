@@ -24,8 +24,9 @@ std::vector<Symbol> modulate(const BitVec& bits, Modulation m);
 
 /// Array-at-a-time hard-decision demap: overwrites `out` with
 /// count * bits_per_symbol(m) bits. Shared entry point for every
-/// demodulation consumer; dispatches to the vectorized slicers when the
-/// active SIMD tier admits them (bit-identical either way).
+/// demodulation consumer; BPSK and 16-QAM dispatch to the vectorized
+/// slicers when the active SIMD tier admits them (bit-identical either
+/// way).
 void demap_into(BitVec& out, const Symbol* symbols, std::size_t count,
                 Modulation m);
 
@@ -35,7 +36,6 @@ void demap_into(BitVec& out, const Symbol* symbols, std::size_t count,
 /// measure-zero decision boundaries. BPSK/QPSK LLRs are the raw received
 /// coordinates; 16-QAM uses the standard piecewise max-log per-PAM forms
 /// (LLR(b0) = v inside |v| <= 2, 2(v -+ 1) outside; LLR(b1) = 2 - |v|).
-/// Dispatches to the AVX2 kernels when engaged, bit-identical either way.
 void demap_soft_into(std::vector<float>& out, const Symbol* symbols,
                      std::size_t count, Modulation m);
 

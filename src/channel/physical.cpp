@@ -5,7 +5,7 @@
 #include <sstream>
 #include <vector>
 
-#include "channel/simd.hpp"
+#include "channel/noise.hpp"
 #include "common/check.hpp"
 
 namespace semcache::channel {
@@ -23,21 +23,10 @@ AwgnChannel::AwgnChannel(double snr_db)
     : snr_db_(snr_db), sigma_(noise_sigma(snr_db)) {}
 
 void AwgnChannel::apply(std::vector<Symbol>& symbols, Rng& rng) {
-  // Draw the gaussian pairs into a buffer in the original per-symbol order
-  // (the RNG stream is byte-identical to the old fused loop), then add.
-  // Complex addition is elementwise over (re, im), so the buffered add —
-  // scalar or vectorized — changes no bits. The buffer is thread-local:
-  // batched transmit drives one AwgnChannel per worker.
-  static thread_local std::vector<double> noise;
-  noise.resize(2 * symbols.size());
-  for (double& v : noise) v = rng.gaussian(0.0, sigma_);
-  double* data = reinterpret_cast<double*>(symbols.data());
-  const detail::Avx2ChannelKernels* k = detail::engaged_channel_kernels();
-  if (k != nullptr) {
-    k->add_noise(data, noise.data(), noise.size());
-  } else {
-    for (std::size_t i = 0; i < noise.size(); ++i) data[i] += noise[i];
-  }
+  // std::complex<double> is layout-compatible with double[2]: gaussian
+  // pair i is symbol i's (re, im) noise.
+  add_keyed_noise(reinterpret_cast<double*>(symbols.data()), symbols.size(),
+                  rng.next_key(), 0, sigma_);
 }
 
 std::string AwgnChannel::name() const {
@@ -52,19 +41,24 @@ RayleighChannel::RayleighChannel(double snr_db, std::size_t block_len)
 }
 
 void RayleighChannel::apply(std::vector<Symbol>& symbols, Rng& rng) {
-  for (std::size_t start = 0; start < symbols.size(); start += block_len_) {
+  // One key per message: gaussian pair i is symbol i's noise and pair
+  // n + b block b's fade.
+  const std::uint64_t key = rng.next_key();
+  const std::size_t n = symbols.size();
+  std::vector<Symbol> fades((n + block_len_ - 1) / block_len_);
+  for (std::size_t b = 0; b < fades.size(); ++b) {
     // h ~ CN(0, 1): real/imag each N(0, 1/2).
-    const Symbol h(rng.gaussian(0.0, std::sqrt(0.5)),
-                   rng.gaussian(0.0, std::sqrt(0.5)));
+    double z0 = 0.0, z1 = 0.0;
+    keyed_gaussian_pair(key, n + b, z0, z1);
+    const Symbol h(z0 * std::sqrt(0.5), z1 * std::sqrt(0.5));
     // Guard against pathological zero fades (equalizer would blow up).
-    const Symbol h_safe = std::abs(h) < 1e-6 ? Symbol(1e-6, 0.0) : h;
-    const std::size_t end = std::min(start + block_len_, symbols.size());
-    for (std::size_t i = start; i < end; ++i) {
-      Symbol y = h_safe * symbols[i];
-      y += Symbol(rng.gaussian(0.0, sigma_), rng.gaussian(0.0, sigma_));
-      symbols[i] = y / h_safe;  // perfect-CSI zero-forcing equalizer
-    }
+    fades[b] = std::abs(h) < 1e-6 ? Symbol(1e-6, 0.0) : h;
   }
+  for (std::size_t i = 0; i < n; ++i) symbols[i] *= fades[i / block_len_];
+  add_keyed_noise(reinterpret_cast<double*>(symbols.data()), n, key, 0,
+                  sigma_);
+  // Perfect-CSI zero-forcing equalizer.
+  for (std::size_t i = 0; i < n; ++i) symbols[i] /= fades[i / block_len_];
 }
 
 std::string RayleighChannel::name() const {
@@ -79,9 +73,10 @@ BscChannel::BscChannel(double flip_probability) : p_(flip_probability) {
 }
 
 BitVec BscChannel::transmit(const BitVec& bits, Rng& rng) {
+  const std::uint64_t key = rng.next_key();
   BitVec out = bits;
-  for (std::uint8_t& b : out) {
-    if (rng.bernoulli(p_)) b ^= 1;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (keyed_uniform(key, i) < p_) out[i] ^= 1;
   }
   return out;
 }

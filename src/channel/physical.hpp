@@ -19,7 +19,8 @@ class SymbolChannel {
   SymbolChannel(const SymbolChannel&) = delete;
   SymbolChannel& operator=(const SymbolChannel&) = delete;
 
-  /// Distort symbols in place.
+  /// Distort symbols in place. The noise is keyed (channel/noise.hpp):
+  /// each call takes one rng.next_key() and never draws from the engine.
   virtual void apply(std::vector<Symbol>& symbols, Rng& rng) = 0;
   /// Slot-aware apply: `slot` is the caller's global message index (the
   /// same ordinal that keys the per-message RNG forks), which lets a
@@ -85,8 +86,8 @@ class BitChannel {
 
   /// Implementations must be safe for concurrent transmit() calls with
   /// DISTINCT rngs (read-only channel parameters, all working state local
-  /// or in the rng): ChannelPipeline::transmit_batch runs per-message
-  /// passes on a worker pool. All in-tree channels qualify.
+  /// or in the rng): a pair wave's lanes share one pipeline and transmit
+  /// from several pool threads at once. All in-tree channels qualify.
   virtual BitVec transmit(const BitVec& bits, Rng& rng) = 0;
   /// Slot-aware transmit (see SymbolChannel::apply_slot). The default
   /// drops the slot, so memoryless channels behave exactly as before.
@@ -113,7 +114,9 @@ class BitChannel {
   virtual std::string name() const = 0;
 };
 
-/// Binary symmetric channel: each bit flips independently with probability p.
+/// Binary symmetric channel: each bit flips independently with probability
+/// p; bit i flips when keyed uniform i of the call's rng.next_key() is
+/// below p.
 class BscChannel final : public BitChannel {
  public:
   explicit BscChannel(double flip_probability);

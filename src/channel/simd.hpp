@@ -1,16 +1,15 @@
 // Internal seam between the channel plane's dispatching call sites
-// (modulation.cpp, physical.cpp, convolutional.cpp, repetition.cpp) and the
+// (modulation.cpp, noise.cpp, convolutional.cpp, repetition.cpp) and the
 // AVX2 translation unit (simd_avx2.cpp), mirroring tensor/simd_kernels.hpp.
 //
-// Unlike the matmul family, none of these kernels carries a multiply-add
-// accumulation chain — they are comparisons, table lookups, independent
-// elementwise adds, one IEEE division, and integer arithmetic — so there is
-// no contraction ambiguity, no flavor pair, and no probe: a single vector
+// No kernel here needs a flavor pair or a probe: a single vector
 // implementation is bit-identical to the scalar reference on every input
-// (including NaN and signed zero; twin tests pin this). The soft demaps
-// keep that property: each LLR is a short chain of individually-exact ops
-// (compare/select, subtract, multiply by 2, double->float round), with no
-// expression shape a contraction could alter.
+// (twin tests pin this). Most are comparisons, table lookups and integer
+// arithmetic. The noise generator is the one with multiply-add chains,
+// and both of its tiers spell every multiply-add as a fused one
+// (std::fma / _mm256_fmadd_pd) in the same order over the constants
+// below; each other operation (add, multiply, divide, sqrt) rounds once
+// in both, so contraction settings cannot split them.
 #pragma once
 
 #include <cstddef>
@@ -69,25 +68,45 @@ using ViterbiAcsSoftFn = void (*)(const ViterbiTables& tables,
                                   std::uint32_t* metric,
                                   std::uint8_t* survivor);
 
+/// splitmix64's increment: noise index i of `key` mixes key + (i + 1) * gamma.
+inline constexpr std::uint64_t kKeyGamma = 0x9E3779B97F4A7C15ULL;
+
+/// Generator constants (channel/noise.cpp). ln m for m in [sqrt(1/2),
+/// sqrt(2)) is 2s P(s^2) with s = (m-1)/(m+1) and P the atanh series
+/// 1 + t/3 + t^2/5 + ... (truncation below 1e-15 relative); sin y = y S(y^2)
+/// and cos y = C(y^2) are the Taylor series for |y| <= pi/4 (below 1e-16).
+/// Coefficients run from the highest degree down, in Horner order.
+inline constexpr double kLogPoly[] = {
+    1.0 / 17.0, 1.0 / 15.0, 1.0 / 13.0, 1.0 / 11.0, 1.0 / 9.0,
+    1.0 / 7.0,  1.0 / 5.0,  1.0 / 3.0,  1.0};
+inline constexpr double kSinPoly[] = {
+    -1.0 / 1307674368000.0, 1.0 / 6227020800.0, -1.0 / 39916800.0,
+    1.0 / 362880.0,         -1.0 / 5040.0,      1.0 / 120.0,
+    -1.0 / 6.0,             1.0};
+inline constexpr double kCosPoly[] = {
+    1.0 / 20922789888000.0, -1.0 / 87178291200.0, 1.0 / 479001600.0,
+    -1.0 / 3628800.0,       1.0 / 40320.0,        -1.0 / 720.0,
+    1.0 / 24.0,             -1.0 / 2.0,           1.0};
+inline constexpr double kLn2 = 0.6931471805599453;
+inline constexpr double kSqrt2 = 1.4142135623730951;
+/// pi/2 per unit of u2's low 30 bits: y = (bits - 2^29) * kAngleStep.
+inline constexpr double kAngleStep = 1.5707963267948966 * 0x1p-30;
+inline constexpr std::uint64_t kMantissaMask = 0x000FFFFFFFFFFFFFULL;
+inline constexpr std::uint64_t kOneBits = 0x3FF0000000000000ULL;   // 1.0
+inline constexpr std::uint64_t kHalfBits = 0x3FE0000000000000ULL;  // 0.5
+
 struct Avx2ChannelKernels {
   /// Hard-decision demaps over the raw (re, im) double pairs of a symbol
   /// array; bits out one byte per bit, exactly as the scalar demap writes.
+  /// QPSK and the soft demaps have no kernel: the compiler vectorizes
+  /// their scalar loops, which ran faster than hand-written ones.
   void (*demod_bpsk)(const double* sym, std::size_t nsym, std::uint8_t* bits);
-  void (*demod_qpsk)(const double* sym, std::size_t nsym, std::uint8_t* bits);
   void (*demod_qam16)(const double* sym, std::size_t nsym, double scale,
                       std::uint8_t* bits);
-  /// Soft demaps: per-bit max-log LLRs (sign convention: llr >= 0 means
-  /// bit 1, matching the hard slicers), one float per output bit. The
-  /// expressions are IEEE-exact per operation (compares, selects, one
-  /// division, multiply-then-add kept un-contracted), so scalar and AVX2
-  /// twin bit-for-bit like the hard demaps.
-  void (*demod_soft_bpsk)(const double* sym, std::size_t nsym, float* llrs);
-  void (*demod_soft_qpsk)(const double* sym, std::size_t nsym, float* llrs);
-  void (*demod_soft_qam16)(const double* sym, std::size_t nsym, double scale,
-                           float* llrs);
-  /// data[i] += noise[i] over n doubles (the AWGN apply after the gaussian
-  /// draws are buffered in their original order).
-  void (*add_noise)(double* data, const double* noise, std::size_t n);
+  /// channel::add_keyed_noise (noise.hpp): gaussian pairs first ..
+  /// first + pairs - 1 of `key`, times sigma, fused-added into (re, im).
+  void (*add_keyed_noise)(double* data, std::size_t pairs, std::uint64_t key,
+                          std::uint64_t first, double sigma);
   ViterbiAcsFn viterbi_acs;
   ViterbiAcsSoftFn viterbi_acs_soft;
   /// out[i] = majority(coded[3i], coded[3i+1], coded[3i+2]) for the

@@ -1,9 +1,11 @@
 // AVX2/SSE kernels for the channel plane, compiled with -mavx2 -mfma
 // -ffp-contract=off (see CMakeLists.txt) and reached through the table in
 // channel/simd.hpp. Every kernel is bit-identical to its scalar reference
-// by construction — the only floating-point operations are IEEE-exact
-// (compares, one division, independent elementwise adds), the rest is
-// integer work — so no equivalence probe is needed (contrast tensor ops).
+// by construction, so no equivalence probe is needed (contrast tensor
+// ops): the demaps and the trellis use IEEE-exact operations (compares,
+// one division) and integer work, and the noise generator repeats the
+// scalar reference's operations one for one, its multiply-adds fused in
+// both tiers.
 //
 // Demap layout note: a std::complex<double> array is layout-compatible
 // with a flat double array [re0, im0, re1, im1, ...]; one 256-bit load
@@ -15,7 +17,6 @@
 
 #include <immintrin.h>
 
-#include <cmath>
 #include <cstring>
 
 namespace semcache::channel::detail {
@@ -33,26 +34,6 @@ void demod_bpsk_avx2(const double* sym, std::size_t nsym, std::uint8_t* bits) {
     bits[i + 1] = static_cast<std::uint8_t>((m >> 2) & 1);
   }
   for (; i < nsym; ++i) bits[i] = sym[2 * i] >= 0.0 ? 1 : 0;
-}
-
-void demod_qpsk_avx2(const double* sym, std::size_t nsym, std::uint8_t* bits) {
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 2 <= nsym; i += 2) {
-    const __m256d v = _mm256_loadu_pd(sym + 2 * i);
-    // QPSK emits (re >= 0, im >= 0) per symbol — the movemask bit order IS
-    // the output bit order.
-    const int m = _mm256_movemask_pd(_mm256_cmp_pd(v, zero, _CMP_GE_OQ));
-    std::uint8_t* o = bits + 2 * i;
-    o[0] = static_cast<std::uint8_t>(m & 1);
-    o[1] = static_cast<std::uint8_t>((m >> 1) & 1);
-    o[2] = static_cast<std::uint8_t>((m >> 2) & 1);
-    o[3] = static_cast<std::uint8_t>((m >> 3) & 1);
-  }
-  for (; i < nsym; ++i) {
-    bits[2 * i] = sym[2 * i] >= 0.0 ? 1 : 0;
-    bits[2 * i + 1] = sym[2 * i + 1] >= 0.0 ? 1 : 0;
-  }
 }
 
 // Branchless Gray demap of one PAM coordinate v (already divided by the
@@ -95,83 +76,160 @@ void demod_qam16_avx2(const double* sym, std::size_t nsym, double scale,
   }
 }
 
-// Soft demaps — per-bit max-log LLRs as floats. Every step is IEEE-exact
-// and mirrored by the scalar reference in modulation.cpp expression for
-// expression (the double->float rounding of _mm256_cvtpd_ps is the same
-// static_cast<float> the scalar path performs), so the tiers twin exactly.
-
-void demod_soft_bpsk_avx2(const double* sym, std::size_t nsym, float* llrs) {
-  std::size_t i = 0;
-  for (; i + 2 <= nsym; i += 2) {
-    const __m128 f = _mm256_cvtpd_ps(_mm256_loadu_pd(sym + 2 * i));
-    // Lanes are [re0, im0, re1, im1]; BPSK keeps the real lanes.
-    const __m128 re = _mm_shuffle_ps(f, f, _MM_SHUFFLE(3, 1, 2, 0));
-    _mm_storel_pi(reinterpret_cast<__m64*>(llrs + i), re);
-  }
-  for (; i < nsym; ++i) llrs[i] = static_cast<float>(sym[2 * i]);
+// Low 64 bits of a * c per lane, c split into 32-bit halves: AVX2 has no
+// 64-bit multiply, so it is three 32x32->64 products (the high-high one
+// only reaches bits 64 and up).
+__m256i mul64(__m256i a, __m256i c_lo, __m256i c_hi) {
+  const __m256i lo = _mm256_mul_epu32(a, c_lo);
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), c_lo),
+                       _mm256_mul_epu32(a, c_hi));
+  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
 }
 
-void demod_soft_qpsk_avx2(const double* sym, std::size_t nsym, float* llrs) {
-  std::size_t i = 0;
-  // QPSK LLR order per symbol is (re, im) — exactly the lane order.
-  for (; i + 2 <= nsym; i += 2) {
-    _mm_storeu_ps(llrs + 2 * i,
-                  _mm256_cvtpd_ps(_mm256_loadu_pd(sym + 2 * i)));
-  }
-  for (; i < nsym; ++i) {
-    llrs[2 * i] = static_cast<float>(sym[2 * i]);
-    llrs[2 * i + 1] = static_cast<float>(sym[2 * i + 1]);
-  }
+// Exact double of each lane's integer, for values below 2^52: put the
+// integer in the mantissa of 2^52 and subtract 2^52.
+__m256d small_to_double(__m256i v) {
+  const __m256i magic = _mm256_set1_epi64x(0x4330000000000000LL);
+  return _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(v, magic)),
+                       _mm256_castsi256_pd(magic));
 }
 
-// Per-PAM-coordinate piecewise max-log LLRs: l0 = v inside |v| <= 2 and
-// 2(v -+ 1) outside, l1 = 2 - |v|. mul(2, sub(v, 1)) and sub(2, abs(v))
-// match the scalar expression shapes; there is no a*b+c pattern, so
-// contraction cannot split the tiers.
-void demod_soft_qam16_avx2(const double* sym, std::size_t nsym, double scale,
-                           float* llrs) {
-  const __m256d two = _mm256_set1_pd(2.0);
-  const __m256d ntwo = _mm256_set1_pd(-2.0);
+template <std::size_t N>
+__m256d horner(const double (&coeffs)[N], __m256d t) {
+  __m256d p = _mm256_set1_pd(coeffs[0]);
+  for (std::size_t k = 1; k < N; ++k) {
+    p = _mm256_fmadd_pd(p, t, _mm256_set1_pd(coeffs[k]));
+  }
+  return p;
+}
+
+// Four gaussian pairs of noise, fused-added into d[0..7] = (re, im) of
+// four symbols. `z` holds each lane's splitmix64 state key + (i + 1) gamma.
+// Operation for operation this is polar() and the add loop in noise.cpp.
+void keyed_noise4(__m256i z, __m256d sigma, double* d) {
+  const __m256i low32 = _mm256_set1_epi64x(0xFFFFFFFFLL);
+  const __m256i one64 = _mm256_set1_epi64x(1);
   const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d sc = _mm256_set1_pd(scale);
-  const __m256d absmask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
-  std::size_t i = 0;
-  for (; i + 2 <= nsym; i += 2) {
-    const __m256d v = _mm256_div_pd(_mm256_loadu_pd(sym + 2 * i), sc);
-    const __m256d gt2 = _mm256_cmp_pd(v, two, _CMP_GT_OQ);
-    const __m256d ltm2 = _mm256_cmp_pd(v, ntwo, _CMP_LT_OQ);
-    const __m256d hi = _mm256_mul_pd(two, _mm256_sub_pd(v, one));
-    const __m256d lo = _mm256_mul_pd(two, _mm256_add_pd(v, one));
-    __m256d l0 = _mm256_blendv_pd(v, hi, gt2);
-    l0 = _mm256_blendv_pd(l0, lo, ltm2);
-    const __m256d l1 = _mm256_sub_pd(two, _mm256_and_pd(v, absmask));
-    const __m128 f0 = _mm256_cvtpd_ps(l0);
-    const __m128 f1 = _mm256_cvtpd_ps(l1);
-    // Interleave (l0, l1) per coordinate: output order is
-    // l0(re), l1(re), l0(im), l1(im) for each of the two symbols.
-    _mm_storeu_ps(llrs + 4 * i, _mm_unpacklo_ps(f0, f1));
-    _mm_storeu_ps(llrs + 4 * i + 4, _mm_unpackhi_ps(f0, f1));
+
+  // splitmix64 finalizer.
+  z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 30));
+  z = mul64(z, _mm256_set1_epi64x(0x1CE4E5B9LL),
+            _mm256_set1_epi64x(0xBF58476DLL));
+  z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 27));
+  z = mul64(z, _mm256_set1_epi64x(0x133111EBLL),
+            _mm256_set1_epi64x(0x94D049BBLL));
+  z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
+
+  // r = sqrt(-2 ln u1), u1 = (low 32 bits + 1) 2^-32.
+  const __m256d u1 = _mm256_mul_pd(
+      small_to_double(_mm256_add_epi64(_mm256_and_si256(z, low32), one64)),
+      _mm256_set1_pd(0x1p-32));
+  const __m256i bits = _mm256_castpd_si256(u1);
+  const __m256i mant = _mm256_and_si256(
+      bits, _mm256_set1_epi64x(static_cast<long long>(kMantissaMask)));
+  const __m256i one_bits =
+      _mm256_set1_epi64x(static_cast<long long>(kOneBits));
+  // fold = 1 where mant | 1.0 lies above sqrt(2).
+  const __m256i fold = _mm256_and_si256(
+      _mm256_castpd_si256(
+          _mm256_cmp_pd(_mm256_castsi256_pd(_mm256_or_si256(mant, one_bits)),
+                        _mm256_set1_pd(kSqrt2), _CMP_GT_OQ)),
+      one64);
+  const __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
+      mant, _mm256_sub_epi64(one_bits, _mm256_slli_epi64(fold, 52))));
+  const __m256d e = _mm256_sub_pd(
+      small_to_double(_mm256_add_epi64(_mm256_srli_epi64(bits, 52), fold)),
+      _mm256_set1_pd(1023.0));
+  const __m256d s =
+      _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
+  const __m256d p = horner(kLogPoly, _mm256_mul_pd(s, s));
+  const __m256d ln_u1 = _mm256_fmadd_pd(e, _mm256_set1_pd(kLn2),
+                                        _mm256_mul_pd(_mm256_add_pd(s, s), p));
+  const __m256d r =
+      _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), ln_u1));
+
+  // Angle q pi/2 + y from the high 32 bits.
+  const __m256i hi = _mm256_srli_epi64(z, 32);
+  const __m256i q = _mm256_srli_epi64(hi, 30);
+  const __m256d y = _mm256_mul_pd(
+      _mm256_sub_pd(small_to_double(_mm256_and_si256(
+                        hi, _mm256_set1_epi64x(0x3FFFFFFFLL))),
+                    _mm256_set1_pd(0x1p29)),
+      _mm256_set1_pd(kAngleStep));
+  const __m256d y2 = _mm256_mul_pd(y, y);
+  const __m256d sn = _mm256_mul_pd(y, horner(kSinPoly, y2));
+  const __m256d c = horner(kCosPoly, y2);
+  // Odd quadrants swap (cos, sin); x0 changes sign in quadrants 1 and 2,
+  // x1 in 2 and 3.
+  const __m256d odd =
+      _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(q, one64), one64));
+  const __m256i flip0 = _mm256_slli_epi64(
+      _mm256_and_si256(_mm256_srli_epi64(_mm256_add_epi64(q, one64), 1),
+                       one64),
+      63);
+  const __m256i flip1 = _mm256_slli_epi64(_mm256_srli_epi64(q, 1), 63);
+  const __m256d x0 =
+      _mm256_xor_pd(_mm256_blendv_pd(c, sn, odd), _mm256_castsi256_pd(flip0));
+  const __m256d x1 =
+      _mm256_xor_pd(_mm256_blendv_pd(sn, c, odd), _mm256_castsi256_pd(flip1));
+
+  // Interleave into (re, im) order and fuse-add rho * x.
+  const __m256d rho = _mm256_mul_pd(sigma, r);
+  const __m256d lo = _mm256_unpacklo_pd(x0, x1);  // pairs 0, 2
+  const __m256d hi2 = _mm256_unpackhi_pd(x0, x1);  // pairs 1, 3
+  _mm256_storeu_pd(
+      d, _mm256_fmadd_pd(_mm256_permute4x64_pd(rho, 0x50),
+                         _mm256_permute2f128_pd(lo, hi2, 0x20),
+                         _mm256_loadu_pd(d)));
+  _mm256_storeu_pd(
+      d + 4, _mm256_fmadd_pd(_mm256_permute4x64_pd(rho, 0xFA),
+                             _mm256_permute2f128_pd(lo, hi2, 0x31),
+                             _mm256_loadu_pd(d + 4)));
+}
+
+void add_keyed_noise_avx2(double* data, std::size_t pairs, std::uint64_t key,
+                          std::uint64_t first, double sigma) {
+  const __m256d sg = _mm256_set1_pd(sigma);
+  // Unsigned wraparound, exactly as noise.cpp's keyed_bits computes each
+  // state.
+  __m256i z = _mm256_set_epi64x(
+      static_cast<long long>(key + (first + 4) * kKeyGamma),
+      static_cast<long long>(key + (first + 3) * kKeyGamma),
+      static_cast<long long>(key + (first + 2) * kKeyGamma),
+      static_cast<long long>(key + (first + 1) * kKeyGamma));
+  const __m256i step = _mm256_set1_epi64x(static_cast<long long>(4 * kKeyGamma));
+  std::size_t j = 0;
+  for (; j + 4 <= pairs; j += 4) {
+    keyed_noise4(z, sg, data + 2 * j);
+    z = _mm256_add_epi64(z, step);
   }
-  for (; i < nsym; ++i) {
-    for (int c = 0; c < 2; ++c) {
-      const double v = sym[2 * i + c] / scale;
-      double a = v;
-      if (v > 2.0) a = 2.0 * (v - 1.0);
-      if (v < -2.0) a = 2.0 * (v + 1.0);
-      llrs[4 * i + 2 * c] = static_cast<float>(a);
-      llrs[4 * i + 2 * c + 1] = static_cast<float>(2.0 - std::fabs(v));
-    }
+  if (j < pairs) {
+    // The last one to three pairs run on a zero-padded copy.
+    double tail[8] = {};
+    const std::size_t n = 2 * (pairs - j);
+    std::memcpy(tail, data + 2 * j, n * sizeof(double));
+    keyed_noise4(z, sg, tail);
+    std::memcpy(data + 2 * j, tail, n * sizeof(double));
   }
 }
 
-void add_noise_avx2(double* data, const double* noise, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(data + i, _mm256_add_pd(_mm256_loadu_pd(data + i),
-                                             _mm256_loadu_pd(noise + i)));
-  }
-  for (; i < n; ++i) data[i] += noise[i];
+// The four survivor bytes of one trellis step, one per 32-bit lane.
+__m128i survivor_lanes(const std::uint8_t (&surv)[4]) {
+  return _mm_setr_epi32(surv[0], surv[1], surv[2], surv[3]);
+}
+
+// Survivor bytes without a data-dependent branch: blend the B byte into
+// the lanes where B won, pack the four low bytes, store them at once.
+void store_survivors(__m128i sa, __m128i sb, __m128i bwins,
+                     std::uint8_t* sv) {
+  const __m128i pick = _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1,
+                                     -1, -1, -1, -1, -1);
+  const __m128i packed =
+      _mm_shuffle_epi8(_mm_blendv_epi8(sa, sb, bwins), pick);
+  const std::uint32_t four =
+      static_cast<std::uint32_t>(_mm_cvtsi128_si32(packed));
+  std::memcpy(sv, &four, 4);
 }
 
 // Add-compare-select over all four trellis states at once: lane ns holds
@@ -187,6 +245,8 @@ void viterbi_acs_avx2(const ViterbiTables& tb, const std::uint8_t* rx,
     bma[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tb.bm_a[r]));
     bmb[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tb.bm_b[r]));
   }
+  const __m128i sa = survivor_lanes(tb.surv_a);
+  const __m128i sb = survivor_lanes(tb.surv_b);
   __m128i m = _mm_loadu_si128(reinterpret_cast<const __m128i*>(metric));
   for (std::size_t t = 0; t < info_steps; ++t) {
     const unsigned r = rx[t];
@@ -197,12 +257,7 @@ void viterbi_acs_avx2(const ViterbiTables& tb, const std::uint8_t* rx,
     const __m128i cb = _mm_min_epu32(_mm_add_epi32(mb, bmb[r]), inf);
     const __m128i bwins = _mm_cmpgt_epi32(ca, cb);  // cb strictly smaller
     m = _mm_blendv_epi8(ca, cb, bwins);
-    const int mask = _mm_movemask_ps(_mm_castsi128_ps(bwins));
-    std::uint8_t* sv = survivor + 4 * t;
-    sv[0] = (mask & 1) != 0 ? tb.surv_b[0] : tb.surv_a[0];
-    sv[1] = (mask & 2) != 0 ? tb.surv_b[1] : tb.surv_a[1];
-    sv[2] = (mask & 4) != 0 ? tb.surv_b[2] : tb.surv_a[2];
-    sv[3] = (mask & 8) != 0 ? tb.surv_b[3] : tb.surv_a[3];
+    store_survivors(sa, sb, bwins, survivor + 4 * t);
   }
   _mm_storeu_si128(reinterpret_cast<__m128i*>(metric), m);
 }
@@ -224,6 +279,8 @@ void viterbi_acs_soft_avx2(const ViterbiTables& tb, const std::uint8_t* rx,
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(tb.exp0_b));
   const __m128i e1b =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(tb.exp1_b));
+  const __m128i sa = survivor_lanes(tb.surv_a);
+  const __m128i sb = survivor_lanes(tb.surv_b);
   __m128i m = _mm_loadu_si128(reinterpret_cast<const __m128i*>(metric));
   for (std::size_t t = 0; t < info_steps; ++t) {
     const __m128i r0 = _mm_set1_epi32(rx[t] & 1);
@@ -243,12 +300,7 @@ void viterbi_acs_soft_avx2(const ViterbiTables& tb, const std::uint8_t* rx,
     const __m128i cb = _mm_min_epu32(_mm_add_epi32(mb, bmb), inf);
     const __m128i bwins = _mm_cmpgt_epi32(ca, cb);
     m = _mm_blendv_epi8(ca, cb, bwins);
-    const int mask = _mm_movemask_ps(_mm_castsi128_ps(bwins));
-    std::uint8_t* sv = survivor + 4 * t;
-    sv[0] = (mask & 1) != 0 ? tb.surv_b[0] : tb.surv_a[0];
-    sv[1] = (mask & 2) != 0 ? tb.surv_b[1] : tb.surv_a[1];
-    sv[2] = (mask & 4) != 0 ? tb.surv_b[2] : tb.surv_a[2];
-    sv[3] = (mask & 8) != 0 ? tb.surv_b[3] : tb.surv_a[3];
+    store_survivors(sa, sb, bwins, survivor + 4 * t);
   }
   _mm_storeu_si128(reinterpret_cast<__m128i*>(metric), m);
 }
@@ -288,12 +340,8 @@ void repetition_vote3_avx2(const std::uint8_t* coded, std::size_t out_n,
 
 constexpr Avx2ChannelKernels kKernels = {
     /*demod_bpsk=*/demod_bpsk_avx2,
-    /*demod_qpsk=*/demod_qpsk_avx2,
     /*demod_qam16=*/demod_qam16_avx2,
-    /*demod_soft_bpsk=*/demod_soft_bpsk_avx2,
-    /*demod_soft_qpsk=*/demod_soft_qpsk_avx2,
-    /*demod_soft_qam16=*/demod_soft_qam16_avx2,
-    /*add_noise=*/add_noise_avx2,
+    /*add_keyed_noise=*/add_keyed_noise_avx2,
     /*viterbi_acs=*/viterbi_acs_avx2,
     /*viterbi_acs_soft=*/viterbi_acs_soft_avx2,
     /*repetition_vote3=*/repetition_vote3_avx2,

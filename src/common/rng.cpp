@@ -18,41 +18,73 @@ namespace {
 std::uint64_t mix_seed(std::uint64_t seed) { return splitmix64(seed); }
 }  // namespace
 
-// The engine is constructed from the mixed seed: default-constructing it
-// and then re-seeding would run its 312-word state initialization twice.
-Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(mix_seed(seed)) {}
+Rng::Rng(std::uint64_t seed) : seed_(seed) {}
+
+Rng::Rng(const Rng& other)
+    : seed_(other.seed_),
+      key_count_(other.key_count_),
+      engine_(other.engine_ != nullptr
+                  ? std::make_unique<std::mt19937_64>(*other.engine_)
+                  : nullptr) {}
+
+Rng& Rng::operator=(const Rng& other) {
+  if (this != &other) *this = Rng(other);
+  return *this;
+}
 
 Rng Rng::fork(std::uint64_t tag) const {
   std::uint64_t s = seed_ ^ (tag * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL);
   return Rng(splitmix64(s));
 }
 
+std::uint64_t Rng::next_key() {
+  // The tag ("keys") keeps the key stream apart from the engine's seed
+  // mix, which is splitmix64 output 0 of the bare seed.
+  std::uint64_t state =
+      (seed_ ^ 0x6B657973ULL) + key_count_ * 0x9E3779B97F4A7C15ULL;
+  ++key_count_;
+  return splitmix64(state);
+}
+
+// The engine is constructed from the mixed seed: default-constructing it
+// and then re-seeding would run its 312-word state initialization twice.
+std::mt19937_64& Rng::engine() {
+  if (engine_ == nullptr) {
+    engine_ = std::make_unique<std::mt19937_64>(mix_seed(seed_));
+  }
+  return *engine_;
+}
+
+std::mt19937_64 Rng::engine_snapshot() const {
+  return engine_ != nullptr ? *engine_ : std::mt19937_64(mix_seed(seed_));
+}
+
 double Rng::uniform() {
-  return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+  return std::uniform_real_distribution<double>(0.0, 1.0)(engine());
 }
 
 double Rng::uniform(double lo, double hi) {
   SEMCACHE_CHECK(lo <= hi, "uniform: lo must not exceed hi");
-  return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  return std::uniform_real_distribution<double>(lo, hi)(engine());
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   SEMCACHE_CHECK(lo <= hi, "uniform_int: lo must not exceed hi");
-  return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+  return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine());
 }
 
 double Rng::gaussian() {
-  return std::normal_distribution<double>(0.0, 1.0)(engine_);
+  return std::normal_distribution<double>(0.0, 1.0)(engine());
 }
 
 double Rng::gaussian(double mean, double stddev) {
   SEMCACHE_CHECK(stddev >= 0.0, "gaussian: stddev must be non-negative");
-  return std::normal_distribution<double>(mean, stddev)(engine_);
+  return std::normal_distribution<double>(mean, stddev)(engine());
 }
 
 bool Rng::bernoulli(double p) {
   SEMCACHE_CHECK(p >= 0.0 && p <= 1.0, "bernoulli: p must be in [0, 1]");
-  return std::bernoulli_distribution(p)(engine_);
+  return std::bernoulli_distribution(p)(engine());
 }
 
 std::size_t Rng::categorical(const std::vector<double>& weights) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -16,12 +17,27 @@ namespace semcache {
 std::uint64_t splitmix64(std::uint64_t& state);
 
 /// Deterministic RNG wrapping mt19937_64 with convenience draws.
+///
+/// The engine is seeded lazily, by the first draw: a fork that only hands
+/// out keys (the channel's per-message fork) never pays the engine's
+/// 312-word state initialization.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed);
+  Rng(const Rng& other);
+  Rng& operator=(const Rng& other);
+  Rng(Rng&&) noexcept = default;
+  Rng& operator=(Rng&&) noexcept = default;
 
   /// Derive an independent child stream; deterministic in (seed, tag).
+  /// Reads only the seed, so concurrent forks of one Rng are race-free.
   Rng fork(std::uint64_t tag) const;
+
+  /// The n-th call returns the n-th output of a splitmix64 stream keyed by
+  /// the seed. Keys never touch the engine: engine draws between two calls
+  /// do not change the second key. Channels key their noise on it, so
+  /// every transmit on one Rng (an ARQ retry, say) gets fresh noise.
+  std::uint64_t next_key();
 
   /// Uniform double in [0, 1).
   double uniform();
@@ -48,14 +64,17 @@ class Rng {
   }
 
   std::uint64_t seed() const { return seed_; }
-  std::mt19937_64& engine() { return engine_; }
-  /// Read-only engine access (state capture/fingerprinting; mt19937_64
-  /// round-trips exactly through iostream insertion/extraction).
-  const std::mt19937_64& engine() const { return engine_; }
+  /// The engine, seeded on first access.
+  std::mt19937_64& engine();
+  /// Copy of the engine state (state capture/fingerprinting; mt19937_64
+  /// round-trips exactly through iostream insertion/extraction). An
+  /// engine no draw has seeded yet reads as freshly seeded.
+  std::mt19937_64 engine_snapshot() const;
 
  private:
   std::uint64_t seed_;
-  std::mt19937_64 engine_;
+  std::uint64_t key_count_ = 0;
+  std::unique_ptr<std::mt19937_64> engine_;  // null until the first draw
 };
 
 }  // namespace semcache

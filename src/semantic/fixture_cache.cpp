@@ -36,7 +36,7 @@ std::uint64_t hash_bytes(const ByteWriter& w) {
 
 std::string engine_state(const Rng& rng) {
   std::ostringstream os;
-  os << rng.engine();
+  os << rng.engine_snapshot();
   return os.str();
 }
 

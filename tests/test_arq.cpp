@@ -3,6 +3,9 @@
 // trade-off the E8 family measures.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "channel/arq.hpp"
 #include "channel/convolutional.hpp"
 #include "common/check.hpp"
@@ -27,22 +30,36 @@ TEST(Arq, CleanChannelSingleAttempt) {
 TEST(Arq, RetriesUntilDelivered) {
   // At BER 0.5% over 112 framed bits, p(clean attempt) ~ 0.57, so eight
   // tries deliver with probability ~0.999 — and retries genuinely happen.
-  Rng rng(2);
-  std::size_t delivered = 0;
-  std::size_t attempts_sum = 0;
-  for (int i = 0; i < 50; ++i) {
-    ArqPipeline arq(make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.005),
-                    8);
-    const BitVec payload = random_bits(80, rng);
-    const ArqResult r = arq.transmit(payload, rng);
-    if (r.delivered) {
-      ++delivered;
-      EXPECT_EQ(r.payload, payload);  // CRC-verified => exact
+  // Two channels at that BER: BSC(0.005), and uncoded QPSK over AWGN at
+  // 8.2 dB (BER Q(sqrt(10^0.82)) ~ 0.005). Both key their noise on the
+  // rng, so a key that failed to advance would repeat a failed attempt's
+  // noise on every retry.
+  const std::function<std::unique_ptr<ChannelPipeline>()> channels[] = {
+      [] {
+        return make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.005);
+      },
+      [] {
+        return make_awgn_pipeline(std::make_unique<IdentityCode>(),
+                                  Modulation::kQpsk, 8.2);
+      }};
+  for (const auto& make_channel : channels) {
+    Rng rng(2);
+    std::size_t delivered = 0;
+    std::size_t attempts_sum = 0;
+    for (int i = 0; i < 50; ++i) {
+      ArqPipeline arq(make_channel(), 8);
+      const BitVec payload = random_bits(80, rng);
+      const ArqResult r = arq.transmit(payload, rng);
+      if (r.delivered) {
+        ++delivered;
+        EXPECT_EQ(r.payload, payload);  // CRC-verified => exact
+      }
+      attempts_sum += r.attempts;
     }
-    attempts_sum += r.attempts;
+    const std::string name = make_channel()->description();
+    EXPECT_GE(delivered, 45u) << name;
+    EXPECT_GT(attempts_sum, 55u) << name;  // retransmissions actually happened
   }
-  EXPECT_GE(delivered, 45u);
-  EXPECT_GT(attempts_sum, 55u);  // retransmissions actually happened
 }
 
 TEST(Arq, GivesUpAfterBudget) {

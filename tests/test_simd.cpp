@@ -9,6 +9,7 @@
 // silently vouch for kernels that never ran.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -18,6 +19,7 @@
 
 #include "channel/convolutional.hpp"
 #include "channel/modulation.hpp"
+#include "channel/noise.hpp"
 #include "channel/physical.hpp"
 #include "channel/puncture.hpp"
 #include "channel/repetition.hpp"
@@ -564,14 +566,13 @@ std::vector<Symbol> adversarial_symbols(std::size_t count, Rng& rng) {
   return sym;
 }
 
-TEST(SimdChannel, DemapTierTwinAllModulations) {
+TEST(SimdChannel, HardDemapTierTwin) {
   Rng rng(31337);
-  // Odd counts exercise every vector-loop tail (BPSK/QPSK run 2 symbols
-  // per vector, 16-QAM emits 8 bits per pair).
+  // Odd counts exercise every vector-loop tail (BPSK runs 2 symbols per
+  // vector, 16-QAM emits 8 bits per pair). QPSK has no kernel.
   for (const std::size_t count : {0u, 1u, 2u, 3u, 5u, 7u, 64u, 257u}) {
     const std::vector<Symbol> sym = adversarial_symbols(count, rng);
-    for (const Modulation m :
-         {Modulation::kBpsk, Modulation::kQpsk, Modulation::kQam16}) {
+    for (const Modulation m : {Modulation::kBpsk, Modulation::kQam16}) {
       BitVec scalar_bits, simd_bits;
       {
         TierGuard guard(common::SimdTier::kScalar);
@@ -645,6 +646,112 @@ TEST(SimdChannel, AwgnApplyTierTwin) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(Symbol)), 0)
         << "count " << count;
   }
+}
+
+TEST(SimdChannel, KeyedNoiseTierTwinBitwise) {
+  // The AVX2 generator called directly against the scalar reference,
+  // over every tail length of its four-pair blocks, a serve-sized
+  // message (264 pairs) and a long one; nonzero starting symbols and a
+  // first index near the top of the counter space check the fused add
+  // and the state wraparound.
+  const channel::detail::Avx2ChannelKernels* k =
+      channel::detail::avx2_channel_kernels();
+  if (k == nullptr || !avx2_host()) {
+    GTEST_SKIP() << "no AVX2 kernels on this host/build";
+  }
+  Rng rng(4242);
+  std::vector<std::size_t> lengths = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 264, 4098};
+  for (const std::size_t pairs : lengths) {
+    for (const std::uint64_t first : {std::uint64_t{0}, ~std::uint64_t{0} - 5}) {
+      std::vector<double> base(2 * pairs);
+      for (double& v : base) v = rng.gaussian();
+      const std::uint64_t key = rng.next_key();
+      std::vector<double> scalar = base, simd = base;
+      {
+        TierGuard guard(common::SimdTier::kScalar);
+        channel::add_keyed_noise(scalar.data(), pairs, key, first, 0.37);
+      }
+      k->add_keyed_noise(simd.data(), pairs, key, first, 0.37);
+      ASSERT_EQ(scalar.size(), simd.size());
+      if (!scalar.empty()) {
+        EXPECT_EQ(0, std::memcmp(scalar.data(), simd.data(),
+                                 scalar.size() * sizeof(double)))
+            << "pairs " << pairs << " first " << first;
+      }
+    }
+  }
+  // The pair accessor and the noise add read the same generator.
+  std::vector<double> zeros(2 * 9, 0.0);
+  channel::add_keyed_noise(zeros.data(), 9, 77, 3, 1.0);
+  for (std::size_t j = 0; j < 9; ++j) {
+    double z0 = 0.0, z1 = 0.0;
+    channel::keyed_gaussian_pair(77, 3 + j, z0, z1);
+    EXPECT_EQ(zeros[2 * j], z0) << j;
+    EXPECT_EQ(zeros[2 * j + 1], z1) << j;
+  }
+}
+
+TEST(SimdChannel, KeyedNoiseIsStandardGaussianOnBothTiers) {
+  // 2000 keys x 250 pairs = 10^6 values, the way channels use the
+  // generator: many keys, a short stream each. Bounds are about five
+  // standard errors of each estimate at n = 10^6.
+  constexpr std::size_t kKeys = 2000;
+  constexpr std::size_t kPairs = 250;
+  for (const common::SimdTier tier :
+       {common::SimdTier::kScalar, common::SimdTier::kAvx2}) {
+    TierGuard guard(tier);
+    Rng keys(2024);
+    std::vector<double> z(2 * kPairs);
+    double sum = 0.0, sum2 = 0.0, sum4 = 0.0, cross = 0.0;
+    std::size_t beyond2 = 0, beyond3 = 0;
+    for (std::size_t k = 0; k < kKeys; ++k) {
+      std::fill(z.begin(), z.end(), 0.0);
+      channel::add_keyed_noise(z.data(), kPairs, keys.next_key(), 0, 1.0);
+      for (std::size_t j = 0; j < kPairs; ++j) cross += z[2 * j] * z[2 * j + 1];
+      for (const double v : z) {
+        sum += v;
+        sum2 += v * v;
+        sum4 += v * v * v * v;
+        beyond2 += std::fabs(v) > 2.0 ? 1 : 0;
+        beyond3 += std::fabs(v) > 3.0 ? 1 : 0;
+      }
+    }
+    const double n = 2.0 * kKeys * kPairs;
+    const double mean = sum / n;
+    const double var = sum2 / n - mean * mean;
+    const double tail2 = std::erfc(2.0 / std::sqrt(2.0));  // P(|z| > 2)
+    const double tail3 = std::erfc(3.0 / std::sqrt(2.0));  // P(|z| > 3)
+    const std::string at = common::simd_tier_name(tier);
+    EXPECT_NEAR(mean, 0.0, 0.005) << at;
+    EXPECT_NEAR(var, 1.0, 0.007) << at;
+    EXPECT_NEAR(sum4 / n / (var * var), 3.0, 0.025) << at;  // kurtosis
+    EXPECT_NEAR(cross / (n / 2.0), 0.0, 0.007) << at;  // pair halves uncorrelated
+    EXPECT_NEAR(beyond2 / n, tail2, 0.0011) << at;
+    EXPECT_NEAR(beyond3 / n, tail3, 0.00026) << at;
+  }
+}
+
+TEST(SimdChannel, NextKeyIgnoresEngineDraws) {
+  Rng quiet(99), busy(99);
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < 4; ++i) {
+    const std::uint64_t key = quiet.next_key();
+    EXPECT_EQ(busy.next_key(), key) << "call " << i;
+    // Engine draws between calls on one side only.
+    busy.uniform();
+    busy.gaussian();
+    (void)busy.uniform_int(0, 9);
+    keys.push_back(key);
+  }
+  // Every call advances the key; a copy carries the counter along.
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_NE(keys[i], keys[i - 1]);
+  }
+  Rng copy = quiet;
+  EXPECT_EQ(copy.next_key(), quiet.next_key());
+  // Engine draws are unchanged by the keys handed out before them.
+  Rng fresh(99);
+  EXPECT_EQ(quiet.uniform(), fresh.uniform());
 }
 
 TEST(SimdChannel, ModulatedTransmitTierTwin) {
@@ -722,34 +829,6 @@ TEST(SimdChannel, ViterbiDecodeTierTwin) {
     // The SSE ACS must make the identical survivor choice at every step,
     // so even uncorrected decodes twin exactly.
     EXPECT_EQ(scalar_out, simd_out) << "info_len " << info_len;
-  }
-}
-
-TEST(SimdChannel, SoftDemapTierTwinBitwise) {
-  // The soft demaps are float producers, so the twin is checked on BIT
-  // PATTERNS, not values: NaN payloads, signed zeros, and every rounding
-  // decision must match between the scalar loop and the AVX2 kernel
-  // (every op in both is individually IEEE-exact; no FMA contraction).
-  Rng rng(60601);
-  for (const std::size_t count : {0u, 1u, 2u, 3u, 5u, 7u, 64u, 257u}) {
-    const std::vector<Symbol> sym = adversarial_symbols(count, rng);
-    for (const Modulation m :
-         {Modulation::kBpsk, Modulation::kQpsk, Modulation::kQam16}) {
-      std::vector<float> scalar_llrs, simd_llrs;
-      {
-        TierGuard guard(common::SimdTier::kScalar);
-        channel::demap_soft_into(scalar_llrs, sym.data(), count, m);
-      }
-      {
-        TierGuard guard(common::SimdTier::kAvx2);
-        channel::demap_soft_into(simd_llrs, sym.data(), count, m);
-      }
-      ASSERT_EQ(scalar_llrs.size(), simd_llrs.size());
-      ASSERT_EQ(scalar_llrs.size(), count * channel::bits_per_symbol(m));
-      EXPECT_EQ(0, std::memcmp(scalar_llrs.data(), simd_llrs.data(),
-                               scalar_llrs.size() * sizeof(float)))
-          << channel::modulation_name(m) << " count " << count;
-    }
   }
 }
 
