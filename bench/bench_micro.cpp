@@ -1,12 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: tensor matmul (square, rectangular, and allocation-free
 // variants), codec encode/decode/train (single and batched), a whole
-// fine-tune and its Adam step on both SIMD tiers, the selector
-// forward pass, cache get/put and eviction, gradient-sync compression,
-// Viterbi decoding, Huffman coding, quantization, and the event loop.
+// fine-tune, its Adam step on both SIMD tiers and its gradient clipping
+// above and below the cap, the selector forward pass, cache get/put and
+// eviction, gradient-sync compression, Viterbi decoding, Huffman coding,
+// quantization, and the event loop.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <vector>
 
 #include "cache/cache.hpp"
 #include "core/system.hpp"
@@ -232,6 +236,42 @@ static void BM_AdamStep(benchmark::State& state) {
   common::set_simd_tier(prev);
 }
 BENCHMARK(BM_AdamStep)->Arg(0)->Arg(1);
+
+// Gradient clipping at the fine-tune's cap of 5 over the same codec's
+// gradients from one sample, scaled to twice the cap (Arg(0): the float
+// chain runs and scales) or to half of it (Arg(1): the double sum alone
+// decides that nothing changes). Every iteration first restores the
+// scaled gradients, so both rows clip the same input each time.
+static void BM_ClipGradNorm(benchmark::State& state) {
+  constexpr double kCap = 5.0;
+  const FinetuneSetup setup = finetune_setup();
+  Rng init(15);
+  semantic::SemanticCodec codec(setup.config, init);
+  nn::ParameterSet params = codec.parameters();
+  codec.forward_loss(setup.samples[0].surface, setup.samples[0].meanings);
+  codec.backward();
+  double sq = 0.0;
+  for (const float g : params.flatten_grads()) sq += double{g} * g;
+  const auto scale = static_cast<float>(
+      (state.range(0) == 0 ? 2.0 : 0.5) * kCap / std::sqrt(sq));
+  std::vector<std::vector<float>> grads;
+  for (nn::Parameter* p : params.params()) {
+    grads.emplace_back(p->grad.flat().begin(), p->grad.flat().end());
+    for (float& g : grads.back()) g *= scale;
+  }
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < grads.size(); ++i) {
+      std::copy(grads[i].begin(), grads[i].end(),
+                params.params()[i]->grad.data());
+    }
+    benchmark::DoNotOptimize(
+        nn::Optimizer::clip_grad_norm(params.params(), kCap));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(params.scalar_count()));
+}
+BENCHMARK(BM_ClipGradNorm)->Arg(0)->Arg(1);
 
 // Selector forward pass: the per-message model-selection cost on the
 // transmit hot path (§III-A), measured on the GRU classifier with a few

@@ -20,7 +20,15 @@ class Optimizer {
   /// Reset all gradients to zero.
   static void zero_grad(std::span<Parameter* const> params);
   /// Scale gradients so their global L2 norm is at most max_norm.
-  /// Returns the pre-clip norm.
+  ///
+  /// Whether and by how much to scale is decided by a float chain (each
+  /// tensor's float l2_norm, their squares summed in double), which runs
+  /// only when a double sum of squares cannot prove the chain's norm to be
+  /// at most max_norm; the gradients therefore come out bit for bit as if
+  /// the chain always ran. Returns the pre-clip norm from that double sum:
+  /// the square root of the sum of the exact squares over 16 lanes, where
+  /// element i of each tensor goes to lane i % 16 and the lanes are added
+  /// in order. NaN or Inf when a gradient holds one.
   static double clip_grad_norm(std::span<Parameter* const> params,
                                double max_norm);
 };

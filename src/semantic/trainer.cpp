@@ -2,12 +2,39 @@
 
 #include <algorithm>
 
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
+
 #include "nn/optimizer.hpp"
 #include "semantic/fixture_cache.hpp"
 
 namespace semcache::semantic {
 
 namespace {
+// Sets flush-to-zero and denormals-are-zero (MXCSR bits 15 and 6) on the
+// calling thread for its lifetime and restores the saved MXCSR on every
+// exit. A slot model fine-tuned again and again drives more and more of
+// its backward pass into subnormal floats, each of which costs a
+// microcode assist. Only fine-tuning runs under it: pretrained weights,
+// and with them the fixture cache and every serving digest, keep the
+// default mode's bits. Where there is no MXCSR it does nothing.
+#if defined(__SSE__)
+class SubnormalsFlushed {
+ public:
+  SubnormalsFlushed() : saved_(_mm_getcsr()) { _mm_setcsr(saved_ | kFtzDaz); }
+  ~SubnormalsFlushed() { _mm_setcsr(saved_); }
+  SubnormalsFlushed(const SubnormalsFlushed&) = delete;
+  SubnormalsFlushed& operator=(const SubnormalsFlushed&) = delete;
+
+ private:
+  static constexpr unsigned kFtzDaz = (1u << 15) | (1u << 6);
+  unsigned saved_;
+};
+#else
+struct SubnormalsFlushed {};
+#endif
+
 TrainStats run_steps(SemanticCodec& codec, const TrainConfig& config,
                      const std::function<Sample()>& next_sample, Rng& rng) {
   nn::Adam opt(config.lr);
@@ -76,6 +103,7 @@ TrainStats CodecTrainer::finetune(SemanticCodec& codec,
                                   std::size_t batch_size) {
   SEMCACHE_CHECK(!samples.empty(), "finetune: no samples");
   SEMCACHE_CHECK(batch_size >= 1, "finetune: batch_size must be >= 1");
+  const SubnormalsFlushed fp_mode;
   nn::Adam opt(lr);
   nn::ParameterSet params = codec.parameters();
   TrainStats stats;

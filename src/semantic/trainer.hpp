@@ -53,6 +53,9 @@ class CodecTrainer {
   /// through the codec's *_batch entry points (one kernel pass per layer
   /// for the whole minibatch; the gradient is the mean over the batch).
   /// The default of 1 preserves the per-sample update sequence exactly.
+  ///
+  /// Runs with subnormal floats flushed to zero (x86 FTZ and DAZ) on the
+  /// calling thread and hands back the caller's MXCSR on return or throw.
   static TrainStats finetune(SemanticCodec& codec,
                              std::span<const Sample> samples,
                              std::size_t epochs, double lr, Rng& rng,

@@ -3,6 +3,17 @@
 // differences, which is what makes the explicit-backward design trustworthy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
+
 #include "nn/gradcheck.hpp"
 #include "nn/gru.hpp"
 #include "nn/layers.hpp"
@@ -297,6 +308,165 @@ TEST(Optimizer, ClipGradNorm) {
   p.grad = Tensor({2}, {0.3f, 0.4f});
   Optimizer::clip_grad_norm(params, 1.0);
   EXPECT_NEAR(tensor::l2_norm(p.grad), 0.5f, 1e-6f);
+}
+
+// clip_grad_norm as it was before the double decision, kept as the
+// reference: each tensor's float l2_norm, squared and summed in double,
+// decides whether to scale and by how much.
+double chain_clip(std::span<Parameter* const> params, double max_norm) {
+  double sq = 0.0;
+  for (const Parameter* p : params) {
+    const double n = tensor::l2_norm(p->grad);
+    sq += n * n;
+  }
+  const double norm = std::sqrt(sq);
+  if (norm > max_norm) {
+    const auto scale = static_cast<float>(max_norm / norm);
+    for (Parameter* p : params) {
+      float* pg = p->grad.data();
+      for (std::size_t i = 0; i < p->grad.size(); ++i) pg[i] *= scale;
+    }
+  }
+  return norm;
+}
+
+using GradSet = std::vector<std::vector<float>>;
+
+// clip_grad_norm's documented return value: the exact squares summed in
+// double over 16 lanes, element i of each tensor in lane i % 16.
+double lane_norm(const GradSet& grads) {
+  double lane[16] = {};
+  for (const std::vector<float>& g : grads) {
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      const double x = g[i];
+      lane[i % 16] += x * x;
+    }
+  }
+  double sq = 0.0;
+  for (const double s : lane) sq += s;
+  return std::sqrt(sq);
+}
+
+// The relative margin optimizer.cpp derives for a call whose largest
+// tensor has n elements: γ(n + 4) with u = 2^-24.
+double clip_margin(std::size_t n) {
+  const double nu = static_cast<double>(n + 4) * 0x1p-24;
+  return nu / (1.0 - nu);
+}
+
+std::vector<Parameter> grad_params(const GradSet& grads) {
+  std::vector<Parameter> params;
+  params.reserve(grads.size());
+  for (const std::vector<float>& g : grads) {
+    Parameter& p = params.emplace_back("g", Tensor({g.size()}));
+    std::copy(g.begin(), g.end(), p.grad.data());
+  }
+  return params;
+}
+
+// Clips one copy of `grads` with clip_grad_norm and another with the
+// reference; the gradients must come out byte-equal and the return value
+// must be the lane norm.
+void expect_clip_matches_chain(const GradSet& grads, double max_norm,
+                               const std::string& what) {
+  std::vector<Parameter> fast = grad_params(grads);
+  std::vector<Parameter> ref = grad_params(grads);
+  std::vector<Parameter*> fast_ptrs, ref_ptrs;
+  for (std::size_t i = 0; i < grads.size(); ++i) {
+    fast_ptrs.push_back(&fast[i]);
+    ref_ptrs.push_back(&ref[i]);
+  }
+  const double norm = Optimizer::clip_grad_norm(fast_ptrs, max_norm);
+  chain_clip(ref_ptrs, max_norm);
+  for (std::size_t i = 0; i < grads.size(); ++i) {
+    EXPECT_EQ(0, std::memcmp(fast[i].grad.data(), ref[i].grad.data(),
+                             grads[i].size() * sizeof(float)))
+        << what << " tensor " << i;
+  }
+  const double expected = lane_norm(grads);
+  if (std::isnan(expected)) {
+    EXPECT_TRUE(std::isnan(norm)) << what;
+  } else {
+    EXPECT_EQ(norm, expected) << what;
+  }
+}
+
+// Runs `body` under the default MXCSR and, where there is one, under
+// flush-to-zero and denormals-are-zero, as a fine-tune does.
+template <typename Body>
+void in_each_fp_mode(Body body) {
+  body("default mode");
+#if defined(__SSE__)
+  const unsigned saved = _mm_getcsr();
+  _mm_setcsr(saved | (1u << 15) | (1u << 6));
+  body("FTZ|DAZ");
+  _mm_setcsr(saved);
+#endif
+}
+
+TEST(Optimizer, ClipDecisionMatchesFloatChain) {
+  Rng rng(2304);
+  // Magnitudes spread over 2^-10..2^10, so the chain's roundings show.
+  auto spread = [&](std::size_t n, int exponent_shift = 0) {
+    std::vector<float> g(n);
+    for (float& x : g) {
+      const auto e = static_cast<int>(rng.uniform_int(-10, 10));
+      x = static_cast<float>(std::ldexp(rng.uniform(-1.0, 1.0),
+                                        e + exponent_shift));
+    }
+    return g;
+  };
+  // After a leading 1.0 every square is just over half an ulp of the
+  // running float sum, so each add rounds up and the chain overstates the
+  // norm by about n·u; `absorbed` squares sit under half an ulp and each
+  // add rounds away, so the chain understates it.
+  std::vector<float> rounded_up(6001, std::ldexp(1.0f + 0x1p-11f, -12));
+  rounded_up[0] = 1.0f;
+  std::vector<float> absorbed(6001, 0x1p-13f);
+  absorbed[0] = 1.0f;
+  const std::vector<GradSet> sets = {
+      {spread(1)},
+      {spread(2), spread(7), spread(16), spread(17)},
+      {spread(6007)},
+      {spread(6007), std::vector<float>(480, 0.0f), spread(250), spread(33),
+       spread(1)},
+      {rounded_up},
+      {absorbed, spread(100)},
+      // Float squares reaching below the normal range, where the
+      // absolute term decides.
+      {spread(3000, -70), spread(40, -70)},
+      // Float squares that overflow: the chain reads Inf and zeroes.
+      {spread(64), {1e20f, -3e19f}},
+  };
+  in_each_fp_mode([&](const char* mode) {
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      std::size_t largest = 0;
+      for (const std::vector<float>& g : sets[s]) {
+        largest = std::max(largest, g.size());
+      }
+      const double margin = clip_margin(largest);
+      const double norm = lane_norm(sets[s]);
+      for (const double factor :
+           {0.5, 1.0 - margin, 1.0 + margin, 1.0 - 1e-6, 1.0 + 1e-6, 2.0}) {
+        expect_clip_matches_chain(sets[s], norm / factor,
+                                  std::string(mode) + " set " +
+                                      std::to_string(s) + " factor " +
+                                      std::to_string(factor));
+      }
+    }
+    // All-zero gradients, and a NaN or +Inf among finite ones.
+    const GradSet zeros = {std::vector<float>(33, 0.0f),
+                           std::vector<float>(1, 0.0f)};
+    expect_clip_matches_chain(zeros, 1.0, std::string(mode) + " zeros");
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+      GradSet g = {spread(40), spread(300)};
+      g[1][123] = bad;
+      for (const double cap : {1e-3, 1.0, 1e9}) {
+        expect_clip_matches_chain(g, cap, std::string(mode) + " non-finite");
+      }
+    }
+  });
 }
 
 TEST(Optimizer, ZeroGrad) {

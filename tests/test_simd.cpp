@@ -17,6 +17,10 @@
 #include <string>
 #include <vector>
 
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
+
 #include "channel/convolutional.hpp"
 #include "channel/modulation.hpp"
 #include "channel/noise.hpp"
@@ -485,6 +489,64 @@ TEST(SimdKernels, FinetuneTierTwinByteEqualParameters) {
   EXPECT_EQ(0, std::memcmp(tuned[0].data(), tuned[1].data(),
                            tuned[0].size() * sizeof(float)));
 }
+
+#if defined(__SSE__)
+TEST(SimdKernels, FinetuneRestoresCallerFpMode) {
+  // finetune runs under flush-to-zero and denormals-are-zero (MXCSR bits
+  // 15 and 6) and must hand the caller's MXCSR back unchanged, whether it
+  // returns or throws, and whatever mode the caller had set.
+  constexpr unsigned kFtzDaz = (1u << 15) | (1u << 6);
+  semantic::CodecConfig cc;
+  cc.surface_vocab = 60;
+  cc.meaning_vocab = 40;
+  cc.sentence_length = 6;
+  cc.embed_dim = 10;
+  cc.feature_dim = 12;
+  cc.hidden_dim = 16;
+  Rng init(808);
+  const semantic::SemanticCodec base(cc, init);
+  std::vector<semantic::Sample> samples(24);
+  for (semantic::Sample& s : samples) {
+    for (std::size_t i = 0; i < cc.sentence_length; ++i) {
+      s.surface.push_back(static_cast<std::int32_t>(init.uniform_int(0, 19)));
+      s.meanings.push_back(static_cast<std::int32_t>(init.uniform_int(0, 39)));
+    }
+  }
+  // The shuffle puts the short sample after at least one valid step; the
+  // parameter check below proves it.
+  std::vector<semantic::Sample> broken = samples;
+  broken.back().surface.pop_back();
+  broken.back().meanings.pop_back();
+  const std::vector<float> initial =
+      base.clone()->parameters().flatten_values();
+
+  const unsigned saved = _mm_getcsr();
+  for (const unsigned mode : {0u, kFtzDaz}) {
+    for (const bool throws : {false, true}) {
+      _mm_setcsr((saved & ~kFtzDaz) | mode);
+      const auto codec = base.clone();
+      Rng rng(909);
+      const unsigned before = _mm_getcsr();
+      if (throws) {
+        EXPECT_THROW(
+            semantic::CodecTrainer::finetune(*codec, broken, 1, 3e-3, rng),
+            Error);
+      } else {
+        semantic::CodecTrainer::finetune(*codec, samples, 2, 3e-3, rng);
+      }
+      // Read before anything else touches floats and raises a flag.
+      const unsigned after = _mm_getcsr();
+      EXPECT_EQ(after, before)
+          << (throws ? "threw" : "returned") << ", caller mode " << mode;
+      if (throws) {
+        EXPECT_NE(codec->parameters().flatten_values(), initial)
+            << "no step ran before the throw";
+      }
+    }
+  }
+  _mm_setcsr(saved);
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Channel plane twins.
