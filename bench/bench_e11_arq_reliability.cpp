@@ -67,24 +67,25 @@ int main(int argc, char** argv) {
     metrics::OnlineStats sem_acc, sem_air, trad_acc, trad_air, attempts;
     std::size_t undelivered = 0;
     const int kMessages = 250;
+    // The pipelines keep no state, so one of each serves every message.
+    const auto sem_pipe = channel::make_awgn_pipeline(
+        channel::make_code("conv_k3_r12"), channel::Modulation::kBpsk, snr);
+    channel::ArqPipeline arq(
+        channel::make_awgn_pipeline(channel::make_code("conv_k3_r12"),
+                                    channel::Modulation::kBpsk, snr),
+        8);
     for (int i = 0; i < kMessages; ++i) {
       const auto msg = world.sample_sentence(0, run_rng);
 
       // (a) Semantic, fire-and-forget.
-      auto sem_pipe = channel::make_awgn_pipeline(
-          channel::make_code("conv_k3_r12"), channel::Modulation::kBpsk, snr);
-      const auto feature = codec->encoder().encode(msg.surface);
-      const BitVec rx =
-          sem_pipe->transmit(quantizer.quantize(feature), run_rng);
+      const BitVec payload =
+          quantizer.quantize(codec->encoder().encode(msg.surface));
+      const BitVec rx = sem_pipe->transmit(payload, run_rng);
       const auto decoded = codec->decoder().decode(quantizer.dequantize(rx));
       sem_acc.add(metrics::token_accuracy(msg.meanings, decoded));
-      sem_air.add(static_cast<double>(sem_pipe->stats().airtime_bits));
+      sem_air.add(static_cast<double>(sem_pipe->airtime_bits(payload.size())));
 
       // (b) Traditional tokens + ARQ.
-      channel::ArqPipeline arq(
-          channel::make_awgn_pipeline(channel::make_code("conv_k3_r12"),
-                                      channel::Modulation::kBpsk, snr),
-          8);
       const channel::ArqResult ar =
           arq.transmit(serialize_tokens(msg.surface), run_rng);
       attempts.add(static_cast<double>(ar.attempts));

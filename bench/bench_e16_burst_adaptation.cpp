@@ -135,8 +135,12 @@ ArmResult run_fixed(const std::string& code, const Scenario& sc,
   const DecodeResult q = decode_quality(codec, quantizer, w, received);
   r.accuracy = q.accuracy;
   r.exact = q.exact;
-  r.airtime = pipe->stats().airtime_bits;
-  r.goodput = q.exact * static_cast<double>(pipe->stats().payload_bits) /
+  std::uint64_t payload_bits = 0;
+  for (const BitVec& payload : w.payloads) {
+    r.airtime += pipe->airtime_bits(payload.size());
+    payload_bits += payload.size();
+  }
+  r.goodput = q.exact * static_cast<double>(payload_bits) /
               static_cast<double>(r.airtime);
   return r;
 }
@@ -151,7 +155,7 @@ ArmResult run_adaptive(const Scenario& sc, semantic::SemanticCodec& codec,
   Rng base(9090);
   for (std::size_t i = 0; i < kMessages; ++i) {
     Rng rng = base.fork(i);
-    received.push_back(link.transmit_at(w.payloads[i], rng, i));
+    received.push_back(link.transmit(w.payloads[i], rng, i));
   }
   ArmResult r;
   const DecodeResult q = decode_quality(codec, quantizer, w, received);

@@ -522,10 +522,9 @@ static void BM_ViterbiDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_ViterbiDecode)->Arg(64)->Arg(512);
 
-// Weighted (soft-decision) trellis over quantized LLR confidences — the
-// receive path of a soft pipeline. Branch metrics are rebuilt per step
-// from the weight stream, so this bounds the LLR overhead vs the hard
-// table-driven ACS above.
+// The receive path of a soft pipeline: LLRs quantize to confidence
+// weights on the same weighted trellis that hard decoding (above) runs at
+// weight 1, so the gap between the two rows is the LLR slicing.
 static void BM_ViterbiDecodeSoft(benchmark::State& state) {
   const auto bits = static_cast<std::size_t>(state.range(0));
   Rng rng(5);
@@ -652,7 +651,8 @@ BENCHMARK(BM_SimulatorEventLoop)->Arg(1000)->Arg(100000);
 // the host lacks AVX2+FMA, so the ratio reads 1.0 there rather than
 // lying). Output bits are tier-invariant by contract (test_simd), so the
 // rows differ in wall time only. The AVX2 noise generator, the 16-QAM
-// slicer and the trellis's branch-free survivor stores carry the gap;
+// slicer and the SSE weighted trellis (the hard decode runs it at weight
+// 1) with its branch-free survivor stores carry the gap;
 // regression_gate.speedup requires /1 to beat /0 by more than 1.3x.
 static void BM_ChannelBatchSimd(benchmark::State& state) {
   const auto tier = state.range(0) == 0 ? common::SimdTier::kScalar

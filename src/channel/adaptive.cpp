@@ -4,18 +4,6 @@
 
 namespace semcache::channel {
 
-const char* code_rate_name(CodeRate rate) {
-  switch (rate) {
-    case CodeRate::kR12:
-      return "conv_k3_r12";
-    case CodeRate::kR23:
-      return "conv_k3_r23";
-    case CodeRate::kR34:
-      return "conv_k3_r34";
-  }
-  return "conv_k3_r12";
-}
-
 AdaptiveRateController::AdaptiveRateController(const AdaptiveRateConfig& cfg)
     : cfg_(cfg), rate_(cfg.initial) {
   SEMCACHE_CHECK(cfg_.ewma_alpha > 0.0 && cfg_.ewma_alpha <= 1.0,
@@ -60,23 +48,22 @@ AdaptiveRatePipeline::AdaptiveRatePipeline(Modulation mod,
   const bool effective_soft = resolve_soft_decision(soft);
   for (std::size_t r = 0; r < kCodeRateCount; ++r) {
     pipelines_[r] = make_burst_pipeline(
-        make_code(code_rate_name(static_cast<CodeRate>(r))), mod, burst,
-        interleave_depth);
+        std::make_unique<ConvolutionalCode>(static_cast<CodeRate>(r)), mod,
+        burst, interleave_depth);
     pipelines_[r]->set_soft_decision(effective_soft);
   }
 }
 
-BitVec AdaptiveRatePipeline::transmit_at(const BitVec& payload, Rng& rng,
-                                         std::uint64_t slot) {
+BitVec AdaptiveRatePipeline::transmit(const BitVec& payload, Rng& rng,
+                                      std::uint64_t slot) {
   const CodeRate rate = controller_.current();
-  ChannelPipeline& pipe = *pipelines_[static_cast<std::size_t>(rate)];
-  const std::size_t airtime_before = pipe.stats().airtime_bits;
+  const ChannelPipeline& pipe = *pipelines_[static_cast<std::size_t>(rate)];
   ChannelObservation obs;
-  BitVec decoded = pipe.transmit_at(payload, rng, slot, &obs);
+  BitVec decoded = pipe.transmit(payload, rng, slot, &obs);
   stats_.messages += 1;
   stats_.rate_messages[static_cast<std::size_t>(rate)] += 1;
   stats_.payload_bits += payload.size();
-  stats_.airtime_bits += pipe.stats().airtime_bits - airtime_before;
+  stats_.airtime_bits += pipe.airtime_bits(payload.size());
   // Hard-decision fallback (SEMCACHE_SOFT=off or a slicer-only channel)
   // yields no observation; the controller then simply holds its rate.
   if (pipe.soft_decision()) {

@@ -12,19 +12,10 @@
 #include <cstdint>
 #include <memory>
 
+#include "channel/convolutional.hpp"
 #include "channel/pipeline.hpp"
 
 namespace semcache::channel {
-
-enum class CodeRate : std::uint8_t {
-  kR12 = 0,  ///< conv_k3_r12 — most robust, most airtime
-  kR23 = 1,  ///< conv_k3_r23
-  kR34 = 2,  ///< conv_k3_r34 — leanest, least protected
-};
-
-constexpr std::size_t kCodeRateCount = 3;
-
-const char* code_rate_name(CodeRate rate);
 
 struct AdaptiveRateConfig {
   double up_r23_db = 6.0;   ///< EWMA threshold separating r12 and r23
@@ -77,7 +68,7 @@ class AdaptiveRatePipeline {
                        const AdaptiveRateConfig& cfg,
                        std::size_t interleave_depth = 1, bool soft = true);
 
-  BitVec transmit_at(const BitVec& payload, Rng& rng, std::uint64_t slot);
+  BitVec transmit(const BitVec& payload, Rng& rng, std::uint64_t slot);
 
   const ChannelStats& stats() const { return stats_; }
   CodeRate current_rate() const { return controller_.current(); }

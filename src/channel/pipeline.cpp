@@ -4,7 +4,6 @@
 
 #include "channel/convolutional.hpp"
 #include "channel/hamming.hpp"
-#include "channel/puncture.hpp"
 #include "channel/repetition.hpp"
 #include "common/check.hpp"
 
@@ -20,30 +19,35 @@ ChannelPipeline::ChannelPipeline(std::unique_ptr<ChannelCode> code,
   SEMCACHE_CHECK(channel_ != nullptr, "pipeline: null channel");
 }
 
-BitVec ChannelPipeline::transmit(const BitVec& payload, Rng& rng) {
-  return transmit_at(payload, rng, 0, nullptr);
-}
-
-BitVec ChannelPipeline::transmit_at(const BitVec& payload, Rng& rng,
-                                    std::uint64_t slot,
-                                    ChannelObservation* obs) {
-  std::size_t airtime_bits = 0;
-  BitVec decoded = transmit_one(payload, rng, airtime_bits, slot, obs);
-  stats_.payload_bits += payload.size();
-  stats_.airtime_bits += airtime_bits;
-  stats_.messages += 1;
+BitVec ChannelPipeline::transmit(const BitVec& payload, Rng& rng,
+                                 std::uint64_t slot,
+                                 ChannelObservation* obs) const {
+  const BitVec coded = code_->encode(payload);
+  const BitVec sent = interleaver_.interleave(coded);
+  BitVec decoded;
+  std::vector<float> llrs;
+  if (soft_ && channel_->transmit_soft(sent, rng, slot, llrs, obs)) {
+    // LLRs ride the same deinterleave permutation the hard bits would, so
+    // the trellis sees confidences in coded order. Channels without a soft
+    // output decline and drop through to the hard path.
+    std::vector<float> deinterleaved = interleaver_.deinterleave(llrs);
+    deinterleaved.resize(coded.size());  // drop interleaver padding
+    decoded = code_->decode_soft(deinterleaved);
+  } else {
+    BitVec deinterleaved =
+        interleaver_.deinterleave(channel_->transmit_slot(sent, rng, slot));
+    deinterleaved.resize(coded.size());  // drop interleaver padding
+    decoded = code_->decode(deinterleaved);
+  }
+  SEMCACHE_CHECK(decoded.size() >= payload.size(),
+                 "pipeline: decoder returned too few bits");
+  decoded.resize(payload.size());
   return decoded;
 }
 
 std::vector<BitVec> ChannelPipeline::transmit_batch(
     const std::vector<BitVec>& payloads, std::span<Rng> rngs,
-    std::span<const std::uint64_t> slots) {
-  return transmit_batch_collect(payloads, rngs, slots, stats_);
-}
-
-std::vector<BitVec> ChannelPipeline::transmit_batch_collect(
-    const std::vector<BitVec>& payloads, std::span<Rng> rngs,
-    std::span<const std::uint64_t> slots, PipelineStats& sink) const {
+    std::span<const std::uint64_t> slots) const {
   SEMCACHE_CHECK(slots.empty() || slots.size() == payloads.size(),
                  "pipeline: transmit_batch slots span must be empty or match "
                  "the payload count");
@@ -52,53 +56,19 @@ std::vector<BitVec> ChannelPipeline::transmit_batch_collect(
                      std::to_string(payloads.size()) + " payloads, " +
                      std::to_string(rngs.size()) + " rngs)");
   // Per-message noise streams stay independent: message i consumes only
-  // rngs[i], so bits match N sequential transmit() calls exactly. Each
-  // message is accounted as it completes, so a throw leaves `sink` holding
-  // exactly the messages before it.
-  std::vector<BitVec> received(payloads.size());
+  // rngs[i], so bits match N sequential transmit() calls exactly.
+  std::vector<BitVec> received;
+  received.reserve(payloads.size());
   for (std::size_t i = 0; i < payloads.size(); ++i) {
-    std::size_t airtime_bits = 0;
-    const std::uint64_t slot = slots.empty() ? 0 : slots[i];
-    received[i] =
-        transmit_one(payloads[i], rngs[i], airtime_bits, slot, nullptr);
-    sink.payload_bits += payloads[i].size();
-    sink.airtime_bits += airtime_bits;
-    sink.messages += 1;
+    received.push_back(
+        transmit(payloads[i], rngs[i], slots.empty() ? 0 : slots[i]));
   }
   return received;
 }
 
-BitVec ChannelPipeline::transmit_one(const BitVec& payload, Rng& rng,
-                                     std::size_t& airtime_bits,
-                                     std::uint64_t slot,
-                                     ChannelObservation* obs) const {
-  const BitVec coded = code_->encode(payload);
-  const BitVec sent = interleaver_.interleave(coded);
-  if (soft_) {
-    // LLRs ride the same deinterleave permutation the hard bits would, so
-    // the trellis sees confidences in coded order. Channels without a soft
-    // output decline and drop through to the hard path.
-    std::vector<float> llrs;
-    if (channel_->transmit_soft(sent, rng, slot, llrs, obs)) {
-      std::vector<float> deinterleaved = interleaver_.deinterleave(llrs);
-      deinterleaved.resize(coded.size());  // drop interleaver padding
-      BitVec decoded = code_->decode_soft(deinterleaved);
-      SEMCACHE_CHECK(decoded.size() >= payload.size(),
-                     "pipeline: decoder returned too few bits");
-      decoded.resize(payload.size());
-      airtime_bits = sent.size();
-      return decoded;
-    }
-  }
-  const BitVec received = channel_->transmit_slot(sent, rng, slot);
-  BitVec deinterleaved = interleaver_.deinterleave(received);
-  deinterleaved.resize(coded.size());  // drop interleaver padding
-  BitVec decoded = code_->decode(deinterleaved);
-  SEMCACHE_CHECK(decoded.size() >= payload.size(),
-                 "pipeline: decoder returned too few bits");
-  decoded.resize(payload.size());
-  airtime_bits = sent.size();
-  return decoded;
+std::size_t ChannelPipeline::airtime_bits(std::size_t payload_bits) const {
+  const std::size_t depth = interleaver_.depth();
+  return (code_->encoded_length(payload_bits) + depth - 1) / depth * depth;
 }
 
 std::string ChannelPipeline::description() const {
@@ -110,12 +80,11 @@ std::unique_ptr<ChannelCode> make_code(const std::string& name) {
   if (name == "rep3") return std::make_unique<RepetitionCode>(3);
   if (name == "rep5") return std::make_unique<RepetitionCode>(5);
   if (name == "hamming74") return std::make_unique<HammingCode>();
-  if (name == "conv_k3_r12") return std::make_unique<ConvolutionalCode>();
-  if (name == "conv_k3_r23") {
-    return std::make_unique<PuncturedConvolutionalCode>(PunctureRate::kR23);
-  }
-  if (name == "conv_k3_r34") {
-    return std::make_unique<PuncturedConvolutionalCode>(PunctureRate::kR34);
+  for (std::size_t r = 0; r < kCodeRateCount; ++r) {
+    const auto rate = static_cast<CodeRate>(r);
+    if (name == code_rate_name(rate)) {
+      return std::make_unique<ConvolutionalCode>(rate);
+    }
   }
   SEMCACHE_CHECK(false, "unknown channel code: " + name);
   return nullptr;

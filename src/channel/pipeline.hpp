@@ -15,19 +15,9 @@
 
 namespace semcache::channel {
 
-struct PipelineStats {
-  std::size_t payload_bits = 0;   ///< information bits handed in
-  std::size_t airtime_bits = 0;   ///< coded bits actually on the channel
-  std::size_t messages = 0;
-
-  PipelineStats& operator+=(const PipelineStats& o) {
-    payload_bits += o.payload_bits;
-    airtime_bits += o.airtime_bits;
-    messages += o.messages;
-    return *this;
-  }
-};
-
+/// A const function of (payload, rng, slot): the pipeline holds only its
+/// configuration, so one pipeline serves any number of concurrent
+/// transmits with distinct rngs.
 class ChannelPipeline {
  public:
   ChannelPipeline(std::unique_ptr<ChannelCode> code,
@@ -35,68 +25,41 @@ class ChannelPipeline {
                   std::size_t interleave_depth = 1);
 
   /// Transmit payload bits; returns the receiver's reconstruction, trimmed
-  /// to the payload length.
-  BitVec transmit(const BitVec& payload, Rng& rng);
-
-  /// Slot-aware transmit: `slot` is the global message ordinal (the same
+  /// to the payload length. `slot` is the global message ordinal (the same
   /// index that keys the caller's RNG fork), forwarded to channels with
   /// memory (Gilbert–Elliott). When `obs` is non-null and the pipeline is
   /// in soft-decision mode, it receives the decision-directed channel
   /// observation of this message.
-  BitVec transmit_at(const BitVec& payload, Rng& rng, std::uint64_t slot,
-                     ChannelObservation* obs = nullptr);
+  BitVec transmit(const BitVec& payload, Rng& rng, std::uint64_t slot = 0,
+                  ChannelObservation* obs = nullptr) const;
 
   /// Batched transmit: payload i rides the channel with its own RNG stream
-  /// `rngs[i]`, so result i is bit-identical to `transmit(payloads[i],
-  /// rngs[i])` and the caller's per-message fork discipline is preserved.
-  /// Stats account per message: `messages` grows by payloads.size() and the
-  /// payload/airtime bit sums equal N sequential transmits. `slots` as in
-  /// transmit_batch_collect.
+  /// `rngs[i]` at slot `slots[i]` (an empty span means slot 0 for all), so
+  /// result i is bit-identical to `transmit(payloads[i], rngs[i],
+  /// slots[i])` and the caller's per-message fork discipline is preserved.
   std::vector<BitVec> transmit_batch(
       const std::vector<BitVec>& payloads, std::span<Rng> rngs,
-      std::span<const std::uint64_t> slots = {});
+      std::span<const std::uint64_t> slots = {}) const;
 
-  /// transmit_batch with the accounting redirected into `sink` instead of
-  /// the pipeline's own stats, leaving the pipeline const — the form the
-  /// cross-pair serving tasks use: several pairs share one pipeline, each
-  /// collects into a pair-local sink on its worker, and the caller folds
-  /// the sinks back in pair order after the join (fold_stats). `slots[i]`
-  /// is forwarded as message i's slot (empty span = all slot 0, the
-  /// legacy behavior). Bits and accounting are identical to N sequential
-  /// transmit_at calls; on an error, `sink` holds the pre-throw prefix
-  /// exactly as member stats would.
-  std::vector<BitVec> transmit_batch_collect(
-      const std::vector<BitVec>& payloads, std::span<Rng> rngs,
-      std::span<const std::uint64_t> slots, PipelineStats& sink) const;
+  /// Bits on the air for a `payload_bits`-bit payload: the coded length
+  /// padded to a multiple of the interleaver depth, which is what
+  /// transmit hands the channel.
+  std::size_t airtime_bits(std::size_t payload_bits) const;
 
   /// Switch the receive side between hard-decision slicing (default; the
   /// pre-existing bit-exact path) and soft-decision LLR decoding. Soft
   /// mode silently falls back to hard for channels without a soft output
-  /// (BSC). Not thread-safe against in-flight batches.
+  /// (BSC). Not thread-safe against in-flight transmits.
   void set_soft_decision(bool on) { soft_ = on; }
   bool soft_decision() const { return soft_; }
 
-  const PipelineStats& stats() const { return stats_; }
-  /// Merge a collected sink into the pipeline's own stats (the commit
-  /// half of transmit_batch_collect).
-  void fold_stats(const PipelineStats& delta) { stats_ += delta; }
   const ChannelCode& code() const { return *code_; }
   std::string description() const;
 
  private:
-  /// One payload through code/interleave/channel/deinterleave/decode; the
-  /// shared body of transmit() and transmit_batch(). Pure with respect to
-  /// pipeline state (safe to run concurrently for distinct messages):
-  /// the coded on-air bit count is reported through `airtime_bits` and
-  /// folded into stats_ by the caller.
-  BitVec transmit_one(const BitVec& payload, Rng& rng,
-                      std::size_t& airtime_bits, std::uint64_t slot,
-                      ChannelObservation* obs) const;
-
   std::unique_ptr<ChannelCode> code_;
   std::unique_ptr<BitChannel> channel_;
   BlockInterleaver interleaver_;
-  PipelineStats stats_;
   bool soft_ = false;
 };
 

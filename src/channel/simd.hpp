@@ -20,20 +20,18 @@
 
 namespace semcache::channel::detail {
 
-/// Precomputed add-compare-select tables for the K=3 rate-1/2 Viterbi
-/// trellis, indexed by the received dibit rx = r0 | (r1 << 1). Next-state
-/// ns has two predecessors: A = kPredA[ns] (the lower state, which the
-/// reference decoder's ascending-s loop visits first and which therefore
-/// wins metric ties) and B = kPredB[ns], both consuming input bit ns >> 1.
+/// Precomputed add-compare-select tables for the K=3 Viterbi trellis.
+/// Next-state ns has two predecessors: A = kPredA[ns] (the lower state,
+/// which the reference decoder's ascending-s loop visits first and which
+/// therefore wins metric ties) and B = kPredB[ns], both consuming input
+/// bit ns >> 1.
 struct ViterbiTables {
-  std::uint32_t bm_a[4][4];  ///< [rx][ns] branch metric via predecessor A
-  std::uint32_t bm_b[4][4];  ///< [rx][ns] branch metric via predecessor B
   std::uint8_t surv_a[4];    ///< [ns] packed (input << 4) | predecessor A
   std::uint8_t surv_b[4];    ///< [ns] packed (input << 4) | predecessor B
   /// Expected encoder outputs per next-state (0/1, stored wide for the SSE
-  /// soft kernel): exp0/exp1 are the G1/G2 bits of the branch into ns via
-  /// predecessor A and B. The weighted (soft/erasure) ACS rebuilds branch
-  /// metrics per step from these instead of the precomputed bm tables.
+  /// kernel): exp0/exp1 are the G1/G2 bits of the branch into ns via
+  /// predecessor A and B. The ACS builds each step's branch metrics from
+  /// these and the step's two weights.
   std::uint32_t exp0_a[4];
   std::uint32_t exp1_a[4];
   std::uint32_t exp0_b[4];
@@ -44,29 +42,25 @@ inline constexpr std::uint8_t kViterbiPredA[4] = {0, 2, 0, 2};
 inline constexpr std::uint8_t kViterbiPredB[4] = {1, 3, 1, 3};
 
 /// Saturation ceiling for path metrics. Well below INT32_MAX so the SSE
-/// signed compares are exact, far above any reachable metric (2 per step):
+/// signed compares are exact (a capped metric plus a branch of at most
+/// 2 * 255 stays below 2^31), far above any metric a frame reaches:
 /// metrics cap here instead of wrapping on pathologically long frames.
 inline constexpr std::uint32_t kViterbiInf = 1u << 30;
 
-/// Run the add-compare-select recursion for the information steps
-/// [0, info_steps): metric[4] is updated in place and survivor bytes are
-/// written to survivor[t * 4 + ns]. Tail steps stay with the caller (they
-/// admit only input 0 and are at most K-1 = 2 steps).
-using ViterbiAcsFn = void (*)(const ViterbiTables& tables,
-                              const std::uint8_t* rx, std::size_t info_steps,
-                              std::uint32_t* metric, std::uint8_t* survivor);
-
-/// Weighted ACS for the soft-decision / depunctured path: step t pays
-/// weights[2t] (G1 bit) and weights[2t+1] (G2 bit) for a mismatch against
-/// the hard decisions in rx. Weight 1 everywhere reproduces the hard
-/// branch metrics exactly; weight 0 is an erasure (depunctured position).
-/// Tie-break contract matches ViterbiAcsFn: predecessor A keeps ties.
-using ViterbiAcsSoftFn = void (*)(const ViterbiTables& tables,
-                                  const std::uint8_t* rx,
-                                  const std::uint8_t* weights,
-                                  std::size_t info_steps,
-                                  std::uint32_t* metric,
-                                  std::uint8_t* survivor);
+/// Run the weighted add-compare-select recursion for the information
+/// steps [0, info_steps): step t pays weights[2t] (G1 bit) and
+/// weights[2t+1] (G2 bit) for a mismatch against the hard decisions in
+/// rx[t] = G1 | G2 << 1. Weight 1 is the Hamming metric of a hard
+/// decision; weight 0 is an erasure (a punctured position). metric[4] is
+/// updated in place and survivor bytes are written to survivor[t * 4 + ns];
+/// predecessor A keeps ties. Tail steps stay with the caller (they admit
+/// only input 0 and are at most K-1 = 2 steps).
+using ViterbiAcsWeightedFn = void (*)(const ViterbiTables& tables,
+                                      const std::uint8_t* rx,
+                                      const std::uint8_t* weights,
+                                      std::size_t info_steps,
+                                      std::uint32_t* metric,
+                                      std::uint8_t* survivor);
 
 /// splitmix64's increment: noise index i of `key` mixes key + (i + 1) * gamma.
 inline constexpr std::uint64_t kKeyGamma = 0x9E3779B97F4A7C15ULL;
@@ -107,8 +101,7 @@ struct Avx2ChannelKernels {
   /// first + pairs - 1 of `key`, times sigma, fused-added into (re, im).
   void (*add_keyed_noise)(double* data, std::size_t pairs, std::uint64_t key,
                           std::uint64_t first, double sigma);
-  ViterbiAcsFn viterbi_acs;
-  ViterbiAcsSoftFn viterbi_acs_soft;
+  ViterbiAcsWeightedFn viterbi_acs_weighted;
   /// out[i] = majority(coded[3i], coded[3i+1], coded[3i+2]) for the
   /// repetition-3 decoder (bytes are 0/1).
   void (*repetition_vote3)(const std::uint8_t* coded, std::size_t out_n,

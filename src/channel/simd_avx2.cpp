@@ -232,44 +232,19 @@ void store_survivors(__m128i sa, __m128i sb, __m128i bwins,
   std::memcpy(sv, &four, 4);
 }
 
-// Add-compare-select over all four trellis states at once: lane ns holds
-// the metric of next-state ns. Metrics stay <= kViterbiInf + 2 < 2^31, so
-// the signed 32-bit compare is exact; B wins only on strictly smaller
-// metric, matching the reference decoder's ascending-s first-writer rule.
-void viterbi_acs_avx2(const ViterbiTables& tb, const std::uint8_t* rx,
-                      std::size_t info_steps, std::uint32_t* metric,
-                      std::uint8_t* survivor) {
-  const __m128i inf = _mm_set1_epi32(static_cast<int>(kViterbiInf));
-  __m128i bma[4], bmb[4];
-  for (int r = 0; r < 4; ++r) {
-    bma[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tb.bm_a[r]));
-    bmb[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tb.bm_b[r]));
-  }
-  const __m128i sa = survivor_lanes(tb.surv_a);
-  const __m128i sb = survivor_lanes(tb.surv_b);
-  __m128i m = _mm_loadu_si128(reinterpret_cast<const __m128i*>(metric));
-  for (std::size_t t = 0; t < info_steps; ++t) {
-    const unsigned r = rx[t];
-    // Predecessors per next-state lane: A = (0,2,0,2), B = (1,3,1,3).
-    const __m128i ma = _mm_shuffle_epi32(m, _MM_SHUFFLE(2, 0, 2, 0));
-    const __m128i mb = _mm_shuffle_epi32(m, _MM_SHUFFLE(3, 1, 3, 1));
-    const __m128i ca = _mm_min_epu32(_mm_add_epi32(ma, bma[r]), inf);
-    const __m128i cb = _mm_min_epu32(_mm_add_epi32(mb, bmb[r]), inf);
-    const __m128i bwins = _mm_cmpgt_epi32(ca, cb);  // cb strictly smaller
-    m = _mm_blendv_epi8(ca, cb, bwins);
-    store_survivors(sa, sb, bwins, survivor + 4 * t);
-  }
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(metric), m);
-}
-
-// Weighted ACS: branch metrics rebuilt per step from the expected-output
-// tables — cost = w0 where the G1 bit mismatches plus w1 where the G2 bit
-// mismatches, via cmpeq/andnot masking (pure integer, bit-identical to the
-// scalar form). Survivor selection is the hard kernel's strict-B-wins rule.
-void viterbi_acs_soft_avx2(const ViterbiTables& tb, const std::uint8_t* rx,
-                           const std::uint8_t* weights,
-                           std::size_t info_steps, std::uint32_t* metric,
-                           std::uint8_t* survivor) {
+// Weighted add-compare-select over all four trellis states at once: lane
+// ns holds the metric of next-state ns. Branch metrics are rebuilt per
+// step from the expected-output tables — cost = w0 where the G1 bit
+// mismatches plus w1 where the G2 bit mismatches, via cmpeq/andnot
+// masking (pure integer, bit-identical to the scalar form). Capped
+// metrics stay <= kViterbiInf < 2^31, so the signed 32-bit compare is
+// exact; B wins only on strictly smaller metric, matching the reference
+// decoder's ascending-s first-writer rule.
+void viterbi_acs_weighted_avx2(const ViterbiTables& tb,
+                               const std::uint8_t* rx,
+                               const std::uint8_t* weights,
+                               std::size_t info_steps, std::uint32_t* metric,
+                               std::uint8_t* survivor) {
   const __m128i inf = _mm_set1_epi32(static_cast<int>(kViterbiInf));
   const __m128i e0a =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(tb.exp0_a));
@@ -342,8 +317,7 @@ constexpr Avx2ChannelKernels kKernels = {
     /*demod_bpsk=*/demod_bpsk_avx2,
     /*demod_qam16=*/demod_qam16_avx2,
     /*add_keyed_noise=*/add_keyed_noise_avx2,
-    /*viterbi_acs=*/viterbi_acs_avx2,
-    /*viterbi_acs_soft=*/viterbi_acs_soft_avx2,
+    /*viterbi_acs_weighted=*/viterbi_acs_weighted_avx2,
     /*repetition_vote3=*/repetition_vote3_avx2,
 };
 

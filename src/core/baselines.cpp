@@ -68,7 +68,7 @@ std::size_t TraditionalCodec::compressed_bits(
 }
 
 TraditionalCodec::Result TraditionalCodec::transmit(
-    const text::Sentence& message, channel::ChannelPipeline& pipe,
+    const text::Sentence& message, const channel::ChannelPipeline& pipe,
     Rng& rng) const {
   const auto bytes = serialize_surface(message.surface);
   const BitVec payload = huffman_.encode(bytes);

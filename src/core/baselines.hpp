@@ -35,7 +35,7 @@ class TraditionalCodec {
 
   /// Compress, send through `pipe`, decompress, score.
   Result transmit(const text::Sentence& message,
-                  channel::ChannelPipeline& pipe, Rng& rng) const;
+                  const channel::ChannelPipeline& pipe, Rng& rng) const;
 
   /// Source-coded size of a message without channel transmission.
   std::size_t compressed_bits(const text::Sentence& message) const;

@@ -151,6 +151,7 @@ void SemanticEdgeSystem::pretrain_models() {
 void SemanticEdgeSystem::build_topology() {
   topology_ = edge::build_standard_topology(
       config_.num_edges, config_.devices_per_edge, config_.topology);
+  next_device_slot_.assign(config_.num_edges, 0);
   for (std::size_t e = 0; e < config_.num_edges; ++e) {
     edge_states_.push_back(std::make_unique<EdgeServerState>(
         e, topology_.edges[e], config_.cache_capacity_bytes,
@@ -178,7 +179,7 @@ const UserProfile& SemanticEdgeSystem::register_user(
   UserProfile profile;
   profile.name = name;
   profile.edge_index = edge_index;
-  auto& cursor = next_device_slot_[std::to_string(edge_index)];
+  std::size_t& cursor = next_device_slot_[edge_index];
   SEMCACHE_CHECK(cursor < topology_.devices[edge_index].size(),
                  "register_user: no free device on edge " +
                      std::to_string(edge_index) +

@@ -145,7 +145,11 @@ struct TransmitReport {
   double mismatch = 0.0;  ///< sender-side decoder-copy loss (③)
 
   std::size_t payload_bytes = 0;   ///< quantized feature payload
-  std::size_t airtime_bits = 0;    ///< coded bits on the edge-edge channel
+  /// Coded bits on the edge-edge channel before interleaver padding
+  /// (ChannelCode::encoded_length); ChannelPipeline::airtime_bits counts
+  /// the padded on-air length. Default config (conv_k3_r12, 128-bit
+  /// payload, depth 8): 260 here against 264 on the air.
+  std::size_t airtime_bits = 0;
   std::size_t sync_bytes = 0;      ///< gradient message, if an update fired
   std::size_t output_return_bytes = 0;  ///< only when decoder copy disabled
   bool triggered_update = false;
@@ -327,8 +331,8 @@ class SemanticEdgeSystem {
   /// per-pair data planes run CONCURRENTLY on the system pool, partitioned
   /// into lanes by sending user (every mutable serving object — user-model
   /// slots, buffers, fine-tune scratch — is keyed by (sender, domain), so
-  /// distinct senders touch disjoint state; channel/system accounting
-  /// collects into pair-local sinks); (3) stats merges, gradient-sync
+  /// distinct senders touch disjoint state; system accounting collects
+  /// into pair-local sinks); (3) stats merges, gradient-sync
   /// ships, and delivery-chain scheduling commit on the calling thread in
   /// pair order. Results (reports, stats, cache contents, model weights,
   /// event ordering) are BYTE-IDENTICAL to num_threads = 0 for any worker
@@ -442,8 +446,8 @@ class SemanticEdgeSystem {
 
   /// One pair's wave-scoped state: resolved profiles, per-message reports
   /// and domain groups from the prepare phase, and the pair-local sinks
-  /// (stats, channel stats, sync outbox) the compute phase collects into
-  /// and the commit phase folds back in pair order.
+  /// (stats, sync outbox) the compute phase collects into and the commit
+  /// phase folds back in pair order.
   struct PairTask;
 
   /// Fine-tune `sslot` on its buffered transactions and build the decoder
@@ -529,7 +533,7 @@ class SemanticEdgeSystem {
   edge::StandardTopology topology_;
   std::vector<std::unique_ptr<EdgeServerState>> edge_states_;
   std::map<std::string, UserProfile> users_;
-  std::map<std::string, std::size_t> next_device_slot_;  // per-edge cursor
+  std::vector<std::size_t> next_device_slot_;  // per-edge cursor
 
   SystemStats stats_;
 };

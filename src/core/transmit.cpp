@@ -32,11 +32,13 @@
 // with distinct senders own disjoint state and their compute phases run
 // concurrently on the system pool (SystemConfig::num_threads > 0). What
 // the pairs DO share is routed around the fan-out: the selector, LRU
-// caches, and slot creation run in the prepare phase; system/channel
-// accounting collects into the pair's own sinks; cross-edge gradient-sync
-// ships and delivery scheduling wait for the commit phase. Inside a lane
-// everything runs sequentially, so threads=N output is bit-identical to
-// threads=0 (test_transmit_parallel and test_serve_pairs pin the matrix).
+// caches, and slot creation run in the prepare phase; system accounting
+// collects into the pair's own sinks (the channel pipeline is a const
+// function of payload, rng and slot, so it keeps none); cross-edge
+// gradient-sync ships and delivery scheduling wait for the commit phase.
+// Inside a lane everything runs sequentially, so threads=N output is
+// bit-identical to threads=0 (test_transmit_parallel and test_serve_pairs
+// pin the matrix).
 // A one-lane wave computes inline on the calling thread.
 #include "core/system.hpp"
 
@@ -89,7 +91,6 @@ struct SemanticEdgeSystem::PairTask {
   std::vector<std::vector<std::size_t>> groups;
   // Pair-local sinks the commit phase folds back in pair order.
   SystemStats stats_delta;
-  channel::PipelineStats channel_delta;
   std::vector<PendingShip> outbox;
 };
 
@@ -428,10 +429,8 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
         rngs.push_back(rng_.fork(channel_fork_tag(ordinal)));
         slots.push_back(ordinal);
       }
-      // The channel accounting collects into the pair-local sink: the
-      // pipeline is shared across concurrently-served pairs.
-      received = pipeline_->transmit_batch_collect(payloads, rngs, slots,
-                                                   task.channel_delta);
+      // The pipeline is const, so concurrent lanes share it.
+      received = pipeline_->transmit_batch(payloads, rngs, slots);
     } else {
       received = payloads;
     }
@@ -717,7 +716,6 @@ void SemanticEdgeSystem::commit_pair(PairTask& task, const PairDone& on_done) {
   // links' sinks) and the sync-fault ladder (ship_sync) — are booked
   // straight into stats_, so they are zero here.
   stats_ += task.stats_delta;
-  pipeline_->fold_stats(task.channel_delta);
   // Ship deferred gradient syncs in trigger order, exactly where the
   // sequential path would have sent them: after this pair's data plane,
   // before its delivery chains.

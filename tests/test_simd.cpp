@@ -25,7 +25,6 @@
 #include "channel/modulation.hpp"
 #include "channel/noise.hpp"
 #include "channel/physical.hpp"
-#include "channel/puncture.hpp"
 #include "channel/repetition.hpp"
 #include "channel/simd.hpp"
 #include "common/cpu.hpp"
@@ -869,28 +868,33 @@ TEST(SimdChannel, RepetitionVoteTierTwin) {
 }
 
 TEST(SimdChannel, ViterbiDecodeTierTwin) {
-  channel::ConvolutionalCode code;
   Rng rng(2023);
-  for (const std::size_t info_len : {1u, 2u, 5u, 64u, 1000u, 4097u}) {
-    const BitVec info = test::random_bits(info_len, rng);
-    BitVec coded = code.encode(info);
-    // ~2% random channel errors: enough to force nontrivial ACS
-    // decisions (including ties) without guaranteeing correction.
-    for (auto& b : coded) {
-      if (rng.bernoulli(0.02)) b ^= 1;
+  for (const channel::CodeRate rate :
+       {channel::CodeRate::kR12, channel::CodeRate::kR23,
+        channel::CodeRate::kR34}) {
+    const channel::ConvolutionalCode code(rate);
+    for (const std::size_t info_len : {1u, 2u, 5u, 64u, 1000u, 4097u}) {
+      const BitVec info = test::random_bits(info_len, rng);
+      BitVec coded = code.encode(info);
+      // ~2% random channel errors: enough to force nontrivial ACS
+      // decisions (including ties) without guaranteeing correction.
+      for (auto& b : coded) {
+        if (rng.bernoulli(0.02)) b ^= 1;
+      }
+      BitVec scalar_out, simd_out;
+      {
+        TierGuard guard(common::SimdTier::kScalar);
+        scalar_out = code.decode(coded);
+      }
+      {
+        TierGuard guard(common::SimdTier::kAvx2);
+        simd_out = code.decode(coded);
+      }
+      // The SSE ACS must make the identical survivor choice at every step,
+      // so even uncorrected decodes twin exactly.
+      EXPECT_EQ(scalar_out, simd_out)
+          << code.name() << " info_len " << info_len;
     }
-    BitVec scalar_out, simd_out;
-    {
-      TierGuard guard(common::SimdTier::kScalar);
-      scalar_out = code.decode(coded);
-    }
-    {
-      TierGuard guard(common::SimdTier::kAvx2);
-      simd_out = code.decode(coded);
-    }
-    // The SSE ACS must make the identical survivor choice at every step,
-    // so even uncorrected decodes twin exactly.
-    EXPECT_EQ(scalar_out, simd_out) << "info_len " << info_len;
   }
 }
 
@@ -899,8 +903,8 @@ TEST(SimdChannel, SoftViterbiDecodeTierTwin) {
   // quantized weights), through the plain and both punctured codes —
   // every survivor choice, including weight-tie-breaks, must match.
   channel::ConvolutionalCode conv;
-  channel::PuncturedConvolutionalCode r23(channel::PunctureRate::kR23);
-  channel::PuncturedConvolutionalCode r34(channel::PunctureRate::kR34);
+  channel::ConvolutionalCode r23(channel::CodeRate::kR23);
+  channel::ConvolutionalCode r34(channel::CodeRate::kR34);
   Rng rng(71717);
   for (const std::size_t info_len : {1u, 2u, 5u, 64u, 1000u}) {
     const BitVec info = test::random_bits(info_len, rng);
