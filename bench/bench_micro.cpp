@@ -668,7 +668,7 @@ static void BM_ChannelBatchSimd(benchmark::State& state) {
     std::vector<channel::Symbol> symbols =
         channel::modulate(coded, channel::Modulation::kQam16);
     Rng noise_rng(77);
-    awgn.apply(symbols, noise_rng);
+    awgn.apply(symbols, noise_rng, 0);
     const BitVec received =
         channel::demodulate(symbols, channel::Modulation::kQam16,
                             coded.size());

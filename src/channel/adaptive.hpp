@@ -36,6 +36,8 @@ struct ChannelStats {
   std::uint64_t payload_bits = 0;
   std::uint64_t airtime_bits = 0;
   double ewma_snr_db = 0.0;  ///< controller EWMA after the last message
+
+  bool operator==(const ChannelStats&) const = default;
 };
 
 class AdaptiveRateController {

@@ -17,7 +17,7 @@ ArqResult ArqPipeline::transmit(const BitVec& payload, Rng& rng) {
   for (std::size_t attempt = 0; attempt < max_attempts_; ++attempt) {
     ++result.attempts;
     const BitVec received = pipeline_->transmit(framed, rng);
-    result.airtime_bits += pipeline_->code().encoded_length(framed.size());
+    result.airtime_bits += pipeline_->airtime_bits(framed.size());
     CrcCheckResult check = crc_verify(received);
     if (check.ok) {
       result.payload = std::move(check.payload);

@@ -17,7 +17,7 @@ struct ArqResult {
   BitVec payload;             ///< receiver's view after the final attempt
   bool delivered = false;     ///< CRC clean within the retry budget
   std::size_t attempts = 0;   ///< total transmissions (1 = no retry)
-  std::size_t airtime_bits = 0;  ///< coded bits across all attempts
+  std::size_t airtime_bits = 0;  ///< on-air bits across all attempts
 };
 
 class ArqPipeline {

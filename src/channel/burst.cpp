@@ -1,6 +1,5 @@
 #include "channel/burst.hpp"
 
-#include <cmath>
 #include <sstream>
 
 #include "channel/noise.hpp"
@@ -15,10 +14,6 @@ namespace {
 // collide even under equal (slot, symbol) words.
 constexpr std::uint64_t kWeatherTag = 0x6E11B;  // epoch start-state coin
 constexpr std::uint64_t kChainTag = 0x6E77;     // per-symbol transition coin
-
-double noise_sigma(double snr_db) {
-  return std::sqrt(1.0 / (2.0 * std::pow(10.0, snr_db / 10.0)));
-}
 
 bool valid_prob(double p) { return p >= 0.0 && p <= 1.0; }
 }  // namespace
@@ -42,12 +37,8 @@ bool GilbertElliottChannel::starts_bad(std::uint64_t slot) const {
   return common::to_unit_interval(h) < cfg_.bad_weather_prob;
 }
 
-void GilbertElliottChannel::apply(std::vector<Symbol>& symbols, Rng& rng) {
-  apply_slot(symbols, rng, 0);
-}
-
-void GilbertElliottChannel::apply_slot(std::vector<Symbol>& symbols, Rng& rng,
-                                       std::uint64_t slot) {
+void GilbertElliottChannel::apply(std::vector<Symbol>& symbols, Rng& rng,
+                                  std::uint64_t slot) {
   // Symbol s takes gaussian pair s of the message key whatever the chain
   // does; the chain only picks its sigma. Each run of symbols in one
   // state gets its noise in one call.

@@ -35,9 +35,8 @@ class GilbertElliottChannel final : public SymbolChannel {
  public:
   explicit GilbertElliottChannel(const GilbertElliottConfig& cfg);
 
-  void apply(std::vector<Symbol>& symbols, Rng& rng) override;
-  void apply_slot(std::vector<Symbol>& symbols, Rng& rng,
-                  std::uint64_t slot) override;
+  void apply(std::vector<Symbol>& symbols, Rng& rng,
+             std::uint64_t slot) override;
   std::string name() const override;
 
   const GilbertElliottConfig& config() const { return cfg_; }

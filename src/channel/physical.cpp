@@ -12,17 +12,17 @@ namespace semcache::channel {
 
 namespace {
 double snr_db_to_linear(double snr_db) { return std::pow(10.0, snr_db / 10.0); }
+}  // namespace
 
-/// Per-dimension noise stddev for unit-energy symbols at Es/N0 = snr.
 double noise_sigma(double snr_db) {
   return std::sqrt(1.0 / (2.0 * snr_db_to_linear(snr_db)));
 }
-}  // namespace
 
 AwgnChannel::AwgnChannel(double snr_db)
     : snr_db_(snr_db), sigma_(noise_sigma(snr_db)) {}
 
-void AwgnChannel::apply(std::vector<Symbol>& symbols, Rng& rng) {
+void AwgnChannel::apply(std::vector<Symbol>& symbols, Rng& rng,
+                        std::uint64_t /*slot*/) {
   // std::complex<double> is layout-compatible with double[2]: gaussian
   // pair i is symbol i's (re, im) noise.
   add_keyed_noise(reinterpret_cast<double*>(symbols.data()), symbols.size(),
@@ -40,7 +40,8 @@ RayleighChannel::RayleighChannel(double snr_db, std::size_t block_len)
   SEMCACHE_CHECK(block_len >= 1, "rayleigh: block_len must be >= 1");
 }
 
-void RayleighChannel::apply(std::vector<Symbol>& symbols, Rng& rng) {
+void RayleighChannel::apply(std::vector<Symbol>& symbols, Rng& rng,
+                            std::uint64_t /*slot*/) {
   // One key per message: gaussian pair i is symbol i's noise and pair
   // n + b block b's fade.
   const std::uint64_t key = rng.next_key();
@@ -72,7 +73,8 @@ BscChannel::BscChannel(double flip_probability) : p_(flip_probability) {
                  "bsc: flip probability must be in [0, 0.5]");
 }
 
-BitVec BscChannel::transmit(const BitVec& bits, Rng& rng) {
+BitVec BscChannel::transmit(const BitVec& bits, Rng& rng,
+                            std::uint64_t /*slot*/) {
   const std::uint64_t key = rng.next_key();
   BitVec out = bits;
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -93,14 +95,10 @@ ModulatedChannel::ModulatedChannel(Modulation m,
   SEMCACHE_CHECK(channel_ != nullptr, "modulated channel: null symbol channel");
 }
 
-BitVec ModulatedChannel::transmit(const BitVec& bits, Rng& rng) {
-  return transmit_slot(bits, rng, 0);
-}
-
-BitVec ModulatedChannel::transmit_slot(const BitVec& bits, Rng& rng,
-                                       std::uint64_t slot) {
+BitVec ModulatedChannel::transmit(const BitVec& bits, Rng& rng,
+                                  std::uint64_t slot) {
   std::vector<Symbol> symbols = modulate(bits, mod_);
-  channel_->apply_slot(symbols, rng, slot);
+  channel_->apply(symbols, rng, slot);
   return demodulate(symbols, mod_, bits.size());
 }
 
@@ -109,7 +107,7 @@ bool ModulatedChannel::transmit_soft(const BitVec& bits, Rng& rng,
                                      std::vector<float>& llrs,
                                      ChannelObservation* obs) {
   std::vector<Symbol> symbols = modulate(bits, mod_);
-  channel_->apply_slot(symbols, rng, slot);
+  channel_->apply(symbols, rng, slot);
   demap_soft_into(llrs, symbols.data(), symbols.size(), mod_);
   llrs.resize(bits.size());  // drop LLRs of modulation pad bits
   if (obs != nullptr) *obs = observe_symbols(symbols, mod_);

@@ -21,17 +21,13 @@ class SymbolChannel {
 
   /// Distort symbols in place. The noise is keyed (channel/noise.hpp):
   /// each call takes one rng.next_key() and never draws from the engine.
-  virtual void apply(std::vector<Symbol>& symbols, Rng& rng) = 0;
-  /// Slot-aware apply: `slot` is the caller's global message index (the
-  /// same ordinal that keys the per-message RNG forks), which lets a
-  /// channel with memory — the Gilbert–Elliott burst model — evolve its
-  /// state across messages deterministically under any thread or shard
-  /// count. Memoryless channels ignore the slot.
-  virtual void apply_slot(std::vector<Symbol>& symbols, Rng& rng,
-                          std::uint64_t slot) {
-    (void)slot;
-    apply(symbols, rng);
-  }
+  /// `slot` is the caller's global message index (the same ordinal that
+  /// keys the per-message RNG forks), which lets a channel with memory —
+  /// the Gilbert–Elliott burst model — evolve its state across messages
+  /// deterministically under any thread or shard count. Memoryless
+  /// channels ignore it.
+  virtual void apply(std::vector<Symbol>& symbols, Rng& rng,
+                     std::uint64_t slot) = 0;
   virtual std::string name() const = 0;
 };
 
@@ -52,7 +48,8 @@ ChannelObservation observe_symbols(const std::vector<Symbol>& received,
 class AwgnChannel final : public SymbolChannel {
  public:
   explicit AwgnChannel(double snr_db);
-  void apply(std::vector<Symbol>& symbols, Rng& rng) override;
+  void apply(std::vector<Symbol>& symbols, Rng& rng,
+             std::uint64_t slot) override;
   std::string name() const override;
   double snr_db() const { return snr_db_; }
 
@@ -68,7 +65,8 @@ class AwgnChannel final : public SymbolChannel {
 class RayleighChannel final : public SymbolChannel {
  public:
   RayleighChannel(double snr_db, std::size_t block_len = 32);
-  void apply(std::vector<Symbol>& symbols, Rng& rng) override;
+  void apply(std::vector<Symbol>& symbols, Rng& rng,
+             std::uint64_t slot) override;
   std::string name() const override;
 
  private:
@@ -88,14 +86,9 @@ class BitChannel {
   /// DISTINCT rngs (read-only channel parameters, all working state local
   /// or in the rng): a pair wave's lanes share one pipeline and transmit
   /// from several pool threads at once. All in-tree channels qualify.
-  virtual BitVec transmit(const BitVec& bits, Rng& rng) = 0;
-  /// Slot-aware transmit (see SymbolChannel::apply_slot). The default
-  /// drops the slot, so memoryless channels behave exactly as before.
-  virtual BitVec transmit_slot(const BitVec& bits, Rng& rng,
-                               std::uint64_t slot) {
-    (void)slot;
-    return transmit(bits, rng);
-  }
+  /// `slot` is the message index of SymbolChannel::apply.
+  virtual BitVec transmit(const BitVec& bits, Rng& rng,
+                          std::uint64_t slot) = 0;
   /// Soft-output transmit: on success fills `llrs` with one LLR per input
   /// bit (sign convention: llr >= 0 decodes to 1, matching the hard
   /// slicers) and, when `obs` is non-null, a decision-directed channel
@@ -120,7 +113,7 @@ class BitChannel {
 class BscChannel final : public BitChannel {
  public:
   explicit BscChannel(double flip_probability);
-  BitVec transmit(const BitVec& bits, Rng& rng) override;
+  BitVec transmit(const BitVec& bits, Rng& rng, std::uint64_t slot) override;
   std::string name() const override;
   double flip_probability() const { return p_; }
 
@@ -132,9 +125,7 @@ class BscChannel final : public BitChannel {
 class ModulatedChannel final : public BitChannel {
  public:
   ModulatedChannel(Modulation m, std::unique_ptr<SymbolChannel> channel);
-  BitVec transmit(const BitVec& bits, Rng& rng) override;
-  BitVec transmit_slot(const BitVec& bits, Rng& rng,
-                       std::uint64_t slot) override;
+  BitVec transmit(const BitVec& bits, Rng& rng, std::uint64_t slot) override;
   bool transmit_soft(const BitVec& bits, Rng& rng, std::uint64_t slot,
                      std::vector<float>& llrs,
                      ChannelObservation* obs) override;
@@ -145,6 +136,9 @@ class ModulatedChannel final : public BitChannel {
   Modulation mod_;
   std::unique_ptr<SymbolChannel> channel_;
 };
+
+/// Per-dimension noise stddev for unit-energy symbols at Es/N0 = snr_db.
+double noise_sigma(double snr_db);
 
 /// Theoretical BPSK-over-AWGN bit error rate, Q(sqrt(2*Es/N0)). Used by the
 /// property tests to validate the noise model.

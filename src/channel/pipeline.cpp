@@ -35,7 +35,7 @@ BitVec ChannelPipeline::transmit(const BitVec& payload, Rng& rng,
     decoded = code_->decode_soft(deinterleaved);
   } else {
     BitVec deinterleaved =
-        interleaver_.deinterleave(channel_->transmit_slot(sent, rng, slot));
+        interleaver_.deinterleave(channel_->transmit(sent, rng, slot));
     deinterleaved.resize(coded.size());  // drop interleaver padding
     decoded = code_->decode(deinterleaved);
   }

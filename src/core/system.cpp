@@ -15,6 +15,12 @@ SemanticEdgeSystem::SemanticEdgeSystem(SystemConfig config)
 
 std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
     SystemConfig config) {
+  // Knobs the serving path would otherwise reject mid-wave, after the
+  // wave has touched caches and slots.
+  SEMCACHE_CHECK(config.buffer_trigger >= 1,
+                 "config: buffer_trigger must be >= 1");
+  SEMCACHE_CHECK(config.finetune_batch_size >= 1,
+                 "config: finetune_batch_size must be >= 1");
   // Not make_unique: the constructor is private.
   std::unique_ptr<SemanticEdgeSystem> sys(
       new SemanticEdgeSystem(std::move(config)));

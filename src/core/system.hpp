@@ -134,83 +134,80 @@ struct UserProfile {
   std::unique_ptr<text::Idiolect> idiolect;  ///< null = speaks plainly
 };
 
+// Reports and counters as data. Each struct below is declared from one
+// X-macro field list of X(type, name[, initializer]) entries. The list
+// expands to the named members (value-initialized unless an initializer
+// follows), to the counters' field-wise operator+= (whose operand is `o`),
+// and to the test suites' printers; operator== is defaulted. A field added
+// to a list is declared, folded, compared and printed from that one line.
+#define SEMCACHE_FIELD_MEMBER(type, name, ...) type name{__VA_ARGS__};
+#define SEMCACHE_FIELD_FOLD(type, name, ...) name += o.name;
+
 /// Outcome of one end-to-end message.
+#define SEMCACHE_TRANSMIT_REPORT_FIELDS(X)                                   \
+  X(std::size_t, domain_true)                                                \
+  X(std::size_t, domain_selected)                                            \
+  X(bool, selection_correct, true)                                           \
+  X(std::vector<std::int32_t>, decoded_meanings)                             \
+  X(double, token_accuracy)                                                  \
+  X(bool, exact)                                                             \
+  X(double, mismatch) /* sender-side decoder-copy loss (③) */               \
+  X(std::size_t, payload_bytes) /* quantized feature payload */              \
+  /* Coded bits on the edge-edge channel before interleaver padding      */  \
+  /* (ChannelCode::encoded_length); ChannelPipeline::airtime_bits counts */  \
+  /* the padded on-air length. Default config (conv_k3_r12, 128-bit      */  \
+  /* payload, depth 8): 260 here against 264 on the air.                 */  \
+  X(std::size_t, airtime_bits)                                               \
+  X(std::size_t, sync_bytes) /* gradient message, if an update fired */      \
+  X(std::size_t, output_return_bytes) /* only when decoder copy disabled */  \
+  X(bool, triggered_update)                                                  \
+  X(bool, established_user_model)                                            \
+  X(bool, general_cache_hit, true)                                           \
+  /* Served from a frozen general-model replica because the owning shard */  \
+  /* stalled or failed mid-flush (no personalization, no fine-tune, no   */  \
+  /* cache/slot mutation) — availability over freshness.                 */  \
+  X(bool, degraded)                                                          \
+  X(double, latency_s) /* arrival at receiver device minus send time */
+
 struct TransmitReport {
-  std::size_t domain_true = 0;
-  std::size_t domain_selected = 0;
-  bool selection_correct = true;
-  std::vector<std::int32_t> decoded_meanings;
-  double token_accuracy = 0.0;
-  bool exact = false;
-  double mismatch = 0.0;  ///< sender-side decoder-copy loss (③)
-
-  std::size_t payload_bytes = 0;   ///< quantized feature payload
-  /// Coded bits on the edge-edge channel before interleaver padding
-  /// (ChannelCode::encoded_length); ChannelPipeline::airtime_bits counts
-  /// the padded on-air length. Default config (conv_k3_r12, 128-bit
-  /// payload, depth 8): 260 here against 264 on the air.
-  std::size_t airtime_bits = 0;
-  std::size_t sync_bytes = 0;      ///< gradient message, if an update fired
-  std::size_t output_return_bytes = 0;  ///< only when decoder copy disabled
-  bool triggered_update = false;
-  bool established_user_model = false;
-  bool general_cache_hit = true;
-  /// Served from a frozen general-model replica because the owning shard
-  /// stalled or failed mid-flush (no personalization, no fine-tune, no
-  /// cache/slot mutation) — availability over freshness.
-  bool degraded = false;
-
-  double latency_s = 0.0;  ///< arrival at receiver device minus send time
+  SEMCACHE_TRANSMIT_REPORT_FIELDS(SEMCACHE_FIELD_MEMBER)
+  bool operator==(const TransmitReport&) const = default;
 };
 
 /// Aggregate accounting across a run.
+#define SEMCACHE_SYSTEM_STATS_FIELDS(X)                                      \
+  X(std::size_t, messages)                                                   \
+  X(std::uint64_t, feature_bytes)                                            \
+  X(std::uint64_t, uplink_bytes)                                             \
+  X(std::uint64_t, downlink_bytes)                                           \
+  X(std::uint64_t, sync_bytes)                                               \
+  X(std::uint64_t, output_return_bytes)                                      \
+  X(std::size_t, updates)                                                    \
+  X(std::size_t, selection_errors)                                           \
+  X(std::size_t, sync_drops) /* injected per-attempt sync losses */          \
+  X(std::size_t, full_resyncs) /* gap-triggered full-state recoveries */     \
+  X(std::uint64_t, resync_bytes) /* bytes spent on full snapshots */         \
+  /* Fault-plane accounting: every injected fault lands in exactly one of */ \
+  /* these (or sync_drops above), so a fault-storm run is auditable from  */ \
+  /* stats alone — no stderr scraping.                                    */ \
+  X(std::size_t, sync_retries) /* retransmit attempts beyond the 1st */      \
+  X(std::size_t, sync_corrupt_drops) /* CRC-rejected arrivals */             \
+  X(std::size_t, sync_duplicates) /* duplicate deliveries (replayed) */      \
+  X(std::size_t, sync_expired) /* messages abandoned at max_attempts */      \
+  X(std::uint64_t, sync_ack_bytes) /* ack traffic on the reverse link */     \
+  X(std::size_t, outage_drops) /* link sends refused during outages */       \
+  X(std::size_t, outage_queued) /* link sends delayed to outage end */       \
+  X(std::size_t, degraded_serves) /* messages served from frozen generals */
+
 struct SystemStats {
-  std::size_t messages = 0;
-  std::uint64_t feature_bytes = 0;
-  std::uint64_t uplink_bytes = 0;
-  std::uint64_t downlink_bytes = 0;
-  std::uint64_t sync_bytes = 0;
-  std::uint64_t output_return_bytes = 0;
-  std::size_t updates = 0;
-  std::size_t selection_errors = 0;
-  std::size_t sync_drops = 0;       ///< injected per-attempt sync losses
-  std::size_t full_resyncs = 0;     ///< gap-triggered full-state recoveries
-  std::uint64_t resync_bytes = 0;   ///< bytes spent on full snapshots
-  // Fault-plane accounting: every injected fault lands in exactly one of
-  // these (or sync_drops above), so a fault-storm run is auditable from
-  // stats alone — no stderr scraping.
-  std::size_t sync_retries = 0;        ///< retransmit attempts beyond the 1st
-  std::size_t sync_corrupt_drops = 0;  ///< CRC-rejected arrivals
-  std::size_t sync_duplicates = 0;     ///< duplicate deliveries (replayed)
-  std::size_t sync_expired = 0;        ///< messages abandoned at max_attempts
-  std::uint64_t sync_ack_bytes = 0;    ///< ack traffic on the reverse link
-  std::size_t outage_drops = 0;        ///< link sends refused during outages
-  std::size_t outage_queued = 0;       ///< link sends delayed to outage end
-  std::size_t degraded_serves = 0;     ///< messages served from frozen generals
+  SEMCACHE_SYSTEM_STATS_FIELDS(SEMCACHE_FIELD_MEMBER)
 
   /// Field-wise accumulate (the sharded layer's stats merge).
   SystemStats& operator+=(const SystemStats& o) {
-    messages += o.messages;
-    feature_bytes += o.feature_bytes;
-    uplink_bytes += o.uplink_bytes;
-    downlink_bytes += o.downlink_bytes;
-    sync_bytes += o.sync_bytes;
-    output_return_bytes += o.output_return_bytes;
-    updates += o.updates;
-    selection_errors += o.selection_errors;
-    sync_drops += o.sync_drops;
-    full_resyncs += o.full_resyncs;
-    resync_bytes += o.resync_bytes;
-    sync_retries += o.sync_retries;
-    sync_corrupt_drops += o.sync_corrupt_drops;
-    sync_duplicates += o.sync_duplicates;
-    sync_expired += o.sync_expired;
-    sync_ack_bytes += o.sync_ack_bytes;
-    outage_drops += o.outage_drops;
-    outage_queued += o.outage_queued;
-    degraded_serves += o.degraded_serves;
+    SEMCACHE_SYSTEM_STATS_FIELDS(SEMCACHE_FIELD_FOLD)
     return *this;
   }
+  bool operator==(const SystemStats&) const = default;
 };
 
 /// Where a deployment's bytes live, split so the city-scale question —
@@ -220,20 +217,23 @@ struct SystemStats {
 /// MATERIALIZED fine-tuned models) are what bound users-per-GB. The
 /// copy-on-write slot design keeps user_model_bytes at zero until a user
 /// actually fine-tunes: per-user cost is bytes plus deltas, not clones.
+#define SEMCACHE_MEMORY_FOOTPRINT_FIELDS(X)                                  \
+  /* Deployment-fixed. */                                                    \
+  X(std::size_t, general_model_bytes) /* frozen per-domain generals */       \
+  X(std::size_t, serving_replica_bytes) /* per-(domain, worker) clones */    \
+  X(std::size_t, topology_bytes) /* nodes/links/adjacency (approx) */        \
+  /* Per-user. */                                                            \
+  X(std::size_t, profile_bytes) /* directory entries + idiolects */          \
+  X(std::size_t, slot_bytes) /* slot bookkeeping (versions, keys) */         \
+  X(std::size_t, buffer_bytes) /* buffered transactions (the deltas) */      \
+  X(std::size_t, user_model_bytes) /* materialized fine-tuned models only */ \
+  /* Counts. */                                                              \
+  X(std::size_t, users)                                                      \
+  X(std::size_t, slots)                                                      \
+  X(std::size_t, materialized_models)
+
 struct MemoryFootprint {
-  // Deployment-fixed.
-  std::size_t general_model_bytes = 0;    ///< frozen per-domain generals
-  std::size_t serving_replica_bytes = 0;  ///< per-(domain, worker) clones
-  std::size_t topology_bytes = 0;         ///< nodes/links/adjacency (approx)
-  // Per-user.
-  std::size_t profile_bytes = 0;     ///< directory entries + idiolects
-  std::size_t slot_bytes = 0;        ///< slot bookkeeping (versions, keys)
-  std::size_t buffer_bytes = 0;      ///< buffered transactions (the deltas)
-  std::size_t user_model_bytes = 0;  ///< materialized fine-tuned models only
-  // Counts.
-  std::size_t users = 0;
-  std::size_t slots = 0;
-  std::size_t materialized_models = 0;
+  SEMCACHE_MEMORY_FOOTPRINT_FIELDS(SEMCACHE_FIELD_MEMBER)
 
   std::size_t total() const {
     return general_model_bytes + serving_replica_bytes + topology_bytes +
@@ -241,19 +241,14 @@ struct MemoryFootprint {
   }
 
   MemoryFootprint& operator+=(const MemoryFootprint& o) {
-    general_model_bytes += o.general_model_bytes;
-    serving_replica_bytes += o.serving_replica_bytes;
-    topology_bytes += o.topology_bytes;
-    profile_bytes += o.profile_bytes;
-    slot_bytes += o.slot_bytes;
-    buffer_bytes += o.buffer_bytes;
-    user_model_bytes += o.user_model_bytes;
-    users += o.users;
-    slots += o.slots;
-    materialized_models += o.materialized_models;
+    SEMCACHE_MEMORY_FOOTPRINT_FIELDS(SEMCACHE_FIELD_FOLD)
     return *this;
   }
+  bool operator==(const MemoryFootprint&) const = default;
 };
+
+#undef SEMCACHE_FIELD_MEMBER
+#undef SEMCACHE_FIELD_FOLD
 
 class SemanticEdgeSystem {
  public:

@@ -82,6 +82,20 @@ TEST(Arq, AirtimeAccumulatesAcrossAttempts) {
   EXPECT_EQ(r.airtime_bits, 5u * (payload.size() + 32));
 }
 
+TEST(Arq, AirtimeIsTheOnAirLengthOfEachAttempt) {
+  // conv_k3_r12 codes the 132 framed bits (100 + CRC-32) into 268, and a
+  // depth-8 interleaver pads those to 272 on the air. At -10 dB every CRC
+  // fails, so all three attempts go out.
+  Rng rng(7);
+  ArqPipeline arq(make_awgn_pipeline(make_code("conv_k3_r12"),
+                                     Modulation::kQpsk, -10.0,
+                                     /*interleave_depth=*/8),
+                  3);
+  const ArqResult r = arq.transmit(random_bits(100, rng), rng);
+  ASSERT_EQ(r.attempts, 3u);
+  EXPECT_EQ(r.airtime_bits, 3u * 272u);
+}
+
 TEST(Arq, CodedArqNeedsFewerRetries) {
   Rng rng_a(5), rng_b(5);
   std::size_t uncoded_attempts = 0, coded_attempts = 0;

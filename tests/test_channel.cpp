@@ -137,8 +137,9 @@ TEST(Conv, BeatsUncodedOnBsc) {
   std::size_t coded_errors = 0, uncoded_errors = 0, total = 0;
   for (int trial = 0; trial < 60; ++trial) {
     const BitVec info = random_bits(120, rng);
-    const BitVec rx_coded = code.decode(bsc.transmit(code.encode(info), rng));
-    const BitVec rx_raw = bsc.transmit(info, rng);
+    const BitVec rx_coded =
+        code.decode(bsc.transmit(code.encode(info), rng, 0));
+    const BitVec rx_raw = bsc.transmit(info, rng, 0);
     coded_errors += hamming_distance(info, rx_coded);
     uncoded_errors += hamming_distance(info, rx_raw);
     total += info.size();
@@ -209,7 +210,7 @@ TEST(Physical, BpskAwgnBerMatchesTheory) {
     std::size_t errors = 0, total = 0;
     for (int trial = 0; trial < 40; ++trial) {
       const BitVec bits = random_bits(2000, rng);
-      errors += hamming_distance(bits, ch.transmit(bits, rng));
+      errors += hamming_distance(bits, ch.transmit(bits, rng, 0));
       total += bits.size();
     }
     const double ber = errors / static_cast<double>(total);
@@ -227,7 +228,7 @@ TEST(Physical, AwgnBerDecreasesWithSnr) {
                         std::make_unique<AwgnChannel>(snr_db));
     const BitVec bits = random_bits(20000, rng);
     const double ber =
-        hamming_distance(bits, ch.transmit(bits, rng)) / 20000.0;
+        hamming_distance(bits, ch.transmit(bits, rng, 0)) / 20000.0;
     EXPECT_LT(ber, prev);
     prev = ber;
   }
@@ -241,9 +242,9 @@ TEST(Physical, RayleighWorseThanAwgn) {
   ModulatedChannel ray(Modulation::kBpsk,
                        std::make_unique<RayleighChannel>(snr_db, 16));
   const BitVec bits = random_bits(40000, rng);
-  const double awgn_ber = hamming_distance(bits, awgn.transmit(bits, rng)) /
+  const double awgn_ber = hamming_distance(bits, awgn.transmit(bits, rng, 0)) /
                           static_cast<double>(bits.size());
-  const double ray_ber = hamming_distance(bits, ray.transmit(bits, rng)) /
+  const double ray_ber = hamming_distance(bits, ray.transmit(bits, rng, 0)) /
                          static_cast<double>(bits.size());
   EXPECT_GT(ray_ber, awgn_ber * 2.0);
 }
@@ -252,7 +253,8 @@ TEST(Physical, BscFlipRateMatches) {
   Rng rng(13);
   BscChannel bsc(0.1);
   const BitVec bits = random_bits(50000, rng);
-  const double rate = hamming_distance(bits, bsc.transmit(bits, rng)) / 50000.0;
+  const double rate =
+      hamming_distance(bits, bsc.transmit(bits, rng, 0)) / 50000.0;
   EXPECT_NEAR(rate, 0.1, 0.01);
 }
 
@@ -260,7 +262,7 @@ TEST(Physical, BscZeroIsLossless) {
   Rng rng(14);
   BscChannel bsc(0.0);
   const BitVec bits = random_bits(500, rng);
-  EXPECT_EQ(bsc.transmit(bits, rng), bits);
+  EXPECT_EQ(bsc.transmit(bits, rng, 0), bits);
 }
 
 TEST(Physical, BscValidatesProbability) {
@@ -304,7 +306,7 @@ TEST(Pipeline, TransmitBatchMatchesSequentialBitsAndStats) {
 // Hands bits back unchanged and records how many it was handed.
 class RecordingChannel final : public BitChannel {
  public:
-  BitVec transmit(const BitVec& bits, Rng&) override {
+  BitVec transmit(const BitVec& bits, Rng&, std::uint64_t) override {
     lengths.push_back(bits.size());
     return bits;
   }

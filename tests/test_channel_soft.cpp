@@ -449,12 +449,7 @@ TEST(AdaptiveRate, PipelineSwitchesAndStatsAreReproducible) {
   const auto [decoded_a, stats_a] = run();
   const auto [decoded_b, stats_b] = run();
   EXPECT_EQ(decoded_a, decoded_b);
-  EXPECT_EQ(stats_a.messages, stats_b.messages);
-  EXPECT_EQ(stats_a.switches, stats_b.switches);
-  EXPECT_EQ(stats_a.rate_messages, stats_b.rate_messages);
-  EXPECT_EQ(stats_a.payload_bits, stats_b.payload_bits);
-  EXPECT_EQ(stats_a.airtime_bits, stats_b.airtime_bits);
-  EXPECT_EQ(stats_a.ewma_snr_db, stats_b.ewma_snr_db);
+  EXPECT_EQ(stats_a, stats_b);
 
   EXPECT_EQ(stats_a.messages, 120u);
   EXPECT_EQ(stats_a.rate_messages[0] + stats_a.rate_messages[1] +

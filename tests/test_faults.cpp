@@ -164,6 +164,31 @@ TEST(FaultPlane, ConfigValidated) {
   EXPECT_THROW(SemanticEdgeSystem::build(config), Error);
 }
 
+TEST(BuildValidation, RefusesBadKnobs) {
+  // One broken knob per row. build() must refuse each one rather than
+  // return a system that throws later: a zero trigger or fine-tune batch
+  // used to surface only inside a wave, after it had touched the caches
+  // and claimed its messages.
+  using Breaker = void (*)(SystemConfig&);
+  const std::pair<const char*, Breaker> rows[] = {
+      {"buffer_trigger 0", [](SystemConfig& c) { c.buffer_trigger = 0; }},
+      {"finetune_batch_size 0",
+       [](SystemConfig& c) { c.finetune_batch_size = 0; }},
+      {"interleave_depth 0",
+       [](SystemConfig& c) { c.channel.interleave_depth = 0; }},
+      {"unknown code", [](SystemConfig& c) { c.channel.code = "turbo"; }},
+      {"unknown medium", [](SystemConfig& c) { c.channel.medium = "fog"; }},
+      {"unknown cache_policy", [](SystemConfig& c) { c.cache_policy = "mru"; }},
+      {"num_edges 0", [](SystemConfig& c) { c.num_edges = 0; }},
+  };
+  for (const auto& [knob, breaks] : rows) {
+    SystemConfig config = test::tiny_system_config(3);
+    config.pretrain.steps = 10;  // some refusals come after pretraining
+    breaks(config);
+    EXPECT_THROW(SemanticEdgeSystem::build(config), Error) << knob;
+  }
+}
+
 // ------------------- waves survive faults (the payoff) ------------------
 
 SystemConfig faulted_config(std::uint64_t seed, std::size_t num_threads) {
@@ -225,54 +250,6 @@ std::vector<std::vector<std::vector<ServedMessage>>> drive(
     if (run_after_flush != nullptr) run_after_flush->run();
   }
   return served;
-}
-
-void expect_data_plane_equal(const TransmitReport& ref,
-                             const TransmitReport& got, bool compare_latency,
-                             const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(ref.domain_true, got.domain_true);
-  EXPECT_EQ(ref.domain_selected, got.domain_selected);
-  EXPECT_EQ(ref.selection_correct, got.selection_correct);
-  EXPECT_EQ(ref.decoded_meanings, got.decoded_meanings);
-  EXPECT_EQ(ref.token_accuracy, got.token_accuracy);  // exact doubles
-  EXPECT_EQ(ref.exact, got.exact);
-  EXPECT_EQ(ref.mismatch, got.mismatch);
-  EXPECT_EQ(ref.payload_bytes, got.payload_bytes);
-  EXPECT_EQ(ref.airtime_bits, got.airtime_bits);
-  EXPECT_EQ(ref.sync_bytes, got.sync_bytes);
-  EXPECT_EQ(ref.triggered_update, got.triggered_update);
-  EXPECT_EQ(ref.established_user_model, got.established_user_model);
-  EXPECT_EQ(ref.general_cache_hit, got.general_cache_hit);
-  EXPECT_EQ(ref.degraded, got.degraded);
-  if (compare_latency) {
-    EXPECT_EQ(ref.latency_s, got.latency_s);
-  }
-}
-
-void expect_fault_stats_equal(const SystemStats& ref, const SystemStats& got,
-                              bool compare_outages) {
-  EXPECT_EQ(ref.messages, got.messages);
-  EXPECT_EQ(ref.feature_bytes, got.feature_bytes);
-  EXPECT_EQ(ref.sync_bytes, got.sync_bytes);
-  EXPECT_EQ(ref.updates, got.updates);
-  EXPECT_EQ(ref.selection_errors, got.selection_errors);
-  EXPECT_EQ(ref.sync_drops, got.sync_drops);
-  EXPECT_EQ(ref.sync_retries, got.sync_retries);
-  EXPECT_EQ(ref.sync_corrupt_drops, got.sync_corrupt_drops);
-  EXPECT_EQ(ref.sync_duplicates, got.sync_duplicates);
-  EXPECT_EQ(ref.sync_expired, got.sync_expired);
-  EXPECT_EQ(ref.sync_ack_bytes, got.sync_ack_bytes);
-  EXPECT_EQ(ref.full_resyncs, got.full_resyncs);
-  EXPECT_EQ(ref.resync_bytes, got.resync_bytes);
-  EXPECT_EQ(ref.degraded_serves, got.degraded_serves);
-  if (compare_outages) {
-    // Outage counters are keyed by simulated time, so they are part of
-    // the contract only where the clocks coincide (thread variants and
-    // K = 1, where the deployment IS the reference).
-    EXPECT_EQ(ref.outage_drops, got.outage_drops);
-    EXPECT_EQ(ref.outage_queued, got.outage_queued);
-  }
 }
 
 /// THE acceptance matrix: under an active fault storm, every (threads, K)
@@ -339,16 +316,19 @@ TEST(FaultStorm, WavesStayByteIdenticalAcrossThreadsAndShards) {
         ASSERT_EQ(served[w][p].size(), ref_served[w][p].size());
         for (std::size_t i = 0; i < served[w][p].size(); ++i) {
           EXPECT_EQ(served[w][p][i].completions, 1);
-          expect_data_plane_equal(
-              ref_served[w][p][i].report, served[w][p][i].report,
-              /*compare_latency=*/num_shards == 1,
-              "wave " + std::to_string(w) + " pair " + std::to_string(p) +
-                  " message " + std::to_string(i));
+          const TransmitReport& ref = ref_served[w][p][i].report;
+          const TransmitReport& got = served[w][p][i].report;
+          EXPECT_EQ(num_shards == 1 ? ref : test::without_latency(ref),
+                    num_shards == 1 ? got : test::without_latency(got))
+              << "wave " << w << " pair " << p << " message " << i;
         }
       }
     }
-    expect_fault_stats_equal(ref_stats, sharded->stats(),
-                             /*compare_outages=*/num_shards == 1);
+    // Outage counters join the contract only at K = 1, where the
+    // deployment IS the reference (see test::without_outages).
+    EXPECT_EQ(num_shards == 1 ? ref_stats : test::without_outages(ref_stats),
+              num_shards == 1 ? sharded->stats()
+                              : test::without_outages(sharded->stats()));
     EXPECT_EQ(sharded->stats().degraded_serves, 0u);  // no stalls injected
 
     // Decoder weights converge to the same bytes on every variant: the
@@ -486,10 +466,8 @@ TEST(Degradation, StalledShardsServeDegradedNeverThrow) {
   for (std::size_t p = 0; p < reports.size(); ++p) {
     ASSERT_EQ(twin_reports[p].size(), reports[p].size());
     for (std::size_t i = 0; i < reports[p].size(); ++i) {
-      expect_data_plane_equal(reports[p][i], twin_reports[p][i],
-                              /*compare_latency=*/true,
-                              "degraded pair " + std::to_string(p) +
-                                  " message " + std::to_string(i));
+      EXPECT_EQ(reports[p][i], twin_reports[p][i])
+          << "degraded pair " << p << " message " << i;
     }
   }
 }

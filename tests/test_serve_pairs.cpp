@@ -5,9 +5,9 @@
 //  1. THREAD-COUNT INVARIANCE — four systems built from the same seed
 //     with num_threads 0 (sequential reference), 1, 2, and 4 are driven
 //     through the same waves; every TransmitReport field (mismatch and
-//     latency compared as exact doubles), the aggregate SystemStats, the
-//     channel-pipeline stats, sender-side buffer/slot state, and the
-//     decoder replica weights must be BYTE-IDENTICAL across all counts.
+//     latency compared as exact doubles), the aggregate SystemStats,
+//     sender-side buffer/slot state, and the decoder replica weights
+//     must be BYTE-IDENTICAL across all counts.
 //  2. SEQUENTIAL EQUIVALENCE — a wave over N pairs equals calling
 //     transmit_many once per pair in order on a twin system (reports,
 //     stats, weights), so cross-pair serving is a wall-clock lever, not a
@@ -46,73 +46,6 @@ SystemConfig pairs_config(std::uint64_t seed, std::size_t num_threads) {
   config.num_edges = 2;
   config.num_threads = num_threads;
   return config;
-}
-
-void expect_reports_equal(const TransmitReport& ref, const TransmitReport& got,
-                          const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(ref.domain_true, got.domain_true);
-  EXPECT_EQ(ref.domain_selected, got.domain_selected);
-  EXPECT_EQ(ref.selection_correct, got.selection_correct);
-  EXPECT_EQ(ref.decoded_meanings, got.decoded_meanings);
-  EXPECT_EQ(ref.token_accuracy, got.token_accuracy);  // exact doubles
-  EXPECT_EQ(ref.exact, got.exact);
-  EXPECT_EQ(ref.mismatch, got.mismatch);
-  EXPECT_EQ(ref.payload_bytes, got.payload_bytes);
-  EXPECT_EQ(ref.airtime_bits, got.airtime_bits);
-  EXPECT_EQ(ref.sync_bytes, got.sync_bytes);
-  EXPECT_EQ(ref.output_return_bytes, got.output_return_bytes);
-  EXPECT_EQ(ref.triggered_update, got.triggered_update);
-  EXPECT_EQ(ref.established_user_model, got.established_user_model);
-  EXPECT_EQ(ref.general_cache_hit, got.general_cache_hit);
-  EXPECT_EQ(ref.latency_s, got.latency_s);
-}
-
-void expect_stats_equal(const SystemStats& ref, const SystemStats& got) {
-  EXPECT_EQ(ref.messages, got.messages);
-  EXPECT_EQ(ref.feature_bytes, got.feature_bytes);
-  EXPECT_EQ(ref.uplink_bytes, got.uplink_bytes);
-  EXPECT_EQ(ref.downlink_bytes, got.downlink_bytes);
-  EXPECT_EQ(ref.sync_bytes, got.sync_bytes);
-  EXPECT_EQ(ref.output_return_bytes, got.output_return_bytes);
-  EXPECT_EQ(ref.updates, got.updates);
-  EXPECT_EQ(ref.selection_errors, got.selection_errors);
-  EXPECT_EQ(ref.sync_drops, got.sync_drops);
-  EXPECT_EQ(ref.sync_retries, got.sync_retries);
-  EXPECT_EQ(ref.sync_corrupt_drops, got.sync_corrupt_drops);
-  EXPECT_EQ(ref.sync_duplicates, got.sync_duplicates);
-  EXPECT_EQ(ref.sync_expired, got.sync_expired);
-  EXPECT_EQ(ref.sync_ack_bytes, got.sync_ack_bytes);
-  EXPECT_EQ(ref.full_resyncs, got.full_resyncs);
-  EXPECT_EQ(ref.resync_bytes, got.resync_bytes);
-  EXPECT_EQ(ref.outage_drops, got.outage_drops);
-  EXPECT_EQ(ref.outage_queued, got.outage_queued);
-  EXPECT_EQ(ref.degraded_serves, got.degraded_serves);
-}
-
-/// Sender-side slot (buffer counters, versions, full model weights) and
-/// the replica-sync verdict must match the reference system exactly.
-void expect_slot_state_equal(SemanticEdgeSystem& ref, SemanticEdgeSystem& got,
-                             const std::string& user, std::size_t domain,
-                             std::size_t sender_edge,
-                             std::size_t receiver_edge) {
-  SCOPED_TRACE("slot " + user + "/" + std::to_string(domain));
-  UserModelSlot* rs = ref.edge_state(sender_edge).find_slot(user, domain);
-  UserModelSlot* gs = got.edge_state(sender_edge).find_slot(user, domain);
-  ASSERT_EQ(rs == nullptr, gs == nullptr);
-  if (rs == nullptr) return;
-  EXPECT_EQ(rs->send_version, gs->send_version);
-  ASSERT_NE(rs->buffer, nullptr);
-  ASSERT_NE(gs->buffer, nullptr);
-  EXPECT_EQ(rs->buffer->size(), gs->buffer->size());
-  EXPECT_EQ(rs->buffer->total_added(), gs->buffer->total_added());
-  EXPECT_EQ(rs->buffer->adds_until_ready(), gs->buffer->adds_until_ready());
-  EXPECT_EQ(rs->buffer->mean_mismatch(), gs->buffer->mean_mismatch());
-  nn::ParameterSet rp = rs->model->parameters();
-  nn::ParameterSet gp = gs->model->parameters();
-  EXPECT_TRUE(rp.values_equal(gp));
-  EXPECT_EQ(ref.replicas_in_sync(user, domain, sender_edge, receiver_edge),
-            got.replicas_in_sync(user, domain, sender_edge, receiver_edge));
 }
 
 struct WaveResult {
@@ -215,19 +148,17 @@ class ServePairsTest : public ::testing::Test {
       const std::string label = "threads " + std::to_string(kThreadCounts[v]);
       for (std::size_t p = 0; p < specs.size(); ++p) {
         for (std::size_t i = 0; i < results[0].reports[p].size(); ++i) {
-          expect_reports_equal(results[0].reports[p][i],
-                               results[v].reports[p][i],
-                               label + " pair " + std::to_string(p) +
-                                   " message " + std::to_string(i));
+          EXPECT_EQ(results[0].reports[p][i], results[v].reports[p][i])
+              << label << " pair " << p << " message " << i;
         }
       }
-      expect_stats_equal(systems_[0]->stats(), systems_[v]->stats());
+      EXPECT_EQ(systems_[0]->stats(), systems_[v]->stats()) << label;
       for (const PairSpec& spec : specs) {
         const std::size_t se = systems_[0]->user(spec.sender).edge_index;
         const std::size_t re = systems_[0]->user(spec.receiver).edge_index;
         for (const std::size_t d : spec.domains) {
-          expect_slot_state_equal(*systems_[0], *systems_[v], spec.sender, d,
-                                  se, re);
+          test::expect_slot_state_equal(*systems_[0], *systems_[v],
+                                        spec.sender, d, se, re);
         }
       }
     }
@@ -315,13 +246,12 @@ TEST_F(ServePairsTest, ScheduledWavesThroughDispatcher) {
   for (std::size_t v = 1; v < kVariants; ++v) {
     for (std::size_t p = 0; p < results[0].reports.size(); ++p) {
       for (std::size_t i = 0; i < results[0].reports[p].size(); ++i) {
-        expect_reports_equal(
-            results[0].reports[p][i], results[v].reports[p][i],
-            "threads " + std::to_string(kThreadCounts[v]) + " scheduled pair " +
-                std::to_string(p) + " message " + std::to_string(i));
+        EXPECT_EQ(results[0].reports[p][i], results[v].reports[p][i])
+            << "threads " << kThreadCounts[v] << " scheduled pair " << p
+            << " message " << i;
       }
     }
-    expect_stats_equal(systems_[0]->stats(), systems_[v]->stats());
+    EXPECT_EQ(systems_[0]->stats(), systems_[v]->stats());
   }
 }
 
@@ -363,14 +293,12 @@ TEST_F(ServePairsTest, DispatcherQueueMergesAndFlushes) {
     for (std::size_t p = 0; p < 2; ++p) {
       for (std::size_t i = 0; i < results[0].reports[p].size(); ++i) {
         EXPECT_EQ(results[v].seen[p][i], 1);
-        expect_reports_equal(results[0].reports[p][i],
-                             results[v].reports[p][i],
-                             "threads " + std::to_string(kThreadCounts[v]) +
-                                 " flushed pair " + std::to_string(p) +
-                                 " message " + std::to_string(i));
+        EXPECT_EQ(results[0].reports[p][i], results[v].reports[p][i])
+            << "threads " << kThreadCounts[v] << " flushed pair " << p
+            << " message " << i;
       }
     }
-    expect_stats_equal(systems_[0]->stats(), systems_[v]->stats());
+    EXPECT_EQ(systems_[0]->stats(), systems_[v]->stats());
   }
 }
 
@@ -417,7 +345,7 @@ TEST_F(ServePairsTest, DispatcherRejectsBadBatchesWithoutLosingQueue) {
                  Error);
     mirror.flush([](std::size_t, std::size_t, TransmitReport) {});
     twin.simulator().run();
-    expect_stats_equal(systems_[0]->stats(), twin.stats());
+    EXPECT_EQ(systems_[0]->stats(), twin.stats());
   }
 }
 
@@ -492,17 +420,17 @@ TEST(ServePairsEquivalence, WaveEqualsSequentialTransmitMany) {
     for (std::size_t p = 0; p < specs.size(); ++p) {
       for (std::size_t i = 0; i < ref_reports[p].size(); ++i) {
         EXPECT_EQ(result.seen[p][i], 1);
-        expect_reports_equal(ref_reports[p][i], result.reports[p][i],
-                             label + " pair " + std::to_string(p) +
-                                 " message " + std::to_string(i));
+        EXPECT_EQ(ref_reports[p][i], result.reports[p][i])
+            << label << " pair " << p << " message " << i;
       }
     }
-    expect_stats_equal(reference->stats(), waved[w]->stats());
+    EXPECT_EQ(reference->stats(), waved[w]->stats()) << label;
     for (const Spec& spec : specs) {
       const std::size_t se = reference->user(spec.sender).edge_index;
       const std::size_t re = reference->user(spec.receiver).edge_index;
       for (const std::size_t d : spec.domains) {
-        expect_slot_state_equal(*reference, *waved[w], spec.sender, d, se, re);
+        test::expect_slot_state_equal(*reference, *waved[w], spec.sender, d,
+                                      se, re);
       }
     }
   }
@@ -567,14 +495,12 @@ TEST(ServePairsEviction, CacheContentionStaysDeterministic) {
   for (std::size_t v = 1; v < kVariants; ++v) {
     for (std::size_t p = 0; p < results[0].reports.size(); ++p) {
       for (std::size_t i = 0; i < results[0].reports[p].size(); ++i) {
-        expect_reports_equal(results[0].reports[p][i],
-                             results[v].reports[p][i],
-                             "threads " + std::to_string(kThreadCounts[v]) +
-                                 " eviction pair " + std::to_string(p) +
-                                 " message " + std::to_string(i));
+        EXPECT_EQ(results[0].reports[p][i], results[v].reports[p][i])
+            << "threads " << kThreadCounts[v] << " eviction pair " << p
+            << " message " << i;
       }
     }
-    expect_stats_equal(systems[0]->stats(), systems[v]->stats());
+    EXPECT_EQ(systems[0]->stats(), systems[v]->stats());
     for (std::size_t e = 0; e < 2; ++e) {
       EXPECT_EQ(systems[0]->edge_state(e).general_cache().stats().evictions,
                 systems[v]->edge_state(e).general_cache().stats().evictions);
@@ -614,10 +540,9 @@ TEST(ServePairsFaults, WavesStayParallelUnderSyncLoss) {
                            });
   reference->simulator().run();
   for (std::size_t i = 0; i < 6; ++i) {
-    expect_reports_equal(ref_reports[i], result.reports[0][i],
-                         "faulted message " + std::to_string(i));
+    EXPECT_EQ(ref_reports[i], result.reports[0][i]) << "faulted message " << i;
   }
-  expect_stats_equal(reference->stats(), waved->stats());
+  EXPECT_EQ(reference->stats(), waved->stats());
 }
 
 }  // namespace

@@ -684,9 +684,9 @@ TEST(SimdChannel, Qam16SlicerMatchesReferenceScanSweep) {
 }
 
 TEST(SimdChannel, AwgnApplyTierTwin) {
-  // The vectorized noise add buffers the gaussian draws in the original
-  // per-symbol order, so both the symbol bits AND the RNG stream position
-  // must twin exactly.
+  // The noise is keyed: apply takes one rng.next_key() and never draws
+  // from the engine, so both the symbol bits AND the rng's state after
+  // the call must twin exactly.
   Rng bits_rng(555);
   for (const std::size_t count : {1u, 2u, 3u, 31u, 500u}) {
     std::vector<Symbol> base(count);
@@ -697,8 +697,8 @@ TEST(SimdChannel, AwgnApplyTierTwin) {
       TierGuard guard(tier);
       channel::AwgnChannel ch(4.0);
       Rng noise_rng(2718);
-      ch.apply(sym, noise_rng);
-      sym.push_back(Symbol(noise_rng.gaussian(), 0.0));  // stream position
+      ch.apply(sym, noise_rng, 0);
+      sym.push_back(Symbol(noise_rng.gaussian(), 0.0));  // the rng state
       return sym;
     };
     const std::vector<Symbol> a = run(common::SimdTier::kScalar, base);
@@ -828,7 +828,7 @@ TEST(SimdChannel, ModulatedTransmitTierTwin) {
       channel::ModulatedChannel ch(
           m, std::make_unique<channel::AwgnChannel>(6.0));
       Rng rng(1234);
-      return ch.transmit(payload, rng);
+      return ch.transmit(payload, rng, 0);
     };
     EXPECT_EQ(run(common::SimdTier::kScalar), run(common::SimdTier::kAvx2))
         << channel::modulation_name(m);

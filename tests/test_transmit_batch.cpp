@@ -32,40 +32,6 @@ SystemConfig twin_config() {
   return config;
 }
 
-void expect_reports_equal(const TransmitReport& seq, const TransmitReport& bat,
-                          const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(seq.domain_true, bat.domain_true);
-  EXPECT_EQ(seq.domain_selected, bat.domain_selected);
-  EXPECT_EQ(seq.selection_correct, bat.selection_correct);
-  EXPECT_EQ(seq.decoded_meanings, bat.decoded_meanings);
-  EXPECT_EQ(seq.token_accuracy, bat.token_accuracy);  // exact doubles
-  EXPECT_EQ(seq.exact, bat.exact);
-  EXPECT_EQ(seq.mismatch, bat.mismatch);
-  EXPECT_EQ(seq.payload_bytes, bat.payload_bytes);
-  EXPECT_EQ(seq.airtime_bits, bat.airtime_bits);
-  EXPECT_EQ(seq.sync_bytes, bat.sync_bytes);
-  EXPECT_EQ(seq.output_return_bytes, bat.output_return_bytes);
-  EXPECT_EQ(seq.triggered_update, bat.triggered_update);
-  EXPECT_EQ(seq.established_user_model, bat.established_user_model);
-  EXPECT_EQ(seq.general_cache_hit, bat.general_cache_hit);
-  EXPECT_EQ(seq.latency_s, bat.latency_s);
-}
-
-void expect_stats_equal(const SystemStats& seq, const SystemStats& bat) {
-  EXPECT_EQ(seq.messages, bat.messages);
-  EXPECT_EQ(seq.feature_bytes, bat.feature_bytes);
-  EXPECT_EQ(seq.uplink_bytes, bat.uplink_bytes);
-  EXPECT_EQ(seq.downlink_bytes, bat.downlink_bytes);
-  EXPECT_EQ(seq.sync_bytes, bat.sync_bytes);
-  EXPECT_EQ(seq.output_return_bytes, bat.output_return_bytes);
-  EXPECT_EQ(seq.updates, bat.updates);
-  EXPECT_EQ(seq.selection_errors, bat.selection_errors);
-  EXPECT_EQ(seq.sync_drops, bat.sync_drops);
-  EXPECT_EQ(seq.full_resyncs, bat.full_resyncs);
-  EXPECT_EQ(seq.resync_bytes, bat.resync_bytes);
-}
-
 // The twin systems are shared across the suite; every test performs the
 // SAME operation sequence on both (one sequentially, one batched), so the
 // mirror invariant — identical state, identical RNG streams — holds from
@@ -128,10 +94,9 @@ class TransmitBatchTest : public ::testing::Test {
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(seq_seen[i], 1) << "sequential completion " << i;
       EXPECT_EQ(bat_seen[i], 1) << "batch completion " << i;
-      expect_reports_equal(seq_reports[i], bat_reports[i],
-                           "message " + std::to_string(i));
+      EXPECT_EQ(seq_reports[i], bat_reports[i]) << "message " << i;
     }
-    expect_stats_equal(seq_->stats(), bat_->stats());
+    EXPECT_EQ(seq_->stats(), bat_->stats());
   }
 
   static SemanticEdgeSystem* seq_;
@@ -159,10 +124,9 @@ TEST_F(TransmitBatchTest, SingleMessageBitIdenticalToTransmitAsync) {
                           bat_report = std::move(r);
                         });
     bat_->simulator().run();
-    expect_reports_equal(seq_report, bat_report,
-                         "single message " + std::to_string(k));
+    EXPECT_EQ(seq_report, bat_report) << "single message " << k;
     saw_update = saw_update || bat_report.triggered_update;
-    expect_stats_equal(seq_->stats(), bat_->stats());
+    EXPECT_EQ(seq_->stats(), bat_->stats());
   }
   EXPECT_GT(seq_->stats().messages, 0u);
   EXPECT_EQ(saw_update, seq_->stats().updates > 0);
@@ -209,7 +173,7 @@ TEST_F(TransmitBatchTest, IntraEdgeBatchSkipsChannelAndMatches) {
   bat_->simulator().run();
   EXPECT_EQ(seq_report.airtime_bits, 0u);
   EXPECT_EQ(bat_report.airtime_bits, 0u);
-  expect_reports_equal(seq_report, bat_report, "intra-edge single");
+  EXPECT_EQ(seq_report, bat_report) << "intra-edge single";
 }
 
 TEST(MismatchReuse, FastPathBitIdenticalToFullDecoderCopyPass) {
@@ -237,7 +201,7 @@ TEST(MismatchReuse, FastPathBitIdenticalToFullDecoderCopyPass) {
     const TransmitReport r_on = with_reuse->transmit("a", receiver, msg_on);
     const TransmitReport r_off =
         without_reuse->transmit("a", receiver, msg_off);
-    expect_reports_equal(r_off, r_on, "message " + std::to_string(k));
+    EXPECT_EQ(r_off, r_on) << "message " << k;
   }
   EXPECT_GT(with_reuse->stats().updates, 0u);  // fine-tunes exercised
 }
@@ -290,12 +254,11 @@ TEST(MismatchReuseNoisy, CorruptedPayloadFallbackBitIdenticalAcrossPaths) {
 
   bool saw_decode_error = false;
   for (std::size_t i = 0; i < n; ++i) {
-    expect_reports_equal(r_seq[i], r_bat[i], "batch msg " + std::to_string(i));
-    expect_reports_equal(r_full[i], r_bat[i],
-                         "reuse-off msg " + std::to_string(i));
+    EXPECT_EQ(r_seq[i], r_bat[i]) << "batch msg " << i;
+    EXPECT_EQ(r_full[i], r_bat[i]) << "reuse-off msg " << i;
     saw_decode_error = saw_decode_error || !r_bat[i].exact;
   }
-  expect_stats_equal(seq->stats(), bat->stats());
+  EXPECT_EQ(seq->stats(), bat->stats());
   // The channel really was hostile (decode errors observed) and the
   // adaptation loop still ran on the corrupted-mismatch buffers.
   EXPECT_TRUE(saw_decode_error);
@@ -317,7 +280,7 @@ TEST_F(TransmitBatchTest, ValidationErrors) {
   EXPECT_THROW(bat_->transmit_many("a", "nobody", {msg}, noop), Error);
   // Re-mirror the twins: bat_ consumed one sample_message draw above.
   (void)seq_->sample_message("a", 0);
-  expect_stats_equal(seq_->stats(), bat_->stats());
+  EXPECT_EQ(seq_->stats(), bat_->stats());
 }
 
 }  // namespace

@@ -43,66 +43,6 @@ SystemConfig variant_config(std::uint64_t seed, std::size_t num_threads) {
   return config;
 }
 
-void expect_reports_equal(const TransmitReport& ref, const TransmitReport& got,
-                          const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(ref.domain_true, got.domain_true);
-  EXPECT_EQ(ref.domain_selected, got.domain_selected);
-  EXPECT_EQ(ref.selection_correct, got.selection_correct);
-  EXPECT_EQ(ref.decoded_meanings, got.decoded_meanings);
-  EXPECT_EQ(ref.token_accuracy, got.token_accuracy);  // exact doubles
-  EXPECT_EQ(ref.exact, got.exact);
-  EXPECT_EQ(ref.mismatch, got.mismatch);
-  EXPECT_EQ(ref.payload_bytes, got.payload_bytes);
-  EXPECT_EQ(ref.airtime_bits, got.airtime_bits);
-  EXPECT_EQ(ref.sync_bytes, got.sync_bytes);
-  EXPECT_EQ(ref.output_return_bytes, got.output_return_bytes);
-  EXPECT_EQ(ref.triggered_update, got.triggered_update);
-  EXPECT_EQ(ref.established_user_model, got.established_user_model);
-  EXPECT_EQ(ref.general_cache_hit, got.general_cache_hit);
-  EXPECT_EQ(ref.latency_s, got.latency_s);
-}
-
-void expect_stats_equal(const SystemStats& ref, const SystemStats& got) {
-  EXPECT_EQ(ref.messages, got.messages);
-  EXPECT_EQ(ref.feature_bytes, got.feature_bytes);
-  EXPECT_EQ(ref.uplink_bytes, got.uplink_bytes);
-  EXPECT_EQ(ref.downlink_bytes, got.downlink_bytes);
-  EXPECT_EQ(ref.sync_bytes, got.sync_bytes);
-  EXPECT_EQ(ref.output_return_bytes, got.output_return_bytes);
-  EXPECT_EQ(ref.updates, got.updates);
-  EXPECT_EQ(ref.selection_errors, got.selection_errors);
-  EXPECT_EQ(ref.sync_drops, got.sync_drops);
-  EXPECT_EQ(ref.full_resyncs, got.full_resyncs);
-  EXPECT_EQ(ref.resync_bytes, got.resync_bytes);
-}
-
-/// Sender-side buffer + slot + replica state of (user, domain) must match
-/// the reference system byte-for-byte after every scenario.
-void expect_slot_state_equal(SemanticEdgeSystem& ref, SemanticEdgeSystem& got,
-                             const std::string& user, std::size_t domain,
-                             std::size_t sender_edge,
-                             std::size_t receiver_edge) {
-  UserModelSlot* rs = ref.edge_state(sender_edge).find_slot(user, domain);
-  UserModelSlot* gs = got.edge_state(sender_edge).find_slot(user, domain);
-  ASSERT_EQ(rs == nullptr, gs == nullptr);
-  if (rs == nullptr) return;
-  EXPECT_EQ(rs->send_version, gs->send_version);
-  ASSERT_NE(rs->buffer, nullptr);
-  ASSERT_NE(gs->buffer, nullptr);
-  EXPECT_EQ(rs->buffer->size(), gs->buffer->size());
-  EXPECT_EQ(rs->buffer->total_added(), gs->buffer->total_added());
-  EXPECT_EQ(rs->buffer->adds_until_ready(), gs->buffer->adds_until_ready());
-  EXPECT_EQ(rs->buffer->mean_mismatch(), gs->buffer->mean_mismatch());
-  // Sender-side user model weights are byte-identical across systems...
-  nn::ParameterSet rp = rs->model->parameters();
-  nn::ParameterSet gp = gs->model->parameters();
-  EXPECT_TRUE(rp.values_equal(gp));
-  // ...and each system's replica-sync verdict agrees with the reference.
-  EXPECT_EQ(ref.replicas_in_sync(user, domain, sender_edge, receiver_edge),
-            got.replicas_in_sync(user, domain, sender_edge, receiver_edge));
-}
-
 // Systems are shared across the suite and driven through the SAME
 // operation sequence, so the lockstep invariant (identical state, RNG
 // streams, and message draws) holds from test to test.
@@ -175,12 +115,11 @@ class TransmitParallelTest : public ::testing::Test {
     for (std::size_t v = 1; v < kVariants; ++v) {
       const std::string label = "threads " + std::to_string(kThreadCounts[v]);
       for (std::size_t i = 0; i < n; ++i) {
-        expect_reports_equal(reports[0][i], reports[v][i],
-                             label + " message " + std::to_string(i));
+        EXPECT_EQ(reports[0][i], reports[v][i]) << label << " message " << i;
       }
-      expect_stats_equal(systems_[0]->stats(), systems_[v]->stats());
-      expect_slot_state_equal(*systems_[0], *systems_[v], sender, domain,
-                              sender_edge, receiver_edge);
+      EXPECT_EQ(systems_[0]->stats(), systems_[v]->stats()) << label;
+      test::expect_slot_state_equal(*systems_[0], *systems_[v], sender,
+                                    domain, sender_edge, receiver_edge);
     }
   }
 
@@ -251,11 +190,10 @@ TEST(TransmitParallelNoisy, CorruptedPayloadsStayBitIdentical) {
   bool saw_decode_error = false;
   for (std::size_t v = 1; v < kVariants; ++v) {
     for (std::size_t i = 0; i < n; ++i) {
-      expect_reports_equal(reports[0][i], reports[v][i],
-                           "threads " + std::to_string(kThreadCounts[v]) +
-                               " noisy message " + std::to_string(i));
+      EXPECT_EQ(reports[0][i], reports[v][i])
+          << "threads " << kThreadCounts[v] << " noisy message " << i;
     }
-    expect_stats_equal(systems[0]->stats(), systems[v]->stats());
+    EXPECT_EQ(systems[0]->stats(), systems[v]->stats());
   }
   for (std::size_t i = 0; i < n; ++i) {
     saw_decode_error = saw_decode_error || !reports[0][i].exact;
@@ -278,9 +216,8 @@ TEST_F(TransmitParallelTest, SingleMessageRunsInlineAndMatches) {
     systems_[v]->simulator().run();
   }
   for (std::size_t v = 1; v < kVariants; ++v) {
-    expect_reports_equal(reports[0], reports[v],
-                         "threads " + std::to_string(kThreadCounts[v]));
-    expect_stats_equal(systems_[0]->stats(), systems_[v]->stats());
+    EXPECT_EQ(reports[0], reports[v]) << "threads " << kThreadCounts[v];
+    EXPECT_EQ(systems_[0]->stats(), systems_[v]->stats());
   }
 }
 

@@ -2,8 +2,9 @@
 //
 // Pulls together the bits every suite was re-inventing inline: a
 // seeded-RNG fixture, near-equality comparators for float spans /
-// tensors, and the tiny SystemConfig factory used by the trained-system
-// suites (test_core, test_failure_injection, test_integration).
+// tensors, the tiny SystemConfig factory used by the trained-system
+// suites (test_core, test_failure_injection, test_integration), and what
+// the identity suites compare reports, counters and slots with.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <span>
+#include <string>
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
@@ -124,4 +126,77 @@ inline core::SystemConfig tiny_system_config(std::uint64_t seed) {
   return config;
 }
 
+// --- identity-suite comparisons -----------------------------------------
+//
+// The identity suites compare whole reports and counters with
+// EXPECT_EQ(ref, got); the structs' defaulted operator== covers every
+// field of their lists (core/system.hpp). Two fields are keyed by
+// per-shard simulated time and so leave the contract where the clocks
+// differ: across K > 1 shards, pairs that would queue behind each other
+// inside one simulator stop contending (the point of sharding), which
+// moves arrival times and the sends an outage window catches. Those
+// comparisons go through the projections below.
+
+/// The report with latency_s zeroed: compared across K > 1 shards.
+inline core::TransmitReport without_latency(core::TransmitReport r) {
+  r.latency_s = 0.0;
+  return r;
+}
+
+/// The stats with outage_drops and outage_queued zeroed: compared across
+/// K > 1 shards, and by test_sharded throughout.
+inline core::SystemStats without_outages(core::SystemStats s) {
+  s.outage_drops = 0;
+  s.outage_queued = 0;
+  return s;
+}
+
+/// Sender-side slot state of (user, domain) — versions, buffer counters,
+/// full model weights — and the replica-sync verdict match the reference
+/// system exactly.
+inline void expect_slot_state_equal(core::SemanticEdgeSystem& ref,
+                                    core::SemanticEdgeSystem& got,
+                                    const std::string& user,
+                                    std::size_t domain,
+                                    std::size_t sender_edge,
+                                    std::size_t receiver_edge) {
+  SCOPED_TRACE("slot " + user + "/" + std::to_string(domain));
+  core::UserModelSlot* rs = ref.edge_state(sender_edge).find_slot(user, domain);
+  core::UserModelSlot* gs = got.edge_state(sender_edge).find_slot(user, domain);
+  ASSERT_EQ(rs == nullptr, gs == nullptr);
+  if (rs == nullptr) return;
+  EXPECT_EQ(rs->send_version, gs->send_version);
+  ASSERT_NE(rs->buffer, nullptr);
+  ASSERT_NE(gs->buffer, nullptr);
+  EXPECT_EQ(rs->buffer->size(), gs->buffer->size());
+  EXPECT_EQ(rs->buffer->total_added(), gs->buffer->total_added());
+  EXPECT_EQ(rs->buffer->adds_until_ready(), gs->buffer->adds_until_ready());
+  EXPECT_EQ(rs->buffer->mean_mismatch(), gs->buffer->mean_mismatch());
+  EXPECT_TRUE(rs->model->parameters().values_equal(gs->model->parameters()));
+  EXPECT_EQ(ref.replicas_in_sync(user, domain, sender_edge, receiver_edge),
+            got.replicas_in_sync(user, domain, sender_edge, receiver_edge));
+}
+
 }  // namespace semcache::test
+
+namespace semcache::core {
+
+// gtest prints the operands of a failing EXPECT_EQ through PrintTo, found
+// by argument-dependent lookup, so these live beside the structs. Each
+// expands its struct's field list: the message names every field.
+#define SEMCACHE_PRINT_FIELD(type, name, ...) \
+  *os << " " #name "=" << ::testing::PrintToString(v.name);
+
+inline void PrintTo(const TransmitReport& v, std::ostream* os) {
+  SEMCACHE_TRANSMIT_REPORT_FIELDS(SEMCACHE_PRINT_FIELD)
+}
+inline void PrintTo(const SystemStats& v, std::ostream* os) {
+  SEMCACHE_SYSTEM_STATS_FIELDS(SEMCACHE_PRINT_FIELD)
+}
+inline void PrintTo(const MemoryFootprint& v, std::ostream* os) {
+  SEMCACHE_MEMORY_FOOTPRINT_FIELDS(SEMCACHE_PRINT_FIELD)
+}
+
+#undef SEMCACHE_PRINT_FIELD
+
+}  // namespace semcache::core
