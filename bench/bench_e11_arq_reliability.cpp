@@ -70,10 +70,8 @@ int main(int argc, char** argv) {
     // The pipelines keep no state, so one of each serves every message.
     const auto sem_pipe = channel::make_awgn_pipeline(
         channel::make_code("conv_k3_r12"), channel::Modulation::kBpsk, snr);
-    channel::ArqPipeline arq(
-        channel::make_awgn_pipeline(channel::make_code("conv_k3_r12"),
-                                    channel::Modulation::kBpsk, snr),
-        8);
+    const auto arq_pipe = channel::make_awgn_pipeline(
+        channel::make_code("conv_k3_r12"), channel::Modulation::kBpsk, snr);
     for (int i = 0; i < kMessages; ++i) {
       const auto msg = world.sample_sentence(0, run_rng);
 
@@ -86,8 +84,8 @@ int main(int argc, char** argv) {
       sem_air.add(static_cast<double>(sem_pipe->airtime_bits(payload.size())));
 
       // (b) Traditional tokens + ARQ.
-      const channel::ArqResult ar =
-          arq.transmit(serialize_tokens(msg.surface), run_rng);
+      const channel::ArqResult ar = channel::arq_transmit(
+          *arq_pipe, serialize_tokens(msg.surface), run_rng, 8);
       attempts.add(static_cast<double>(ar.attempts));
       trad_air.add(static_cast<double>(ar.airtime_bits));
       if (!ar.delivered) ++undelivered;

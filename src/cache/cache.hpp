@@ -101,7 +101,6 @@ class Cache {
   std::size_t used_bytes() const { return used_; }
   std::size_t entry_count() const { return entries_.size(); }
   const CacheStats& stats() const { return stats_; }
-  const std::string policy_name() const { return policy_->name(); }
 
  private:
   struct Entry {

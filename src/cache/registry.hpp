@@ -17,7 +17,6 @@ class ModelRegistry {
   void register_model(const std::string& key, std::size_t size_bytes);
   bool contains(const std::string& key) const { return sizes_.contains(key); }
   std::size_t model_size(const std::string& key) const;
-  std::size_t model_count() const { return sizes_.size(); }
 
   /// Simulate fetching a model from the cloud over `cloud_link` (the
   /// directed cloud -> edge link); `on_done` fires at delivery. Returns the

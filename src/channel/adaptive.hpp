@@ -73,7 +73,6 @@ class AdaptiveRatePipeline {
   BitVec transmit(const BitVec& payload, Rng& rng, std::uint64_t slot);
 
   const ChannelStats& stats() const { return stats_; }
-  CodeRate current_rate() const { return controller_.current(); }
   std::string description() const;
 
  private:

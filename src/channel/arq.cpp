@@ -4,20 +4,15 @@
 
 namespace semcache::channel {
 
-ArqPipeline::ArqPipeline(std::unique_ptr<ChannelPipeline> pipeline,
-                         std::size_t max_attempts)
-    : pipeline_(std::move(pipeline)), max_attempts_(max_attempts) {
-  SEMCACHE_CHECK(pipeline_ != nullptr, "arq: null pipeline");
+ArqResult arq_transmit(const ChannelPipeline& pipeline, const BitVec& payload,
+                       Rng& rng, std::size_t max_attempts) {
   SEMCACHE_CHECK(max_attempts >= 1, "arq: need at least one attempt");
-}
-
-ArqResult ArqPipeline::transmit(const BitVec& payload, Rng& rng) {
   const BitVec framed = crc_append(payload);
   ArqResult result;
-  for (std::size_t attempt = 0; attempt < max_attempts_; ++attempt) {
+  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
     ++result.attempts;
-    const BitVec received = pipeline_->transmit(framed, rng);
-    result.airtime_bits += pipeline_->airtime_bits(framed.size());
+    const BitVec received = pipeline.transmit(framed, rng);
+    result.airtime_bits += pipeline.airtime_bits(framed.size());
     CrcCheckResult check = crc_verify(received);
     if (check.ok) {
       result.payload = std::move(check.payload);

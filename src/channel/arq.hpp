@@ -20,23 +20,12 @@ struct ArqResult {
   std::size_t airtime_bits = 0;  ///< on-air bits across all attempts
 };
 
-class ArqPipeline {
- public:
-  /// `max_attempts` >= 1 total transmissions (1 disables retransmission).
-  ArqPipeline(std::unique_ptr<ChannelPipeline> pipeline,
-              std::size_t max_attempts);
-
-  /// Send until the CRC verifies or the budget is exhausted. On failure the
-  /// last (corrupt) payload is returned with delivered=false, matching a
-  /// receiver that must surface *something* after giving up.
-  ArqResult transmit(const BitVec& payload, Rng& rng);
-
-  const ChannelPipeline& pipeline() const { return *pipeline_; }
-  std::size_t max_attempts() const { return max_attempts_; }
-
- private:
-  std::unique_ptr<ChannelPipeline> pipeline_;
-  std::size_t max_attempts_;
-};
+/// Send `payload` over `pipeline` until the CRC verifies or
+/// `max_attempts` (>= 1; 1 disables retransmission) transmissions have
+/// gone out. On failure the last (corrupt) payload is returned with
+/// delivered=false, matching a receiver that must surface *something*
+/// after giving up.
+ArqResult arq_transmit(const ChannelPipeline& pipeline, const BitVec& payload,
+                       Rng& rng, std::size_t max_attempts);
 
 }  // namespace semcache::channel

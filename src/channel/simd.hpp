@@ -87,7 +87,6 @@ inline constexpr double kSqrt2 = 1.4142135623730951;
 inline constexpr double kAngleStep = 1.5707963267948966 * 0x1p-30;
 inline constexpr std::uint64_t kMantissaMask = 0x000FFFFFFFFFFFFFULL;
 inline constexpr std::uint64_t kOneBits = 0x3FF0000000000000ULL;   // 1.0
-inline constexpr std::uint64_t kHalfBits = 0x3FE0000000000000ULL;  // 0.5
 
 struct Avx2ChannelKernels {
   /// Hard-decision demaps over the raw (re, im) double pairs of a symbol

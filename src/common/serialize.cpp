@@ -43,10 +43,6 @@ void ByteWriter::write_f64(double v) {
   append_le(buf_, bits);
 }
 
-void ByteWriter::write_bytes(std::span<const std::uint8_t> bytes) {
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-}
-
 void ByteWriter::write_string(const std::string& s) {
   write_u32(static_cast<std::uint32_t>(s.size()));
   buf_.insert(buf_.end(), s.begin(), s.end());
@@ -109,14 +105,6 @@ double ByteReader::read_f64() {
   double v = 0;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
-}
-
-std::vector<std::uint8_t> ByteReader::read_bytes(std::size_t n) {
-  require(n);
-  std::vector<std::uint8_t> out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
 }
 
 std::string ByteReader::read_string() {

@@ -25,7 +25,6 @@ class ByteWriter {
   void write_i64(std::int64_t v);
   void write_f32(float v);
   void write_f64(double v);
-  void write_bytes(std::span<const std::uint8_t> bytes);
   void write_string(const std::string& s);
   void write_f32_vector(std::span<const float> v);
 
@@ -49,7 +48,6 @@ class ByteReader {
   std::int64_t read_i64();
   float read_f32();
   double read_f64();
-  std::vector<std::uint8_t> read_bytes(std::size_t n);
   std::string read_string();
   std::vector<float> read_f32_vector();
 

@@ -10,10 +10,6 @@
 
 namespace semcache::core {
 
-SemanticEdgeSystem& ParallelDispatcher::system_for(const std::string& sender) {
-  return sharded_ != nullptr ? sharded_->owning_shard(sender) : *system_;
-}
-
 void ParallelDispatcher::enqueue(const std::string& sender,
                                  const std::string& receiver,
                                  std::vector<text::Sentence> messages) {
@@ -27,7 +23,9 @@ void ParallelDispatcher::enqueue(const std::string& sender,
     probe.sender = sender;
     probe.receiver = receiver;
     probe.messages = std::move(messages);
-    system_for(sender).validate_pair_batch(probe);
+    SemanticEdgeSystem& owner =
+        sharded_ != nullptr ? sharded_->owning_shard(sender) : *system_;
+    owner.validate_pair_batch(probe);
     messages = std::move(probe.messages);
   }
   for (auto& batch : queue_) {
@@ -58,7 +56,6 @@ std::size_t ParallelDispatcher::flush(SemanticEdgeSystem::PairDone on_done) {
   }
   queue_.clear();  // moved-from: restore the well-defined empty state
   ++waves_;
-  pairs_served_ += pairs;
   return pairs;
 }
 
@@ -203,28 +200,6 @@ std::size_t ParallelDispatcher::flush_sharded(
     on_done(done.pair, done.index, std::move(done.report));
   }
   return merged.size();
-}
-
-std::size_t ParallelDispatcher::transmit_at(
-    edge::SimTime t, const std::string& sender, const std::string& receiver,
-    std::vector<text::Sentence> messages,
-    SemanticEdgeSystem::PairDone on_done) {
-  SemanticEdgeSystem::PairBatch batch;
-  batch.sender = sender;
-  batch.receiver = receiver;
-  batch.messages = std::move(messages);
-  SemanticEdgeSystem& target = system_for(sender);
-  // Fail fast at schedule time (transmit_pairs checks the wave again when
-  // it fires).
-  target.validate_pair_batch(batch);
-  if (sharded_ != nullptr) {
-    // Deployment-wide noise order = schedule order (fire order may
-    // interleave per shard; the pinned base is what keeps streams exact).
-    batch.noise_base = sharded_->claim_noise_bases(batch.messages.size());
-  }
-  const std::size_t index = scheduled_++;
-  target.transmit_pairs_at(t, std::move(batch), std::move(on_done), index);
-  return index;
 }
 
 std::size_t ParallelDispatcher::queued_messages() const {

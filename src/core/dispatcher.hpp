@@ -5,16 +5,9 @@
 // hands them to the system as ONE wave, so pairs with distinct senders run
 // their data planes concurrently on the system's lane workers while
 // everything they share (selector, LRU caches, stats, the event loop)
-// keeps its sequential order. Two modes:
-//
-//  * enqueue() + flush(): accumulate pair batches (merged per (sender,
-//    receiver) pair) and serve them immediately as one
-//    SemanticEdgeSystem::transmit_pairs wave.
-//  * transmit_at(): schedule a pair's messages for a simulated send time;
-//    all pairs landing on the same timestamp form one wave, served by a
-//    single simulator event when the simulation reaches it
-//    (SemanticEdgeSystem::transmit_pairs_at) — the open-loop
-//    (E7/E10-style) shape.
+// keeps its sequential order. enqueue() accumulates pair batches (merged
+// per (sender, receiver) pair); flush() serves them immediately as one
+// SemanticEdgeSystem::transmit_pairs wave.
 //
 // Constructed over a ShardedEdgeServing instead of a single system, the
 // same front door scales OUT: enqueue routes each pair to
@@ -29,7 +22,7 @@
 // failed shard's pairs are re-served through serve_degraded, the same
 // pair wave over the frozen general models.
 //
-// Determinism: both modes inherit transmit_pairs' contract — results are
+// Determinism: a flush inherits transmit_pairs' contract — results are
 // byte-identical to num_threads = 0 for any worker count, and to serving
 // the pairs one at a time through transmit_many (a one-pair wave) in
 // order. The sharded front door extends it across deployments: for the
@@ -76,38 +69,19 @@ class ParallelDispatcher {
   /// nothing is queued.
   std::size_t flush(SemanticEdgeSystem::PairDone on_done);
 
-  /// Schedule `messages` from a pair for simulated time t
-  /// (transmit_pairs_at). Pairs scheduled for the same t form one wave
-  /// when the event loop reaches it. The pair index
-  /// reported to `on_done` is this dispatcher's running schedule count
-  /// (returned), so interleaved schedules stay distinguishable. Sharded
-  /// mode schedules on the OWNING shard's simulator with the noise base
-  /// pinned at schedule time (deployment order = schedule order); the
-  /// caller drives that shard's simulator.
-  std::size_t transmit_at(edge::SimTime t, const std::string& sender,
-                          const std::string& receiver,
-                          std::vector<text::Sentence> messages,
-                          SemanticEdgeSystem::PairDone on_done);
-
   std::size_t queued_pairs() const { return queue_.size(); }
   std::size_t queued_messages() const;
-  /// Waves served through flush() so far (scheduling via transmit_at
-  /// forms waves in simulator events instead). A sharded flush counts as
-  /// ONE wave however many shards it fanned out to.
+  /// Waves served through flush() so far. A sharded flush counts as ONE
+  /// wave however many shards it fanned out to.
   std::size_t waves_served() const { return waves_; }
-  std::size_t pairs_served() const { return pairs_served_; }
 
  private:
-  /// The system that owns (and validates) `sender`'s serving state.
-  SemanticEdgeSystem& system_for(const std::string& sender);
   std::size_t flush_sharded(const SemanticEdgeSystem::PairDone& on_done);
 
   SemanticEdgeSystem* system_ = nullptr;    ///< single-system mode
   ShardedEdgeServing* sharded_ = nullptr;   ///< sharded mode (XOR system_)
   std::vector<SemanticEdgeSystem::PairBatch> queue_;
   std::size_t waves_ = 0;
-  std::size_t pairs_served_ = 0;
-  std::size_t scheduled_ = 0;
 };
 
 }  // namespace semcache::core

@@ -33,7 +33,6 @@ UserModelSlot& EdgeServerState::ensure_slot(
   SEMCACHE_CHECK(slot.model != nullptr, "ensure_slot: factory returned null");
   auto [pos, inserted] = slots_.emplace(key, std::move(slot));
   SEMCACHE_CHECK(inserted, "ensure_slot: race on slot key");
-  ++established_;
   return pos->second;
 }
 

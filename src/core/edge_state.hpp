@@ -58,7 +58,6 @@ class EdgeServerState {
       const std::string& user, std::size_t domain,
       const std::function<std::shared_ptr<semantic::SemanticCodec>()>& make);
 
-  std::size_t slots_established() const { return established_; }
   std::size_t slot_count() const { return slots_.size(); }
   /// Bytes held by MATERIALIZED user-specific models (aliased slots cost
   /// nothing here; general-cache bytes are accounted by the cache).
@@ -75,7 +74,6 @@ class EdgeServerState {
   edge::NodeId node_;
   cache::Cache<semantic::SemanticCodec> cache_;
   std::map<std::string, UserModelSlot> slots_;
-  std::size_t established_ = 0;
 };
 
 }  // namespace semcache::core

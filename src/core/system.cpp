@@ -15,12 +15,16 @@ SemanticEdgeSystem::SemanticEdgeSystem(SystemConfig config)
 
 std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
     SystemConfig config) {
-  // Knobs the serving path would otherwise reject mid-wave, after the
+  // Every knob is refused before pretrain_models(), the slow part of a
+  // build. The first two would otherwise surface only mid-wave, after the
   // wave has touched caches and slots.
   SEMCACHE_CHECK(config.buffer_trigger >= 1,
                  "config: buffer_trigger must be >= 1");
   SEMCACHE_CHECK(config.finetune_batch_size >= 1,
                  "config: finetune_batch_size must be >= 1");
+  SEMCACHE_CHECK(config.selector == "nb" || config.selector == "context",
+                 "unknown selector '" + config.selector +
+                     "' (expected \"nb\" or \"context\")");
   // Not make_unique: the constructor is private.
   std::unique_ptr<SemanticEdgeSystem> sys(
       new SemanticEdgeSystem(std::move(config)));
@@ -63,7 +67,8 @@ std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
     sys->pool_ = std::make_unique<common::ThreadPool>(sys->config_.num_threads);
   }
 
-  sys->pretrain_models();
+  // The topology and the edge states refuse num_edges 0 and an unknown
+  // cache policy.
   sys->build_topology();
 
   // Fault plane: validate the config once (throws on bad knobs) and wire
@@ -83,6 +88,22 @@ std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
       link.set_outage_policy(faults.outage_policy);
       link.set_flap_schedule(faults.link_flap_period_s, faults.link_flap_down_s,
                              sys->fault_plane_.flap_phase_s(id));
+    }
+  }
+
+  sys->pretrain_models();
+
+  // Warm every edge cache with every general model (step ① of Fig. 1:
+  // the edge caches both general encoders and decoder copies — one codec
+  // object holds both halves).
+  for (const auto& state : sys->edge_states_) {
+    for (std::size_t d = 0; d < sys->world_.num_domains(); ++d) {
+      cache::EntryInfo info;
+      info.size_bytes = sys->general_models_[d]->byte_size();
+      info.fetch_cost = net.link(sys->topology_.cloud, state->node())
+                            .transfer_time(info.size_bytes);
+      state->general_cache().put("general/" + std::to_string(d),
+                                 sys->general_models_[d], info);
     }
   }
 
@@ -147,9 +168,6 @@ void SemanticEdgeSystem::pretrain_models() {
     selector_ = std::make_unique<select::ContextSelector>(
         std::move(nb), world_.num_domains());
   } else {
-    SEMCACHE_CHECK(config_.selector == "nb",
-                   "unknown selector '" + config_.selector +
-                       "' (expected \"nb\" or \"context\")");
     selector_ = std::move(nb);
   }
 }
@@ -162,17 +180,6 @@ void SemanticEdgeSystem::build_topology() {
     edge_states_.push_back(std::make_unique<EdgeServerState>(
         e, topology_.edges[e], config_.cache_capacity_bytes,
         config_.cache_policy));
-    // Warm the cache with every general model (step ① of Fig. 1: the edge
-    // caches both general encoders and decoder copies — one codec object
-    // holds both halves).
-    for (std::size_t d = 0; d < world_.num_domains(); ++d) {
-      cache::EntryInfo info;
-      info.size_bytes = general_models_[d]->byte_size();
-      info.fetch_cost = topology_.net->link(topology_.cloud, topology_.edges[e])
-                            .transfer_time(info.size_bytes);
-      edge_states_.back()->general_cache().put(
-          "general/" + std::to_string(d), general_models_[d], info);
-    }
   }
 }
 

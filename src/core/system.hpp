@@ -17,7 +17,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "channel/pipeline.hpp"
@@ -357,21 +356,12 @@ class SemanticEdgeSystem {
   void serve_degraded(PairBatch batch,
                       std::function<void(std::size_t, TransmitReport)> on_done);
 
-  /// Schedule a pair batch for simulated time t. Batches land in one
-  /// bucket per time; the first one schedules an ordinary simulator event
-  /// that serves the whole bucket as one transmit_pairs wave, in schedule
-  /// order, and `on_done` receives `pair_index` as its pair. Typically
-  /// reached through core::ParallelDispatcher.
-  void transmit_pairs_at(edge::SimTime t, PairBatch batch, PairDone on_done,
-                         std::size_t pair_index = 0);
-
   /// Admission checks for one pair batch (non-empty, known users,
   /// message lengths); throws semcache::Error on violation. The single
   /// source of truth: transmit_pairs runs it wave-wide BEFORE any
-  /// prepare so a rejected wave is side-effect-free (a scheduled wave is
-  /// checked again when it fires), serve_degraded runs it on its batch,
-  /// and ParallelDispatcher fails fast at enqueue/schedule time so a
-  /// queued wave can never be lost to a validation throw mid-flush.
+  /// prepare so a rejected wave is side-effect-free, serve_degraded runs
+  /// it on its batch, and ParallelDispatcher fails fast at enqueue time
+  /// so a queued wave can never be lost to a validation throw mid-flush.
   void validate_pair_batch(const PairBatch& batch) const;
 
   // --- introspection used by tests, examples, and benches ---
@@ -514,17 +504,6 @@ class SemanticEdgeSystem {
   std::unique_ptr<fl::ModelSynchronizer> synchronizer_;
 
   edge::Simulator sim_;
-  /// Pairs transmit_pairs_at has scheduled for one simulated time, in
-  /// schedule order. Each pair's (schedule index, completion) sits behind
-  /// one shared_ptr because the wave's completion is copied into every
-  /// message's delivery closure, and deliveries fire after the event.
-  struct ScheduledWave {
-    std::vector<PairBatch> batches;
-    std::shared_ptr<std::vector<std::pair<std::size_t, PairDone>>> done =
-        std::make_shared<std::vector<std::pair<std::size_t, PairDone>>>();
-  };
-  /// Open buckets by time; a bucket leaves the map when its event fires.
-  std::map<edge::SimTime, ScheduledWave> scheduled_waves_;
   edge::StandardTopology topology_;
   std::vector<std::unique_ptr<EdgeServerState>> edge_states_;
   std::map<std::string, UserProfile> users_;

@@ -43,7 +43,6 @@
 #include "core/system.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -775,35 +774,6 @@ void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
 
   // Phase 3: sequential commits in pair order.
   for (PairTask& task : tasks) commit_pair(task, on_done);
-}
-
-void SemanticEdgeSystem::transmit_pairs_at(edge::SimTime t, PairBatch batch,
-                                           PairDone on_done,
-                                           std::size_t pair_index) {
-  SEMCACHE_CHECK(on_done != nullptr, "transmit_pairs_at: null completion");
-  // NaN compares false against every key, so a map lookup would hand it
-  // some other time's bucket; refuse it before looking.
-  SEMCACHE_CHECK(!std::isnan(t), "transmit_pairs_at: time is NaN");
-  auto bucket = scheduled_waves_.find(t);
-  if (bucket == scheduled_waves_.end()) {
-    // Schedule before inserting: schedule_at throws on a past time, and a
-    // bucket left without its event would swallow every later pair for t.
-    // The event takes the bucket out of the map before serving it, so a
-    // pair scheduled for t while the wave runs opens a fresh bucket.
-    sim_.schedule_at(t, [this, t] {
-      ScheduledWave wave = std::move(scheduled_waves_.extract(t).mapped());
-      transmit_pairs(
-          std::move(wave.batches),
-          [done = std::move(wave.done)](std::size_t pair, std::size_t index,
-                                        TransmitReport report) {
-            const auto& [schedule_index, pair_done] = (*done)[pair];
-            pair_done(schedule_index, index, std::move(report));
-          });
-    });
-    bucket = scheduled_waves_.emplace(t, ScheduledWave{}).first;
-  }
-  bucket->second.batches.push_back(std::move(batch));
-  bucket->second.done->emplace_back(pair_index, std::move(on_done));
 }
 
 void SemanticEdgeSystem::serve_degraded(

@@ -58,9 +58,6 @@ struct FaultConfig {
   bool link_faults_active() const {
     return link_flap_period_s > 0.0 && link_flap_down_s > 0.0;
   }
-  bool any_active() const {
-    return sync_faults_active() || link_faults_active() || shard_stall > 0.0;
-  }
 };
 
 class FaultPlane {

@@ -20,9 +20,6 @@ class SoftmaxCrossEntropy {
   /// Returns dL/dlogits = (softmax - onehot) / N.
   Tensor backward() const;
 
-  /// Softmax probabilities from the last forward (N x C).
-  const Tensor& probabilities() const { return probs_; }
-
  private:
   Tensor probs_;
   std::vector<std::int32_t> targets_;

@@ -39,9 +39,6 @@ class Sgd : public Optimizer {
   explicit Sgd(double lr, double momentum = 0.0);
   void step(std::span<Parameter* const> params) override;
 
-  double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr) { lr_ = lr; }
-
  private:
   double lr_;
   double momentum_;

@@ -598,12 +598,6 @@ std::vector<std::int32_t> row_argmax(const Tensor& t) {
   return out;
 }
 
-Tensor map(const Tensor& a, const std::function<float(float)>& f) {
-  Tensor c = a;
-  for (std::size_t i = 0; i < c.size(); ++i) c.at(i) = f(c.at(i));
-  return c;
-}
-
 float sum(const Tensor& a) {
   float s = 0.0f;
   for (const float x : a.flat()) s += x;

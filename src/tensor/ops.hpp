@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -91,9 +90,6 @@ void transpose_into(Tensor& t, const Tensor& a);
 Tensor row_softmax(const Tensor& logits);
 /// Row-wise argmax of a rank-2 tensor.
 std::vector<std::int32_t> row_argmax(const Tensor& t);
-
-/// Apply f element-wise.
-Tensor map(const Tensor& a, const std::function<float(float)>& f);
 
 /// Sum of all elements.
 float sum(const Tensor& a);

@@ -81,10 +81,6 @@ class World {
   /// Meaning ids of this domain that share their surface with another
   /// domain (the "bus" words).
   const std::vector<std::int32_t>& polysemous_meanings(std::size_t d) const;
-  /// Shared function-word meaning ids.
-  const std::vector<std::int32_t>& function_meanings() const {
-    return function_meanings_;
-  }
 
   /// Draw one sentence from a domain's distribution.
   Sentence sample_sentence(std::size_t domain, Rng& rng) const;
@@ -108,7 +104,7 @@ class World {
   std::vector<Meaning> meanings_;
   std::vector<std::vector<std::int32_t>> per_domain_;       // concept meanings
   std::vector<std::vector<std::int32_t>> per_domain_poly_;  // polysemous senses
-  std::vector<std::int32_t> function_meanings_;
+  std::vector<std::int32_t> function_meanings_;             // shared function words
   std::vector<std::int32_t> slang_pool_;
   std::size_t slang_taken_ = 0;
   std::vector<ZipfSampler> concept_sampler_;  // one per domain

@@ -18,9 +18,9 @@ using test::random_bits;
 
 TEST(Arq, CleanChannelSingleAttempt) {
   Rng rng(1);
-  ArqPipeline arq(make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.0), 4);
+  const auto clean = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.0);
   const BitVec payload = random_bits(64, rng);
-  const ArqResult r = arq.transmit(payload, rng);
+  const ArqResult r = arq_transmit(*clean, payload, rng, 4);
   EXPECT_TRUE(r.delivered);
   EXPECT_EQ(r.attempts, 1u);
   EXPECT_EQ(r.payload, payload);
@@ -46,17 +46,17 @@ TEST(Arq, RetriesUntilDelivered) {
     Rng rng(2);
     std::size_t delivered = 0;
     std::size_t attempts_sum = 0;
+    const auto channel = make_channel();
     for (int i = 0; i < 50; ++i) {
-      ArqPipeline arq(make_channel(), 8);
       const BitVec payload = random_bits(80, rng);
-      const ArqResult r = arq.transmit(payload, rng);
+      const ArqResult r = arq_transmit(*channel, payload, rng, 8);
       if (r.delivered) {
         ++delivered;
         EXPECT_EQ(r.payload, payload);  // CRC-verified => exact
       }
       attempts_sum += r.attempts;
     }
-    const std::string name = make_channel()->description();
+    const std::string name = channel->description();
     EXPECT_GE(delivered, 45u) << name;
     EXPECT_GT(attempts_sum, 55u) << name;  // retransmissions actually happened
   }
@@ -65,9 +65,9 @@ TEST(Arq, RetriesUntilDelivered) {
 TEST(Arq, GivesUpAfterBudget) {
   Rng rng(3);
   // Half the bits flip: CRC can never pass.
-  ArqPipeline arq(make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.5), 3);
+  const auto noisy = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.5);
   const BitVec payload = random_bits(64, rng);
-  const ArqResult r = arq.transmit(payload, rng);
+  const ArqResult r = arq_transmit(*noisy, payload, rng, 3);
   EXPECT_FALSE(r.delivered);
   EXPECT_EQ(r.attempts, 3u);
   EXPECT_EQ(r.payload.size(), payload.size());  // still surfaces a payload
@@ -75,9 +75,9 @@ TEST(Arq, GivesUpAfterBudget) {
 
 TEST(Arq, AirtimeAccumulatesAcrossAttempts) {
   Rng rng(4);
-  ArqPipeline arq(make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.5), 5);
+  const auto noisy = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.5);
   const BitVec payload = random_bits(40, rng);
-  const ArqResult r = arq.transmit(payload, rng);
+  const ArqResult r = arq_transmit(*noisy, payload, rng, 5);
   EXPECT_EQ(r.attempts, 5u);
   EXPECT_EQ(r.airtime_bits, 5u * (payload.size() + 32));
 }
@@ -87,11 +87,10 @@ TEST(Arq, AirtimeIsTheOnAirLengthOfEachAttempt) {
   // depth-8 interleaver pads those to 272 on the air. At -10 dB every CRC
   // fails, so all three attempts go out.
   Rng rng(7);
-  ArqPipeline arq(make_awgn_pipeline(make_code("conv_k3_r12"),
-                                     Modulation::kQpsk, -10.0,
-                                     /*interleave_depth=*/8),
-                  3);
-  const ArqResult r = arq.transmit(random_bits(100, rng), rng);
+  const auto pipeline = make_awgn_pipeline(make_code("conv_k3_r12"),
+                                           Modulation::kQpsk, -10.0,
+                                           /*interleave_depth=*/8);
+  const ArqResult r = arq_transmit(*pipeline, random_bits(100, rng), rng, 3);
   ASSERT_EQ(r.attempts, 3u);
   EXPECT_EQ(r.airtime_bits, 3u * 272u);
 }
@@ -99,24 +98,23 @@ TEST(Arq, AirtimeIsTheOnAirLengthOfEachAttempt) {
 TEST(Arq, CodedArqNeedsFewerRetries) {
   Rng rng_a(5), rng_b(5);
   std::size_t uncoded_attempts = 0, coded_attempts = 0;
+  const auto uncoded =
+      make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.02);
+  const auto coded =
+      make_bsc_pipeline(std::make_unique<ConvolutionalCode>(), 0.02);
   for (int i = 0; i < 40; ++i) {
     Rng prng(static_cast<std::uint64_t>(i));
     const BitVec payload = random_bits(96, prng);
-    ArqPipeline uncoded(
-        make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.02), 16);
-    ArqPipeline coded(
-        make_bsc_pipeline(std::make_unique<ConvolutionalCode>(), 0.02), 16);
-    uncoded_attempts += uncoded.transmit(payload, rng_a).attempts;
-    coded_attempts += coded.transmit(payload, rng_b).attempts;
+    uncoded_attempts += arq_transmit(*uncoded, payload, rng_a, 16).attempts;
+    coded_attempts += arq_transmit(*coded, payload, rng_b, 16).attempts;
   }
   EXPECT_LT(coded_attempts, uncoded_attempts);
 }
 
 TEST(Arq, ValidatesArguments) {
-  EXPECT_THROW(
-      ArqPipeline(make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.0), 0),
-      Error);
-  EXPECT_THROW(ArqPipeline(nullptr, 3), Error);
+  Rng rng(8);
+  const auto clean = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.0);
+  EXPECT_THROW(arq_transmit(*clean, random_bits(8, rng), rng, 0), Error);
 }
 
 // Retry budget sweep: delivery probability is monotone in the budget.
@@ -125,11 +123,10 @@ class ArqBudgetSweep : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(ArqBudgetSweep, DeliveryRateGrowsWithBudget) {
   Rng rng(6);
   std::size_t delivered = 0;
+  const auto noisy = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.03);
   for (int i = 0; i < 60; ++i) {
-    ArqPipeline arq(make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.03),
-                    GetParam());
     const BitVec payload = random_bits(64, rng);
-    if (arq.transmit(payload, rng).delivered) ++delivered;
+    if (arq_transmit(*noisy, payload, rng, GetParam()).delivered) ++delivered;
   }
   // Rough analytic floor: p_clean ≈ 0.97^96 ≈ 0.053 per attempt.
   if (GetParam() >= 16) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/baselines.hpp"
-#include "core/dispatcher.hpp"
 #include "core/system.hpp"
 #include "test_util.hpp"
 
@@ -186,35 +185,6 @@ TEST_F(SystemTest, SameEdgeTransmitSkipsBackbone) {
 TEST_F(SystemTest, GeneralCacheStartsWarm) {
   const auto& stats = system_->edge_state(0).general_cache().stats();
   EXPECT_GE(stats.insertions, system_->world().num_domains());
-}
-
-TEST_F(SystemTest, ScheduledPairsSharingATimeFormOneEvent) {
-  // Pairs scheduled for one simulated time share a bucket and a single
-  // simulator event, however many there are and in whatever order the
-  // times arrive; each pair still completes exactly once under its
-  // schedule index.
-  edge::Simulator& sim = system_->simulator();
-  ParallelDispatcher dispatcher(*system_);
-  const double base = sim.now();
-  const std::size_t pending_before = sim.pending();
-  std::vector<int> completions(3, 0);
-  const auto record = [&completions](std::size_t pair, std::size_t,
-                                     TransmitReport) { ++completions[pair]; };
-  EXPECT_EQ(dispatcher.transmit_at(base + 0.25, "alice", "bob",
-                                   {system_->sample_message("alice", 0)},
-                                   record),
-            0u);
-  EXPECT_EQ(dispatcher.transmit_at(base + 0.5, "bob", "alice",
-                                   {system_->sample_message("bob", 1)},
-                                   record),
-            1u);
-  EXPECT_EQ(dispatcher.transmit_at(base + 0.25, "alice", "bob",
-                                   {system_->sample_message("alice", 1)},
-                                   record),
-            2u);
-  EXPECT_EQ(sim.pending(), pending_before + 2);
-  sim.run();
-  EXPECT_EQ(completions, (std::vector<int>{1, 1, 1}));
 }
 
 // Fresh-system tests (need their own configuration).

@@ -20,7 +20,10 @@
 //     SystemStats::degraded_serves — never a hang, never a throw.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -158,17 +161,23 @@ TEST(FaultPlane, ConfigValidated) {
   bad = storm_faults();
   bad.link_flap_down_s = bad.link_flap_period_s + 1.0;
   EXPECT_THROW(FaultPlane{bad}, Error);
-  // SystemConfig carries the fault config; build() runs the validation.
-  SystemConfig config = test::tiny_system_config(3);
-  config.faults.sync_loss = 2.0;
-  EXPECT_THROW(SemanticEdgeSystem::build(config), Error);
 }
 
 TEST(BuildValidation, RefusesBadKnobs) {
   // One broken knob per row. build() must refuse each one rather than
   // return a system that throws later: a zero trigger or fine-tune batch
   // used to surface only inside a wave, after it had touched the caches
-  // and claimed its messages.
+  // and claimed its messages. It must also refuse before pretraining,
+  // which is the slow part of a build: a pretrained codec would land in
+  // the fixture cache, so the cache directory must stay empty.
+  const char* saved = std::getenv("SEMCACHE_FIXTURE_DIR");
+  const std::string saved_dir = saved != nullptr ? saved : "";
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("semcache-build-validation-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ::setenv("SEMCACHE_FIXTURE_DIR", dir.c_str(), 1);
   using Breaker = void (*)(SystemConfig&);
   const std::pair<const char*, Breaker> rows[] = {
       {"buffer_trigger 0", [](SystemConfig& c) { c.buffer_trigger = 0; }},
@@ -180,13 +189,21 @@ TEST(BuildValidation, RefusesBadKnobs) {
       {"unknown medium", [](SystemConfig& c) { c.channel.medium = "fog"; }},
       {"unknown cache_policy", [](SystemConfig& c) { c.cache_policy = "mru"; }},
       {"num_edges 0", [](SystemConfig& c) { c.num_edges = 0; }},
+      {"sync_loss 2", [](SystemConfig& c) { c.faults.sync_loss = 2.0; }},
+      {"unknown selector", [](SystemConfig& c) { c.selector = "oracle"; }},
   };
   for (const auto& [knob, breaks] : rows) {
     SystemConfig config = test::tiny_system_config(3);
-    config.pretrain.steps = 10;  // some refusals come after pretraining
     breaks(config);
     EXPECT_THROW(SemanticEdgeSystem::build(config), Error) << knob;
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << knob;
   }
+  if (saved != nullptr) {
+    ::setenv("SEMCACHE_FIXTURE_DIR", saved_dir.c_str(), 1);
+  } else {
+    ::unsetenv("SEMCACHE_FIXTURE_DIR");
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------- waves survive faults (the payoff) ------------------

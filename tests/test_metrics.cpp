@@ -1,10 +1,9 @@
 // Unit tests for semcache::metrics — online statistics, percentiles,
-// confusion matrices, tables, and the n-gram fidelity scores.
+// tables, and the n-gram fidelity scores.
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "metrics/confusion.hpp"
 #include "metrics/ngram.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/table.hpp"
@@ -91,45 +90,6 @@ TEST(Percentile, BadQuantileThrows) {
   t.add(1.0);
   EXPECT_THROW(t.percentile(-0.1), Error);
   EXPECT_THROW(t.percentile(1.1), Error);
-}
-
-TEST(Confusion, AccuracyAndCells) {
-  ConfusionMatrix m(3);
-  m.add(0, 0);
-  m.add(0, 0);
-  m.add(1, 1);
-  m.add(2, 1);
-  EXPECT_EQ(m.total(), 4u);
-  EXPECT_DOUBLE_EQ(m.accuracy(), 0.75);
-  EXPECT_EQ(m.count(2, 1), 1u);
-  EXPECT_EQ(m.count(2, 2), 0u);
-}
-
-TEST(Confusion, PrecisionRecallF1) {
-  ConfusionMatrix m(2);
-  // class 1: tp=3, fp=1, fn=2.
-  for (int i = 0; i < 3; ++i) m.add(1, 1);
-  m.add(0, 1);
-  for (int i = 0; i < 2; ++i) m.add(1, 0);
-  m.add(0, 0);
-  EXPECT_DOUBLE_EQ(m.precision(1), 0.75);
-  EXPECT_DOUBLE_EQ(m.recall(1), 0.6);
-  const double f1 = 2 * 0.75 * 0.6 / (0.75 + 0.6);
-  EXPECT_NEAR(m.f1(1), f1, 1e-12);
-}
-
-TEST(Confusion, UndefinedClassesScoreZero) {
-  ConfusionMatrix m(3);
-  m.add(0, 0);
-  EXPECT_DOUBLE_EQ(m.precision(2), 0.0);
-  EXPECT_DOUBLE_EQ(m.recall(2), 0.0);
-  EXPECT_DOUBLE_EQ(m.f1(2), 0.0);
-}
-
-TEST(Confusion, OutOfRangeThrows) {
-  ConfusionMatrix m(2);
-  EXPECT_THROW(m.add(2, 0), Error);
-  EXPECT_THROW(m.count(0, 5), Error);
 }
 
 TEST(Table, MarkdownShape) {

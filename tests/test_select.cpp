@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
-#include "metrics/confusion.hpp"
 #include "select/context.hpp"
 #include "select/gru_classifier.hpp"
 #include "select/logistic.hpp"

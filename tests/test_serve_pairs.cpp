@@ -13,10 +13,10 @@
 //     stats, weights), so cross-pair serving is a wall-clock lever, not a
 //     semantic change.
 //
-// The case matrix follows the ISSUE: several pairs on one edge,
-// cross-edge + intra-edge mixes, mid-run fine-tunes (buffer trigger
-// trips inside a wave), shared-sender lanes, general-cache eviction
-// contention, and simulator-scheduled waves through ParallelDispatcher.
+// The case matrix: several pairs on one edge, cross-edge + intra-edge
+// mixes, mid-run fine-tunes (buffer trigger trips inside a wave),
+// shared-sender lanes, general-cache eviction contention, and queued
+// waves flushed through ParallelDispatcher.
 // The suite runs under the TSan CI job like every tier-1 suite.
 #include <gtest/gtest.h>
 
@@ -204,57 +204,6 @@ TEST_F(ServePairsTest, MidRunFineTuneAcrossWaves) {
                    {"d", "b", {1, 0, 1, 0, 1}}});
 }
 
-TEST_F(ServePairsTest, ScheduledWavesThroughDispatcher) {
-  // Same pairs, but scheduled as simulator work: ParallelDispatcher's
-  // transmit_at lands three pair batches on t=0.25 (one concurrent wave
-  // in the event loop) and one on t=0.5, all before running the loop.
-  auto waves = sample_lockstep_waves({{"a", "b", {0, 0, 0, 0}},
-                                      {"c", "b", {1, 1, 1}},
-                                      {"d", "c", {0, 1}},
-                                      {"a", "c", {1, 1, 1, 1, 1}}});
-  std::vector<WaveResult> results(kVariants);
-  for (std::size_t v = 0; v < kVariants; ++v) {
-    SemanticEdgeSystem& system = *systems_[v];
-    const double base = system.simulator().now();
-    ParallelDispatcher dispatcher(system);
-    WaveResult& result = results[v];
-    result.reports.resize(waves[v].size());
-    result.seen.resize(waves[v].size());
-    for (std::size_t p = 0; p < waves[v].size(); ++p) {
-      result.reports[p].resize(waves[v][p].messages.size());
-      result.seen[p].assign(waves[v][p].messages.size(), 0);
-    }
-    auto record = [&result](std::size_t pair, std::size_t i,
-                            TransmitReport report) {
-      result.reports[pair][i] = std::move(report);
-      ++result.seen[pair][i];
-    };
-    for (std::size_t p = 0; p < 3; ++p) {
-      const std::size_t index = dispatcher.transmit_at(
-          base + 0.25, waves[v][p].sender, waves[v][p].receiver,
-          std::move(waves[v][p].messages), record);
-      EXPECT_EQ(index, p);
-    }
-    dispatcher.transmit_at(base + 0.5, waves[v][3].sender,
-                           waves[v][3].receiver,
-                           std::move(waves[v][3].messages), record);
-    system.simulator().run();
-    for (std::size_t p = 0; p < result.seen.size(); ++p) {
-      for (const int count : result.seen[p]) EXPECT_EQ(count, 1);
-    }
-  }
-  for (std::size_t v = 1; v < kVariants; ++v) {
-    for (std::size_t p = 0; p < results[0].reports.size(); ++p) {
-      for (std::size_t i = 0; i < results[0].reports[p].size(); ++i) {
-        EXPECT_EQ(results[0].reports[p][i], results[v].reports[p][i])
-            << "threads " << kThreadCounts[v] << " scheduled pair " << p
-            << " message " << i;
-      }
-    }
-    EXPECT_EQ(systems_[0]->stats(), systems_[v]->stats());
-  }
-}
-
 TEST_F(ServePairsTest, DispatcherQueueMergesAndFlushes) {
   auto waves = sample_lockstep_waves(
       {{"c", "d", {0, 0}}, {"d", "a", {1, 1, 1}}, {"c", "d", {0}}});
@@ -303,7 +252,7 @@ TEST_F(ServePairsTest, DispatcherQueueMergesAndFlushes) {
 }
 
 TEST_F(ServePairsTest, DispatcherRejectsBadBatchesWithoutLosingQueue) {
-  // Admission happens at enqueue/schedule time, so a rejected batch can
+  // Admission happens at enqueue time, so a rejected batch can
   // never cost already-queued work a flush (flush moves the queue into
   // transmit_pairs, which by then cannot throw for admission reasons).
   SemanticEdgeSystem& system = *systems_[0];
@@ -315,11 +264,6 @@ TEST_F(ServePairsTest, DispatcherRejectsBadBatchesWithoutLosingQueue) {
   text::Sentence short_msg = system.sample_message("a", 0);
   short_msg.surface.pop_back();
   EXPECT_THROW(dispatcher.enqueue("a", "b", {short_msg}), Error);
-  EXPECT_THROW(dispatcher.transmit_at(system.simulator().now() + 1.0, "a",
-                                      "nobody", {system.sample_message("a", 0)},
-                                      [](std::size_t, std::size_t,
-                                         TransmitReport) {}),
-               Error);
   EXPECT_EQ(dispatcher.queued_pairs(), 1u);  // the good batch survived
   std::size_t delivered = 0;
   EXPECT_EQ(dispatcher.flush([&delivered](std::size_t, std::size_t,
@@ -338,11 +282,6 @@ TEST_F(ServePairsTest, DispatcherRejectsBadBatchesWithoutLosingQueue) {
     text::Sentence twin_short = twin.sample_message("a", 0);
     twin_short.surface.pop_back();
     EXPECT_THROW(mirror.enqueue("a", "b", {twin_short}), Error);
-    EXPECT_THROW(mirror.transmit_at(twin.simulator().now() + 1.0, "a",
-                                    "nobody", {twin.sample_message("a", 0)},
-                                    [](std::size_t, std::size_t,
-                                       TransmitReport) {}),
-                 Error);
     mirror.flush([](std::size_t, std::size_t, TransmitReport) {});
     twin.simulator().run();
     EXPECT_EQ(systems_[0]->stats(), twin.stats());

@@ -211,12 +211,6 @@ TEST(Ops, ColumnSums) {
   EXPECT_TRUE(column_sums(t).equals(Tensor({3}, {5, 7, 9})));
 }
 
-TEST(Ops, MapAppliesElementwise) {
-  Tensor t({2}, {-1, 4});
-  const Tensor m = map(t, [](float x) { return x * x; });
-  EXPECT_TRUE(m.equals(Tensor({2}, {1, 16})));
-}
-
 // Property sweep: (A*B)^T == B^T * A^T over random shapes.
 class MatmulProperty : public ::testing::TestWithParam<int> {};
 

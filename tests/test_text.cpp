@@ -1,15 +1,15 @@
 // Unit tests for semcache::text — vocabulary, Zipf sampling, world
-// generation invariants (polysemy by construction), idiolects, tokenizer.
+// generation invariants (polysemy by construction), idiolects.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "common/check.hpp"
 #include "text/corpus.hpp"
 #include "text/idiolect.hpp"
-#include "text/tokenizer.hpp"
 #include "text/vocab.hpp"
 #include "text/zipf.hpp"
 
@@ -203,8 +203,11 @@ TEST_F(WorldTest, GenerationDeterministic) {
 TEST_F(WorldTest, RenderersRoundTripWords) {
   Rng rng(9);
   const Sentence s = world_->sample_sentence(1, rng);
-  const std::string text = world_->surface_to_string(s.surface);
-  const auto ids = tokenize(world_->surface_vocab(), text);
+  std::istringstream text(world_->surface_to_string(s.surface));
+  std::vector<std::int32_t> ids;
+  for (std::string word; text >> word;) {
+    ids.push_back(world_->surface_vocab().id(word));
+  }
   EXPECT_EQ(ids, s.surface);
 }
 
@@ -283,40 +286,6 @@ TEST(Idiolect, DeterministicForSameRng) {
   Idiolect a = Idiolect::generate(w1, icfg, i1);
   Idiolect b = Idiolect::generate(w2, icfg, i2);
   EXPECT_EQ(a.size(), b.size());
-}
-
-TEST(Tokenizer, SplitsAndLowercases) {
-  const auto words = split_words("Hello, World!  foo_bar");
-  EXPECT_EQ(words,
-            (std::vector<std::string>{"hello", "world", "foo_bar"}));
-}
-
-TEST(Tokenizer, EmptyAndPunctuationOnly) {
-  EXPECT_TRUE(split_words("").empty());
-  EXPECT_TRUE(split_words("!!! ,,, ...").empty());
-}
-
-TEST(Tokenizer, UnknownWordsBecomeUnk) {
-  Vocab v;
-  v.add("known");
-  const auto ids = tokenize(v, "known stranger");
-  EXPECT_EQ(ids.size(), 2u);
-  EXPECT_EQ(ids[1], Vocab::kUnk);
-}
-
-TEST(Tokenizer, DetokenizeInverse) {
-  Vocab v;
-  v.add("alpha");
-  v.add("beta");
-  const auto ids = tokenize(v, "alpha beta alpha");
-  EXPECT_EQ(detokenize(v, ids), "alpha beta alpha");
-}
-
-TEST(Tokenizer, PadTo) {
-  auto padded = pad_to({5, 6}, 4);
-  EXPECT_EQ(padded, (std::vector<std::int32_t>{5, 6, Vocab::kPad, Vocab::kPad}));
-  auto truncated = pad_to({1, 2, 3}, 2);
-  EXPECT_EQ(truncated.size(), 2u);
 }
 
 TEST(PseudoWord, DeterministicAndNonEmpty) {
