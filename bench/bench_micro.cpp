@@ -626,10 +626,10 @@ static void BM_Quantizer(benchmark::State& state) {
 }
 BENCHMARK(BM_Quantizer);
 
-// Args sweep the event count 100x: the timing wheel's per-event cost
-// (items_per_second) should stay near-flat where a binary heap degrades
-// with log n. Timestamps spread across ticks so scheduling exercises the
-// wheel levels, not just one sorted slot.
+// Schedules n events at distinct ascending times, then drains them. /1000
+// holds more events pending than any workload or bench reaches (the
+// largest measured peak is e10's 320, README "Event loop"); /100000 is a
+// stress row, about 300x that peak, where the heap's log n sift shows.
 static void BM_SimulatorEventLoop(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -357,8 +357,9 @@ class SemanticEdgeSystem {
                       std::function<void(std::size_t, TransmitReport)> on_done);
 
   /// Admission checks for one pair batch (non-empty, known users,
-  /// message lengths); throws semcache::Error on violation. The single
-  /// source of truth: transmit_pairs runs it wave-wide BEFORE any
+  /// message lengths, surface and meaning ids inside their vocabularies,
+  /// a domain the world has); throws semcache::Error on violation. The
+  /// single source of truth: transmit_pairs runs it wave-wide BEFORE any
   /// prepare so a rejected wave is side-effect-free, serve_degraded runs
   /// it on its batch, and ParallelDispatcher fails fast at enqueue time
   /// so a queued wave can never be lost to a validation throw mid-flush.

@@ -644,9 +644,27 @@ void SemanticEdgeSystem::validate_pair_batch(const PairBatch& batch) const {
   SEMCACHE_CHECK(!batch.messages.empty(), "transmit_pairs: empty pair batch");
   user(batch.sender);  // throws for unknown users
   user(batch.receiver);
+  // Everything a message indexes is checked here, before prepare counts it
+  // or touches a cache: the selector's count tables (surface ids), the
+  // general models under oracle selection (domain), and the mismatch and
+  // buffer targets (meanings).
+  const auto ids_below = [](const std::vector<std::int32_t>& ids,
+                            std::size_t vocab) {
+    return std::all_of(ids.begin(), ids.end(), [vocab](std::int32_t id) {
+      return id >= 0 && static_cast<std::size_t>(id) < vocab;
+    });
+  };
   for (const text::Sentence& message : batch.messages) {
     SEMCACHE_CHECK(message.surface.size() == config_.codec.sentence_length,
                    "transmit_pairs: message length must match codec window");
+    SEMCACHE_CHECK(message.meanings.size() == message.surface.size(),
+                   "transmit_pairs: one meaning per surface token");
+    SEMCACHE_CHECK(message.domain < world_.num_domains(),
+                   "transmit_pairs: unknown message domain");
+    SEMCACHE_CHECK(ids_below(message.surface, config_.codec.surface_vocab),
+                   "transmit_pairs: surface id outside the vocabulary");
+    SEMCACHE_CHECK(ids_below(message.meanings, config_.codec.meaning_vocab),
+                   "transmit_pairs: meaning id outside the vocabulary");
   }
 }
 

@@ -116,29 +116,6 @@ const Tensor& Tanh::backward(const Tensor& grad_out) {
   return dx_;
 }
 
-const Tensor& Sigmoid::forward(const Tensor& x) {
-  out_.resize(x.shape());
-  const float* px = x.data();
-  float* py = out_.data();
-  for (std::size_t i = 0; i < out_.size(); ++i) {
-    py[i] = 1.0f / (1.0f + std::exp(-px[i]));
-  }
-  return out_;
-}
-
-const Tensor& Sigmoid::backward(const Tensor& grad_out) {
-  SEMCACHE_CHECK(grad_out.same_shape(out_),
-                 "sigmoid: backward shape mismatch");
-  dx_.resize(grad_out.shape());
-  float* pd = dx_.data();
-  const float* pg = grad_out.data();
-  const float* py = out_.data();
-  for (std::size_t i = 0; i < dx_.size(); ++i) {
-    pd[i] = pg[i] * py[i] * (1.0f - py[i]);
-  }
-  return dx_;
-}
-
 LayerNorm::LayerNorm(std::size_t features, std::string name)
     : name_(std::move(name)),
       gain_(name_ + ".gain", Tensor::full({features}, 1.0f)),

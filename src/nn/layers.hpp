@@ -131,18 +131,6 @@ class Tanh : public Layer {
   Tensor dx_;
 };
 
-/// y = 1 / (1 + exp(-x)).
-class Sigmoid : public Layer {
- public:
-  const Tensor& forward(const Tensor& x) override;
-  const Tensor& backward(const Tensor& grad_out) override;
-  std::string name() const override { return "sigmoid"; }
-
- private:
-  Tensor out_;  // cached for backward: dsig = y (1 - y)
-  Tensor dx_;
-};
-
 /// Per-row layer normalization with learned gain/bias.
 class LayerNorm : public Layer {
  public:

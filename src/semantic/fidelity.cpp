@@ -4,17 +4,16 @@
 
 namespace semcache::semantic {
 
-namespace {
-FidelityReport evaluate_impl(SemanticCodec& codec,
-                             const std::function<Sample()>& next,
-                             std::size_t sentences) {
+FidelityReport evaluate_codec(SemanticCodec& codec, const text::World& world,
+                              std::size_t domain, std::size_t sentences,
+                              Rng& rng, const text::Idiolect* idiolect) {
   FidelityReport report;
   metrics::OnlineStats acc;
   metrics::OnlineStats bleu;
   metrics::OnlineStats loss;
   std::size_t exact = 0;
   for (std::size_t i = 0; i < sentences; ++i) {
-    const Sample s = next();
+    const Sample s = CodecTrainer::draw_sample(world, domain, idiolect, rng);
     loss.add(codec.forward_loss(s.surface, s.meanings));
     const auto decoded = codec.reconstruct(s.surface);
     acc.add(metrics::token_accuracy(s.meanings, decoded));
@@ -29,23 +28,6 @@ FidelityReport evaluate_impl(SemanticCodec& codec,
                      : static_cast<double>(exact) / static_cast<double>(sentences);
   report.sentences = sentences;
   return report;
-}
-}  // namespace
-
-FidelityReport evaluate_codec(SemanticCodec& codec, const text::World& world,
-                              std::size_t domain, std::size_t sentences,
-                              Rng& rng, const text::Idiolect* idiolect) {
-  return evaluate_impl(
-      codec,
-      [&] { return CodecTrainer::draw_sample(world, domain, idiolect, rng); },
-      sentences);
-}
-
-FidelityReport evaluate_on_samples(SemanticCodec& codec,
-                                   std::span<const Sample> samples) {
-  std::size_t i = 0;
-  return evaluate_impl(
-      codec, [&]() -> Sample { return samples[i++]; }, samples.size());
 }
 
 }  // namespace semcache::semantic

@@ -25,8 +25,4 @@ FidelityReport evaluate_codec(SemanticCodec& codec, const text::World& world,
                               Rng& rng,
                               const text::Idiolect* idiolect = nullptr);
 
-/// Evaluate reconstruction over a fixed sample set.
-FidelityReport evaluate_on_samples(SemanticCodec& codec,
-                                   std::span<const Sample> samples);
-
 }  // namespace semcache::semantic

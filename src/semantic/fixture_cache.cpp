@@ -121,6 +121,7 @@ std::optional<TrainStats> FixtureCache::try_load(std::uint64_t key,
     if (!is) return std::nullopt;
     auto staged = codec.clone();
     staged->parameters().deserialize(r);
+    if (!r.exhausted()) return std::nullopt;  // trailing bytes: not ours
     codec.parameters().copy_values_from(staged->parameters());
     rng.engine() = engine;
     return stats;

@@ -355,28 +355,11 @@ Tensor sub(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor mul(const Tensor& a, const Tensor& b) {
-  require_same_shape(a, b, "mul");
-  Tensor c = a;
-  float* pc = c.data();
-  const float* pb = b.data();
-  for (std::size_t i = 0; i < c.size(); ++i) pc[i] *= pb[i];
-  return c;
-}
-
 Tensor scale(const Tensor& a, float s) {
   Tensor c = a;
   float* pc = c.data();
   for (std::size_t i = 0; i < c.size(); ++i) pc[i] *= s;
   return c;
-}
-
-Tensor& add_inplace(Tensor& a, const Tensor& b) {
-  require_same_shape(a, b, "add_inplace");
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (std::size_t i = 0; i < a.size(); ++i) pa[i] += pb[i];
-  return a;
 }
 
 Tensor& axpy_inplace(Tensor& a, const Tensor& b, float s) {
@@ -619,13 +602,6 @@ float dot(const Tensor& a, const Tensor& b) {
 }
 
 float l2_norm(const Tensor& a) { return std::sqrt(dot(a, a)); }
-
-Tensor column_sums(const Tensor& a) {
-  SEMCACHE_CHECK(a.rank() == 2, "column_sums: rank-2 required");
-  Tensor out({a.dim(1)});
-  column_sums_acc(out, a);
-  return out;
-}
 
 void column_sums_acc(Tensor& out, const Tensor& a) {
   SEMCACHE_CHECK(a.rank() == 2, "column_sums_acc: rank-2 required");

@@ -19,12 +19,8 @@ namespace semcache::tensor {
 Tensor add(const Tensor& a, const Tensor& b);
 /// c = a - b (same shape).
 Tensor sub(const Tensor& a, const Tensor& b);
-/// c = a ⊙ b, element-wise product (same shape).
-Tensor mul(const Tensor& a, const Tensor& b);
 /// c = a * s.
 Tensor scale(const Tensor& a, float s);
-/// a += b (same shape), returns a reference to a.
-Tensor& add_inplace(Tensor& a, const Tensor& b);
 /// a += b * s (same shape); fused scale-accumulate for optimizers.
 Tensor& axpy_inplace(Tensor& a, const Tensor& b, float s);
 
@@ -100,8 +96,6 @@ float dot(const Tensor& a, const Tensor& b);
 /// L2 norm over all elements.
 float l2_norm(const Tensor& a);
 
-/// Sum rows of a rank-2 tensor into a rank-1 tensor of length cols.
-Tensor column_sums(const Tensor& a);
 /// out += column sums of a (out must be rank-1 of length a.dim(1)).
 void column_sums_acc(Tensor& out, const Tensor& a);
 

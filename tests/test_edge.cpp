@@ -453,16 +453,16 @@ TEST(LinkOutage, ShuffledOverlappingWindowsMatchBruteForceUnion) {
 }
 
 TEST(Simulator, FarHorizonAndClampedTimersRunInOrder) {
-  // Timers beyond the wheel horizon (the overflow far list) and beyond
-  // the tick clamp must still execute in exact (time, seq) order,
-  // interleaved with near-term work and with re-entrant scheduling after
-  // the cursor has jumped far ahead.
+  // Timers far in the future (1e9 s) and farther still (5e12 s, where
+  // adjacent doubles are ~1 ms apart) must still execute in exact
+  // (time, seq) order, interleaved with near-term work and with
+  // re-entrant scheduling at the current instant.
   Simulator sim;
   std::vector<int> order;
   const auto mark = [&order](int id) { return [&order, id] { order.push_back(id); }; };
-  sim.schedule_at(5e12 + 2.0, mark(7));  // clamp region (tick >= 2^62)
+  sim.schedule_at(5e12 + 2.0, mark(7));  // farthest: runs last
   sim.schedule_at(1e-3, mark(1));
-  sim.schedule_at(1e9, mark(4));  // far beyond the 64^8-tick horizon
+  sim.schedule_at(1e9, mark(4));  // far future, ahead of the 5e12 pair
   sim.schedule_at(5e12 + 1.0, mark(6));
   sim.schedule_at(1e9, mark(5));  // same far instant: scheduling order
   sim.schedule_at(0.0, mark(0));

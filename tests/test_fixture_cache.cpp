@@ -7,6 +7,8 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "semantic/fixture_cache.hpp"
 #include "semantic/trainer.hpp"
@@ -143,22 +145,35 @@ TEST_F(FixtureCacheTest, CorruptFileFallsBackToTraining) {
   SemanticCodec a(cc, init_a);
   Rng train_a(22);
   CodecTrainer::pretrain_domain(a, world, 0, tc, train_a);
+  const std::filesystem::path fixture =
+      std::filesystem::directory_iterator(dir_)->path();
+  const auto valid_size = std::filesystem::file_size(fixture);
 
-  // Truncate every fixture file mid-parameter-block: magic, version,
-  // stats, and the RNG state all parse, so the loader reaches (and must
-  // survive) a failing weight deserialize without clobbering the codec.
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    std::filesystem::resize_file(entry.path(),
-                                 std::filesystem::file_size(entry.path()) - 16);
+  // Two corruptions of the stored fixture, each followed by a retrain:
+  //  - truncated mid-parameter-block: magic, version, stats, and the RNG
+  //    state all parse, so the loader reaches (and must survive) a failing
+  //    weight deserialize without clobbering the codec;
+  //  - 16 bytes appended after a complete parameter block: every field
+  //    parses, and only the trailing bytes mark the file as not ours.
+  // Either way the retrain stores a fresh fixture over the corrupt one.
+  for (const bool append : {false, true}) {
+    if (append) {
+      std::ofstream(fixture, std::ios::binary | std::ios::app)
+          << std::string(16, 'x');
+    } else {
+      std::filesystem::resize_file(fixture, valid_size - 16);
+    }
+
+    Rng init_b(11);
+    SemanticCodec b(cc, init_b);
+    Rng train_b(22);
+    const TrainStats stats =
+        CodecTrainer::pretrain_domain(b, world, 0, tc, train_b);
+    EXPECT_EQ(stats.steps, tc.steps);  // really trained, not a bogus hit
+    EXPECT_TRUE(a.parameters().values_equal(b.parameters()));
+    EXPECT_EQ(std::filesystem::file_size(fixture), valid_size)
+        << (append ? "appended" : "truncated") << " fixture not rewritten";
   }
-
-  Rng init_b(11);
-  SemanticCodec b(cc, init_b);
-  Rng train_b(22);
-  const TrainStats stats =
-      CodecTrainer::pretrain_domain(b, world, 0, tc, train_b);
-  EXPECT_EQ(stats.steps, tc.steps);  // really trained, not a bogus hit
-  EXPECT_TRUE(a.parameters().values_equal(b.parameters()));
 }
 
 }  // namespace

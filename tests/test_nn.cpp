@@ -98,7 +98,6 @@ void check_activation_input_grad() {
 
 TEST(GradCheck, ReluInput) { check_activation_input_grad<ReLU>(); }
 TEST(GradCheck, TanhInput) { check_activation_input_grad<Tanh>(); }
-TEST(GradCheck, SigmoidInput) { check_activation_input_grad<Sigmoid>(); }
 
 TEST(GradCheck, LayerNormParamsAndInput) {
   Rng rng(4);

@@ -392,20 +392,6 @@ TEST_F(TrainingTest, FinetuneRejectsEmptyBuffer) {
   EXPECT_THROW(CodecTrainer::finetune(codec, {}, 1, 1e-3, frng), Error);
 }
 
-TEST_F(TrainingTest, EvaluateOnSamplesMatchesDrawLoop) {
-  Rng rng(37);
-  SemanticCodec codec(codec_config(), rng);
-  std::vector<Sample> samples;
-  Rng srng(38);
-  for (int i = 0; i < 20; ++i) {
-    samples.push_back(CodecTrainer::draw_sample(*world_, 0, nullptr, srng));
-  }
-  const auto report = evaluate_on_samples(codec, samples);
-  EXPECT_EQ(report.sentences, 20u);
-  EXPECT_GE(report.token_accuracy, 0.0);
-  EXPECT_LE(report.token_accuracy, 1.0);
-}
-
 TEST_F(TrainingTest, QuantizationAwareTrainingHelps) {
   // Train two codecs, one with QAT noise at the 3-bit quantizer scale, and
   // compare accuracy through the coarse quantizer.

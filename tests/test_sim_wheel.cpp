@@ -1,10 +1,9 @@
-// Randomized equivalence fuzz: the timing-wheel Simulator against a
-// reference reimplementation of the pre-wheel binary-heap event queue
-// (std::priority_queue ordered by (time, seq), the exact code the wheel
-// replaced). Random schedules of ordinary events mix duplicate
-// timestamps, sub-tick spacings, far-horizon and clamp-region times,
-// re-entrant scheduling from handlers, and run_until boundaries including
-// the past-target clamp — asserting identical execution order (the full
+// Randomized equivalence fuzz: edge::Simulator against an independent
+// reference event queue (std::priority_queue ordered by (time, seq)).
+// Random schedules of ordinary events mix duplicate timestamps,
+// sub-microsecond spacings, times from 0 to past 5e12 s, re-entrant
+// scheduling from handlers, and run_until boundaries including the
+// past-target clamp — asserting identical execution order (the full
 // trace) and identical processed()/pending() counts at every checkpoint.
 #include <gtest/gtest.h>
 
@@ -22,8 +21,8 @@
 namespace semcache {
 namespace {
 
-// The pre-wheel event queue, verbatim semantics: non-destructive
-// priority_queue top (events COPY out), (t, seq) ordering.
+// The reference event queue: a non-destructive priority_queue top (events
+// COPY out), (t, seq) ordering — the contract spelled a second way.
 class ReferenceSimulator {
  public:
   using Handler = std::function<void()>;
@@ -127,19 +126,18 @@ class Driver {
   static double root_time(std::uint64_t r) {
     const std::uint64_t v = (r >> 8) % 5;
     switch (r % 7) {
-      case 0:  // sub-tick spacing inside tick 0
+      case 0:  // sub-microsecond spacings just after t = 0
         return static_cast<double>(v) * 1e-7;
       case 1:  // duplicate-heavy msec grid
         return static_cast<double>(v) * 1e-3;
       case 2:  // one shared instant
         return 0.25e-3;
-      case 3:  // far beyond the wheel horizon (tick ~1e15 > 64^8)
+      case 3:  // far future, 1e9 s: long jumps of the clock
         return 1e9 + static_cast<double>(v);
-      case 4:  // clamp region (tick >= 2^62)
+      case 4:  // 5e12 s and up, where adjacent doubles are ~1 ms apart
         return 5e12 + static_cast<double>(v) * 1e11;
-      case 5:  // last tick of consecutive level-0 slots (tick 63 mod 64):
-               // draining one makes `cursor_ = tick + 1` CARRY into a new
-               // higher-level slot, the hole the cascade pre-pass plugs
+      case 5:  // 63 us + k * 64 us: parents whose 27 us children (below)
+               // land behind roots queued in between
         return 63e-6 + static_cast<double>(v) * 64e-6;
       default:
         return static_cast<double>(v) * 0.37e-4;
@@ -160,9 +158,9 @@ class Driver {
     const int n = static_cast<int>(splitmix64(s) % 3);
     for (int c = 0; c < n; ++c) {
       const std::uint64_t r = splitmix64(s);
-      // 27e-6 from a tick-63-mod-64 parent lands a fresh level-0 event in
-      // the slot window the carry just entered, ahead of anything still
-      // parked at higher levels — the re-entrant shape of the carry bug.
+      // 27e-6 from a case-5 parent schedules a child behind older roots
+      // already queued between the two (case 6's 74 us and 148 us): a
+      // re-entrant event must not overtake queued work.
       static constexpr double kDts[] = {0.0,  1e-7, 2.5e-7, 27e-6,
                                         1e-3, 0.05, 1.0};
       const long long id = next_child_++;
@@ -202,10 +200,11 @@ TEST(SimWheelFuzz, MatchesHeapReferenceAcrossSeeds) {
   }
 }
 
-// The wheel must also be exactly self-consistent under a dense many-timer
-// load that spans every level: 20k timers at random times over 11 orders
-// of magnitude execute in nondecreasing time order with ties in
-// scheduling order, and every one runs exactly once.
+// The simulator must also be exactly self-consistent under a dense
+// many-timer load, 60x the largest pending set any workload reaches: 20k
+// timers at random times over 11 orders of magnitude execute in
+// nondecreasing time order with ties in scheduling order, and every one
+// runs exactly once.
 TEST(SimWheelFuzz, DenseRandomScheduleRunsInOrder) {
   edge::Simulator sim;
   std::mt19937_64 rng(7);
@@ -234,16 +233,10 @@ TEST(SimWheelFuzz, DenseRandomScheduleRunsInOrder) {
   }
 }
 
-// Regression for the level-0 carry hole: draining tick 63 sets the cursor
-// to 64 — entering a new level-1 slot — without passing through the
-// cascade path, so an event already parked in that slot (A@74 ticks,
-// inserted while the cursor was still in the previous window) stayed at
-// level 1. An event the tick-63 handler then schedules into the new
-// window (B@90 ticks, level 0 relative to cursor 64) must not overtake
-// it; pre-fix the wheel ran B before A, then re-bucketed stale A below
-// the cursor and aborted with "pending count out of sync". Handler-driven
-// rescheduling is exactly Link's delivery-chain shape, so this ordering
-// is load-bearing, not a corner case.
+// A handler (X at 63.5 us) schedules B at 90 us while A, scheduled
+// earlier, waits at 74 us: the re-entrant B must run after A, not ahead
+// of it. Handler-driven rescheduling is exactly Link's delivery-chain
+// shape, so this ordering is load-bearing, not a corner case.
 TEST(SimWheelFuzz, CarryIntoOccupiedHigherSlotCascadesBeforeLevel0) {
   edge::Simulator sim;
   std::vector<char> order;

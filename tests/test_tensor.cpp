@@ -104,12 +104,11 @@ TEST(Tensor, SerializeRoundTrip) {
   EXPECT_TRUE(t.equals(u));
 }
 
-TEST(Ops, AddSubMulScale) {
+TEST(Ops, AddSubScale) {
   Tensor a({2}, {1, 2});
   Tensor b({2}, {10, 20});
   EXPECT_TRUE(add(a, b).equals(Tensor({2}, {11, 22})));
   EXPECT_TRUE(sub(b, a).equals(Tensor({2}, {9, 18})));
-  EXPECT_TRUE(mul(a, b).equals(Tensor({2}, {10, 40})));
   EXPECT_TRUE(scale(a, -2.0f).equals(Tensor({2}, {-2, -4})));
 }
 
@@ -117,14 +116,11 @@ TEST(Ops, ShapeMismatchThrows) {
   Tensor a({2});
   Tensor b({3});
   EXPECT_THROW(add(a, b), Error);
-  EXPECT_THROW(mul(a, b), Error);
 }
 
 TEST(Ops, InplaceVariants) {
-  Tensor a({2}, {1, 1});
+  Tensor a({2}, {3, 4});
   Tensor b({2}, {2, 3});
-  add_inplace(a, b);
-  EXPECT_TRUE(a.equals(Tensor({2}, {3, 4})));
   axpy_inplace(a, b, -1.0f);
   EXPECT_TRUE(a.equals(Tensor({2}, {1, 1})));
 }
@@ -208,7 +204,11 @@ TEST(Ops, Reductions) {
 
 TEST(Ops, ColumnSums) {
   Tensor t({2, 3}, {1, 2, 3, 4, 5, 6});
-  EXPECT_TRUE(column_sums(t).equals(Tensor({3}, {5, 7, 9})));
+  Tensor sums({3});
+  column_sums_acc(sums, t);
+  EXPECT_TRUE(sums.equals(Tensor({3}, {5, 7, 9})));
+  column_sums_acc(sums, t);  // accumulates onto what is there
+  EXPECT_TRUE(sums.equals(Tensor({3}, {10, 14, 18})));
 }
 
 // Property sweep: (A*B)^T == B^T * A^T over random shapes.

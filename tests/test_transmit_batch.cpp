@@ -278,6 +278,21 @@ TEST_F(TransmitBatchTest, ValidationErrors) {
   const auto msg = bat_->sample_message("a", 0);
   EXPECT_THROW(bat_->transmit_many("a", "b", {msg}, nullptr), Error);
   EXPECT_THROW(bat_->transmit_many("a", "nobody", {msg}, noop), Error);
+  // A surface of the right length, but a short meanings vector, or an id or
+  // a domain outside the world: refused up front, never counted, cached or
+  // served.
+  const std::size_t surface_vocab = bat_->config().codec.surface_vocab;
+  const std::size_t meaning_vocab = bat_->config().codec.meaning_vocab;
+  std::vector<text::Sentence> out_of_range(6, msg);
+  out_of_range[0].surface[1] = static_cast<std::int32_t>(surface_vocab);
+  out_of_range[1].surface[0] = -1;
+  out_of_range[2].meanings.pop_back();
+  out_of_range[3].meanings[2] = static_cast<std::int32_t>(meaning_vocab);
+  out_of_range[4].meanings[0] = -1;
+  out_of_range[5].domain = bat_->world().num_domains();
+  for (const text::Sentence& bad_id : out_of_range) {
+    EXPECT_THROW(bat_->transmit_many("a", "b", {bad_id}, noop), Error);
+  }
   // Re-mirror the twins: bat_ consumed one sample_message draw above.
   (void)seq_->sample_message("a", 0);
   EXPECT_EQ(seq_->stats(), bat_->stats());
