@@ -626,16 +626,20 @@ static void BM_Quantizer(benchmark::State& state) {
 }
 BENCHMARK(BM_Quantizer);
 
-// Schedules n events at distinct ascending times, then drains them. /1000
-// holds more events pending than any workload or bench reaches (the
-// largest measured peak is e10's 320, README "Event loop"); /100000 is a
-// stress row, about 300x that peak, where the heap's log n sift shows.
+// Schedules n events at distinct times in a fixed scrambled order, then
+// drains them. The times interleave with those already queued, as the
+// serving drain's do, so pushes sift as well as pops (ascending times
+// would stop every push at a leaf). 7919 is prime and coprime to both n,
+// so (i * 7919) mod n visits every slot once. /1000 holds more events
+// pending than any workload or bench reaches (the largest measured peak
+// is e10's 320, README "Event loop"); /100000 is a stress row, about 300x
+// that peak, where the heap's log n sift shows.
 static void BM_SimulatorEventLoop(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+  const std::int64_t n = state.range(0);
   for (auto _ : state) {
     edge::Simulator sim;
-    for (int i = 0; i < n; ++i) {
-      sim.schedule_at(static_cast<double>(i) * 1e-3, [] {});
+    for (std::int64_t i = 0; i < n; ++i) {
+      sim.schedule_at(static_cast<double>((i * 7919) % n) * 1e-3, [] {});
     }
     sim.run();
     benchmark::DoNotOptimize(sim.processed());

@@ -92,6 +92,11 @@ std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
   }
 
   sys->pretrain_models();
+  semantic::SemanticCodec& codec = sys->general_model(0);
+  sys->encode_flops_ =
+      2.0 * static_cast<double>(codec.encoder().parameters().scalar_count());
+  sys->decode_flops_ =
+      2.0 * static_cast<double>(codec.decoder().parameters().scalar_count());
 
   // Warm every edge cache with every general model (step ① of Fig. 1:
   // the edge caches both general encoders and decoder copies — one codec

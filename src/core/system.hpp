@@ -79,9 +79,11 @@ struct SystemConfig {
   /// is at the same sync version as the receiver replica (so their weights
   /// are byte-identical by the sync protocol's invariant), the receiver's
   /// logits ARE the decoder-copy logits — the mismatch (③) is computed
-  /// from them directly, skipping a full decoder forward per message.
-  /// Results are bit-identical either way (test_transmit_batch pins this);
-  /// disable only to measure or debug the full decoder-copy pass.
+  /// from them directly, skipping a decoder forward per message. Every
+  /// other message takes the chunk's one batched decoder-copy pass. Off
+  /// sends every message through that pass: the reference the
+  /// MismatchReuse tests compare against. Results are bit-identical
+  /// either way.
   bool mismatch_reuse = true;
 
   /// Deterministic fault injection (core::FaultPlane): sync-message loss /
@@ -458,8 +460,8 @@ class SemanticEdgeSystem {
   // --- the pair wave (every serving entry point runs these phases) ---
   /// Selection for message `i` of the task, then — unless the task is
   /// degraded — general-cache touches and user-slot establishment; fills
-  /// the corresponding report fields and returns the selected domain.
-  std::size_t prepare_message(PairTask& task, std::size_t i);
+  /// the corresponding report fields, the selected domain among them.
+  void prepare_message(PairTask& task, std::size_t i);
   /// Eager data plane for domain group `group` of the task: batched
   /// encode/quantize/channel/decode plus the per-message mismatch, buffer
   /// add, and update trigger, split into chunks at the exact messages
@@ -477,14 +479,14 @@ class SemanticEdgeSystem {
   void compute_pair(PairTask& task);
   /// Phase 3 (calling thread, pair order): fold the pair-local sinks into
   /// the global stats, ship deferred gradient syncs, schedule deliveries.
-  void commit_pair(PairTask& task, const PairDone& on_done);
+  void commit_pair(PairTask& task,
+                   const std::shared_ptr<const PairDone>& on_done);
   /// Timing-plane event chain (uplink -> encode -> backbone -> decode ->
-  /// downlink) for one message; `deliver` fires at the receiver device.
-  void schedule_delivery(const UserProfile& sprofile,
-                         const UserProfile& rprofile, std::size_t domain,
-                         const text::Sentence& message,
-                         std::shared_ptr<TransmitReport> report,
-                         std::function<void(TransmitReport)> deliver);
+  /// downlink) for message `index` of the task; the chain takes the
+  /// message's report out of the task and hands it to `on_done` at the
+  /// receiver device.
+  void schedule_delivery(PairTask& task, std::size_t index,
+                         std::shared_ptr<const PairDone> on_done);
 
   SystemConfig config_;
   Rng rng_;
@@ -503,6 +505,10 @@ class SemanticEdgeSystem {
   std::unique_ptr<semantic::FeatureQuantizer> quantizer_;
   std::unique_ptr<channel::ChannelPipeline> pipeline_;
   std::unique_ptr<fl::ModelSynchronizer> synchronizer_;
+  /// Edge compute a delivery charges: 2 flops per encoder (decoder)
+  /// weight. Set once in build(); every codec has config_.codec's shape.
+  double encode_flops_ = 0.0;
+  double decode_flops_ = 0.0;
 
   edge::Simulator sim_;
   edge::StandardTopology topology_;

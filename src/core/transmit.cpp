@@ -83,8 +83,8 @@ struct SemanticEdgeSystem::PairTask {
   EdgeServerState* rstate = nullptr;
   bool cross_edge = false;
   std::uint64_t base_message_index = 0;
-  std::vector<std::size_t> domains;
-  std::vector<std::shared_ptr<TransmitReport>> reports;
+  /// One per message, moved into its delivery chain at commit.
+  std::vector<TransmitReport> reports;
   // Selected-domain grouping (first-appearance order).
   std::vector<std::size_t> group_domains;
   std::vector<std::vector<std::size_t>> groups;
@@ -323,10 +323,9 @@ void SemanticEdgeSystem::set_sync_loss_probability(double p) {
   fault_plane_ = FaultPlane(config_.faults);
 }
 
-std::size_t SemanticEdgeSystem::prepare_message(PairTask& task,
-                                                std::size_t i) {
+void SemanticEdgeSystem::prepare_message(PairTask& task, std::size_t i) {
   const text::Sentence& message = task.batch.messages[i];
-  TransmitReport& report = *task.reports[i];
+  TransmitReport& report = task.reports[i];
   report.domain_true = message.domain;
   report.degraded = task.degraded;
 
@@ -339,7 +338,7 @@ std::size_t SemanticEdgeSystem::prepare_message(PairTask& task,
   if (!report.selection_correct) ++stats_.selection_errors;
   // Degraded serving stops here: it touches no cache and establishes no
   // slot (compute_pair serves it from the frozen general).
-  if (task.degraded) return m;
+  if (task.degraded) return;
 
   // --- General models through the edge caches (①). ---
   EdgeServerState& sstate = *task.sstate;
@@ -364,7 +363,6 @@ std::size_t SemanticEdgeSystem::prepare_message(PairTask& task,
         std::max(config_.buffer_capacity, config_.buffer_trigger));
   }
   rstate.ensure_slot(sender, m, [&] { return general_models_[m]; });
-  return m;
 }
 
 void SemanticEdgeSystem::process_domain_group(PairTask& task,
@@ -374,13 +372,16 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
   const std::size_t m = task.group_domains[group];
   const std::vector<std::size_t>& indices = task.groups[group];
   const std::vector<text::Sentence>& messages = task.batch.messages;
-  const std::vector<std::shared_ptr<TransmitReport>>& reports = task.reports;
+  std::vector<TransmitReport>& reports = task.reports;
   const std::size_t length = config_.codec.sentence_length;
   const std::size_t vocab = config_.codec.meaning_vocab;
+  const std::size_t dims = config_.codec.feature_dim;
 
   nn::SoftmaxCrossEntropy ce;
   tensor::Tensor slice;  // one message's logits (L x V)
   std::vector<std::int32_t> surfaces;
+  std::vector<std::size_t> copy_rows;  // chunk rows the decoder copy decodes
+  tensor::Tensor copy_features;        // their feature rows, gathered
 
   std::size_t pos = 0;
   while (pos < indices.size()) {
@@ -403,7 +404,7 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
                       message.surface.end());
     }
     // Valid until this encoder's next encode, which happens only after
-    // this chunk (the mismatch pass reads it through roundtrip_batch).
+    // this chunk (the decoder-copy pass gathers its rows from it).
     //
     // serving_codec is resolved per chunk, not hoisted: the update trigger
     // at a chunk boundary may MATERIALIZE the sender slot (copy-on-write),
@@ -434,49 +435,37 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
       received = payloads;
     }
     const tensor::Tensor rx_features = quantizer_->dequantize_batch(received);
-    // Keep the receiver logits alive past the argmax: the mismatch-reuse
-    // fast path below reads per-message row slices out of them.
+    // Keep the receiver logits alive past the argmax: the mismatch reads
+    // per-message row slices out of them.
     const tensor::Tensor& rx_logits =
         serving_codec(rslot, m).decoder().decode_logits_batch(rx_features);
     const std::vector<std::int32_t> decoded = tensor::row_argmax(rx_logits);
 
-    // --- Mismatch calculation (③). With the decoder copy the sender can
-    // evaluate its own clean quantized features locally; without it, the
+    // --- Mismatch calculation (③). With the decoder copy the sender
+    // evaluates its own clean quantized features locally; without it, the
     // receiver must return its decoded output ("sending the output back
     // would defeat the purpose", §II-C).
     //
-    // Fast path (mismatch_reuse): replicas at the same sync version are
-    // byte-identical, so for every message whose payload crossed the
-    // channel intact the receiver logits already ARE the decoder-copy
-    // logits — no second decoder forward. Messages the channel corrupted
-    // (rare at serving SNRs) fall back to a single-row decoder-copy pass.
+    // The decoder copy's logits come from one of two sources. Replicas at
+    // the same sync version are byte-identical, so for a message whose
+    // payload crossed the channel intact the receiver logits already ARE
+    // the decoder-copy logits (mismatch_reuse). Every other row — a
+    // corrupted payload, out-of-sync replicas, or any row at all with
+    // mismatch_reuse off — joins one batched decoder-copy pass over its
+    // clean feature row below. Batched rows equal single rows, so the
+    // split never changes a bit.
     const bool replicas_synced =
         &sslot == &rslot ||
         sslot.send_version == rslot.recv_version.current();
-    const bool reuse = config_.decoder_copy_enabled &&
-                       config_.mismatch_reuse && replicas_synced;
-    const tensor::Tensor* copy_logits = nullptr;
-    if (config_.decoder_copy_enabled && !reuse) {
-      const tensor::Tensor clean = quantizer_->roundtrip_batch(features);
-      // Note: sslot and rslot may alias the same decoder (intra-edge, or
-      // both copy-on-write slots routed to one serving replica); the
-      // decoded ids above are already copied out, so overwriting its
-      // logits buffer here is safe (rx_logits is not read again on this
-      // branch).
-      copy_logits = &serving_codec(sslot, m).decoder().decode_logits_batch(clean);
-    }
+    const bool reuse = config_.mismatch_reuse && replicas_synced;
 
     // ---- Per-message outcome assembly: report fields and the mismatch
-    // CE, pure functions of (message, batch outputs). The reuse fallback
-    // for channel-corrupted messages needs a decoder forward that may
-    // overwrite rx_logits (sslot and rslot can share a serving replica),
-    // so it is only FLAGGED here and computed in the commit loop below,
-    // after every rx_logits slice has been read. ----
-    std::vector<std::uint8_t> wants_copy_fallback(chunk, 0);
+    // of every row the receiver logits serve. ----
+    copy_rows.clear();
     for (std::size_t j = 0; j < chunk; ++j) {
       const std::size_t idx = indices[pos + j];
       const text::Sentence& message = messages[idx];
-      TransmitReport& report = *reports[idx];
+      TransmitReport& report = reports[idx];
 
       report.decoded_meanings.assign(
           decoded.begin() + static_cast<std::ptrdiff_t>(j * length),
@@ -490,122 +479,99 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
             pipeline_->code().encoded_length(payloads[j].size());
       }
 
-      if (config_.decoder_copy_enabled) {
-        if (reuse && received[j] == payloads[j]) {
-          // Clean payload + synced replicas: rx_logits rows j*L..(j+1)*L
-          // are bit-identical to what the decoder copy would produce.
-          slice.resize({length, vocab});
-          std::memcpy(slice.data(), rx_logits.data() + j * length * vocab,
-                      length * vocab * sizeof(float));
-          report.mismatch = ce.forward(slice, message.meanings);
-        } else if (reuse) {
-          // Channel-corrupted message: the mismatch is defined on the
-          // decoder copy's view of the CLEAN features, which the corrupted
-          // receiver logits are not. Deferred to the commit loop.
-          wants_copy_fallback[j] = 1;
-        } else {
-          slice.resize({length, vocab});
-          std::memcpy(slice.data(), copy_logits->data() + j * length * vocab,
-                      length * vocab * sizeof(float));
-          report.mismatch = ce.forward(slice, message.meanings);
-        }
-      } else {
+      if (!config_.decoder_copy_enabled) {
         report.output_return_bytes =
             kHeaderBytes + kTokenBytes * report.decoded_meanings.size();
         // Error-rate proxy computed from the returned output.
         report.mismatch = 1.0 - report.token_accuracy;
+      } else if (reuse && received[j] == payloads[j]) {
+        slice.resize({length, vocab});
+        std::memcpy(slice.data(), rx_logits.data() + j * length * vocab,
+                    length * vocab * sizeof(float));
+        report.mismatch = ce.forward(slice, message.meanings);
+      } else {
+        copy_rows.push_back(j);
       }
     }
 
-    // ---- Commit, in arrival order within the chunk: fallback decoder
-    // passes, buffers, stats. ----
+    // ---- The decoder-copy pass, after the last rx_logits read: sslot and
+    // rslot may share one decoder (intra-edge, or two aliased slots routed
+    // to the same serving replica), whose next forward overwrites the
+    // buffer rx_logits refers to. ----
+    if (!copy_rows.empty()) {
+      copy_features.resize({copy_rows.size(), dims});
+      for (std::size_t k = 0; k < copy_rows.size(); ++k) {
+        std::memcpy(copy_features.data() + k * dims,
+                    features.data() + copy_rows[k] * dims,
+                    dims * sizeof(float));
+      }
+      const tensor::Tensor& copy_logits =
+          serving_codec(sslot, m).decoder().decode_logits_batch(
+              quantizer_->roundtrip_batch(copy_features));
+      for (std::size_t k = 0; k < copy_rows.size(); ++k) {
+        const std::size_t idx = indices[pos + copy_rows[k]];
+        slice.resize({length, vocab});
+        std::memcpy(slice.data(), copy_logits.data() + k * length * vocab,
+                    length * vocab * sizeof(float));
+        reports[idx].mismatch = ce.forward(slice, messages[idx].meanings);
+      }
+    }
+
+    // ---- Commit, in arrival order within the chunk: buffers, stats. ----
     for (std::size_t j = 0; j < chunk; ++j) {
       const std::size_t idx = indices[pos + j];
       const text::Sentence& message = messages[idx];
-      TransmitReport& report = *reports[idx];
-
-      if (wants_copy_fallback[j]) {
-        // Evaluate this one clean feature row through the decoder copy.
-        // Safe even when the copy shares a serving replica with the
-        // receiver side: the assembly loop above already consumed every
-        // rx_logits slice, so nothing reads that buffer again.
-        tensor::Tensor row({1, config_.codec.feature_dim});
-        std::memcpy(row.data(), features.data() + j * row.size(),
-                    row.size() * sizeof(float));
-        const tensor::Tensor clean = quantizer_->roundtrip(row);
-        const tensor::Tensor logits =
-            serving_codec(sslot, m).decoder().decode_logits(clean);
-        report.mismatch = ce.forward(logits, message.meanings);
-      }
-      if (!config_.decoder_copy_enabled) {
-        task.stats_delta.output_return_bytes += report.output_return_bytes;
-      }
+      const TransmitReport& report = reports[idx];
       if (sslot.buffer != nullptr) {
         sslot.buffer->add({message.surface, message.meanings},
                           report.mismatch);
       }
       task.stats_delta.feature_bytes += report.payload_bytes;
+      task.stats_delta.output_return_bytes += report.output_return_bytes;
     }
 
     // --- Update trigger (④): fires on the chunk's last message, exactly
     // where the sequential path fires it. ---
     if (sslot.buffer != nullptr && sslot.buffer->ready()) {
-      run_update(task, m, sslot, *reports[indices[pos + chunk - 1]]);
+      run_update(task, m, sslot, reports[indices[pos + chunk - 1]]);
     }
     pos += chunk;
   }
 }
 
 void SemanticEdgeSystem::schedule_delivery(
-    const UserProfile& sprofile, const UserProfile& rprofile,
-    std::size_t domain, const text::Sentence& message,
-    std::shared_ptr<TransmitReport> report,
-    std::function<void(TransmitReport)> deliver) {
-  const bool cross_edge = sprofile.edge_index != rprofile.edge_index;
+    PairTask& task, std::size_t index,
+    std::shared_ptr<const PairDone> on_done) {
+  TransmitReport& report = task.reports[index];
+  const bool cross_edge = task.cross_edge;
   const double start_time = sim_.now();
-  const std::size_t up_bytes = raw_message_bytes(message);
+  const std::size_t up_bytes = raw_message_bytes(task.batch.messages[index]);
   const std::size_t down_bytes =
-      kHeaderBytes + kTokenBytes * report->decoded_meanings.size();
+      kHeaderBytes + kTokenBytes * report.decoded_meanings.size();
+  const std::size_t payload_bytes = report.payload_bytes;
   stats_.uplink_bytes += up_bytes;
   stats_.downlink_bytes += down_bytes;
 
   edge::Network& net = *topology_.net;
-  // Degraded serves never establish slots, so the compute cost falls back
-  // to the frozen general's parameter shape (identical to any aliased
-  // slot model — the fallback changes nothing for healthy serving).
-  UserModelSlot* sslot =
-      edge_state(sprofile.edge_index).find_slot(sprofile.name, domain);
-  UserModelSlot* rslot =
-      edge_state(rprofile.edge_index).find_slot(sprofile.name, domain);
-  semantic::SemanticCodec& enc_model =
-      sslot != nullptr ? *sslot->model : *general_models_[domain];
-  semantic::SemanticCodec& dec_model =
-      rslot != nullptr ? *rslot->model : *general_models_[domain];
-  const double enc_flops =
-      2.0 *
-      static_cast<double>(enc_model.encoder().parameters().scalar_count());
-  const double dec_flops =
-      2.0 *
-      static_cast<double>(dec_model.decoder().parameters().scalar_count());
-
-  const edge::NodeId s_dev = sprofile.device;
-  const edge::NodeId r_dev = rprofile.device;
-  const edge::NodeId s_edge = topology_.edges[sprofile.edge_index];
-  const edge::NodeId r_edge = topology_.edges[rprofile.edge_index];
-  auto done = [this, report, deliver = std::move(deliver), start_time] {
-    report->latency_s = sim_.now() - start_time;
-    deliver(std::move(*report));
+  const edge::NodeId s_dev = task.sprofile->device;
+  const edge::NodeId r_dev = task.rprofile->device;
+  const edge::NodeId s_edge = topology_.edges[task.sprofile->edge_index];
+  const edge::NodeId r_edge = topology_.edges[task.rprofile->edge_index];
+  auto done = [this, on_done = std::move(on_done), pair = task.pair_index,
+               index, report = std::move(report), start_time]() mutable {
+    report.latency_s = sim_.now() - start_time;
+    (*on_done)(pair, index, std::move(report));
   };
 
-  // Chain: uplink -> encode -> backbone -> decode -> downlink.
-  const std::size_t payload_bytes = report->payload_bytes;
+  // Chain: uplink -> encode -> backbone -> decode -> downlink. Compute is
+  // charged at 2 flops per weight of the half that runs (build() counts
+  // them once; every codec shares config_.codec's shape).
   auto downlink = [this, &net, r_edge, r_dev, down_bytes,
                    done = std::move(done)]() mutable {
     net.link(r_edge, r_dev).send(sim_, down_bytes, std::move(done));
   };
-  auto decode = [this, &net, r_edge, dec_flops,
-                 downlink = std::move(downlink)]() mutable {
-    net.node(r_edge).submit_compute(sim_, dec_flops, std::move(downlink));
+  auto decode = [this, &net, r_edge, downlink = std::move(downlink)]() mutable {
+    net.node(r_edge).submit_compute(sim_, decode_flops_, std::move(downlink));
   };
   auto backbone = [this, &net, cross_edge, s_edge, r_edge, payload_bytes,
                    decode = std::move(decode)]() mutable {
@@ -615,9 +581,9 @@ void SemanticEdgeSystem::schedule_delivery(
       decode();
     }
   };
-  auto encode = [this, &net, s_edge, enc_flops,
+  auto encode = [this, &net, s_edge,
                  backbone = std::move(backbone)]() mutable {
-    net.node(s_edge).submit_compute(sim_, enc_flops, std::move(backbone));
+    net.node(s_edge).submit_compute(sim_, encode_flops_, std::move(backbone));
   };
   net.link(s_dev, s_edge).send(sim_, up_bytes, std::move(encode));
 }
@@ -679,11 +645,7 @@ void SemanticEdgeSystem::prepare_pair(PairTask& task) {
   // and the LRU caches are stateful).
   const std::size_t n = task.batch.messages.size();
   task.reports.resize(n);
-  task.domains.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    task.reports[i] = std::make_shared<TransmitReport>();
-    task.domains[i] = prepare_message(task, i);
-  }
+  for (std::size_t i = 0; i < n; ++i) prepare_message(task, i);
   // Claim this pair's run of global message indices now, in pair order —
   // exactly the channel-noise forks n sequential transmit_async calls
   // would consume (the counter's only other reader is the next prepare).
@@ -702,7 +664,7 @@ void SemanticEdgeSystem::prepare_pair(PairTask& task) {
   // arrival order is preserved, and each message keeps the channel-noise
   // fork of its system-wide index.
   auto grouped = common::group_by_first_appearance(
-      n, [&](std::size_t i) { return task.domains[i]; });
+      n, [&](std::size_t i) { return task.reports[i].domain_selected; });
   task.group_domains = std::move(grouped.keys);
   task.groups = std::move(grouped.groups);
 }
@@ -726,7 +688,8 @@ void SemanticEdgeSystem::compute_pair(PairTask& task) {
   }
 }
 
-void SemanticEdgeSystem::commit_pair(PairTask& task, const PairDone& on_done) {
+void SemanticEdgeSystem::commit_pair(
+    PairTask& task, const std::shared_ptr<const PairDone>& on_done) {
   // Fold the pair-local accounting into the global sinks. The counters
   // the delta never carries — messages and selection_errors (prepare),
   // uplink/downlink bytes (schedule_delivery), the outage counters (the
@@ -739,13 +702,8 @@ void SemanticEdgeSystem::commit_pair(PairTask& task, const PairDone& on_done) {
   for (PendingShip& ship : task.outbox) ship_sync(std::move(ship));
   task.outbox.clear();
 
-  const std::size_t pair = task.pair_index;
   for (std::size_t i = 0; i < task.batch.messages.size(); ++i) {
-    schedule_delivery(*task.sprofile, *task.rprofile, task.domains[i],
-                      task.batch.messages[i], task.reports[i],
-                      [on_done, pair, i](TransmitReport report) {
-                        on_done(pair, i, std::move(report));
-                      });
+    schedule_delivery(task, i, on_done);
   }
 }
 
@@ -790,8 +748,10 @@ void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
     }
   }
 
-  // Phase 3: sequential commits in pair order.
-  for (PairTask& task : tasks) commit_pair(task, on_done);
+  // Phase 3: sequential commits in pair order. Every delivery chain of
+  // the wave shares the one completion.
+  const auto done = std::make_shared<const PairDone>(std::move(on_done));
+  for (PairTask& task : tasks) commit_pair(task, done);
 }
 
 void SemanticEdgeSystem::serve_degraded(
@@ -809,13 +769,14 @@ void SemanticEdgeSystem::serve_degraded(
   task.degraded = true;
   prepare_pair(task);
   compute_pair(task);
-  // Deliveries fire after this call returns: the completion is captured
-  // by value.
-  commit_pair(task, [on_done = std::move(on_done)](std::size_t,
-                                                   std::size_t index,
-                                                   TransmitReport report) {
-    on_done(index, std::move(report));
-  });
+  // Deliveries fire after this call returns: the chains share ownership
+  // of the completion.
+  commit_pair(task, std::make_shared<const PairDone>(
+                        [on_done = std::move(on_done)](
+                            std::size_t, std::size_t index,
+                            TransmitReport report) {
+                          on_done(index, std::move(report));
+                        }));
 }
 
 void SemanticEdgeSystem::transmit_async(

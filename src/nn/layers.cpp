@@ -116,69 +116,6 @@ const Tensor& Tanh::backward(const Tensor& grad_out) {
   return dx_;
 }
 
-LayerNorm::LayerNorm(std::size_t features, std::string name)
-    : name_(std::move(name)),
-      gain_(name_ + ".gain", Tensor::full({features}, 1.0f)),
-      bias_(name_ + ".bias", Tensor::zeros({features})) {}
-
-const Tensor& LayerNorm::forward(const Tensor& x) {
-  SEMCACHE_CHECK(x.rank() == 2 && x.dim(1) == gain_.value.dim(0),
-                 name_ + ": input width mismatch");
-  const std::size_t m = x.dim(0);
-  const std::size_t n = x.dim(1);
-  normalized_.resize({m, n});
-  inv_std_.resize({m});
-  out_.resize({m, n});
-  for (std::size_t i = 0; i < m; ++i) {
-    float mean = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) mean += x.at(i, j);
-    mean /= static_cast<float>(n);
-    float var = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float d = x.at(i, j) - mean;
-      var += d * d;
-    }
-    var /= static_cast<float>(n);
-    const float inv_std = 1.0f / std::sqrt(var + kEps);
-    inv_std_.at(i) = inv_std;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float nz = (x.at(i, j) - mean) * inv_std;
-      normalized_.at(i, j) = nz;
-      out_.at(i, j) = nz * gain_.value.at(j) + bias_.value.at(j);
-    }
-  }
-  return out_;
-}
-
-const Tensor& LayerNorm::backward(const Tensor& grad_out) {
-  SEMCACHE_CHECK(grad_out.same_shape(normalized_),
-                 name_ + ": backward shape mismatch");
-  const std::size_t m = grad_out.dim(0);
-  const std::size_t n = grad_out.dim(1);
-  dx_.resize({m, n});
-  for (std::size_t i = 0; i < m; ++i) {
-    // dnorm_j = dy_j * gain_j; dx via the standard layernorm backward:
-    // dx = inv_std * (dnorm - mean(dnorm) - norm * mean(dnorm * norm)).
-    float mean_dn = 0.0f;
-    float mean_dn_nz = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float dn = grad_out.at(i, j) * gain_.value.at(j);
-      mean_dn += dn;
-      mean_dn_nz += dn * normalized_.at(i, j);
-    }
-    mean_dn /= static_cast<float>(n);
-    mean_dn_nz /= static_cast<float>(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const float dn = grad_out.at(i, j) * gain_.value.at(j);
-      dx_.at(i, j) =
-          inv_std_.at(i) * (dn - mean_dn - normalized_.at(i, j) * mean_dn_nz);
-      gain_.grad.at(j) += grad_out.at(i, j) * normalized_.at(i, j);
-      bias_.grad.at(j) += grad_out.at(i, j);
-    }
-  }
-  return dx_;
-}
-
 Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   SEMCACHE_CHECK(layer != nullptr, "Sequential::add: null layer");
   layers_.push_back(std::move(layer));

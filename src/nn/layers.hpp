@@ -131,27 +131,6 @@ class Tanh : public Layer {
   Tensor dx_;
 };
 
-/// Per-row layer normalization with learned gain/bias.
-class LayerNorm : public Layer {
- public:
-  explicit LayerNorm(std::size_t features, std::string name = "layernorm");
-
-  const Tensor& forward(const Tensor& x) override;
-  const Tensor& backward(const Tensor& grad_out) override;
-  std::vector<Parameter*> parameters() override { return {&gain_, &bias_}; }
-  std::string name() const override { return name_; }
-
- private:
-  static constexpr float kEps = 1e-5f;
-  std::string name_;
-  Parameter gain_;
-  Parameter bias_;
-  Tensor normalized_;  // (x - mean) / std, cached for backward
-  Tensor inv_std_;     // rank-1, one per row
-  Tensor out_;
-  Tensor dx_;
-};
-
 /// Composition of layers applied in order.
 class Sequential : public Layer {
  public:

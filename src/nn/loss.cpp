@@ -42,25 +42,4 @@ Tensor SoftmaxCrossEntropy::backward() const {
   return grad;
 }
 
-double MeanSquaredError::forward(const Tensor& prediction,
-                                 const Tensor& target) {
-  SEMCACHE_CHECK(prediction.same_shape(target), "mse: shape mismatch");
-  prediction_ = prediction;
-  target_ = target;
-  double loss = 0.0;
-  for (std::size_t i = 0; i < prediction.size(); ++i) {
-    const double d = static_cast<double>(prediction.at(i)) - target.at(i);
-    loss += d * d;
-  }
-  return loss / static_cast<double>(prediction.size());
-}
-
-Tensor MeanSquaredError::backward() const {
-  SEMCACHE_CHECK(prediction_.size() > 0, "mse: backward before forward");
-  Tensor grad = tensor::sub(prediction_, target_);
-  const float scale = 2.0f / static_cast<float>(prediction_.size());
-  for (std::size_t i = 0; i < grad.size(); ++i) grad.at(i) *= scale;
-  return grad;
-}
-
 }  // namespace semcache::nn

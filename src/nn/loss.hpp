@@ -25,15 +25,4 @@ class SoftmaxCrossEntropy {
   std::vector<std::int32_t> targets_;
 };
 
-/// Mean squared error between predictions and targets of equal shape.
-class MeanSquaredError {
- public:
-  double forward(const Tensor& prediction, const Tensor& target);
-  Tensor backward() const;
-
- private:
-  Tensor prediction_;
-  Tensor target_;
-};
-
 }  // namespace semcache::nn

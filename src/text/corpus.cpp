@@ -158,7 +158,7 @@ Sentence World::sample_sentence(std::size_t domain, Rng& rng) const {
   for (std::size_t pos = 0; pos < config_.sentence_length; ++pos) {
     const double u = rng.uniform();
     std::int32_t mid;
-    if (u < config_.function_word_prob || function_meanings_.empty()) {
+    if (u < config_.function_word_prob && !function_meanings_.empty()) {
       mid = function_meanings_[static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(function_meanings_.size()) - 1))];
     } else if (u < config_.function_word_prob + config_.polysemous_prob &&

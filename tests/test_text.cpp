@@ -297,15 +297,23 @@ TEST(PseudoWord, DeterministicAndNonEmpty) {
   }
 }
 
-// Sentence statistics: function-word fraction tracks configuration.
-class SentenceMixture : public ::testing::TestWithParam<double> {};
+// Sentence statistics: function-word fraction tracks configuration. A
+// world without function words draws none, whatever the probability says.
+struct MixtureCase {
+  double function_word_prob;
+  std::size_t num_function_words;
+  double expected_fraction;
+};
+
+class SentenceMixture : public ::testing::TestWithParam<MixtureCase> {};
 
 TEST_P(SentenceMixture, FunctionWordFraction) {
   Rng rng(17);
   WorldConfig cfg;
   cfg.num_domains = 2;
   cfg.concepts_per_domain = 10;
-  cfg.function_word_prob = GetParam();
+  cfg.function_word_prob = GetParam().function_word_prob;
+  cfg.num_function_words = GetParam().num_function_words;
   cfg.polysemous_prob = 0.1;
   World w = World::generate(cfg, rng);
   std::size_t function_tokens = 0, total = 0;
@@ -316,11 +324,15 @@ TEST_P(SentenceMixture, FunctionWordFraction) {
       if (w.meaning(mid).domain == World::kSharedDomain) ++function_tokens;
     }
   }
-  EXPECT_NEAR(function_tokens / static_cast<double>(total), GetParam(), 0.05);
+  EXPECT_NEAR(function_tokens / static_cast<double>(total),
+              GetParam().expected_fraction, 0.05);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SentenceMixture,
-                         ::testing::Values(0.1, 0.25, 0.4));
+                         ::testing::Values(MixtureCase{0.1, 16, 0.1},
+                                           MixtureCase{0.25, 16, 0.25},
+                                           MixtureCase{0.4, 16, 0.4},
+                                           MixtureCase{0.25, 0, 0.0}));
 
 }  // namespace
 }  // namespace semcache::text

@@ -9,11 +9,13 @@
 // match — the batched path is a pure kernel-amortization of the sequential
 // one, never a semantic change. Covers the N = 1 bit-identity case,
 // updates firing mid-batch (chunk splitting), mixed-domain batches
-// (grouping), and the intra-edge no-channel path.
+// (grouping), the intra-edge no-channel path, and a chunk whose
+// decoder-copy pass takes a strict subset of its rows.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "channel/burst.hpp"
 #include "core/system.hpp"
 #include "test_util.hpp"
 
@@ -263,6 +265,82 @@ TEST(MismatchReuseNoisy, CorruptedPayloadFallbackBitIdenticalAcrossPaths) {
   // adaptation loop still ran on the corrupted-mismatch buffers.
   EXPECT_TRUE(saw_decode_error);
   EXPECT_GT(bat->stats().updates, 0u);
+}
+
+TEST(MismatchReuseMixed, ChunkWithCleanAndCorruptedRowsMatchesEveryPath) {
+  // One chunk whose copy pass takes a strict subset of its rows. With a
+  // one-message dwell, no in-message transitions and the states 50 dB
+  // apart, each message's weather coin alone decides its fate: a good
+  // epoch (40 dB, uncoded) crosses intact and reads the receiver logits,
+  // a bad one (-10 dB) arrives corrupted and joins the decoder-copy pass.
+  // Reports and stats must equal a mismatch_reuse = false twin, which
+  // sends every row through the pass, and N transmit_async calls.
+  SystemConfig config = twin_config();
+  config.seed = 5;
+  config.buffer_trigger = 9;  // the first chunk is messages 0..8
+  config.channel.medium = "gilbert_elliott";
+  config.channel.code = "uncoded";
+  config.channel.burst.dwell_messages = 1;
+  config.channel.burst.bad_weather_prob = 0.5;
+  config.channel.burst.snr_good_db = 40.0;
+  config.channel.burst.snr_bad_db = -10.0;
+  config.channel.burst.p_good_to_bad = 0.0;
+  config.channel.burst.p_bad_to_good = 0.0;
+  SystemConfig off_config = config;
+  off_config.mismatch_reuse = false;
+
+  // The system keys its burst weather on its own seed (burst.seed = 0).
+  channel::GilbertElliottConfig weather = config.channel.burst;
+  weather.seed = config.seed;
+  const channel::GilbertElliottChannel channel(weather);
+  std::size_t bad_in_first_chunk = 0;
+  for (std::uint64_t slot = 0; slot < config.buffer_trigger; ++slot) {
+    if (channel.starts_bad(slot)) ++bad_in_first_chunk;
+  }
+  ASSERT_GT(bad_in_first_chunk, 0u);
+  ASSERT_LT(bad_in_first_chunk, config.buffer_trigger);
+
+  auto seq = SemanticEdgeSystem::build(config);
+  auto bat = SemanticEdgeSystem::build(config);
+  auto full = SemanticEdgeSystem::build(off_config);
+  for (auto* system : {seq.get(), bat.get(), full.get()}) {
+    system->register_user("a", 0, nullptr);
+    system->register_user("b", 1, nullptr);
+  }
+  const std::size_t n = 20;
+  std::vector<text::Sentence> msgs_seq, msgs_bat, msgs_full;
+  for (std::size_t i = 0; i < n; ++i) {
+    msgs_seq.push_back(seq->sample_message("a", 0));
+    msgs_bat.push_back(bat->sample_message("a", 0));
+    msgs_full.push_back(full->sample_message("a", 0));
+    ASSERT_EQ(msgs_seq.back().surface, msgs_bat.back().surface);
+    ASSERT_EQ(msgs_seq.back().surface, msgs_full.back().surface);
+  }
+  std::vector<TransmitReport> r_seq(n), r_bat(n), r_full(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    seq->transmit_async("a", "b", msgs_seq[i], [&r_seq, i](TransmitReport r) {
+      r_seq[i] = std::move(r);
+    });
+  }
+  seq->simulator().run();
+  bat->transmit_many("a", "b", std::move(msgs_bat),
+                     [&r_bat](std::size_t i, TransmitReport r) {
+                       r_bat[i] = std::move(r);
+                     });
+  bat->simulator().run();
+  full->transmit_many("a", "b", std::move(msgs_full),
+                      [&r_full](std::size_t i, TransmitReport r) {
+                        r_full[i] = std::move(r);
+                      });
+  full->simulator().run();
+
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(r_seq[i], r_bat[i]) << "transmit_async msg " << i;
+    EXPECT_EQ(r_full[i], r_bat[i]) << "reuse-off msg " << i;
+  }
+  EXPECT_EQ(seq->stats(), bat->stats());
+  EXPECT_EQ(full->stats(), bat->stats());
+  EXPECT_EQ(bat->stats().updates, 2u);  // at messages 8 and 17
 }
 
 TEST_F(TransmitBatchTest, ValidationErrors) {
