@@ -2,7 +2,8 @@
 // primitives: tensor matmul (square, rectangular, and allocation-free
 // variants), codec encode/decode/train (single and batched), a whole
 // fine-tune, its Adam step on both SIMD tiers and its gradient clipping
-// above and below the cap, the selector forward pass, cache get/put and
+// above and below the cap, the serving mismatch's cross-entropy on both
+// SIMD tiers, the selector forward pass, cache get/put and
 // eviction, gradient-sync compression, Viterbi decoding, Huffman coding,
 // quantization, and the event loop.
 #include <benchmark/benchmark.h>
@@ -272,6 +273,33 @@ static void BM_ClipGradNorm(benchmark::State& state) {
                           static_cast<std::int64_t>(params.scalar_count()));
 }
 BENCHMARK(BM_ClipGradNorm)->Arg(0)->Arg(1);
+
+// The serving mismatch's cross-entropy (③) on one serve-shaped message:
+// the 8 x 125 logits the same codec's decoder gives one of those samples,
+// read in place by tensor::mean_cross_entropy against its meanings.
+// Arg(0) pins the scalar loop, Arg(1) the AVX2 tier (scalar too on a host
+// without AVX2+FMA, so the pair then reads 1.0). Both tiers return the same
+// bits (test_simd), so the rows differ in wall time only;
+// regression_gate.speedup requires /1 to beat /0 by more than 1.3x.
+static void BM_CrossEntropy(benchmark::State& state) {
+  const auto tier = state.range(0) == 0 ? common::SimdTier::kScalar
+                                        : common::SimdTier::kAvx2;
+  const common::SimdTier prev = common::set_simd_tier(tier);
+  const FinetuneSetup setup = finetune_setup();
+  Rng init(15);
+  semantic::SemanticCodec codec(setup.config, init);
+  const semantic::Sample& sample = setup.samples[0];
+  const tensor::Tensor logits = codec.decoder().decode_logits_batch(
+      codec.encoder().encode_batch(sample.surface, 1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::mean_cross_entropy(
+        logits.flat(), logits.dim(1), sample.meanings));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(logits.size()));
+  common::set_simd_tier(prev);
+}
+BENCHMARK(BM_CrossEntropy)->Arg(0)->Arg(1);
 
 // Selector forward pass: the per-message model-selection cost on the
 // transmit hot path (§III-A), measured on the GRU classifier with a few

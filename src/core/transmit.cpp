@@ -49,7 +49,7 @@
 #include "common/grouping.hpp"
 #include "common/log.hpp"
 #include "metrics/ngram.hpp"
-#include "nn/loss.hpp"
+#include "tensor/ops.hpp"
 
 namespace semcache::core {
 
@@ -377,8 +377,7 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
   const std::size_t vocab = config_.codec.meaning_vocab;
   const std::size_t dims = config_.codec.feature_dim;
 
-  nn::SoftmaxCrossEntropy ce;
-  tensor::Tensor slice;  // one message's logits (L x V)
+  const std::size_t block = length * vocab;  // one message's logits
   std::vector<std::int32_t> surfaces;
   std::vector<std::size_t> copy_rows;  // chunk rows the decoder copy decodes
   tensor::Tensor copy_features;        // their feature rows, gathered
@@ -436,7 +435,7 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
     }
     const tensor::Tensor rx_features = quantizer_->dequantize_batch(received);
     // Keep the receiver logits alive past the argmax: the mismatch reads
-    // per-message row slices out of them.
+    // each message's rows out of them in place.
     const tensor::Tensor& rx_logits =
         serving_codec(rslot, m).decoder().decode_logits_batch(rx_features);
     const std::vector<std::int32_t> decoded = tensor::row_argmax(rx_logits);
@@ -485,10 +484,9 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
         // Error-rate proxy computed from the returned output.
         report.mismatch = 1.0 - report.token_accuracy;
       } else if (reuse && received[j] == payloads[j]) {
-        slice.resize({length, vocab});
-        std::memcpy(slice.data(), rx_logits.data() + j * length * vocab,
-                    length * vocab * sizeof(float));
-        report.mismatch = ce.forward(slice, message.meanings);
+        report.mismatch = tensor::mean_cross_entropy(
+            rx_logits.flat().subspan(j * block, block), vocab,
+            message.meanings);
       } else {
         copy_rows.push_back(j);
       }
@@ -510,10 +508,9 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
               quantizer_->roundtrip_batch(copy_features));
       for (std::size_t k = 0; k < copy_rows.size(); ++k) {
         const std::size_t idx = indices[pos + copy_rows[k]];
-        slice.resize({length, vocab});
-        std::memcpy(slice.data(), copy_logits.data() + k * length * vocab,
-                    length * vocab * sizeof(float));
-        reports[idx].mismatch = ce.forward(slice, messages[idx].meanings);
+        reports[idx].mismatch = tensor::mean_cross_entropy(
+            copy_logits.flat().subspan(k * block, block), vocab,
+            messages[idx].meanings);
       }
     }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/check.hpp"
+#include "tensor/ops.hpp"
 
 namespace semcache::nn {
 
@@ -21,7 +22,7 @@ void sigmoid_into(Tensor& out, const Tensor& t) {
   const float* pt = t.data();
   float* po = out.data();
   for (std::size_t i = 0; i < out.size(); ++i) {
-    po[i] = 1.0f / (1.0f + std::exp(-pt[i]));
+    po[i] = 1.0f / (1.0f + tensor::expf(-pt[i]));
   }
 }
 

@@ -12,6 +12,8 @@ double SoftmaxCrossEntropy::forward(const Tensor& logits,
   SEMCACHE_CHECK(logits.rank() == 2, "ce: logits must be rank-2");
   SEMCACHE_CHECK(logits.dim(0) == targets.size(),
                  "ce: batch size mismatch with targets");
+  SEMCACHE_CHECK(!targets.empty() && logits.dim(1) > 0,
+                 "ce: needs at least one row and one class");
   probs_ = tensor::row_softmax(logits);
   targets_.assign(targets.begin(), targets.end());
 

@@ -101,12 +101,6 @@ const Tensor& KbDecoder::decode_logits_batch(const Tensor& features) {
   return mlp_.forward(f);  // (count*L x meaning_vocab)
 }
 
-Tensor KbDecoder::decode_logits(const Tensor& feature) {
-  SEMCACHE_CHECK(feature.rank() == 2 && feature.dim(0) == 1,
-                 "decode: feature must be (1 x k)");
-  return decode_logits_batch(feature);
-}
-
 std::vector<std::int32_t> KbDecoder::decode(const Tensor& feature) {
   return tensor::row_argmax(decode_logits_batch(feature));
 }

@@ -93,8 +93,6 @@ class KbDecoder {
  public:
   KbDecoder(const CodecConfig& config, Rng& rng);
 
-  /// feature: (1 x k). Returns (L x meaning_vocab) logits.
-  Tensor decode_logits(const Tensor& feature);
   /// Batched logits: features (count x k) -> (count*L x meaning_vocab) in
   /// an internal buffer (valid until the next decode).
   const Tensor& decode_logits_batch(const Tensor& features);

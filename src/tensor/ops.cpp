@@ -1,9 +1,11 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/check.hpp"
@@ -179,6 +181,68 @@ void adam_scalar(std::size_t n, const AdamCoefficients& c, const float* grad,
   }
 }
 
+}  // namespace
+
+// glibc's expf, step for step. Its x86-64 build for FMA hardware fuses
+// x * 32/ln2 into both the rounding add and the remainder, and the three
+// polynomial steps; std::fma spells exactly those, and no other product
+// here feeds an add, so every build type computes these bits (and the
+// AVX2 kernel, which fuses the same steps, computes them per lane). The
+// double arithmetic cannot overflow or lose a bit to a subnormal for
+// |x| < 88; larger inputs and NaN take glibc's special cases first.
+float expf(float x) {
+  const auto bits = std::bit_cast<std::uint32_t>(x);
+  const std::uint32_t abstop = (bits >> 20) & 0x7ff;
+  if (abstop >= 0x42b) {                       // |x| >= 88, or NaN
+    if (bits == 0xff800000u) return 0.0f;      // -inf
+    if (abstop >= 0x7f8) return x + x;         // NaN (quieted) or +inf
+    if (x > detail::kExpfOverflow) {
+      return std::numeric_limits<float>::infinity();
+    }
+    if (x < detail::kExpfUnderflow) return 0.0f;
+  }
+  const double xd = x;
+  // x * 32/ln2 = k + r: adding the shift rounds to the integer k, which
+  // then sits in the low mantissa bits of kd.
+  const double kd = std::fma(detail::kExpfInvLn2N, xd, detail::kExpfShift);
+  const auto ki = std::bit_cast<std::uint64_t>(kd);
+  const double r =
+      std::fma(detail::kExpfInvLn2N, xd, -(kd - detail::kExpfShift));
+  const double s =
+      std::bit_cast<double>(detail::kExpfTable[ki % 32] + (ki << 47));
+  const double z = std::fma(detail::kExpfC0, r, detail::kExpfC1);
+  const double r2 = r * r;
+  const double y = std::fma(z, r2, std::fma(detail::kExpfC2, r, 1.0));
+  return static_cast<float>(y * s);
+}
+
+namespace detail {
+
+void softmax_row(const float* in, float* out, std::size_t cols) {
+  float mx = in[0];
+  for (std::size_t j = 1; j < cols; ++j) mx = std::max(mx, in[j]);
+  float denom = 0.0f;
+  for (std::size_t j = 0; j < cols; ++j) {
+    const float e = expf(in[j] - mx);
+    out[j] = e;
+    denom += e;
+  }
+  const float inv = 1.0f / denom;
+  for (std::size_t j = 0; j < cols; ++j) out[j] *= inv;
+}
+
+std::int32_t argmax_row(const float* row, std::size_t cols) {
+  std::size_t best = 0;
+  for (std::size_t j = 1; j < cols; ++j) {
+    if (row[j] > row[best]) best = j;
+  }
+  return static_cast<std::int32_t>(best);
+}
+
+}  // namespace detail
+
+namespace {
+
 // ---- SIMD dispatch -------------------------------------------------------
 //
 // The AVX2 kernel table (ops_avx2.cpp) carries each gemm in two flavors:
@@ -243,6 +307,9 @@ struct SimdDispatch {
   detail::EpilogueFn bias = nullptr;
   detail::EpilogueFn bias_relu = nullptr;
   detail::AdamFn adam = nullptr;
+  detail::SoftmaxFn softmax = nullptr;
+  detail::SoftmaxTargetsFn softmax_targets = nullptr;
+  detail::ArgmaxFn argmax = nullptr;
   const char* path = "scalar";
 };
 
@@ -265,6 +332,11 @@ const SimdDispatch& simd_dispatch() {
 #else
     d.adam = kt->adam_muladd;
 #endif
+    // Nor does the softmax family: expf spells every fusion with std::fma
+    // and nothing else in it multiplies and then adds.
+    d.softmax = kt->softmax;
+    d.softmax_targets = kt->softmax_targets;
+    d.argmax = kt->argmax;
     const bool nn_fma = probe_matches(false, kt->gemm_nn_fma);
     const bool nn_mul = !nn_fma && probe_matches(false, kt->gemm_nn_muladd);
     const bool tn_fma = probe_matches(true, kt->gemm_tn_fma);
@@ -291,16 +363,25 @@ const SimdDispatch& simd_dispatch() {
   return dispatch;
 }
 
-inline bool simd_engaged(const SimdDispatch& d) {
-  return d.nn != nullptr &&
-         common::active_simd_tier() == common::SimdTier::kAvx2;
+/// The AVX2 kernel a call runs, or nullptr for the scalar twin: null when
+/// the build, the CPU or (for the gemm family) the probe ruled it out,
+/// and on the scalar tier.
+template <typename Fn>
+Fn engaged(Fn fn) {
+  return common::active_simd_tier() == common::SimdTier::kAvx2 ? fn
+                                                               : nullptr;
+}
+
+void require_rows_and_cols(std::size_t rows, std::size_t cols,
+                           const char* op) {
+  SEMCACHE_CHECK(rows > 0 && cols > 0,
+                 std::string(op) + ": needs at least one row and one column");
 }
 
 void gemm_nn_d(std::size_t m, std::size_t k, std::size_t n, const float* a,
                const float* b, float* c) {
-  const SimdDispatch& d = simd_dispatch();
-  if (simd_engaged(d)) {
-    d.nn(m, k, n, a, b, c);
+  if (const detail::GemmFn nn = engaged(simd_dispatch().nn)) {
+    nn(m, k, n, a, b, c);
   } else {
     gemm_nn(m, k, n, a, b, c);
   }
@@ -308,9 +389,8 @@ void gemm_nn_d(std::size_t m, std::size_t k, std::size_t n, const float* a,
 
 void gemm_tn_d(std::size_t m, std::size_t k, std::size_t n, const float* a,
                const float* b, float* c) {
-  const SimdDispatch& d = simd_dispatch();
-  if (simd_engaged(d)) {
-    d.tn(m, k, n, a, b, c);
+  if (const detail::GemmFn tn = engaged(simd_dispatch().tn)) {
+    tn(m, k, n, a, b, c);
   } else {
     gemm_tn(m, k, n, a, b, c);
   }
@@ -318,9 +398,8 @@ void gemm_tn_d(std::size_t m, std::size_t k, std::size_t n, const float* a,
 
 void bias_epilogue_d(std::size_t m, std::size_t n, const float* bias,
                      float* c) {
-  const SimdDispatch& d = simd_dispatch();
-  if (simd_engaged(d)) {
-    d.bias(m, n, bias, c);
+  if (const detail::EpilogueFn fn = engaged(simd_dispatch().bias)) {
+    fn(m, n, bias, c);
   } else {
     bias_epilogue(m, n, bias, c);
   }
@@ -328,9 +407,8 @@ void bias_epilogue_d(std::size_t m, std::size_t n, const float* bias,
 
 void bias_relu_epilogue_d(std::size_t m, std::size_t n, const float* bias,
                           float* c) {
-  const SimdDispatch& d = simd_dispatch();
-  if (simd_engaged(d)) {
-    d.bias_relu(m, n, bias, c);
+  if (const detail::EpilogueFn fn = engaged(simd_dispatch().bias_relu)) {
+    fn(m, n, bias, c);
   } else {
     bias_relu_epilogue(m, n, bias, c);
   }
@@ -343,15 +421,6 @@ Tensor add(const Tensor& a, const Tensor& b) {
   float* pc = c.data();
   const float* pb = b.data();
   for (std::size_t i = 0; i < c.size(); ++i) pc[i] += pb[i];
-  return c;
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  require_same_shape(a, b, "sub");
-  Tensor c = a;
-  float* pc = c.data();
-  const float* pb = b.data();
-  for (std::size_t i = 0; i < c.size(); ++i) pc[i] -= pb[i];
   return c;
 }
 
@@ -375,10 +444,8 @@ void adam_update(Tensor& value, const Tensor& grad, Tensor& m, Tensor& v,
   require_same_shape(value, grad, "adam_update");
   require_same_shape(value, m, "adam_update");
   require_same_shape(value, v, "adam_update");
-  const SimdDispatch& d = simd_dispatch();
-  if (d.adam != nullptr &&
-      common::active_simd_tier() == common::SimdTier::kAvx2) {
-    d.adam(value.size(), c, grad.data(), m.data(), v.data(), value.data());
+  if (const detail::AdamFn adam = engaged(simd_dispatch().adam)) {
+    adam(value.size(), c, grad.data(), m.data(), v.data(), value.data());
   } else {
     adam_scalar(value.size(), c, grad.data(), m.data(), v.data(),
                 value.data());
@@ -513,7 +580,7 @@ void affine_relu_into(Tensor& y, const Tensor& x, const Tensor& w,
 
 const char* active_matmul_path() {
   const SimdDispatch& d = simd_dispatch();
-  return simd_engaged(d) ? d.path : "scalar";
+  return engaged(d.nn) != nullptr ? d.path : "scalar";
 }
 
 Tensor transpose(const Tensor& a) {
@@ -545,21 +612,16 @@ Tensor affine(const Tensor& x, const Tensor& w, const Tensor& bias) {
 
 Tensor row_softmax(const Tensor& logits) {
   SEMCACHE_CHECK(logits.rank() == 2, "row_softmax: rank-2 required");
-  Tensor out = logits;
-  const std::size_t m = out.dim(0);
-  const std::size_t n = out.dim(1);
-  for (std::size_t i = 0; i < m; ++i) {
-    float* row = out.data() + i * n;
-    float mx = row[0];
-    for (std::size_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
-    float denom = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float e = std::exp(row[j] - mx);
-      row[j] = e;
-      denom += e;
+  const std::size_t m = logits.dim(0);
+  const std::size_t n = logits.dim(1);
+  require_rows_and_cols(m, n, "row_softmax");
+  Tensor out({m, n});
+  if (const detail::SoftmaxFn softmax = engaged(simd_dispatch().softmax)) {
+    softmax(m, n, logits.data(), out.data());
+  } else {
+    for (std::size_t i = 0; i < m; ++i) {
+      detail::softmax_row(logits.data() + i * n, out.data() + i * n, n);
     }
-    const float inv = 1.0f / denom;
-    for (std::size_t j = 0; j < n; ++j) row[j] *= inv;
   }
   return out;
 }
@@ -568,17 +630,59 @@ std::vector<std::int32_t> row_argmax(const Tensor& t) {
   SEMCACHE_CHECK(t.rank() == 2, "row_argmax: rank-2 required");
   const std::size_t m = t.dim(0);
   const std::size_t n = t.dim(1);
+  require_rows_and_cols(m, n, "row_argmax");
   std::vector<std::int32_t> out(m);
-  const float* __restrict p = t.data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* __restrict row = p + i * n;
-    std::size_t best = 0;
-    for (std::size_t j = 1; j < n; ++j) {
-      if (row[j] > row[best]) best = j;
+  if (const detail::ArgmaxFn argmax = engaged(simd_dispatch().argmax)) {
+    argmax(m, n, t.data(), out.data());
+  } else {
+    for (std::size_t i = 0; i < m; ++i) {
+      out[i] = detail::argmax_row(t.data() + i * n, n);
     }
-    out[i] = static_cast<std::int32_t>(best);
   }
   return out;
+}
+
+double mean_cross_entropy(std::span<const float> logits, std::size_t cols,
+                          std::span<const std::int32_t> targets) {
+  const std::size_t rows = targets.size();
+  require_rows_and_cols(rows, cols, "mean_cross_entropy");
+  SEMCACHE_CHECK(logits.size() == rows * cols,
+                 "mean_cross_entropy: logits must hold one row per target");
+  for (const std::int32_t t : targets) {
+    SEMCACHE_CHECK(t >= 0 && static_cast<std::size_t>(t) < cols,
+                   "mean_cross_entropy: target class out of range");
+  }
+  const detail::SoftmaxTargetsFn targets_fn =
+      engaged(simd_dispatch().softmax_targets);
+  // The AVX2 kernel reads each row's target probability without writing
+  // the row. The scalar tier, and each row the kernel leaves (a NaN or an
+  // infinity), run softmax_row, the code row_softmax and so forward run
+  // for that row, into a scratch row; NaN bits follow operand order, so
+  // only the same code gives the same NaN.
+  static thread_local std::vector<float> scratch;
+  if (scratch.size() < cols) scratch.resize(cols);
+  // Rows go in groups of eight (the kernel's lane count); the loss sums
+  // them in row order either way, as forward does.
+  constexpr std::size_t kGroup = 8;
+  float p[kGroup];
+  double loss = 0.0;
+  for (std::size_t i = 0; i < rows; i += kGroup) {
+    const std::size_t g = std::min(kGroup, rows - i);
+    const float* block = logits.data() + i * cols;
+    const unsigned scalar_rows =
+        targets_fn != nullptr
+            ? targets_fn(g, cols, block, targets.data() + i, p)
+            : (1u << g) - 1;
+    for (std::size_t r = 0; r < g; ++r) {
+      if ((scalar_rows >> r & 1u) != 0) {
+        detail::softmax_row(block + r * cols, scratch.data(), cols);
+        p[r] = scratch[static_cast<std::size_t>(targets[i + r])];
+      }
+      // Clamp to avoid -inf on (numerically) zero probabilities.
+      loss -= std::log(std::max(static_cast<double>(p[r]), 1e-12));
+    }
+  }
+  return loss / static_cast<double>(rows);
 }
 
 float sum(const Tensor& a) {

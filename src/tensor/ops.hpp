@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -17,8 +18,6 @@ namespace semcache::tensor {
 
 /// c = a + b (same shape).
 Tensor add(const Tensor& a, const Tensor& b);
-/// c = a - b (same shape).
-Tensor sub(const Tensor& a, const Tensor& b);
 /// c = a * s.
 Tensor scale(const Tensor& a, float s);
 /// a += b * s (same shape); fused scale-accumulate for optimizers.
@@ -82,10 +81,25 @@ void affine_relu_into(Tensor& y, const Tensor& x, const Tensor& w,
 /// t = aᵀ.
 void transpose_into(Tensor& t, const Tensor& a);
 
-/// Row-wise softmax of a rank-2 tensor (numerically stabilized).
+/// exp(x) with the bits glibc 2.36's expf returns on x86-64 FMA hardware,
+/// for every float input and under any MXCSR mode, spelled in-repo
+/// (std::fma where that library fuses) so results do not depend on the
+/// host's libm. errno and the floating-point flags are not set.
+float expf(float x);
+
+/// Row-wise softmax of a rank-2 tensor (numerically stabilized): per row,
+/// e_j = expf(x_j - max), summed in ascending column order, then each
+/// e_j * (1 / sum). Throws on zero rows or columns.
 Tensor row_softmax(const Tensor& logits);
-/// Row-wise argmax of a rank-2 tensor.
+/// Row-wise argmax of a rank-2 tensor: the first index of each row's
+/// maximum (NaN as the `>` chain treats it). Throws on zero rows or columns.
 std::vector<std::int32_t> row_argmax(const Tensor& t);
+/// Mean softmax cross-entropy of row-major logits (targets.size() rows of
+/// `cols`), read in place: exactly nn::SoftmaxCrossEntropy::forward's
+/// value, from row_softmax's target probabilities with the same 1e-12
+/// clamp and the same double log sum, without a probability tensor.
+double mean_cross_entropy(std::span<const float> logits, std::size_t cols,
+                          std::span<const std::int32_t> targets);
 
 /// Sum of all elements.
 float sum(const Tensor& a);

@@ -1,8 +1,10 @@
-// AVX2/FMA micro-kernels for the matmul family and the Adam update. This
-// TU is compiled with -mavx2 -mfma -ffp-contract=off (see CMakeLists.txt)
-// and is the only one carrying AVX2 code; everything here is reached
-// through the kernel table in simd_kernels.hpp after ops.cpp picks a
-// flavor (by its equivalence probe for the gemms, by __FMA__ for Adam).
+// AVX2/FMA micro-kernels for the matmul family, the Adam update, and expf
+// with the softmax family built on it (row_softmax, the loss-only
+// mean_cross_entropy, row_argmax). This TU is compiled with -mavx2 -mfma
+// -ffp-contract=off (see CMakeLists.txt) and is the only one carrying AVX2
+// code; everything here is reached through the kernel table in
+// simd_kernels.hpp after ops.cpp picks a flavor (by its equivalence probe
+// for the gemms, by __FMA__ for Adam; the softmax family has one flavor).
 //
 // Shape of the kernel: C accumulators live in ymm registers across the whole
 // k panel (6 rows x 16 columns = 12 independent FMA chains, enough to hide
@@ -342,6 +344,295 @@ void adam_avx2(std::size_t n, const AdamCoefficients& c, const float* grad,
   }
 }
 
+// ---- expf and the softmax family ------------------------------------------
+
+// tensor::expf over four lanes in double, step for step: the same fused
+// steps, the same roundings, and a gather where the scalar indexes the
+// table.
+inline __m128 expf4(__m128 x) {
+  const __m256d invln2n = _mm256_set1_pd(kExpfInvLn2N);
+  const __m256d shift = _mm256_set1_pd(kExpfShift);
+  const __m256d xd = _mm256_cvtps_pd(x);
+  const __m256d kd = _mm256_fmadd_pd(invln2n, xd, shift);
+  const __m256i ki = _mm256_castpd_si256(kd);
+  const __m256d r = _mm256_fmsub_pd(invln2n, xd, _mm256_sub_pd(kd, shift));
+  const __m256i t = _mm256_i64gather_epi64(
+      reinterpret_cast<const long long*>(kExpfTable),
+      _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
+  const __m256d s =
+      _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64(ki, 47)));
+  const __m256d z = _mm256_fmadd_pd(_mm256_set1_pd(kExpfC0), r,
+                                    _mm256_set1_pd(kExpfC1));
+  const __m256d y = _mm256_fmadd_pd(
+      z, _mm256_mul_pd(r, r),
+      _mm256_fmadd_pd(_mm256_set1_pd(kExpfC2), r, _mm256_set1_pd(1.0)));
+  return _mm256_cvtpd_ps(_mm256_mul_pd(y, s));
+}
+
+// Eight lanes. A lane with |x| >= 88 or NaN runs the same arithmetic and is
+// then replaced by glibc's special case, as the scalar branches to it.
+inline __m256 expf8(__m256 x) {
+  __m256 y = _mm256_set_m128(expf4(_mm256_extractf128_ps(x, 1)),
+                             expf4(_mm256_castps256_ps128(x)));
+  const __m256i abs_bits = _mm256_and_si256(_mm256_castps_si256(x),
+                                            _mm256_set1_epi32(0x7fffffff));
+  const __m256i special =
+      _mm256_cmpgt_epi32(abs_bits, _mm256_set1_epi32(0x42afffff));
+  if (_mm256_movemask_ps(_mm256_castsi256_ps(special)) != 0) {
+    const __m256 over =
+        _mm256_cmp_ps(x, _mm256_set1_ps(kExpfOverflow), _CMP_GT_OQ);
+    const __m256 under =
+        _mm256_cmp_ps(x, _mm256_set1_ps(kExpfUnderflow), _CMP_LT_OQ);
+    const __m256 nan = _mm256_cmp_ps(x, x, _CMP_UNORD_Q);
+    const __m256 inf = _mm256_castsi256_ps(_mm256_set1_epi32(0x7f800000));
+    y = _mm256_blendv_ps(y, inf, over);
+    y = _mm256_blendv_ps(y, _mm256_setzero_ps(), under);
+    y = _mm256_blendv_ps(y, _mm256_add_ps(x, x), nan);
+  }
+  return y;
+}
+
+void expf8_avx2(const float* x, float* y) {
+  _mm256_storeu_ps(y, expf8(_mm256_loadu_ps(x)));
+}
+
+// Lanes [0, n) set, for a tail of n < 8 columns.
+inline __m256i tail_mask(std::size_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+inline float hmax(__m256 v) {
+  __m128 m = _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
+  return _mm_cvtss_f32(m);
+}
+
+// The row maximum, and whether every element is finite. For a finite row
+// the vector max is the scalar chain's value up to the sign of a zero,
+// which no caller can see: x - (+0) and x - (-0) are equal for x != 0,
+// and expf(+0) = expf(-0).
+inline float row_max(const float* row, std::size_t cols, bool& finite) {
+  const __m256i abs_mask = _mm256_set1_epi32(0x7fffffff);
+  __m256 mx = _mm256_set1_ps(row[0]);
+  __m256i top = _mm256_setzero_si256();  // largest |bits|
+  std::size_t j = 0;
+  for (; j + 8 <= cols; j += 8) {
+    const __m256 v = _mm256_loadu_ps(row + j);
+    mx = _mm256_max_ps(mx, v);
+    top = _mm256_max_epi32(
+        top, _mm256_and_si256(_mm256_castps_si256(v), abs_mask));
+  }
+  if (j < cols) {
+    const __m256i mask = tail_mask(cols - j);
+    const __m256 v = _mm256_maskload_ps(row + j, mask);  // 0 past the row
+    mx = _mm256_max_ps(mx, _mm256_blendv_ps(mx, v, _mm256_castsi256_ps(mask)));
+    top = _mm256_max_epi32(
+        top, _mm256_and_si256(_mm256_castps_si256(v), abs_mask));
+  }
+  const __m256i inf_or_nan =
+      _mm256_cmpgt_epi32(top, _mm256_set1_epi32(0x7f7fffff));
+  finite = _mm256_movemask_ps(_mm256_castsi256_ps(inf_or_nan)) == 0;
+  return hmax(mx);
+}
+
+// In-register 8x8 transpose: row vectors in, column vectors out.
+inline void transpose8(__m256& r0, __m256& r1, __m256& r2, __m256& r3,
+                       __m256& r4, __m256& r5, __m256& r6, __m256& r7) {
+  const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+  const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+  const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+  const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+  const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
+  const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
+  const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
+  const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r0 = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r1 = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r2 = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r3 = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r4 = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r5 = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r6 = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r7 = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+// Eight rows at a time, one lane per row. Past the block's last row the
+// group repeats that row, so a short group runs the same code and the
+// caller drops the repeats' lanes.
+struct RowGroup {
+  const float* src[8];
+  float mx[8];
+  bool finite[8];
+  std::size_t rows;  // real rows, 1..8
+};
+
+inline RowGroup row_group(const float* block, std::size_t rows,
+                          std::size_t cols) {
+  RowGroup g;
+  g.rows = rows;
+  for (std::size_t r = 0; r < 8; ++r) {
+    g.src[r] = block + std::min(r, rows - 1) * cols;
+    g.mx[r] = row_max(g.src[r], cols, g.finite[r]);
+  }
+  return g;
+}
+
+// The exp pass of a group: e = expf(x - max) per element, written to the
+// dst rows when kStore (a repeated row writes its row's own values
+// again), and per row the denominator sum in ascending column order —
+// the scalar chain, with lane r of the result for row r. Each 8x8 block
+// is computed as row vectors and transposed into column vectors, so a
+// row's additions stay in its lane and in column order.
+template <bool kStore>
+__m256 exp_pass(const RowGroup& g, float* const* dst, std::size_t cols) {
+  const auto e_of = [&](std::size_t r, std::size_t j, __m256 x) {
+    const __m256 e = expf8(_mm256_sub_ps(x, _mm256_broadcast_ss(&g.mx[r])));
+    if constexpr (kStore) _mm256_storeu_ps(dst[r] + j, e);
+    return e;
+  };
+  __m256 denom = _mm256_setzero_ps();
+  std::size_t j = 0;
+  for (; j + 8 <= cols; j += 8) {
+    __m256 e0 = e_of(0, j, _mm256_loadu_ps(g.src[0] + j));
+    __m256 e1 = e_of(1, j, _mm256_loadu_ps(g.src[1] + j));
+    __m256 e2 = e_of(2, j, _mm256_loadu_ps(g.src[2] + j));
+    __m256 e3 = e_of(3, j, _mm256_loadu_ps(g.src[3] + j));
+    __m256 e4 = e_of(4, j, _mm256_loadu_ps(g.src[4] + j));
+    __m256 e5 = e_of(5, j, _mm256_loadu_ps(g.src[5] + j));
+    __m256 e6 = e_of(6, j, _mm256_loadu_ps(g.src[6] + j));
+    __m256 e7 = e_of(7, j, _mm256_loadu_ps(g.src[7] + j));
+    transpose8(e0, e1, e2, e3, e4, e5, e6, e7);
+    denom = _mm256_add_ps(denom, e0);
+    denom = _mm256_add_ps(denom, e1);
+    denom = _mm256_add_ps(denom, e2);
+    denom = _mm256_add_ps(denom, e3);
+    denom = _mm256_add_ps(denom, e4);
+    denom = _mm256_add_ps(denom, e5);
+    denom = _mm256_add_ps(denom, e6);
+    denom = _mm256_add_ps(denom, e7);
+  }
+  if (j < cols) {
+    // Tail: masked loads (0 past the row, whose exps are computed and
+    // dropped), masked stores, and only the tail's columns added.
+    const std::size_t n = cols - j;
+    const __m256i mask = tail_mask(n);
+    const auto tail_e = [&](std::size_t r) {
+      const __m256 x = _mm256_maskload_ps(g.src[r] + j, mask);
+      const __m256 e =
+          expf8(_mm256_sub_ps(x, _mm256_broadcast_ss(&g.mx[r])));
+      if constexpr (kStore) _mm256_maskstore_ps(dst[r] + j, mask, e);
+      return e;
+    };
+    __m256 e0 = tail_e(0), e1 = tail_e(1), e2 = tail_e(2), e3 = tail_e(3);
+    __m256 e4 = tail_e(4), e5 = tail_e(5), e6 = tail_e(6), e7 = tail_e(7);
+    transpose8(e0, e1, e2, e3, e4, e5, e6, e7);
+    const __m256 col[7] = {e0, e1, e2, e3, e4, e5, e6};
+    for (std::size_t c = 0; c < n; ++c) denom = _mm256_add_ps(denom, col[c]);
+  }
+  return denom;
+}
+
+void softmax_avx2(std::size_t rows, std::size_t cols, const float* in,
+                  float* out) {
+  for (std::size_t i = 0; i < rows; i += 8) {
+    const RowGroup g =
+        row_group(in + i * cols, std::min<std::size_t>(8, rows - i), cols);
+    float* dst[8];
+    for (std::size_t r = 0; r < 8; ++r) {
+      dst[r] = out + (i + std::min(r, g.rows - 1)) * cols;
+    }
+    alignas(32) float inv[8];
+    _mm256_store_ps(inv, _mm256_div_ps(_mm256_set1_ps(1.0f),
+                                       exp_pass<true>(g, dst, cols)));
+    // Scale each real row once: e * (1 / denom), as the scalar does.
+    for (std::size_t r = 0; r < g.rows; ++r) {
+      if (!g.finite[r]) {
+        softmax_row(g.src[r], dst[r], cols);
+        continue;
+      }
+      const __m256 s = _mm256_broadcast_ss(&inv[r]);
+      std::size_t j = 0;
+      for (; j + 8 <= cols; j += 8) {
+        _mm256_storeu_ps(dst[r] + j,
+                         _mm256_mul_ps(_mm256_loadu_ps(dst[r] + j), s));
+      }
+      if (j < cols) {
+        const __m256i mask = tail_mask(cols - j);
+        _mm256_maskstore_ps(
+            dst[r] + j, mask,
+            _mm256_mul_ps(_mm256_maskload_ps(dst[r] + j, mask), s));
+      }
+    }
+  }
+}
+
+unsigned softmax_targets_avx2(std::size_t rows, std::size_t cols,
+                              const float* logits, const std::int32_t* targets,
+                              float* p) {
+  const RowGroup g = row_group(logits, rows, cols);
+  const __m256 denom = exp_pass<false>(g, nullptr, cols);
+  alignas(32) float xt[8];
+  for (std::size_t r = 0; r < 8; ++r) {
+    xt[r] = g.src[r][targets[std::min(r, rows - 1)]];
+  }
+  // One expf8 for the eight target logits, lane r for row r.
+  const __m256 et =
+      expf8(_mm256_sub_ps(_mm256_load_ps(xt), _mm256_loadu_ps(g.mx)));
+  alignas(32) float pt[8];
+  _mm256_store_ps(
+      pt, _mm256_mul_ps(et, _mm256_div_ps(_mm256_set1_ps(1.0f), denom)));
+  unsigned non_finite = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (g.finite[r]) {
+      p[r] = pt[r];
+    } else {
+      non_finite |= 1u << r;
+    }
+  }
+  return non_finite;
+}
+
+// First index of the row maximum: the max, then the first lane equal to
+// it. Equality finds the first of +0 and -0 as the `>` chain does.
+void argmax_avx2(std::size_t rows, std::size_t cols, const float* t,
+                 std::int32_t* out) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* row = t + i * cols;
+    bool finite = false;
+    const float m = row_max(row, cols, finite);
+    if (!finite) {
+      out[i] = argmax_row(row, cols);
+      continue;
+    }
+    const __m256 mv = _mm256_set1_ps(m);
+    std::size_t j = 0;
+    int hits = 0;
+    for (; j + 8 <= cols; j += 8) {
+      hits = _mm256_movemask_ps(
+          _mm256_cmp_ps(_mm256_loadu_ps(row + j), mv, _CMP_EQ_OQ));
+      if (hits != 0) break;
+    }
+    if (hits == 0) {  // the maximum is in the tail
+      const std::size_t n = cols - j;
+      hits = _mm256_movemask_ps(_mm256_cmp_ps(
+                 _mm256_maskload_ps(row + j, tail_mask(n)), mv, _CMP_EQ_OQ)) &
+             ((1 << n) - 1);
+    }
+    out[i] = static_cast<std::int32_t>(j) +
+             __builtin_ctz(static_cast<unsigned>(hits));
+  }
+}
+
 constexpr Avx2TensorKernels kKernels = {
     /*gemm_nn_fma=*/gemm<true, false>,
     /*gemm_nn_muladd=*/gemm<false, false>,
@@ -351,6 +642,10 @@ constexpr Avx2TensorKernels kKernels = {
     /*bias_relu=*/bias_relu_avx2,
     /*adam_fma=*/adam_avx2<true>,
     /*adam_muladd=*/adam_avx2<false>,
+    /*expf8=*/expf8_avx2,
+    /*softmax=*/softmax_avx2,
+    /*softmax_targets=*/softmax_targets_avx2,
+    /*argmax=*/argmax_avx2,
 };
 
 }  // namespace

@@ -64,7 +64,7 @@ TEST(Codec, DecodeShapes) {
   Rng rng(4);
   KbDecoder dec(small_config(), rng);
   tensor::Tensor f({1, 8});
-  const auto logits = dec.decode_logits(f);
+  const auto& logits = dec.decode_logits_batch(f);
   EXPECT_EQ(logits.dim(0), 4u);
   EXPECT_EQ(logits.dim(1), 30u);
   const auto decoded = dec.decode(f);
@@ -75,7 +75,7 @@ TEST(Codec, DecodeRejectsBadFeature) {
   Rng rng(5);
   KbDecoder dec(small_config(), rng);
   tensor::Tensor wrong({1, 4});
-  EXPECT_THROW(dec.decode_logits(wrong), Error);
+  EXPECT_THROW(dec.decode_logits_batch(wrong), Error);
 }
 
 TEST(Codec, JointLossFiniteAndBackwardRuns) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -31,10 +32,12 @@
 #include "common/rng.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/layers.hpp"
+#include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "semantic/codec.hpp"
 #include "semantic/trainer.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/simd_kernels.hpp"
 #include "tensor/tensor.hpp"
 #include "test_util.hpp"
 
@@ -546,6 +549,217 @@ TEST(SimdKernels, FinetuneRestoresCallerFpMode) {
   _mm_setcsr(saved);
 }
 #endif
+
+// ---------------------------------------------------------------------------
+// expf and the softmax family: the AVX2 kernels against their scalar twins.
+
+constexpr unsigned kMxcsrFtzDaz = (1u << 15) | (1u << 6);
+
+/// RAII MXCSR override: FTZ/DAZ on or off for the guard's lifetime (a
+/// no-op where the target has no MXCSR).
+class FpModeGuard {
+ public:
+  explicit FpModeGuard(bool ftz_daz) {
+#if defined(__SSE__)
+    saved_ = _mm_getcsr();
+    _mm_setcsr(ftz_daz ? saved_ | kMxcsrFtzDaz : saved_ & ~kMxcsrFtzDaz);
+#else
+    (void)ftz_daz;
+#endif
+  }
+  ~FpModeGuard() {
+#if defined(__SSE__)
+    _mm_setcsr(saved_);
+#endif
+  }
+  FpModeGuard(const FpModeGuard&) = delete;
+  FpModeGuard& operator=(const FpModeGuard&) = delete;
+
+ private:
+  unsigned saved_ = 0;
+};
+
+std::uint32_t float_bits(float f) {
+  std::uint32_t b = 0;
+  std::memcpy(&b, &f, sizeof b);
+  return b;
+}
+
+std::uint64_t double_bits(double d) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
+
+TEST(SimdKernels, Expf8LanesEqualScalarExpf) {
+  const tensor::detail::Avx2TensorKernels* kt =
+      tensor::detail::avx2_tensor_kernels();
+  if (kt == nullptr || !avx2_host()) {
+    GTEST_SKIP() << "no AVX2 kernels on this host/build";
+  }
+  // A stride through all 2^32 bit patterns (every sign, exponent and the
+  // NaN space), then the special-case boundaries side by side in one
+  // vector so special and ordinary lanes mix.
+  std::vector<float> inputs;
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 4093) {
+    const auto bits = static_cast<std::uint32_t>(b);
+    float x = 0.0f;
+    std::memcpy(&x, &bits, sizeof x);
+    inputs.push_back(x);
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float x :
+       {0.0f, -0.0f, 1e-40f, -1e-40f, 87.99f, 88.0f, -88.0f, 88.72f,
+        0x1.62e42ep6f, std::nextafter(0x1.62e42ep6f, inf), 88.73f, -103.9f,
+        -0x1.9fe368p6f, std::nextafter(-0x1.9fe368p6f, -inf), -104.0f, inf,
+        -inf, std::numeric_limits<float>::quiet_NaN(), -1.5f, 2.5f}) {
+    inputs.push_back(x);
+  }
+  while (inputs.size() % 8 != 0) inputs.push_back(1.0f);
+  for (const bool ftz_daz : {false, true}) {
+    FpModeGuard mode(ftz_daz);
+    std::size_t diffs = 0;
+    float lanes[8];
+    for (std::size_t i = 0; i < inputs.size(); i += 8) {
+      kt->expf8(inputs.data() + i, lanes);
+      for (std::size_t k = 0; k < 8; ++k) {
+        if (float_bits(lanes[k]) != float_bits(tensor::expf(inputs[i + k])) &&
+            diffs++ < 5) {
+          ADD_FAILURE() << "x bits 0x" << std::hex
+                        << float_bits(inputs[i + k]) << " ftz_daz "
+                        << ftz_daz;
+        }
+      }
+    }
+    EXPECT_EQ(diffs, 0u) << "ftz_daz " << ftz_daz;
+  }
+}
+
+float nan_with_bits(std::uint32_t bits) {
+  float f = 0.0f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+// Logits for one shape: uniform at a spread picked per shape (up to 400,
+// so exps underflow past the -88 and -104 boundaries), with NaN (first and
+// later), +inf, -inf and all -inf rows salted into half the shapes. The
+// NaNs carry distinct signs and payloads, so an output's NaN bits show
+// which operations, in which order, produced it.
+Tensor softmax_input(std::size_t rows, std::size_t cols, Rng& rng) {
+  static constexpr float kSpread[] = {1.0f, 8.0f, 60.0f, 400.0f};
+  Tensor t = Tensor::uniform({rows, cols},
+                             kSpread[(rows + 3 * cols) % 4], rng);
+  if ((rows + cols) % 2 == 0) return t;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = nan_with_bits(0x7fc00001u);
+  const float other_nan = nan_with_bits(0xffc00002u);
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = t.data() + r * cols;
+    switch ((r + cols) % 9) {
+      case 0:
+        row[0] = nan;
+        row[cols - 1] = other_nan;
+        break;
+      case 1: row[cols / 2] = other_nan; break;
+      case 2: row[cols - 1] = inf; break;
+      case 3: row[cols / 3] = -inf; break;
+      case 4: std::fill(row, row + cols, -inf); break;
+      default: break;
+    }
+  }
+  return t;
+}
+
+TEST(SimdKernels, SoftmaxAndCrossEntropyTierTwinOverShapeGrid) {
+  // Rows 1..17 cover one and two groups of eight plus every remainder;
+  // columns 1..140 cover every 8-column tail around the serve shape's 125.
+  // Each shape runs under the default MXCSR and under FTZ/DAZ, where the
+  // large spreads produce subnormal exps to flush.
+  Rng rng(4242);
+  for (std::size_t rows = 1; rows <= 17; ++rows) {
+    for (std::size_t cols = 1; cols <= 140; ++cols) {
+      const Tensor logits = softmax_input(rows, cols, rng);
+      std::vector<std::int32_t> targets(rows);
+      for (std::int32_t& t : targets) {
+        t = static_cast<std::int32_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(cols) - 1));
+      }
+      for (const bool ftz_daz : {false, true}) {
+        FpModeGuard mode(ftz_daz);
+        Tensor probs[2];
+        double loss[2], forward[2];
+        for (const common::SimdTier tier :
+             {common::SimdTier::kScalar, common::SimdTier::kAvx2}) {
+          TierGuard guard(tier);
+          const int k = tier == common::SimdTier::kAvx2 ? 1 : 0;
+          probs[k] = tensor::row_softmax(logits);
+          loss[k] = tensor::mean_cross_entropy(logits.flat(), cols, targets);
+          nn::SoftmaxCrossEntropy ce;
+          forward[k] = ce.forward(logits, targets);
+        }
+        const std::string label = std::to_string(rows) + "x" +
+                                  std::to_string(cols) + " ftz_daz " +
+                                  std::to_string(ftz_daz);
+        ASSERT_TRUE(BitEqual(probs[1], probs[0])) << label;
+        ASSERT_EQ(double_bits(loss[1]), double_bits(loss[0])) << label;
+        ASSERT_EQ(double_bits(forward[0]), double_bits(loss[0])) << label;
+        ASSERT_EQ(double_bits(forward[1]), double_bits(loss[0])) << label;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, RowArgmaxTierTwinTiesZerosAndNonFinite) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Hand-made rows with the scalar `>` chain's answer: the first maximum,
+  // the first of +0 and -0, and NaN only where it blocks every later
+  // element (first) or is skipped (later).
+  struct Case {
+    std::vector<float> row;
+    std::int32_t want;
+  };
+  const std::vector<Case> cases = {
+      {{-0.0f, 0.0f}, 0},
+      {{0.0f, -0.0f}, 0},
+      {{-1.0f, -0.0f, 0.0f}, 1},
+      {{1.0f, 3.0f, 3.0f}, 1},
+      {{nan, 5.0f, 7.0f}, 0},
+      {{1.0f, nan, 7.0f}, 2},
+      {{1.0f, 7.0f, nan, 7.0f}, 1},
+      {{-inf, -inf}, 0},
+      {{1.0f, inf, 2.0f, inf}, 1},
+  };
+  for (const Case& c : cases) {
+    const Tensor t({1, c.row.size()}, c.row);
+    for (const common::SimdTier tier :
+         {common::SimdTier::kScalar, common::SimdTier::kAvx2}) {
+      TierGuard guard(tier);
+      EXPECT_EQ(tensor::row_argmax(t)[0], c.want)
+          << "case " << (&c - cases.data()) << " tier "
+          << common::simd_tier_name(tier);
+    }
+  }
+  // Random rows over every column tail, with repeated maxima, signed
+  // zeros and the NaN/inf salt of the softmax grid.
+  Rng rng(99);
+  for (std::size_t cols = 1; cols <= 140; ++cols) {
+    Tensor t = softmax_input(9, cols, rng);
+    for (std::size_t j = 0; j < cols; ++j) {
+      // Quantize row 5 so maxima repeat, and make row 6 signed zeros.
+      t.at(5, j) = std::round(t.at(5, j) * 2.0f);
+      t.at(6, j) = (j % 3 == 0) ? -0.0f : 0.0f;
+    }
+    std::vector<std::int32_t> got[2];
+    for (const common::SimdTier tier :
+         {common::SimdTier::kScalar, common::SimdTier::kAvx2}) {
+      TierGuard guard(tier);
+      got[tier == common::SimdTier::kAvx2 ? 1 : 0] = tensor::row_argmax(t);
+    }
+    EXPECT_EQ(got[1], got[0]) << "cols " << cols;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Channel plane twins.

@@ -284,7 +284,7 @@ TEST(CodecBatching, DecodeBatchMatchesStackedSingles) {
     for (std::size_t j = 0; j < features.dim(1); ++j) {
       f.at(0, j) = features.at(s, j);
     }
-    const Tensor single = codec.decoder().decode_logits(f);
+    const Tensor single = codec.decoder().decode_logits_batch(f);
     for (std::size_t r = 0; r < 4; ++r) {
       for (std::size_t v = 0; v < single.dim(1); ++v) {
         EXPECT_EQ(single.at(r, v), batch_logits.at(s * 4 + r, v))

@@ -211,8 +211,9 @@ TEST(MismatchReuse, FastPathBitIdenticalToFullDecoderCopyPass) {
 TEST(MismatchReuseNoisy, CorruptedPayloadFallbackBitIdenticalAcrossPaths) {
   // Force the channel-corrupted fallback: uncoded at 0 dB flips ~8% of
   // payload bits, so essentially every message arrives corrupted
-  // (P(all clean) < e^-50 for this run) and the reuse path must take its
-  // single-row decoder-copy fallback instead of slicing receiver logits.
+  // (P(all clean) < e^-50 for this run) and the reuse path must send its
+  // rows through the chunk's batched decoder-copy pass instead of reading
+  // the receiver logits.
   // Three lockstep systems pin both contracts at once: the batched path
   // equals the sequential path, and the reuse fallback equals the full
   // decoder-copy pass, bit-exactly, with fine-tune updates firing on

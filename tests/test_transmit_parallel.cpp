@@ -158,8 +158,9 @@ TEST_F(TransmitParallelTest, IntraEdgeSkipsChannel) {
 
 TEST(TransmitParallelNoisy, CorruptedPayloadsStayBitIdentical) {
   // Uncoded at 0 dB flips ~8% of payload bits: essentially every message
-  // arrives corrupted, driving the mismatch-reuse fallback (a per-message
-  // decoder-copy pass) while the pool carries the noisy channel passes.
+  // arrives corrupted, driving the mismatch-reuse fallback (the chunk's
+  // batched decoder-copy pass) while the pool carries the noisy channel
+  // passes.
   // The heavy per-message noise draws make this the strongest RNG-stream
   // isolation case: any cross-worker draw would scramble the bits.
   unsetenv("SEMCACHE_THREADS");
