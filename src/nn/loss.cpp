@@ -1,7 +1,5 @@
 #include "nn/loss.hpp"
 
-#include <cmath>
-
 #include "common/check.hpp"
 #include "tensor/ops.hpp"
 
@@ -12,23 +10,9 @@ double SoftmaxCrossEntropy::forward(const Tensor& logits,
   SEMCACHE_CHECK(logits.rank() == 2, "ce: logits must be rank-2");
   SEMCACHE_CHECK(logits.dim(0) == targets.size(),
                  "ce: batch size mismatch with targets");
-  SEMCACHE_CHECK(!targets.empty() && logits.dim(1) > 0,
-                 "ce: needs at least one row and one class");
   probs_ = tensor::row_softmax(logits);
   targets_.assign(targets.begin(), targets.end());
-
-  double loss = 0.0;
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    const auto t = targets_[i];
-    SEMCACHE_CHECK(t >= 0 && static_cast<std::size_t>(t) < logits.dim(1),
-                   "ce: target class out of range");
-    // Clamp to avoid -inf on (numerically) zero probabilities.
-    const double p =
-        std::max(static_cast<double>(probs_.at(i, static_cast<std::size_t>(t))),
-                 1e-12);
-    loss -= std::log(p);
-  }
-  return loss / static_cast<double>(targets_.size());
+  return tensor::mean_target_nll(probs_.flat(), logits.dim(1), targets_);
 }
 
 Tensor SoftmaxCrossEntropy::backward() const {

@@ -308,7 +308,6 @@ struct SimdDispatch {
   detail::EpilogueFn bias_relu = nullptr;
   detail::AdamFn adam = nullptr;
   detail::SoftmaxFn softmax = nullptr;
-  detail::SoftmaxTargetsFn softmax_targets = nullptr;
   detail::ArgmaxFn argmax = nullptr;
   const char* path = "scalar";
 };
@@ -335,7 +334,6 @@ const SimdDispatch& simd_dispatch() {
     // Nor does the softmax family: expf spells every fusion with std::fma
     // and nothing else in it multiplies and then adds.
     d.softmax = kt->softmax;
-    d.softmax_targets = kt->softmax_targets;
     d.argmax = kt->argmax;
     const bool nn_fma = probe_matches(false, kt->gemm_nn_fma);
     const bool nn_mul = !nn_fma && probe_matches(false, kt->gemm_nn_muladd);
@@ -376,6 +374,18 @@ void require_rows_and_cols(std::size_t rows, std::size_t cols,
                            const char* op) {
   SEMCACHE_CHECK(rows > 0 && cols > 0,
                  std::string(op) + ": needs at least one row and one column");
+}
+
+// row_softmax over a row-major (rows x cols) block into out.
+void softmax_rows(std::size_t rows, std::size_t cols, const float* in,
+                  float* out) {
+  if (const detail::SoftmaxFn softmax = engaged(simd_dispatch().softmax)) {
+    softmax(rows, cols, in, out);
+  } else {
+    for (std::size_t i = 0; i < rows; ++i) {
+      detail::softmax_row(in + i * cols, out + i * cols, cols);
+    }
+  }
 }
 
 void gemm_nn_d(std::size_t m, std::size_t k, std::size_t n, const float* a,
@@ -616,13 +626,7 @@ Tensor row_softmax(const Tensor& logits) {
   const std::size_t n = logits.dim(1);
   require_rows_and_cols(m, n, "row_softmax");
   Tensor out({m, n});
-  if (const detail::SoftmaxFn softmax = engaged(simd_dispatch().softmax)) {
-    softmax(m, n, logits.data(), out.data());
-  } else {
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::softmax_row(logits.data() + i * n, out.data() + i * n, n);
-    }
-  }
+  softmax_rows(m, n, logits.data(), out.data());
   return out;
 }
 
@@ -642,47 +646,36 @@ std::vector<std::int32_t> row_argmax(const Tensor& t) {
   return out;
 }
 
+double mean_target_nll(std::span<const float> probs, std::size_t cols,
+                       std::span<const std::int32_t> targets) {
+  SEMCACHE_CHECK(!targets.empty() && probs.size() == targets.size() * cols,
+                 "mean_target_nll: probs must hold one row per target");
+  double loss = 0.0;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const std::int32_t t = targets[i];
+    SEMCACHE_CHECK(t >= 0 && static_cast<std::size_t>(t) < cols,
+                   "mean_target_nll: target class out of range");
+    // Clamp to avoid -inf on (numerically) zero probabilities.
+    const double p = std::max(
+        static_cast<double>(probs[i * cols + static_cast<std::size_t>(t)]),
+        1e-12);
+    loss -= std::log(p);
+  }
+  return loss / static_cast<double>(targets.size());
+}
+
 double mean_cross_entropy(std::span<const float> logits, std::size_t cols,
                           std::span<const std::int32_t> targets) {
   const std::size_t rows = targets.size();
   require_rows_and_cols(rows, cols, "mean_cross_entropy");
   SEMCACHE_CHECK(logits.size() == rows * cols,
                  "mean_cross_entropy: logits must hold one row per target");
-  for (const std::int32_t t : targets) {
-    SEMCACHE_CHECK(t >= 0 && static_cast<std::size_t>(t) < cols,
-                   "mean_cross_entropy: target class out of range");
-  }
-  const detail::SoftmaxTargetsFn targets_fn =
-      engaged(simd_dispatch().softmax_targets);
-  // The AVX2 kernel reads each row's target probability without writing
-  // the row. The scalar tier, and each row the kernel leaves (a NaN or an
-  // infinity), run softmax_row, the code row_softmax and so forward run
-  // for that row, into a scratch row; NaN bits follow operand order, so
-  // only the same code gives the same NaN.
+  // The probabilities go to a scratch reused across calls (no
+  // steady-state allocation).
   static thread_local std::vector<float> scratch;
-  if (scratch.size() < cols) scratch.resize(cols);
-  // Rows go in groups of eight (the kernel's lane count); the loss sums
-  // them in row order either way, as forward does.
-  constexpr std::size_t kGroup = 8;
-  float p[kGroup];
-  double loss = 0.0;
-  for (std::size_t i = 0; i < rows; i += kGroup) {
-    const std::size_t g = std::min(kGroup, rows - i);
-    const float* block = logits.data() + i * cols;
-    const unsigned scalar_rows =
-        targets_fn != nullptr
-            ? targets_fn(g, cols, block, targets.data() + i, p)
-            : (1u << g) - 1;
-    for (std::size_t r = 0; r < g; ++r) {
-      if ((scalar_rows >> r & 1u) != 0) {
-        detail::softmax_row(block + r * cols, scratch.data(), cols);
-        p[r] = scratch[static_cast<std::size_t>(targets[i + r])];
-      }
-      // Clamp to avoid -inf on (numerically) zero probabilities.
-      loss -= std::log(std::max(static_cast<double>(p[r]), 1e-12));
-    }
-  }
-  return loss / static_cast<double>(rows);
+  if (scratch.size() < logits.size()) scratch.resize(logits.size());
+  softmax_rows(rows, cols, logits.data(), scratch.data());
+  return mean_target_nll({scratch.data(), logits.size()}, cols, targets);
 }
 
 float sum(const Tensor& a) {

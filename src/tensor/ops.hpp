@@ -94,10 +94,18 @@ Tensor row_softmax(const Tensor& logits);
 /// Row-wise argmax of a rank-2 tensor: the first index of each row's
 /// maximum (NaN as the `>` chain treats it). Throws on zero rows or columns.
 std::vector<std::int32_t> row_argmax(const Tensor& t);
+/// Mean over rows of -log(max(p, 1e-12)), p being row r's entry at column
+/// targets[r] of row-major probabilities (targets.size() rows of `cols`),
+/// the logs summed in double in row order: the cross-entropy of softmax
+/// output. Throws on an empty batch, on probs not one row per target, and
+/// on a target outside [0, cols).
+double mean_target_nll(std::span<const float> probs, std::size_t cols,
+                       std::span<const std::int32_t> targets);
 /// Mean softmax cross-entropy of row-major logits (targets.size() rows of
-/// `cols`), read in place: exactly nn::SoftmaxCrossEntropy::forward's
-/// value, from row_softmax's target probabilities with the same 1e-12
-/// clamp and the same double log sum, without a probability tensor.
+/// `cols`), read in place: row_softmax's probabilities, kept in a
+/// thread-local scratch instead of a tensor, through mean_target_nll —
+/// exactly nn::SoftmaxCrossEntropy::forward's value. Throws on zero rows
+/// or columns.
 double mean_cross_entropy(std::span<const float> logits, std::size_t cols,
                           std::span<const std::int32_t> targets);
 

@@ -1,8 +1,8 @@
 // AVX2/FMA micro-kernels for the matmul family, the Adam update, and expf
-// with the softmax family built on it (row_softmax, the loss-only
-// mean_cross_entropy, row_argmax). This TU is compiled with -mavx2 -mfma
-// -ffp-contract=off (see CMakeLists.txt) and is the only one carrying AVX2
-// code; everything here is reached through the kernel table in
+// with the softmax family built on it (row_softmax, which
+// mean_cross_entropy runs, and row_argmax). This TU is compiled with -mavx2
+// -mfma -ffp-contract=off (see CMakeLists.txt) and is the only one carrying
+// AVX2 code; everything here is reached through the kernel table in
 // simd_kernels.hpp after ops.cpp picks a flavor (by its equivalence probe
 // for the gemms, by __FMA__ for Adam; the softmax family has one flavor).
 //
@@ -467,8 +467,8 @@ inline void transpose8(__m256& r0, __m256& r1, __m256& r2, __m256& r3,
 }
 
 // Eight rows at a time, one lane per row. Past the block's last row the
-// group repeats that row, so a short group runs the same code and the
-// caller drops the repeats' lanes.
+// group repeats that row, so a short group runs the same code and
+// softmax_avx2 drops the repeats' lanes.
 struct RowGroup {
   const float* src[8];
   float mx[8];
@@ -488,16 +488,15 @@ inline RowGroup row_group(const float* block, std::size_t rows,
 }
 
 // The exp pass of a group: e = expf(x - max) per element, written to the
-// dst rows when kStore (a repeated row writes its row's own values
-// again), and per row the denominator sum in ascending column order —
-// the scalar chain, with lane r of the result for row r. Each 8x8 block
-// is computed as row vectors and transposed into column vectors, so a
-// row's additions stay in its lane and in column order.
-template <bool kStore>
+// dst rows (a repeated row writes its row's own values again), and per
+// row the denominator sum in ascending column order — the scalar chain,
+// with lane r of the result for row r. Each 8x8 block is computed as row
+// vectors and transposed into column vectors, so a row's additions stay
+// in its lane and in column order.
 __m256 exp_pass(const RowGroup& g, float* const* dst, std::size_t cols) {
   const auto e_of = [&](std::size_t r, std::size_t j, __m256 x) {
     const __m256 e = expf8(_mm256_sub_ps(x, _mm256_broadcast_ss(&g.mx[r])));
-    if constexpr (kStore) _mm256_storeu_ps(dst[r] + j, e);
+    _mm256_storeu_ps(dst[r] + j, e);
     return e;
   };
   __m256 denom = _mm256_setzero_ps();
@@ -530,7 +529,7 @@ __m256 exp_pass(const RowGroup& g, float* const* dst, std::size_t cols) {
       const __m256 x = _mm256_maskload_ps(g.src[r] + j, mask);
       const __m256 e =
           expf8(_mm256_sub_ps(x, _mm256_broadcast_ss(&g.mx[r])));
-      if constexpr (kStore) _mm256_maskstore_ps(dst[r] + j, mask, e);
+      _mm256_maskstore_ps(dst[r] + j, mask, e);
       return e;
     };
     __m256 e0 = tail_e(0), e1 = tail_e(1), e2 = tail_e(2), e3 = tail_e(3);
@@ -553,7 +552,7 @@ void softmax_avx2(std::size_t rows, std::size_t cols, const float* in,
     }
     alignas(32) float inv[8];
     _mm256_store_ps(inv, _mm256_div_ps(_mm256_set1_ps(1.0f),
-                                       exp_pass<true>(g, dst, cols)));
+                                       exp_pass(g, dst, cols)));
     // Scale each real row once: e * (1 / denom), as the scalar does.
     for (std::size_t r = 0; r < g.rows; ++r) {
       if (!g.finite[r]) {
@@ -574,32 +573,6 @@ void softmax_avx2(std::size_t rows, std::size_t cols, const float* in,
       }
     }
   }
-}
-
-unsigned softmax_targets_avx2(std::size_t rows, std::size_t cols,
-                              const float* logits, const std::int32_t* targets,
-                              float* p) {
-  const RowGroup g = row_group(logits, rows, cols);
-  const __m256 denom = exp_pass<false>(g, nullptr, cols);
-  alignas(32) float xt[8];
-  for (std::size_t r = 0; r < 8; ++r) {
-    xt[r] = g.src[r][targets[std::min(r, rows - 1)]];
-  }
-  // One expf8 for the eight target logits, lane r for row r.
-  const __m256 et =
-      expf8(_mm256_sub_ps(_mm256_load_ps(xt), _mm256_loadu_ps(g.mx)));
-  alignas(32) float pt[8];
-  _mm256_store_ps(
-      pt, _mm256_mul_ps(et, _mm256_div_ps(_mm256_set1_ps(1.0f), denom)));
-  unsigned non_finite = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (g.finite[r]) {
-      p[r] = pt[r];
-    } else {
-      non_finite |= 1u << r;
-    }
-  }
-  return non_finite;
 }
 
 // First index of the row maximum: the max, then the first lane equal to
@@ -644,7 +617,6 @@ constexpr Avx2TensorKernels kKernels = {
     /*adam_muladd=*/adam_avx2<false>,
     /*expf8=*/expf8_avx2,
     /*softmax=*/softmax_avx2,
-    /*softmax_targets=*/softmax_targets_avx2,
     /*argmax=*/argmax_avx2,
 };
 

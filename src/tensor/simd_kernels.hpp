@@ -15,10 +15,9 @@
 // whichever flavor matches bit-for-bit — or neither, leaving the scalar
 // kernels in sole charge. See "SIMD kernels" in the README.
 //
-// The expf-based kernels (softmax, the loss's target probabilities, and
-// the argmax beside them) need one flavor and no probe: tensor::expf
-// spells each of its fusions with std::fma, and nothing else in them
-// multiplies and then adds.
+// The expf-based softmax, and the argmax beside it, need one flavor and no
+// probe: tensor::expf spells each of its fusions with std::fma, and nothing
+// else in them multiplies and then adds.
 #pragma once
 
 #include <cstddef>
@@ -103,14 +102,6 @@ using Expf8Fn = void (*)(const float* x, float* y);
 using SoftmaxFn = void (*)(std::size_t rows, std::size_t cols,
                            const float* in, float* out);
 
-/// p[r] = what softmax_row writes at column targets[r] of row r, for the
-/// 1..8 rows of a row-major (rows x cols) block, without writing a row:
-/// the loss-only half of SoftmaxFn. Returns the rows (bit r for row r)
-/// holding a NaN or an infinity, whose p[r] it leaves to softmax_row.
-using SoftmaxTargetsFn = unsigned (*)(std::size_t rows, std::size_t cols,
-                                      const float* logits,
-                                      const std::int32_t* targets, float* p);
-
 /// out[r] = argmax_row(row r) over a row-major (rows x cols) block.
 using ArgmaxFn = void (*)(std::size_t rows, std::size_t cols, const float* t,
                           std::int32_t* out);
@@ -126,7 +117,6 @@ struct Avx2TensorKernels {
   AdamFn adam_muladd;
   Expf8Fn expf8;
   SoftmaxFn softmax;
-  SoftmaxTargetsFn softmax_targets;
   ArgmaxFn argmax;
 };
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/loss.hpp"
@@ -227,6 +229,19 @@ TEST(Ops, MeanCrossEntropyRejectsBadTargetsAndShape) {
   nn::SoftmaxCrossEntropy ce;
   EXPECT_EQ(mean_cross_entropy(logits.flat(), 3, targets),
             ce.forward(logits, targets));
+}
+
+TEST(Ops, MeanTargetNllClampsAndRejectsBadShape) {
+  // Row 1's target probability is 0, so the 1e-12 clamp decides its term.
+  const std::vector<float> probs = {0.25f, 0.75f, 1.0f, 0.0f};
+  const std::vector<std::int32_t> targets = {1, 1};
+  EXPECT_EQ(mean_target_nll(probs, 2, targets),
+            (-std::log(0.75) - std::log(1e-12)) / 2.0);
+  const std::vector<std::int32_t> none;
+  const std::vector<std::int32_t> out_of_range = {0, 2};
+  EXPECT_THROW(mean_target_nll({}, 2, none), Error);
+  EXPECT_THROW(mean_target_nll(probs, 3, targets), Error);
+  EXPECT_THROW(mean_target_nll(probs, 2, out_of_range), Error);
 }
 
 // Bits of tensor::expf, recorded once from glibc 2.36's expf on x86-64
