@@ -18,6 +18,7 @@
 #include "channel/convolutional.hpp"
 #include "channel/modulation.hpp"
 #include "channel/physical.hpp"
+#include "channel/simd.hpp"
 #include "common/cpu.hpp"
 #include "compress/huffman.hpp"
 #include "edge/sim.hpp"
@@ -708,8 +709,8 @@ static void BM_ChannelBatchSimd(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(info.size()));
-  state.SetLabel(tier == common::SimdTier::kAvx2
-                     ? tensor::active_matmul_path()
+  state.SetLabel(channel::detail::engaged_channel_kernels() != nullptr
+                     ? "avx2"
                      : "scalar");
   common::set_simd_tier(prev);
 }

@@ -2,9 +2,8 @@
 // (modulation.cpp, noise.cpp, convolutional.cpp, repetition.cpp) and the
 // AVX2 translation unit (simd_avx2.cpp), mirroring tensor/simd_kernels.hpp.
 //
-// No kernel here needs a flavor pair or a probe: a single vector
-// implementation is bit-identical to the scalar reference on every input
-// (twin tests pin this). Most are comparisons, table lookups and integer
+// Each kernel is one vector implementation, bit-identical to the scalar
+// reference on every input (twin tests pin this). Most are comparisons, table lookups and integer
 // arithmetic. The noise generator is the one with multiply-add chains,
 // and both of its tiers spell every multiply-add as a fused one
 // (std::fma / _mm256_fmadd_pd) in the same order over the constants

@@ -1,11 +1,10 @@
 // AVX2/SSE kernels for the channel plane, compiled with -mavx2 -mfma
 // -ffp-contract=off (see CMakeLists.txt) and reached through the table in
 // channel/simd.hpp. Every kernel is bit-identical to its scalar reference
-// by construction, so no equivalence probe is needed (contrast tensor
-// ops): the demaps and the trellis use IEEE-exact operations (compares,
-// one division) and integer work, and the noise generator repeats the
-// scalar reference's operations one for one, its multiply-adds fused in
-// both tiers.
+// by construction: the demaps and the trellis use IEEE-exact operations
+// (compares, one division) and integer work, and the noise generator
+// repeats the scalar reference's operations one for one, its multiply-adds
+// fused in both tiers.
 //
 // Demap layout note: a std::complex<double> array is layout-compatible
 // with a flat double array [re0, im0, re1, im1, ...]; one 256-bit load

@@ -8,10 +8,10 @@
 // runs vectorized on an AVX2 host and scalar on anything older, and CI
 // flips the env to pin the fallback path without a rebuild.
 //
-// The tier is intent, not engagement: a dispatch site may still decline the
-// SIMD path (kernels compiled out on a non-x86 build, or an equivalence
-// probe that failed to match the as-built scalar reference — see
-// tensor/ops.cpp). Each site reports what actually engaged via log_once.
+// The tier is intent, not engagement: a dispatch site still runs the scalar
+// path when its kernels are compiled out (a non-x86 build, or a compiler
+// that refused the ISA flags). Each plane reports what actually engaged via
+// log_once.
 #pragma once
 
 namespace semcache::common {
@@ -25,9 +25,8 @@ struct CpuFeatures {
 /// Detected features of the executing CPU (cached after the first call).
 const CpuFeatures& cpu_features();
 
-/// The dispatch families a build can carry. kAvx2 implies FMA hardware is
-/// also required at runtime — the kernels use it when the baseline build
-/// contracts (see tensor/ops.cpp's probe).
+/// The dispatch families a build can carry. kAvx2 requires FMA hardware
+/// too: the AVX2 kernels spell every multiply-add as a fused one.
 enum class SimdTier {
   kScalar = 0,  ///< reference kernels only (always available)
   kAvx2 = 1,    ///< AVX2(+FMA) kernels where an implementation exists

@@ -9,8 +9,6 @@
 #include <string>
 
 #include "common/check.hpp"
-#include "common/cpu.hpp"
-#include "common/log.hpp"
 #include "tensor/simd_kernels.hpp"
 
 namespace semcache::tensor {
@@ -42,7 +40,10 @@ void require_no_alias(const Tensor& c, const Tensor& a, const Tensor& b,
 // times from registers (4x the arithmetic intensity of the naive ikj loop);
 // the contiguous j-loop auto-vectorizes. Per C-element the summation is
 // still a_i0*b_0j + a_i1*b_1j + ... in ascending k order — exactly the
-// reference order — so results are bit-identical to matmul_reference.
+// reference order — and each step is one fused multiply-add, spelled
+// std::fma here and in matmul_reference (the AVX2 kernels spell the same),
+// so no build's contraction setting can change a bit. Results are
+// bit-identical to matmul_reference.
 constexpr std::size_t kRowTile = 4;
 
 void gemm_nn(std::size_t m, std::size_t k, std::size_t n,
@@ -62,10 +63,10 @@ void gemm_nn(std::size_t m, std::size_t k, std::size_t n,
       const float* __restrict brow = b + kk * n;
       for (std::size_t j = 0; j < n; ++j) {
         const float bv = brow[j];
-        c0[j] += a0 * bv;
-        c1[j] += a1 * bv;
-        c2[j] += a2 * bv;
-        c3[j] += a3 * bv;
+        c0[j] = std::fma(a0, bv, c0[j]);
+        c1[j] = std::fma(a1, bv, c1[j]);
+        c2[j] = std::fma(a2, bv, c2[j]);
+        c3[j] = std::fma(a3, bv, c3[j]);
       }
     }
   }
@@ -74,7 +75,9 @@ void gemm_nn(std::size_t m, std::size_t k, std::size_t n,
     for (std::size_t kk = 0; kk < k; ++kk) {
       const float av = a[i * k + kk];
       const float* __restrict brow = b + kk * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      for (std::size_t j = 0; j < n; ++j) {
+        crow[j] = std::fma(av, brow[j], crow[j]);
+      }
     }
   }
 }
@@ -100,10 +103,10 @@ void gemm_tn(std::size_t m, std::size_t k, std::size_t n,
       const float* __restrict brow = b + kk * n;
       for (std::size_t j = 0; j < n; ++j) {
         const float bv = brow[j];
-        c0[j] += a0 * bv;
-        c1[j] += a1 * bv;
-        c2[j] += a2 * bv;
-        c3[j] += a3 * bv;
+        c0[j] = std::fma(a0, bv, c0[j]);
+        c1[j] = std::fma(a1, bv, c1[j]);
+        c2[j] = std::fma(a2, bv, c2[j]);
+        c3[j] = std::fma(a3, bv, c3[j]);
       }
     }
   }
@@ -112,7 +115,9 @@ void gemm_tn(std::size_t m, std::size_t k, std::size_t n,
     for (std::size_t kk = 0; kk < k; ++kk) {
       const float av = a[kk * m + i];
       const float* __restrict brow = b + kk * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      for (std::size_t j = 0; j < n; ++j) {
+        crow[j] = std::fma(av, brow[j], crow[j]);
+      }
     }
   }
 }
@@ -157,24 +162,15 @@ void bias_relu_epilogue(std::size_t m, std::size_t n,
   }
 }
 
-// Scalar reference for adam_update. The two moment updates name their
-// fusion: a contracting build for FMA hardware (Release: -O3
-// -march=native) fuses the plain expressions into exactly these FMAs, and
-// builds without __FMA__ (the -O1 sanitizer configs, Debug) cannot fuse.
-// Spelling it out pins the bits of every build type without a probe and
-// lets adam_update pick the AVX2 flavor from the same macro.
+// Scalar reference for adam_update. The two moment updates are its only
+// multiply-adds, and both are spelled fused, as in the AVX2 kernel.
 void adam_scalar(std::size_t n, const AdamCoefficients& c, const float* grad,
                  float* m, float* v, float* value) {
   for (std::size_t j = 0; j < n; ++j) {
     const double g = grad[j];
-#if defined(__FMA__)
     m[j] = static_cast<float>(std::fma(c.beta1, m[j], (1.0 - c.beta1) * g));
     v[j] = static_cast<float>(
         std::fma(c.beta2, v[j], (1.0 - c.beta2) * g * g));
-#else
-    m[j] = static_cast<float>(c.beta1 * m[j] + (1.0 - c.beta1) * g);
-    v[j] = static_cast<float>(c.beta2 * v[j] + (1.0 - c.beta2) * g * g);
-#endif
     const double mhat = m[j] / c.bc1;
     const double vhat = v[j] / c.bc2;
     value[j] -= static_cast<float>(c.lr * mhat / (std::sqrt(vhat) + c.eps));
@@ -243,133 +239,6 @@ std::int32_t argmax_row(const float* row, std::size_t cols) {
 
 namespace {
 
-// ---- SIMD dispatch -------------------------------------------------------
-//
-// The AVX2 kernel table (ops_avx2.cpp) carries each gemm in two flavors:
-// explicit-FMA and strict multiply-then-add. Which one is bit-identical to
-// the scalar kernels above depends on how THIS translation unit was
-// compiled — Release (-O3, gcc's default -ffp-contract=fast) contracts the
-// scalar c += a*b into hardware FMA, the -O1 sanitizer configs do not — so
-// the choice is settled empirically, once, by running both flavors against
-// the as-built scalar kernel on a probe containing a value pattern where
-// fused and unfused accumulation MUST differ in the last bit. Whichever
-// flavor matches bit-for-bit is installed; if neither does (a compiler
-// splitting contraction mid-chain, say), the AVX2 path stays disabled and
-// the scalar kernels remain in sole charge.
-
-// Deterministic full-mantissa values in [-1, 1) for the probe fill.
-float probe_value(std::uint64_t& state) {
-  state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-  const std::uint32_t mant = static_cast<std::uint32_t>(state >> 40) & 0xFFFFFF;
-  return (static_cast<float>(mant) - 8388608.0f) / 8388608.0f;
-}
-
-bool probe_matches(bool trans, detail::GemmFn candidate) {
-  // 8 x 4 x 27 covers the candidate's 6-row block plus a 2-row tail, one
-  // 16-wide and one 8-wide column block plus a 3-column scalar tail. The
-  // shape is laundered through volatile so the compiler cannot specialize
-  // the inlined scalar kernel for it — the probe must run the exact code
-  // every real call site runs.
-  static volatile std::size_t vm = 8, vk = 4, vn = 27;
-  const std::size_t m = vm, k = vk, n = vn;
-  std::vector<float> a(m * k), b(k * n), ref(m * n), out(m * n);
-  std::uint64_t s = 0x5eed5eedULL;
-  for (float& v : a) v = probe_value(s);
-  for (float& v : b) v = probe_value(s);
-  for (std::size_t i = 0; i < ref.size(); ++i) out[i] = ref[i] = probe_value(s);
-  // Adversarial column 0: starting from exactly -1.0f, accumulating
-  // (1 + 2^-23) * (1 - 2^-23) lands on -2^-46 when the multiply-add is
-  // fused (the product is exact inside the fma) but on +0.0f when the
-  // product is rounded first (it rounds to 1.0f). The remaining k steps
-  // multiply by zero and preserve the split, so exactly one flavor can
-  // match the as-built scalar kernel here.
-  for (std::size_t r = 0; r < m; ++r) {
-    a[trans ? 0 * m + r : r * k + 0] = 1.0f;
-    a[trans ? 1 * m + r : r * k + 1] = 1.0f + 0x1p-23f;
-    out[r * n + 0] = ref[r * n + 0] = 0.0f;
-  }
-  b[0 * n + 0] = -1.0f;
-  b[1 * n + 0] = 1.0f - 0x1p-23f;
-  b[2 * n + 0] = 0.0f;
-  b[3 * n + 0] = 0.0f;
-  if (trans) {
-    gemm_tn(m, k, n, a.data(), b.data(), ref.data());
-  } else {
-    gemm_nn(m, k, n, a.data(), b.data(), ref.data());
-  }
-  candidate(m, k, n, a.data(), b.data(), out.data());
-  return std::memcmp(ref.data(), out.data(), ref.size() * sizeof(float)) == 0;
-}
-
-struct SimdDispatch {
-  detail::GemmFn nn = nullptr;
-  detail::GemmFn tn = nullptr;
-  detail::EpilogueFn bias = nullptr;
-  detail::EpilogueFn bias_relu = nullptr;
-  detail::AdamFn adam = nullptr;
-  detail::SoftmaxFn softmax = nullptr;
-  detail::ArgmaxFn argmax = nullptr;
-  const char* path = "scalar";
-};
-
-const SimdDispatch& simd_dispatch() {
-  static const SimdDispatch dispatch = [] {
-    SimdDispatch d;
-    const detail::Avx2TensorKernels* kt = detail::avx2_tensor_kernels();
-    const common::CpuFeatures& f = common::cpu_features();
-    if (kt == nullptr || !f.avx2 || !f.fma) {
-      common::log_once("simd.tensor",
-                       kt == nullptr
-                           ? "tensor kernels: scalar (no AVX2 code in build)"
-                           : "tensor kernels: scalar (CPU lacks AVX2+FMA)",
-                       common::LogLevel::kInfo);
-      return d;
-    }
-    // Adam needs no probe: adam_scalar names its fusion by the same macro.
-#if defined(__FMA__)
-    d.adam = kt->adam_fma;
-#else
-    d.adam = kt->adam_muladd;
-#endif
-    // Nor does the softmax family: expf spells every fusion with std::fma
-    // and nothing else in it multiplies and then adds.
-    d.softmax = kt->softmax;
-    d.argmax = kt->argmax;
-    const bool nn_fma = probe_matches(false, kt->gemm_nn_fma);
-    const bool nn_mul = !nn_fma && probe_matches(false, kt->gemm_nn_muladd);
-    const bool tn_fma = probe_matches(true, kt->gemm_tn_fma);
-    const bool tn_mul = !tn_fma && probe_matches(true, kt->gemm_tn_muladd);
-    if ((nn_fma || nn_mul) && (tn_fma || tn_mul) && nn_fma == tn_fma) {
-      d.nn = nn_fma ? kt->gemm_nn_fma : kt->gemm_nn_muladd;
-      d.tn = tn_fma ? kt->gemm_tn_fma : kt->gemm_tn_muladd;
-      d.bias = kt->bias;
-      d.bias_relu = kt->bias_relu;
-      d.path = nn_fma ? "avx2-fma" : "avx2-muladd";
-      common::log_once("simd.tensor",
-                       std::string("tensor kernels: ") + d.path +
-                           " (probe matched the as-built scalar kernels)",
-                       common::LogLevel::kInfo);
-    } else {
-      common::log_once(
-          "simd.tensor",
-          "tensor kernels: scalar (equivalence probe matched neither AVX2 "
-          "flavor; keeping the reference kernels)",
-          common::LogLevel::kWarn);
-    }
-    return d;
-  }();
-  return dispatch;
-}
-
-/// The AVX2 kernel a call runs, or nullptr for the scalar twin: null when
-/// the build, the CPU or (for the gemm family) the probe ruled it out,
-/// and on the scalar tier.
-template <typename Fn>
-Fn engaged(Fn fn) {
-  return common::active_simd_tier() == common::SimdTier::kAvx2 ? fn
-                                                               : nullptr;
-}
-
 void require_rows_and_cols(std::size_t rows, std::size_t cols,
                            const char* op) {
   SEMCACHE_CHECK(rows > 0 && cols > 0,
@@ -379,8 +248,8 @@ void require_rows_and_cols(std::size_t rows, std::size_t cols,
 // row_softmax over a row-major (rows x cols) block into out.
 void softmax_rows(std::size_t rows, std::size_t cols, const float* in,
                   float* out) {
-  if (const detail::SoftmaxFn softmax = engaged(simd_dispatch().softmax)) {
-    softmax(rows, cols, in, out);
+  if (const auto* kt = detail::engaged_tensor_kernels()) {
+    kt->softmax(rows, cols, in, out);
   } else {
     for (std::size_t i = 0; i < rows; ++i) {
       detail::softmax_row(in + i * cols, out + i * cols, cols);
@@ -390,8 +259,8 @@ void softmax_rows(std::size_t rows, std::size_t cols, const float* in,
 
 void gemm_nn_d(std::size_t m, std::size_t k, std::size_t n, const float* a,
                const float* b, float* c) {
-  if (const detail::GemmFn nn = engaged(simd_dispatch().nn)) {
-    nn(m, k, n, a, b, c);
+  if (const auto* kt = detail::engaged_tensor_kernels()) {
+    kt->gemm_nn(m, k, n, a, b, c);
   } else {
     gemm_nn(m, k, n, a, b, c);
   }
@@ -399,8 +268,8 @@ void gemm_nn_d(std::size_t m, std::size_t k, std::size_t n, const float* a,
 
 void gemm_tn_d(std::size_t m, std::size_t k, std::size_t n, const float* a,
                const float* b, float* c) {
-  if (const detail::GemmFn tn = engaged(simd_dispatch().tn)) {
-    tn(m, k, n, a, b, c);
+  if (const auto* kt = detail::engaged_tensor_kernels()) {
+    kt->gemm_tn(m, k, n, a, b, c);
   } else {
     gemm_tn(m, k, n, a, b, c);
   }
@@ -408,8 +277,8 @@ void gemm_tn_d(std::size_t m, std::size_t k, std::size_t n, const float* a,
 
 void bias_epilogue_d(std::size_t m, std::size_t n, const float* bias,
                      float* c) {
-  if (const detail::EpilogueFn fn = engaged(simd_dispatch().bias)) {
-    fn(m, n, bias, c);
+  if (const auto* kt = detail::engaged_tensor_kernels()) {
+    kt->bias(m, n, bias, c);
   } else {
     bias_epilogue(m, n, bias, c);
   }
@@ -417,8 +286,8 @@ void bias_epilogue_d(std::size_t m, std::size_t n, const float* bias,
 
 void bias_relu_epilogue_d(std::size_t m, std::size_t n, const float* bias,
                           float* c) {
-  if (const detail::EpilogueFn fn = engaged(simd_dispatch().bias_relu)) {
-    fn(m, n, bias, c);
+  if (const auto* kt = detail::engaged_tensor_kernels()) {
+    kt->bias_relu(m, n, bias, c);
   } else {
     bias_relu_epilogue(m, n, bias, c);
   }
@@ -454,8 +323,8 @@ void adam_update(Tensor& value, const Tensor& grad, Tensor& m, Tensor& v,
   require_same_shape(value, grad, "adam_update");
   require_same_shape(value, m, "adam_update");
   require_same_shape(value, v, "adam_update");
-  if (const detail::AdamFn adam = engaged(simd_dispatch().adam)) {
-    adam(value.size(), c, grad.data(), m.data(), v.data(), value.data());
+  if (const auto* kt = detail::engaged_tensor_kernels()) {
+    kt->adam(value.size(), c, grad.data(), m.data(), v.data(), value.data());
   } else {
     adam_scalar(value.size(), c, grad.data(), m.data(), v.data(),
                 value.data());
@@ -487,7 +356,9 @@ Tensor matmul_reference(const Tensor& a, const Tensor& b) {
       const float av = pa[i * k + kk];
       const float* brow = pb + kk * n;
       float* crow = pc + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      for (std::size_t j = 0; j < n; ++j) {
+        crow[j] = std::fma(av, brow[j], crow[j]);
+      }
     }
   }
   return c;
@@ -589,8 +460,7 @@ void affine_relu_into(Tensor& y, const Tensor& x, const Tensor& w,
 }
 
 const char* active_matmul_path() {
-  const SimdDispatch& d = simd_dispatch();
-  return engaged(d.nn) != nullptr ? d.path : "scalar";
+  return detail::engaged_tensor_kernels() != nullptr ? "avx2-fma" : "scalar";
 }
 
 Tensor transpose(const Tensor& a) {
@@ -636,8 +506,8 @@ std::vector<std::int32_t> row_argmax(const Tensor& t) {
   const std::size_t n = t.dim(1);
   require_rows_and_cols(m, n, "row_argmax");
   std::vector<std::int32_t> out(m);
-  if (const detail::ArgmaxFn argmax = engaged(simd_dispatch().argmax)) {
-    argmax(m, n, t.data(), out.data());
+  if (const auto* kt = detail::engaged_tensor_kernels()) {
+    kt->argmax(m, n, t.data(), out.data());
   } else {
     for (std::size_t i = 0; i < m; ++i) {
       out[i] = detail::argmax_row(t.data() + i * n, n);

@@ -121,11 +121,11 @@ float l2_norm(const Tensor& a);
 /// out += column sums of a (out must be rank-1 of length a.dim(1)).
 void column_sums_acc(Tensor& out, const Tensor& a);
 
-/// The kernel path the NEXT matmul-family call will take: "avx2-fma" or
-/// "avx2-muladd" when the AVX2 kernels are built, the CPU supports them,
-/// the equivalence probe matched that flavor, and the active SIMD tier
-/// (common::active_simd_tier) admits them; "scalar" otherwise. Tests and
-/// benches use this to assert/record what actually engaged.
+/// The kernel path the NEXT matmul-family call will take: "avx2-fma" when
+/// the AVX2 kernels are built and the active SIMD tier
+/// (common::active_simd_tier, which admits AVX2 only on a CPU with AVX2
+/// and FMA) engages them; "scalar" otherwise. Tests and benches use this
+/// to assert/record what actually engaged.
 const char* active_matmul_path();
 
 }  // namespace semcache::tensor

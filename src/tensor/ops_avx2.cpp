@@ -3,8 +3,8 @@
 // mean_cross_entropy runs, and row_argmax). This TU is compiled with -mavx2
 // -mfma -ffp-contract=off (see CMakeLists.txt) and is the only one carrying
 // AVX2 code; everything here is reached through the kernel table in
-// simd_kernels.hpp after ops.cpp picks a flavor (by its equivalence probe
-// for the gemms, by __FMA__ for Adam; the softmax family has one flavor).
+// simd_kernels.hpp. Every multiply-add is spelled fused (_mm256_fmadd_*,
+// __builtin_fmaf), as the scalar twins in ops.cpp spell std::fma.
 //
 // Shape of the kernel: C accumulators live in ymm registers across the whole
 // k panel (6 rows x 16 columns = 12 independent FMA chains, enough to hide
@@ -12,8 +12,8 @@
 // memory on every k step — that store/reload traffic is what capped it near
 // ~26 GFLOP/s. Lanes run across output COLUMNS; k advances scalar, one step
 // at a time, so per C element the summation order is exactly the scalar
-// kernel's ascending-k chain and bit-identity is a matter of matching the
-// contraction flavor, which the probe in ops.cpp settles empirically.
+// kernel's ascending-k chain of fused multiply-adds, and the result is the
+// scalar kernel's bit for bit.
 #include "tensor/simd_kernels.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -25,28 +25,6 @@
 
 namespace semcache::tensor::detail {
 namespace {
-
-// The two accumulation flavors (see simd_kernels.hpp). With contraction
-// disabled for this TU, the muladd flavor's separate round after the
-// multiply survives into the generated code; the fma flavor fuses because
-// it says so explicitly, not because the compiler felt like it.
-template <bool kFma>
-inline __m256 madd(__m256 a, __m256 b, __m256 c) {
-  if constexpr (kFma) {
-    return _mm256_fmadd_ps(a, b, c);
-  } else {
-    return _mm256_add_ps(c, _mm256_mul_ps(a, b));
-  }
-}
-
-template <bool kFma>
-inline float maddf(float a, float b, float c) {
-  if constexpr (kFma) {
-    return __builtin_fmaf(a, b, c);  // hardware vfmadd*ss under -mfma
-  } else {
-    return c + a * b;
-  }
-}
 
 // A-element address for relative output row r at absolute depth kk: the nn
 // layout walks a row (stride 1 in kk), the tn layout walks a column of the
@@ -64,7 +42,7 @@ inline const float* a_at(const float* a, std::size_t astride, std::size_t r,
 // that saturates the store port and halves throughput. Named locals
 // register-allocate cleanly (12 accumulators + 2 B vectors + 1 broadcast
 // = 15 of 16 ymm).
-template <bool kFma, bool kTrans>
+template <bool kTrans>
 void micro16x6(std::size_t kc, std::size_t n, std::size_t astride,
                const float* a, const float* b, float* c) {
   float* c0 = c;
@@ -85,23 +63,23 @@ void micro16x6(std::size_t kc, std::size_t n, std::size_t astride,
     const __m256 p1 = _mm256_loadu_ps(brow + 8);
     __m256 av;
     av = _mm256_broadcast_ss(a_at<kTrans>(a, astride, 0, kk));
-    a0 = madd<kFma>(av, p0, a0);
-    a1 = madd<kFma>(av, p1, a1);
+    a0 = _mm256_fmadd_ps(av, p0, a0);
+    a1 = _mm256_fmadd_ps(av, p1, a1);
     av = _mm256_broadcast_ss(a_at<kTrans>(a, astride, 1, kk));
-    b0v = madd<kFma>(av, p0, b0v);
-    b1v = madd<kFma>(av, p1, b1v);
+    b0v = _mm256_fmadd_ps(av, p0, b0v);
+    b1v = _mm256_fmadd_ps(av, p1, b1v);
     av = _mm256_broadcast_ss(a_at<kTrans>(a, astride, 2, kk));
-    d0 = madd<kFma>(av, p0, d0);
-    d1 = madd<kFma>(av, p1, d1);
+    d0 = _mm256_fmadd_ps(av, p0, d0);
+    d1 = _mm256_fmadd_ps(av, p1, d1);
     av = _mm256_broadcast_ss(a_at<kTrans>(a, astride, 3, kk));
-    e0 = madd<kFma>(av, p0, e0);
-    e1 = madd<kFma>(av, p1, e1);
+    e0 = _mm256_fmadd_ps(av, p0, e0);
+    e1 = _mm256_fmadd_ps(av, p1, e1);
     av = _mm256_broadcast_ss(a_at<kTrans>(a, astride, 4, kk));
-    f0 = madd<kFma>(av, p0, f0);
-    f1 = madd<kFma>(av, p1, f1);
+    f0 = _mm256_fmadd_ps(av, p0, f0);
+    f1 = _mm256_fmadd_ps(av, p1, f1);
     av = _mm256_broadcast_ss(a_at<kTrans>(a, astride, 5, kk));
-    g0 = madd<kFma>(av, p0, g0);
-    g1 = madd<kFma>(av, p1, g1);
+    g0 = _mm256_fmadd_ps(av, p0, g0);
+    g1 = _mm256_fmadd_ps(av, p1, g1);
   }
   _mm256_storeu_ps(c0, a0);
   _mm256_storeu_ps(c0 + 8, a1);
@@ -117,11 +95,11 @@ void micro16x6(std::size_t kc, std::size_t n, std::size_t astride,
   _mm256_storeu_ps(c5 + 8, g1);
 }
 
-template <int R, bool kFma, bool kTrans>
+template <int R, bool kTrans>
 void micro16(std::size_t kc, std::size_t n, std::size_t astride,
              const float* a, const float* b, float* c) {
   if constexpr (R == 6) {
-    micro16x6<kFma, kTrans>(kc, n, astride, a, b, c);
+    micro16x6<kTrans>(kc, n, astride, a, b, c);
   } else {
     __m256 lo[R], hi[R];
     for (int r = 0; r < R; ++r) {
@@ -135,8 +113,8 @@ void micro16(std::size_t kc, std::size_t n, std::size_t astride,
       for (int r = 0; r < R; ++r) {
         const __m256 av = _mm256_broadcast_ss(
             a_at<kTrans>(a, astride, static_cast<std::size_t>(r), kk));
-        lo[r] = madd<kFma>(av, b0, lo[r]);
-        hi[r] = madd<kFma>(av, b1, hi[r]);
+        lo[r] = _mm256_fmadd_ps(av, b0, lo[r]);
+        hi[r] = _mm256_fmadd_ps(av, b1, hi[r]);
       }
     }
     for (int r = 0; r < R; ++r) {
@@ -147,7 +125,7 @@ void micro16(std::size_t kc, std::size_t n, std::size_t astride,
 }
 
 // R x 8 tile for the single-vector column remainder.
-template <int R, bool kFma, bool kTrans>
+template <int R, bool kTrans>
 void micro8(std::size_t kc, std::size_t n, std::size_t astride, const float* a,
             const float* b, float* c) {
   __m256 acc[R];
@@ -159,7 +137,7 @@ void micro8(std::size_t kc, std::size_t n, std::size_t astride, const float* a,
     for (int r = 0; r < R; ++r) {
       const __m256 av = _mm256_broadcast_ss(
           a_at<kTrans>(a, astride, static_cast<std::size_t>(r), kk));
-      acc[r] = madd<kFma>(av, bv, acc[r]);
+      acc[r] = _mm256_fmadd_ps(av, bv, acc[r]);
     }
   }
   for (int r = 0; r < R; ++r) {
@@ -168,7 +146,7 @@ void micro8(std::size_t kc, std::size_t n, std::size_t astride, const float* a,
 }
 
 // Scalar column tail (n % 8 trailing columns), same ascending-k chain.
-template <int R, bool kFma, bool kTrans>
+template <int R, bool kTrans>
 void micro_cols(std::size_t kc, std::size_t n, std::size_t astride,
                 const float* a, const float* b, float* c, std::size_t cols) {
   for (std::size_t j = 0; j < cols; ++j) {
@@ -176,31 +154,31 @@ void micro_cols(std::size_t kc, std::size_t n, std::size_t astride,
       const std::size_t rs = static_cast<std::size_t>(r);
       float acc = c[rs * n + j];
       for (std::size_t kk = 0; kk < kc; ++kk) {
-        acc = maddf<kFma>(*a_at<kTrans>(a, astride, rs, kk), b[kk * n + j],
-                          acc);
+        acc = __builtin_fmaf(*a_at<kTrans>(a, astride, rs, kk),
+                             b[kk * n + j], acc);
       }
       c[rs * n + j] = acc;
     }
   }
 }
 
-template <int R, bool kFma, bool kTrans>
+template <int R, bool kTrans>
 void row_block(std::size_t kc, std::size_t n, std::size_t astride,
                const float* a, const float* b, float* c) {
   std::size_t j = 0;
   for (; j + 16 <= n; j += 16) {
-    micro16<R, kFma, kTrans>(kc, n, astride, a, b + j, c + j);
+    micro16<R, kTrans>(kc, n, astride, a, b + j, c + j);
   }
   if (j + 8 <= n) {
-    micro8<R, kFma, kTrans>(kc, n, astride, a, b + j, c + j);
+    micro8<R, kTrans>(kc, n, astride, a, b + j, c + j);
     j += 8;
   }
   if (j < n) {
-    micro_cols<R, kFma, kTrans>(kc, n, astride, a, b + j, c + j, n - j);
+    micro_cols<R, kTrans>(kc, n, astride, a, b + j, c + j, n - j);
   }
 }
 
-template <bool kFma, bool kTrans>
+template <bool kTrans>
 void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
           const float* b, float* c) {
   // k-panel blocking: 256 depth steps per pass keep the streamed B panel
@@ -217,21 +195,21 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
     };
     std::size_t i = 0;
     for (; i + 6 <= m; i += 6) {
-      row_block<6, kFma, kTrans>(kc, n, astride, ap(i), bp, c + i * n);
+      row_block<6, kTrans>(kc, n, astride, ap(i), bp, c + i * n);
     }
     switch (m - i) {
-      case 5: row_block<5, kFma, kTrans>(kc, n, astride, ap(i), bp, c + i * n); break;
-      case 4: row_block<4, kFma, kTrans>(kc, n, astride, ap(i), bp, c + i * n); break;
-      case 3: row_block<3, kFma, kTrans>(kc, n, astride, ap(i), bp, c + i * n); break;
-      case 2: row_block<2, kFma, kTrans>(kc, n, astride, ap(i), bp, c + i * n); break;
-      case 1: row_block<1, kFma, kTrans>(kc, n, astride, ap(i), bp, c + i * n); break;
+      case 5: row_block<5, kTrans>(kc, n, astride, ap(i), bp, c + i * n); break;
+      case 4: row_block<4, kTrans>(kc, n, astride, ap(i), bp, c + i * n); break;
+      case 3: row_block<3, kTrans>(kc, n, astride, ap(i), bp, c + i * n); break;
+      case 2: row_block<2, kTrans>(kc, n, astride, ap(i), bp, c + i * n); break;
+      case 1: row_block<1, kTrans>(kc, n, astride, ap(i), bp, c + i * n); break;
       default: break;
     }
   }
 }
 
-// Epilogues: one add (or add + clamp) per element — no accumulation chain,
-// so vector and scalar agree bitwise regardless of contraction flavor.
+// Epilogues: one add (or add + clamp) per element and no multiply, so
+// vector and scalar agree bitwise.
 // _mm256_max_ps(zero, v) returns v when v is NaN and keeps -0.0f, exactly
 // like the scalar `v < 0 ? 0 : v`.
 void bias_avx2(std::size_t m, std::size_t n, const float* bias, float* c) {
@@ -266,19 +244,11 @@ void bias_relu_avx2(std::size_t m, std::size_t n, const float* bias,
 
 // Adam: the scalar loop's double-precision arithmetic, four elements per
 // instruction (floats widened to a __m256d, narrowed back with the same
-// round-to-nearest conversion the scalar static_cast uses). IEEE division
+// round-to-nearest conversion the scalar static_cast uses). The two moment
+// updates are fused multiply-adds, as the scalar spells them. IEEE division
 // and square root are correctly rounded per lane, so keeping the scalar
 // operation order — m/bc1 and v/bc2 as divisions, (lr*mhat)/(sqrt(vhat)+eps)
 // — makes every lane bit-identical to the scalar element.
-template <bool kFma>
-inline __m256d madd(__m256d a, __m256d b, __m256d c) {
-  if constexpr (kFma) {
-    return _mm256_fmadd_pd(a, b, c);
-  } else {
-    return _mm256_add_pd(_mm256_mul_pd(a, b), c);
-  }
-}
-
 struct AdamLanes {
   __m256d lr, beta1, beta2, one_minus_beta1, one_minus_beta2, eps, bc1, bc2;
 };
@@ -288,7 +258,6 @@ struct AdamLanes {
 // for every value, -0.0f included (the zero test is on bits because a -0.0
 // moment becomes +0.0 once updated). These are the embedding rows a
 // fine-tune's samples never touch.
-template <bool kFma>
 inline void adam4(const AdamLanes& k, const float* grad, float* m, float* v,
                   float* value) {
   const __m128 gf = _mm_loadu_ps(grad);
@@ -299,11 +268,11 @@ inline void adam4(const AdamLanes& k, const float* grad, float* m, float* v,
       _mm_castps_si128(vf));
   if (_mm_testz_si128(bits, bits)) return;
   const __m256d g = _mm256_cvtps_pd(gf);
-  const __m128 m1 = _mm256_cvtpd_ps(madd<kFma>(
+  const __m128 m1 = _mm256_cvtpd_ps(_mm256_fmadd_pd(
       k.beta1, _mm256_cvtps_pd(mf), _mm256_mul_pd(k.one_minus_beta1, g)));
   const __m128 v1 = _mm256_cvtpd_ps(
-      madd<kFma>(k.beta2, _mm256_cvtps_pd(vf),
-                 _mm256_mul_pd(_mm256_mul_pd(k.one_minus_beta2, g), g)));
+      _mm256_fmadd_pd(k.beta2, _mm256_cvtps_pd(vf),
+                      _mm256_mul_pd(_mm256_mul_pd(k.one_minus_beta2, g), g)));
   _mm_storeu_ps(m, m1);
   _mm_storeu_ps(v, v1);
   const __m256d mhat = _mm256_div_pd(_mm256_cvtps_pd(m1), k.bc1);
@@ -315,7 +284,6 @@ inline void adam4(const AdamLanes& k, const float* grad, float* m, float* v,
                 _mm_sub_ps(_mm_loadu_ps(value), _mm256_cvtpd_ps(step)));
 }
 
-template <bool kFma>
 void adam_avx2(std::size_t n, const AdamCoefficients& c, const float* grad,
                float* m, float* v, float* value) {
   const AdamLanes k = {
@@ -326,7 +294,7 @@ void adam_avx2(std::size_t n, const AdamCoefficients& c, const float* grad,
   };
   std::size_t j = 0;
   for (; j + 4 <= n; j += 4) {
-    adam4<kFma>(k, grad + j, m + j, v + j, value + j);
+    adam4(k, grad + j, m + j, v + j, value + j);
   }
   if (j < n) {
     // Tail: the same group arithmetic on zero-padded copies. Padding lanes
@@ -337,7 +305,7 @@ void adam_avx2(std::size_t n, const AdamCoefficients& c, const float* grad,
     std::memcpy(m4, m + j, bytes);
     std::memcpy(v4, v + j, bytes);
     std::memcpy(val4, value + j, bytes);
-    adam4<kFma>(k, g4, m4, v4, val4);
+    adam4(k, g4, m4, v4, val4);
     std::memcpy(m + j, m4, bytes);
     std::memcpy(v + j, v4, bytes);
     std::memcpy(value + j, val4, bytes);
@@ -607,14 +575,11 @@ void argmax_avx2(std::size_t rows, std::size_t cols, const float* t,
 }
 
 constexpr Avx2TensorKernels kKernels = {
-    /*gemm_nn_fma=*/gemm<true, false>,
-    /*gemm_nn_muladd=*/gemm<false, false>,
-    /*gemm_tn_fma=*/gemm<true, true>,
-    /*gemm_tn_muladd=*/gemm<false, true>,
+    /*gemm_nn=*/gemm<false>,
+    /*gemm_tn=*/gemm<true>,
     /*bias=*/bias_avx2,
     /*bias_relu=*/bias_relu_avx2,
-    /*adam_fma=*/adam_avx2<true>,
-    /*adam_muladd=*/adam_avx2<false>,
+    /*adam=*/adam_avx2,
     /*expf8=*/expf8_avx2,
     /*softmax=*/softmax_avx2,
     /*argmax=*/argmax_avx2,

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -138,10 +139,8 @@ TEST(SimdDispatch, TensorPathEngagesOnCapableHost) {
   }
   {
     TierGuard guard(common::SimdTier::kAvx2);
-    const std::string path = tensor::active_matmul_path();
-    // The runtime probe picks whichever flavor matches the as-built scalar
-    // kernel; either way a capable host must not fall back to scalar.
-    EXPECT_TRUE(path == "avx2-fma" || path == "avx2-muladd") << path;
+    // One flavor in every build type: both tiers fuse each multiply-add.
+    EXPECT_STREQ(tensor::active_matmul_path(), "avx2-fma");
   }
   {
     TierGuard guard(common::SimdTier::kScalar);
@@ -245,6 +244,55 @@ TEST(SimdKernels, KPanelBoundaryShapesTwin) {
   // multi-panel accumulate path (C re-read between panels) is exercised.
   for (const std::size_t k : {255u, 256u, 257u, 511u, 513u}) {
     expect_matmul_family_twin({7, k, 17});
+  }
+}
+
+// The rule both tiers follow in every build type: a multiply-add rounds
+// once. Each output element is 1 * -1 = -1 plus (1 + 2^-23)(1 - 2^-23) =
+// 1 - 2^-46. Fused, the sum is -2^-46; with the product rounded first (to
+// 1.0f) it would be +0. A 7 x 2 x 27 product runs the AVX2 kernel's 6-row
+// block and 1-row remainder, its 16- and 8-wide column blocks and its
+// 3-column scalar tail, and the scalar kernel's 4-row tile and remainder.
+TEST(SimdKernels, MatmulMultiplyAddsRoundOnceOnBothTiers) {
+  constexpr std::size_t m = 7, n = 27;
+  constexpr std::uint32_t kFusedBits = 0xA8800000u;  // -2^-46
+  Tensor a({m, 2}), at({2, m}), b({2, n}), bt({n, 2});
+  for (std::size_t i = 0; i < m; ++i) {
+    a.at(i, 0) = at.at(0, i) = 1.0f;
+    a.at(i, 1) = at.at(1, i) = 1.0f + 0x1p-23f;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    b.at(0, j) = bt.at(j, 0) = -1.0f;
+    b.at(1, j) = bt.at(j, 1) = 1.0f - 0x1p-23f;
+  }
+  const Tensor zero_bias({n});
+  const auto all_fused = [&](const Tensor& c) -> ::testing::AssertionResult {
+    if (c.rank() != 2 || c.dim(0) != m || c.dim(1) != n) {
+      return ::testing::AssertionFailure() << "shape " << c.shape_string();
+    }
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      if (std::bit_cast<std::uint32_t>(c.data()[i]) != kFusedBits) {
+        return ::testing::AssertionFailure()
+               << "flat index " << i << " holds " << c.data()[i];
+      }
+    }
+    return ::testing::AssertionSuccess();
+  };
+  for (const common::SimdTier tier :
+       {common::SimdTier::kScalar, common::SimdTier::kAvx2}) {
+    TierGuard guard(tier);
+    const char* name = common::simd_tier_name(tier);
+    Tensor c;
+    tensor::matmul_into(c, a, b);
+    EXPECT_TRUE(all_fused(c)) << "matmul_into " << name;
+    tensor::matmul_tn_into(c, at, b);
+    EXPECT_TRUE(all_fused(c)) << "matmul_tn_into " << name;
+    tensor::matmul_nt_into(c, a, bt);
+    EXPECT_TRUE(all_fused(c)) << "matmul_nt_into " << name;
+    tensor::affine_into(c, a, b, zero_bias);
+    EXPECT_TRUE(all_fused(c)) << "affine_into " << name;
+    EXPECT_TRUE(all_fused(tensor::matmul_reference(a, b)))
+        << "matmul_reference " << name;
   }
 }
 
@@ -446,6 +494,36 @@ TEST(SimdKernels, AdamUpdateTierTwinEveryTail) {
           << "n " << n << " t " << t;
       EXPECT_TRUE(BitEqual(scalar.m, simd.m)) << "n " << n << " t " << t;
       EXPECT_TRUE(BitEqual(scalar.v, simd.v)) << "n " << n << " t " << t;
+    }
+  }
+}
+
+// One Adam step whose first-moment terms cancel: beta1 * m and
+// (1 - beta1) * g sum to nearly zero, so how beta1 * m rounds decides the
+// new moment. Fused, as both tiers spell it, m lands on 0x24f0a3d8 and
+// value on 0xa0439153; a product rounded before the add gives m = 2^-53
+// (0x25000000) and value 0xa0500cfb. Five elements run the AVX2 kernel's
+// four-lane group and its tail.
+TEST(SimdKernels, AdamMomentUpdateRoundsOnceOnBothTiers) {
+  const tensor::AdamCoefficients c{1e-3, 0.9, 0.999, 1e-8, 1.0 - 0.9,
+                                   1.0 - 0.999};
+  for (const common::SimdTier tier :
+       {common::SimdTier::kScalar, common::SimdTier::kAvx2}) {
+    TierGuard guard(tier);
+    const char* name = common::simd_tier_name(tier);
+    Tensor value({5}), grad({5}), m({5}), v({5});
+    for (std::size_t i = 0; i < 5; ++i) {
+      grad.data()[i] = -0x1.93333ep+2f;
+      m.data()[i] = 0x1.66667p-1f;
+    }
+    tensor::adam_update(value, grad, m, v, c);
+    for (std::size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(m.data()[i]), 0x24f0a3d8u)
+          << name << " element " << i;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(v.data()[i]), 0x3d229204u)
+          << name << " element " << i;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(value.data()[i]), 0xa0439153u)
+          << name << " element " << i;
     }
   }
 }
