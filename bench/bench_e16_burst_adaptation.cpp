@@ -15,9 +15,13 @@
 //
 // Determinism: burst weather is a pure function of (seed, slot) and every
 // message RNG is an identity fork, so all counters in these tables are
-// reproducible from the seeds alone. The fixed arms run one batched
-// transmit; the adaptive arm runs message by message, because the
-// controller is a serial dependency.
+// reproducible from the seeds alone. Each scenario builds its three
+// pipelines once, one per code rate: each fixed arm runs one batched
+// transmit on its rung, and the adaptive arm climbs the same ladder
+// message by message, because the controller is a serial dependency.
+// SEMCACHE_SOFT=off forces hard decisions on every arm; the adaptive arm
+// then gets no SNR estimate and never switches.
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,38 +94,50 @@ Workload make_workload(const text::World& world, semantic::SemanticCodec& codec,
   return w;
 }
 
-struct DecodeResult {
-  double accuracy = 0.0;  // mean token accuracy
-  double exact = 0.0;     // fraction of messages decoded exactly
-};
+// One pipeline per code rate over the scenario's burst weather.
+channel::RateLadder make_ladder(const Scenario& sc) {
+  const bool soft = channel::resolve_soft_decision(true);
+  channel::RateLadder ladder;
+  for (std::size_t r = 0; r < channel::kCodeRateCount; ++r) {
+    auto pipe = channel::make_burst_pipeline(
+        std::make_unique<channel::ConvolutionalCode>(
+            static_cast<channel::CodeRate>(r)),
+        channel::Modulation::kQpsk, sc.burst, kInterleaveDepth);
+    pipe->set_soft_decision(soft);
+    ladder[r] = std::move(pipe);
+  }
+  return ladder;
+}
 
-DecodeResult decode_quality(semantic::SemanticCodec& codec,
-                            const semantic::FeatureQuantizer& quantizer,
-                            const Workload& w,
-                            const std::vector<BitVec>& received) {
+// Decode quality of the received payloads, and goodput over `airtime`.
+ArmResult score(semantic::SemanticCodec& codec,
+                const semantic::FeatureQuantizer& quantizer,
+                const Workload& w, const std::vector<BitVec>& received,
+                std::uint64_t airtime) {
   metrics::OnlineStats acc;
   std::size_t exact = 0;
+  std::uint64_t payload_bits = 0;
   for (std::size_t i = 0; i < received.size(); ++i) {
     const auto decoded =
         codec.decoder().decode(quantizer.dequantize(received[i]));
     const double ta = metrics::token_accuracy(w.messages[i].meanings, decoded);
     acc.add(ta);
     if (ta >= 1.0) ++exact;
+    payload_bits += w.payloads[i].size();
   }
-  DecodeResult r;
+  ArmResult r;
   r.accuracy = acc.mean();
   r.exact = static_cast<double>(exact) / static_cast<double>(received.size());
+  r.airtime = airtime;
+  r.goodput = r.exact * static_cast<double>(payload_bits) /
+              static_cast<double>(airtime);
   return r;
 }
 
-ArmResult run_fixed(const std::string& code, const Scenario& sc,
+ArmResult run_fixed(const channel::ChannelPipeline& pipe,
                     semantic::SemanticCodec& codec,
                     const semantic::FeatureQuantizer& quantizer,
                     const Workload& w) {
-  auto pipe = channel::make_burst_pipeline(channel::make_code(code),
-                                           channel::Modulation::kQpsk,
-                                           sc.burst, kInterleaveDepth);
-  pipe->set_soft_decision(true);
   std::vector<Rng> rngs;
   std::vector<std::uint64_t> slots;
   Rng base(9090);
@@ -130,43 +146,39 @@ ArmResult run_fixed(const std::string& code, const Scenario& sc,
     slots.push_back(i);
   }
   const std::vector<BitVec> received =
-      pipe->transmit_batch(w.payloads, rngs, slots);
-  ArmResult r;
-  const DecodeResult q = decode_quality(codec, quantizer, w, received);
-  r.accuracy = q.accuracy;
-  r.exact = q.exact;
-  std::uint64_t payload_bits = 0;
+      pipe.transmit_batch(w.payloads, rngs, slots);
+  std::uint64_t airtime = 0;
   for (const BitVec& payload : w.payloads) {
-    r.airtime += pipe->airtime_bits(payload.size());
-    payload_bits += payload.size();
+    airtime += pipe.airtime_bits(payload.size());
   }
-  r.goodput = q.exact * static_cast<double>(payload_bits) /
-              static_cast<double>(r.airtime);
-  return r;
+  return score(codec, quantizer, w, received, airtime);
 }
 
-ArmResult run_adaptive(const Scenario& sc, semantic::SemanticCodec& codec,
+ArmResult run_adaptive(const channel::RateLadder& ladder,
+                       semantic::SemanticCodec& codec,
                        const semantic::FeatureQuantizer& quantizer,
                        const Workload& w) {
-  channel::AdaptiveRateConfig cfg;  // 6 / 10 dB thresholds, 1 dB hysteresis
-  channel::AdaptiveRatePipeline link(channel::Modulation::kQpsk, sc.burst,
-                                     cfg, kInterleaveDepth);
+  // 6 / 10 dB thresholds, 1 dB hysteresis.
+  channel::AdaptiveRateController controller(channel::AdaptiveRateConfig{});
   std::vector<BitVec> received;
+  std::uint64_t airtime = 0;
+  std::uint64_t switches = 0;
+  std::array<std::uint64_t, channel::kCodeRateCount> rate_messages{};
   Rng base(9090);
   for (std::size_t i = 0; i < kMessages; ++i) {
+    const channel::CodeRate rate = controller.current();
+    const auto r = static_cast<std::size_t>(rate);
     Rng rng = base.fork(i);
-    received.push_back(link.transmit(w.payloads[i], rng, i));
+    received.push_back(channel::adaptive_transmit(ladder, controller,
+                                                  w.payloads[i], rng, i));
+    airtime += ladder[r]->airtime_bits(w.payloads[i].size());
+    rate_messages[r] += 1;
+    if (controller.current() != rate) ++switches;
   }
-  ArmResult r;
-  const DecodeResult q = decode_quality(codec, quantizer, w, received);
-  r.accuracy = q.accuracy;
-  r.exact = q.exact;
-  r.airtime = link.stats().airtime_bits;
-  r.goodput = q.exact * static_cast<double>(link.stats().payload_bits) /
-              static_cast<double>(r.airtime);
-  r.switches = link.stats().switches;
-  r.rate_messages = link.stats().rate_messages;
-  return r;
+  ArmResult result = score(codec, quantizer, w, received, airtime);
+  result.switches = switches;
+  result.rate_messages = rate_messages;
+  return result;
 }
 
 }  // namespace
@@ -193,11 +205,14 @@ int main(int argc, char** argv) {
         {"arm", "accuracy", "exact", "airtime_bits", "goodput", "switches",
          "msgs_r12", "msgs_r23", "msgs_r34"});
 
+    const channel::RateLadder ladder = make_ladder(sc);
     std::vector<std::pair<std::string, ArmResult>> arms;
-    for (const char* code : {"conv_k3_r12", "conv_k3_r23", "conv_k3_r34"}) {
-      arms.emplace_back(code, run_fixed(code, sc, *codec, quantizer, w));
+    for (std::size_t r = 0; r < channel::kCodeRateCount; ++r) {
+      arms.emplace_back(
+          channel::code_rate_name(static_cast<channel::CodeRate>(r)),
+          run_fixed(*ladder[r], *codec, quantizer, w));
     }
-    arms.emplace_back("adaptive", run_adaptive(sc, *codec, quantizer, w));
+    arms.emplace_back("adaptive", run_adaptive(ladder, *codec, quantizer, w));
 
     double best_fixed = 0.0;
     for (std::size_t a = 0; a < arms.size(); ++a) {

@@ -683,9 +683,10 @@ BENCHMARK(BM_SimulatorEventLoop)->Arg(1000)->Arg(100000);
 // pins the scalar kernels, Arg(1) the AVX2 tier (identical to scalar when
 // the host lacks AVX2+FMA, so the ratio reads 1.0 there rather than
 // lying). Output bits are tier-invariant by contract (test_simd), so the
-// rows differ in wall time only. The AVX2 noise generator, the 16-QAM
-// slicer and the SSE weighted trellis (the hard decode runs it at weight
-// 1) with its branch-free survivor stores carry the gap;
+// rows differ in wall time only. The AVX2 noise generator and the SSE
+// weighted trellis (the hard decode runs it at weight 1) with its
+// branch-free survivor stores carry the gap; the 16-QAM map and hard
+// demap run the same scalar loops on both tiers.
 // regression_gate.speedup requires /1 to beat /0 by more than 1.3x.
 static void BM_ChannelBatchSimd(benchmark::State& state) {
   const auto tier = state.range(0) == 0 ? common::SimdTier::kScalar

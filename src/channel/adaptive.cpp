@@ -1,5 +1,8 @@
 #include "channel/adaptive.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include "common/check.hpp"
 
 namespace semcache::channel {
@@ -37,46 +40,19 @@ CodeRate AdaptiveRateController::observe(double snr_est_db) {
   return rate_;
 }
 
-AdaptiveRatePipeline::AdaptiveRatePipeline(Modulation mod,
-                                           const GilbertElliottConfig& burst,
-                                           const AdaptiveRateConfig& cfg,
-                                           std::size_t interleave_depth,
-                                           bool soft)
-    : controller_(cfg) {
-  // SEMCACHE_SOFT=off degrades the whole link to hard decisions (the CI
-  // floor leg); the controller then never observes and holds its rate.
-  const bool effective_soft = resolve_soft_decision(soft);
-  for (std::size_t r = 0; r < kCodeRateCount; ++r) {
-    pipelines_[r] = make_burst_pipeline(
-        std::make_unique<ConvolutionalCode>(static_cast<CodeRate>(r)), mod,
-        burst, interleave_depth);
-    pipelines_[r]->set_soft_decision(effective_soft);
-  }
-}
-
-BitVec AdaptiveRatePipeline::transmit(const BitVec& payload, Rng& rng,
-                                      std::uint64_t slot) {
-  const CodeRate rate = controller_.current();
-  const ChannelPipeline& pipe = *pipelines_[static_cast<std::size_t>(rate)];
+BitVec adaptive_transmit(const RateLadder& ladder,
+                         AdaptiveRateController& controller,
+                         const BitVec& payload, Rng& rng, std::uint64_t slot) {
+  const ChannelPipeline* pipe =
+      ladder[static_cast<std::size_t>(controller.current())].get();
+  SEMCACHE_CHECK(pipe != nullptr, "adaptive: ladder rung missing");
+  // The estimate stays NaN unless the rung decodes soft: a hard rung, or a
+  // soft one over a channel without a soft output (BSC), writes none.
   ChannelObservation obs;
-  BitVec decoded = pipe.transmit(payload, rng, slot, &obs);
-  stats_.messages += 1;
-  stats_.rate_messages[static_cast<std::size_t>(rate)] += 1;
-  stats_.payload_bits += payload.size();
-  stats_.airtime_bits += pipe.airtime_bits(payload.size());
-  // Hard-decision fallback (SEMCACHE_SOFT=off or a slicer-only channel)
-  // yields no observation; the controller then simply holds its rate.
-  if (pipe.soft_decision()) {
-    const CodeRate next = controller_.observe(obs.snr_est_db);
-    if (next != rate) stats_.switches += 1;
-  }
-  stats_.ewma_snr_db = controller_.ewma_snr_db();
+  obs.snr_est_db = std::numeric_limits<double>::quiet_NaN();
+  BitVec decoded = pipe->transmit(payload, rng, slot, &obs);
+  if (!std::isnan(obs.snr_est_db)) controller.observe(obs.snr_est_db);
   return decoded;
-}
-
-std::string AdaptiveRatePipeline::description() const {
-  return "adaptive(" + pipelines_[0]->description() + " .. " +
-         pipelines_[kCodeRateCount - 1]->description() + ")";
 }
 
 }  // namespace semcache::channel

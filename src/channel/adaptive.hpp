@@ -3,13 +3,12 @@
 // (conv 1/2 -> punctured 2/3 -> punctured 3/4) with hysteresis, trading
 // coding gain for airtime when the Gilbert–Elliott weather allows it.
 // Everything here is deterministic: the controller state is a pure
-// function of the observation sequence, the observations are a pure
-// function of (seed, slot), so the recorded ChannelStats are byte-identical
-// across thread counts and shard layouts.
+// function of the observation sequence, and the observations are a pure
+// function of (seed, slot), so an adaptive link's rates and bits are
+// byte-identical across thread counts and shard layouts.
 #pragma once
 
 #include <array>
-#include <cstdint>
 #include <memory>
 
 #include "channel/convolutional.hpp"
@@ -26,18 +25,6 @@ struct AdaptiveRateConfig {
   double hysteresis_db = 1.0;
   double ewma_alpha = 0.25;  ///< weight of the newest SNR estimate
   CodeRate initial = CodeRate::kR12;
-};
-
-/// Deterministic per-link accounting, byte-comparable across runs.
-struct ChannelStats {
-  std::uint64_t messages = 0;
-  std::uint64_t switches = 0;  ///< rate transitions taken
-  std::array<std::uint64_t, kCodeRateCount> rate_messages{};
-  std::uint64_t payload_bits = 0;
-  std::uint64_t airtime_bits = 0;
-  double ewma_snr_db = 0.0;  ///< controller EWMA after the last message
-
-  bool operator==(const ChannelStats&) const = default;
 };
 
 class AdaptiveRateController {
@@ -58,27 +45,22 @@ class AdaptiveRateController {
   bool seeded_ = false;
 };
 
-/// A link that re-selects its code rate per message: three soft-decision
-/// pipelines over one shared Gilbert–Elliott configuration, steered by an
-/// AdaptiveRateController. The rate for message N is decided from
-/// observations of messages < N (causal — the transmitter cannot see the
-/// channel it is about to hit). Sequential by design: the controller is a
-/// genuine serial dependency, so there is no batched entry point.
-class AdaptiveRatePipeline {
- public:
-  AdaptiveRatePipeline(Modulation mod, const GilbertElliottConfig& burst,
-                       const AdaptiveRateConfig& cfg,
-                       std::size_t interleave_depth = 1, bool soft = true);
+/// The rungs of an adaptive link, built by the caller: one pipeline per
+/// code rate, indexed by CodeRate.
+using RateLadder =
+    std::array<std::unique_ptr<const ChannelPipeline>, kCodeRateCount>;
 
-  BitVec transmit(const BitVec& payload, Rng& rng, std::uint64_t slot);
-
-  const ChannelStats& stats() const { return stats_; }
-  std::string description() const;
-
- private:
-  AdaptiveRateController controller_;
-  std::array<std::unique_ptr<ChannelPipeline>, kCodeRateCount> pipelines_;
-  ChannelStats stats_;
-};
+/// Send `payload` on `ladder[controller.current()]` and return the
+/// receiver's reconstruction. When that rung decodes soft, the message's
+/// decision-directed SNR estimate goes to `controller`, which then picks
+/// the rung for the next message: the rate for message N is decided from
+/// messages < N only (the transmitter cannot see the channel it is about
+/// to hit). A rung that decodes hard (SEMCACHE_SOFT=off, or a channel
+/// without a soft output) yields no estimate, so the controller holds its
+/// rate. Sequential by design: the controller is a serial dependency, so
+/// there is no batched form.
+BitVec adaptive_transmit(const RateLadder& ladder,
+                         AdaptiveRateController& controller,
+                         const BitVec& payload, Rng& rng, std::uint64_t slot);
 
 }  // namespace semcache::channel

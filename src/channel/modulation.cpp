@@ -3,7 +3,6 @@
 #include <array>
 #include <cmath>
 
-#include "channel/simd.hpp"
 #include "common/check.hpp"
 
 namespace semcache::channel {
@@ -150,7 +149,7 @@ namespace {
 // tied (fl(1+v) == fl(1-v) for 0 < v < ~2^-53) and it kept the lower
 // level; the threshold form resolves those by true magnitude and picks
 // the upper one. That band is ~1e-16 relative — no physical symbol or
-// golden vector lands there, and the scalar/AVX2 pair still twin exactly.
+// golden vector lands there.
 std::size_t nearest_pam(double v) {
   return static_cast<std::size_t>(v > -2.0) + static_cast<std::size_t>(v > 0.0) +
          static_cast<std::size_t>(v > 2.0);
@@ -160,19 +159,13 @@ std::size_t nearest_pam(double v) {
 void demap_into(BitVec& out, const Symbol* symbols, std::size_t count,
                 Modulation m) {
   out.resize(count * bits_per_symbol(m));
-  if (count == 0) return;
-  // std::complex<double> is layout-compatible with double[2]; the kernels
-  // (scalar and AVX2 alike) run over the flat (re, im) array.
+  // std::complex<double> is layout-compatible with double[2]; the slicers
+  // run over the flat (re, im) array.
   const double* sym = reinterpret_cast<const double*>(symbols);
-  const detail::Avx2ChannelKernels* k = detail::engaged_channel_kernels();
   switch (m) {
     case Modulation::kBpsk:
-      if (k != nullptr) {
-        k->demod_bpsk(sym, count, out.data());
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          out[i] = sym[2 * i] >= 0.0 ? 1 : 0;
-        }
+      for (std::size_t i = 0; i < count; ++i) {
+        out[i] = sym[2 * i] >= 0.0 ? 1 : 0;
       }
       break;
     case Modulation::kQpsk:
@@ -182,18 +175,14 @@ void demap_into(BitVec& out, const Symbol* symbols, std::size_t count,
       }
       break;
     case Modulation::kQam16:
-      if (k != nullptr) {
-        k->demod_qam16(sym, count, kQam16Scale, out.data());
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          std::uint8_t b0, b1;
-          index_to_gray(nearest_pam(sym[2 * i] / kQam16Scale), b0, b1);
-          out[4 * i] = b0;
-          out[4 * i + 1] = b1;
-          index_to_gray(nearest_pam(sym[2 * i + 1] / kQam16Scale), b0, b1);
-          out[4 * i + 2] = b0;
-          out[4 * i + 3] = b1;
-        }
+      for (std::size_t i = 0; i < count; ++i) {
+        std::uint8_t b0, b1;
+        index_to_gray(nearest_pam(sym[2 * i] / kQam16Scale), b0, b1);
+        out[4 * i] = b0;
+        out[4 * i + 1] = b1;
+        index_to_gray(nearest_pam(sym[2 * i + 1] / kQam16Scale), b0, b1);
+        out[4 * i + 2] = b0;
+        out[4 * i + 3] = b1;
       }
       break;
   }

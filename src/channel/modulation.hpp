@@ -24,9 +24,8 @@ std::vector<Symbol> modulate(const BitVec& bits, Modulation m);
 
 /// Array-at-a-time hard-decision demap: overwrites `out` with
 /// count * bits_per_symbol(m) bits. Shared entry point for every
-/// demodulation consumer; BPSK and 16-QAM dispatch to the vectorized
-/// slicers when the active SIMD tier admits them (bit-identical either
-/// way).
+/// demodulation consumer; one scalar slicer per modulation serves every
+/// SIMD tier.
 void demap_into(BitVec& out, const Symbol* symbols, std::size_t count,
                 Modulation m);
 

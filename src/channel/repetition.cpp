@@ -1,6 +1,5 @@
 #include "channel/repetition.hpp"
 
-#include "channel/simd.hpp"
 #include "common/check.hpp"
 
 namespace semcache::channel {
@@ -24,13 +23,6 @@ BitVec RepetitionCode::decode(const BitVec& coded) const {
                  "repetition: coded length must be a multiple of repeats");
   const std::size_t n = coded.size() / repeats_;
   BitVec out(n, 0);
-  const detail::Avx2ChannelKernels* k = detail::engaged_channel_kernels();
-  if (repeats_ == 3 && k != nullptr) {
-    // The common rate-1/3 configuration has a vectorized vote; the vote is
-    // pure integer counting, so the bits match the generic loop exactly.
-    k->repetition_vote3(coded.data(), n, out.data());
-    return out;
-  }
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t ones = 0;
     for (std::size_t r = 0; r < repeats_; ++r) {

@@ -1,11 +1,11 @@
 // Internal seam between the channel plane's dispatching call sites
-// (modulation.cpp, noise.cpp, convolutional.cpp, repetition.cpp) and the
-// AVX2 translation unit (simd_avx2.cpp), mirroring tensor/simd_kernels.hpp.
+// (noise.cpp, convolutional.cpp) and the AVX2 translation unit
+// (simd_avx2.cpp), mirroring tensor/simd_kernels.hpp.
 //
 // Each kernel is one vector implementation, bit-identical to the scalar
-// reference on every input (twin tests pin this). Most are comparisons, table lookups and integer
-// arithmetic. The noise generator is the one with multiply-add chains,
-// and both of its tiers spell every multiply-add as a fused one
+// reference on every input (twin tests pin this). The Viterbi ACS is
+// integer arithmetic. The noise generator has multiply-add chains, and
+// both of its tiers spell every multiply-add as a fused one
 // (std::fma / _mm256_fmadd_pd) in the same order over the constants
 // below; each other operation (add, multiply, divide, sqrt) rounds once
 // in both, so contraction settings cannot split them.
@@ -87,23 +87,16 @@ inline constexpr double kAngleStep = 1.5707963267948966 * 0x1p-30;
 inline constexpr std::uint64_t kMantissaMask = 0x000FFFFFFFFFFFFFULL;
 inline constexpr std::uint64_t kOneBits = 0x3FF0000000000000ULL;   // 1.0
 
+/// The kernels served traffic runs: keyed noise and the weighted ACS. The
+/// demaps and the repetition vote run their scalar loops on every tier; a
+/// kernel stays only while a benchmark workload runs it and it beats the
+/// scalar loop there by at least 1.1x.
 struct Avx2ChannelKernels {
-  /// Hard-decision demaps over the raw (re, im) double pairs of a symbol
-  /// array; bits out one byte per bit, exactly as the scalar demap writes.
-  /// QPSK and the soft demaps have no kernel: the compiler vectorizes
-  /// their scalar loops, which ran faster than hand-written ones.
-  void (*demod_bpsk)(const double* sym, std::size_t nsym, std::uint8_t* bits);
-  void (*demod_qam16)(const double* sym, std::size_t nsym, double scale,
-                      std::uint8_t* bits);
   /// channel::add_keyed_noise (noise.hpp): gaussian pairs first ..
   /// first + pairs - 1 of `key`, times sigma, fused-added into (re, im).
   void (*add_keyed_noise)(double* data, std::size_t pairs, std::uint64_t key,
                           std::uint64_t first, double sigma);
   ViterbiAcsWeightedFn viterbi_acs_weighted;
-  /// out[i] = majority(coded[3i], coded[3i+1], coded[3i+2]) for the
-  /// repetition-3 decoder (bytes are 0/1).
-  void (*repetition_vote3)(const std::uint8_t* coded, std::size_t out_n,
-                           std::uint8_t* out);
 };
 
 /// The AVX2 kernel table, or nullptr when this build carries no AVX2 code.

@@ -1,15 +1,9 @@
 // AVX2/SSE kernels for the channel plane, compiled with -mavx2 -mfma
 // -ffp-contract=off (see CMakeLists.txt) and reached through the table in
-// channel/simd.hpp. Every kernel is bit-identical to its scalar reference
-// by construction: the demaps and the trellis use IEEE-exact operations
-// (compares, one division) and integer work, and the noise generator
+// channel/simd.hpp. Both are bit-identical to their scalar references by
+// construction: the trellis is integer work, and the noise generator
 // repeats the scalar reference's operations one for one, its multiply-adds
 // fused in both tiers.
-//
-// Demap layout note: a std::complex<double> array is layout-compatible
-// with a flat double array [re0, im0, re1, im1, ...]; one 256-bit load
-// covers two symbols, and _mm256_movemask_pd yields the compare results in
-// exactly that element order.
 #include "channel/simd.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -20,60 +14,6 @@
 
 namespace semcache::channel::detail {
 namespace {
-
-void demod_bpsk_avx2(const double* sym, std::size_t nsym, std::uint8_t* bits) {
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 2 <= nsym; i += 2) {
-    const __m256d v = _mm256_loadu_pd(sym + 2 * i);
-    // mask bits: re0, im0, re1, im1; BPSK slices the real lanes only.
-    // _CMP_GE_OQ, like the scalar `>= 0.0`, is false on NaN.
-    const int m = _mm256_movemask_pd(_mm256_cmp_pd(v, zero, _CMP_GE_OQ));
-    bits[i] = static_cast<std::uint8_t>(m & 1);
-    bits[i + 1] = static_cast<std::uint8_t>((m >> 2) & 1);
-  }
-  for (; i < nsym; ++i) bits[i] = sym[2 * i] >= 0.0 ? 1 : 0;
-}
-
-// Branchless Gray demap of one PAM coordinate v (already divided by the
-// constellation scale): slicing at the decision boundaries -2/0/2 gives
-// index i = (v>-2)+(v>0)+(v>2); the Gray bits of {00,01,11,10}[i] reduce to
-// b0 = v > 0 and b1 = (v > -2) && !(v > 2). All three compares are false on
-// NaN, matching the reference scan's tie/NaN behavior (first level wins).
-void demod_qam16_avx2(const double* sym, std::size_t nsym, double scale,
-                      std::uint8_t* bits) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d lo = _mm256_set1_pd(-2.0);
-  const __m256d hi = _mm256_set1_pd(2.0);
-  const __m256d sc = _mm256_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 2 <= nsym; i += 2) {
-    // The scalar demap divides by the scale; _mm256_div_pd rounds each
-    // lane identically, keeping the slicing inputs bit-equal.
-    const __m256d v = _mm256_div_pd(_mm256_loadu_pd(sym + 2 * i), sc);
-    const int gt0 = _mm256_movemask_pd(_mm256_cmp_pd(v, zero, _CMP_GT_OQ));
-    const int gtlo = _mm256_movemask_pd(_mm256_cmp_pd(v, lo, _CMP_GT_OQ));
-    const int gthi = _mm256_movemask_pd(_mm256_cmp_pd(v, hi, _CMP_GT_OQ));
-    const int b1m = gtlo & ~gthi;
-    std::uint8_t* o = bits + 4 * i;  // 4 bits per symbol, 2 per coordinate
-    o[0] = static_cast<std::uint8_t>(gt0 & 1);
-    o[1] = static_cast<std::uint8_t>(b1m & 1);
-    o[2] = static_cast<std::uint8_t>((gt0 >> 1) & 1);
-    o[3] = static_cast<std::uint8_t>((b1m >> 1) & 1);
-    o[4] = static_cast<std::uint8_t>((gt0 >> 2) & 1);
-    o[5] = static_cast<std::uint8_t>((b1m >> 2) & 1);
-    o[6] = static_cast<std::uint8_t>((gt0 >> 3) & 1);
-    o[7] = static_cast<std::uint8_t>((b1m >> 3) & 1);
-  }
-  for (; i < nsym; ++i) {
-    std::uint8_t* o = bits + 4 * i;
-    for (int c = 0; c < 2; ++c) {
-      const double v = sym[2 * i + c] / scale;
-      o[2 * c] = v > 0.0 ? 1 : 0;
-      o[2 * c + 1] = (v > -2.0 && !(v > 2.0)) ? 1 : 0;
-    }
-  }
-}
 
 // Low 64 bits of a * c per lane, c split into 32-bit halves: AVX2 has no
 // 64-bit multiply, so it is three 32x32->64 products (the high-high one
@@ -279,45 +219,9 @@ void viterbi_acs_weighted_avx2(const ViterbiTables& tb,
   _mm_storeu_si128(reinterpret_cast<__m128i*>(metric), m);
 }
 
-// Majority vote over byte triples: unaligned loads at offsets 0/1/2 make
-// t[j] = in[j] + in[j+1] + in[j+2]; the sums we want sit at j = 0,3,6,9,12
-// and one pshufb packs them. Five outputs per iteration; the window reads
-// 18 input bytes, so the loop stops 6 outputs early and the scalar tail
-// finishes.
-void repetition_vote3_avx2(const std::uint8_t* coded, std::size_t out_n,
-                           std::uint8_t* out) {
-  const __m128i one = _mm_set1_epi8(1);
-  const __m128i pick = _mm_setr_epi8(0, 3, 6, 9, 12, -1, -1, -1, -1, -1, -1,
-                                     -1, -1, -1, -1, -1);
-  std::size_t i = 0;
-  for (; i + 6 <= out_n; i += 5) {
-    const std::uint8_t* p = coded + 3 * i;
-    const __m128i s0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    const __m128i s1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 1));
-    const __m128i s2 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 2));
-    const __m128i t = _mm_add_epi8(_mm_add_epi8(s0, s1), s2);
-    const __m128i maj = _mm_and_si128(_mm_cmpgt_epi8(t, one), one);
-    const __m128i packed = _mm_shuffle_epi8(maj, pick);
-    const std::uint32_t lo =
-        static_cast<std::uint32_t>(_mm_cvtsi128_si32(packed));
-    std::memcpy(out + i, &lo, 4);
-    out[i + 4] = static_cast<std::uint8_t>(_mm_extract_epi8(packed, 4));
-  }
-  for (; i < out_n; ++i) {
-    const std::uint8_t* p = coded + 3 * i;
-    const unsigned ones = (p[0] & 1u) + (p[1] & 1u) + (p[2] & 1u);
-    out[i] = ones >= 2 ? 1 : 0;
-  }
-}
-
 constexpr Avx2ChannelKernels kKernels = {
-    /*demod_bpsk=*/demod_bpsk_avx2,
-    /*demod_qam16=*/demod_qam16_avx2,
     /*add_keyed_noise=*/add_keyed_noise_avx2,
     /*viterbi_acs_weighted=*/viterbi_acs_weighted_avx2,
-    /*repetition_vote3=*/repetition_vote3_avx2,
 };
 
 }  // namespace

@@ -70,8 +70,8 @@ double Optimizer::clip_grad_norm(std::span<Parameter* const> params,
   //
   // The chain below clips exactly when its norm c exceeds max_norm. Per
   // tensor of n elements, l2_norm's float dot adds one rounded square
-  // after another: one rounding per element when the compiler fuses the
-  // multiply-add, two when it does not. Each rounding errs by at most
+  // after another: two roundings per element (the square, then the sum),
+  // one in its fused last n mod 8 steps. Each rounding errs by at most
   // u = 2^-24 relative, or by less than 2^-126 absolute where its result,
   // or a partial sum read under denormals-are-zero, falls below the
   // normal range. With at most three such absolute errors per element,

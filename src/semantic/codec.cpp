@@ -70,10 +70,6 @@ void KbEncoder::backward_batch(const Tensor& grad_features) {
   embed_.backward(mlp_.backward(g));
 }
 
-void KbEncoder::backward(const Tensor& grad_feature) {
-  backward_batch(grad_feature);
-}
-
 nn::ParameterSet KbEncoder::parameters() {
   nn::ParameterSet set;
   set.add_all(embed_.parameters());
@@ -101,11 +97,7 @@ const Tensor& KbDecoder::decode_logits_batch(const Tensor& features) {
   return mlp_.forward(f);  // (count*L x meaning_vocab)
 }
 
-std::vector<std::int32_t> KbDecoder::decode(const Tensor& feature) {
-  return tensor::row_argmax(decode_logits_batch(feature));
-}
-
-std::vector<std::int32_t> KbDecoder::decode_batch(const Tensor& features) {
+std::vector<std::int32_t> KbDecoder::decode(const Tensor& features) {
   return tensor::row_argmax(decode_logits_batch(features));
 }
 
@@ -118,10 +110,6 @@ const Tensor& KbDecoder::backward_batch(const Tensor& grad_logits) {
       {g.dim(0) / config_.sentence_length, config_.feature_dim});
   std::memcpy(df.data(), g.data(), g.size() * sizeof(float));
   return df;
-}
-
-Tensor KbDecoder::backward(const Tensor& grad_logits) {
-  return backward_batch(grad_logits);
 }
 
 nn::ParameterSet KbDecoder::parameters() {
@@ -171,7 +159,7 @@ void SemanticCodec::backward() {
 
 std::vector<std::int32_t> SemanticCodec::reconstruct(
     std::span<const std::int32_t> surface) {
-  return decoder_->decode_batch(encoder_->encode_batch(
+  return decoder_->decode(encoder_->encode_batch(
       surface, surface.size() / config_.sentence_length));
 }
 

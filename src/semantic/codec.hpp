@@ -69,8 +69,6 @@ class KbEncoder {
   /// whole batch.
   const Tensor& encode_batch(std::span<const std::int32_t> surface,
                              std::size_t count);
-  /// Accumulate gradients given dL/dfeature (1 x k).
-  void backward(const Tensor& grad_feature);
   /// Accumulate gradients given dL/dfeatures (count x k) from the last
   /// encode_batch.
   void backward_batch(const Tensor& grad_features);
@@ -96,12 +94,8 @@ class KbDecoder {
   /// Batched logits: features (count x k) -> (count*L x meaning_vocab) in
   /// an internal buffer (valid until the next decode).
   const Tensor& decode_logits_batch(const Tensor& features);
-  /// Greedy decode to meaning ids.
-  std::vector<std::int32_t> decode(const Tensor& feature);
-  /// Greedy decode of a (count x k) feature batch to count*L meaning ids.
-  std::vector<std::int32_t> decode_batch(const Tensor& features);
-  /// Accumulate gradients given dL/dlogits (L x V); returns dL/dfeature.
-  Tensor backward(const Tensor& grad_logits);
+  /// Greedy decode of (count x k) features to count*L meaning ids.
+  std::vector<std::int32_t> decode(const Tensor& features);
   /// Batched backward: dL/dlogits (count*L x V) -> dL/dfeatures
   /// (count x k) in an internal buffer.
   const Tensor& backward_batch(const Tensor& grad_logits);

@@ -314,7 +314,9 @@ Tensor& axpy_inplace(Tensor& a, const Tensor& b, float s) {
   require_same_shape(a, b, "axpy_inplace");
   float* pa = a.data();
   const float* pb = b.data();
-  for (std::size_t i = 0; i < a.size(); ++i) pa[i] += pb[i] * s;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    pa[i] = std::fma(pb[i], s, pa[i]);
+  }
   return a;
 }
 
@@ -561,10 +563,20 @@ float mean(const Tensor& a) {
 
 float dot(const Tensor& a, const Tensor& b) {
   SEMCACHE_CHECK(a.size() == b.size(), "dot: size mismatch");
+  // Ascending order. Steps below the last multiple of 8 round the product
+  // and then the sum; the last n mod 8 steps are fused. That is the
+  // rounding GCC's in-order vectorized reduction gives a plain `s += a*b`
+  // loop at -O3 on AVX-512 hosts (16- and 8-wide blocks, a contracted
+  // scalar tail), which the digests were recorded with. The barrier keeps
+  // contraction off the blocked products, and std::fma fuses the tail in
+  // builds without -mfma, so every build computes it.
   float s = 0.0f;
   const float* pa = a.data();
   const float* pb = b.data();
-  for (std::size_t i = 0; i < a.size(); ++i) s += pa[i] * pb[i];
+  const std::size_t blocked = a.size() / 8 * 8;
+  std::size_t i = 0;
+  for (; i < blocked; ++i) s += __builtin_assoc_barrier(pa[i] * pb[i]);
+  for (; i < a.size(); ++i) s = std::fma(pa[i], pb[i], s);
   return s;
 }
 

@@ -20,7 +20,8 @@ namespace semcache::tensor {
 Tensor add(const Tensor& a, const Tensor& b);
 /// c = a * s.
 Tensor scale(const Tensor& a, float s);
-/// a += b * s (same shape); fused scale-accumulate for optimizers.
+/// a += b * s (same shape); fused scale-accumulate for optimizers. Each
+/// element is one std::fma, so every build rounds it once.
 Tensor& axpy_inplace(Tensor& a, const Tensor& b, float s);
 
 /// Hyperparameters of one Adam step (Kingma & Ba 2015) plus its bias
@@ -113,7 +114,8 @@ double mean_cross_entropy(std::span<const float> logits, std::size_t cols,
 float sum(const Tensor& a);
 /// Mean of all elements.
 float mean(const Tensor& a);
-/// Dot product of two same-shape tensors viewed flat.
+/// Dot product of two same-shape tensors viewed flat, summed in ascending
+/// order; every build rounds each step the same way (see ops.cpp).
 float dot(const Tensor& a, const Tensor& b);
 /// L2 norm over all elements.
 float l2_norm(const Tensor& a);

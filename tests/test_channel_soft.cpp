@@ -16,12 +16,14 @@
 //    under a pool, and a full system twin (threads {0,4} x shards {1,2})
 //    stays byte-identical.
 //  * ADAPTIVE DETERMINISM — the EWMA/hysteresis controller is a pure
-//    function of its observation sequence; AdaptiveRatePipeline stats are
-//    byte-comparable across identical runs and actually switch rates when
-//    the weather turns.
+//    function of its observation sequence; adaptive_transmit over a ladder
+//    of three pipelines repeats its rates and bits across identical runs,
+//    actually switches rates when the weather turns, and matches the
+//    recorded output of the link it replaced.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,6 +32,7 @@
 #include "channel/pipeline.hpp"
 #include "core/dispatcher.hpp"
 #include "core/sharded.hpp"
+#include "common/hashing.hpp"
 #include "core/system.hpp"
 #include "test_util.hpp"
 
@@ -38,7 +41,6 @@ namespace {
 
 using channel::AdaptiveRateConfig;
 using channel::AdaptiveRateController;
-using channel::AdaptiveRatePipeline;
 using channel::CodeRate;
 using channel::ConvolutionalCode;
 using channel::GilbertElliottChannel;
@@ -416,45 +418,105 @@ TEST(AdaptiveRate, ControllerIsDeterministic) {
   }
 }
 
-TEST(AdaptiveRate, PipelineSwitchesAndStatsAreReproducible) {
-  if (channel::soft_forced_off()) {
-    GTEST_SKIP() << "SEMCACHE_SOFT=off: adaptive link runs hard decisions "
-                    "and never observes";
-  }
+// The 120-slot link both adaptive tests run: a ladder of soft burst
+// pipelines (depth-8 interleaving) over weather that swings between 14 dB
+// and 1 dB epochs. `rates` holds one digit per slot, the CodeRate index
+// the message was sent at.
+struct AdaptiveRun {
+  std::vector<BitVec> decoded;
+  std::string rates;
+};
+
+AdaptiveRun run_adaptive_link() {
   GilbertElliottConfig burst = test_burst_config();
   burst.snr_good_db = 14.0;
   burst.snr_bad_db = 1.0;
   burst.dwell_messages = 8;
   burst.bad_weather_prob = 0.5;
+  channel::RateLadder ladder;
+  for (std::size_t r = 0; r < channel::kCodeRateCount; ++r) {
+    auto pipe = channel::make_burst_pipeline(
+        std::make_unique<ConvolutionalCode>(static_cast<CodeRate>(r)),
+        Modulation::kQpsk, burst, /*interleave_depth=*/8);
+    pipe->set_soft_decision(true);
+    ladder[r] = std::move(pipe);
+  }
+  AdaptiveRateController controller(AdaptiveRateConfig{});
+  Rng payload_rng(43);
+  Rng base(47);
+  AdaptiveRun run;
+  for (std::uint64_t slot = 0; slot < 120; ++slot) {
+    const BitVec payload = test::random_bits(64, payload_rng);
+    Rng rng = base.fork(slot);
+    const auto rate = static_cast<int>(controller.current());
+    run.rates += static_cast<char>('0' + rate);
+    run.decoded.push_back(
+        channel::adaptive_transmit(ladder, controller, payload, rng, slot));
+  }
+  return run;
+}
+
+TEST(AdaptiveRate, TransmitSwitchesRatesReproducibly) {
+  if (channel::soft_forced_off()) {
+    GTEST_SKIP() << "SEMCACHE_SOFT=off: adaptive link runs hard decisions "
+                    "and never observes";
+  }
+  const AdaptiveRun a = run_adaptive_link();
+  const AdaptiveRun b = run_adaptive_link();
+  EXPECT_EQ(a.decoded, b.decoded);
+  EXPECT_EQ(a.rates, b.rates);
+
+  ASSERT_EQ(a.rates.size(), 120u);
+  std::size_t switches = 0;
+  for (std::size_t i = 1; i < a.rates.size(); ++i) {
+    if (a.rates[i] != a.rates[i - 1]) ++switches;
+  }
+  // A controller that never leaves its initial rung is not adapting.
+  EXPECT_GT(switches, 0u);
+  EXPECT_NE(a.rates.find_first_not_of('0'), std::string::npos);
+}
+
+TEST(AdaptiveRate, TransmitMatchesTheRecordedLink) {
+  if (channel::soft_forced_off()) {
+    GTEST_SKIP() << "SEMCACHE_SOFT=off: adaptive link runs hard decisions "
+                    "and never observes";
+  }
+  // Recorded from the three-pipeline adaptive link class that
+  // adaptive_transmit replaced, on the same scenario: the rate of every
+  // slot, and FNV-1a over the decoded bits of all 120 messages, one byte
+  // per bit.
+  const AdaptiveRun run = run_adaptive_link();
+  EXPECT_EQ(run.rates,
+            "0122222222221111111222222221111111111111111111111111111111111111"
+            "11112222222222222222222222222222222211122222222222222222");
+  std::string bits;
+  for (const BitVec& decoded : run.decoded) {
+    bits.append(decoded.begin(), decoded.end());
+  }
+  EXPECT_EQ(common::stable_hash(bits), 0x3d8505783aed2b45ULL);
+}
+
+TEST(AdaptiveRate, RungWithoutSoftOutputHoldsTheRate) {
+  // A soft-decision pipeline over a BSC decodes hard and measures no SNR,
+  // so the controller must not read a 0 dB estimate and step down.
+  channel::RateLadder ladder;
+  for (std::size_t r = 0; r < channel::kCodeRateCount; ++r) {
+    auto pipe = channel::make_bsc_pipeline(
+        std::make_unique<ConvolutionalCode>(static_cast<CodeRate>(r)), 0.01);
+    pipe->set_soft_decision(true);
+    ladder[r] = std::move(pipe);
+  }
   AdaptiveRateConfig cfg;
-
-  const auto run = [&] {
-    AdaptiveRatePipeline link(Modulation::kQpsk, burst, cfg,
-                              /*interleave_depth=*/8);
-    Rng payload_rng(43);
-    Rng base(47);
-    std::vector<BitVec> decoded;
-    for (std::uint64_t slot = 0; slot < 120; ++slot) {
-      const BitVec payload = test::random_bits(64, payload_rng);
-      Rng rng = base.fork(slot);
-      decoded.push_back(link.transmit(payload, rng, slot));
-    }
-    return std::make_pair(std::move(decoded), link.stats());
-  };
-
-  const auto [decoded_a, stats_a] = run();
-  const auto [decoded_b, stats_b] = run();
-  EXPECT_EQ(decoded_a, decoded_b);
-  EXPECT_EQ(stats_a, stats_b);
-
-  EXPECT_EQ(stats_a.messages, 120u);
-  EXPECT_EQ(stats_a.rate_messages[0] + stats_a.rate_messages[1] +
-                stats_a.rate_messages[2],
-            120u);
-  // The weather swings between 14 dB and 1 dB epochs; a controller that
-  // never leaves its initial rung is not adapting.
-  EXPECT_GT(stats_a.switches, 0u);
-  EXPECT_GT(stats_a.rate_messages[1] + stats_a.rate_messages[2], 0u);
+  cfg.initial = CodeRate::kR34;
+  AdaptiveRateController controller(cfg);
+  Rng payload_rng(5);
+  Rng base(6);
+  for (std::uint64_t slot = 0; slot < 8; ++slot) {
+    const BitVec payload = test::random_bits(32, payload_rng);
+    Rng rng = base.fork(slot);
+    channel::adaptive_transmit(ladder, controller, payload, rng, slot);
+  }
+  EXPECT_EQ(controller.current(), CodeRate::kR34);
 }
 
 }  // namespace

@@ -27,7 +27,6 @@
 #include "channel/modulation.hpp"
 #include "channel/noise.hpp"
 #include "channel/physical.hpp"
-#include "channel/repetition.hpp"
 #include "channel/simd.hpp"
 #include "common/cpu.hpp"
 #include "common/rng.hpp"
@@ -919,32 +918,10 @@ std::vector<Symbol> adversarial_symbols(std::size_t count, Rng& rng) {
   return sym;
 }
 
-TEST(SimdChannel, HardDemapTierTwin) {
-  Rng rng(31337);
-  // Odd counts exercise every vector-loop tail (BPSK runs 2 symbols per
-  // vector, 16-QAM emits 8 bits per pair). QPSK has no kernel.
-  for (const std::size_t count : {0u, 1u, 2u, 3u, 5u, 7u, 64u, 257u}) {
-    const std::vector<Symbol> sym = adversarial_symbols(count, rng);
-    for (const Modulation m : {Modulation::kBpsk, Modulation::kQam16}) {
-      BitVec scalar_bits, simd_bits;
-      {
-        TierGuard guard(common::SimdTier::kScalar);
-        channel::demap_into(scalar_bits, sym.data(), count, m);
-      }
-      {
-        TierGuard guard(common::SimdTier::kAvx2);
-        channel::demap_into(simd_bits, sym.data(), count, m);
-      }
-      EXPECT_EQ(scalar_bits, simd_bits)
-          << channel::modulation_name(m) << " count " << count;
-    }
-  }
-}
-
 TEST(SimdChannel, Qam16SlicerMatchesReferenceScanSweep) {
   // Dense sweep across the decision boundaries (-2, 0, 2 in PAM space)
-  // plus the salted specials: branchless threshold slicing — scalar and
-  // vector alike — must reproduce the old linear distance scan bit by bit.
+  // plus the salted specials: branchless threshold slicing, on either
+  // tier, must reproduce the old linear distance scan bit by bit.
   const double scale = 1.0 / std::sqrt(10.0);
   std::vector<Symbol> sym;
   for (int i = -2500; i <= 2500; ++i) {
@@ -1125,38 +1102,6 @@ TEST(SimdChannel, ModulatedTransmitTierTwin) {
     EXPECT_EQ(run(common::SimdTier::kScalar), run(common::SimdTier::kAvx2))
         << channel::modulation_name(m);
   }
-}
-
-TEST(SimdChannel, RepetitionVoteTierTwin) {
-  channel::RepetitionCode code(3);
-  Rng rng(64206);
-  // Lengths straddle the 5-outputs-per-iteration vote kernel and its
-  // guard (needs 6 decodable bits in flight), including the pure-tail
-  // sizes 0..5.
-  for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 20u, 129u}) {
-    const BitVec info = test::random_bits(n, rng);
-    BitVec coded = code.encode(info);
-    // Corrupt one vote per bit: majority still recovers the payload.
-    for (std::size_t i = 0; i < n; ++i) {
-      coded[3 * i + static_cast<std::size_t>(rng.uniform_int(0, 2))] ^= 1;
-    }
-    BitVec scalar_out, simd_out;
-    {
-      TierGuard guard(common::SimdTier::kScalar);
-      scalar_out = code.decode(coded);
-    }
-    {
-      TierGuard guard(common::SimdTier::kAvx2);
-      simd_out = code.decode(coded);
-    }
-    EXPECT_EQ(scalar_out, simd_out) << "n " << n;
-    EXPECT_EQ(simd_out, info) << "n " << n;
-  }
-  // Non-vectorized repeat count: same decode either tier.
-  channel::RepetitionCode five(5);
-  const BitVec info = test::random_bits(33, rng);
-  TierGuard guard(common::SimdTier::kAvx2);
-  EXPECT_EQ(five.decode(five.encode(info)), info);
 }
 
 TEST(SimdChannel, ViterbiDecodeTierTwin) {

@@ -302,6 +302,33 @@ TEST(Ops, Reductions) {
   EXPECT_FLOAT_EQ(l2_norm(t), std::sqrt(30.0f));
 }
 
+TEST(Ops, DotAndAxpyRoundTheSameInEveryBuild) {
+  // (1 + 2^-23)(1 - 2^-23) = 1 - 2^-46 rounds to 1 on its own, so a
+  // multiply rounded before its add gives +0 where a fused step keeps
+  // -2^-46. axpy_inplace fuses every element. dot fuses its last n mod 8
+  // steps and rounds the products before them, as Release builds on
+  // AVX-512 hosts always have: four such pairs sum to +0, and the two
+  // steps after them keep -2^-46.
+  const float hi = 1.0f + 0x1p-23f;
+  const float lo = 1.0f - 0x1p-23f;
+  EXPECT_EQ(dot(Tensor({2}, {1.0f, hi}), Tensor({2}, {-1.0f, lo})),
+            -0x1p-46f);
+  std::vector<float> a_vals, b_vals;
+  for (int i = 0; i < 5; ++i) {
+    a_vals.insert(a_vals.end(), {1.0f, hi});
+    b_vals.insert(b_vals.end(), {-1.0f, lo});
+  }
+  EXPECT_EQ(dot(Tensor({10}, a_vals), Tensor({10}, b_vals)), -0x1p-46f);
+  a_vals.resize(8);
+  b_vals.resize(8);
+  const float blocked = dot(Tensor({8}, a_vals), Tensor({8}, b_vals));
+  EXPECT_EQ(blocked, 0.0f);
+  EXPECT_FALSE(std::signbit(blocked));
+  Tensor a({1}, {-1.0f});
+  axpy_inplace(a, Tensor({1}, {hi}), lo);
+  EXPECT_EQ(a.data()[0], -0x1p-46f);
+}
+
 TEST(Ops, ColumnSums) {
   Tensor t({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor sums({3});
