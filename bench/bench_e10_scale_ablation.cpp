@@ -62,10 +62,10 @@ ScaleResult run(std::size_t pairs, std::size_t domains, bool decoder_copy,
         const auto domain = static_cast<std::size_t>(
             drng.uniform_int(0, static_cast<std::int64_t>(
                                     system->world().num_domains()) - 1));
-        system->transmit_async(
-            senders[p], receivers[p],
-            system->sample_message(senders[p], domain),
-            [&](core::TransmitReport r) {
+        system->transmit_pairs(
+            {{senders[p], receivers[p],
+              {system->sample_message(senders[p], domain)}}},
+            [&](std::size_t, std::size_t, core::TransmitReport r) {
               latency.add(r.latency_s * 1e3);
               p95.add(r.latency_s * 1e3);
             });

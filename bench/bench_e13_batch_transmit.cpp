@@ -1,13 +1,14 @@
-// E13 — Batched transmit_many() serving throughput.
+// E13 — Batched one-pair wave serving throughput.
 //
 // The survey literature's throughput lever for semantic edge serving is
-// amortizing per-message inference: transmit_many stacks N messages from a
-// user pair through one encode/quantize/channel/decode pass per (domain,
-// fine-tune interval) group. This bench measures delivered end-to-end
-// throughput (data plane + timing-plane drain) as the batch size grows,
-// with the fine-tune path disabled (pure serving) and enabled (trigger 24,
-// the default serving+adaptation mix). speedup is per-message throughput
-// relative to the N = 1 sequential path of the same fine-tune mode.
+// amortizing per-message inference: a one-pair transmit_pairs wave stacks
+// N messages from a user pair through one encode/quantize/channel/decode
+// pass per (domain, fine-tune interval) group. This bench measures
+// delivered end-to-end throughput (data plane + timing-plane drain) as the
+// batch size grows, with the fine-tune path disabled (pure serving) and
+// enabled (trigger 24, the default serving+adaptation mix). speedup is
+// per-message throughput relative to the N = 1 sequential path of the same
+// fine-tune mode.
 #include <chrono>
 
 #include "bench_util.hpp"
@@ -47,15 +48,17 @@ BatchResult run(std::size_t batch, bool finetune) {
   }
 
   std::size_t delivered = 0;
+  std::vector<core::SemanticEdgeSystem::PairBatch> wave{{"s", "r", {}}};
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t pos = 0; pos < kMessages; pos += batch) {
     const std::size_t n = std::min(batch, kMessages - pos);
-    std::vector<text::Sentence> chunk(
+    wave[0].messages.assign(
         messages.begin() + static_cast<std::ptrdiff_t>(pos),
         messages.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    system->transmit_many(
-        "s", "r", std::move(chunk),
-        [&delivered](std::size_t, core::TransmitReport) { ++delivered; });
+    system->transmit_pairs(
+        wave, [&delivered](std::size_t, std::size_t, core::TransmitReport) {
+          ++delivered;
+        });
     system->simulator().run();
   }
   const auto end = std::chrono::steady_clock::now();
@@ -73,7 +76,7 @@ BatchResult run(std::size_t batch, bool finetune) {
 
 int main(int argc, char** argv) {
   metrics::Table table(
-      "E13 — batched transmit_many serving throughput (192 msgs/config)",
+      "E13 — batched one-pair wave serving throughput (192 msgs/config)",
       {"batch", "finetune", "wall_ms", "msgs_per_s", "us_per_msg", "updates",
        "speedup"});
   for (const bool finetune : {false, true}) {

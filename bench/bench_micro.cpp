@@ -324,10 +324,10 @@ static void BM_SelectorForward(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectorForward);
 
-// End-to-end batched data plane: transmit_many of N cross-edge messages
+// End-to-end batched data plane: a one-pair wave of N cross-edge messages
 // (encode/quantize/channel/decode plus the timing-plane event chains,
 // drained per batch). items/s counts messages, so per-message amortization
-// vs. Arg(1) — the transmit_async path — is directly readable. The
+// vs. Arg(1) — one message per wave — is directly readable. The
 // fine-tune trigger is set above the batch size and the buffer cleared
 // between iterations, so this measures the pure serving path.
 static void BM_TransmitBatch(benchmark::State& state) {
@@ -358,18 +358,20 @@ static void BM_TransmitBatch(benchmark::State& state) {
   }();
 
   // Warm the (s, domain 0) slot so find_slot below never sees null.
-  system->transmit_many("s", "r", {pool->front()},
-                        [](std::size_t, core::TransmitReport) {});
+  const core::SemanticEdgeSystem::PairDone ignore =
+      [](std::size_t, std::size_t, core::TransmitReport) {};
+  std::vector<core::SemanticEdgeSystem::PairBatch> wave{
+      {"s", "r", {pool->front()}}};
+  system->transmit_pairs(wave, ignore);
   system->simulator().run();
   auto* buffer =
       system->edge_state(0).find_slot("s", 0)->buffer.get();
   buffer->clear();
 
   for (auto _ : state) {
-    std::vector<text::Sentence> batch(pool->begin(),
-                                      pool->begin() + static_cast<std::ptrdiff_t>(count));
-    system->transmit_many("s", "r", std::move(batch),
-                          [](std::size_t, core::TransmitReport) {});
+    wave[0].messages = std::vector<text::Sentence>(
+        pool->begin(), pool->begin() + static_cast<std::ptrdiff_t>(count));
+    system->transmit_pairs(wave, ignore);
     system->simulator().run();
     state.PauseTiming();
     buffer->clear();  // keep the transaction ring from growing unboundedly
@@ -381,8 +383,8 @@ static void BM_TransmitBatch(benchmark::State& state) {
 BENCHMARK(BM_TransmitBatch)->Arg(1)->Arg(8)->Arg(32);
 
 // BM_TransmitBatch's exact workload on a system built with num_threads =
-// {1, 2, 4} (args: {threads, batch}). transmit_many is a one-pair wave,
-// and the pool runs only a wave's sender lanes, so this one-lane wave
+// {1, 2, 4} (args: {threads, batch}). The pool runs only a wave's sender
+// lanes, so this one-pair, one-lane wave
 // computes inline on the calling thread: each row should match its
 // BM_TransmitBatch twin at the same batch, and a row slower than the twin
 // means the pooled system taxes the path it does not parallelize. Output
@@ -421,17 +423,19 @@ static void BM_TransmitBatchThreaded(benchmark::State& state) {
   core::SemanticEdgeSystem* system = (*systems)[threads];
   const std::vector<text::Sentence>& pool = (*pools)[threads];
 
-  system->transmit_many("s", "r", {pool.front()},
-                        [](std::size_t, core::TransmitReport) {});
+  const core::SemanticEdgeSystem::PairDone ignore =
+      [](std::size_t, std::size_t, core::TransmitReport) {};
+  std::vector<core::SemanticEdgeSystem::PairBatch> wave{
+      {"s", "r", {pool.front()}}};
+  system->transmit_pairs(wave, ignore);
   system->simulator().run();
   auto* buffer = system->edge_state(0).find_slot("s", 0)->buffer.get();
   buffer->clear();
 
   for (auto _ : state) {
-    std::vector<text::Sentence> batch(
+    wave[0].messages = std::vector<text::Sentence>(
         pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(count));
-    system->transmit_many("s", "r", std::move(batch),
-                          [](std::size_t, core::TransmitReport) {});
+    system->transmit_pairs(wave, ignore);
     system->simulator().run();
     state.PauseTiming();
     buffer->clear();  // keep the transaction ring from growing unboundedly

@@ -19,17 +19,17 @@
 // in (global pair, message) order. A sharded flush is therefore
 // synchronous-complete: when it returns, every delivery chain has run —
 // there is no single simulator left for the caller to drive. A stalled or
-// failed shard's pairs are re-served through serve_degraded, the same
-// pair wave over the frozen general models.
+// failed shard's wave is re-served as one serve_degraded wave, the same
+// pair wave over the frozen general models, and its completions join the
+// same merge.
 //
 // Determinism: a flush inherits transmit_pairs' contract — results are
 // byte-identical to num_threads = 0 for any worker count, and to serving
-// the pairs one at a time through transmit_many (a one-pair wave) in
-// order. The sharded front door extends it across deployments: for the
-// same enqueue stream, every K and every thread count produce
-// byte-identical reports, weights, and merged stats (latency too once
-// pairs do not contend across shards; see sharded.hpp). test_sharded pins
-// the matrix.
+// the pairs one at a time as one-pair waves in order. The sharded front
+// door extends it across deployments: for the same enqueue stream, every
+// K and every thread count produce byte-identical reports, weights, and
+// merged stats (latency too once pairs do not contend across shards; see
+// sharded.hpp). test_sharded pins the matrix.
 #pragma once
 
 #include <cstddef>
@@ -58,15 +58,16 @@ class ParallelDispatcher {
   void enqueue(const std::string& sender, const std::string& receiver,
                std::vector<text::Sentence> messages);
 
-  /// Serve everything queued as one cross-pair wave and clear the queue.
-  /// Single-system mode: one transmit_pairs wave; `on_done(pair, index,
-  /// report)` fires per message as its delivery chain completes (drive
-  /// system.simulator() to run the chains, exactly as with
-  /// transmit_many). Sharded mode: per-shard waves fan out concurrently,
-  /// every shard's simulator is drained before returning, and on_done
-  /// fires on THIS thread in (pair, index) order — no further driving
-  /// needed. Returns the number of pairs served; a no-op returning 0 when
-  /// nothing is queued.
+  /// Serve everything queued as one cross-pair wave. The queue is taken
+  /// before serving, so it is empty afterwards even when the wave or a
+  /// completion throws. Single-system mode: one transmit_pairs wave;
+  /// `on_done(pair, index, report)` fires per message as its delivery
+  /// chain completes (drive system.simulator() to run the chains).
+  /// Sharded mode: per-shard waves fan out concurrently, every shard's
+  /// simulator is drained before returning, and on_done fires on THIS
+  /// thread in (pair, index) order — no further driving needed. Returns
+  /// the number of pairs served; a no-op returning 0 when nothing is
+  /// queued.
   std::size_t flush(SemanticEdgeSystem::PairDone on_done);
 
   std::size_t queued_pairs() const { return queue_.size(); }
@@ -76,7 +77,10 @@ class ParallelDispatcher {
   std::size_t waves_served() const { return waves_; }
 
  private:
-  std::size_t flush_sharded(const SemanticEdgeSystem::PairDone& on_done);
+  /// Serve `wave` across the shards; `ordinal` keys the stall coins.
+  void flush_sharded(std::vector<SemanticEdgeSystem::PairBatch> wave,
+                     std::size_t ordinal,
+                     const SemanticEdgeSystem::PairDone& on_done);
 
   SemanticEdgeSystem* system_ = nullptr;    ///< single-system mode
   ShardedEdgeServing* sharded_ = nullptr;   ///< sharded mode (XOR system_)

@@ -312,9 +312,12 @@ bool SemanticEdgeSystem::replicas_in_sync(const std::string& user,
 TransmitReport SemanticEdgeSystem::transmit(const std::string& sender,
                                             const std::string& receiver,
                                             const text::Sentence& message) {
+  std::vector<PairBatch> wave(1);
+  wave[0] = {sender, receiver, {message}};
   std::optional<TransmitReport> result;
-  transmit_async(sender, receiver, message,
-                 [&](TransmitReport r) { result = std::move(r); });
+  transmit_pairs(wave, [&](std::size_t, std::size_t, TransmitReport r) {
+    result = std::move(r);
+  });
   sim_.run();
   SEMCACHE_CHECK(result.has_value(), "transmit: chain did not complete");
   return std::move(*result);

@@ -266,38 +266,11 @@ class SemanticEdgeSystem {
   /// Sample a message as `user` would utter it (idiolect applied).
   text::Sentence sample_message(const std::string& user, std::size_t domain);
 
-  /// Synchronous end-to-end transmission (runs the event loop to idle).
+  /// Synchronous end-to-end transmission: a one-pair, one-message
+  /// transmit_pairs wave, then the event loop runs to idle.
   TransmitReport transmit(const std::string& sender,
                           const std::string& receiver,
                           const text::Sentence& message);
-
-  /// Event-driven variant for open-loop workloads (E7/E10): the report is
-  /// delivered to `on_done` when the message reaches the receiver device.
-  /// Implemented as the N = 1 case of transmit_many (bit-identical reports,
-  /// stats, and RNG streams).
-  void transmit_async(const std::string& sender, const std::string& receiver,
-                      text::Sentence message,
-                      std::function<void(TransmitReport)> on_done);
-
-  /// Batched end-to-end transmission: a one-pair transmit_pairs wave. N
-  /// messages from `sender` to `receiver` run the data plane once per
-  /// (selected domain, fine-tune interval) group — one encode_batch, one
-  /// quantize_batch, one channel transmit_batch (per-message forked RNG,
-  /// so message i sees exactly the noise stream i sequential calls
-  /// would), and one decode_logits_batch on the receiver replica —
-  /// instead of N single passes. `on_done(i, report)` fires as message i
-  /// arrives at the receiver device; each message keeps its own
-  /// timing-plane event chain, so latency and queueing behaviour match N
-  /// transmit_async calls.
-  ///
-  /// Equivalence guarantee: reports and aggregate stats are bit-identical
-  /// to calling transmit_async once per message in order (without running
-  /// the simulator in between) — including under fault injection, because
-  /// every fault coin is keyed by the identity of the failing object
-  /// (sync-message identity, link id), never by execution order.
-  void transmit_many(const std::string& sender, const std::string& receiver,
-                     std::vector<text::Sentence> messages,
-                     std::function<void(std::size_t, TransmitReport)> on_done);
 
   /// One user pair's ready-to-serve transmissions.
   struct PairBatch {
@@ -320,20 +293,29 @@ class SemanticEdgeSystem {
   using PairDone =
       std::function<void(std::size_t pair, std::size_t index, TransmitReport)>;
 
-  /// Cross-pair parallel serving: serve several user pairs' batches as
-  /// one wave. Three deterministic phases — (1) selection / cache touches
-  /// / slot establishment run on the calling thread in pair order (they
+  /// The serving entry point: serve several user pairs' batches as one
+  /// wave. Three deterministic phases — (1) selection / cache touches /
+  /// slot establishment run on the calling thread in pair order (they
   /// share the selector, the LRU caches, and the cloud links); (2) the
   /// per-pair data planes run CONCURRENTLY on the system pool, partitioned
   /// into lanes by sending user (every mutable serving object — user-model
   /// slots, buffers, fine-tune scratch — is keyed by (sender, domain), so
   /// distinct senders touch disjoint state; system accounting collects
-  /// into pair-local sinks); (3) stats merges, gradient-sync
-  /// ships, and delivery-chain scheduling commit on the calling thread in
-  /// pair order. Results (reports, stats, cache contents, model weights,
-  /// event ordering) are BYTE-IDENTICAL to num_threads = 0 for any worker
-  /// count, and identical to calling transmit_many once per pair in order
-  /// (test_serve_pairs pins both).
+  /// into pair-local sinks); (3) stats merges, gradient-sync ships, and
+  /// delivery-chain scheduling commit on the calling thread in pair
+  /// order. Within a pair, messages are grouped by selected domain and
+  /// each group runs one encode_batch / quantize_batch / transmit_batch
+  /// (per-message forked RNG) / decode_logits_batch per fine-tune
+  /// interval. `on_done(pair, index, report)` fires as message `index` of
+  /// pair `pair` arrives at its receiver device; every message keeps its
+  /// own timing-plane event chain. The batches are read in place and may
+  /// be released once the call returns.
+  ///
+  /// Results (reports, stats, cache contents, model weights, event
+  /// ordering) are BYTE-IDENTICAL to num_threads = 0 for any worker
+  /// count, and identical to serving the pairs one at a time as one-pair
+  /// waves in order (test_serve_pairs pins both). A one-pair wave of N
+  /// messages equals N one-message waves (test_transmit_batch).
   ///
   /// The guarantee HOLDS UNDER ACTIVE FAULT INJECTION: sync loss /
   /// corruption / duplication coins are keyed by message identity (user,
@@ -341,30 +323,29 @@ class SemanticEdgeSystem {
   /// wave draws exactly the coins the sequential path would — there is no
   /// sequential fallback (test_faults pins the full thread x shard
   /// matrix).
-  void transmit_pairs(std::vector<PairBatch> batches, PairDone on_done);
+  void transmit_pairs(const std::vector<PairBatch>& batches, PairDone on_done);
 
   /// Degraded-mode serving (the dispatcher's answer to a stalled or
-  /// failed shard): serve `batch` end-to-end through the FROZEN general-
+  /// failed shard): serve the wave end-to-end through the FROZEN general-
   /// model replicas — selection, encode, quantize, channel, decode,
   /// delivery chains — with NO personalization and NO state mutation (no
   /// slot establishment, no buffer adds, no fine-tune, no sync, no cache
-  /// touches). It is the pair wave's prepare / compute / commit on a
-  /// buffer-less slot aliasing the general, so reports follow the healthy
-  /// definitions field for field (mismatch included). Every report is
-  /// flagged `degraded` and counted in SystemStats::degraded_serves.
-  /// Channel noise keeps the identity-keyed fork discipline via the
-  /// batch's pinned noise base, so degraded serving is itself
-  /// deterministic.
-  void serve_degraded(PairBatch batch,
-                      std::function<void(std::size_t, TransmitReport)> on_done);
+  /// touches). It is transmit_pairs' wave over buffer-less slots aliasing
+  /// the generals, lanes on the pool included, so reports follow the
+  /// healthy definitions field for field (mismatch included). Every
+  /// report is flagged `degraded` and counted in
+  /// SystemStats::degraded_serves. Channel noise keeps the identity-keyed
+  /// fork discipline via each batch's pinned noise base, so degraded
+  /// serving is itself deterministic.
+  void serve_degraded(const std::vector<PairBatch>& batches, PairDone on_done);
 
   /// Admission checks for one pair batch (non-empty, known users,
   /// message lengths, surface and meaning ids inside their vocabularies,
   /// a domain the world has); throws semcache::Error on violation. The
-  /// single source of truth: transmit_pairs runs it wave-wide BEFORE any
-  /// prepare so a rejected wave is side-effect-free, serve_degraded runs
-  /// it on its batch, and ParallelDispatcher fails fast at enqueue time
-  /// so a queued wave can never be lost to a validation throw mid-flush.
+  /// single source of truth: every wave runs it wave-wide BEFORE any
+  /// prepare so a rejected wave is side-effect-free, and
+  /// ParallelDispatcher fails fast at enqueue time so a queued wave can
+  /// never be lost to a validation throw mid-flush.
   void validate_pair_batch(const PairBatch& batch) const;
 
   // --- introspection used by tests, examples, and benches ---
@@ -458,6 +439,11 @@ class SemanticEdgeSystem {
   void ship_sync(PendingShip ship);
 
   // --- the pair wave (every serving entry point runs these phases) ---
+  /// The one wave driver behind transmit_pairs and serve_degraded:
+  /// validate the whole wave, then prepare / compute / commit. `degraded`
+  /// serves every pair from the frozen generals.
+  void serve_wave(const std::vector<PairBatch>& batches, PairDone on_done,
+                  bool degraded);
   /// Selection for message `i` of the task, then — unless the task is
   /// degraded — general-cache touches and user-slot establishment; fills
   /// the corresponding report fields, the selected domain among them.
@@ -491,7 +477,7 @@ class SemanticEdgeSystem {
   SystemConfig config_;
   Rng rng_;
   FaultPlane fault_plane_;  ///< rebuilt whenever config_.faults changes
-  /// Runs the sender lanes of transmit_pairs; null when num_threads is 0.
+  /// Runs the sender lanes of every wave; null when num_threads is 0.
   std::unique_ptr<common::ThreadPool> pool_;
   text::World world_;
   std::vector<std::shared_ptr<semantic::SemanticCodec>> general_models_;

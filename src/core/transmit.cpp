@@ -8,13 +8,12 @@
 // (E7/E10) see real queueing contention. Weight updates therefore take
 // effect in serving order, which is deterministic.
 //
-// There is one serving driver, the pair wave of transmit_pairs: prepare
+// There is one serving driver, the pair wave (serve_wave): prepare
 // (selection, caches, slots; calling thread, pair order), compute (the
 // batched data plane; lanes keyed by sender), commit (stats folds, sync
-// ships, delivery chains; calling thread, pair order). transmit_many is a
-// one-pair wave (transmit_async and transmit are its N = 1 case), and
-// serve_degraded runs the same three phases over frozen, buffer-less
-// slots.
+// ships, delivery chains; calling thread, pair order). transmit_pairs runs
+// it, transmit is its one-pair, one-message case, and serve_degraded runs
+// it with every pair on frozen, buffer-less slots.
 //
 // Within a pair, messages are grouped by selected domain and each group
 // runs encode_batch / quantize_batch / transmit_batch /
@@ -73,7 +72,7 @@ std::uint64_t channel_fork_tag(std::uint64_t index) {
 
 struct SemanticEdgeSystem::PairTask {
   std::size_t pair_index = 0;
-  PairBatch batch;
+  const PairBatch* batch = nullptr;  ///< the caller's, read in place
   /// serve_degraded: selection only at prepare, frozen buffer-less slots
   /// at compute — no serving state is created or written.
   bool degraded = false;
@@ -96,7 +95,7 @@ struct SemanticEdgeSystem::PairTask {
 void SemanticEdgeSystem::run_update(PairTask& task, std::size_t domain,
                                     UserModelSlot& sslot,
                                     TransmitReport& report) {
-  const std::string& sender = task.batch.sender;
+  const std::string& sender = task.batch->sender;
   // First weight write for this slot: copy-on-write materializes a private
   // clone of the general model here, so the bytes are charged exactly when
   // the user develops state of their own.
@@ -324,7 +323,7 @@ void SemanticEdgeSystem::set_sync_loss_probability(double p) {
 }
 
 void SemanticEdgeSystem::prepare_message(PairTask& task, std::size_t i) {
-  const text::Sentence& message = task.batch.messages[i];
+  const text::Sentence& message = task.batch->messages[i];
   TransmitReport& report = task.reports[i];
   report.domain_true = message.domain;
   report.degraded = task.degraded;
@@ -343,7 +342,7 @@ void SemanticEdgeSystem::prepare_message(PairTask& task, std::size_t i) {
   // --- General models through the edge caches (①). ---
   EdgeServerState& sstate = *task.sstate;
   EdgeServerState& rstate = *task.rstate;
-  const std::string& sender = task.batch.sender;
+  const std::string& sender = task.batch->sender;
   report.general_cache_hit = touch_general_cache(sstate, m);
   touch_general_cache(rstate, m);
 
@@ -371,7 +370,7 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
                                               UserModelSlot& rslot) {
   const std::size_t m = task.group_domains[group];
   const std::vector<std::size_t>& indices = task.groups[group];
-  const std::vector<text::Sentence>& messages = task.batch.messages;
+  const std::vector<text::Sentence>& messages = task.batch->messages;
   std::vector<TransmitReport>& reports = task.reports;
   const std::size_t length = config_.codec.sentence_length;
   const std::size_t vocab = config_.codec.meaning_vocab;
@@ -542,7 +541,7 @@ void SemanticEdgeSystem::schedule_delivery(
   TransmitReport& report = task.reports[index];
   const bool cross_edge = task.cross_edge;
   const double start_time = sim_.now();
-  const std::size_t up_bytes = raw_message_bytes(task.batch.messages[index]);
+  const std::size_t up_bytes = raw_message_bytes(task.batch->messages[index]);
   const std::size_t down_bytes =
       kHeaderBytes + kTokenBytes * report.decoded_meanings.size();
   const std::size_t payload_bytes = report.payload_bytes;
@@ -585,22 +584,6 @@ void SemanticEdgeSystem::schedule_delivery(
   net.link(s_dev, s_edge).send(sim_, up_bytes, std::move(encode));
 }
 
-void SemanticEdgeSystem::transmit_many(
-    const std::string& sender, const std::string& receiver,
-    std::vector<text::Sentence> messages,
-    std::function<void(std::size_t, TransmitReport)> on_done) {
-  SEMCACHE_CHECK(on_done != nullptr, "transmit_many: null completion");
-  std::vector<PairBatch> wave(1);
-  wave[0].sender = sender;
-  wave[0].receiver = receiver;
-  wave[0].messages = std::move(messages);
-  transmit_pairs(std::move(wave),
-                 [on_done = std::move(on_done)](std::size_t, std::size_t index,
-                                                TransmitReport report) {
-                   on_done(index, std::move(report));
-                 });
-}
-
 // ===================== the pair wave ======================
 
 void SemanticEdgeSystem::validate_pair_batch(const PairBatch& batch) const {
@@ -632,28 +615,28 @@ void SemanticEdgeSystem::validate_pair_batch(const PairBatch& batch) const {
 }
 
 void SemanticEdgeSystem::prepare_pair(PairTask& task) {
-  task.sprofile = &user(task.batch.sender);
-  task.rprofile = &user(task.batch.receiver);
+  task.sprofile = &user(task.batch->sender);
+  task.rprofile = &user(task.batch->receiver);
   task.sstate = &edge_state(task.sprofile->edge_index);
   task.rstate = &edge_state(task.rprofile->edge_index);
   task.cross_edge = task.sprofile->edge_index != task.rprofile->edge_index;
 
   // Selection / caches / slots, strictly in arrival order (the selector
   // and the LRU caches are stateful).
-  const std::size_t n = task.batch.messages.size();
+  const std::size_t n = task.batch->messages.size();
   task.reports.resize(n);
   for (std::size_t i = 0; i < n; ++i) prepare_message(task, i);
   // Claim this pair's run of global message indices now, in pair order —
-  // exactly the channel-noise forks n sequential transmit_async calls
-  // would consume (the counter's only other reader is the next prepare).
+  // exactly the channel-noise forks n one-message waves would consume
+  // (the counter's only other reader is the next prepare).
   // A batch with a PINNED noise base (the sharded front door assigns them
   // from its deployment-wide counter in first-enqueue order) uses that
   // instead, so a shard's noise streams match the single-system reference
   // no matter how pairs interleave across shards; the local message count
   // still advances either way.
-  task.base_message_index = task.batch.noise_base == PairBatch::kAutoNoiseBase
-                                ? stats_.messages
-                                : task.batch.noise_base;
+  const std::uint64_t pinned = task.batch->noise_base;
+  task.base_message_index =
+      pinned == PairBatch::kAutoNoiseBase ? stats_.messages : pinned;
   stats_.messages += n;
   if (task.degraded) task.stats_delta.degraded_serves = n;
 
@@ -679,8 +662,8 @@ void SemanticEdgeSystem::compute_pair(PairTask& task) {
       process_domain_group(task, g, frozen, frozen);
     } else {
       process_domain_group(task, g,
-                           *task.sstate->find_slot(task.batch.sender, m),
-                           *task.rstate->find_slot(task.batch.sender, m));
+                           *task.sstate->find_slot(task.batch->sender, m),
+                           *task.rstate->find_slot(task.batch->sender, m));
     }
   }
 }
@@ -699,13 +682,27 @@ void SemanticEdgeSystem::commit_pair(
   for (PendingShip& ship : task.outbox) ship_sync(std::move(ship));
   task.outbox.clear();
 
-  for (std::size_t i = 0; i < task.batch.messages.size(); ++i) {
+  for (std::size_t i = 0; i < task.batch->messages.size(); ++i) {
     schedule_delivery(task, i, on_done);
   }
 }
 
-void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
+void SemanticEdgeSystem::transmit_pairs(const std::vector<PairBatch>& batches,
                                         PairDone on_done) {
+  serve_wave(batches, std::move(on_done), /*degraded=*/false);
+}
+
+void SemanticEdgeSystem::serve_degraded(const std::vector<PairBatch>& batches,
+                                        PairDone on_done) {
+  // Availability mode: the same wave with every task flagged degraded
+  // (selection only, frozen buffer-less slots). Lanes still fan out: a
+  // degraded lane writes nothing but its own reports and sinks, and
+  // serves through its worker slot's frozen replica.
+  serve_wave(batches, std::move(on_done), /*degraded=*/true);
+}
+
+void SemanticEdgeSystem::serve_wave(const std::vector<PairBatch>& batches,
+                                    PairDone on_done, bool degraded) {
   SEMCACHE_CHECK(on_done != nullptr, "transmit_pairs: null completion");
   SEMCACHE_CHECK(!batches.empty(), "transmit_pairs: no pairs");
   // Validate the WHOLE wave before serving anything: prepare claims
@@ -722,7 +719,8 @@ void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
   std::vector<PairTask> tasks(batches.size());
   for (std::size_t p = 0; p < batches.size(); ++p) {
     tasks[p].pair_index = p;
-    tasks[p].batch = std::move(batches[p]);
+    tasks[p].batch = &batches[p];
+    tasks[p].degraded = degraded;
     prepare_pair(tasks[p]);
   }
 
@@ -733,7 +731,7 @@ void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
   // pool. A single lane runs inline on the calling thread.
   const auto lanes = common::group_by_first_appearance(
       tasks.size(),
-      [&](std::size_t p) -> const std::string& { return tasks[p].batch.sender; });
+      [&](std::size_t p) -> const std::string& { return batches[p].sender; });
   const auto compute_lane = [&](std::size_t lane, std::size_t) {
     for (const std::size_t p : lanes.groups[lane]) compute_pair(tasks[p]);
   };
@@ -746,47 +744,9 @@ void SemanticEdgeSystem::transmit_pairs(std::vector<PairBatch> batches,
   }
 
   // Phase 3: sequential commits in pair order. Every delivery chain of
-  // the wave shares the one completion.
+  // the wave shares the one completion, which outlives this call.
   const auto done = std::make_shared<const PairDone>(std::move(on_done));
   for (PairTask& task : tasks) commit_pair(task, done);
-}
-
-void SemanticEdgeSystem::serve_degraded(
-    PairBatch batch, std::function<void(std::size_t, TransmitReport)> on_done) {
-  SEMCACHE_CHECK(on_done != nullptr, "serve_degraded: null completion");
-  validate_pair_batch(batch);
-  // Availability mode: the pair wave's three phases, inline, with the
-  // task flagged degraded (selection only, frozen buffer-less slots). The
-  // calling thread is the dispatcher's, never a pool worker, so the
-  // frozen serving replicas of worker slot 0 are free. The channel keeps
-  // the identity-keyed noise fork, so a degraded wave is itself
-  // bit-reproducible.
-  PairTask task;
-  task.batch = std::move(batch);
-  task.degraded = true;
-  prepare_pair(task);
-  compute_pair(task);
-  // Deliveries fire after this call returns: the chains share ownership
-  // of the completion.
-  commit_pair(task, std::make_shared<const PairDone>(
-                        [on_done = std::move(on_done)](
-                            std::size_t, std::size_t index,
-                            TransmitReport report) {
-                          on_done(index, std::move(report));
-                        }));
-}
-
-void SemanticEdgeSystem::transmit_async(
-    const std::string& sender, const std::string& receiver,
-    text::Sentence message, std::function<void(TransmitReport)> on_done) {
-  SEMCACHE_CHECK(on_done != nullptr, "transmit_async: null completion");
-  std::vector<text::Sentence> batch;
-  batch.push_back(std::move(message));
-  transmit_many(sender, receiver, std::move(batch),
-                [on_done = std::move(on_done)](std::size_t,
-                                               TransmitReport report) {
-                  on_done(std::move(report));
-                });
 }
 
 }  // namespace semcache::core

@@ -75,6 +75,11 @@ SyncMessage ModelSynchronizer::make_message(std::span<const float> before,
 
 void ModelSynchronizer::apply(nn::ParameterSet& params,
                               const SyncMessage& message) const {
+  // Before decompress sizes its output from the untrusted count: a wire
+  // image may carry any u32 here.
+  SEMCACHE_CHECK(message.delta.total_dims == params.scalar_count(),
+                 "ModelSynchronizer::apply: delta size does not match the "
+                 "parameters");
   const std::vector<float> delta = compressor_.decompress(message.delta);
   params.apply_delta(delta);
 }

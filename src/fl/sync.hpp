@@ -55,7 +55,9 @@ class ModelSynchronizer {
                            const std::string& user, std::uint32_t domain,
                            std::uint64_t version) const;
 
-  /// Apply a received message to a replica's parameters.
+  /// Apply a received message to a replica's parameters. Throws
+  /// semcache::Error, leaving them unchanged, when the delta's dimension
+  /// count differs from theirs.
   void apply(nn::ParameterSet& params, const SyncMessage& message) const;
 
   /// Residual error between the true delta and its compressed form

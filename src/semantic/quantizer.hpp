@@ -28,7 +28,7 @@ class FeatureQuantizer {
   /// channel.
   tensor::Tensor roundtrip(const tensor::Tensor& feature) const;
 
-  // --- Batched row-wise variants (the transmit_many data plane). Row i of
+  // --- Batched row-wise variants (the pair wave's data plane). Row i of
   // every batch call is bit-identical to the single-feature call on row i,
   // so the batched system path reproduces the sequential one exactly. ---
 

@@ -161,8 +161,8 @@ TEST_F(ChannelGoldenRng, ViterbiCorrectsIsolatedBitErrors) {
 
 // The transmit data plane forks the system RNG once per message with tag
 // 0xC4A2 ^ (message_index * 2654435761), where message_index is the
-// system-wide message counter — whether the message rides transmit_async
-// or a transmit_many batch. These goldens pin (a) the tag formula, (b) the
+// system-wide message counter — whether the message rides a one-message
+// wave or a larger one. These goldens pin (a) the tag formula, (b) the
 // derived fork seeds, and (c) the first raw mt19937_64 outputs of each
 // fork (fully specified by the standard, so the expectations are
 // implementation-independent). A refactor that reorders or re-keys the

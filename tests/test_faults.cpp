@@ -518,56 +518,83 @@ TEST(Degradation, DropPolicyOutagesLoseCompletionsButNeverHang) {
 }
 
 TEST(Degradation, DegradedReportsMatchHealthyServingWhileNothingTrains) {
-  // With a trigger the batch never reaches, healthy serving never
+  // With a trigger the batches never reach, healthy serving never
   // fine-tunes, so its models ARE the frozen generals and a degraded
-  // serve of the same messages must report the same data plane — the
+  // serve of the same wave must report the same data plane — the
   // mismatch of channel-corrupted payloads included (the decoder copy's
   // loss on the clean features, not the receiver's on the corrupted
-  // ones). 7 dB puts a few of the 24 payloads through decode errors.
+  // ones). 7 dB puts a few of the payloads through decode errors. The
+  // wave has three senders, so on the 4-worker system its degraded lanes
+  // fan out over the pool; that run must equal the 0-thread one byte for
+  // byte.
+  unsetenv("SEMCACHE_THREADS");
   SystemConfig config = test::tiny_system_config(77);
   config.pretrain.steps = 150;
   config.buffer_trigger = 64;
   config.channel.snr_db = 7.0;
+  SystemConfig pooled_config = config;
+  pooled_config.num_threads = 4;
   auto healthy = SemanticEdgeSystem::build(config);
   auto degraded = SemanticEdgeSystem::build(config);
-  std::vector<text::Sentence> messages;
-  for (auto* system : {healthy.get(), degraded.get()}) {
+  auto pooled = SemanticEdgeSystem::build(pooled_config);
+  ASSERT_NE(pooled->thread_pool(), nullptr);
+
+  // a -> b and b -> c cross the channel; c -> a stays on edge 0.
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"a", "b"}, {"b", "c"}, {"c", "a"}};
+  std::vector<SemanticEdgeSystem::PairBatch> wave;
+  for (auto* system : {healthy.get(), degraded.get(), pooled.get()}) {
     system->register_user("a", 0, nullptr);
     system->register_user("b", 1, nullptr);
-    messages.clear();
-    for (int i = 0; i < 24; ++i) {
-      messages.push_back(system->sample_message("a", i % 2));
+    system->register_user("c", 0, nullptr);
+    wave.clear();
+    for (const auto& [sender, receiver] : pairs) {
+      wave.push_back({sender, receiver, {}});
+      for (int i = 0; i < 12; ++i) {
+        wave.back().messages.push_back(system->sample_message(sender, i % 2));
+      }
     }
   }
 
-  std::vector<TransmitReport> want(messages.size());
-  std::vector<TransmitReport> got(messages.size());
-  healthy->transmit_many("a", "b", messages,
-                         [&want](std::size_t i, TransmitReport report) {
-                           want[i] = std::move(report);
-                         });
-  SemanticEdgeSystem::PairBatch batch;
-  batch.sender = "a";
-  batch.receiver = "b";
-  batch.messages = messages;
-  degraded->serve_degraded(std::move(batch),
-                           [&got](std::size_t i, TransmitReport report) {
-                             got[i] = std::move(report);
-                           });
-  healthy->simulator().run();
-  degraded->simulator().run();
+  using Reports = std::vector<std::vector<TransmitReport>>;
+  const auto into = [&wave](Reports& out) -> SemanticEdgeSystem::PairDone {
+    out.resize(wave.size());
+    for (std::size_t p = 0; p < wave.size(); ++p) {
+      out[p].resize(wave[p].messages.size());
+    }
+    return [&out](std::size_t pair, std::size_t i, TransmitReport report) {
+      out[pair][i] = std::move(report);
+    };
+  };
+  Reports want, got, got_pooled;
+  healthy->transmit_pairs(wave, into(want));
+  degraded->serve_degraded(wave, into(got));
+  pooled->serve_degraded(wave, into(got_pooled));
+  for (auto* system : {healthy.get(), degraded.get(), pooled.get()}) {
+    system->simulator().run();
+  }
 
   ASSERT_EQ(healthy->stats().updates, 0u);
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    SCOPED_TRACE("message " + std::to_string(i));
-    EXPECT_TRUE(got[i].degraded);
-    EXPECT_EQ(want[i].decoded_meanings, got[i].decoded_meanings);
-    EXPECT_EQ(want[i].mismatch, got[i].mismatch);  // exact doubles
-    EXPECT_EQ(want[i].payload_bytes, got[i].payload_bytes);
-    EXPECT_EQ(want[i].airtime_bits, got[i].airtime_bits);
-    EXPECT_EQ(want[i].latency_s, got[i].latency_s);
+  std::size_t total = 0;
+  for (std::size_t p = 0; p < wave.size(); ++p) {
+    for (std::size_t i = 0; i < wave[p].messages.size(); ++i) {
+      SCOPED_TRACE("pair " + std::to_string(p) + " message " +
+                   std::to_string(i));
+      EXPECT_EQ(got[p][i], got_pooled[p][i]);
+      // Degraded serving only flags its reports and establishes no slot;
+      // every other field, latency and the exact mismatch double
+      // included, is the healthy one.
+      TransmitReport expected = want[p][i];
+      expected.degraded = true;
+      expected.established_user_model = false;
+      EXPECT_EQ(expected, got[p][i]);
+      ++total;
+    }
   }
-  EXPECT_EQ(healthy->stats().feature_bytes, degraded->stats().feature_bytes);
+  EXPECT_EQ(degraded->stats(), pooled->stats());
+  SystemStats expected_stats = healthy->stats();
+  expected_stats.degraded_serves = total;
+  EXPECT_EQ(expected_stats, degraded->stats());
 }
 
 }  // namespace

@@ -335,6 +335,39 @@ TEST(Synchronizer, RawWeightsWouldDiverge) {
   EXPECT_FALSE(sender.values_equal(receiver));
 }
 
+TEST(Synchronizer, RefusesADeltaSizedForOtherParameters) {
+  // apply checks the delta's dimension count against the parameters
+  // BEFORE decompress sizes a vector from it: a delta built for another
+  // model, or a wire image claiming 2^32 - 1 dims (17.2 GB of zeros),
+  // throws and leaves the replica untouched.
+  Rng rng(10);
+  nn::Linear model(8, 8, rng, "dec");
+  nn::ParameterSet params(model.parameters());
+  const std::vector<float> original = params.flatten_values();
+  ModelSynchronizer sync({0.25, 8});
+
+  const std::vector<float> before(params.scalar_count() - 1, 0.0f);
+  std::vector<float> after = before;
+  after[0] = 1.0f;
+  const SyncMessage mismatched = sync.make_message(before, after, "u", 0, 1);
+  EXPECT_THROW(sync.apply(params, mismatched), Error);
+  EXPECT_EQ(params.flatten_values(), original);
+
+  SyncMessage huge;
+  huge.user = "u";
+  huge.version = 1;
+  huge.delta.total_dims = 0xFFFFFFFFu;
+  huge.delta.bits = 8;
+  huge.delta.indices = {0};
+  huge.delta.q_values = {1};
+  const std::vector<std::uint8_t> wire = huge.to_wire();
+  EXPECT_EQ(wire.size(), 40u);
+  const SyncMessage parsed = SyncMessage::from_wire(wire);  // wire-valid
+  EXPECT_EQ(parsed.delta.total_dims, 0xFFFFFFFFu);
+  EXPECT_THROW(sync.apply(params, parsed), Error);
+  EXPECT_EQ(params.flatten_values(), original);
+}
+
 TEST(Synchronizer, CompressionResidualShrinksWithBits) {
   Rng rng(9);
   std::vector<float> before(300, 0.0f);

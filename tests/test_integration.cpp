@@ -123,8 +123,9 @@ TEST(Integration, OpenLoopWorkloadThroughSimulator) {
   for (int i = 0; i < 20; ++i) {
     sim.schedule_at(0.01 * i, [&, i] {
       text::Sentence msg = system->sample_message("a", i % 2);
-      system->transmit_async("a", "b", std::move(msg),
-                             [&](core::TransmitReport r) {
+      system->transmit_pairs({{"a", "b", {std::move(msg)}}},
+                             [&](std::size_t, std::size_t,
+                                 core::TransmitReport r) {
                                reports.push_back(std::move(r));
                              });
     });
@@ -156,8 +157,9 @@ TEST(Integration, CongestionRaisesLatency) {
     auto& sim = system->simulator();
     for (int i = 0; i < 40; ++i) {
       sim.schedule_at(spacing_s * i, [&] {
-        system->transmit_async("a", "b", system->sample_message("a", 0),
-                               [&](core::TransmitReport r) {
+        system->transmit_pairs({{"a", "b", {system->sample_message("a", 0)}}},
+                               [&](std::size_t, std::size_t,
+                                   core::TransmitReport r) {
                                  latency.add(r.latency_s);
                                });
       });

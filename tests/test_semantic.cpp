@@ -206,7 +206,7 @@ TEST_P(QuantizerBitsSweep, ErrorShrinksWithBits) {
 INSTANTIATE_TEST_SUITE_P(Sweep, QuantizerBitsSweep,
                          ::testing::Values(1, 2, 4, 6, 8, 12, 16));
 
-// --- Batched quantizer (the transmit_many data plane) -------------------
+// --- Batched quantizer (the pair wave's data plane) ---------------------
 
 class QuantizerBatchSweep : public ::testing::TestWithParam<unsigned> {
  protected:

@@ -8,9 +8,9 @@
 //     latency compared as exact doubles), the aggregate SystemStats,
 //     sender-side buffer/slot state, and the decoder replica weights
 //     must be BYTE-IDENTICAL across all counts.
-//  2. SEQUENTIAL EQUIVALENCE — a wave over N pairs equals calling
-//     transmit_many once per pair in order on a twin system (reports,
-//     stats, weights), so cross-pair serving is a wall-clock lever, not a
+//  2. SEQUENTIAL EQUIVALENCE — a wave over N pairs equals serving each
+//     pair as a one-pair wave in order on a twin system (reports, stats,
+//     weights), so cross-pair serving is a wall-clock lever, not a
 //     semantic change.
 //
 // The case matrix: several pairs on one edge, cross-edge + intra-edge
@@ -290,8 +290,8 @@ TEST_F(ServePairsTest, DispatcherRejectsBadBatchesWithoutLosingQueue) {
 
 // --- standalone cases (fresh systems; lockstep with a sequential twin) ---
 
-/// A wave must equal serving its pairs one at a time through
-/// transmit_many, in pair order — on every thread count.
+/// A wave must equal serving its pairs one at a time as one-pair waves,
+/// in pair order — on every thread count.
 TEST(ServePairsEquivalence, WaveEqualsSequentialTransmitMany) {
   unsetenv("SEMCACHE_THREADS");
   struct Spec {
@@ -302,7 +302,7 @@ TEST(ServePairsEquivalence, WaveEqualsSequentialTransmitMany) {
   const std::vector<Spec> specs = {{"a", "b", {0, 0, 0, 0, 0, 0}},
                                    {"c", "a", {1, 1, 1, 1}},
                                    {"d", "b", {0, 1, 0}}};
-  // Reference: a threads=0 twin served pair by pair with transmit_many.
+  // Reference: a threads=0 twin served pair by pair, one-pair waves.
   auto reference = SemanticEdgeSystem::build(pairs_config(515, 0));
   std::vector<std::unique_ptr<SemanticEdgeSystem>> waved;
   for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
@@ -337,17 +337,16 @@ TEST(ServePairsEquivalence, WaveEqualsSequentialTransmitMany) {
     }
   }
 
-  // Reference run: pair-by-pair transmit_many, one event-loop drain at
+  // Reference run: pair-by-pair one-pair waves, one event-loop drain at
   // the end (matching the wave, which also schedules everything first).
   std::vector<std::vector<TransmitReport>> ref_reports(specs.size());
   for (std::size_t p = 0; p < specs.size(); ++p) {
     ref_reports[p].resize(ref_batches[p].size());
-    reference->transmit_many(specs[p].sender, specs[p].receiver,
-                             std::move(ref_batches[p]),
-                             [&ref_reports, p](std::size_t i,
-                                               TransmitReport report) {
-                               ref_reports[p][i] = std::move(report);
-                             });
+    reference->transmit_pairs(
+        {{specs[p].sender, specs[p].receiver, std::move(ref_batches[p])}},
+        [&ref_reports, p](std::size_t, std::size_t i, TransmitReport report) {
+          ref_reports[p][i] = std::move(report);
+        });
   }
   reference->simulator().run();
 
@@ -451,37 +450,60 @@ TEST(ServePairsEviction, CacheContentionStaysDeterministic) {
 
 /// Failure injection active: a transmit_pairs wave STAYS cross-pair
 /// parallel (no sequential fallback — the fault coins are keyed by
-/// message identity, not a global RNG ordinal) and still matches a twin
-/// served through transmit_many, report-for-report and stat-for-stat.
+/// message identity, not a global RNG ordinal) and still matches a
+/// threads=0 twin that serves the same pairs one at a time as one-pair
+/// waves, report-for-report and stat-for-stat. The wave has three senders
+/// on the 4-worker system, so its lanes really fan out, and every pair is
+/// cross-edge, so every fine-tune ships its sync over the lossy backbone.
 TEST(ServePairsFaults, WavesStayParallelUnderSyncLoss) {
   unsetenv("SEMCACHE_THREADS");
   auto waved = SemanticEdgeSystem::build(pairs_config(99, 4));
-  auto reference = SemanticEdgeSystem::build(pairs_config(99, 4));
+  auto reference = SemanticEdgeSystem::build(pairs_config(99, 0));
   for (auto* system : {waved.get(), reference.get()}) {
     system->register_user("a", 0, nullptr);
     system->register_user("b", 1, nullptr);
+    system->register_user("c", 0, nullptr);
+    system->register_user("d", 1, nullptr);
     system->set_sync_loss_probability(0.5);
   }
-  std::vector<SemanticEdgeSystem::PairBatch> batch(1);
-  batch[0].sender = "a";
-  batch[0].receiver = "b";
-  std::vector<text::Sentence> ref_messages;
-  for (int i = 0; i < 6; ++i) {
-    batch[0].messages.push_back(waved->sample_message("a", 0));
-    ref_messages.push_back(reference->sample_message("a", 0));
+  ASSERT_NE(waved->thread_pool(), nullptr);
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"a", "b"}, {"c", "d"}, {"d", "a"}};
+  std::vector<SemanticEdgeSystem::PairBatch> batches;
+  std::vector<std::vector<text::Sentence>> ref_messages(pairs.size());
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    batches.push_back({pairs[p].first, pairs[p].second, {}});
+    // 8 same-domain messages at trigger 4: two fine-tunes, two syncs.
+    for (int i = 0; i < 8; ++i) {
+      const std::size_t domain = p % 2;
+      batches[p].messages.push_back(
+          waved->sample_message(pairs[p].first, domain));
+      ref_messages[p].push_back(
+          reference->sample_message(pairs[p].first, domain));
+      ASSERT_EQ(batches[p].messages.back().surface,
+                ref_messages[p].back().surface);
+    }
   }
-  const WaveResult result = serve_wave(*waved, std::move(batch));
-  std::vector<TransmitReport> ref_reports(6);
-  reference->transmit_many("a", "b", std::move(ref_messages),
-                           [&ref_reports](std::size_t i,
-                                          TransmitReport report) {
-                             ref_reports[i] = std::move(report);
-                           });
+  const WaveResult result = serve_wave(*waved, std::move(batches));
+  std::vector<std::vector<TransmitReport>> ref_reports(pairs.size());
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    ref_reports[p].resize(ref_messages[p].size());
+    reference->transmit_pairs(
+        {{pairs[p].first, pairs[p].second, std::move(ref_messages[p])}},
+        [&ref_reports, p](std::size_t, std::size_t i, TransmitReport report) {
+          ref_reports[p][i] = std::move(report);
+        });
+  }
   reference->simulator().run();
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(ref_reports[i], result.reports[0][i]) << "faulted message " << i;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    for (std::size_t i = 0; i < ref_reports[p].size(); ++i) {
+      EXPECT_EQ(result.seen[p][i], 1);
+      EXPECT_EQ(ref_reports[p][i], result.reports[p][i])
+          << "faulted pair " << p << " message " << i;
+    }
   }
   EXPECT_EQ(reference->stats(), waved->stats());
+  EXPECT_GT(reference->stats().sync_drops, 0u);  // the loss really bit
 }
 
 }  // namespace

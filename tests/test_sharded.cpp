@@ -25,6 +25,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -333,6 +334,37 @@ TEST(ShardedServing, EnvShardCountAndValidation) {
             1u);
   EXPECT_EQ(delivered, 1u);
   EXPECT_EQ(sharded->stats().messages, 1u);
+}
+
+TEST(ShardedServing, ThrowingCompletionLeavesTheQueueEmpty) {
+  // A completion that throws during a sharded flush propagates out of
+  // flush, but the dispatcher took its queue before serving: nothing
+  // stays queued, and the next enqueue + flush serves normally.
+  unsetenv("SEMCACHE_THREADS");
+  unsetenv("SEMCACHE_SHARDS");
+  auto sharded = ShardedEdgeServing::build(sharded_config(12, 0), 2);
+  sharded->register_user("a", 0, nullptr);
+  sharded->register_user("b", 1, nullptr);
+  ParallelDispatcher dispatcher(*sharded);
+  dispatcher.enqueue("a", "b", {sharded->sample_message("a", 0)});
+  EXPECT_THROW(dispatcher.flush([](std::size_t, std::size_t, TransmitReport) {
+                 throw std::runtime_error("completion failed");
+               }),
+               std::runtime_error);
+  EXPECT_EQ(dispatcher.queued_pairs(), 0u);
+
+  dispatcher.enqueue("a", "b", {sharded->sample_message("a", 0),
+                                sharded->sample_message("a", 1)});
+  std::vector<std::size_t> delivered;
+  EXPECT_EQ(dispatcher.flush([&delivered](std::size_t pair, std::size_t index,
+                                          TransmitReport report) {
+              EXPECT_EQ(pair, 0u);
+              EXPECT_FALSE(report.degraded);
+              delivered.push_back(index);
+            }),
+            1u);
+  EXPECT_EQ(delivered, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(sharded->stats().messages, 3u);
 }
 
 }  // namespace

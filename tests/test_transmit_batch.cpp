@@ -1,9 +1,9 @@
-// Batch-vs-sequential equivalence for the transmit_many data plane.
+// Batch-vs-sequential equivalence for the one-pair wave's data plane.
 //
 // Two systems are built from the same seed (bit-identical weights, worlds,
 // and RNG streams) and driven in lockstep: the SEQUENTIAL system gets N
-// transmit_async calls, the BATCHED system one transmit_many of the same N
-// messages, then both run their simulators to idle. Every per-message
+// one-message transmit_pairs waves, the BATCHED system one wave of the
+// same N messages, then both run their simulators to idle. Every per-message
 // TransmitReport field (including mismatch losses and event-driven
 // latencies, compared as exact doubles) and the aggregate SystemStats must
 // match — the batched path is a pure kernel-amortization of the sequential
@@ -78,19 +78,20 @@ class TransmitBatchTest : public ::testing::Test {
     std::vector<TransmitReport> seq_reports(n), bat_reports(n);
     std::vector<int> seq_seen(n, 0), bat_seen(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
-      seq_->transmit_async(sender, receiver, twin[0][i],
-                           [&seq_reports, &seq_seen, i](TransmitReport r) {
+      seq_->transmit_pairs({{sender, receiver, {twin[0][i]}}},
+                           [&seq_reports, &seq_seen, i](
+                               std::size_t, std::size_t, TransmitReport r) {
                              seq_reports[i] = std::move(r);
                              ++seq_seen[i];
                            });
     }
     seq_->simulator().run();
-    bat_->transmit_many(sender, receiver, std::move(twin[1]),
-                        [&bat_reports, &bat_seen](std::size_t i,
-                                                  TransmitReport r) {
-                          bat_reports[i] = std::move(r);
-                          ++bat_seen[i];
-                        });
+    bat_->transmit_pairs({{sender, receiver, std::move(twin[1])}},
+                         [&bat_reports, &bat_seen](
+                             std::size_t, std::size_t i, TransmitReport r) {
+                           bat_reports[i] = std::move(r);
+                           ++bat_seen[i];
+                         });
     bat_->simulator().run();
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -110,21 +111,23 @@ SemanticEdgeSystem* TransmitBatchTest::bat_ = nullptr;
 
 TEST_F(TransmitBatchTest, SingleMessageBitIdenticalToTransmitAsync) {
   // N = 1 across enough messages that one trips the fine-tune trigger:
-  // transmit_many of one message must be indistinguishable from
-  // transmit_async — reports, stats, and (via the shared system state
-  // carried into the later tests) the RNG discipline.
+  // the batched twin's one-message wave must be indistinguishable from
+  // the sequential twin's — reports, stats, and (via the shared system
+  // state carried into the later tests) the RNG discipline.
   bool saw_update = false;
   for (int k = 0; k < 5; ++k) {
     auto twin = sample_twin_messages("a", {0});
     TransmitReport seq_report, bat_report;
-    seq_->transmit_async("a", "b", twin[0][0],
-                         [&](TransmitReport r) { seq_report = std::move(r); });
+    seq_->transmit_pairs({{"a", "b", {twin[0][0]}}},
+                         [&](std::size_t, std::size_t, TransmitReport r) {
+                           seq_report = std::move(r);
+                         });
     seq_->simulator().run();
-    bat_->transmit_many("a", "b", {twin[1][0]},
-                        [&](std::size_t i, TransmitReport r) {
-                          EXPECT_EQ(i, 0u);
-                          bat_report = std::move(r);
-                        });
+    bat_->transmit_pairs({{"a", "b", {twin[1][0]}}},
+                         [&](std::size_t, std::size_t i, TransmitReport r) {
+                           EXPECT_EQ(i, 0u);
+                           bat_report = std::move(r);
+                         });
     bat_->simulator().run();
     EXPECT_EQ(seq_report, bat_report) << "single message " << k;
     saw_update = saw_update || bat_report.triggered_update;
@@ -165,13 +168,15 @@ TEST_F(TransmitBatchTest, IntraEdgeBatchSkipsChannelAndMatches) {
   // Spot-check the no-channel invariant on a fresh pair of reports.
   auto check = sample_twin_messages("a", {0});
   TransmitReport seq_report, bat_report;
-  seq_->transmit_async("a", "c", check[0][0],
-                       [&](TransmitReport r) { seq_report = std::move(r); });
+  seq_->transmit_pairs({{"a", "c", {check[0][0]}}},
+                       [&](std::size_t, std::size_t, TransmitReport r) {
+                         seq_report = std::move(r);
+                       });
   seq_->simulator().run();
-  bat_->transmit_many("a", "c", {check[1][0]},
-                      [&](std::size_t, TransmitReport r) {
-                        bat_report = std::move(r);
-                      });
+  bat_->transmit_pairs({{"a", "c", {check[1][0]}}},
+                       [&](std::size_t, std::size_t, TransmitReport r) {
+                         bat_report = std::move(r);
+                       });
   bat_->simulator().run();
   EXPECT_EQ(seq_report.airtime_bits, 0u);
   EXPECT_EQ(bat_report.airtime_bits, 0u);
@@ -242,17 +247,23 @@ TEST(MismatchReuseNoisy, CorruptedPayloadFallbackBitIdenticalAcrossPaths) {
   }
   std::vector<TransmitReport> r_seq(n), r_bat(n), r_full(n);
   for (std::size_t i = 0; i < n; ++i) {
-    seq->transmit_async("a", "b", msgs_seq[i],
-                        [&r_seq, i](TransmitReport r) { r_seq[i] = std::move(r); });
-    full->transmit_async("a", "b", msgs_full[i],
-                         [&r_full, i](TransmitReport r) { r_full[i] = std::move(r); });
+    seq->transmit_pairs(
+        {{"a", "b", {msgs_seq[i]}}},
+        [&r_seq, i](std::size_t, std::size_t, TransmitReport r) {
+          r_seq[i] = std::move(r);
+        });
+    full->transmit_pairs(
+        {{"a", "b", {msgs_full[i]}}},
+        [&r_full, i](std::size_t, std::size_t, TransmitReport r) {
+          r_full[i] = std::move(r);
+        });
   }
   seq->simulator().run();
   full->simulator().run();
-  bat->transmit_many("a", "b", std::move(msgs_bat),
-                     [&r_bat](std::size_t i, TransmitReport r) {
-                       r_bat[i] = std::move(r);
-                     });
+  bat->transmit_pairs({{"a", "b", std::move(msgs_bat)}},
+                      [&r_bat](std::size_t, std::size_t i, TransmitReport r) {
+                        r_bat[i] = std::move(r);
+                      });
   bat->simulator().run();
 
   bool saw_decode_error = false;
@@ -275,7 +286,7 @@ TEST(MismatchReuseMixed, ChunkWithCleanAndCorruptedRowsMatchesEveryPath) {
   // epoch (40 dB, uncoded) crosses intact and reads the receiver logits,
   // a bad one (-10 dB) arrives corrupted and joins the decoder-copy pass.
   // Reports and stats must equal a mismatch_reuse = false twin, which
-  // sends every row through the pass, and N transmit_async calls.
+  // sends every row through the pass, and N one-message waves.
   SystemConfig config = twin_config();
   config.seed = 5;
   config.buffer_trigger = 9;  // the first chunk is messages 0..8
@@ -319,24 +330,26 @@ TEST(MismatchReuseMixed, ChunkWithCleanAndCorruptedRowsMatchesEveryPath) {
   }
   std::vector<TransmitReport> r_seq(n), r_bat(n), r_full(n);
   for (std::size_t i = 0; i < n; ++i) {
-    seq->transmit_async("a", "b", msgs_seq[i], [&r_seq, i](TransmitReport r) {
-      r_seq[i] = std::move(r);
-    });
+    seq->transmit_pairs(
+        {{"a", "b", {msgs_seq[i]}}},
+        [&r_seq, i](std::size_t, std::size_t, TransmitReport r) {
+          r_seq[i] = std::move(r);
+        });
   }
   seq->simulator().run();
-  bat->transmit_many("a", "b", std::move(msgs_bat),
-                     [&r_bat](std::size_t i, TransmitReport r) {
-                       r_bat[i] = std::move(r);
-                     });
-  bat->simulator().run();
-  full->transmit_many("a", "b", std::move(msgs_full),
-                      [&r_full](std::size_t i, TransmitReport r) {
-                        r_full[i] = std::move(r);
+  bat->transmit_pairs({{"a", "b", std::move(msgs_bat)}},
+                      [&r_bat](std::size_t, std::size_t i, TransmitReport r) {
+                        r_bat[i] = std::move(r);
                       });
+  bat->simulator().run();
+  full->transmit_pairs({{"a", "b", std::move(msgs_full)}},
+                       [&r_full](std::size_t, std::size_t i, TransmitReport r) {
+                         r_full[i] = std::move(r);
+                       });
   full->simulator().run();
 
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(r_seq[i], r_bat[i]) << "transmit_async msg " << i;
+    EXPECT_EQ(r_seq[i], r_bat[i]) << "one-message waves msg " << i;
     EXPECT_EQ(r_full[i], r_bat[i]) << "reuse-off msg " << i;
   }
   EXPECT_EQ(seq->stats(), bat->stats());
@@ -347,16 +360,16 @@ TEST(MismatchReuseMixed, ChunkWithCleanAndCorruptedRowsMatchesEveryPath) {
 TEST_F(TransmitBatchTest, ValidationErrors) {
   // Failed validation must not mutate state — these run against both twins
   // symmetrically (i.e. not at all).
-  auto noop = [](std::size_t, TransmitReport) {};
-  EXPECT_THROW(bat_->transmit_many("a", "b", {}, noop), Error);
+  auto noop = [](std::size_t, std::size_t, TransmitReport) {};
+  EXPECT_THROW(bat_->transmit_pairs({{"a", "b", {}}}, noop), Error);
   text::Sentence bad;
   bad.domain = 0;
   bad.surface = {1, 2, 3};
   bad.meanings = {1, 2, 3};
-  EXPECT_THROW(bat_->transmit_many("a", "b", {bad}, noop), Error);
+  EXPECT_THROW(bat_->transmit_pairs({{"a", "b", {bad}}}, noop), Error);
   const auto msg = bat_->sample_message("a", 0);
-  EXPECT_THROW(bat_->transmit_many("a", "b", {msg}, nullptr), Error);
-  EXPECT_THROW(bat_->transmit_many("a", "nobody", {msg}, noop), Error);
+  EXPECT_THROW(bat_->transmit_pairs({{"a", "b", {msg}}}, nullptr), Error);
+  EXPECT_THROW(bat_->transmit_pairs({{"a", "nobody", {msg}}}, noop), Error);
   // A surface of the right length, but a short meanings vector, or an id or
   // a domain outside the world: refused up front, never counted, cached or
   // served.
@@ -370,7 +383,7 @@ TEST_F(TransmitBatchTest, ValidationErrors) {
   out_of_range[4].meanings[0] = -1;
   out_of_range[5].domain = bat_->world().num_domains();
   for (const text::Sentence& bad_id : out_of_range) {
-    EXPECT_THROW(bat_->transmit_many("a", "b", {bad_id}, noop), Error);
+    EXPECT_THROW(bat_->transmit_pairs({{"a", "b", {bad_id}}}, noop), Error);
   }
   // Re-mirror the twins: bat_ consumed one sample_message draw above.
   (void)seq_->sample_message("a", 0);

@@ -86,7 +86,7 @@ class TransmitParallelTest : public ::testing::Test {
     return drawn;
   }
 
-  /// Run the same batch through every system's transmit_many and demand
+  /// Serve the same batch on every system as a one-pair wave and demand
   /// reports, stats, and (user, domain) slot state identical to the
   /// threads = 0 reference.
   static void run_and_compare(const std::string& sender,
@@ -98,9 +98,9 @@ class TransmitParallelTest : public ::testing::Test {
         kVariants, std::vector<TransmitReport>(n));
     for (std::size_t v = 0; v < kVariants; ++v) {
       std::vector<int> seen(n, 0);
-      systems_[v]->transmit_many(
-          sender, receiver, std::move(drawn[v]),
-          [&, v](std::size_t i, TransmitReport r) {
+      systems_[v]->transmit_pairs(
+          {{sender, receiver, std::move(drawn[v])}},
+          [&, v](std::size_t, std::size_t i, TransmitReport r) {
             reports[v][i] = std::move(r);
             ++seen[i];
           });
@@ -182,10 +182,11 @@ TEST(TransmitParallelNoisy, CorruptedPayloadsStayBitIdentical) {
   std::vector<std::vector<TransmitReport>> reports(
       kVariants, std::vector<TransmitReport>(n));
   for (std::size_t v = 0; v < kVariants; ++v) {
-    systems[v]->transmit_many("a", "b", std::move(drawn[v]),
-                              [&, v](std::size_t i, TransmitReport r) {
-                                reports[v][i] = std::move(r);
-                              });
+    systems[v]->transmit_pairs(
+        {{"a", "b", std::move(drawn[v])}},
+        [&, v](std::size_t, std::size_t i, TransmitReport r) {
+          reports[v][i] = std::move(r);
+        });
     systems[v]->simulator().run();
   }
   bool saw_decode_error = false;
@@ -209,11 +210,12 @@ TEST_F(TransmitParallelTest, SingleMessageRunsInlineAndMatches) {
   auto drawn = sample_lockstep_messages("a", {1});
   std::vector<TransmitReport> reports(kVariants);
   for (std::size_t v = 0; v < kVariants; ++v) {
-    systems_[v]->transmit_many("a", "b", {drawn[v][0]},
-                               [&, v](std::size_t i, TransmitReport r) {
-                                 EXPECT_EQ(i, 0u);
-                                 reports[v] = std::move(r);
-                               });
+    systems_[v]->transmit_pairs(
+        {{"a", "b", {drawn[v][0]}}},
+        [&, v](std::size_t, std::size_t i, TransmitReport r) {
+          EXPECT_EQ(i, 0u);
+          reports[v] = std::move(r);
+        });
     systems_[v]->simulator().run();
   }
   for (std::size_t v = 1; v < kVariants; ++v) {
