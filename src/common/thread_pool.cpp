@@ -7,23 +7,18 @@
 namespace semcache::common {
 
 namespace {
-/// Set while a pool worker executes a job body; parallel_for consults it to
-/// reject nested fan-out from any pool.
+/// Set while a thread executes job bodies as a pool worker (the caller's
+/// slot-0 share included); parallel_for consults it to reject nested
+/// fan-out from any pool.
 thread_local bool tl_on_worker = false;
-/// The worker's slot index, fixed for the thread's lifetime; 0 on threads
-/// that are not pool workers. Lets code deep inside a fanned-out body pick
-/// slot-indexed scratch (e.g. per-worker serving replicas) without
-/// threading the slot through every call signature.
-thread_local std::size_t tl_worker_slot = 0;
 }  // namespace
 
 bool ThreadPool::on_worker_thread() { return tl_on_worker; }
 
-std::size_t ThreadPool::current_worker_slot() { return tl_worker_slot; }
-
-ThreadPool::ThreadPool(std::size_t workers) {
-  threads_.reserve(workers);
-  for (std::size_t slot = 0; slot < workers; ++slot) {
+ThreadPool::ThreadPool(std::size_t workers) : workers_(workers) {
+  // Slot 0 is whichever thread calls parallel_for.
+  if (workers > 1) threads_.reserve(workers - 1);
+  for (std::size_t slot = 1; slot < workers; ++slot) {
     threads_.emplace_back([this, slot] { worker_main(slot); });
   }
 }
@@ -46,7 +41,7 @@ void ThreadPool::run_job(Job& job, std::size_t slot) {
       index = job.next++;
     }
     try {
-      job.body(index, slot);
+      (*job.body)(index, slot);
     } catch (...) {
       std::lock_guard<std::mutex> lk(job.next_mu);
       job.errors[index] = std::current_exception();
@@ -65,7 +60,6 @@ void ThreadPool::run_job(Job& job, std::size_t slot) {
 }
 
 void ThreadPool::worker_main(std::size_t slot) {
-  tl_worker_slot = slot;
   std::uint64_t seen_generation = 0;
   for (;;) {
     std::shared_ptr<Job> job;
@@ -87,7 +81,7 @@ void ThreadPool::parallel_for(std::size_t count, const Body& body) {
                  "parallel_for: nested fan-out from a pool worker is not "
                  "supported (restructure so only the calling thread fans out)");
   if (count == 0) return;
-  if (threads_.empty() || count == 1) {
+  if (workers_ == 0 || count == 1) {
     // Inline mode: same results by the disjoint-writes contract; exceptions
     // propagate from the lowest throwing index exactly as on a pool (later
     // indices do not run, but a throwing fan-out yields no results either
@@ -97,12 +91,19 @@ void ThreadPool::parallel_for(std::size_t count, const Body& body) {
   }
 
   auto job = std::make_shared<Job>(body, count);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    job_ = job;
-    ++generation_;
+  if (!threads_.empty()) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      job_ = job;
+      ++generation_;
+    }
+    cv_.notify_all();
   }
-  cv_.notify_all();
+  // The caller's share, as slot 0. run_job keeps body exceptions in the
+  // job, so the flag is always cleared before the wait.
+  tl_on_worker = true;
+  run_job(*job, 0);
+  tl_on_worker = false;
   {
     std::unique_lock<std::mutex> lk(job->done_mu);
     job->done_cv.wait(lk, [&] { return job->done; });

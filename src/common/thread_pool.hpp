@@ -1,7 +1,10 @@
 // Deterministic worker pool for the pair wave's sender lanes.
 //
 // parallel_for(count, body) fans body(index, worker_slot) out over a fixed
-// set of worker threads and blocks until every index has run. The
+// set of worker threads and blocks until every index has run. A pool of N
+// workers spawns N - 1 threads: the calling thread is worker slot 0, and it
+// takes indices like any other worker before it waits, so a fan-out pays
+// one hand-off fewer and a one-worker pool spawns nothing. The
 // determinism contract that lets the threaded serving paths stay
 // bit-identical to the sequential ones:
 //
@@ -21,7 +24,8 @@
 // sequential loop would have thrown first (later indices still run — the
 // pool never short-circuits, so side-effect-free bodies stay deterministic
 // even on the error path). Calling parallel_for from inside a pool worker
-// (any pool) throws instead of deadlocking.
+// (any pool, the caller running its slot-0 share included) throws instead
+// of deadlocking.
 //
 // A pool built with zero workers spawns no threads: parallel_for degrades
 // to an inline caller-thread loop with worker_slot 0, bit-identical to the
@@ -44,41 +48,36 @@ namespace semcache::common {
 class ThreadPool {
  public:
   /// body(index, worker_slot): worker_slot < max(1, worker_count()) names
-  /// the executing lane, for per-worker scratch.
+  /// the executing lane, for per-worker scratch. Slot 0 is the caller.
   using Body = std::function<void(std::size_t index, std::size_t worker_slot)>;
 
-  /// Spawns `workers` threads; 0 = inline mode (no threads, see above).
+  /// `workers` lanes: the caller plus workers - 1 spawned threads; 0 =
+  /// inline mode (no threads, see above).
   explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t worker_count() const { return threads_.size(); }
+  std::size_t worker_count() const { return workers_; }
 
   /// Run body for every index in [0, count); returns after all complete.
   /// count <= 1 and worker_count() == 0 execute inline on the caller.
   void parallel_for(std::size_t count, const Body& body);
 
-  /// True while the calling thread is a pool worker executing a body (the
-  /// state parallel_for uses to reject nested fan-out).
+  /// True while the calling thread executes a fanned-out body as a pool
+  /// worker, the caller's slot-0 share included (the state parallel_for
+  /// uses to reject nested fan-out).
   static bool on_worker_thread();
-
-  /// The calling thread's worker slot: its fixed lane index when it is a
-  /// pool worker, 0 otherwise (the same value body(index, worker_slot)
-  /// receives). Because slots are exclusive while a fan-out runs, code deep
-  /// inside a body can index slot-owned scratch through this without the
-  /// slot being threaded through every signature.
-  static std::size_t current_worker_slot();
 
  private:
   /// One fan-out's shared state. Heap-anchored behind a shared_ptr so a
   /// worker that wakes late (after the caller already returned) still reads
-  /// valid memory, finds no index left, and goes back to sleep.
+  /// valid memory, finds no index left, and goes back to sleep. `body` is
+  /// the caller's: only a worker that claimed an index calls it, and the
+  /// caller waits for every claimed index to complete.
   struct Job {
-    Job(Body b, std::size_t n) : body(std::move(b)), count(n) {
-      errors.resize(n);
-    }
-    Body body;
+    Job(const Body& b, std::size_t n) : body(&b), count(n) { errors.resize(n); }
+    const Body* body;
     std::size_t count;
     std::mutex next_mu;            // index dispatch + error store
     std::size_t next = 0;
@@ -92,6 +91,7 @@ class ThreadPool {
   void worker_main(std::size_t slot);
   static void run_job(Job& job, std::size_t slot);
 
+  std::size_t workers_;
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable cv_;

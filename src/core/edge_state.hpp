@@ -26,10 +26,11 @@ namespace semcache::core {
 /// clone. The slot materializes a private clone only at the first weight
 /// write (a fine-tune at the sender, a sync apply at the receiver), which
 /// is what keeps per-user memory O(deltas) until a user actually trains
-/// (the city-scale premise). Serving an aliased slot routes through the
-/// system's per-worker serving replicas, never through the shared general
-/// object (its forward passes use internal Workspace scratch and are not
-/// concurrency-safe).
+/// (the city-scale premise). Serving an aliased slot reads the system's
+/// per-domain serving tables, and runs the positions a table misses
+/// through the per-worker serving replicas, never through the shared
+/// general object (its forward passes use internal Workspace scratch and
+/// are not concurrency-safe).
 struct UserModelSlot {
   std::shared_ptr<semantic::SemanticCodec> model;
   bool owns_model = false;  ///< true once materialized (private clone)

@@ -126,13 +126,22 @@ std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
       sys->serving_replicas_[d].push_back(sys->general_model(d).clone());
     }
   }
+
+  // Serving tables of the frozen generals (semantic/serving_table.hpp):
+  // aliased slots encode, decode and measure their mismatch by lookup, and
+  // only channel-corrupted positions run through a replica. One table per
+  // domain, a fixed cost bounded by the surface and meaning vocabularies.
+  sys->serving_tables_.reserve(sys->world_.num_domains());
+  for (std::size_t d = 0; d < sys->world_.num_domains(); ++d) {
+    sys->serving_tables_.emplace_back(sys->general_model(d), *sys->quantizer_);
+  }
   return sys;
 }
 
 semantic::SemanticCodec& SemanticEdgeSystem::serving_codec(
-    const UserModelSlot& slot, std::size_t domain) {
+    const UserModelSlot& slot, std::size_t domain, std::size_t worker_slot) {
   if (slot.owns_model) return *slot.model;
-  return *serving_replicas_[domain][common::ThreadPool::current_worker_slot()];
+  return *serving_replicas_[domain][worker_slot];
 }
 
 void SemanticEdgeSystem::materialize_slot(UserModelSlot& slot,
@@ -264,6 +273,9 @@ MemoryFootprint SemanticEdgeSystem::memory_footprint() const {
     for (const auto& replica : domain_replicas) {
       fp.serving_replica_bytes += replica->byte_size();
     }
+  }
+  for (const semantic::ServingTable& table : serving_tables_) {
+    fp.serving_table_bytes += table.byte_size();
   }
   fp.topology_bytes = topology_.net->approx_byte_size();
 

@@ -10,6 +10,11 @@
 //   sender's DECODER COPY measures the mismatch locally, buffers the
 //   transaction (③), and — once the buffer trips — fine-tunes the user
 //   model and ships the compressed decoder delta to the receiver edge (④).
+//
+// Until a user's slot has trained, it aliases the frozen general model,
+// and the system serves it from that general's ServingTable
+// (semantic/serving_table.hpp): the codes, argmaxes and probability rows
+// the frozen network computes, tabulated at build().
 #pragma once
 
 #include <functional>
@@ -28,6 +33,7 @@
 #include "select/selector.hpp"
 #include "semantic/fidelity.hpp"
 #include "semantic/quantizer.hpp"
+#include "semantic/serving_table.hpp"
 #include "text/idiolect.hpp"
 
 namespace semcache::core {
@@ -83,7 +89,8 @@ struct SystemConfig {
   /// other message takes the chunk's one batched decoder-copy pass. Off
   /// sends every message through that pass: the reference the
   /// MismatchReuse tests compare against. Results are bit-identical
-  /// either way.
+  /// either way. It applies to materialized senders only: an aliased
+  /// sender's mismatch reads the serving table either way.
   bool mismatch_reuse = true;
 
   /// Deterministic fault injection (core::FaultPlane): sync-message loss /
@@ -213,15 +220,16 @@ struct SystemStats {
 
 /// Where a deployment's bytes live, split so the city-scale question —
 /// "what does ONE MORE user cost?" — has a measurable answer. Fixed costs
-/// (general models, per-worker serving replicas, topology) amortize over
-/// the whole deployment; per-user costs (profiles, slots, buffers,
-/// MATERIALIZED fine-tuned models) are what bound users-per-GB. The
+/// (general models, per-worker serving replicas, serving tables, topology)
+/// amortize over the whole deployment; per-user costs (profiles, slots,
+/// buffers, MATERIALIZED fine-tuned models) are what bound users-per-GB. The
 /// copy-on-write slot design keeps user_model_bytes at zero until a user
 /// actually fine-tunes: per-user cost is bytes plus deltas, not clones.
 #define SEMCACHE_MEMORY_FOOTPRINT_FIELDS(X)                                  \
   /* Deployment-fixed. */                                                    \
   X(std::size_t, general_model_bytes) /* frozen per-domain generals */       \
   X(std::size_t, serving_replica_bytes) /* per-(domain, worker) clones */    \
+  X(std::size_t, serving_table_bytes) /* per-domain ServingTables */         \
   X(std::size_t, topology_bytes) /* nodes/links/adjacency (approx) */        \
   /* Per-user. */                                                            \
   X(std::size_t, profile_bytes) /* directory entries + idiolects */          \
@@ -237,8 +245,9 @@ struct MemoryFootprint {
   SEMCACHE_MEMORY_FOOTPRINT_FIELDS(SEMCACHE_FIELD_MEMBER)
 
   std::size_t total() const {
-    return general_model_bytes + serving_replica_bytes + topology_bytes +
-           profile_bytes + slot_bytes + buffer_bytes + user_model_bytes;
+    return general_model_bytes + serving_replica_bytes + serving_table_bytes +
+           topology_bytes + profile_bytes + slot_bytes + buffer_bytes +
+           user_model_bytes;
   }
 
   MemoryFootprint& operator+=(const MemoryFootprint& o) {
@@ -306,10 +315,12 @@ class SemanticEdgeSystem {
   /// order. Within a pair, messages are grouped by selected domain and
   /// each group runs one encode_batch / quantize_batch / transmit_batch
   /// (per-message forked RNG) / decode_logits_batch per fine-tune
-  /// interval. `on_done(pair, index, report)` fires as message `index` of
-  /// pair `pair` arrives at its receiver device; every message keeps its
-  /// own timing-plane event chain. The batches are read in place and may
-  /// be released once the call returns.
+  /// interval; an end whose slot aliases the frozen general reads the
+  /// domain's ServingTable in place of its network passes.
+  /// `on_done(pair, index, report)` fires as message `index` of pair
+  /// `pair` arrives at its receiver device; every message keeps its own
+  /// timing-plane event chain. The batches are read in place and may be
+  /// released once the call returns.
   ///
   /// Results (reports, stats, cache contents, model weights, event
   /// ordering) are BYTE-IDENTICAL to num_threads = 0 for any worker
@@ -373,8 +384,9 @@ class SemanticEdgeSystem {
   /// The memory audit: where this deployment's bytes live, with per-user
   /// costs (profiles, slots, buffered deltas, materialized models)
   /// separated from deployment-fixed costs (generals, serving replicas,
-  /// topology). Approximate to container-bookkeeping precision; the point
-  /// is the SHAPE — per-user cost must stay O(bytes + deltas).
+  /// serving tables, topology). Approximate to container-bookkeeping
+  /// precision; the point is the SHAPE — per-user cost must stay
+  /// O(bytes + deltas).
   MemoryFootprint memory_footprint() const;
 
   /// Adjust the sync-loss injection rate mid-run (failure-injection
@@ -386,14 +398,16 @@ class SemanticEdgeSystem {
   void pretrain_models();
   void build_topology();
   /// The codec that actually runs a slot's forward passes: the slot's own
-  /// model once materialized, else the per-(domain, worker-slot) serving
-  /// replica of the general model — never the shared general itself, whose
-  /// internal Workspace scratch is not safe across concurrent lanes.
-  /// Replica weights equal the frozen general's forever, so routing an
-  /// aliased slot through a replica is bit-identical to the pre-COW
-  /// design's per-slot clone.
+  /// model once materialized, else the serving replica of the general
+  /// model at (domain, worker_slot) — never the shared general itself,
+  /// whose internal Workspace scratch is not safe across concurrent lanes.
+  /// `worker_slot` is the slot this system's pool gave the lane (0
+  /// inline). Replica weights equal the frozen general's forever, so an
+  /// aliased slot's network passes (the receiver's missed positions) are
+  /// the general's bits.
   semantic::SemanticCodec& serving_codec(const UserModelSlot& slot,
-                                         std::size_t domain);
+                                         std::size_t domain,
+                                         std::size_t worker_slot);
   /// Copy-on-write: give `slot` a private clone of the general model
   /// before its first weight write. No-op when already materialized.
   void materialize_slot(UserModelSlot& slot, std::size_t domain);
@@ -453,7 +467,9 @@ class SemanticEdgeSystem {
   /// add, and update trigger, split into chunks at the exact messages
   /// where the sequential path fine-tunes. `sslot` / `rslot` are the
   /// sender's model and the receiver's replica (the same buffer-less slot
-  /// for degraded serving, which then buffers and trains nothing).
+  /// for degraded serving, which then buffers and trains nothing). Each
+  /// end of each chunk serves from the domain's ServingTable while its
+  /// slot aliases the general, and through its network once materialized.
   void process_domain_group(PairTask& task, std::size_t group,
                             UserModelSlot& sslot, UserModelSlot& rslot);
   /// Phase 1 (calling thread, pair order): selection, cache touches,
@@ -487,6 +503,10 @@ class SemanticEdgeSystem {
   /// per-slot clones.
   std::vector<std::vector<std::unique_ptr<semantic::SemanticCodec>>>
       serving_replicas_;
+  /// serving_tables_[domain]: the frozen general's codes, argmaxes and
+  /// probability rows, built once at build() and read-only after, so
+  /// every lane shares them. Aliased slots serve through these.
+  std::vector<semantic::ServingTable> serving_tables_;
   std::unique_ptr<select::DomainSelector> selector_;
   std::unique_ptr<semantic::FeatureQuantizer> quantizer_;
   std::unique_ptr<channel::ChannelPipeline> pipeline_;

@@ -25,11 +25,26 @@
 // forks rng_ with tag 0xC4A2 ^ (i * 2654435761), so batched and sequential
 // runs consume identical noise streams.
 //
+// An end whose slot still aliases the frozen general (never fine-tuned or
+// synced, or degraded) runs no network for its clean positions: the
+// domain's semantic::ServingTable, built at build(), holds each surface
+// id's code and each clean code's argmax and probability row. An aliased
+// sender builds its payloads and its mismatch from the table; an aliased
+// receiver decodes by lookup and runs only the channel-corrupted
+// positions through its lane's serving replica. A materialized end runs
+// its own network. The choice is made per chunk and per end, because a
+// fine-tune in the middle of a group materializes the sender's slot. The
+// tables return the network's bits (test_serving_table), so the choice
+// never changes a result.
+//
 // Threads parallelize one thing: the sender lanes of a wave. Every
 // mutable serving object — user-model slot, transaction buffer, fine-tune
 // scratch, decoder replica — is keyed by (sending user, domain), so pairs
 // with distinct senders own disjoint state and their compute phases run
-// concurrently on the system pool (SystemConfig::num_threads > 0). What
+// concurrently on the system pool (SystemConfig::num_threads > 0), the
+// calling thread taking lanes as slot 0. A lane's network passes on
+// aliased slots run on the serving replicas of the slot its PairTask
+// carries; the serving tables are read-only and shared by every lane. What
 // the pairs DO share is routed around the fan-out: the selector, LRU
 // caches, and slot creation run in the prepare phase; system accounting
 // collects into the pair's own sinks (the channel pipeline is a const
@@ -73,6 +88,9 @@ std::uint64_t channel_fork_tag(std::uint64_t index) {
 struct SemanticEdgeSystem::PairTask {
   std::size_t pair_index = 0;
   const PairBatch* batch = nullptr;  ///< the caller's, read in place
+  /// The slot this system's pool gave the pair's lane (0 inline): which
+  /// serving replicas the lane's network passes run on.
+  std::size_t worker_slot = 0;
   /// serve_degraded: selection only at prepare, frozen buffer-less slots
   /// at compute — no serving state is created or written.
   bool degraded = false;
@@ -375,9 +393,13 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
   const std::size_t length = config_.codec.sentence_length;
   const std::size_t vocab = config_.codec.meaning_vocab;
   const std::size_t dims = config_.codec.feature_dim;
+  const semantic::ServingTable& table = serving_tables_[m];
 
   const std::size_t block = length * vocab;  // one message's logits
   std::vector<std::int32_t> surfaces;
+  std::vector<BitVec> payloads;
+  std::vector<BitVec> received;
+  std::vector<std::int32_t> decoded;
   std::vector<std::size_t> copy_rows;  // chunk rows the decoder copy decodes
   tensor::Tensor copy_features;        // their feature rows, gathered
 
@@ -393,26 +415,38 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
           chunk, std::max<std::size_t>(1, sslot.buffer->adds_until_ready()));
     }
 
-    // ---- One batched pass over the chunk. ----
-    surfaces.clear();
-    surfaces.reserve(chunk * length);
-    for (std::size_t j = 0; j < chunk; ++j) {
-      const text::Sentence& message = messages[indices[pos + j]];
-      surfaces.insert(surfaces.end(), message.surface.begin(),
-                      message.surface.end());
-    }
-    // Valid until this encoder's next encode, which happens only after
-    // this chunk (the decoder-copy pass gathers its rows from it).
-    //
-    // serving_codec is resolved per chunk, not hoisted: the update trigger
-    // at a chunk boundary may MATERIALIZE the sender slot (copy-on-write),
-    // after which later chunks must run on the private fine-tuned model
-    // instead of the shared-general serving replica.
-    const tensor::Tensor& features =
-        serving_codec(sslot, m).encoder().encode_batch(surfaces, chunk);
-    const std::vector<BitVec> payloads = quantizer_->quantize_batch(features);
+    // An end whose slot still aliases the frozen general serves from the
+    // domain's table; a materialized end runs its own network. Resolved
+    // per chunk, like serving_codec: the update trigger at a chunk
+    // boundary may MATERIALIZE the sender slot (copy-on-write), after
+    // which later chunks must run on the private fine-tuned model.
+    const bool sender_frozen = !sslot.owns_model;
+    const bool receiver_frozen = !rslot.owns_model;
 
-    std::vector<BitVec> received;
+    // ---- One batched pass over the chunk: payloads. ----
+    // A materialized sender's features stay valid until its encoder's next
+    // encode, which happens only after this chunk (the decoder-copy pass
+    // gathers its rows from them).
+    const tensor::Tensor* features = nullptr;
+    if (sender_frozen) {
+      payloads.resize(chunk);
+      for (std::size_t j = 0; j < chunk; ++j) {
+        table.encode(messages[indices[pos + j]].surface, payloads[j]);
+      }
+    } else {
+      surfaces.clear();
+      surfaces.reserve(chunk * length);
+      for (std::size_t j = 0; j < chunk; ++j) {
+        const text::Sentence& message = messages[indices[pos + j]];
+        surfaces.insert(surfaces.end(), message.surface.begin(),
+                        message.surface.end());
+      }
+      features = &serving_codec(sslot, m, task.worker_slot)
+                      .encoder()
+                      .encode_batch(surfaces, chunk);
+      payloads = quantizer_->quantize_batch(*features);
+    }
+
     if (task.cross_edge) {
       std::vector<Rng> rngs;
       std::vector<std::uint64_t> slots;
@@ -429,36 +463,48 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
       }
       // The pipeline is const, so concurrent lanes share it.
       received = pipeline_->transmit_batch(payloads, rngs, slots);
-    } else {
-      received = payloads;
     }
-    const tensor::Tensor rx_features = quantizer_->dequantize_batch(received);
-    // Keep the receiver logits alive past the argmax: the mismatch reads
-    // each message's rows out of them in place.
-    const tensor::Tensor& rx_logits =
-        serving_codec(rslot, m).decoder().decode_logits_batch(rx_features);
-    const std::vector<std::int32_t> decoded = tensor::row_argmax(rx_logits);
+    // Intra-edge, the payloads arrive as sent.
+    const std::vector<BitVec>& arrived = task.cross_edge ? received : payloads;
+
+    // ---- Receiver decode. A frozen receiver looks up every position whose
+    // code the table holds, and only the channel-corrupted ones run
+    // through the lane's serving replica. A materialized receiver keeps
+    // its logits alive past the argmax: the mismatch reads each message's
+    // rows out of them in place. ----
+    semantic::SemanticCodec& receiver = serving_codec(rslot, m, task.worker_slot);
+    const tensor::Tensor* rx_logits = nullptr;
+    if (receiver_frozen) {
+      table.decode(arrived, receiver.decoder(), decoded);
+    } else {
+      rx_logits = &receiver.decoder().decode_logits_batch(
+          quantizer_->dequantize_batch(arrived));
+      decoded = tensor::row_argmax(*rx_logits);
+    }
 
     // --- Mismatch calculation (③). With the decoder copy the sender
     // evaluates its own clean quantized features locally; without it, the
     // receiver must return its decoded output ("sending the output back
     // would defeat the purpose", §II-C).
     //
-    // The decoder copy's logits come from one of two sources. Replicas at
-    // the same sync version are byte-identical, so for a message whose
-    // payload crossed the channel intact the receiver logits already ARE
-    // the decoder-copy logits (mismatch_reuse). Every other row — a
-    // corrupted payload, out-of-sync replicas, or any row at all with
-    // mismatch_reuse off — joins one batched decoder-copy pass over its
-    // clean feature row below. Batched rows equal single rows, so the
-    // split never changes a bit.
+    // A frozen sender's decoder copy is the general, so its mismatch reads
+    // the table's probability rows. A materialized sender's decoder-copy
+    // logits come from one of two sources. Replicas at the same sync
+    // version are byte-identical, so for a message whose payload crossed
+    // the channel intact the receiver logits already ARE the decoder-copy
+    // logits (mismatch_reuse). Every other row — a corrupted payload,
+    // out-of-sync replicas, a frozen receiver (which computed no logits),
+    // or any row at all with mismatch_reuse off — joins one batched
+    // decoder-copy pass over its clean feature row below. Batched rows
+    // equal single rows, so the split never changes a bit.
     const bool replicas_synced =
         &sslot == &rslot ||
         sslot.send_version == rslot.recv_version.current();
-    const bool reuse = config_.mismatch_reuse && replicas_synced;
+    const bool reuse =
+        config_.mismatch_reuse && replicas_synced && rx_logits != nullptr;
 
     // ---- Per-message outcome assembly: report fields and the mismatch
-    // of every row the receiver logits serve. ----
+    // of every row the table or the receiver logits serve. ----
     copy_rows.clear();
     for (std::size_t j = 0; j < chunk; ++j) {
       const std::size_t idx = indices[pos + j];
@@ -482,29 +528,31 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
             kHeaderBytes + kTokenBytes * report.decoded_meanings.size();
         // Error-rate proxy computed from the returned output.
         report.mismatch = 1.0 - report.token_accuracy;
-      } else if (reuse && received[j] == payloads[j]) {
+      } else if (sender_frozen) {
+        report.mismatch = table.mismatch(message.surface, message.meanings);
+      } else if (reuse && arrived[j] == payloads[j]) {
         report.mismatch = tensor::mean_cross_entropy(
-            rx_logits.flat().subspan(j * block, block), vocab,
+            rx_logits->flat().subspan(j * block, block), vocab,
             message.meanings);
       } else {
         copy_rows.push_back(j);
       }
     }
 
-    // ---- The decoder-copy pass, after the last rx_logits read: sslot and
-    // rslot may share one decoder (intra-edge, or two aliased slots routed
-    // to the same serving replica), whose next forward overwrites the
-    // buffer rx_logits refers to. ----
+    // ---- The decoder-copy pass (materialized senders only), after the
+    // last rx_logits read: intra-edge, sslot and rslot are one slot whose
+    // decoder's next forward overwrites the buffer rx_logits refers to. ----
     if (!copy_rows.empty()) {
       copy_features.resize({copy_rows.size(), dims});
       for (std::size_t k = 0; k < copy_rows.size(); ++k) {
         std::memcpy(copy_features.data() + k * dims,
-                    features.data() + copy_rows[k] * dims,
+                    features->data() + copy_rows[k] * dims,
                     dims * sizeof(float));
       }
       const tensor::Tensor& copy_logits =
-          serving_codec(sslot, m).decoder().decode_logits_batch(
-              quantizer_->roundtrip_batch(copy_features));
+          serving_codec(sslot, m, task.worker_slot)
+              .decoder()
+              .decode_logits_batch(quantizer_->roundtrip_batch(copy_features));
       for (std::size_t k = 0; k < copy_rows.size(); ++k) {
         const std::size_t idx = indices[pos + copy_rows[k]];
         reports[idx].mismatch = tensor::mean_cross_entropy(
@@ -732,8 +780,11 @@ void SemanticEdgeSystem::serve_wave(const std::vector<PairBatch>& batches,
   const auto lanes = common::group_by_first_appearance(
       tasks.size(),
       [&](std::size_t p) -> const std::string& { return batches[p].sender; });
-  const auto compute_lane = [&](std::size_t lane, std::size_t) {
-    for (const std::size_t p : lanes.groups[lane]) compute_pair(tasks[p]);
+  const auto compute_lane = [&](std::size_t lane, std::size_t slot) {
+    for (const std::size_t p : lanes.groups[lane]) {
+      tasks[p].worker_slot = slot;
+      compute_pair(tasks[p]);
+    }
   };
   if (pool_ != nullptr && lanes.groups.size() > 1) {
     pool_->parallel_for(lanes.groups.size(), compute_lane);

@@ -97,6 +97,13 @@ const Tensor& KbDecoder::decode_logits_batch(const Tensor& features) {
   return mlp_.forward(f);  // (count*L x meaning_vocab)
 }
 
+const Tensor& KbDecoder::decode_logits_rows(const Tensor& rows) {
+  SEMCACHE_CHECK(rows.rank() == 2 &&
+                     rows.dim(1) == config_.per_position_dims(),
+                 "decode: rows must be (rows x k/L)");
+  return mlp_.forward(rows);
+}
+
 std::vector<std::int32_t> KbDecoder::decode(const Tensor& features) {
   return tensor::row_argmax(decode_logits_batch(features));
 }

@@ -94,6 +94,11 @@ class KbDecoder {
   /// Batched logits: features (count x k) -> (count*L x meaning_vocab) in
   /// an internal buffer (valid until the next decode).
   const Tensor& decode_logits_batch(const Tensor& features);
+  /// Logits of bare position rows: (rows x k/L) dequantized dims, each
+  /// row one position of any sentence -> (rows x meaning_vocab), valid
+  /// until the next decode. Row r's logits equal that position's row of
+  /// decode_logits_batch.
+  const Tensor& decode_logits_rows(const Tensor& rows);
   /// Greedy decode of (count x k) features to count*L meaning ids.
   std::vector<std::int32_t> decode(const Tensor& features);
   /// Batched backward: dL/dlogits (count*L x V) -> dL/dfeatures

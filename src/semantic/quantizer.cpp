@@ -26,9 +26,9 @@ void FeatureQuantizer::quantize_row(const float* row, BitVec& bits) const {
   }
 }
 
-void FeatureQuantizer::dequantize_row(const BitVec& bits, std::size_t pos,
-                                      float* out) const {
-  for (std::size_t i = 0; i < dims_; ++i) {
+void FeatureQuantizer::dequantize_dims(const BitVec& bits, std::size_t pos,
+                                       std::size_t count, float* out) const {
+  for (std::size_t i = 0; i < count; ++i) {
     const auto level = static_cast<std::uint32_t>(read_bits(bits, pos, bits_));
     const double x = 2.0 * static_cast<double>(level) /
                          static_cast<double>(levels_ - 1) -
@@ -52,7 +52,7 @@ tensor::Tensor FeatureQuantizer::dequantize(const BitVec& bits) const {
                  "quantizer: expected " + std::to_string(total_bits()) +
                      " bits, got " + std::to_string(bits.size()));
   tensor::Tensor out({1, dims_});
-  dequantize_row(bits, 0, out.data());
+  dequantize_dims(bits, 0, dims_, out.data());
   return out;
 }
 
@@ -83,7 +83,7 @@ tensor::Tensor FeatureQuantizer::dequantize_batch(
                    "quantizer: payload " + std::to_string(r) + " has " +
                        std::to_string(payloads[r].size()) +
                        " bits, expected " + std::to_string(total_bits()));
-    dequantize_row(payloads[r], 0, out.data() + r * dims_);
+    dequantize_dims(payloads[r], 0, dims_, out.data() + r * dims_);
   }
   return out;
 }
@@ -99,7 +99,7 @@ tensor::Tensor FeatureQuantizer::roundtrip_batch(
   for (std::size_t r = 0; r < features.dim(0); ++r) {
     bits.clear();
     quantize_row(features.data() + r * dims_, bits);
-    dequantize_row(bits, 0, out.data() + r * dims_);
+    dequantize_dims(bits, 0, dims_, out.data() + r * dims_);
   }
   return out;
 }

@@ -38,6 +38,12 @@ class FeatureQuantizer {
   tensor::Tensor dequantize_batch(const std::vector<BitVec>& payloads) const;
   /// Row-wise quantize-then-dequantize of an (N x dims) feature batch.
   tensor::Tensor roundtrip_batch(const tensor::Tensor& features) const;
+  /// Dequantize `count` dims whose levels start at bit `pos` of `bits` into
+  /// `out`: the values dequantize writes for those dims, so one codec
+  /// position's dims can be read on their own. The caller keeps
+  /// pos + count * bits_per_dim() within `bits`.
+  void dequantize_dims(const BitVec& bits, std::size_t pos, std::size_t count,
+                       float* out) const;
 
   std::size_t dims() const { return dims_; }
   unsigned bits_per_dim() const { return bits_; }
@@ -49,8 +55,6 @@ class FeatureQuantizer {
  private:
   /// Append one row's `dims_` quantized levels to `bits`.
   void quantize_row(const float* row, BitVec& bits) const;
-  /// Decode `dims_` levels from `bits` starting at bit `pos` into `out`.
-  void dequantize_row(const BitVec& bits, std::size_t pos, float* out) const;
 
   std::size_t dims_;
   unsigned bits_;

@@ -522,18 +522,12 @@ double mean_target_nll(std::span<const float> probs, std::size_t cols,
                        std::span<const std::int32_t> targets) {
   SEMCACHE_CHECK(!targets.empty() && probs.size() == targets.size() * cols,
                  "mean_target_nll: probs must hold one row per target");
-  double loss = 0.0;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
+  return mean_nll(targets.size(), [&](std::size_t i) {
     const std::int32_t t = targets[i];
     SEMCACHE_CHECK(t >= 0 && static_cast<std::size_t>(t) < cols,
                    "mean_target_nll: target class out of range");
-    // Clamp to avoid -inf on (numerically) zero probabilities.
-    const double p = std::max(
-        static_cast<double>(probs[i * cols + static_cast<std::size_t>(t)]),
-        1e-12);
-    loss -= std::log(p);
-  }
-  return loss / static_cast<double>(targets.size());
+    return probs[i * cols + static_cast<std::size_t>(t)];
+  });
 }
 
 double mean_cross_entropy(std::span<const float> logits, std::size_t cols,

@@ -8,6 +8,8 @@
 // kernels are bit-exact against matmul_reference — tests rely on this.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -95,11 +97,25 @@ Tensor row_softmax(const Tensor& logits);
 /// Row-wise argmax of a rank-2 tensor: the first index of each row's
 /// maximum (NaN as the `>` chain treats it). Throws on zero rows or columns.
 std::vector<std::int32_t> row_argmax(const Tensor& t);
+/// The mean over i < n of -log(max(p_i, 1e-12)), p_i = prob(i) widened to
+/// double, the logs summed in double in ascending i. mean_target_nll and
+/// semantic::ServingTable::mismatch both sum through it, so a probability
+/// read from a table gives the bits the same probability read from a
+/// softmax output gives.
+template <class ProbAt>
+double mean_nll(std::size_t n, ProbAt prob) {
+  double loss = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    // Clamp to avoid -inf on (numerically) zero probabilities.
+    loss -= std::log(std::max(static_cast<double>(prob(i)), 1e-12));
+  }
+  return loss / static_cast<double>(n);
+}
 /// Mean over rows of -log(max(p, 1e-12)), p being row r's entry at column
 /// targets[r] of row-major probabilities (targets.size() rows of `cols`),
-/// the logs summed in double in row order: the cross-entropy of softmax
-/// output. Throws on an empty batch, on probs not one row per target, and
-/// on a target outside [0, cols).
+/// the logs summed in double in row order (mean_nll): the cross-entropy of
+/// softmax output. Throws on an empty batch, on probs not one row per
+/// target, and on a target outside [0, cols).
 double mean_target_nll(std::span<const float> probs, std::size_t cols,
                        std::span<const std::int32_t> targets);
 /// Mean softmax cross-entropy of row-major logits (targets.size() rows of

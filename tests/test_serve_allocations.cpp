@@ -116,7 +116,7 @@ TEST(ServeAllocations, WarmedServeWavePerMessage) {
   std::printf("allocations per message: %.2f in transmit_pairs, %.2f in the "
               "drain\n",
               per_wave, per_drain);
-  EXPECT_LE(per_wave, 23.0);
+  EXPECT_LE(per_wave, 20.1);
   EXPECT_LE(per_drain, 4.0);
 }
 

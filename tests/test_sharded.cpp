@@ -309,6 +309,37 @@ TEST(ShardedServing, MemoryAuditPerUserCostIsBytesPlusDeltas) {
   EXPECT_TRUE(trained->replicas_in_sync("s", 0, 0, 1));
 }
 
+TEST(ShardedServing, MemoryAuditChargesServingTables) {
+  // The serving tables are deployment-fixed: charged from build() on, in
+  // total(), unmoved by users and their traffic, and held once per shard.
+  unsetenv("SEMCACHE_THREADS");
+  unsetenv("SEMCACHE_SHARDS");
+  SystemConfig config = sharded_config(7, 0);
+  config.buffer_trigger = 1000;  // never train
+  auto system = SemanticEdgeSystem::build(config);
+  const MemoryFootprint before = system->memory_footprint();
+  EXPECT_GT(before.serving_table_bytes, 0u);
+  EXPECT_EQ(before.total(),
+            before.general_model_bytes + before.serving_replica_bytes +
+                before.serving_table_bytes + before.topology_bytes);
+
+  const std::size_t num_users = 4;
+  for (std::size_t u = 0; u < num_users; ++u) {
+    system->register_user("u" + std::to_string(u), u % 2, nullptr);
+  }
+  for (std::size_t u = 0; u < num_users; ++u) {
+    const std::string sender = "u" + std::to_string(u);
+    system->transmit(sender, "u" + std::to_string((u + 1) % num_users),
+                     system->sample_message(sender, u % 2));
+  }
+  EXPECT_EQ(system->memory_footprint().serving_table_bytes,
+            before.serving_table_bytes);
+
+  auto sharded = ShardedEdgeServing::build(config, 3);
+  EXPECT_EQ(sharded->memory_footprint().serving_table_bytes,
+            3 * before.serving_table_bytes);
+}
+
 TEST(ShardedServing, EnvShardCountAndValidation) {
   unsetenv("SEMCACHE_THREADS");
   setenv("SEMCACHE_SHARDS", "2", 1);

@@ -1,11 +1,14 @@
 // common::ThreadPool contract tests: full index coverage, determinism of
 // results across worker counts (the property the threaded data plane's
 // bit-identity rests on), index-ordered commit equivalence, lowest-index
-// exception propagation, nested-call rejection, and the inline fallback.
+// exception propagation, nested-call rejection, the caller's slot-0 share,
+// and the inline fallback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -73,6 +76,30 @@ TEST(ThreadPool, WorkerSlotsStayInRange) {
       EXPECT_LT(slot_of[i], slot_limit) << "index " << i;
     }
   }
+}
+
+TEST(ThreadPool, CallerRunsOneBodyAsSlotZero) {
+  // N bodies that each wait until all N run need N threads at once: the
+  // N - 1 spawned workers and the caller, which takes its share as slot 0
+  // before it waits.
+  constexpr std::size_t kWorkers = 4;
+  ThreadPool pool(kWorkers);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::latch all_running(kWorkers);
+  std::vector<std::thread::id> ran_on(kWorkers);
+  std::vector<std::size_t> slot_of(kWorkers);
+  pool.parallel_for(kWorkers, [&](std::size_t i, std::size_t slot) {
+    ran_on[i] = std::this_thread::get_id();
+    slot_of[i] = slot;
+    all_running.arrive_and_wait();
+  });
+  ASSERT_EQ(std::count(ran_on.begin(), ran_on.end(), caller), 1);
+  for (std::size_t i = 0; i < kWorkers; ++i) {
+    EXPECT_EQ(slot_of[i] == 0, ran_on[i] == caller) << "index " << i;
+  }
+  std::sort(slot_of.begin(), slot_of.end());
+  EXPECT_EQ(slot_of, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
 }
 
 TEST(ThreadPool, InlineFallbackRunsOnCallerThread) {

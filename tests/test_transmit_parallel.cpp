@@ -18,9 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <latch>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/system.hpp"
 #include "test_util.hpp"
 
@@ -221,6 +224,48 @@ TEST_F(TransmitParallelTest, SingleMessageRunsInlineAndMatches) {
   for (std::size_t v = 1; v < kVariants; ++v) {
     EXPECT_EQ(reports[0], reports[v]) << "threads " << kThreadCounts[v];
     EXPECT_EQ(systems_[0]->stats(), systems_[v]->stats());
+  }
+}
+
+TEST(TransmitParallelForeignPool, TransmitFromAnotherPoolsWorkersMatches) {
+  // A num_threads = 0 system holds one serving replica per domain, and its
+  // lanes run on slot 0 whichever thread calls it: here every slot of an
+  // unrelated pool, the caller's slot 0 included. Each body's report must
+  // equal the same message served from the main thread on a twin system,
+  // in the order the bodies took the system.
+  unsetenv("SEMCACHE_THREADS");
+  const SystemConfig config = variant_config(1443, 0);
+  auto system = SemanticEdgeSystem::build(config);
+  auto twin = SemanticEdgeSystem::build(config);
+  constexpr std::size_t kBodies = 4;
+  std::vector<std::string> users;
+  for (std::size_t i = 0; i < kBodies; ++i) {
+    users.push_back("u" + std::to_string(i));
+    system->register_user(users[i], i % 2, nullptr);
+    twin->register_user(users[i], i % 2, nullptr);
+  }
+  std::vector<text::Sentence> messages;
+  for (std::size_t i = 0; i < kBodies; ++i) {
+    messages.push_back(system->sample_message(users[i], i % 2));
+  }
+
+  common::ThreadPool pool(kBodies);
+  std::latch all_running(kBodies);  // one body per pool slot
+  std::mutex system_mu;
+  std::vector<std::size_t> order;
+  std::vector<TransmitReport> reports(kBodies);
+  pool.parallel_for(kBodies, [&](std::size_t i, std::size_t) {
+    all_running.arrive_and_wait();
+    const std::lock_guard<std::mutex> lock(system_mu);
+    order.push_back(i);
+    reports[i] =
+        system->transmit(users[i], users[(i + 1) % kBodies], messages[i]);
+  });
+  ASSERT_EQ(order.size(), kBodies);
+  for (const std::size_t i : order) {
+    EXPECT_EQ(reports[i],
+              twin->transmit(users[i], users[(i + 1) % kBodies], messages[i]))
+        << "body " << i;
   }
 }
 
