@@ -168,8 +168,8 @@ int main(int argc, char** argv) {
     const CityResult r = run(num_shards, users, waves, pairs, msgs);
     const core::MemoryFootprint& fp = r.footprint;
     const double fixed_mb =
-        static_cast<double>(fp.general_model_bytes + fp.serving_replica_bytes +
-                            fp.serving_table_bytes + fp.topology_bytes) /
+        static_cast<double>(fp.general_model_bytes + fp.serving_table_bytes +
+                            fp.topology_bytes) /
         (1024.0 * 1024.0);
     const double per_user =
         static_cast<double>(fp.profile_bytes + fp.slot_bytes +

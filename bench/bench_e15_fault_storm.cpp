@@ -18,7 +18,7 @@
 //                  about) while the data plane itself never stalls.
 //   * stall      — shard stalls (p = 0.3 per shard per wave): the
 //                  dispatcher serves the stalled shard's pairs degraded
-//                  from the frozen general replicas — availability stays
+//                  from the frozen general models — availability stays
 //                  100%, quality cost is the degraded-serve count.
 //
 // Reported per scenario: goodput % (completions / attempted), degraded

@@ -22,6 +22,7 @@
 #include "common/cpu.hpp"
 #include "compress/huffman.hpp"
 #include "edge/sim.hpp"
+#include "fl/buffer.hpp"
 #include "fl/compressor.hpp"
 #include "nn/optimizer.hpp"
 #include "select/gru_classifier.hpp"
@@ -183,7 +184,7 @@ struct FinetuneSetup {
   std::vector<semantic::Sample> samples;
 };
 
-FinetuneSetup finetune_setup() {
+FinetuneSetup finetune_setup(std::size_t samples = 24) {
   text::WorldConfig wc;
   wc.concepts_per_domain = 20;  // perfbench's world: 174 x 125 vocab
   Rng rng(2023);
@@ -191,7 +192,7 @@ FinetuneSetup finetune_setup() {
   FinetuneSetup s{micro_codec_config(), {}};
   s.config.surface_vocab = world.surface_count();
   s.config.meaning_vocab = world.meaning_count();
-  for (int i = 0; i < 24; ++i) {
+  for (std::size_t i = 0; i < samples; ++i) {
     s.samples.push_back(
         semantic::CodecTrainer::draw_sample(world, 0, nullptr, rng));
   }
@@ -211,6 +212,41 @@ static void BM_CodecFinetune(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CodecFinetune)->Unit(benchmark::kMillisecond);
+
+// The fine-tune a full buffer runs: in sustained serving a sender's buffer
+// holds its capacity of 256 samples, and every update trains on all of
+// them — 1,536 optimizer steps at batch 1. BM_CodecFinetune's setup
+// otherwise. Informational: no gate reads it.
+static void BM_CodecFinetuneAtCapacity(benchmark::State& state) {
+  const FinetuneSetup setup = finetune_setup(256);
+  Rng init(15);
+  const semantic::SemanticCodec base(setup.config, init);
+  for (auto _ : state) {
+    const auto codec = base.clone();
+    Rng rng(16);
+    benchmark::DoNotOptimize(semantic::CodecTrainer::finetune(
+        *codec, setup.samples, 6, 1.5e-3, rng));
+  }
+}
+BENCHMARK(BM_CodecFinetuneAtCapacity)->Unit(benchmark::kMillisecond);
+
+// One DomainBuffer::add into a full 256-sample buffer, as every served
+// message of a sender at capacity makes: it copies the sample in, as the
+// serving path does, and erases the front of the sample and mismatch
+// vectors. Informational: no gate reads it.
+static void BM_DomainBufferAddAtCapacity(benchmark::State& state) {
+  const FinetuneSetup setup = finetune_setup(256);
+  fl::DomainBuffer buffer(24, 256);
+  for (const semantic::Sample& sample : setup.samples) buffer.add(sample, 0.5);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    buffer.add(setup.samples[next], 0.5);
+    benchmark::DoNotOptimize(buffer.samples().data());
+    benchmark::ClobberMemory();
+    next = (next + 1) % setup.samples.size();
+  }
+}
+BENCHMARK(BM_DomainBufferAddAtCapacity);
 
 // One Adam step over the same codec's parameters, with the gradients of
 // one of those samples, so the embedding rows the sample does not touch

@@ -8,18 +8,18 @@ namespace semcache::common {
 
 namespace {
 /// Set while a thread executes job bodies as a pool worker (the caller's
-/// slot-0 share included); parallel_for consults it to reject nested
-/// fan-out from any pool.
+/// share included); parallel_for consults it to reject nested fan-out from
+/// any pool.
 thread_local bool tl_on_worker = false;
 }  // namespace
 
 bool ThreadPool::on_worker_thread() { return tl_on_worker; }
 
 ThreadPool::ThreadPool(std::size_t workers) : workers_(workers) {
-  // Slot 0 is whichever thread calls parallel_for.
+  // The thread that calls parallel_for is the remaining worker.
   if (workers > 1) threads_.reserve(workers - 1);
-  for (std::size_t slot = 1; slot < workers; ++slot) {
-    threads_.emplace_back([this, slot] { worker_main(slot); });
+  for (std::size_t w = 1; w < workers; ++w) {
+    threads_.emplace_back([this] { worker_main(); });
   }
 }
 
@@ -32,7 +32,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::run_job(Job& job, std::size_t slot) {
+void ThreadPool::run_job(Job& job) {
   for (;;) {
     std::size_t index;
     {
@@ -41,7 +41,7 @@ void ThreadPool::run_job(Job& job, std::size_t slot) {
       index = job.next++;
     }
     try {
-      (*job.body)(index, slot);
+      (*job.body)(index);
     } catch (...) {
       std::lock_guard<std::mutex> lk(job.next_mu);
       job.errors[index] = std::current_exception();
@@ -59,7 +59,7 @@ void ThreadPool::run_job(Job& job, std::size_t slot) {
   }
 }
 
-void ThreadPool::worker_main(std::size_t slot) {
+void ThreadPool::worker_main() {
   std::uint64_t seen_generation = 0;
   for (;;) {
     std::shared_ptr<Job> job;
@@ -71,7 +71,7 @@ void ThreadPool::worker_main(std::size_t slot) {
       job = job_;
     }
     tl_on_worker = true;
-    run_job(*job, slot);
+    run_job(*job);
     tl_on_worker = false;
   }
 }
@@ -86,7 +86,7 @@ void ThreadPool::parallel_for(std::size_t count, const Body& body) {
     // propagate from the lowest throwing index exactly as on a pool (later
     // indices do not run, but a throwing fan-out yields no results either
     // way).
-    for (std::size_t i = 0; i < count; ++i) body(i, 0);
+    for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
 
@@ -99,10 +99,10 @@ void ThreadPool::parallel_for(std::size_t count, const Body& body) {
     }
     cv_.notify_all();
   }
-  // The caller's share, as slot 0. run_job keeps body exceptions in the
-  // job, so the flag is always cleared before the wait.
+  // The caller's share. run_job keeps body exceptions in the job, so the
+  // flag is always cleared before the wait.
   tl_on_worker = true;
-  run_job(*job, 0);
+  run_job(*job);
   tl_on_worker = false;
   {
     std::unique_lock<std::mutex> lk(job->done_mu);

@@ -1,16 +1,15 @@
 // Deterministic worker pool for the pair wave's sender lanes.
 //
-// parallel_for(count, body) fans body(index, worker_slot) out over a fixed
-// set of worker threads and blocks until every index has run. A pool of N
-// workers spawns N - 1 threads: the calling thread is worker slot 0, and it
-// takes indices like any other worker before it waits, so a fan-out pays
-// one hand-off fewer and a one-worker pool spawns nothing. The
-// determinism contract that lets the threaded serving paths stay
-// bit-identical to the sequential ones:
+// parallel_for(count, body) fans body(index) out over a fixed set of
+// worker threads and blocks until every index has run. A pool of N workers
+// spawns N - 1 threads: the calling thread takes indices like any other
+// worker before it waits, so a fan-out pays one hand-off fewer and a
+// one-worker pool spawns nothing. The determinism contract that lets the
+// threaded serving paths stay bit-identical to the sequential ones:
 //
-//  * body(i, slot) may write only state owned by index i (its own output
-//    slot) or by the executing worker (slot-indexed scratch, e.g. the
-//    per-worker serving replicas). Because output slots are disjoint, the
+//  * body(i) may write only state owned by index i (its own output slot)
+//    and thread-local scratch; everything else it reads stays unwritten
+//    for the whole fan-out. Because output slots are disjoint, the
 //    computed values are independent of scheduling and of the worker
 //    count.
 //  * Anything order-sensitive — stats accumulation, buffer mutation, RNG
@@ -24,13 +23,13 @@
 // sequential loop would have thrown first (later indices still run — the
 // pool never short-circuits, so side-effect-free bodies stay deterministic
 // even on the error path). Calling parallel_for from inside a pool worker
-// (any pool, the caller running its slot-0 share included) throws instead
-// of deadlocking.
+// (any pool, the caller running its own share included) throws instead of
+// deadlocking.
 //
 // A pool built with zero workers spawns no threads: parallel_for degrades
-// to an inline caller-thread loop with worker_slot 0, bit-identical to the
-// threaded execution by the contract above. SystemConfig::num_threads = 0
-// rides this path, so the default build never touches std::thread.
+// to an inline caller-thread loop, bit-identical to the threaded execution
+// by the contract above. SystemConfig::num_threads = 0 rides this path, so
+// the default build never touches std::thread.
 #pragma once
 
 #include <condition_variable>
@@ -47,9 +46,7 @@ namespace semcache::common {
 
 class ThreadPool {
  public:
-  /// body(index, worker_slot): worker_slot < max(1, worker_count()) names
-  /// the executing lane, for per-worker scratch. Slot 0 is the caller.
-  using Body = std::function<void(std::size_t index, std::size_t worker_slot)>;
+  using Body = std::function<void(std::size_t index)>;
 
   /// `workers` lanes: the caller plus workers - 1 spawned threads; 0 =
   /// inline mode (no threads, see above).
@@ -65,8 +62,8 @@ class ThreadPool {
   void parallel_for(std::size_t count, const Body& body);
 
   /// True while the calling thread executes a fanned-out body as a pool
-  /// worker, the caller's slot-0 share included (the state parallel_for
-  /// uses to reject nested fan-out).
+  /// worker, the caller's share included (the state parallel_for uses to
+  /// reject nested fan-out).
   static bool on_worker_thread();
 
  private:
@@ -88,8 +85,8 @@ class ThreadPool {
     bool done = false;
   };
 
-  void worker_main(std::size_t slot);
-  static void run_job(Job& job, std::size_t slot);
+  void worker_main();
+  static void run_job(Job& job);
 
   std::size_t workers_;
   std::vector<std::thread> threads_;
@@ -103,6 +100,7 @@ class ThreadPool {
 /// Largest worker count resolve_thread_count accepts from the
 /// environment; anything above it (or non-numeric, including negatives)
 /// is ignored as garbage rather than spawning a runaway thread herd.
+/// SemanticEdgeSystem::build refuses an explicit num_threads above it.
 inline constexpr std::size_t kMaxEnvThreads = 256;
 
 /// Resolve the effective worker count: when `configured` is 0 (the

@@ -146,10 +146,10 @@ void ParallelDispatcher::flush_sharded(
   }
 
   // Graceful degradation: re-serve every stalled/failed shard's wave, as
-  // one wave, from its FROZEN general-model replicas on the calling
-  // thread (the shard's pool still runs its lanes). The wave was read in
-  // place, so it is intact. State on the shard is left alone (no slots,
-  // no buffers, no syncs); reports come back flagged `degraded`.
+  // one wave, from its FROZEN general models on the calling thread (the
+  // shard's pool still runs its lanes). The wave was read in place, so it
+  // is intact. State on the shard is left alone (no slots, no buffers, no
+  // syncs); reports come back flagged `degraded`.
   for (std::size_t s = 0; s < num_shards; ++s) {
     if (!degraded[s]) continue;
     common::log_once("shard-degraded",

@@ -27,10 +27,9 @@ namespace semcache::core {
 /// write (a fine-tune at the sender, a sync apply at the receiver), which
 /// is what keeps per-user memory O(deltas) until a user actually trains
 /// (the city-scale premise). Serving an aliased slot reads the system's
-/// per-domain serving tables, and runs the positions a table misses
-/// through the per-worker serving replicas, never through the shared
-/// general object (its forward passes use internal Workspace scratch and
-/// are not concurrency-safe).
+/// per-domain serving tables, which decode the positions they miss through
+/// the shared general's read-only row pass. No lane runs the shared
+/// general's other passes: they write its internal Workspace scratch.
 struct UserModelSlot {
   std::shared_ptr<semantic::SemanticCodec> model;
   bool owns_model = false;  ///< true once materialized (private clone)

@@ -7,11 +7,6 @@
 namespace semcache::core {
 
 namespace {
-/// Largest shard count SEMCACHE_SHARDS accepts; each shard is a full
-/// system (pool, caches, simulator), so a typo'd huge value would be a
-/// resource bomb, not a deployment.
-constexpr std::size_t kMaxEnvShards = 256;
-
 std::size_t resolve_shard_count(std::size_t configured) {
   if (configured != 0) return configured;
   const char* env = std::getenv("SEMCACHE_SHARDS");
@@ -30,6 +25,9 @@ std::size_t resolve_shard_count(std::size_t configured) {
 
 std::unique_ptr<ShardedEdgeServing> ShardedEdgeServing::build(
     SystemConfig config, std::size_t num_shards) {
+  SEMCACHE_CHECK(num_shards <= kMaxEnvShards,
+                 "sharded: num_shards must be <= " +
+                     std::to_string(kMaxEnvShards));
   const std::size_t shards = resolve_shard_count(num_shards);
   // Not make_unique: the constructor is private.
   std::unique_ptr<ShardedEdgeServing> serving(new ShardedEdgeServing());

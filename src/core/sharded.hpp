@@ -52,10 +52,15 @@
 
 namespace semcache::core {
 
+/// Largest shard count; each shard is a full system (pool, caches,
+/// simulator). SEMCACHE_SHARDS ignores a value above it.
+inline constexpr std::size_t kMaxEnvShards = 256;
+
 class ShardedEdgeServing {
  public:
   /// Build `num_shards` identical shards from one config. 0 — the default
   /// — resolves through the SEMCACHE_SHARDS environment variable, else 1.
+  /// A count above kMaxEnvShards throws semcache::Error before any shard.
   /// Every shard gets the same config and seed; per-shard resources
   /// (thread pools, caches) come from the config as usual, so a deployment
   /// with S shards of N threads runs S pools. Pretraining is repeated per

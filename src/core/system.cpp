@@ -1,7 +1,5 @@
 #include "core/system.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 #include "select/context.hpp"
 #include "select/naive_bayes.hpp"
@@ -25,6 +23,10 @@ std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
   SEMCACHE_CHECK(config.selector == "nb" || config.selector == "context",
                  "unknown selector '" + config.selector +
                      "' (expected \"nb\" or \"context\")");
+  // SEMCACHE_THREADS' cap: the pool below spawns them all, or aborts.
+  SEMCACHE_CHECK(config.num_threads <= common::kMaxEnvThreads,
+                 "config: num_threads must be <= " +
+                     std::to_string(common::kMaxEnvThreads));
   // Not make_unique: the constructor is private.
   std::unique_ptr<SemanticEdgeSystem> sys(
       new SemanticEdgeSystem(std::move(config)));
@@ -112,36 +114,17 @@ std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
     }
   }
 
-  // Per-worker serving replicas of the frozen generals: aliased
-  // (copy-on-write) user slots run their forward passes through these, so
-  // establishing a user never clones a model and concurrent lanes never
-  // share Workspace scratch. One replica per (domain, worker slot) — a
-  // fixed cost bounded by the worker count, not the user count. The
-  // generals are frozen after pretraining, so the replicas never go stale.
-  const std::size_t lanes = std::max<std::size_t>(1, sys->config_.num_threads);
-  sys->serving_replicas_.resize(sys->world_.num_domains());
-  for (std::size_t d = 0; d < sys->world_.num_domains(); ++d) {
-    sys->serving_replicas_[d].reserve(lanes);
-    for (std::size_t w = 0; w < lanes; ++w) {
-      sys->serving_replicas_[d].push_back(sys->general_model(d).clone());
-    }
-  }
-
   // Serving tables of the frozen generals (semantic/serving_table.hpp):
-  // aliased slots encode, decode and measure their mismatch by lookup, and
-  // only channel-corrupted positions run through a replica. One table per
-  // domain, a fixed cost bounded by the surface and meaning vocabularies.
+  // aliased (copy-on-write) slots encode, decode and measure their
+  // mismatch by lookup, and only channel-corrupted positions run the
+  // general's decoder, by its read-only row pass. One table per domain, a
+  // fixed cost bounded by the surface and meaning vocabularies. The
+  // generals are frozen after pretraining and outlive their tables.
   sys->serving_tables_.reserve(sys->world_.num_domains());
   for (std::size_t d = 0; d < sys->world_.num_domains(); ++d) {
     sys->serving_tables_.emplace_back(sys->general_model(d), *sys->quantizer_);
   }
   return sys;
-}
-
-semantic::SemanticCodec& SemanticEdgeSystem::serving_codec(
-    const UserModelSlot& slot, std::size_t domain, std::size_t worker_slot) {
-  if (slot.owns_model) return *slot.model;
-  return *serving_replicas_[domain][worker_slot];
 }
 
 void SemanticEdgeSystem::materialize_slot(UserModelSlot& slot,
@@ -268,11 +251,6 @@ MemoryFootprint SemanticEdgeSystem::memory_footprint() const {
   MemoryFootprint fp;
   for (const auto& general : general_models_) {
     fp.general_model_bytes += general->byte_size();
-  }
-  for (const auto& domain_replicas : serving_replicas_) {
-    for (const auto& replica : domain_replicas) {
-      fp.serving_replica_bytes += replica->byte_size();
-    }
   }
   for (const semantic::ServingTable& table : serving_tables_) {
     fp.serving_table_bytes += table.byte_size();

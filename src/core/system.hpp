@@ -14,7 +14,9 @@
 // Until a user's slot has trained, it aliases the frozen general model,
 // and the system serves it from that general's ServingTable
 // (semantic/serving_table.hpp): the codes, argmaxes and probability rows
-// the frozen network computes, tabulated at build().
+// the frozen network computes, tabulated at build(). The table decodes
+// the positions it misses through the general's read-only row pass, so no
+// lane ever runs a shared general's training forward.
 #pragma once
 
 #include <functional>
@@ -121,7 +123,8 @@ struct SystemConfig {
   /// common::ThreadPool whose results are BIT-IDENTICAL to the sequential
   /// path (lanes own disjoint state; see README "Threading model"); the
   /// SEMCACHE_THREADS environment variable overrides a default-0 config
-  /// at build() time (benches and the sanitizer CI jobs use it).
+  /// at build() time (benches and the sanitizer CI jobs use it). build()
+  /// refuses a value above common::kMaxEnvThreads (256).
   std::size_t num_threads = 0;
 
   // Edge deployment.
@@ -163,15 +166,16 @@ struct UserProfile {
   X(std::size_t, payload_bytes) /* quantized feature payload */              \
   /* Coded bits on the edge-edge channel before interleaver padding      */  \
   /* (ChannelCode::encoded_length); ChannelPipeline::airtime_bits counts */  \
-  /* the padded on-air length. Default config (conv_k3_r12, 128-bit      */  \
-  /* payload, depth 8): 260 here against 264 on the air.                 */  \
+  /* the padded on-air length. At a 128-bit payload and depth 8 the      */  \
+  /* default hamming74 gives 224 both ways; serve's conv_k3_r12 gives    */  \
+  /* 260 here against 264 on the air.                                    */  \
   X(std::size_t, airtime_bits)                                               \
   X(std::size_t, sync_bytes) /* gradient message, if an update fired */      \
   X(std::size_t, output_return_bytes) /* only when decoder copy disabled */  \
   X(bool, triggered_update)                                                  \
   X(bool, established_user_model)                                            \
   X(bool, general_cache_hit, true)                                           \
-  /* Served from a frozen general-model replica because the owning shard */  \
+  /* Served from the frozen general models because the owning shard      */  \
   /* stalled or failed mid-flush (no personalization, no fine-tune, no   */  \
   /* cache/slot mutation) — availability over freshness.                 */  \
   X(bool, degraded)                                                          \
@@ -220,15 +224,15 @@ struct SystemStats {
 
 /// Where a deployment's bytes live, split so the city-scale question —
 /// "what does ONE MORE user cost?" — has a measurable answer. Fixed costs
-/// (general models, per-worker serving replicas, serving tables, topology)
-/// amortize over the whole deployment; per-user costs (profiles, slots,
-/// buffers, MATERIALIZED fine-tuned models) are what bound users-per-GB. The
-/// copy-on-write slot design keeps user_model_bytes at zero until a user
-/// actually fine-tunes: per-user cost is bytes plus deltas, not clones.
+/// (general models, serving tables, topology) amortize over the whole
+/// deployment and do not grow with the worker count; per-user costs
+/// (profiles, slots, buffers, MATERIALIZED fine-tuned models) are what
+/// bound users-per-GB. The copy-on-write slot design keeps
+/// user_model_bytes at zero until a user actually fine-tunes: per-user cost
+/// is bytes plus deltas, not clones.
 #define SEMCACHE_MEMORY_FOOTPRINT_FIELDS(X)                                  \
   /* Deployment-fixed. */                                                    \
   X(std::size_t, general_model_bytes) /* frozen per-domain generals */       \
-  X(std::size_t, serving_replica_bytes) /* per-(domain, worker) clones */    \
   X(std::size_t, serving_table_bytes) /* per-domain ServingTables */         \
   X(std::size_t, topology_bytes) /* nodes/links/adjacency (approx) */        \
   /* Per-user. */                                                            \
@@ -245,9 +249,8 @@ struct MemoryFootprint {
   SEMCACHE_MEMORY_FOOTPRINT_FIELDS(SEMCACHE_FIELD_MEMBER)
 
   std::size_t total() const {
-    return general_model_bytes + serving_replica_bytes + serving_table_bytes +
-           topology_bytes + profile_bytes + slot_bytes + buffer_bytes +
-           user_model_bytes;
+    return general_model_bytes + serving_table_bytes + topology_bytes +
+           profile_bytes + slot_bytes + buffer_bytes + user_model_bytes;
   }
 
   MemoryFootprint& operator+=(const MemoryFootprint& o) {
@@ -337,9 +340,9 @@ class SemanticEdgeSystem {
   void transmit_pairs(const std::vector<PairBatch>& batches, PairDone on_done);
 
   /// Degraded-mode serving (the dispatcher's answer to a stalled or
-  /// failed shard): serve the wave end-to-end through the FROZEN general-
-  /// model replicas — selection, encode, quantize, channel, decode,
-  /// delivery chains — with NO personalization and NO state mutation (no
+  /// failed shard): serve the wave end-to-end through the FROZEN general
+  /// models — selection, encode, quantize, channel, decode, delivery
+  /// chains — with NO personalization and NO state mutation (no
   /// slot establishment, no buffer adds, no fine-tune, no sync, no cache
   /// touches). It is transmit_pairs' wave over buffer-less slots aliasing
   /// the generals, lanes on the pool included, so reports follow the
@@ -383,10 +386,9 @@ class SemanticEdgeSystem {
 
   /// The memory audit: where this deployment's bytes live, with per-user
   /// costs (profiles, slots, buffered deltas, materialized models)
-  /// separated from deployment-fixed costs (generals, serving replicas,
-  /// serving tables, topology). Approximate to container-bookkeeping
-  /// precision; the point is the SHAPE — per-user cost must stay
-  /// O(bytes + deltas).
+  /// separated from deployment-fixed costs (generals, serving tables,
+  /// topology). Approximate to container-bookkeeping precision; the point
+  /// is the SHAPE — per-user cost must stay O(bytes + deltas).
   MemoryFootprint memory_footprint() const;
 
   /// Adjust the sync-loss injection rate mid-run (failure-injection
@@ -397,17 +399,6 @@ class SemanticEdgeSystem {
   explicit SemanticEdgeSystem(SystemConfig config);
   void pretrain_models();
   void build_topology();
-  /// The codec that actually runs a slot's forward passes: the slot's own
-  /// model once materialized, else the serving replica of the general
-  /// model at (domain, worker_slot) — never the shared general itself,
-  /// whose internal Workspace scratch is not safe across concurrent lanes.
-  /// `worker_slot` is the slot this system's pool gave the lane (0
-  /// inline). Replica weights equal the frozen general's forever, so an
-  /// aliased slot's network passes (the receiver's missed positions) are
-  /// the general's bits.
-  semantic::SemanticCodec& serving_codec(const UserModelSlot& slot,
-                                         std::size_t domain,
-                                         std::size_t worker_slot);
   /// Copy-on-write: give `slot` a private clone of the general model
   /// before its first weight write. No-op when already materialized.
   void materialize_slot(UserModelSlot& slot, std::size_t domain);
@@ -496,16 +487,12 @@ class SemanticEdgeSystem {
   /// Runs the sender lanes of every wave; null when num_threads is 0.
   std::unique_ptr<common::ThreadPool> pool_;
   text::World world_;
+  /// Declared before serving_tables_, which point into them.
   std::vector<std::shared_ptr<semantic::SemanticCodec>> general_models_;
-  /// serving_replicas_[domain][worker_slot]: the clones aliased slots
-  /// serve through. Sized max(1, num_threads) per domain at build — a
-  /// worker-count-bounded fixed cost replacing the old user-count-bounded
-  /// per-slot clones.
-  std::vector<std::vector<std::unique_ptr<semantic::SemanticCodec>>>
-      serving_replicas_;
   /// serving_tables_[domain]: the frozen general's codes, argmaxes and
   /// probability rows, built once at build() and read-only after, so
-  /// every lane shares them. Aliased slots serve through these.
+  /// every lane shares them. Aliased slots serve through these, and so do
+  /// their positions the tables miss.
   std::vector<semantic::ServingTable> serving_tables_;
   std::unique_ptr<select::DomainSelector> selector_;
   std::unique_ptr<semantic::FeatureQuantizer> quantizer_;

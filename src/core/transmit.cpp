@@ -30,21 +30,21 @@
 // domain's semantic::ServingTable, built at build(), holds each surface
 // id's code and each clean code's argmax and probability row. An aliased
 // sender builds its payloads and its mismatch from the table; an aliased
-// receiver decodes by lookup and runs only the channel-corrupted
-// positions through its lane's serving replica. A materialized end runs
-// its own network. The choice is made per chunk and per end, because a
-// fine-tune in the middle of a group materializes the sender's slot. The
-// tables return the network's bits (test_serving_table), so the choice
-// never changes a result.
+// receiver decodes by lookup, and the table runs only the
+// channel-corrupted positions through the general's read-only decoder
+// pass. A materialized end runs its own network. The choice is made per
+// chunk and per end, because a fine-tune in the middle of a group
+// materializes the sender's slot. The tables return the network's bits
+// (test_serving_table), so the choice never changes a result.
 //
 // Threads parallelize one thing: the sender lanes of a wave. Every
 // mutable serving object — user-model slot, transaction buffer, fine-tune
 // scratch, decoder replica — is keyed by (sending user, domain), so pairs
 // with distinct senders own disjoint state and their compute phases run
 // concurrently on the system pool (SystemConfig::num_threads > 0), the
-// calling thread taking lanes as slot 0. A lane's network passes on
-// aliased slots run on the serving replicas of the slot its PairTask
-// carries; the serving tables are read-only and shared by every lane. What
+// calling thread taking lanes too. A lane writes only state its sender
+// owns and thread-local scratch; the serving tables and the frozen
+// generals behind them are read-only and shared by every lane. What
 // the pairs DO share is routed around the fan-out: the selector, LRU
 // caches, and slot creation run in the prepare phase; system accounting
 // collects into the pair's own sinks (the channel pipeline is a const
@@ -88,9 +88,6 @@ std::uint64_t channel_fork_tag(std::uint64_t index) {
 struct SemanticEdgeSystem::PairTask {
   std::size_t pair_index = 0;
   const PairBatch* batch = nullptr;  ///< the caller's, read in place
-  /// The slot this system's pool gave the pair's lane (0 inline): which
-  /// serving replicas the lane's network passes run on.
-  std::size_t worker_slot = 0;
   /// serve_degraded: selection only at prepare, frozen buffer-less slots
   /// at compute — no serving state is created or written.
   bool degraded = false;
@@ -366,8 +363,8 @@ void SemanticEdgeSystem::prepare_message(PairTask& task, std::size_t i) {
 
   // --- User-specific slots (②): established copy-on-write — the fresh
   // slot ALIASES the shared general model (bytes, not a clone; serving
-  // routes through the per-worker replicas, and the first fine-tune or
-  // sync apply materializes a private copy). The receiver edge holds the
+  // reads the domain's serving table, and the first fine-tune or sync
+  // apply materializes a private copy). The receiver edge holds the
   // decoder replica for this (sender, domain) pair. ---
   report.established_user_model = (sstate.find_slot(sender, m) == nullptr);
   UserModelSlot& sslot =
@@ -417,9 +414,9 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
 
     // An end whose slot still aliases the frozen general serves from the
     // domain's table; a materialized end runs its own network. Resolved
-    // per chunk, like serving_codec: the update trigger at a chunk
-    // boundary may MATERIALIZE the sender slot (copy-on-write), after
-    // which later chunks must run on the private fine-tuned model.
+    // per chunk: the update trigger at a chunk boundary may MATERIALIZE
+    // the sender slot (copy-on-write), after which later chunks must run
+    // on the private fine-tuned model.
     const bool sender_frozen = !sslot.owns_model;
     const bool receiver_frozen = !rslot.owns_model;
 
@@ -441,9 +438,7 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
         surfaces.insert(surfaces.end(), message.surface.begin(),
                         message.surface.end());
       }
-      features = &serving_codec(sslot, m, task.worker_slot)
-                      .encoder()
-                      .encode_batch(surfaces, chunk);
+      features = &sslot.model->encoder().encode_batch(surfaces, chunk);
       payloads = quantizer_->quantize_batch(*features);
     }
 
@@ -468,16 +463,15 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
     const std::vector<BitVec>& arrived = task.cross_edge ? received : payloads;
 
     // ---- Receiver decode. A frozen receiver looks up every position whose
-    // code the table holds, and only the channel-corrupted ones run
-    // through the lane's serving replica. A materialized receiver keeps
-    // its logits alive past the argmax: the mismatch reads each message's
-    // rows out of them in place. ----
-    semantic::SemanticCodec& receiver = serving_codec(rslot, m, task.worker_slot);
+    // code the table holds, and the table decodes the channel-corrupted
+    // ones itself. A materialized receiver keeps its logits alive past the
+    // argmax: the mismatch reads each message's rows out of them in
+    // place. ----
     const tensor::Tensor* rx_logits = nullptr;
     if (receiver_frozen) {
-      table.decode(arrived, receiver.decoder(), decoded);
+      table.decode(arrived, decoded);
     } else {
-      rx_logits = &receiver.decoder().decode_logits_batch(
+      rx_logits = &rslot.model->decoder().decode_logits_batch(
           quantizer_->dequantize_batch(arrived));
       decoded = tensor::row_argmax(*rx_logits);
     }
@@ -550,9 +544,8 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
                     dims * sizeof(float));
       }
       const tensor::Tensor& copy_logits =
-          serving_codec(sslot, m, task.worker_slot)
-              .decoder()
-              .decode_logits_batch(quantizer_->roundtrip_batch(copy_features));
+          sslot.model->decoder().decode_logits_batch(
+              quantizer_->roundtrip_batch(copy_features));
       for (std::size_t k = 0; k < copy_rows.size(); ++k) {
         const std::size_t idx = indices[pos + copy_rows[k]];
         reports[idx].mismatch = tensor::mean_cross_entropy(
@@ -745,7 +738,7 @@ void SemanticEdgeSystem::serve_degraded(const std::vector<PairBatch>& batches,
   // Availability mode: the same wave with every task flagged degraded
   // (selection only, frozen buffer-less slots). Lanes still fan out: a
   // degraded lane writes nothing but its own reports and sinks, and
-  // serves through its worker slot's frozen replica.
+  // serves from the read-only serving tables.
   serve_wave(batches, std::move(on_done), /*degraded=*/true);
 }
 
@@ -780,17 +773,14 @@ void SemanticEdgeSystem::serve_wave(const std::vector<PairBatch>& batches,
   const auto lanes = common::group_by_first_appearance(
       tasks.size(),
       [&](std::size_t p) -> const std::string& { return batches[p].sender; });
-  const auto compute_lane = [&](std::size_t lane, std::size_t slot) {
-    for (const std::size_t p : lanes.groups[lane]) {
-      tasks[p].worker_slot = slot;
-      compute_pair(tasks[p]);
-    }
+  const auto compute_lane = [&](std::size_t lane) {
+    for (const std::size_t p : lanes.groups[lane]) compute_pair(tasks[p]);
   };
   if (pool_ != nullptr && lanes.groups.size() > 1) {
     pool_->parallel_for(lanes.groups.size(), compute_lane);
   } else {
     for (std::size_t lane = 0; lane < lanes.groups.size(); ++lane) {
-      compute_lane(lane, 0);
+      compute_lane(lane);
     }
   }
 

@@ -14,6 +14,9 @@
 // warmed-up layer performs no heap allocation per call. The reference stays
 // valid until the layer's next forward()/backward(); callers that need the
 // value past that point copy it (Tensor has value semantics).
+// Linear and LinearReLU also offer a const infer(x, y): forward()'s kernel
+// call into a caller-owned output, without the backward cache, so any
+// number of threads may run it on one layer.
 #pragma once
 
 #include <memory>
@@ -65,6 +68,9 @@ class Linear : public Layer {
   const Tensor& backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&w_, &b_}; }
   std::string name() const override { return name_; }
+  void infer(const Tensor& x, Tensor& y) const {
+    tensor::affine_into(y, x, w_.value, b_.value);
+  }
 
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
@@ -92,6 +98,9 @@ class LinearReLU : public Layer {
   const Tensor& backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&w_, &b_}; }
   std::string name() const override { return name_; }
+  void infer(const Tensor& x, Tensor& y) const {
+    tensor::affine_relu_into(y, x, w_.value, b_.value);
+  }
 
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }

@@ -81,10 +81,13 @@ KbDecoder::KbDecoder(const CodecConfig& config, Rng& rng) : config_(config) {
   validate(config);
   // Shared per-position decoder: positions are batch rows (fused
   // LinearReLU: same bits/params as the former Linear + ReLU pair).
-  mlp_.add(std::make_unique<nn::LinearReLU>(config.per_position_dims(),
-                                            config.hidden_dim, rng, "dec.l1"))
-      .add(std::make_unique<nn::Linear>(config.hidden_dim,
-                                        config.meaning_vocab, rng, "dec.l2"));
+  auto l1 = std::make_unique<nn::LinearReLU>(config.per_position_dims(),
+                                             config.hidden_dim, rng, "dec.l1");
+  auto l2 = std::make_unique<nn::Linear>(config.hidden_dim,
+                                         config.meaning_vocab, rng, "dec.l2");
+  l1_ = l1.get();
+  l2_ = l2.get();
+  mlp_.add(std::move(l1)).add(std::move(l2));
 }
 
 const Tensor& KbDecoder::decode_logits_batch(const Tensor& features) {
@@ -97,11 +100,13 @@ const Tensor& KbDecoder::decode_logits_batch(const Tensor& features) {
   return mlp_.forward(f);  // (count*L x meaning_vocab)
 }
 
-const Tensor& KbDecoder::decode_logits_rows(const Tensor& rows) {
+void KbDecoder::decode_logits_rows(const Tensor& rows, Tensor& hidden,
+                                   Tensor& logits) const {
   SEMCACHE_CHECK(rows.rank() == 2 &&
                      rows.dim(1) == config_.per_position_dims(),
                  "decode: rows must be (rows x k/L)");
-  return mlp_.forward(rows);
+  l1_->infer(rows, hidden);
+  l2_->infer(hidden, logits);
 }
 
 std::vector<std::int32_t> KbDecoder::decode(const Tensor& features) {

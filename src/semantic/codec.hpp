@@ -95,10 +95,12 @@ class KbDecoder {
   /// an internal buffer (valid until the next decode).
   const Tensor& decode_logits_batch(const Tensor& features);
   /// Logits of bare position rows: (rows x k/L) dequantized dims, each
-  /// row one position of any sentence -> (rows x meaning_vocab), valid
-  /// until the next decode. Row r's logits equal that position's row of
-  /// decode_logits_batch.
-  const Tensor& decode_logits_rows(const Tensor& rows);
+  /// row one position of any sentence -> (rows x meaning_vocab) into
+  /// `logits`, through the caller's `hidden` scratch. Row r's logits equal
+  /// that position's row of decode_logits_batch. Read-only: any number of
+  /// threads may run it on one decoder while nothing trains it.
+  void decode_logits_rows(const Tensor& rows, Tensor& hidden,
+                          Tensor& logits) const;
   /// Greedy decode of (count x k) features to count*L meaning ids.
   std::vector<std::int32_t> decode(const Tensor& features);
   /// Batched backward: dL/dlogits (count*L x V) -> dL/dfeatures
@@ -113,6 +115,9 @@ class KbDecoder {
 
   CodecConfig config_;
   nn::Sequential mlp_;
+  /// mlp_'s two layers, for the read-only row pass.
+  const nn::LinearReLU* l1_ = nullptr;
+  const nn::Linear* l2_ = nullptr;
   tensor::Workspace ws_;
 };
 

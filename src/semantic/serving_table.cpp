@@ -12,7 +12,8 @@ namespace semcache::semantic {
 
 ServingTable::ServingTable(SemanticCodec& codec,
                            const FeatureQuantizer& quantizer)
-    : quantizer_(quantizer),
+    : decoder_(&codec.decoder()),
+      quantizer_(quantizer),
       length_(codec.config().sentence_length),
       position_dims_(codec.config().per_position_dims()),
       meaning_vocab_(codec.config().meaning_vocab),
@@ -59,7 +60,9 @@ ServingTable::ServingTable(SemanticCodec& codec,
     quantizer.dequantize_dims(codes_, e * code_bits_, position_dims_,
                               rows.data() + e * position_dims_);
   }
-  const tensor::Tensor& logits = codec.decoder().decode_logits_rows(rows);
+  tensor::Tensor hidden;
+  tensor::Tensor logits;
+  decoder_->decode_logits_rows(rows, hidden, logits);
   argmax_ = tensor::row_argmax(logits);
   const tensor::Tensor probs = tensor::row_softmax(logits);
   probs_.assign(probs.data(), probs.data() + probs.size());
@@ -130,12 +133,13 @@ double ServingTable::mismatch(std::span<const std::int32_t> surface,
 }
 
 std::size_t ServingTable::decode(const std::vector<BitVec>& payloads,
-                                 KbDecoder& decoder,
                                  std::vector<std::int32_t>& meanings) const {
   // Per-thread scratch for the missed positions: each serving lane runs on
   // one thread at a time, so lanes never share it.
   static thread_local std::vector<std::size_t> missed;
   static thread_local tensor::Tensor rows;
+  static thread_local tensor::Tensor hidden;
+  static thread_local tensor::Tensor logits;
   meanings.resize(payloads.size() * length_);
   missed.clear();
   for (std::size_t i = 0; i < payloads.size(); ++i) {
@@ -161,8 +165,8 @@ std::size_t ServingTable::decode(const std::vector<BitVec>& payloads,
                                position_dims_,
                                rows.data() + r * position_dims_);
   }
-  const std::vector<std::int32_t> decoded =
-      tensor::row_argmax(decoder.decode_logits_rows(rows));
+  decoder_->decode_logits_rows(rows, hidden, logits);
+  const std::vector<std::int32_t> decoded = tensor::row_argmax(logits);
   for (std::size_t r = 0; r < missed.size(); ++r) {
     meanings[missed[r]] = decoded[r];
   }

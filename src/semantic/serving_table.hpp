@@ -12,9 +12,10 @@
 // every kernel, so each lookup returns the network's bits.
 //
 // A received code the table does not hold (a position the channel
-// corrupted) runs through a decoder the caller passes in: the table's
-// network or a replica of it. Misses are never inserted, so the table's
-// size is fixed at construction and concurrent readers write nothing.
+// corrupted) runs through the tabulated decoder's read-only row pass, into
+// thread-local scratch. The table points at that decoder, which must
+// outlive it frozen. Misses are never inserted, so the table's size is
+// fixed and concurrent readers write nothing shared.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +30,8 @@ namespace semcache::semantic {
 
 class ServingTable {
  public:
-  /// Tabulates `codec` as it stands; the caller keeps it frozen afterwards.
-  /// `quantizer` must cover the codec's feature_dim.
+  /// Tabulates `codec` as it stands; the caller keeps it alive and frozen
+  /// afterwards. `quantizer` must cover the codec's feature_dim.
   ServingTable(SemanticCodec& codec, const FeatureQuantizer& quantizer);
 
   /// Bits of one position's code: k/L dims of bits_per_dim bits.
@@ -58,9 +59,10 @@ class ServingTable {
   /// Receiver side: decode received payloads to meaning ids, L per
   /// payload, into `meanings` — decoder.decode(dequantize_batch(payloads))
   /// bit for bit. A position whose code has an entry reads its argmax; the
-  /// missed positions run through `decoder` as one batch of rows. Returns
-  /// the number of missed positions.
-  std::size_t decode(const std::vector<BitVec>& payloads, KbDecoder& decoder,
+  /// missed positions run through the tabulated decoder as one batch of
+  /// rows. Safe from any number of threads at once. Returns the number of
+  /// missed positions.
+  std::size_t decode(const std::vector<BitVec>& payloads,
                      std::vector<std::int32_t>& meanings) const;
 
   /// Bytes held by the tables (what MemoryFootprint charges).
@@ -72,6 +74,7 @@ class ServingTable {
   /// kNoEntry.
   std::size_t find(const std::uint8_t* code) const;
 
+  const KbDecoder* decoder_;       ///< the tabulated codec's, for misses
   FeatureQuantizer quantizer_;
   std::size_t length_;             ///< L, positions per sentence
   std::size_t position_dims_;      ///< k/L

@@ -191,6 +191,8 @@ TEST(BuildValidation, RefusesBadKnobs) {
       {"num_edges 0", [](SystemConfig& c) { c.num_edges = 0; }},
       {"sync_loss 2", [](SystemConfig& c) { c.faults.sync_loss = 2.0; }},
       {"unknown selector", [](SystemConfig& c) { c.selector = "oracle"; }},
+      {"num_threads above the cap",
+       [](SystemConfig& c) { c.num_threads = common::kMaxEnvThreads + 1; }},
   };
   for (const auto& [knob, breaks] : rows) {
     SystemConfig config = test::tiny_system_config(3);

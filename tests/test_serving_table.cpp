@@ -3,7 +3,8 @@
 // Aliased user slots serve through these tables (core/transmit.cpp), so
 // every lookup must return exactly what the frozen codec computes: each
 // surface id's position code, each code's argmax and softmax row, each
-// sentence's mismatch, and each corrupted payload's decode. The codecs
+// sentence's mismatch, and each corrupted payload's decode, also when
+// several threads decode through one table at once. The codecs
 // carry random weights (the identity needs no training) in two shapes:
 // serve's 16-bit codes, and 9-bit codes of three 3-bit dims that share
 // codes between surface ids.
@@ -11,8 +12,10 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -72,6 +75,23 @@ class ServingTableTest : public ::testing::TestWithParam<std::size_t> {
         table_(codec_, quantizer_) {}
 
   const CodecConfig& config() const { return shape_.codec; }
+
+  /// 40 random sentences' payloads with 3 % of their bits flipped, so some
+  /// positions carry codes the table does not hold.
+  std::vector<BitVec> corrupted_payloads() {
+    Rng rng(13);
+    std::vector<std::int32_t> surface;
+    std::vector<std::int32_t> meanings;
+    std::vector<BitVec> payloads(40);
+    for (BitVec& payload : payloads) {
+      random_sentence(config(), rng, surface, meanings);
+      table_.encode(surface, payload);
+      for (auto& bit : payload) {
+        if (rng.bernoulli(0.03)) bit ^= 1;
+      }
+    }
+    return payloads;
+  }
 
   Shape shape_;
   Rng init_;
@@ -168,25 +188,49 @@ TEST_P(ServingTableTest, MismatchEqualsTheCrossEntropyOfTheNetwork) {
 }
 
 TEST_P(ServingTableTest, CorruptedPayloadsDecodeAsTheNetwork) {
-  const CodecConfig& c = config();
-  Rng rng(13);
-  std::vector<std::int32_t> surface;
-  std::vector<std::int32_t> meanings;
-  std::vector<BitVec> payloads(40);
-  for (BitVec& payload : payloads) {
-    random_sentence(c, rng, surface, meanings);
-    table_.encode(surface, payload);
-    for (auto& bit : payload) {
-      if (rng.bernoulli(0.03)) bit ^= 1;
-    }
-  }
+  const std::vector<BitVec> payloads = corrupted_payloads();
   std::vector<std::int32_t> decoded;
-  const std::size_t misses = table_.decode(payloads, codec_.decoder(), decoded);
-  const std::size_t positions = payloads.size() * c.sentence_length;
+  const std::size_t misses = table_.decode(payloads, decoded);
+  const std::size_t positions = payloads.size() * config().sentence_length;
   EXPECT_GT(misses, 0u);          // corrupted codes ran through the decoder
   EXPECT_LT(misses, positions);   // and clean ones were looked up
   EXPECT_EQ(decoded, codec_.decoder().decode(
                          quantizer_.dequantize_batch(payloads)));
+}
+
+TEST_P(ServingTableTest, FourThreadsDecodeThroughOneTable) {
+  // Pool lanes decode through one shared table at once, misses included.
+  // Four threads start together and decode the same payloads 25 times
+  // each; every result must equal the single-thread decode. The threads
+  // only record: a TSan build links an uninstrumented GoogleTest, so the
+  // comparisons run on the main thread after the join.
+  const std::vector<BitVec> payloads = corrupted_payloads();
+  std::vector<std::int32_t> expected;
+  const std::size_t expected_misses = table_.decode(payloads, expected);
+  ASSERT_GT(expected_misses, 0u);
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 25;
+  std::vector<std::vector<std::int32_t>> decoded(kThreads * kRounds);
+  std::vector<std::size_t> misses(kThreads * kRounds);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        misses[t * kRounds + r] =
+            table_.decode(payloads, decoded[t * kRounds + r]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    EXPECT_EQ(misses[i], expected_misses)
+        << "thread " << i / kRounds << " round " << i % kRounds;
+    EXPECT_EQ(decoded[i], expected)
+        << "thread " << i / kRounds << " round " << i % kRounds;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ServingTableTest, ::testing::Values(0, 1),

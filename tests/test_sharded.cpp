@@ -250,9 +250,6 @@ TEST(ShardedServing, MemoryAuditPerUserCostIsBytesPlusDeltas) {
   const MemoryFootprint before = system->memory_footprint();
   EXPECT_EQ(before.users, 0u);
   EXPECT_EQ(before.user_model_bytes, 0u);
-  // The fixed serving-replica pool: one replica per domain per worker lane
-  // (threads = 0 → one lane), NOT one clone per user.
-  EXPECT_EQ(before.serving_replica_bytes, before.general_model_bytes);
 
   const std::size_t num_users = 16;
   for (std::size_t u = 0; u < num_users; ++u) {
@@ -281,7 +278,6 @@ TEST(ShardedServing, MemoryAuditPerUserCostIsBytesPlusDeltas) {
   EXPECT_EQ(active.user_model_bytes, 0u);
   // Fixed costs did not move with population.
   EXPECT_EQ(active.general_model_bytes, before.general_model_bytes);
-  EXPECT_EQ(active.serving_replica_bytes, before.serving_replica_bytes);
   // And the per-user variable cost is a small fraction of one model.
   const std::size_t per_user =
       (active.profile_bytes + active.slot_bytes + active.buffer_bytes) /
@@ -319,9 +315,14 @@ TEST(ShardedServing, MemoryAuditChargesServingTables) {
   auto system = SemanticEdgeSystem::build(config);
   const MemoryFootprint before = system->memory_footprint();
   EXPECT_GT(before.serving_table_bytes, 0u);
-  EXPECT_EQ(before.total(),
-            before.general_model_bytes + before.serving_replica_bytes +
-                before.serving_table_bytes + before.topology_bytes);
+  EXPECT_EQ(before.total(), before.general_model_bytes +
+                                before.serving_table_bytes +
+                                before.topology_bytes);
+  // Nor do the fixed costs grow with the worker count: lanes on a pool
+  // share the tables and the generals behind them.
+  SystemConfig pooled = config;
+  pooled.num_threads = 4;
+  EXPECT_EQ(SemanticEdgeSystem::build(pooled)->memory_footprint(), before);
 
   const std::size_t num_users = 4;
   for (std::size_t u = 0; u < num_users; ++u) {
@@ -365,6 +366,11 @@ TEST(ShardedServing, EnvShardCountAndValidation) {
             1u);
   EXPECT_EQ(delivered, 1u);
   EXPECT_EQ(sharded->stats().messages, 1u);
+  // An explicit count above the environment's cap is refused before any
+  // shard is built.
+  EXPECT_THROW(ShardedEdgeServing::build(sharded_config(11, 0),
+                                         kMaxEnvShards + 1),
+               semcache::Error);
 }
 
 TEST(ShardedServing, ThrowingCompletionLeavesTheQueueEmpty) {

@@ -1,8 +1,8 @@
 // common::ThreadPool contract tests: full index coverage, determinism of
 // results across worker counts (the property the threaded data plane's
 // bit-identity rests on), index-ordered commit equivalence, lowest-index
-// exception propagation, nested-call rejection, the caller's slot-0 share,
-// and the inline fallback.
+// exception propagation, nested-call rejection, the caller's share of a
+// fan-out, and the inline fallback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,7 +33,7 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   EXPECT_EQ(pool.worker_count(), 4u);
   const std::size_t n = 1000;
   std::vector<std::atomic<int>> hits(n);
-  pool.parallel_for(n, [&](std::size_t i, std::size_t) {
+  pool.parallel_for(n, [&](std::size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (std::size_t i = 0; i < n; ++i) {
@@ -55,8 +55,7 @@ TEST(ThreadPool, ResultsBitIdenticalAcrossWorkerCounts) {
   for (const std::size_t workers : {0u, 1u, 2u, 4u, 7u}) {
     ThreadPool pool(workers);
     std::vector<std::uint64_t> out(n, 0);
-    pool.parallel_for(n,
-                      [&](std::size_t i, std::size_t) { out[i] = value_for(i); });
+    pool.parallel_for(n, [&](std::size_t i) { out[i] = value_for(i); });
     EXPECT_EQ(out, reference) << workers << " workers";
     std::uint64_t committed = 0;
     for (std::size_t i = 0; i < n; ++i) committed += out[i];
@@ -64,53 +63,34 @@ TEST(ThreadPool, ResultsBitIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(ThreadPool, WorkerSlotsStayInRange) {
-  for (const std::size_t workers : {0u, 1u, 3u}) {
-    ThreadPool pool(workers);
-    const std::size_t slot_limit = std::max<std::size_t>(1, workers);
-    std::vector<std::size_t> slot_of(64, slot_limit);
-    pool.parallel_for(slot_of.size(), [&](std::size_t i, std::size_t slot) {
-      slot_of[i] = slot;
-    });
-    for (std::size_t i = 0; i < slot_of.size(); ++i) {
-      EXPECT_LT(slot_of[i], slot_limit) << "index " << i;
-    }
-  }
-}
-
-TEST(ThreadPool, CallerRunsOneBodyAsSlotZero) {
+TEST(ThreadPool, CallerRunsOneBody) {
   // N bodies that each wait until all N run need N threads at once: the
-  // N - 1 spawned workers and the caller, which takes its share as slot 0
-  // before it waits.
+  // N - 1 spawned workers and the caller, which takes its share before it
+  // waits. So the N bodies ran on N distinct threads, the caller among
+  // them.
   constexpr std::size_t kWorkers = 4;
   ThreadPool pool(kWorkers);
   const std::thread::id caller = std::this_thread::get_id();
   std::latch all_running(kWorkers);
   std::vector<std::thread::id> ran_on(kWorkers);
-  std::vector<std::size_t> slot_of(kWorkers);
-  pool.parallel_for(kWorkers, [&](std::size_t i, std::size_t slot) {
+  pool.parallel_for(kWorkers, [&](std::size_t i) {
     ran_on[i] = std::this_thread::get_id();
-    slot_of[i] = slot;
     all_running.arrive_and_wait();
   });
-  ASSERT_EQ(std::count(ran_on.begin(), ran_on.end(), caller), 1);
-  for (std::size_t i = 0; i < kWorkers; ++i) {
-    EXPECT_EQ(slot_of[i] == 0, ran_on[i] == caller) << "index " << i;
-  }
-  std::sort(slot_of.begin(), slot_of.end());
-  EXPECT_EQ(slot_of, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(std::count(ran_on.begin(), ran_on.end(), caller), 1);
+  std::sort(ran_on.begin(), ran_on.end());
+  EXPECT_EQ(std::unique(ran_on.begin(), ran_on.end()), ran_on.end());
   EXPECT_FALSE(ThreadPool::on_worker_thread());
 }
 
 TEST(ThreadPool, InlineFallbackRunsOnCallerThread) {
-  // 0 workers: no threads exist, so the body must run on the caller with
-  // worker_slot 0 — the num_threads = 0 "compiles out to sequential" path.
+  // 0 workers: no threads exist, so the body must run on the caller —
+  // the num_threads = 0 "compiles out to sequential" path.
   ThreadPool pool(0);
   EXPECT_EQ(pool.worker_count(), 0u);
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> ran_on(16);
-  pool.parallel_for(ran_on.size(), [&](std::size_t i, std::size_t slot) {
-    EXPECT_EQ(slot, 0u);
+  pool.parallel_for(ran_on.size(), [&](std::size_t i) {
     ran_on[i] = std::this_thread::get_id();
   });
   for (const auto& id : ran_on) EXPECT_EQ(id, caller);
@@ -122,13 +102,12 @@ TEST(ThreadPool, SingleIndexRunsInlineEvenWithWorkers) {
   ThreadPool pool(2);
   const std::thread::id caller = std::this_thread::get_id();
   std::thread::id ran_on;
-  pool.parallel_for(1, [&](std::size_t i, std::size_t slot) {
+  pool.parallel_for(1, [&](std::size_t i) {
     EXPECT_EQ(i, 0u);
-    EXPECT_EQ(slot, 0u);
     ran_on = std::this_thread::get_id();
   });
   EXPECT_EQ(ran_on, caller);
-  pool.parallel_for(0, [&](std::size_t, std::size_t) { FAIL(); });
+  pool.parallel_for(0, [&](std::size_t) { FAIL(); });
 }
 
 TEST(ThreadPool, LowestIndexExceptionWinsAndPoolSurvives) {
@@ -137,7 +116,7 @@ TEST(ThreadPool, LowestIndexExceptionWinsAndPoolSurvives) {
   for (int round = 0; round < 3; ++round) {  // pool stays usable after throws
     std::vector<std::atomic<int>> ran(n);
     try {
-      pool.parallel_for(n, [&](std::size_t i, std::size_t) {
+      pool.parallel_for(n, [&](std::size_t i) {
         ran[i].fetch_add(1, std::memory_order_relaxed);
         if (i == 7 || i == 3 || i == 50) {
           throw std::runtime_error("index " + std::to_string(i));
@@ -152,7 +131,7 @@ TEST(ThreadPool, LowestIndexExceptionWinsAndPoolSurvives) {
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(ran[i].load(), 1);
   }
   std::atomic<int> after{0};
-  pool.parallel_for(8, [&](std::size_t, std::size_t) { ++after; });
+  pool.parallel_for(8, [&](std::size_t) { ++after; });
   EXPECT_EQ(after.load(), 8);
 }
 
@@ -160,10 +139,10 @@ TEST(ThreadPool, NestedFanOutFromWorkerIsRejected) {
   ThreadPool outer(2);
   ThreadPool inner(2);
   std::atomic<int> rejected{0};
-  outer.parallel_for(8, [&](std::size_t, std::size_t) {
+  outer.parallel_for(8, [&](std::size_t) {
     EXPECT_TRUE(ThreadPool::on_worker_thread());
     try {
-      inner.parallel_for(4, [](std::size_t, std::size_t) {});
+      inner.parallel_for(4, [](std::size_t) {});
     } catch (const Error&) {
       rejected.fetch_add(1, std::memory_order_relaxed);
     }
@@ -172,7 +151,7 @@ TEST(ThreadPool, NestedFanOutFromWorkerIsRejected) {
   EXPECT_FALSE(ThreadPool::on_worker_thread());
   // A top-level call on the inner pool still works afterwards.
   std::atomic<int> ok{0};
-  inner.parallel_for(4, [&](std::size_t, std::size_t) { ++ok; });
+  inner.parallel_for(4, [&](std::size_t) { ++ok; });
   EXPECT_EQ(ok.load(), 4);
 }
 

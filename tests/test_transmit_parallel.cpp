@@ -228,9 +228,9 @@ TEST_F(TransmitParallelTest, SingleMessageRunsInlineAndMatches) {
 }
 
 TEST(TransmitParallelForeignPool, TransmitFromAnotherPoolsWorkersMatches) {
-  // A num_threads = 0 system holds one serving replica per domain, and its
-  // lanes run on slot 0 whichever thread calls it: here every slot of an
-  // unrelated pool, the caller's slot 0 included. Each body's report must
+  // A num_threads = 0 system serves its lanes on whichever thread calls
+  // it: here every thread of an unrelated pool, its caller included, each
+  // with its own thread-local serving scratch. Each body's report must
   // equal the same message served from the main thread on a twin system,
   // in the order the bodies took the system.
   unsetenv("SEMCACHE_THREADS");
@@ -250,11 +250,11 @@ TEST(TransmitParallelForeignPool, TransmitFromAnotherPoolsWorkersMatches) {
   }
 
   common::ThreadPool pool(kBodies);
-  std::latch all_running(kBodies);  // one body per pool slot
+  std::latch all_running(kBodies);  // one body per pool thread
   std::mutex system_mu;
   std::vector<std::size_t> order;
   std::vector<TransmitReport> reports(kBodies);
-  pool.parallel_for(kBodies, [&](std::size_t i, std::size_t) {
+  pool.parallel_for(kBodies, [&](std::size_t i) {
     all_running.arrive_and_wait();
     const std::lock_guard<std::mutex> lock(system_mu);
     order.push_back(i);
