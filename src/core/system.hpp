@@ -82,19 +82,6 @@ struct SystemConfig {
   /// the sender (bytes + latency charged on the backbone).
   bool decoder_copy_enabled = true;
 
-  /// Serving-path shortcut enabled by the §II-C replica design: when the
-  /// payload survived the channel bit-intact AND the sender's decoder copy
-  /// is at the same sync version as the receiver replica (so their weights
-  /// are byte-identical by the sync protocol's invariant), the receiver's
-  /// logits ARE the decoder-copy logits — the mismatch (③) is computed
-  /// from them directly, skipping a decoder forward per message. Every
-  /// other message takes the chunk's one batched decoder-copy pass. Off
-  /// sends every message through that pass: the reference the
-  /// MismatchReuse tests compare against. Results are bit-identical
-  /// either way. It applies to materialized senders only: an aliased
-  /// sender's mismatch reads the serving table either way.
-  bool mismatch_reuse = true;
-
   /// Deterministic fault injection (core::FaultPlane): sync-message loss /
   /// corruption / duplication with retry + exponential backoff, link
   /// outage flapping, and dispatcher shard stalls. Every coin is keyed by

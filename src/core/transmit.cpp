@@ -32,17 +32,25 @@
 // sender builds its payloads and its mismatch from the table; an aliased
 // receiver decodes by lookup, and the table runs only the
 // channel-corrupted positions through the general's read-only decoder
-// pass. A materialized end runs its own network. The choice is made per
-// chunk and per end, because a fine-tune in the middle of a group
-// materializes the sender's slot. The tables return the network's bits
-// (test_serving_table), so the choice never changes a result.
+// pass. A materialized end runs its own network: a fine-tuned sender
+// encodes the chunk and runs its decoder copy once over the chunk's clean
+// payloads for the mismatch (③), and a materialized receiver decodes what
+// arrived through its replica. The choice is made per chunk and per end,
+// because a fine-tune in the middle of a group materializes the sender's
+// slot. The tables return the network's bits (test_serving_table), so the
+// choice never changes a result.
+//
+// A fine-tune (④) trains the sender slot's own model in place. Its
+// decoder copy then steps back to the pre-update snapshot and applies the
+// lossy sync delta, exactly as the receiver's replica will.
 //
 // Threads parallelize one thing: the sender lanes of a wave. Every
-// mutable serving object — user-model slot, transaction buffer, fine-tune
-// scratch, decoder replica — is keyed by (sending user, domain), so pairs
-// with distinct senders own disjoint state and their compute phases run
-// concurrently on the system pool (SystemConfig::num_threads > 0), the
-// calling thread taking lanes too. A lane writes only state its sender
+// mutable serving object — user-model slot (which the fine-tune trains),
+// transaction buffer, decoder replica — is keyed by (sending user,
+// domain), so pairs with distinct senders own disjoint state and their
+// compute phases run concurrently on the system pool
+// (SystemConfig::num_threads > 0), the calling thread taking lanes too.
+// A lane writes only state its sender
 // owns and thread-local scratch; the serving tables and the frozen
 // generals behind them are read-only and shared by every lane. What
 // the pairs DO share is routed around the fan-out: the selector, LRU
@@ -57,7 +65,6 @@
 #include "core/system.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/check.hpp"
 #include "common/grouping.hpp"
@@ -116,32 +123,26 @@ void SemanticEdgeSystem::run_update(PairTask& task, std::size_t domain,
   // the user develops state of their own.
   materialize_slot(sslot, domain);
 
-  // Fine-tune a scratch clone on the buffered transactions (§II-D: the
-  // user-specialized encoder and decoder "start to be trained together
+  // Fine-tune the slot's own model on the buffered transactions (§II-D:
+  // the user-specialized encoder and decoder "start to be trained together
   // after enough collected data at b^m").
-  auto scratch = sslot.model->clone();
+  nn::ParameterSet sdec = sslot.model->decoder().parameters();
+  const std::vector<float> before = sdec.flatten_values();
   Rng ft_rng = rng_.fork(0xF17E ^ (sslot.send_version + 1));
-  semantic::CodecTrainer::finetune(*scratch, sslot.buffer->samples(),
+  semantic::CodecTrainer::finetune(*sslot.model, sslot.buffer->samples(),
                                    config_.finetune_epochs,
                                    config_.finetune_lr, ft_rng,
                                    config_.pretrain.feature_noise,
                                    config_.finetune_batch_size);
 
-  // Build the decoder sync message from pre/post snapshots.
-  const std::vector<float> before =
-      sslot.model->decoder().parameters().flatten_values();
-  const std::vector<float> after =
-      scratch->decoder().parameters().flatten_values();
-  fl::SyncMessage msg = synchronizer_->make_message(
-      before, after, sender, static_cast<std::uint32_t>(domain),
-      ++sslot.send_version);
-
-  // Encoder adopts the exact fine-tuned weights (it lives only at the
-  // sender edge); the decoder COPY applies the same lossy delta the
+  // The decoder sync message carries the lossy pre/post delta. The encoder
+  // keeps its fine-tuned weights (it lives only at the sender edge); the
+  // decoder COPY steps back to its snapshot and applies the same delta the
   // receiver will apply, so the replicas stay bit-identical.
-  nn::ParameterSet senc = sslot.model->encoder().parameters();
-  senc.copy_values_from(scratch->encoder().parameters());
-  nn::ParameterSet sdec = sslot.model->decoder().parameters();
+  fl::SyncMessage msg = synchronizer_->make_message(
+      before, sdec.flatten_values(), sender,
+      static_cast<std::uint32_t>(domain), ++sslot.send_version);
+  sdec.unflatten_values(before);
   synchronizer_->apply(sdec, msg);
   sslot.buffer->consume();
 
@@ -157,8 +158,7 @@ void SemanticEdgeSystem::run_update(PairTask& task, std::size_t domain,
   // state this pair owns, so the apply runs in place; cross-edge the
   // backbone send mutates link/simulator state, so it queues for the
   // wave's ordered commit phase.
-  std::vector<float> snapshot =
-      sslot.model->decoder().parameters().flatten_values();
+  std::vector<float> snapshot = sdec.flatten_values();
   if (task.sstate->index() == task.rstate->index()) {
     apply_sync_at_receiver(*task.rstate, sender, domain, msg, snapshot,
                            task.stats_delta);
@@ -389,7 +389,6 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
   std::vector<TransmitReport>& reports = task.reports;
   const std::size_t length = config_.codec.sentence_length;
   const std::size_t vocab = config_.codec.meaning_vocab;
-  const std::size_t dims = config_.codec.feature_dim;
   const semantic::ServingTable& table = serving_tables_[m];
 
   const std::size_t block = length * vocab;  // one message's logits
@@ -397,8 +396,6 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
   std::vector<BitVec> payloads;
   std::vector<BitVec> received;
   std::vector<std::int32_t> decoded;
-  std::vector<std::size_t> copy_rows;  // chunk rows the decoder copy decodes
-  tensor::Tensor copy_features;        // their feature rows, gathered
 
   std::size_t pos = 0;
   while (pos < indices.size()) {
@@ -421,10 +418,6 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
     const bool receiver_frozen = !rslot.owns_model;
 
     // ---- One batched pass over the chunk: payloads. ----
-    // A materialized sender's features stay valid until its encoder's next
-    // encode, which happens only after this chunk (the decoder-copy pass
-    // gathers its rows from them).
-    const tensor::Tensor* features = nullptr;
     if (sender_frozen) {
       payloads.resize(chunk);
       for (std::size_t j = 0; j < chunk; ++j) {
@@ -438,8 +431,8 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
         surfaces.insert(surfaces.end(), message.surface.begin(),
                         message.surface.end());
       }
-      features = &sslot.model->encoder().encode_batch(surfaces, chunk);
-      payloads = quantizer_->quantize_batch(*features);
+      payloads = quantizer_->quantize_batch(
+          sslot.model->encoder().encode_batch(surfaces, chunk));
     }
 
     if (task.cross_edge) {
@@ -464,42 +457,30 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
 
     // ---- Receiver decode. A frozen receiver looks up every position whose
     // code the table holds, and the table decodes the channel-corrupted
-    // ones itself. A materialized receiver keeps its logits alive past the
-    // argmax: the mismatch reads each message's rows out of them in
-    // place. ----
-    const tensor::Tensor* rx_logits = nullptr;
+    // ones itself; a materialized receiver runs its replica. ----
     if (receiver_frozen) {
       table.decode(arrived, decoded);
     } else {
-      rx_logits = &rslot.model->decoder().decode_logits_batch(
+      decoded = rslot.model->decoder().decode(
           quantizer_->dequantize_batch(arrived));
-      decoded = tensor::row_argmax(*rx_logits);
     }
 
     // --- Mismatch calculation (③). With the decoder copy the sender
     // evaluates its own clean quantized features locally; without it, the
     // receiver must return its decoded output ("sending the output back
-    // would defeat the purpose", §II-C).
-    //
-    // A frozen sender's decoder copy is the general, so its mismatch reads
-    // the table's probability rows. A materialized sender's decoder-copy
-    // logits come from one of two sources. Replicas at the same sync
-    // version are byte-identical, so for a message whose payload crossed
-    // the channel intact the receiver logits already ARE the decoder-copy
-    // logits (mismatch_reuse). Every other row — a corrupted payload,
-    // out-of-sync replicas, a frozen receiver (which computed no logits),
-    // or any row at all with mismatch_reuse off — joins one batched
-    // decoder-copy pass over its clean feature row below. Batched rows
-    // equal single rows, so the split never changes a bit.
-    const bool replicas_synced =
-        &sslot == &rslot ||
-        sslot.send_version == rslot.recv_version.current();
-    const bool reuse =
-        config_.mismatch_reuse && replicas_synced && rx_logits != nullptr;
+    // would defeat the purpose", §II-C). A frozen sender's decoder copy is
+    // the general, so its mismatch reads the table's probability rows. A
+    // materialized sender runs its decoder copy once over the chunk's
+    // clean payloads, after the receiver's decode: intra-edge the two are
+    // one decoder. ---
+    const tensor::Tensor* copy_logits = nullptr;
+    if (config_.decoder_copy_enabled && !sender_frozen) {
+      copy_logits = &sslot.model->decoder().decode_logits_batch(
+          quantizer_->dequantize_batch(payloads));
+    }
 
-    // ---- Per-message outcome assembly: report fields and the mismatch
-    // of every row the table or the receiver logits serve. ----
-    copy_rows.clear();
+    // ---- Per-message outcome, in arrival order within the chunk: report
+    // fields, mismatch, buffer adds, stats. ----
     for (std::size_t j = 0; j < chunk; ++j) {
       const std::size_t idx = indices[pos + j];
       const text::Sentence& message = messages[idx];
@@ -524,41 +505,12 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
         report.mismatch = 1.0 - report.token_accuracy;
       } else if (sender_frozen) {
         report.mismatch = table.mismatch(message.surface, message.meanings);
-      } else if (reuse && arrived[j] == payloads[j]) {
-        report.mismatch = tensor::mean_cross_entropy(
-            rx_logits->flat().subspan(j * block, block), vocab,
-            message.meanings);
       } else {
-        copy_rows.push_back(j);
+        report.mismatch = tensor::mean_cross_entropy(
+            copy_logits->flat().subspan(j * block, block), vocab,
+            message.meanings);
       }
-    }
 
-    // ---- The decoder-copy pass (materialized senders only), after the
-    // last rx_logits read: intra-edge, sslot and rslot are one slot whose
-    // decoder's next forward overwrites the buffer rx_logits refers to. ----
-    if (!copy_rows.empty()) {
-      copy_features.resize({copy_rows.size(), dims});
-      for (std::size_t k = 0; k < copy_rows.size(); ++k) {
-        std::memcpy(copy_features.data() + k * dims,
-                    features->data() + copy_rows[k] * dims,
-                    dims * sizeof(float));
-      }
-      const tensor::Tensor& copy_logits =
-          sslot.model->decoder().decode_logits_batch(
-              quantizer_->roundtrip_batch(copy_features));
-      for (std::size_t k = 0; k < copy_rows.size(); ++k) {
-        const std::size_t idx = indices[pos + copy_rows[k]];
-        reports[idx].mismatch = tensor::mean_cross_entropy(
-            copy_logits.flat().subspan(k * block, block), vocab,
-            messages[idx].meanings);
-      }
-    }
-
-    // ---- Commit, in arrival order within the chunk: buffers, stats. ----
-    for (std::size_t j = 0; j < chunk; ++j) {
-      const std::size_t idx = indices[pos + j];
-      const text::Sentence& message = messages[idx];
-      const TransmitReport& report = reports[idx];
       if (sslot.buffer != nullptr) {
         sslot.buffer->add({message.surface, message.meanings},
                           report.mismatch);

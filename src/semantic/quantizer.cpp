@@ -88,22 +88,6 @@ tensor::Tensor FeatureQuantizer::dequantize_batch(
   return out;
 }
 
-tensor::Tensor FeatureQuantizer::roundtrip_batch(
-    const tensor::Tensor& features) const {
-  SEMCACHE_CHECK(features.rank() == 2 && features.dim(1) == dims_,
-                 "quantizer: batch must be (N x " + std::to_string(dims_) +
-                     "), got " + features.shape_string());
-  tensor::Tensor out({features.dim(0), dims_});
-  BitVec bits;
-  bits.reserve(total_bits());
-  for (std::size_t r = 0; r < features.dim(0); ++r) {
-    bits.clear();
-    quantize_row(features.data() + r * dims_, bits);
-    dequantize_dims(bits, 0, dims_, out.data() + r * dims_);
-  }
-  return out;
-}
-
 double FeatureQuantizer::max_error() const {
   return 1.0 / static_cast<double>(levels_ - 1);
 }

@@ -35,9 +35,10 @@ class FeatureQuantizer {
   /// (N x dims) features -> N payloads; payload i == quantize(row i).
   std::vector<BitVec> quantize_batch(const tensor::Tensor& features) const;
   /// N payloads -> (N x dims) reconstructions; row i == dequantize(bits i).
+  /// Over a chunk's clean payloads, dequantize_batch(quantize_batch(f)) is
+  /// roundtrip() row by row: what a fine-tuned sender's decoder copy
+  /// decodes to measure the mismatch.
   tensor::Tensor dequantize_batch(const std::vector<BitVec>& payloads) const;
-  /// Row-wise quantize-then-dequantize of an (N x dims) feature batch.
-  tensor::Tensor roundtrip_batch(const tensor::Tensor& features) const;
   /// Dequantize `count` dims whose levels start at bit `pos` of `bits` into
   /// `out`: the values dequantize writes for those dims, so one codec
   /// position's dims can be read on their own. The caller keeps

@@ -272,7 +272,7 @@ TEST_P(QuantizerBatchSweep, RoundtripBatchMatchesSinglesWithinMaxError) {
   const unsigned bits = GetParam();
   const FeatureQuantizer q(kDims, bits);
   const tensor::Tensor f = mixed_batch(70 + bits);
-  const tensor::Tensor restored = q.roundtrip_batch(f);
+  const tensor::Tensor restored = q.dequantize_batch(q.quantize_batch(f));
   ASSERT_EQ(restored.shape(), f.shape());
   for (std::size_t r = 0; r < kRows; ++r) {
     const tensor::Tensor single = q.roundtrip(row_of(f, r));
@@ -292,7 +292,7 @@ TEST_P(QuantizerBatchSweep, RoundtripBatchMatchesSinglesWithinMaxError) {
 TEST(QuantizerBatch, RejectsBadShapes) {
   const FeatureQuantizer q(4, 8);
   EXPECT_THROW(q.quantize_batch(tensor::Tensor({2, 3})), Error);
-  EXPECT_THROW(q.roundtrip_batch(tensor::Tensor({8})), Error);
+  EXPECT_THROW(q.quantize_batch(tensor::Tensor({8})), Error);
   EXPECT_THROW(q.dequantize_batch({}), Error);
   EXPECT_THROW(q.dequantize_batch({BitVec(31, 0)}), Error);
 }

@@ -177,8 +177,8 @@ TEST_P(ServingTableTest, MismatchEqualsTheCrossEntropyOfTheNetwork) {
   std::vector<std::int32_t> meanings;
   for (int trial = 0; trial < 50; ++trial) {
     random_sentence(c, rng, surface, meanings);
-    const tensor::Tensor clean =
-        quantizer_.roundtrip_batch(codec_.encoder().encode_batch(surface, 1));
+    const tensor::Tensor clean = quantizer_.dequantize_batch(
+        quantizer_.quantize_batch(codec_.encoder().encode_batch(surface, 1)));
     const tensor::Tensor& logits = codec_.decoder().decode_logits_batch(clean);
     const double expected = tensor::mean_cross_entropy(
         logits.flat(), c.meaning_vocab, meanings);
@@ -272,7 +272,7 @@ TEST(ServingTableSystem, IntraEdgeWaveEqualsTheGeneralModels) {
               general.decoder().decode(quantizer.dequantize_batch(payload)))
         << "message " << i;
     const tensor::Tensor& logits = general.decoder().decode_logits_batch(
-        quantizer.roundtrip_batch(features));
+        quantizer.dequantize_batch(quantizer.quantize_batch(features)));
     EXPECT_EQ(r.mismatch, tensor::mean_cross_entropy(logits.flat(), vocab,
                                                      messages[i].meanings))
         << "message " << i;

@@ -9,14 +9,16 @@
 // match — the batched path is a pure kernel-amortization of the sequential
 // one, never a semantic change. Covers the N = 1 bit-identity case,
 // updates firing mid-batch (chunk splitting), mixed-domain batches
-// (grouping), the intra-edge no-channel path, and a chunk whose
-// decoder-copy pass takes a strict subset of its rows.
+// (grouping), the intra-edge no-channel path, and chunks whose payloads
+// arrive corrupted, all or some. A fine-tuned sender's mismatch is also
+// checked against an independent clone of its decoder copy.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "channel/burst.hpp"
 #include "core/system.hpp"
+#include "tensor/ops.hpp"
 #include "test_util.hpp"
 
 namespace semcache::core {
@@ -183,83 +185,96 @@ TEST_F(TransmitBatchTest, IntraEdgeBatchSkipsChannelAndMatches) {
   EXPECT_EQ(seq_report, bat_report) << "intra-edge single";
 }
 
-TEST(MismatchReuse, FastPathBitIdenticalToFullDecoderCopyPass) {
-  // The §II-C fast path (receiver logits reused as decoder-copy logits
-  // when the payload crossed intact and the replicas are at the same sync
-  // version) must be a pure shortcut: a system with mismatch_reuse
-  // disabled computes every mismatch through the full decoder-copy
-  // forward, and all reports — mismatch doubles included — must agree
-  // exactly, across fine-tune updates and on the intra-edge path.
-  SystemConfig on_cfg = twin_config();
-  SystemConfig off_cfg = twin_config();
-  off_cfg.mismatch_reuse = false;
-  auto with_reuse = SemanticEdgeSystem::build(on_cfg);
-  auto without_reuse = SemanticEdgeSystem::build(off_cfg);
-  for (auto* system : {with_reuse.get(), without_reuse.get()}) {
-    system->register_user("a", 0, nullptr);
-    system->register_user("b", 1, nullptr);
-    system->register_user("c", 0, nullptr);
+TEST(DecoderCopy, FineTunedSenderMismatchEqualsAnIndependentCopy) {
+  // The sender's decoder copy (§II-C) measures each message's mismatch on
+  // the clean quantized features, whatever the channel did to the payload.
+  // Fine-tune one cross-edge sender once, clone its model, then serve fewer
+  // messages than the trigger over a hostile channel (uncoded, 0 dB): every
+  // mismatch must equal the clone's cross-entropy on the clean payload.
+  SystemConfig config = twin_config();
+  config.oracle_selection = true;  // every message trains domain 0's slot
+  config.buffer_trigger = 12;
+  config.channel.code = "uncoded";
+  config.channel.snr_db = 0.0;
+  auto system = SemanticEdgeSystem::build(config);
+  system->register_user("a", 0, nullptr);
+  system->register_user("b", 1, nullptr);
+  const auto serve = [&](const std::vector<text::Sentence>& messages) {
+    std::vector<TransmitReport> reports(messages.size());
+    system->transmit_pairs(
+        {{"a", "b", messages}},
+        [&reports](std::size_t, std::size_t i, TransmitReport r) {
+          reports[i] = std::move(r);
+        });
+    system->simulator().run();
+    return reports;
+  };
+  const auto sample = [&](std::size_t n) {
+    std::vector<text::Sentence> messages;
+    for (std::size_t i = 0; i < n; ++i) {
+      messages.push_back(system->sample_message("a", 0));
+    }
+    return messages;
+  };
+
+  serve(sample(config.buffer_trigger));
+  ASSERT_EQ(system->stats().updates, 1u);
+  const UserModelSlot* slot = system->edge_state(0).find_slot("a", 0);
+  ASSERT_NE(slot, nullptr);
+  ASSERT_TRUE(slot->owns_model);
+  const auto ref = slot->model->clone();
+
+  const std::vector<text::Sentence> messages =
+      sample(config.buffer_trigger - 1);
+  const std::vector<TransmitReport> reports = serve(messages);
+  ASSERT_EQ(system->stats().updates, 1u);
+  const semantic::FeatureQuantizer& q = system->quantizer();
+  const std::size_t vocab = system->config().codec.meaning_vocab;
+  bool saw_inexact = false;
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const tensor::Tensor& logits = ref->decoder().decode_logits_batch(
+        q.dequantize_batch(q.quantize_batch(
+            ref->encoder().encode_batch(messages[i].surface, 1))));
+    EXPECT_EQ(reports[i].mismatch,
+              tensor::mean_cross_entropy(logits.flat(), vocab,
+                                         messages[i].meanings))
+        << "message " << i;
+    saw_inexact = saw_inexact || !reports[i].exact;
   }
-  for (int k = 0; k < 10; ++k) {
-    const std::string receiver = (k % 3 == 2) ? "c" : "b";  // mix in intra-edge
-    const auto msg_on = with_reuse->sample_message("a", 0);
-    const auto msg_off = without_reuse->sample_message("a", 0);
-    ASSERT_EQ(msg_on.surface, msg_off.surface);
-    const TransmitReport r_on = with_reuse->transmit("a", receiver, msg_on);
-    const TransmitReport r_off =
-        without_reuse->transmit("a", receiver, msg_off);
-    EXPECT_EQ(r_off, r_on) << "message " << k;
-  }
-  EXPECT_GT(with_reuse->stats().updates, 0u);  // fine-tunes exercised
+  EXPECT_TRUE(saw_inexact);  // the channel corrupted what the copy ignores
 }
 
-TEST(MismatchReuseNoisy, CorruptedPayloadFallbackBitIdenticalAcrossPaths) {
-  // Force the channel-corrupted fallback: uncoded at 0 dB flips ~8% of
-  // payload bits, so essentially every message arrives corrupted
-  // (P(all clean) < e^-50 for this run) and the reuse path must send its
-  // rows through the chunk's batched decoder-copy pass instead of reading
-  // the receiver logits.
-  // Three lockstep systems pin both contracts at once: the batched path
-  // equals the sequential path, and the reuse fallback equals the full
-  // decoder-copy pass, bit-exactly, with fine-tune updates firing on
-  // garbage-mismatch buffers along the way.
+TEST(DecoderCopyNoisy, CorruptedPayloadsBatchedMatchesSequential) {
+  // Uncoded at 0 dB flips ~8% of payload bits, so essentially every
+  // message arrives corrupted (P(all clean) < e^-50 for this run). The
+  // batched path must still equal the sequential one bit-exactly, with
+  // fine-tune updates firing on garbage-mismatch buffers along the way.
   SystemConfig noisy = twin_config();
   noisy.channel.code = "uncoded";
   noisy.channel.snr_db = 0.0;
-  SystemConfig noisy_off = noisy;
-  noisy_off.mismatch_reuse = false;
   auto seq = SemanticEdgeSystem::build(noisy);
   auto bat = SemanticEdgeSystem::build(noisy);
-  auto full = SemanticEdgeSystem::build(noisy_off);
-  for (auto* system : {seq.get(), bat.get(), full.get()}) {
+  for (auto* system : {seq.get(), bat.get()}) {
     system->register_user("a", 0, nullptr);
     system->register_user("b", 1, nullptr);
   }
 
   const std::size_t n = 7;  // crosses the trigger: updates fire mid-batch
-  std::vector<text::Sentence> msgs_seq, msgs_bat, msgs_full;
+  std::vector<text::Sentence> msgs_seq, msgs_bat;
   for (std::size_t i = 0; i < n; ++i) {
     msgs_seq.push_back(seq->sample_message("a", 0));
     msgs_bat.push_back(bat->sample_message("a", 0));
-    msgs_full.push_back(full->sample_message("a", 0));
     ASSERT_EQ(msgs_seq.back().surface, msgs_bat.back().surface);
-    ASSERT_EQ(msgs_seq.back().surface, msgs_full.back().surface);
   }
-  std::vector<TransmitReport> r_seq(n), r_bat(n), r_full(n);
+  std::vector<TransmitReport> r_seq(n), r_bat(n);
   for (std::size_t i = 0; i < n; ++i) {
     seq->transmit_pairs(
         {{"a", "b", {msgs_seq[i]}}},
         [&r_seq, i](std::size_t, std::size_t, TransmitReport r) {
           r_seq[i] = std::move(r);
         });
-    full->transmit_pairs(
-        {{"a", "b", {msgs_full[i]}}},
-        [&r_full, i](std::size_t, std::size_t, TransmitReport r) {
-          r_full[i] = std::move(r);
-        });
   }
   seq->simulator().run();
-  full->simulator().run();
   bat->transmit_pairs({{"a", "b", std::move(msgs_bat)}},
                       [&r_bat](std::size_t, std::size_t i, TransmitReport r) {
                         r_bat[i] = std::move(r);
@@ -269,7 +284,6 @@ TEST(MismatchReuseNoisy, CorruptedPayloadFallbackBitIdenticalAcrossPaths) {
   bool saw_decode_error = false;
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(r_seq[i], r_bat[i]) << "batch msg " << i;
-    EXPECT_EQ(r_full[i], r_bat[i]) << "reuse-off msg " << i;
     saw_decode_error = saw_decode_error || !r_bat[i].exact;
   }
   EXPECT_EQ(seq->stats(), bat->stats());
@@ -279,14 +293,12 @@ TEST(MismatchReuseNoisy, CorruptedPayloadFallbackBitIdenticalAcrossPaths) {
   EXPECT_GT(bat->stats().updates, 0u);
 }
 
-TEST(MismatchReuseMixed, ChunkWithCleanAndCorruptedRowsMatchesEveryPath) {
-  // One chunk whose copy pass takes a strict subset of its rows. With a
-  // one-message dwell, no in-message transitions and the states 50 dB
+TEST(DecoderCopyMixed, ChunkWithCleanAndCorruptedRowsMatchesSequential) {
+  // One chunk whose payloads arrive partly intact, partly corrupted. With
+  // a one-message dwell, no in-message transitions and the states 50 dB
   // apart, each message's weather coin alone decides its fate: a good
-  // epoch (40 dB, uncoded) crosses intact and reads the receiver logits,
-  // a bad one (-10 dB) arrives corrupted and joins the decoder-copy pass.
-  // Reports and stats must equal a mismatch_reuse = false twin, which
-  // sends every row through the pass, and N one-message waves.
+  // epoch (40 dB, uncoded) crosses intact, a bad one (-10 dB) arrives
+  // corrupted. Reports and stats must equal N one-message waves.
   SystemConfig config = twin_config();
   config.seed = 5;
   config.buffer_trigger = 9;  // the first chunk is messages 0..8
@@ -298,8 +310,6 @@ TEST(MismatchReuseMixed, ChunkWithCleanAndCorruptedRowsMatchesEveryPath) {
   config.channel.burst.snr_bad_db = -10.0;
   config.channel.burst.p_good_to_bad = 0.0;
   config.channel.burst.p_bad_to_good = 0.0;
-  SystemConfig off_config = config;
-  off_config.mismatch_reuse = false;
 
   // The system keys its burst weather on its own seed (burst.seed = 0).
   channel::GilbertElliottConfig weather = config.channel.burst;
@@ -314,21 +324,18 @@ TEST(MismatchReuseMixed, ChunkWithCleanAndCorruptedRowsMatchesEveryPath) {
 
   auto seq = SemanticEdgeSystem::build(config);
   auto bat = SemanticEdgeSystem::build(config);
-  auto full = SemanticEdgeSystem::build(off_config);
-  for (auto* system : {seq.get(), bat.get(), full.get()}) {
+  for (auto* system : {seq.get(), bat.get()}) {
     system->register_user("a", 0, nullptr);
     system->register_user("b", 1, nullptr);
   }
   const std::size_t n = 20;
-  std::vector<text::Sentence> msgs_seq, msgs_bat, msgs_full;
+  std::vector<text::Sentence> msgs_seq, msgs_bat;
   for (std::size_t i = 0; i < n; ++i) {
     msgs_seq.push_back(seq->sample_message("a", 0));
     msgs_bat.push_back(bat->sample_message("a", 0));
-    msgs_full.push_back(full->sample_message("a", 0));
     ASSERT_EQ(msgs_seq.back().surface, msgs_bat.back().surface);
-    ASSERT_EQ(msgs_seq.back().surface, msgs_full.back().surface);
   }
-  std::vector<TransmitReport> r_seq(n), r_bat(n), r_full(n);
+  std::vector<TransmitReport> r_seq(n), r_bat(n);
   for (std::size_t i = 0; i < n; ++i) {
     seq->transmit_pairs(
         {{"a", "b", {msgs_seq[i]}}},
@@ -342,18 +349,11 @@ TEST(MismatchReuseMixed, ChunkWithCleanAndCorruptedRowsMatchesEveryPath) {
                         r_bat[i] = std::move(r);
                       });
   bat->simulator().run();
-  full->transmit_pairs({{"a", "b", std::move(msgs_full)}},
-                       [&r_full](std::size_t, std::size_t i, TransmitReport r) {
-                         r_full[i] = std::move(r);
-                       });
-  full->simulator().run();
 
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(r_seq[i], r_bat[i]) << "one-message waves msg " << i;
-    EXPECT_EQ(r_full[i], r_bat[i]) << "reuse-off msg " << i;
   }
   EXPECT_EQ(seq->stats(), bat->stats());
-  EXPECT_EQ(full->stats(), bat->stats());
   EXPECT_EQ(bat->stats().updates, 2u);  // at messages 8 and 17
 }
 
