@@ -15,7 +15,12 @@ double snr_db_to_linear(double snr_db) { return std::pow(10.0, snr_db / 10.0); }
 }  // namespace
 
 double noise_sigma(double snr_db) {
-  return std::sqrt(1.0 / (2.0 * snr_db_to_linear(snr_db)));
+  const double sigma = std::sqrt(1.0 / (2.0 * snr_db_to_linear(snr_db)));
+  SEMCACHE_CHECK(std::isfinite(sigma),
+                 "channel: snr_db " + std::to_string(snr_db) +
+                     " leaves no finite noise level (NaN, -inf, or so low "
+                     "that its linear power underflows)");
+  return sigma;
 }
 
 AwgnChannel::AwgnChannel(double snr_db)

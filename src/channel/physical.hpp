@@ -138,6 +138,10 @@ class ModulatedChannel final : public BitChannel {
 };
 
 /// Per-dimension noise stddev for unit-energy symbols at Es/N0 = snr_db.
+/// Throws semcache::Error when the stddev is not finite: an snr_db of NaN
+/// or -inf (or one whose linear power underflows to 0). +inf is a
+/// noiseless channel (stddev 0). The AWGN, Rayleigh and Gilbert–Elliott
+/// constructors call it, so they refuse those SNRs.
 double noise_sigma(double snr_db);
 
 /// Theoretical BPSK-over-AWGN bit error rate, Q(sqrt(2*Es/N0)). Used by the

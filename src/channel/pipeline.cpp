@@ -124,13 +124,7 @@ std::unique_ptr<ChannelPipeline> make_burst_pipeline(
 }
 
 bool resolve_soft_decision(bool configured) {
-  if (soft_forced_off()) return false;
-  const char* env = std::getenv("SEMCACHE_SOFT");
-  if (env != nullptr) {
-    const std::string v(env);
-    if (v == "on" || v == "1") return true;
-  }
-  return configured;
+  return configured && !soft_forced_off();
 }
 
 bool soft_forced_off() {

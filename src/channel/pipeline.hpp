@@ -82,8 +82,8 @@ std::unique_ptr<ChannelPipeline> make_burst_pipeline(
 
 /// Resolve the effective soft-decision flag against SEMCACHE_SOFT:
 /// "off"/"0" forces hard decisions even over an explicit configuration
-/// (the CI floor leg, mirroring SEMCACHE_SIMD=scalar), "on"/"1" forces
-/// soft, anything else (including unset) keeps `configured`.
+/// (the CI floor leg, mirroring SEMCACHE_SIMD=scalar); anything else
+/// (including unset) keeps `configured`.
 bool resolve_soft_decision(bool configured);
 /// True when SEMCACHE_SOFT force-disables soft decisions — soft-asserting
 /// tests skip themselves under the floor leg.

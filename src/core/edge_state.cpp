@@ -5,11 +5,10 @@
 namespace semcache::core {
 
 EdgeServerState::EdgeServerState(std::size_t index, edge::NodeId node,
-                                 std::size_t cache_capacity_bytes,
-                                 const std::string& cache_policy)
+                                 std::size_t cache_capacity_bytes)
     : index_(index),
       node_(node),
-      cache_(cache_capacity_bytes, cache::make_policy(cache_policy)) {}
+      cache_(cache_capacity_bytes, cache::make_lru_policy()) {}
 
 std::string EdgeServerState::slot_key(const std::string& user,
                                       std::size_t domain) {

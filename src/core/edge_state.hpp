@@ -41,9 +41,9 @@ struct UserModelSlot {
 
 class EdgeServerState {
  public:
+  /// The general-model cache evicts least-recently-used entries.
   EdgeServerState(std::size_t index, edge::NodeId node,
-                  std::size_t cache_capacity_bytes,
-                  const std::string& cache_policy);
+                  std::size_t cache_capacity_bytes);
 
   std::size_t index() const { return index_; }
   edge::NodeId node() const { return node_; }

@@ -69,8 +69,7 @@ std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
     sys->pool_ = std::make_unique<common::ThreadPool>(sys->config_.num_threads);
   }
 
-  // The topology and the edge states refuse num_edges 0 and an unknown
-  // cache policy.
+  // The topology refuses num_edges 0.
   sys->build_topology();
 
   // Fault plane: validate the config once (throws on bad knobs) and wire
@@ -175,8 +174,7 @@ void SemanticEdgeSystem::build_topology() {
   next_device_slot_.assign(config_.num_edges, 0);
   for (std::size_t e = 0; e < config_.num_edges; ++e) {
     edge_states_.push_back(std::make_unique<EdgeServerState>(
-        e, topology_.edges[e], config_.cache_capacity_bytes,
-        config_.cache_policy));
+        e, topology_.edges[e], config_.cache_capacity_bytes));
   }
 }
 

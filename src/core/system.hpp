@@ -52,8 +52,8 @@ struct ChannelConfig {
   std::string medium = "awgn";
   channel::GilbertElliottConfig burst;
   /// Soft-decision (LLR) receive path. Resolved against SEMCACHE_SOFT at
-  /// build ("off" forces hard, "on" forces soft). The hard default is
-  /// bit-identical to earlier builds.
+  /// build ("off" forces hard). The hard default is bit-identical to
+  /// earlier builds.
   bool soft_decision = false;
 };
 
@@ -119,7 +119,6 @@ struct SystemConfig {
   std::size_t devices_per_edge = 4;
   edge::TopologyConfig topology;
   std::size_t cache_capacity_bytes = 8u << 20;
-  std::string cache_policy = "lru";
 
   ChannelConfig channel;
   std::uint64_t seed = 42;

@@ -2,6 +2,9 @@
 // interleaving, modulation, physical channel statistics, and the pipeline.
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "channel/burst.hpp"
 #include "channel/code.hpp"
 #include "channel/convolutional.hpp"
 #include "channel/crc.hpp"
@@ -268,6 +271,28 @@ TEST(Physical, BscZeroIsLossless) {
 TEST(Physical, BscValidatesProbability) {
   EXPECT_THROW(BscChannel(0.6), Error);
   EXPECT_THROW(BscChannel(-0.1), Error);
+}
+
+TEST(Physical, SnrMustLeaveAFiniteNoiseLevel) {
+  // A NaN or -inf SNR has no noise level: every symbol would decode from
+  // NaN. The channels refuse it at construction; +inf is noiseless.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double snr_db : {nan, -inf}) {
+    EXPECT_THROW(AwgnChannel{snr_db}, Error) << snr_db;
+    EXPECT_THROW(RayleighChannel{snr_db}, Error) << snr_db;
+    GilbertElliottConfig good;
+    good.snr_good_db = snr_db;
+    EXPECT_THROW(GilbertElliottChannel{good}, Error) << snr_db;
+    GilbertElliottConfig bad;
+    bad.snr_bad_db = snr_db;
+    EXPECT_THROW(GilbertElliottChannel{bad}, Error) << snr_db;
+  }
+  Rng rng(17);
+  auto pipe = make_awgn_pipeline(make_code("uncoded"), Modulation::kQpsk,
+                                 inf, 1);
+  const BitVec bits = random_bits(256, rng);
+  EXPECT_EQ(pipe->transmit(bits, rng), bits);
 }
 
 TEST(Pipeline, LosslessOnCleanChannel) {

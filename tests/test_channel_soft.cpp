@@ -193,11 +193,12 @@ TEST(SoftViterbi, BeatsHardSlicingAtLowSnr) {
 }
 
 TEST(SoftViterbi, EnvResolution) {
-  // resolve_soft_decision: unset keeps the configured value, on/off force.
+  // resolve_soft_decision: "off" forces hard decisions; anything else
+  // keeps the configured value.
   if (channel::soft_forced_off()) {
     EXPECT_FALSE(channel::resolve_soft_decision(true));
     EXPECT_FALSE(channel::resolve_soft_decision(false));
-  } else if (std::getenv("SEMCACHE_SOFT") == nullptr) {
+  } else {
     EXPECT_TRUE(channel::resolve_soft_decision(true));
     EXPECT_FALSE(channel::resolve_soft_decision(false));
   }

@@ -187,7 +187,10 @@ TEST(BuildValidation, RefusesBadKnobs) {
        [](SystemConfig& c) { c.channel.interleave_depth = 0; }},
       {"unknown code", [](SystemConfig& c) { c.channel.code = "turbo"; }},
       {"unknown medium", [](SystemConfig& c) { c.channel.medium = "fog"; }},
-      {"unknown cache_policy", [](SystemConfig& c) { c.cache_policy = "mru"; }},
+      {"snr_db NaN",
+       [](SystemConfig& c) {
+         c.channel.snr_db = std::numeric_limits<double>::quiet_NaN();
+       }},
       {"num_edges 0", [](SystemConfig& c) { c.num_edges = 0; }},
       {"sync_loss 2", [](SystemConfig& c) { c.faults.sync_loss = 2.0; }},
       {"unknown selector", [](SystemConfig& c) { c.selector = "oracle"; }},
