@@ -410,8 +410,10 @@ class SemanticEdgeSystem {
   /// phase folds back in pair order.
   struct PairTask;
 
-  /// Fine-tune `sslot` on its buffered transactions and build the decoder
-  /// sync; intra-edge it applies in place, cross-edge it joins the pair's
+  /// Fine-tune `sslot`'s own model on its buffered transactions and roll
+  /// its decoder copy forward by the lossy sync delta. Intra-edge the slot
+  /// is also the receiver's replica, so that apply is the receiver's and
+  /// the slot records the version; cross-edge the sync joins the pair's
   /// outbox.
   void run_update(PairTask& task, std::size_t domain, UserModelSlot& sslot,
                   TransmitReport& report);

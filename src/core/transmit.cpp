@@ -50,17 +50,16 @@
 // domain), so pairs with distinct senders own disjoint state and their
 // compute phases run concurrently on the system pool
 // (SystemConfig::num_threads > 0), the calling thread taking lanes too.
-// A lane writes only state its sender
-// owns and thread-local scratch; the serving tables and the frozen
-// generals behind them are read-only and shared by every lane. What
-// the pairs DO share is routed around the fan-out: the selector, LRU
-// caches, and slot creation run in the prepare phase; system accounting
-// collects into the pair's own sinks (the channel pipeline is a const
-// function of payload, rng and slot, so it keeps none); cross-edge
-// gradient-sync ships and delivery scheduling wait for the commit phase.
-// Inside a lane everything runs sequentially, so threads=N output is
-// bit-identical to threads=0 (test_transmit_parallel and test_serve_pairs
-// pin the matrix).
+// A lane writes only state its sender owns and thread-local scratch; the
+// serving tables and the frozen generals behind them are read-only and
+// shared by every lane. What the pairs DO share is routed around the
+// fan-out: the selector, LRU caches, and slot creation run in the prepare
+// phase; system accounting collects into the pair's own sinks (the
+// channel pipeline is a const function of payload, rng and slot, so it
+// keeps none); cross-edge gradient-sync ships and delivery scheduling wait
+// for the commit phase. Inside a lane everything runs sequentially, so
+// threads=N output is bit-identical to threads=0 (test_transmit_parallel
+// and test_serve_pairs pin the matrix).
 // A one-lane wave computes inline on the calling thread.
 #include "core/system.hpp"
 
@@ -151,22 +150,22 @@ void SemanticEdgeSystem::run_update(PairTask& task, std::size_t domain,
   task.stats_delta.sync_bytes += msg.byte_size();
   ++task.stats_delta.updates;
 
-  // Ship the gradient to the receiver edge (④). The snapshot of the
-  // sender's post-update decoder rides along for gap recovery — on the
-  // wire it would be fetched on demand, so its bytes are only charged when
-  // a resync actually happens. Intra-edge, the replica is slot-local
-  // state this pair owns, so the apply runs in place; cross-edge the
-  // backbone send mutates link/simulator state, so it queues for the
-  // wave's ordered commit phase.
-  std::vector<float> snapshot = sdec.flatten_values();
-  if (task.sstate->index() == task.rstate->index()) {
-    apply_sync_at_receiver(*task.rstate, sender, domain, msg, snapshot,
-                           task.stats_delta);
+  // Intra-edge, the sender's slot is also the receiver's replica (one slot
+  // per (sender, domain) per edge), so the apply above was the receiver's:
+  // the slot records the version and nothing ships.
+  if (!task.cross_edge) {
+    sslot.recv_version.reset(sslot.send_version);
+    ++sslot.updates_applied;
     return;
   }
+  // Cross-edge, ship the gradient to the receiver edge (④). The backbone
+  // send mutates link/simulator state, so it queues for the wave's ordered
+  // commit phase. The snapshot of the sender's post-update decoder rides
+  // along for gap recovery — on the wire it would be fetched on demand, so
+  // its bytes are only charged when a resync actually happens.
   PendingShip ship;
   ship.msg = std::move(msg);
-  ship.snapshot = std::move(snapshot);
+  ship.snapshot = sdec.flatten_values();
   ship.sender = sender;
   ship.domain = domain;
   ship.sender_edge = task.sstate->index();

@@ -357,6 +357,68 @@ TEST(DecoderCopyMixed, ChunkWithCleanAndCorruptedRowsMatchesSequential) {
   EXPECT_EQ(bat->stats().updates, 2u);  // at messages 8 and 17
 }
 
+TEST(IntraEdgeUpdate, AppliesTheDecoderDeltaOnce) {
+  // Intra-edge, the sender's slot is also the receiver's replica (one slot
+  // per (sender, domain) per edge), so an update must leave it exactly
+  // where a cross-edge update leaves the sender's copy and the remote
+  // replica. Twin systems built from one seed send the same messages from
+  // a to b through one update: b shares a's edge on one, and sits on the
+  // other edge on the other.
+  SystemConfig config = twin_config();
+  config.oracle_selection = true;  // every message trains domain 0's slot
+  auto intra = SemanticEdgeSystem::build(config);
+  auto cross = SemanticEdgeSystem::build(config);
+  intra->register_user("a", 0, nullptr);
+  intra->register_user("b", 0, nullptr);
+  cross->register_user("a", 0, nullptr);
+  cross->register_user("b", 1, nullptr);
+  std::vector<text::Sentence> messages;
+  for (std::size_t i = 0; i < config.buffer_trigger; ++i) {
+    messages.push_back(intra->sample_message("a", 0));
+    ASSERT_EQ(cross->sample_message("a", 0).surface, messages.back().surface);
+  }
+  const auto noop = [](std::size_t, std::size_t, TransmitReport) {};
+  for (auto* system : {intra.get(), cross.get()}) {
+    system->transmit_pairs({{"a", "b", messages}}, noop);
+    system->simulator().run();
+    ASSERT_EQ(system->stats().updates, 1u);
+  }
+  nn::ParameterSet slot =
+      intra->edge_state(0).find_slot("a", 0)->model->decoder().parameters();
+  nn::ParameterSet copy =
+      cross->edge_state(0).find_slot("a", 0)->model->decoder().parameters();
+  nn::ParameterSet replica =
+      cross->edge_state(1).find_slot("a", 0)->model->decoder().parameters();
+  EXPECT_TRUE(copy.values_equal(replica));
+  EXPECT_TRUE(slot.values_equal(copy));
+  EXPECT_TRUE(slot.values_equal(replica));
+  EXPECT_EQ(intra->stats().full_resyncs, 0u);
+}
+
+TEST(IntraEdgeUpdate, AfterACrossEdgeUpdateBooksNoResync) {
+  // A sender whose first update went cross-edge and whose second stays on
+  // its edge: the slot's own replica never missed a version, so nothing
+  // may be booked as a gap resync.
+  SystemConfig config = twin_config();
+  config.oracle_selection = true;
+  auto system = SemanticEdgeSystem::build(config);
+  system->register_user("a", 0, nullptr);
+  system->register_user("b", 1, nullptr);
+  system->register_user("c", 0, nullptr);
+  const auto noop = [](std::size_t, std::size_t, TransmitReport) {};
+  for (const char* receiver : {"b", "c"}) {
+    std::vector<text::Sentence> messages;
+    for (std::size_t i = 0; i < config.buffer_trigger; ++i) {
+      messages.push_back(system->sample_message("a", 0));
+    }
+    system->transmit_pairs({{"a", receiver, messages}}, noop);
+    system->simulator().run();
+  }
+  EXPECT_EQ(system->stats().updates, 2u);
+  EXPECT_EQ(system->stats().full_resyncs, 0u);
+  EXPECT_EQ(system->stats().resync_bytes, 0u);
+}
+
 TEST_F(TransmitBatchTest, ValidationErrors) {
   // Failed validation must not mutate state — these run against both twins
   // symmetrically (i.e. not at all).
