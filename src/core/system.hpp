@@ -16,7 +16,10 @@
 // (semantic/serving_table.hpp): the codes, argmaxes and probability rows
 // the frozen network computes, tabulated at build(). The table decodes
 // the positions it misses through the general's read-only row pass, so no
-// lane ever runs a shared general's training forward.
+// lane ever runs a shared general's training forward. The first
+// fine-tune gives the slot a private model, which later fine-tunes train
+// in place; its decoder copy measures each chunk's mismatch on the
+// chunk's clean payloads.
 #pragma once
 
 #include <functional>
@@ -297,7 +300,7 @@ class SemanticEdgeSystem {
   /// share the selector, the LRU caches, and the cloud links); (2) the
   /// per-pair data planes run CONCURRENTLY on the system pool, partitioned
   /// into lanes by sending user (every mutable serving object — user-model
-  /// slots, buffers, fine-tune scratch — is keyed by (sender, domain), so
+  /// slots, buffers, decoder replicas — is keyed by (sender, domain), so
   /// distinct senders touch disjoint state; system accounting collects
   /// into pair-local sinks); (3) stats merges, gradient-sync ships, and
   /// delivery-chain scheduling commit on the calling thread in pair
