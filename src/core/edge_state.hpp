@@ -29,7 +29,7 @@ namespace semcache::core {
 /// (the city-scale premise). Serving an aliased slot reads the system's
 /// per-domain serving tables, which decode the positions they miss through
 /// the shared general's read-only row pass. No lane runs the shared
-/// general's other passes: they write its internal Workspace scratch.
+/// general's other passes: they write the scratch tensors its layers hold.
 struct UserModelSlot {
   std::shared_ptr<semantic::SemanticCodec> model;
   bool owns_model = false;  ///< true once materialized (private clone)

@@ -73,28 +73,29 @@ const Tensor& Gru::forward(const Tensor& xs) {
   steps_ = t_steps;
 
   hs_.resize({t_steps, hid_});
-  Tensor& h = ws_.acquire_zeroed(kH, {1, hid_});
-  Tensor& pre = ws_.acquire(kPre, {1, hid_});
-  Tensor& rh = ws_.acquire(kRh, {1, hid_});
+  h_.resize({1, hid_});
+  h_.zero();
+  pre_.resize({1, hid_});
+  rh_.resize({1, hid_});
   for (std::size_t t = 0; t < t_steps; ++t) {
     StepCache& c = cache_[t];
     copy_row(c.x, xs, t);
-    c.h_prev = h;
+    c.h_prev = h_;
 
-    affine_into(pre, c.x, wz_.value, bz_.value);
-    matmul_acc(pre, c.h_prev, uz_.value);
-    sigmoid_into(c.z, pre);
+    affine_into(pre_, c.x, wz_.value, bz_.value);
+    matmul_acc(pre_, c.h_prev, uz_.value);
+    sigmoid_into(c.z, pre_);
 
-    affine_into(pre, c.x, wr_.value, br_.value);
-    matmul_acc(pre, c.h_prev, ur_.value);
-    sigmoid_into(c.r, pre);
+    affine_into(pre_, c.x, wr_.value, br_.value);
+    matmul_acc(pre_, c.h_prev, ur_.value);
+    sigmoid_into(c.r, pre_);
 
-    mul_into(rh, c.r, c.h_prev);
-    affine_into(pre, c.x, wh_.value, bh_.value);
-    matmul_acc(pre, rh, uh_.value);
-    tanh_into(c.h_tilde, pre);
+    mul_into(rh_, c.r, c.h_prev);
+    affine_into(pre_, c.x, wh_.value, bh_.value);
+    matmul_acc(pre_, rh_, uh_.value);
+    tanh_into(c.h_tilde, pre_);
 
-    float* ph = h.data();
+    float* ph = h_.data();
     float* hs_row = hs_.data() + t * hid_;
     const float* pz = c.z.data();
     const float* pp = c.h_prev.data();
@@ -114,72 +115,73 @@ const Tensor& Gru::backward(const Tensor& grad_hs) {
                  "gru: grad_hs must be (T x hidden_dim) matching forward");
   const std::size_t t_steps = steps_;
   dxs_.resize({t_steps, in_});
-  Tensor& dh_next = ws_.acquire_zeroed(kDhPrev, {1, hid_});
-  Tensor& dh = ws_.acquire(kDh, {1, hid_});
-  Tensor& da_z = ws_.acquire(kDaZ, {1, hid_});
-  Tensor& da_h = ws_.acquire(kDaH, {1, hid_});
-  Tensor& da_r = ws_.acquire(kDaR, {1, hid_});
-  Tensor& g_rh = ws_.acquire(kGRh, {1, hid_});
-  Tensor& rh = ws_.acquire(kRh, {1, hid_});
-  Tensor& dx = ws_.acquire(kPre, {1, in_});
+  dh_prev_.resize({1, hid_});
+  dh_prev_.zero();
+  for (Tensor* t : {&dh_, &da_z_, &da_h_, &da_r_, &g_rh_, &rh_}) {
+    t->resize({1, hid_});
+  }
+  // The gate pre-activation buffer doubles as the step's input gradient.
+  Tensor& dx = pre_;
+  dx.resize({1, in_});
 
   for (std::size_t ti = t_steps; ti-- > 0;) {
     const StepCache& c = cache_[ti];
     // Total gradient at h_t: from the per-step loss plus from step t+1.
     {
-      const float* pn = dh_next.data();
+      const float* pn = dh_prev_.data();
       const float* pg = grad_hs.data() + ti * hid_;
-      float* pd = dh.data();
+      float* pd = dh_.data();
       for (std::size_t j = 0; j < hid_; ++j) pd[j] = pn[j] + pg[j];
     }
 
     for (std::size_t j = 0; j < hid_; ++j) {
       const float z = c.z.at(0, j);
       const float ht = c.h_tilde.at(0, j);
-      da_z.at(0, j) = dh.at(0, j) * (ht - c.h_prev.at(0, j)) * z * (1.0f - z);
-      da_h.at(0, j) = dh.at(0, j) * z * (1.0f - ht * ht);
+      da_z_.at(0, j) =
+          dh_.at(0, j) * (ht - c.h_prev.at(0, j)) * z * (1.0f - z);
+      da_h_.at(0, j) = dh_.at(0, j) * z * (1.0f - ht * ht);
     }
 
     // Gradient w.r.t. (r ⊙ h_prev) through U_h.
-    matmul_nt_into(g_rh, da_h, uh_.value);
+    matmul_nt_into(g_rh_, da_h_, uh_.value);
     for (std::size_t j = 0; j < hid_; ++j) {
       const float r = c.r.at(0, j);
-      da_r.at(0, j) = g_rh.at(0, j) * c.h_prev.at(0, j) * r * (1.0f - r);
+      da_r_.at(0, j) = g_rh_.at(0, j) * c.h_prev.at(0, j) * r * (1.0f - r);
     }
 
     // Parameter gradients, accumulated directly via the transposed kernels
     // (no xᵀ / h_prevᵀ temporaries).
-    mul_into(rh, c.r, c.h_prev);
-    matmul_tn_acc(wz_.grad, c.x, da_z);
-    matmul_tn_acc(uz_.grad, c.h_prev, da_z);
-    column_sums_acc(bz_.grad, da_z);
-    matmul_tn_acc(wr_.grad, c.x, da_r);
-    matmul_tn_acc(ur_.grad, c.h_prev, da_r);
-    column_sums_acc(br_.grad, da_r);
-    matmul_tn_acc(wh_.grad, c.x, da_h);
-    matmul_tn_acc(uh_.grad, rh, da_h);
-    column_sums_acc(bh_.grad, da_h);
+    mul_into(rh_, c.r, c.h_prev);
+    matmul_tn_acc(wz_.grad, c.x, da_z_);
+    matmul_tn_acc(uz_.grad, c.h_prev, da_z_);
+    column_sums_acc(bz_.grad, da_z_);
+    matmul_tn_acc(wr_.grad, c.x, da_r_);
+    matmul_tn_acc(ur_.grad, c.h_prev, da_r_);
+    column_sums_acc(br_.grad, da_r_);
+    matmul_tn_acc(wh_.grad, c.x, da_h_);
+    matmul_tn_acc(uh_.grad, rh_, da_h_);
+    column_sums_acc(bh_.grad, da_h_);
 
     // Input gradient.
-    matmul_nt_into(dx, da_z, wz_.value);
-    matmul_nt_acc(dx, da_r, wr_.value);
-    matmul_nt_acc(dx, da_h, wh_.value);
+    matmul_nt_into(dx, da_z_, wz_.value);
+    matmul_nt_acc(dx, da_r_, wr_.value);
+    matmul_nt_acc(dx, da_h_, wh_.value);
     std::memcpy(dxs_.data() + ti * in_, dx.data(), in_ * sizeof(float));
 
-    // Hidden-state gradient to step t-1 (reuses the dh_next slot: dh was
-    // already folded into da_z / da_h / the (1-z) term below).
+    // Hidden-state gradient to step t-1 (reuses dh_prev_: dh_ was already
+    // folded into da_z_ / da_h_ / the (1-z) term below).
     {
-      float* pd = dh_next.data();
+      float* pd = dh_prev_.data();
       const float* pz = c.z.data();
       const float* pr = c.r.data();
-      const float* pg = g_rh.data();
-      const float* ph = dh.data();
+      const float* pg = g_rh_.data();
+      const float* ph = dh_.data();
       for (std::size_t j = 0; j < hid_; ++j) {
         pd[j] = ph[j] * (1.0f - pz[j]) + pg[j] * pr[j];
       }
     }
-    matmul_nt_acc(dh_next, da_z, uz_.value);
-    matmul_nt_acc(dh_next, da_r, ur_.value);
+    matmul_nt_acc(dh_prev_, da_z_, uz_.value);
+    matmul_nt_acc(dh_prev_, da_r_, ur_.value);
   }
   return dxs_;
 }

@@ -9,15 +9,14 @@
 //   h̃_t = tanh(x_t W_h + (r_t ⊙ h_{t-1}) U_h + b_h)
 //   h_t = (1 − z_t) ⊙ h_{t-1} + z_t ⊙ h̃_t
 //
-// All per-step intermediates live in a tensor::Workspace and the step cache
-// is a grow-only pool, so repeated forwards/backwards over same-or-smaller
-// sequences run allocation-free.
+// The per-step scratch tensors are members resized in place and the step
+// cache is a grow-only pool, so repeated forwards/backwards over
+// same-or-smaller sequences run allocation-free.
 #pragma once
 
 #include <vector>
 
 #include "nn/layers.hpp"
-#include "tensor/workspace.hpp"
 
 namespace semcache::nn {
 
@@ -49,19 +48,6 @@ class Gru {
     Tensor h_tilde;  // (1 x hid)
   };
 
-  // Workspace slot ids for the per-step scratch tensors.
-  enum Slot : std::size_t {
-    kH,       // running hidden state (forward)
-    kPre,     // gate pre-activation a_z / a_r / a_h
-    kRh,      // r ⊙ h_prev
-    kDh,      // dL/dh_t (backward)
-    kDaZ,     // dL/da_z
-    kDaH,     // dL/da_h
-    kDaR,     // dL/da_r
-    kGRh,     // gradient w.r.t. (r ⊙ h_prev)
-    kDhPrev,  // dL/dh_{t-1}
-  };
-
   std::size_t in_;
   std::size_t hid_;
   Parameter wz_, uz_, bz_;
@@ -69,9 +55,18 @@ class Gru {
   Parameter wh_, uh_, bh_;
   std::vector<StepCache> cache_;  // grow-only pool; steps_ entries are live
   std::size_t steps_ = 0;
-  tensor::Workspace ws_;
   Tensor hs_;   // (T x hid) forward output
   Tensor dxs_;  // (T x in) backward output
+  // Per-step scratch, each (1 x hid) unless noted.
+  Tensor h_;        // running hidden state (forward)
+  Tensor pre_;      // gate pre-activation; backward's dx (1 x in)
+  Tensor rh_;       // r ⊙ h_prev
+  Tensor dh_;       // dL/dh_t (backward)
+  Tensor da_z_;     // dL/da_z
+  Tensor da_h_;     // dL/da_h
+  Tensor da_r_;     // dL/da_r
+  Tensor g_rh_;     // gradient w.r.t. (r ⊙ h_prev)
+  Tensor dh_prev_;  // dL/dh_{t-1}
 };
 
 }  // namespace semcache::nn

@@ -116,34 +116,6 @@ const Tensor& Tanh::backward(const Tensor& grad_out) {
   return dx_;
 }
 
-Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
-  SEMCACHE_CHECK(layer != nullptr, "Sequential::add: null layer");
-  layers_.push_back(std::move(layer));
-  return *this;
-}
-
-const Tensor& Sequential::forward(const Tensor& x) {
-  const Tensor* h = &x;
-  for (const auto& layer : layers_) h = &layer->forward(*h);
-  return *h;
-}
-
-const Tensor& Sequential::backward(const Tensor& grad_out) {
-  const Tensor* g = &grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = &(*it)->backward(*g);
-  }
-  return *g;
-}
-
-std::vector<Parameter*> Sequential::parameters() {
-  std::vector<Parameter*> out;
-  for (const auto& layer : layers_) {
-    for (Parameter* p : layer->parameters()) out.push_back(p);
-  }
-  return out;
-}
-
 Embedding::Embedding(std::size_t vocab_size, std::size_t dim, Rng& rng,
                      std::string name)
     : w_(std::move(name),

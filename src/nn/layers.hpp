@@ -1,9 +1,13 @@
-// Layer-based neural network with explicit forward/backward passes.
+// Neural-network layers with explicit forward/backward passes.
 //
 // We use explicit per-layer backward rather than a tape autograd: the model
 // zoo here is small (MLPs, embeddings, one GRU), and explicit gradients are
 // straightforward to verify with the numerical gradcheck harness
 // (nn/gradcheck.hpp), which every layer is tested against.
+//
+// The layers are plain classes, not a polymorphic hierarchy: a model holds
+// its layers as named members, chains their forward() calls itself, and
+// calls their backward() in reverse order.
 //
 // Convention: inputs/activations are rank-2 tensors (batch x features).
 // forward() caches whatever backward() needs; backward() receives dL/dy,
@@ -19,14 +23,12 @@
 // number of threads may run it on one layer.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
-#include "tensor/workspace.hpp"
 
 namespace semcache::nn {
 
@@ -44,30 +46,15 @@ struct Parameter {
   void zero_grad() { grad.zero(); }
 };
 
-/// Abstract differentiable module.
-class Layer {
- public:
-  virtual ~Layer() = default;
-  Layer() = default;
-  Layer(const Layer&) = delete;
-  Layer& operator=(const Layer&) = delete;
-
-  virtual const Tensor& forward(const Tensor& x) = 0;
-  virtual const Tensor& backward(const Tensor& grad_out) = 0;
-  virtual std::vector<Parameter*> parameters() { return {}; }
-  virtual std::string name() const = 0;
-};
-
 /// y = x W + b.
-class Linear : public Layer {
+class Linear {
  public:
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
          std::string name = "linear");
 
-  const Tensor& forward(const Tensor& x) override;
-  const Tensor& backward(const Tensor& grad_out) override;
-  std::vector<Parameter*> parameters() override { return {&w_, &b_}; }
-  std::string name() const override { return name_; }
+  const Tensor& forward(const Tensor& x);
+  const Tensor& backward(const Tensor& grad_out);
+  std::vector<Parameter*> parameters() { return {&w_, &b_}; }
   void infer(const Tensor& x, Tensor& y) const {
     tensor::affine_into(y, x, w_.value, b_.value);
   }
@@ -89,15 +76,14 @@ class Linear : public Layer {
 /// a ReLU: parameters carry the same names and order, so checkpoints and
 /// pretrained-fixture caches recorded against the unfused pair reload
 /// unchanged, and the forward/backward bits match the pair exactly.
-class LinearReLU : public Layer {
+class LinearReLU {
  public:
   LinearReLU(std::size_t in_features, std::size_t out_features, Rng& rng,
              std::string name = "linear");
 
-  const Tensor& forward(const Tensor& x) override;
-  const Tensor& backward(const Tensor& grad_out) override;
-  std::vector<Parameter*> parameters() override { return {&w_, &b_}; }
-  std::string name() const override { return name_; }
+  const Tensor& forward(const Tensor& x);
+  const Tensor& backward(const Tensor& grad_out);
+  std::vector<Parameter*> parameters() { return {&w_, &b_}; }
   void infer(const Tensor& x, Tensor& y) const {
     tensor::affine_relu_into(y, x, w_.value, b_.value);
   }
@@ -116,11 +102,10 @@ class LinearReLU : public Layer {
 };
 
 /// y = max(x, 0).
-class ReLU : public Layer {
+class ReLU {
  public:
-  const Tensor& forward(const Tensor& x) override;
-  const Tensor& backward(const Tensor& grad_out) override;
-  std::string name() const override { return "relu"; }
+  const Tensor& forward(const Tensor& x);
+  const Tensor& backward(const Tensor& grad_out);
 
  private:
   // out_ doubles as the backward mask: y == 0 exactly when x <= 0.
@@ -129,38 +114,18 @@ class ReLU : public Layer {
 };
 
 /// y = tanh(x).
-class Tanh : public Layer {
+class Tanh {
  public:
-  const Tensor& forward(const Tensor& x) override;
-  const Tensor& backward(const Tensor& grad_out) override;
-  std::string name() const override { return "tanh"; }
+  const Tensor& forward(const Tensor& x);
+  const Tensor& backward(const Tensor& grad_out);
 
  private:
   Tensor out_;  // cached for backward: dtanh = 1 - y^2
   Tensor dx_;
 };
 
-/// Composition of layers applied in order.
-class Sequential : public Layer {
- public:
-  Sequential() = default;
-
-  /// Append a layer; returns *this for chaining.
-  Sequential& add(std::unique_ptr<Layer> layer);
-
-  const Tensor& forward(const Tensor& x) override;
-  const Tensor& backward(const Tensor& grad_out) override;
-  std::vector<Parameter*> parameters() override;
-  std::string name() const override { return "sequential"; }
-
-  std::size_t size() const { return layers_.size(); }
-
- private:
-  std::vector<std::unique_ptr<Layer>> layers_;
-};
-
-/// Token-id -> dense vector lookup table. Not a Layer (its input is a
-/// sequence of ids, not a tensor), but exposes the same train surface.
+/// Token-id -> dense vector lookup table. Its input is a sequence of ids,
+/// not a tensor; otherwise it has the same train surface as the layers.
 class Embedding {
  public:
   Embedding(std::size_t vocab_size, std::size_t dim, Rng& rng,

@@ -35,44 +35,36 @@ std::vector<std::int32_t> SceneSampler::sample(std::size_t domain,
   return tags;
 }
 
-BimodalCodec::BimodalCodec(const BimodalConfig& config, Rng& rng)
-    : config_(config),
-      text_embed_(config.text.surface_vocab, config.text.embed_dim, rng,
-                  "bim.text_embed"),
-      scene_embed_(config.scene_vocab, config.scene_embed_dim, rng,
-                   "bim.scene_embed") {
+namespace {
+// Called first in the init list, so a bad config is refused before any
+// layer draws from the RNG.
+const BimodalConfig& validated(const BimodalConfig& config) {
   SEMCACHE_CHECK(config.scene_vocab >= 2, "bimodal: scene_vocab too small");
   SEMCACHE_CHECK(config.scene_feature_dim >= 1,
                  "bimodal: scene_feature_dim must be >= 1");
-  SEMCACHE_CHECK(config.text.feature_dim % config.text.sentence_length == 0,
+  SEMCACHE_CHECK(config.text.sentence_length >= 1 &&
+                     config.text.feature_dim % config.text.sentence_length == 0,
                  "bimodal: text feature_dim must be a multiple of L");
-  // Hidden layers use the fused LinearReLU (bit- and checkpoint-compatible
-  // with the Linear + ReLU pairs they replace).
-  text_mlp_
-      .add(std::make_unique<nn::LinearReLU>(config.text.embed_dim,
-                                            config.text.hidden_dim, rng,
-                                            "bim.t1"))
-      .add(std::make_unique<nn::Linear>(config.text.hidden_dim,
-                                        config.text.per_position_dims(), rng,
-                                        "bim.t2"))
-      .add(std::make_unique<nn::Tanh>());
-  scene_mlp_
-      .add(std::make_unique<nn::LinearReLU>(config.scene_embed_dim,
-                                            config.text.hidden_dim, rng,
-                                            "bim.s1"))
-      .add(std::make_unique<nn::Linear>(config.text.hidden_dim,
-                                        config.scene_feature_dim, rng,
-                                        "bim.s2"))
-      .add(std::make_unique<nn::Tanh>());
-  const std::size_t dec_in =
-      config.text.per_position_dims() + config.scene_feature_dim;
-  dec_mlp_
-      .add(std::make_unique<nn::LinearReLU>(dec_in, config.text.hidden_dim,
-                                            rng, "bim.d1"))
-      .add(std::make_unique<nn::Linear>(config.text.hidden_dim,
-                                        config.text.meaning_vocab, rng,
-                                        "bim.d2"));
+  return config;
 }
+}  // namespace
+
+// Hidden layers use the fused LinearReLU (bit- and checkpoint-compatible
+// with the Linear + ReLU pairs they replace).
+BimodalCodec::BimodalCodec(const BimodalConfig& config, Rng& rng)
+    : config_(validated(config)),
+      text_embed_(config.text.surface_vocab, config.text.embed_dim, rng,
+                  "bim.text_embed"),
+      scene_embed_(config.scene_vocab, config.scene_embed_dim, rng,
+                   "bim.scene_embed"),
+      t1_(config.text.embed_dim, config.text.hidden_dim, rng, "bim.t1"),
+      t2_(config.text.hidden_dim, config.text.per_position_dims(), rng,
+          "bim.t2"),
+      s1_(config.scene_embed_dim, config.text.hidden_dim, rng, "bim.s1"),
+      s2_(config.text.hidden_dim, config.scene_feature_dim, rng, "bim.s2"),
+      d1_(config.text.per_position_dims() + config.scene_feature_dim,
+          config.text.hidden_dim, rng, "bim.d1"),
+      d2_(config.text.hidden_dim, config.text.meaning_vocab, rng, "bim.d2") {}
 
 Tensor BimodalCodec::encode(std::span<const std::int32_t> surface,
                             std::span<const std::int32_t> scene) {
@@ -80,8 +72,8 @@ Tensor BimodalCodec::encode(std::span<const std::int32_t> surface,
   SEMCACHE_CHECK(surface.size() == L, "bimodal: wrong sentence length");
   SEMCACHE_CHECK(!scene.empty(), "bimodal: empty scene");
   // Text half: (L x per_pos).
-  const Tensor e = text_embed_.forward(surface);
-  Tensor h = text_mlp_.forward(e);
+  Tensor h = text_tanh_.forward(
+      t2_.forward(t1_.forward(text_embed_.forward(surface))));
   // Scene half: mean-pool tag embeddings -> (1 x scene_feature).
   const Tensor tags = scene_embed_.forward(scene);
   last_scene_count_ = scene.size();
@@ -91,7 +83,8 @@ Tensor BimodalCodec::encode(std::span<const std::int32_t> surface,
       pooled.at(0, j) += tags.at(t, j) / static_cast<float>(tags.dim(0));
     }
   }
-  const Tensor scene_feat = scene_mlp_.forward(pooled);
+  const Tensor& scene_feat =
+      scene_tanh_.forward(s2_.forward(s1_.forward(pooled)));
 
   Tensor out({1, config_.total_feature_dim()});
   h.reshape({1, config_.text.feature_dim});
@@ -120,7 +113,7 @@ Tensor BimodalCodec::decode_logits(const Tensor& feature) {
           feature.at(0, config_.text.feature_dim + i);
     }
   }
-  return dec_mlp_.forward(dec_in);
+  return d2_.forward(d1_.forward(dec_in));
 }
 
 std::vector<std::int32_t> BimodalCodec::decode(const Tensor& feature) {
@@ -145,7 +138,7 @@ double BimodalCodec::forward_loss(std::span<const std::int32_t> surface,
 void BimodalCodec::backward() {
   const std::size_t L = config_.text.sentence_length;
   const std::size_t per_pos = config_.text.per_position_dims();
-  const Tensor dgrid = dec_mlp_.backward(loss_.backward());
+  const Tensor& dgrid = d1_.backward(d2_.backward(loss_.backward()));
   // Split the decoder-input gradient back into text and scene halves.
   Tensor dtext({L, per_pos});
   Tensor dscene({1, config_.scene_feature_dim});
@@ -157,8 +150,10 @@ void BimodalCodec::backward() {
       dscene.at(0, i) += dgrid.at(p, per_pos + i);  // broadcast -> sum
     }
   }
-  text_embed_.backward(text_mlp_.backward(dtext));
-  const Tensor dpooled = scene_mlp_.backward(dscene);
+  text_embed_.backward(
+      t1_.backward(t2_.backward(text_tanh_.backward(dtext))));
+  const Tensor& dpooled =
+      s1_.backward(s2_.backward(scene_tanh_.backward(dscene)));
   // Mean-pool backward: spread evenly over the scene tags.
   SEMCACHE_CHECK(last_scene_count_ > 0, "bimodal: backward before encode");
   Tensor dtags({last_scene_count_, config_.scene_embed_dim});
@@ -174,10 +169,13 @@ void BimodalCodec::backward() {
 nn::ParameterSet BimodalCodec::parameters() {
   nn::ParameterSet set;
   set.add_all(text_embed_.parameters());
-  set.add_all(text_mlp_.parameters());
+  set.add_all(t1_.parameters());
+  set.add_all(t2_.parameters());
   set.add_all(scene_embed_.parameters());
-  set.add_all(scene_mlp_.parameters());
-  set.add_all(dec_mlp_.parameters());
+  set.add_all(s1_.parameters());
+  set.add_all(s2_.parameters());
+  set.add_all(d1_.parameters());
+  set.add_all(d2_.parameters());
   return set;
 }
 

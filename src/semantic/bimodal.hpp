@@ -75,20 +75,28 @@ class BimodalCodec {
                       float feature_noise = 0.0f, Rng* rng = nullptr);
   void backward();
 
+  /// The text embedding, t1, t2, the scene embedding, s1, s2, d1, d2.
   nn::ParameterSet parameters();
   const BimodalConfig& config() const { return config_; }
 
  private:
   BimodalConfig config_;
-  // Text side (same shape as KbEncoder).
+  // Declaration order is construction order, which is the order the layers
+  // draw their initial weights: both embeddings, then t1, t2, s1, s2, d1, d2.
   nn::Embedding text_embed_;
-  nn::Sequential text_mlp_;
-  // Scene side: mean-pooled tag embeddings -> scene feature.
   nn::Embedding scene_embed_;
-  nn::Sequential scene_mlp_;
+  // Text side (same shape as KbEncoder).
+  nn::LinearReLU t1_;
+  nn::Linear t2_;
+  nn::Tanh text_tanh_;
+  // Scene side: mean-pooled tag embeddings -> scene feature.
+  nn::LinearReLU s1_;
+  nn::Linear s2_;
+  nn::Tanh scene_tanh_;
   std::size_t last_scene_count_ = 0;
   // Decoder: per position [text slice | scene vector] -> logits.
-  nn::Sequential dec_mlp_;
+  nn::LinearReLU d1_;
+  nn::Linear d2_;
   nn::SoftmaxCrossEntropy loss_;
 };
 

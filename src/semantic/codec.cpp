@@ -8,7 +8,9 @@
 namespace semcache::semantic {
 
 namespace {
-void validate(const CodecConfig& c) {
+// Called first in each half's init list, so a bad config is refused before
+// any layer draws from the RNG.
+const CodecConfig& validated(const CodecConfig& c) {
   SEMCACHE_CHECK(c.surface_vocab >= 2, "codec: surface_vocab too small");
   SEMCACHE_CHECK(c.meaning_vocab >= 2, "codec: meaning_vocab too small");
   SEMCACHE_CHECK(c.sentence_length >= 1, "codec: sentence_length must be >= 1");
@@ -17,23 +19,18 @@ void validate(const CodecConfig& c) {
   SEMCACHE_CHECK(c.feature_dim % c.sentence_length == 0,
                  "codec: feature_dim must be a multiple of sentence_length "
                  "(per-position factorization)");
+  return c;
 }
 }  // namespace
 
+// Shared per-position encoder: positions are batch rows. The fused
+// LinearReLU is bit- and checkpoint-compatible with the Linear + ReLU pair
+// it replaces (same parameter names, same RNG draws, same bits).
 KbEncoder::KbEncoder(const CodecConfig& config, Rng& rng)
-    : config_(config), embed_(config.surface_vocab, config.embed_dim, rng,
-                              "enc.embed") {
-  validate(config);
-  // Shared per-position encoder: positions are batch rows. The fused
-  // LinearReLU is bit- and checkpoint-compatible with the Linear + ReLU
-  // pair it replaces (same parameter names, same RNG draws, same bits).
-  mlp_.add(std::make_unique<nn::LinearReLU>(config.embed_dim,
-                                            config.hidden_dim, rng, "enc.l1"))
-      .add(std::make_unique<nn::Linear>(config.hidden_dim,
-                                        config.per_position_dims(), rng,
-                                        "enc.l2"))
-      .add(std::make_unique<nn::Tanh>());
-}
+    : config_(validated(config)),
+      embed_(config.surface_vocab, config.embed_dim, rng, "enc.embed"),
+      l1_(config.embed_dim, config.hidden_dim, rng, "enc.l1"),
+      l2_(config.hidden_dim, config.per_position_dims(), rng, "enc.l2") {}
 
 const Tensor& KbEncoder::encode_batch(std::span<const std::int32_t> surface,
                                       std::size_t count) {
@@ -42,12 +39,13 @@ const Tensor& KbEncoder::encode_batch(std::span<const std::int32_t> surface,
                  "encode_batch: expected " + std::to_string(count) + " x " +
                      std::to_string(config_.sentence_length) +
                      " tokens, got " + std::to_string(surface.size()));
-  const Tensor& e = embed_.forward(surface);  // (count*L x embed)
-  const Tensor& h = mlp_.forward(e);          // (count*L x k/L)
+  // (count*L x embed) -> (count*L x hidden) -> (count*L x k/L)
+  const Tensor& h =
+      tanh_.forward(l2_.forward(l1_.forward(embed_.forward(surface))));
   // Rows regroup into per-sentence features: L positions x k/L dims = k.
-  Tensor& f = ws_.acquire(kFeature, {count, config_.feature_dim});
-  std::memcpy(f.data(), h.data(), h.size() * sizeof(float));
-  return f;
+  feature_.resize({count, config_.feature_dim});
+  std::memcpy(feature_.data(), h.data(), h.size() * sizeof(float));
+  return feature_;
 }
 
 Tensor KbEncoder::encode(std::span<const std::int32_t> surface) {
@@ -62,42 +60,36 @@ void KbEncoder::backward_batch(const Tensor& grad_features) {
   SEMCACHE_CHECK(grad_features.rank() == 2 &&
                      grad_features.dim(1) == config_.feature_dim,
                  "encoder backward: gradient must be (count x k)");
-  Tensor& g = ws_.acquire(
-      kGrad, {grad_features.dim(0) * config_.sentence_length,
-              config_.per_position_dims()});
-  std::memcpy(g.data(), grad_features.data(),
+  grad_rows_.resize({grad_features.dim(0) * config_.sentence_length,
+                     config_.per_position_dims()});
+  std::memcpy(grad_rows_.data(), grad_features.data(),
               grad_features.size() * sizeof(float));
-  embed_.backward(mlp_.backward(g));
+  embed_.backward(l1_.backward(l2_.backward(tanh_.backward(grad_rows_))));
 }
 
 nn::ParameterSet KbEncoder::parameters() {
   nn::ParameterSet set;
   set.add_all(embed_.parameters());
-  set.add_all(mlp_.parameters());
+  set.add_all(l1_.parameters());
+  set.add_all(l2_.parameters());
   return set;
 }
 
-KbDecoder::KbDecoder(const CodecConfig& config, Rng& rng) : config_(config) {
-  validate(config);
-  // Shared per-position decoder: positions are batch rows (fused
-  // LinearReLU: same bits/params as the former Linear + ReLU pair).
-  auto l1 = std::make_unique<nn::LinearReLU>(config.per_position_dims(),
-                                             config.hidden_dim, rng, "dec.l1");
-  auto l2 = std::make_unique<nn::Linear>(config.hidden_dim,
-                                         config.meaning_vocab, rng, "dec.l2");
-  l1_ = l1.get();
-  l2_ = l2.get();
-  mlp_.add(std::move(l1)).add(std::move(l2));
-}
+// Shared per-position decoder: positions are batch rows (fused LinearReLU:
+// same bits/params as the former Linear + ReLU pair).
+KbDecoder::KbDecoder(const CodecConfig& config, Rng& rng)
+    : config_(validated(config)),
+      l1_(config.per_position_dims(), config.hidden_dim, rng, "dec.l1"),
+      l2_(config.hidden_dim, config.meaning_vocab, rng, "dec.l2") {}
 
 const Tensor& KbDecoder::decode_logits_batch(const Tensor& features) {
   SEMCACHE_CHECK(features.rank() == 2 &&
                      features.dim(1) == config_.feature_dim,
                  "decode: features must be (count x k)");
-  Tensor& f = ws_.acquire(kRows, {features.dim(0) * config_.sentence_length,
-                                  config_.per_position_dims()});
-  std::memcpy(f.data(), features.data(), features.size() * sizeof(float));
-  return mlp_.forward(f);  // (count*L x meaning_vocab)
+  rows_.resize({features.dim(0) * config_.sentence_length,
+                config_.per_position_dims()});
+  std::memcpy(rows_.data(), features.data(), features.size() * sizeof(float));
+  return l2_.forward(l1_.forward(rows_));  // (count*L x meaning_vocab)
 }
 
 void KbDecoder::decode_logits_rows(const Tensor& rows, Tensor& hidden,
@@ -105,8 +97,8 @@ void KbDecoder::decode_logits_rows(const Tensor& rows, Tensor& hidden,
   SEMCACHE_CHECK(rows.rank() == 2 &&
                      rows.dim(1) == config_.per_position_dims(),
                  "decode: rows must be (rows x k/L)");
-  l1_->infer(rows, hidden);
-  l2_->infer(hidden, logits);
+  l1_.infer(rows, hidden);
+  l2_.infer(hidden, logits);
 }
 
 std::vector<std::int32_t> KbDecoder::decode(const Tensor& features) {
@@ -114,19 +106,19 @@ std::vector<std::int32_t> KbDecoder::decode(const Tensor& features) {
 }
 
 const Tensor& KbDecoder::backward_batch(const Tensor& grad_logits) {
-  const Tensor& g = mlp_.backward(grad_logits);  // (count*L x k/L)
+  // (count*L x k/L)
+  const Tensor& g = l1_.backward(l2_.backward(grad_logits));
   SEMCACHE_CHECK(g.dim(0) % config_.sentence_length == 0,
                  "decoder backward: row count not a sentence multiple");
-  Tensor& df = ws_.acquire(
-      kDFeature,
-      {g.dim(0) / config_.sentence_length, config_.feature_dim});
-  std::memcpy(df.data(), g.data(), g.size() * sizeof(float));
-  return df;
+  dfeature_.resize({g.dim(0) / config_.sentence_length, config_.feature_dim});
+  std::memcpy(dfeature_.data(), g.data(), g.size() * sizeof(float));
+  return dfeature_;
 }
 
 nn::ParameterSet KbDecoder::parameters() {
   nn::ParameterSet set;
-  set.add_all(mlp_.parameters());
+  set.add_all(l1_.parameters());
+  set.add_all(l2_.parameters());
   return set;
 }
 
@@ -145,14 +137,14 @@ double SemanticCodec::forward_loss_batch(std::span<const std::int32_t> surface,
   const Tensor* input = &feature;
   if (feature_noise > 0.0f) {
     SEMCACHE_CHECK(rng != nullptr, "forward_loss: noise requires an rng");
-    Tensor& noisy = ws_.acquire(kNoisy, feature.shape());
+    noisy_.resize(feature.shape());
     const float* pf = feature.data();
-    float* pn = noisy.data();
-    for (std::size_t i = 0; i < noisy.size(); ++i) {
+    float* pn = noisy_.data();
+    for (std::size_t i = 0; i < noisy_.size(); ++i) {
       pn[i] = pf[i] +
               static_cast<float>(rng->uniform(-feature_noise, feature_noise));
     }
-    input = &noisy;
+    input = &noisy_;
   }
   const Tensor& logits = decoder_->decode_logits_batch(*input);
   return loss_.forward(logits, meanings);

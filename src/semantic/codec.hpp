@@ -22,6 +22,12 @@
 // sentences into one kernel invocation per layer, which is where the serving
 // and fine-tuning throughput comes from. The single-sentence calls are the
 // N == 1 special case of the batch path.
+//
+// Each half holds its layers as named members and chains their calls; its
+// scratch tensors are members too, resized in place, so a warmed-up pass
+// makes no heap allocation. Members are constructed in declaration order,
+// which is the order the layers draw their initial weights from the RNG:
+// reordering them changes every pretrained weight and fixture-cache file.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +39,6 @@
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "nn/model.hpp"
-#include "tensor/workspace.hpp"
 
 namespace semcache::semantic {
 
@@ -73,16 +78,18 @@ class KbEncoder {
   /// encode_batch.
   void backward_batch(const Tensor& grad_features);
 
+  /// enc.embed, enc.l1.{w,b}, enc.l2.{w,b}, in that order.
   nn::ParameterSet parameters();
   const CodecConfig& config() const { return config_; }
 
  private:
-  enum Slot : std::size_t { kFeature, kGrad };
-
   CodecConfig config_;
   nn::Embedding embed_;
-  nn::Sequential mlp_;
-  tensor::Workspace ws_;
+  nn::LinearReLU l1_;
+  nn::Linear l2_;
+  nn::Tanh tanh_;
+  Tensor feature_;    // encode_batch's (count x k) result
+  Tensor grad_rows_;  // backward_batch's gradient as (count*L x k/L) rows
 };
 
 /// Semantic feature restorer (the KB-decoder; replicated as the sender-side
@@ -107,18 +114,16 @@ class KbDecoder {
   /// (count x k) in an internal buffer.
   const Tensor& backward_batch(const Tensor& grad_logits);
 
+  /// dec.l1.{w,b}, dec.l2.{w,b}, in that order.
   nn::ParameterSet parameters();
   const CodecConfig& config() const { return config_; }
 
  private:
-  enum Slot : std::size_t { kRows, kDFeature };
-
   CodecConfig config_;
-  nn::Sequential mlp_;
-  /// mlp_'s two layers, for the read-only row pass.
-  const nn::LinearReLU* l1_ = nullptr;
-  const nn::Linear* l2_ = nullptr;
-  tensor::Workspace ws_;
+  nn::LinearReLU l1_;
+  nn::Linear l2_;
+  Tensor rows_;       // decode_logits_batch's features as (count*L x k/L) rows
+  Tensor dfeature_;   // backward_batch's (count x k) result
 };
 
 /// An encoder/decoder pair trained jointly — a complete KB model.
@@ -153,6 +158,9 @@ class SemanticCodec {
   /// End-to-end greedy reconstruction (clean features, no channel).
   std::vector<std::int32_t> reconstruct(std::span<const std::int32_t> surface);
 
+  /// The encoder's parameters, then the decoder's. The order is the
+  /// fixture-cache file layout and, for the decoder half, the sync wire
+  /// order.
   nn::ParameterSet parameters();
   /// Deep copy with byte-identical weights (used to spawn user models from
   /// general models, Fig. 1 step ②).
@@ -162,13 +170,11 @@ class SemanticCodec {
   std::size_t byte_size() const;
 
  private:
-  enum Slot : std::size_t { kNoisy };
-
   CodecConfig config_;
   std::unique_ptr<KbEncoder> encoder_;
   std::unique_ptr<KbDecoder> decoder_;
   nn::SoftmaxCrossEntropy loss_;
-  tensor::Workspace ws_;
+  Tensor noisy_;  // forward_loss_batch's feature plus training noise
 };
 
 }  // namespace semcache::semantic

@@ -54,8 +54,9 @@ class Tensor {
   void reshape(std::vector<std::size_t> shape);
   /// Destructive reshape to an arbitrary shape: storage is resized, existing
   /// capacity is reused (no reallocation when the new volume fits), and the
-  /// contents are unspecified. The workhorse of the Workspace / `_into`
-  /// kernel API, where outputs are fully overwritten anyway.
+  /// contents are unspecified. The workhorse of the `_into` kernels and of
+  /// the scratch tensors models hold, whose contents are fully overwritten
+  /// anyway.
   void resize(std::vector<std::size_t> shape);
   /// Allocated storage in floats (>= size()); lets tests assert that the
   /// `_into` kernels never reallocate a warmed-up output tensor.

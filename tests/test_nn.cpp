@@ -101,21 +101,26 @@ TEST(GradCheck, TanhInput) { check_activation_input_grad<Tanh>(); }
 
 TEST(GradCheck, SequentialMlp) {
   Rng rng(5);
-  Sequential mlp;
-  mlp.add(std::make_unique<Linear>(6, 8, rng))
-      .add(std::make_unique<ReLU>())
-      .add(std::make_unique<Linear>(8, 3, rng))
-      .add(std::make_unique<Tanh>());
+  Linear l1(6, 8, rng);
+  ReLU relu;
+  Linear l2(8, 3, rng);
+  Tanh tanh;
+  ParameterSet params;
+  params.add_all(l1.parameters());
+  params.add_all(l2.parameters());
   const Tensor x = Tensor::uniform({2, 6}, 1.0f, rng);
   Rng wrng(99);
   const Tensor w = Tensor::uniform({2, 3}, 1.0f, wrng);
-  auto loss_fn = [&]() -> double {
-    return static_cast<double>(tensor::dot(mlp.forward(x), w));
+  auto forward = [&]() -> const Tensor& {
+    return tanh.forward(l2.forward(relu.forward(l1.forward(x))));
   };
-  Optimizer::zero_grad(mlp.parameters());
-  mlp.forward(x);
-  mlp.backward(w);
-  const auto result = gradcheck(loss_fn, mlp.parameters(), 1e-3, 40);
+  auto loss_fn = [&]() -> double {
+    return static_cast<double>(tensor::dot(forward(), w));
+  };
+  Optimizer::zero_grad(params.params());
+  forward();
+  l1.backward(relu.backward(l2.backward(tanh.backward(w))));
+  const auto result = gradcheck(loss_fn, params.params(), 1e-3, 40);
   EXPECT_TRUE(result.ok(kGradTol)) << "rel err " << result.max_rel_error;
 }
 
@@ -201,18 +206,6 @@ TEST(Relu, ForwardClampsNegative) {
   ReLU relu;
   Tensor x({1, 3}, {-1, 0, 2});
   EXPECT_TRUE(relu.forward(x).equals(Tensor({1, 3}, {0, 0, 2})));
-}
-
-TEST(Sequential, ParametersCollectedInOrder) {
-  Rng rng(11);
-  Sequential mlp;
-  mlp.add(std::make_unique<Linear>(2, 3, rng, "first"))
-      .add(std::make_unique<ReLU>())
-      .add(std::make_unique<Linear>(3, 2, rng, "second"));
-  const auto params = mlp.parameters();
-  ASSERT_EQ(params.size(), 4u);
-  EXPECT_EQ(params[0]->name, "first.w");
-  EXPECT_EQ(params[3]->name, "second.b");
 }
 
 TEST(Embedding, OutOfRangeIdThrows) {
@@ -442,10 +435,15 @@ TEST(Optimizer, ZeroGrad) {
 TEST(Training, XorConverges) {
   // Classic sanity check: a 2-layer MLP learns XOR.
   Rng rng(21);
-  Sequential mlp;
-  mlp.add(std::make_unique<Linear>(2, 8, rng))
-      .add(std::make_unique<Tanh>())
-      .add(std::make_unique<Linear>(8, 2, rng));
+  Linear l1(2, 8, rng);
+  Tanh tanh;
+  Linear l2(8, 2, rng);
+  ParameterSet params;
+  params.add_all(l1.parameters());
+  params.add_all(l2.parameters());
+  auto forward = [&](const Tensor& x) -> const Tensor& {
+    return l2.forward(tanh.forward(l1.forward(x)));
+  };
   Adam opt(0.02);
   SoftmaxCrossEntropy ce;
   const float inputs[4][2] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
@@ -457,13 +455,13 @@ TEST(Training, XorConverges) {
   }
   double loss = 0.0;
   for (int epoch = 0; epoch < 800; ++epoch) {
-    Optimizer::zero_grad(mlp.parameters());
-    loss = ce.forward(mlp.forward(x), labels);
-    mlp.backward(ce.backward());
-    opt.step(mlp.parameters());
+    Optimizer::zero_grad(params.params());
+    loss = ce.forward(forward(x), labels);
+    l1.backward(tanh.backward(l2.backward(ce.backward())));
+    opt.step(params.params());
   }
   EXPECT_LT(loss, 0.05);
-  const auto pred = tensor::row_argmax(mlp.forward(x));
+  const auto pred = tensor::row_argmax(forward(x));
   EXPECT_EQ(pred, labels);
 }
 

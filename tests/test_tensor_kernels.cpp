@@ -5,14 +5,14 @@
 //  1. bit-exactness against the retained naive reference (same per-element
 //     summation order), across arbitrary — including adversarial — shapes;
 //  2. allocation discipline: the `_into`/`_acc` variants never reallocate a
-//     warmed-up output tensor, and Workspace slots are pointer-stable.
+//     warmed-up output tensor, and a warmed-up layer's output buffer stays
+//     put.
 // A silent break in either shows up here long before it corrupts a trained
 // system, so this suite rides tier-1.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
 #include "nn/gru.hpp"
@@ -20,7 +20,6 @@
 #include "semantic/codec.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
-#include "tensor/workspace.hpp"
 #include "test_util.hpp"
 
 namespace semcache::tensor {
@@ -187,36 +186,6 @@ TEST(KernelAllocation, IntoVariantsNeverReallocateWarmOutputs) {
     EXPECT_EQ(c.data(), warm_ptr) << "affine_into reallocated at m=" << m;
   }
   EXPECT_EQ(c.capacity(), warm_capacity);
-}
-
-TEST(KernelAllocation, WorkspaceSlotsArePointerStable) {
-  Workspace ws;
-  Tensor& first = ws.acquire(0, {4, 4});
-  const float* p0 = first.data();
-  // Acquiring later slots grows the table but must not move slot 0.
-  for (std::size_t slot = 1; slot < 20; ++slot) ws.acquire(slot, {2, 2});
-  EXPECT_EQ(first.data(), p0);
-  EXPECT_EQ(&ws.acquire(0, {2, 8}), &first);  // same slot object
-  EXPECT_EQ(first.data(), p0);                // same storage after reshape
-  const std::size_t reserved = ws.floats_reserved();
-  for (int i = 0; i < 10; ++i) ws.acquire(3, {1, 2});
-  EXPECT_EQ(ws.floats_reserved(), reserved);  // steady state: no growth
-}
-
-TEST(KernelAllocation, WorkspaceIsCloneOnlyNeverCopied) {
-  // Copying is deleted so two owners can never silently alias one arena.
-  static_assert(!std::is_copy_constructible_v<Workspace>);
-  static_assert(!std::is_copy_assignable_v<Workspace>);
-  static_assert(std::is_move_constructible_v<Workspace>);
-
-  Workspace ws;
-  Tensor& a = ws.acquire(0, {8, 8});
-
-  // Moves hand over the heap-anchored slots: references and storage
-  // handed out before the move stay valid and pointer-stable.
-  const float* pa = a.data();
-  Workspace moved = std::move(ws);
-  EXPECT_EQ(moved.acquire(0, {8, 8}).data(), pa);
 }
 
 TEST(KernelAllocation, LayerForwardBuffersAreStable) {
