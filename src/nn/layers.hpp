@@ -15,9 +15,10 @@
 //
 // Hot-path discipline: forward() and backward() return references to
 // per-layer output buffers that are resized in place (capacity reused), so a
-// warmed-up layer performs no heap allocation per call. The reference stays
-// valid until the layer's next forward()/backward(); callers that need the
-// value past that point copy it (Tensor has value semantics).
+// warmed-up layer performs no heap allocation per call (test_serve_allocations
+// counts them for the codec's layers). The reference stays valid until the
+// layer's next forward()/backward(); callers that need the value past that
+// point copy it (Tensor has value semantics).
 // Linear and LinearReLU also offer a const infer(x, y): forward()'s kernel
 // call into a caller-owned output, without the backward cache, so any
 // number of threads may run it on one layer.

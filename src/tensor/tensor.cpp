@@ -10,7 +10,7 @@
 namespace semcache::tensor {
 
 namespace {
-std::size_t volume(const std::vector<std::size_t>& shape) {
+std::size_t volume(std::span<const std::size_t> shape) {
   std::size_t v = 1;
   for (const std::size_t d : shape) v *= d;
   return v;
@@ -101,11 +101,12 @@ void Tensor::reshape(std::vector<std::size_t> shape) {
   shape_ = std::move(shape);
 }
 
-void Tensor::resize(std::vector<std::size_t> shape) {
+void Tensor::resize_to(std::span<const std::size_t> shape) {
   SEMCACHE_CHECK(!shape.empty(), "Tensor::resize: shape must be non-empty");
   const std::size_t v = volume(shape);
   if (data_.size() != v) data_.resize(v);
-  shape_ = std::move(shape);
+  // assign() reuses shape_'s capacity; t.resize(t.shape()) is a no-op.
+  if (shape.data() != shape_.data()) shape_.assign(shape.begin(), shape.end());
 }
 
 void Tensor::fill(float value) {

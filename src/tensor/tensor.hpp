@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -54,10 +55,14 @@ class Tensor {
   void reshape(std::vector<std::size_t> shape);
   /// Destructive reshape to an arbitrary shape: storage is resized, existing
   /// capacity is reused (no reallocation when the new volume fits), and the
-  /// contents are unspecified. The workhorse of the `_into` kernels and of
-  /// the scratch tensors models hold, whose contents are fully overwritten
-  /// anyway.
-  void resize(std::vector<std::size_t> shape);
+  /// contents are unspecified. The new dims are written into the shape in
+  /// place, so a warmed-up tensor resizes without heap traffic. The
+  /// workhorse of the `_into` kernels and of the scratch tensors models
+  /// hold, whose contents are fully overwritten anyway.
+  void resize(std::initializer_list<std::size_t> shape) {
+    resize_to({shape.begin(), shape.size()});
+  }
+  void resize(const std::vector<std::size_t>& shape) { resize_to(shape); }
   /// Allocated storage in floats (>= size()); lets tests assert that the
   /// `_into` kernels never reallocate a warmed-up output tensor.
   std::size_t capacity() const { return data_.capacity(); }
@@ -79,6 +84,8 @@ class Tensor {
   std::string shape_string() const;
 
  private:
+  void resize_to(std::span<const std::size_t> shape);
+
   std::vector<std::size_t> shape_;
   std::vector<float> data_;
 };

@@ -8,7 +8,8 @@
 // buffer's sample copies. Others are on ROADMAP item 14: the channel's
 // per-stage vectors and the delivery chain's hop closures, which make up
 // the drain. The bounds are ceilings to tighten as those go, never to
-// loosen.
+// loosen. A second test pins the floor under those counts: a warmed-up
+// codec pass, and each layer's forward and backward, allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,8 @@
 #include <vector>
 
 #include "core/system.hpp"
+#include "nn/layers.hpp"
+#include "semantic/codec.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -118,6 +121,53 @@ TEST(ServeAllocations, WarmedServeWavePerMessage) {
               per_wave, per_drain);
   EXPECT_LE(per_wave, 20.1);
   EXPECT_LE(per_drain, 4.0);
+}
+
+// Each model holds its scratch as member tensors that a pass resizes in
+// place, so once a pass has run at a shape, running it again at that shape
+// reaches no allocator.
+TEST(ServeAllocations, WarmedCodecAndLayerPassesAllocateNothing) {
+  semantic::CodecConfig cc;
+  cc.surface_vocab = 40;
+  cc.meaning_vocab = 30;
+  cc.sentence_length = 4;
+  cc.feature_dim = 8;
+  Rng rng(5);
+  semantic::SemanticCodec codec(cc, rng);
+  constexpr std::size_t kSentences = 3;
+  std::vector<std::int32_t> surface(kSentences * cc.sentence_length);
+  for (std::size_t i = 0; i < surface.size(); ++i) {
+    surface[i] = static_cast<std::int32_t>((7 * i + 3) % cc.surface_vocab);
+  }
+  const auto allocations_of = [](const auto& pass) {
+    pass();  // warm-up
+    const std::uint64_t before = g_allocations.load();
+    pass();
+    return g_allocations.load() - before;
+  };
+  EXPECT_EQ(allocations_of([&] {
+              codec.decoder().decode_logits_batch(
+                  codec.encoder().encode_batch(surface, kSentences));
+            }),
+            0u)
+      << "encode_batch + decode_logits_batch";
+
+  nn::Embedding embed(cc.surface_vocab, 6, rng);
+  nn::LinearReLU l1(6, 10, rng);
+  nn::Linear l2(10, 5, rng);
+  nn::Tanh tanh;
+  const tensor::Tensor grad =
+      tensor::Tensor::uniform({surface.size(), 5}, 1.0f, rng);
+  EXPECT_EQ(allocations_of([&] {
+              tanh.forward(l2.forward(l1.forward(embed.forward(surface))));
+            }),
+            0u)
+      << "forward";
+  EXPECT_EQ(allocations_of([&] {
+              embed.backward(l1.backward(l2.backward(tanh.backward(grad))));
+            }),
+            0u)
+      << "backward";
 }
 
 }  // namespace
