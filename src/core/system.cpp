@@ -1,5 +1,7 @@
 #include "core/system.hpp"
 
+#include <cmath>
+
 #include "common/check.hpp"
 #include "select/context.hpp"
 #include "select/naive_bayes.hpp"
@@ -14,12 +16,17 @@ SemanticEdgeSystem::SemanticEdgeSystem(SystemConfig config)
 std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
     SystemConfig config) {
   // Every knob is refused before pretrain_models(), the slow part of a
-  // build. The first two would otherwise surface only mid-wave, after the
-  // wave has touched caches and slots.
+  // build. The first three would otherwise surface only mid-wave, after the
+  // wave has touched caches and slots; a +inf learning rate would train
+  // the weights to infinity.
   SEMCACHE_CHECK(config.buffer_trigger >= 1,
                  "config: buffer_trigger must be >= 1");
   SEMCACHE_CHECK(config.finetune_batch_size >= 1,
                  "config: finetune_batch_size must be >= 1");
+  SEMCACHE_CHECK(std::isfinite(config.finetune_lr) && config.finetune_lr > 0.0,
+                 "config: finetune_lr must be finite and positive");
+  SEMCACHE_CHECK(std::isfinite(config.pretrain.lr) && config.pretrain.lr > 0.0,
+                 "config: pretrain.lr must be finite and positive");
   SEMCACHE_CHECK(config.selector == "nb" || config.selector == "context",
                  "unknown selector '" + config.selector +
                      "' (expected \"nb\" or \"context\")");

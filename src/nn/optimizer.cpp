@@ -149,7 +149,8 @@ void Sgd::step(std::span<Parameter* const> params) {
 
 Adam::Adam(double lr, double beta1, double beta2, double eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
-  SEMCACHE_CHECK(lr > 0.0, "adam: lr must be positive");
+  SEMCACHE_CHECK(std::isfinite(lr) && lr > 0.0,
+                 "adam: lr must be finite and positive");
   SEMCACHE_CHECK(beta1 >= 0.0 && beta1 < 1.0, "adam: beta1 must be in [0,1)");
   SEMCACHE_CHECK(beta2 >= 0.0 && beta2 < 1.0, "adam: beta2 must be in [0,1)");
 }

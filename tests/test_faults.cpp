@@ -165,11 +165,12 @@ TEST(FaultPlane, ConfigValidated) {
 
 TEST(BuildValidation, RefusesBadKnobs) {
   // One broken knob per row. build() must refuse each one rather than
-  // return a system that throws later: a zero trigger or fine-tune batch
-  // used to surface only inside a wave, after it had touched the caches
-  // and claimed its messages. It must also refuse before pretraining,
-  // which is the slow part of a build: a pretrained codec would land in
-  // the fixture cache, so the cache directory must stay empty.
+  // return a system that throws later: a zero trigger, fine-tune batch or
+  // fine-tune lr used to surface only inside a wave, after it had touched
+  // the caches and claimed its messages, and a +inf learning rate trained
+  // the weights to infinity. It must also refuse before pretraining, which
+  // is the slow part of a build: a pretrained codec would land in the
+  // fixture cache, so the cache directory must stay empty.
   const char* saved = std::getenv("SEMCACHE_FIXTURE_DIR");
   const std::string saved_dir = saved != nullptr ? saved : "";
   const std::filesystem::path dir =
@@ -196,6 +197,19 @@ TEST(BuildValidation, RefusesBadKnobs) {
       {"unknown selector", [](SystemConfig& c) { c.selector = "oracle"; }},
       {"num_threads above the cap",
        [](SystemConfig& c) { c.num_threads = common::kMaxEnvThreads + 1; }},
+      {"finetune_lr 0", [](SystemConfig& c) { c.finetune_lr = 0.0; }},
+      {"finetune_lr NaN",
+       [](SystemConfig& c) {
+         c.finetune_lr = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"finetune_lr inf",
+       [](SystemConfig& c) {
+         c.finetune_lr = std::numeric_limits<double>::infinity();
+       }},
+      {"pretrain.lr inf",
+       [](SystemConfig& c) {
+         c.pretrain.lr = std::numeric_limits<double>::infinity();
+       }},
   };
   for (const auto& [knob, breaks] : rows) {
     SystemConfig config = test::tiny_system_config(3);

@@ -432,6 +432,13 @@ TEST(Optimizer, ZeroGrad) {
   EXPECT_EQ(p.grad.at(1), 0.0f);
 }
 
+TEST(Optimizer, AdamRefusesLrThatIsNotFiniteAndPositive) {
+  for (const double lr : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(Adam{lr}, Error) << lr;
+  }
+}
+
 TEST(Training, XorConverges) {
   // Classic sanity check: a 2-layer MLP learns XOR.
   Rng rng(21);
