@@ -106,6 +106,44 @@ TEST_F(BimodalTest, EncodeDecodeShapes) {
   EXPECT_EQ(decoded.size(), 6u);
 }
 
+// The layers draw their initial weights in declaration order: both
+// embeddings, then t1, t2, s1, s2, d1, d2. parameters() lists them per
+// branch: text, scene, decoder.
+TEST_F(BimodalTest, ParametersAndDrawsFollowTheDocumentedLayerOrder) {
+  const BimodalConfig bc = small_config(*world_, *scenes_);
+  const CodecConfig& tc = bc.text;
+  Rng rng(17);
+  BimodalCodec codec(bc, rng);
+  Rng layer_rng(17);
+  nn::Embedding text_embed(tc.surface_vocab, tc.embed_dim, layer_rng,
+                           "bim.text_embed");
+  nn::Embedding scene_embed(bc.scene_vocab, bc.scene_embed_dim, layer_rng,
+                            "bim.scene_embed");
+  nn::LinearReLU t1(tc.embed_dim, tc.hidden_dim, layer_rng, "bim.t1");
+  nn::Linear t2(tc.hidden_dim, tc.per_position_dims(), layer_rng, "bim.t2");
+  nn::LinearReLU s1(bc.scene_embed_dim, tc.hidden_dim, layer_rng, "bim.s1");
+  nn::Linear s2(tc.hidden_dim, bc.scene_feature_dim, layer_rng, "bim.s2");
+  nn::LinearReLU d1(tc.per_position_dims() + bc.scene_feature_dim,
+                    tc.hidden_dim, layer_rng, "bim.d1");
+  nn::Linear d2(tc.hidden_dim, tc.meaning_vocab, layer_rng, "bim.d2");
+  nn::ParameterSet expected;
+  expected.add_all(text_embed.parameters());
+  expected.add_all(t1.parameters());
+  expected.add_all(t2.parameters());
+  expected.add_all(scene_embed.parameters());
+  expected.add_all(s1.parameters());
+  expected.add_all(s2.parameters());
+  expected.add_all(d1.parameters());
+  expected.add_all(d2.parameters());
+
+  const nn::ParameterSet got = codec.parameters();
+  ASSERT_EQ(got.count(), expected.count());
+  for (std::size_t i = 0; i < got.count(); ++i) {
+    EXPECT_EQ(got.params()[i]->name, expected.params()[i]->name) << i;
+  }
+  EXPECT_TRUE(got.values_equal(expected));
+}
+
 TEST_F(BimodalTest, GradCheck) {
   Rng rng(34);
   BimodalCodec codec(small_config(*world_, *scenes_), rng);

@@ -2,7 +2,9 @@
 // must be indistinguishable from having trained — bit-identical weights,
 // identical stats, and an RNG fast-forwarded to the same state, so every
 // downstream draw matches. Uses a tiny codec (tens of steps) so the suite
-// stays tier-1 fast.
+// stays tier-1 fast. The file layout is SemanticCodec::parameters()' order,
+// which the CodecLayout test pins with the order the layers draw their
+// initial weights.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -53,6 +55,46 @@ class FixtureCacheTest : public ::testing::Test {
 
   std::filesystem::path dir_;
 };
+
+// parameters()' order is the fixture-cache file layout and, for the
+// decoder half, the sync wire order; the order the layers draw their
+// initial weights fixes every pretrained weight. Both follow the members'
+// declaration order, so building the documented layers one at a time from
+// the same seed must give the same names, shapes and values in order.
+TEST(CodecLayout, ParametersAndDrawsFollowTheDocumentedLayerOrder) {
+  CodecConfig cc;
+  cc.surface_vocab = 40;
+  cc.meaning_vocab = 30;
+  cc.sentence_length = 4;
+  cc.embed_dim = 6;
+  cc.feature_dim = 8;
+  cc.hidden_dim = 10;
+  const std::size_t per_pos = cc.per_position_dims();
+  for (const std::uint64_t seed : {1, 7}) {
+    Rng rng(seed);
+    SemanticCodec codec(cc, rng);
+    Rng layer_rng(seed);
+    nn::Embedding embed(cc.surface_vocab, cc.embed_dim, layer_rng,
+                        "enc.embed");
+    nn::LinearReLU enc_l1(cc.embed_dim, cc.hidden_dim, layer_rng, "enc.l1");
+    nn::Linear enc_l2(cc.hidden_dim, per_pos, layer_rng, "enc.l2");
+    nn::LinearReLU dec_l1(per_pos, cc.hidden_dim, layer_rng, "dec.l1");
+    nn::Linear dec_l2(cc.hidden_dim, cc.meaning_vocab, layer_rng, "dec.l2");
+    nn::ParameterSet expected;
+    expected.add_all(embed.parameters());
+    expected.add_all(enc_l1.parameters());
+    expected.add_all(enc_l2.parameters());
+    expected.add_all(dec_l1.parameters());
+    expected.add_all(dec_l2.parameters());
+
+    const nn::ParameterSet got = codec.parameters();
+    ASSERT_EQ(got.count(), expected.count());
+    for (std::size_t i = 0; i < got.count(); ++i) {
+      EXPECT_EQ(got.params()[i]->name, expected.params()[i]->name) << i;
+    }
+    EXPECT_TRUE(got.values_equal(expected)) << "seed " << seed;
+  }
+}
 
 TEST_F(FixtureCacheTest, DisabledWithoutEnvVar) {
   ::unsetenv("SEMCACHE_FIXTURE_DIR");
