@@ -153,17 +153,18 @@ TEST_F(TransmitParallelTest, MixedDomainGrouping) {
 }
 
 TEST_F(TransmitParallelTest, IntraEdgeSkipsChannel) {
-  // Sender and receiver share edge 0: the channel pool section is never
-  // entered, but the quantizer's pooled row passes still run.
+  // Sender and receiver share edge 0: the payloads skip the channel, and
+  // once the sender has fine-tuned, its slot is also the receiver's
+  // replica, which reads the decoder-copy pass's logits.
   run_and_compare("a", "c", sample_lockstep_messages("a", {0, 0, 0, 0, 0, 0}),
                   /*domain=*/0);
 }
 
 TEST(TransmitParallelNoisy, CorruptedPayloadsStayBitIdentical) {
   // Uncoded at 0 dB flips ~8% of payload bits: essentially every message
-  // arrives corrupted, driving the mismatch-reuse fallback (the chunk's
-  // batched decoder-copy pass) while the pool carries the noisy channel
-  // passes.
+  // arrives corrupted, so the receiver decodes most positions through a
+  // network rather than a table lookup, and after the mid-batch fine-tune
+  // the sender's decoder-copy pass runs on the clean payloads.
   // The heavy per-message noise draws make this the strongest RNG-stream
   // isolation case: any cross-worker draw would scramble the bits.
   unsetenv("SEMCACHE_THREADS");
