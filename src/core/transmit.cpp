@@ -454,31 +454,28 @@ void SemanticEdgeSystem::process_domain_group(PairTask& task,
     // Intra-edge, the payloads arrive as sent.
     const std::vector<BitVec>& arrived = task.cross_edge ? received : payloads;
 
+    // ---- Receiver decode. A frozen receiver looks up every position whose
+    // code the table holds, and the table decodes the channel-corrupted
+    // ones itself; a materialized receiver runs its replica. ----
+    if (receiver_frozen) {
+      table.decode(arrived, decoded);
+    } else {
+      decoded = rslot.model->decoder().decode(
+          quantizer_->dequantize_batch(arrived));
+    }
+
     // --- Mismatch calculation (③). With the decoder copy the sender
     // evaluates its own clean quantized features locally; without it, the
     // receiver must return its decoded output ("sending the output back
     // would defeat the purpose", §II-C). A frozen sender's decoder copy is
     // the general, so its mismatch reads the table's probability rows. A
     // materialized sender runs its decoder copy once over the chunk's
-    // clean payloads. ---
+    // clean payloads, after the receiver's decode: intra-edge the two are
+    // one decoder. ---
     const tensor::Tensor* copy_logits = nullptr;
     if (config_.decoder_copy_enabled && !sender_frozen) {
       copy_logits = &sslot.model->decoder().decode_logits_batch(
           quantizer_->dequantize_batch(payloads));
-    }
-
-    // ---- Receiver decode. A frozen receiver looks up every position whose
-    // code the table holds, and the table decodes the channel-corrupted
-    // ones itself; a materialized receiver runs its replica. Intra-edge
-    // the replica is the sender's own slot and the payloads arrive as
-    // sent, so the decoder-copy pass above already holds its logits. ----
-    if (receiver_frozen) {
-      table.decode(arrived, decoded);
-    } else if (&rslot == &sslot && copy_logits != nullptr) {
-      decoded = tensor::row_argmax(*copy_logits);
-    } else {
-      decoded = rslot.model->decoder().decode(
-          quantizer_->dequantize_batch(arrived));
     }
 
     // ---- Per-message outcome, in arrival order within the chunk: report

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/system.hpp"
+#include "nn/gru.hpp"
 #include "nn/layers.hpp"
 #include "semantic/codec.hpp"
 #include "test_util.hpp"
@@ -154,20 +155,30 @@ TEST(ServeAllocations, WarmedCodecAndLayerPassesAllocateNothing) {
 
   nn::Embedding embed(cc.surface_vocab, 6, rng);
   nn::LinearReLU l1(6, 10, rng);
+  nn::ReLU relu;
   nn::Linear l2(10, 5, rng);
   nn::Tanh tanh;
   const tensor::Tensor grad =
       tensor::Tensor::uniform({surface.size(), 5}, 1.0f, rng);
   EXPECT_EQ(allocations_of([&] {
-              tanh.forward(l2.forward(l1.forward(embed.forward(surface))));
+              tanh.forward(l2.forward(
+                  relu.forward(l1.forward(embed.forward(surface)))));
             }),
             0u)
       << "forward";
   EXPECT_EQ(allocations_of([&] {
-              embed.backward(l1.backward(l2.backward(tanh.backward(grad))));
+              embed.backward(l1.backward(
+                  relu.backward(l2.backward(tanh.backward(grad)))));
             }),
             0u)
       << "backward";
+
+  nn::Gru gru(6, 5, rng);
+  const tensor::Tensor xs = tensor::Tensor::uniform({7, 6}, 1.0f, rng);
+  const tensor::Tensor grad_hs = tensor::Tensor::uniform({7, 5}, 1.0f, rng);
+  EXPECT_EQ(allocations_of([&] { gru.forward(xs); }), 0u) << "gru forward";
+  EXPECT_EQ(allocations_of([&] { gru.backward(grad_hs); }), 0u)
+      << "gru backward";
 }
 
 }  // namespace

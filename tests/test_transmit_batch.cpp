@@ -10,10 +10,12 @@
 // one, never a semantic change. Covers the N = 1 bit-identity case,
 // updates firing mid-batch (chunk splitting), mixed-domain batches
 // (grouping), the intra-edge no-channel path, and chunks whose payloads
-// arrive corrupted, all or some. A fine-tuned sender's mismatch is also
-// checked against an independent clone of its decoder copy.
+// arrive corrupted, all or some. A fine-tuned sender's mismatch, and an
+// intra-edge receiver's decoded meanings, are also checked against an
+// independent clone of the sender's model.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "channel/burst.hpp"
@@ -188,60 +190,75 @@ TEST_F(TransmitBatchTest, IntraEdgeBatchSkipsChannelAndMatches) {
 TEST(DecoderCopy, FineTunedSenderMismatchEqualsAnIndependentCopy) {
   // The sender's decoder copy (§II-C) measures each message's mismatch on
   // the clean quantized features, whatever the channel did to the payload.
-  // Fine-tune one cross-edge sender once, clone its model, then serve fewer
-  // messages than the trigger over a hostile channel (uncoded, 0 dB): every
-  // mismatch must equal the clone's cross-entropy on the clean payload.
+  // Fine-tune one sender once across the edges, clone its model, then serve
+  // fewer messages than the trigger: every mismatch must equal the clone's
+  // cross-entropy on the clean payload. Two receivers take the second
+  // batch on fresh systems. Across a hostile channel (uncoded, 0 dB), "b"
+  // decodes corrupted payloads on its own replica. On the sender's edge,
+  // "c"'s replica is the sender's own slot and the payloads arrive as
+  // sent, so each decoded meaning must equal the clone's argmax.
   SystemConfig config = twin_config();
   config.oracle_selection = true;  // every message trains domain 0's slot
   config.buffer_trigger = 12;
   config.channel.code = "uncoded";
   config.channel.snr_db = 0.0;
-  auto system = SemanticEdgeSystem::build(config);
-  system->register_user("a", 0, nullptr);
-  system->register_user("b", 1, nullptr);
-  const auto serve = [&](const std::vector<text::Sentence>& messages) {
-    std::vector<TransmitReport> reports(messages.size());
-    system->transmit_pairs(
-        {{"a", "b", messages}},
-        [&reports](std::size_t, std::size_t i, TransmitReport r) {
-          reports[i] = std::move(r);
-        });
-    system->simulator().run();
-    return reports;
-  };
-  const auto sample = [&](std::size_t n) {
-    std::vector<text::Sentence> messages;
-    for (std::size_t i = 0; i < n; ++i) {
-      messages.push_back(system->sample_message("a", 0));
+  for (const std::string receiver : {"b", "c"}) {
+    SCOPED_TRACE("receiver " + receiver);
+    auto system = SemanticEdgeSystem::build(config);
+    system->register_user("a", 0, nullptr);
+    system->register_user("b", 1, nullptr);
+    system->register_user("c", 0, nullptr);
+    const auto serve = [&](const std::string& to,
+                           const std::vector<text::Sentence>& messages) {
+      std::vector<TransmitReport> reports(messages.size());
+      system->transmit_pairs(
+          {{"a", to, messages}},
+          [&reports](std::size_t, std::size_t i, TransmitReport r) {
+            reports[i] = std::move(r);
+          });
+      system->simulator().run();
+      return reports;
+    };
+    const auto sample = [&](std::size_t n) {
+      std::vector<text::Sentence> messages;
+      for (std::size_t i = 0; i < n; ++i) {
+        messages.push_back(system->sample_message("a", 0));
+      }
+      return messages;
+    };
+
+    serve("b", sample(config.buffer_trigger));
+    ASSERT_EQ(system->stats().updates, 1u);
+    const UserModelSlot* slot = system->edge_state(0).find_slot("a", 0);
+    ASSERT_NE(slot, nullptr);
+    ASSERT_TRUE(slot->owns_model);
+    const auto ref = slot->model->clone();
+
+    const std::vector<text::Sentence> messages =
+        sample(config.buffer_trigger - 1);
+    const std::vector<TransmitReport> reports = serve(receiver, messages);
+    ASSERT_EQ(system->stats().updates, 1u);
+    const semantic::FeatureQuantizer& q = system->quantizer();
+    const std::size_t vocab = system->config().codec.meaning_vocab;
+    bool saw_inexact = false;
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      const tensor::Tensor& logits = ref->decoder().decode_logits_batch(
+          q.dequantize_batch(q.quantize_batch(
+              ref->encoder().encode_batch(messages[i].surface, 1))));
+      EXPECT_EQ(reports[i].mismatch,
+                tensor::mean_cross_entropy(logits.flat(), vocab,
+                                           messages[i].meanings))
+          << "message " << i;
+      if (receiver == "c") {
+        EXPECT_EQ(reports[i].decoded_meanings, tensor::row_argmax(logits))
+            << "message " << i;
+      }
+      saw_inexact = saw_inexact || !reports[i].exact;
     }
-    return messages;
-  };
-
-  serve(sample(config.buffer_trigger));
-  ASSERT_EQ(system->stats().updates, 1u);
-  const UserModelSlot* slot = system->edge_state(0).find_slot("a", 0);
-  ASSERT_NE(slot, nullptr);
-  ASSERT_TRUE(slot->owns_model);
-  const auto ref = slot->model->clone();
-
-  const std::vector<text::Sentence> messages =
-      sample(config.buffer_trigger - 1);
-  const std::vector<TransmitReport> reports = serve(messages);
-  ASSERT_EQ(system->stats().updates, 1u);
-  const semantic::FeatureQuantizer& q = system->quantizer();
-  const std::size_t vocab = system->config().codec.meaning_vocab;
-  bool saw_inexact = false;
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    const tensor::Tensor& logits = ref->decoder().decode_logits_batch(
-        q.dequantize_batch(q.quantize_batch(
-            ref->encoder().encode_batch(messages[i].surface, 1))));
-    EXPECT_EQ(reports[i].mismatch,
-              tensor::mean_cross_entropy(logits.flat(), vocab,
-                                         messages[i].meanings))
-        << "message " << i;
-    saw_inexact = saw_inexact || !reports[i].exact;
+    if (receiver == "b") {
+      EXPECT_TRUE(saw_inexact);  // the channel corrupted what the copy ignores
+    }
   }
-  EXPECT_TRUE(saw_inexact);  // the channel corrupted what the copy ignores
 }
 
 TEST(DecoderCopyNoisy, CorruptedPayloadsBatchedMatchesSequential) {
