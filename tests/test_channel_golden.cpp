@@ -4,19 +4,24 @@
 // standard check value, the textbook Hamming(7,4) codeword table, and the
 // classic impulse response of the K=3 (7,5) convolutional code. These
 // pin the wire format — a refactor that changes any emitted bit fails
-// loudly even if round-trips still succeed.
+// loudly even if round-trips still succeed. The last section pins what a
+// whole pipeline returns under noise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "channel/convolutional.hpp"
 #include "channel/crc.hpp"
 #include "channel/hamming.hpp"
+#include "channel/pipeline.hpp"
 #include "channel/repetition.hpp"
 #include "common/bits.hpp"
+#include "common/hashing.hpp"
 #include "common/rng.hpp"
 #include "test_util.hpp"
 
@@ -244,6 +249,109 @@ TEST(RepetitionGolden, MajorityVoteAcrossRates) {
       }
     }
     EXPECT_EQ(code.decode(coded), info) << "repeats " << repeats;
+  }
+}
+
+
+// --- Noisy pipeline output ---------------------------------------------
+
+// What ChannelPipeline::transmit returns under noise. Every case sends the
+// same 24 payloads (40 to 48 bits, so the code blocks, the interleaver and
+// the last symbol all pad) at slot = message index, message i on the
+// noise fork noise.fork(i), and feeds the decoded bits, one byte per bit,
+// to an FNV-1a hash: one hash per channel, modulation and decision, over
+// the five codes at depths 1 and 8 in the order listed. Only keyed noise,
+// exact table lookups and comparisons feed the AWGN and Gilbert–Elliott
+// bits, so those hashes hold in every build type and SIMD tier. Rayleigh
+// adds a complex multiply and divide per symbol, which a compiler may
+// contract; its hashes agreed in Release and Sanitize builds on x86-64.
+// Each SNR is low enough that every case delivers some payloads corrupted.
+
+enum class NoisyChannel { kAwgn, kBurst, kRayleigh };
+
+struct NoisyModulation {
+  Modulation mod;
+  double snr_db;
+};
+constexpr NoisyModulation kNoisyModulations[] = {
+    {Modulation::kBpsk, -1.0}, {Modulation::kQpsk, 2.0},
+    {Modulation::kQam16, 7.0}};
+constexpr const char* kNoisyCodes[] = {"uncoded", "rep3", "hamming74",
+                                       "conv_k3_r12", "conv_k3_r34"};
+
+std::unique_ptr<ChannelPipeline> noisy_pipeline(NoisyChannel channel,
+                                                const NoisyModulation& m,
+                                                const char* code,
+                                                std::size_t depth) {
+  switch (channel) {
+    case NoisyChannel::kAwgn:
+      return make_awgn_pipeline(make_code(code), m.mod, m.snr_db, depth);
+    case NoisyChannel::kBurst: {
+      GilbertElliottConfig ge;
+      ge.snr_good_db = m.snr_db + 3.0;
+      ge.snr_bad_db = m.snr_db - 6.0;
+      ge.p_good_to_bad = 0.05;
+      ge.p_bad_to_good = 0.2;
+      ge.bad_weather_prob = 0.5;
+      ge.dwell_messages = 4;
+      ge.seed = 5;
+      return make_burst_pipeline(make_code(code), m.mod, ge, depth);
+    }
+    case NoisyChannel::kRayleigh:
+      return make_rayleigh_pipeline(make_code(code), m.mod, m.snr_db + 4.0,
+                                    /*fade_block_len=*/8, depth);
+  }
+  return nullptr;
+}
+
+// [channel][modulation][hard, soft].
+constexpr std::uint64_t kNoisyGolden[3][3][2] = {
+    // AWGN
+    {{0x9AEFD4EAD412078FULL, 0xA3741DF85FAA2F00ULL},
+     {0xE12B3C5591AC5F06ULL, 0xAB9B49BE449578BBULL},
+     {0x5E05B495DD4BB5E0ULL, 0xFF061E258E4698A7ULL}},
+    // Gilbert–Elliott
+    {{0x73AB75B46C69136EULL, 0x48606C7AA42A6AAFULL},
+     {0x2EF52A2DBE86AA37ULL, 0xCD77159729D94561ULL},
+     {0x67CD876D0880835EULL, 0xE6525B78E7C3E102ULL}},
+    // Rayleigh
+    {{0xE6B98B8729FBA7C1ULL, 0x0873F8CBE9860837ULL},
+     {0x67BCF49A98020884ULL, 0x69CB29B59C8997D7ULL},
+     {0x7F127958DAC34BC9ULL, 0x3E8A661C23184E41ULL}}};
+
+TEST(PipelineGolden, NoisyOutputBitsPinned) {
+  for (const NoisyChannel channel :
+       {NoisyChannel::kAwgn, NoisyChannel::kBurst, NoisyChannel::kRayleigh}) {
+    for (std::size_t m = 0; m < 3; ++m) {
+      for (const bool soft : {false, true}) {
+        std::string bits;
+        for (const char* code : kNoisyCodes) {
+          for (const std::size_t depth : {1u, 8u}) {
+            auto pipe =
+                noisy_pipeline(channel, kNoisyModulations[m], code, depth);
+            pipe->set_soft_decision(soft);
+            Rng payload_rng(11);
+            const Rng noise(13);
+            std::size_t corrupted = 0;
+            for (std::uint64_t slot = 0; slot < 24; ++slot) {
+              const BitVec payload =
+                  test::random_bits(40 + slot % 9, payload_rng);
+              Rng rng = noise.fork(slot);
+              const BitVec decoded = pipe->transmit(payload, rng, slot);
+              corrupted += decoded != payload;
+              bits.append(decoded.begin(), decoded.end());
+            }
+            EXPECT_GT(corrupted, 0u)
+                << pipe->description() << (soft ? " soft" : " hard")
+                << " depth " << depth;
+          }
+        }
+        EXPECT_EQ(common::stable_hash(bits),
+                  kNoisyGolden[static_cast<int>(channel)][m][soft])
+            << "channel " << static_cast<int>(channel) << " modulation "
+            << m << (soft ? " soft" : " hard");
+      }
+    }
   }
 }
 
