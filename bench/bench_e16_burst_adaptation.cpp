@@ -19,8 +19,6 @@
 // pipelines once, one per code rate: each fixed arm runs one batched
 // transmit on its rung, and the adaptive arm climbs the same ladder
 // message by message, because the controller is a serial dependency.
-// SEMCACHE_SOFT=off forces hard decisions on every arm; the adaptive arm
-// then gets no SNR estimate and never switches.
 #include <array>
 #include <memory>
 #include <string>
@@ -96,14 +94,13 @@ Workload make_workload(const text::World& world, semantic::SemanticCodec& codec,
 
 // One pipeline per code rate over the scenario's burst weather.
 channel::RateLadder make_ladder(const Scenario& sc) {
-  const bool soft = channel::resolve_soft_decision(true);
   channel::RateLadder ladder;
   for (std::size_t r = 0; r < channel::kCodeRateCount; ++r) {
     auto pipe = channel::make_burst_pipeline(
         std::make_unique<channel::ConvolutionalCode>(
             static_cast<channel::CodeRate>(r)),
         channel::Modulation::kQpsk, sc.burst, kInterleaveDepth);
-    pipe->set_soft_decision(soft);
+    pipe->set_soft_decision(true);
     ladder[r] = std::move(pipe);
   }
   return ladder;

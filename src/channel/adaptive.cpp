@@ -46,8 +46,8 @@ BitVec adaptive_transmit(const RateLadder& ladder,
   const ChannelPipeline* pipe =
       ladder[static_cast<std::size_t>(controller.current())].get();
   SEMCACHE_CHECK(pipe != nullptr, "adaptive: ladder rung missing");
-  // The estimate stays NaN unless the rung decodes soft: a hard rung, or a
-  // soft one over a channel without a soft output (BSC), writes none.
+  // The estimate stays NaN unless the rung decodes soft: a hard rung
+  // writes none.
   ChannelObservation obs;
   obs.snr_est_db = std::numeric_limits<double>::quiet_NaN();
   BitVec decoded = pipe->transmit(payload, rng, slot, &obs);

@@ -55,10 +55,9 @@ using RateLadder =
 /// decision-directed SNR estimate goes to `controller`, which then picks
 /// the rung for the next message: the rate for message N is decided from
 /// messages < N only (the transmitter cannot see the channel it is about
-/// to hit). A rung that decodes hard (SEMCACHE_SOFT=off, or a channel
-/// without a soft output) yields no estimate, so the controller holds its
-/// rate. Sequential by design: the controller is a serial dependency, so
-/// there is no batched form.
+/// to hit). A rung that decodes hard (`set_soft_decision(false)`) yields
+/// no estimate, so the controller holds its rate. Sequential by design:
+/// the controller is a serial dependency, so there is no batched form.
 BitVec adaptive_transmit(const RateLadder& ladder,
                          AdaptiveRateController& controller,
                          const BitVec& payload, Rng& rng, std::uint64_t slot);

@@ -81,10 +81,6 @@ void polar(std::uint64_t key, std::uint64_t index, double& r, double& x0,
 
 }  // namespace
 
-double keyed_uniform(std::uint64_t key, std::uint64_t index) {
-  return common::to_unit_interval(keyed_bits(key, index));
-}
-
 void keyed_gaussian_pair(std::uint64_t key, std::uint64_t index, double& z0,
                          double& z1) {
   double r = 0.0, x0 = 0.0, x1 = 0.0;

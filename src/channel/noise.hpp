@@ -1,10 +1,10 @@
 // Keyed channel noise. Every random number a channel spends on a message
-// is a pure function of the message's key (Rng::next_key) and an index —
-// the symbol index for noise, the bit index for BSC flips — never of how
-// many draws came before. That is the identity-hash discipline the fault
-// plane and the Gilbert–Elliott weather already follow, applied to the
-// noise itself, and it is what lets the AVX2 kernel make four gaussian
-// pairs at once.
+// is a pure function of the message's key (Rng::next_key) and an index
+// (the symbol index, or a fade block's index past the symbols), never of
+// how many draws came before. That is the identity-hash discipline the
+// fault plane and the Gilbert–Elliott weather already follow, applied to
+// the noise itself, and it is what lets the AVX2 kernel make four
+// gaussian pairs at once.
 //
 // One generator serves every channel: a splitmix64 hash of (key, index)
 // gives 64 bits; a gaussian pair takes u1 in (0, 1] from the low 32 bits
@@ -18,10 +18,6 @@
 #include <cstdint>
 
 namespace semcache::channel {
-
-/// Uniform double in [0, 1) from the top 53 bits of output `index` of
-/// the splitmix64 stream keyed by `key`.
-double keyed_uniform(std::uint64_t key, std::uint64_t index);
 
 /// Gaussian pair `index` of `key`: two independent N(0, 1) values.
 void keyed_gaussian_pair(std::uint64_t key, std::uint64_t index, double& z0,

@@ -73,52 +73,6 @@ std::string RayleighChannel::name() const {
   return os.str();
 }
 
-BscChannel::BscChannel(double flip_probability) : p_(flip_probability) {
-  SEMCACHE_CHECK(p_ >= 0.0 && p_ <= 0.5,
-                 "bsc: flip probability must be in [0, 0.5]");
-}
-
-BitVec BscChannel::transmit(const BitVec& bits, Rng& rng,
-                            std::uint64_t /*slot*/) {
-  const std::uint64_t key = rng.next_key();
-  BitVec out = bits;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (keyed_uniform(key, i) < p_) out[i] ^= 1;
-  }
-  return out;
-}
-
-std::string BscChannel::name() const {
-  std::ostringstream os;
-  os << "bsc(" << p_ << ")";
-  return os.str();
-}
-
-ModulatedChannel::ModulatedChannel(Modulation m,
-                                   std::unique_ptr<SymbolChannel> channel)
-    : mod_(m), channel_(std::move(channel)) {
-  SEMCACHE_CHECK(channel_ != nullptr, "modulated channel: null symbol channel");
-}
-
-BitVec ModulatedChannel::transmit(const BitVec& bits, Rng& rng,
-                                  std::uint64_t slot) {
-  std::vector<Symbol> symbols = modulate(bits, mod_);
-  channel_->apply(symbols, rng, slot);
-  return demodulate(symbols, mod_, bits.size());
-}
-
-bool ModulatedChannel::transmit_soft(const BitVec& bits, Rng& rng,
-                                     std::uint64_t slot,
-                                     std::vector<float>& llrs,
-                                     ChannelObservation* obs) {
-  std::vector<Symbol> symbols = modulate(bits, mod_);
-  channel_->apply(symbols, rng, slot);
-  demap_soft_into(llrs, symbols.data(), symbols.size(), mod_);
-  llrs.resize(bits.size());  // drop LLRs of modulation pad bits
-  if (obs != nullptr) *obs = observe_symbols(symbols, mod_);
-  return true;
-}
-
 ChannelObservation observe_symbols(const std::vector<Symbol>& received,
                                    Modulation m) {
   ChannelObservation obs;
@@ -135,10 +89,6 @@ ChannelObservation observe_symbols(const std::vector<Symbol>& received,
   obs.noise_power = err / static_cast<double>(received.size());
   obs.snr_est_db = 10.0 * std::log10(1.0 / std::max(obs.noise_power, 1e-9));
   return obs;
-}
-
-std::string ModulatedChannel::name() const {
-  return modulation_name(mod_) + "/" + channel_->name();
 }
 
 double bpsk_awgn_ber(double snr_db) {

@@ -1,11 +1,12 @@
-// Physical channel models. Two abstraction levels:
-//  * SymbolChannel distorts complex symbols (AWGN, Rayleigh block fading);
-//  * BitChannel maps bits to bits — either directly (BSC) or by wrapping a
-//    modulation + SymbolChannel pair (ModulatedChannel).
-// The channel pipeline (pipeline.hpp) only talks to BitChannel.
+// Physical channel models: a SymbolChannel distorts complex symbols (AWGN
+// and Rayleigh block fading here, Gilbert–Elliott bursts in burst.hpp).
+// The channel pipeline (pipeline.hpp) modulates the coded bits, hands the
+// symbols to one SymbolChannel and demaps what comes back.
 #pragma once
 
-#include <memory>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "channel/modulation.hpp"
 #include "common/rng.hpp"
@@ -19,8 +20,13 @@ class SymbolChannel {
   SymbolChannel(const SymbolChannel&) = delete;
   SymbolChannel& operator=(const SymbolChannel&) = delete;
 
-  /// Distort symbols in place. The noise is keyed (channel/noise.hpp):
-  /// each call takes one rng.next_key() and never draws from the engine.
+  /// Distort symbols in place. Implementations must be safe for
+  /// concurrent apply() calls with DISTINCT rngs (read-only channel
+  /// parameters, all working state local or in the rng): a pair wave's
+  /// lanes share one pipeline and transmit from several pool threads at
+  /// once. All in-tree channels qualify.
+  /// The noise is keyed (channel/noise.hpp): each call takes one
+  /// rng.next_key() and never draws from the engine.
   /// `slot` is the caller's global message index (the same ordinal that
   /// keys the per-message RNG forks), which lets a channel with memory —
   /// the Gilbert–Elliott burst model — evolve its state across messages
@@ -73,68 +79,6 @@ class RayleighChannel final : public SymbolChannel {
   double snr_db_;
   double sigma_;
   std::size_t block_len_;
-};
-
-class BitChannel {
- public:
-  virtual ~BitChannel() = default;
-  BitChannel() = default;
-  BitChannel(const BitChannel&) = delete;
-  BitChannel& operator=(const BitChannel&) = delete;
-
-  /// Implementations must be safe for concurrent transmit() calls with
-  /// DISTINCT rngs (read-only channel parameters, all working state local
-  /// or in the rng): a pair wave's lanes share one pipeline and transmit
-  /// from several pool threads at once. All in-tree channels qualify.
-  /// `slot` is the message index of SymbolChannel::apply.
-  virtual BitVec transmit(const BitVec& bits, Rng& rng,
-                          std::uint64_t slot) = 0;
-  /// Soft-output transmit: on success fills `llrs` with one LLR per input
-  /// bit (sign convention: llr >= 0 decodes to 1, matching the hard
-  /// slicers) and, when `obs` is non-null, a decision-directed channel
-  /// observation. Returns false when the channel has no soft output (BSC),
-  /// in which case the caller falls back to the hard path.
-  virtual bool transmit_soft(const BitVec& bits, Rng& rng, std::uint64_t slot,
-                             std::vector<float>& llrs,
-                             ChannelObservation* obs) {
-    (void)bits;
-    (void)rng;
-    (void)slot;
-    (void)llrs;
-    (void)obs;
-    return false;
-  }
-  virtual std::string name() const = 0;
-};
-
-/// Binary symmetric channel: each bit flips independently with probability
-/// p; bit i flips when keyed uniform i of the call's rng.next_key() is
-/// below p.
-class BscChannel final : public BitChannel {
- public:
-  explicit BscChannel(double flip_probability);
-  BitVec transmit(const BitVec& bits, Rng& rng, std::uint64_t slot) override;
-  std::string name() const override;
-  double flip_probability() const { return p_; }
-
- private:
-  double p_;
-};
-
-/// Modulate -> symbol channel -> demodulate.
-class ModulatedChannel final : public BitChannel {
- public:
-  ModulatedChannel(Modulation m, std::unique_ptr<SymbolChannel> channel);
-  BitVec transmit(const BitVec& bits, Rng& rng, std::uint64_t slot) override;
-  bool transmit_soft(const BitVec& bits, Rng& rng, std::uint64_t slot,
-                     std::vector<float>& llrs,
-                     ChannelObservation* obs) override;
-  std::string name() const override;
-  Modulation modulation() const { return mod_; }
-
- private:
-  Modulation mod_;
-  std::unique_ptr<SymbolChannel> channel_;
 };
 
 /// Per-dimension noise stddev for unit-energy symbols at Es/N0 = snr_db.

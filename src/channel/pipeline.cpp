@@ -1,7 +1,5 @@
 #include "channel/pipeline.hpp"
 
-#include <cstdlib>
-
 #include "channel/convolutional.hpp"
 #include "channel/hamming.hpp"
 #include "channel/repetition.hpp"
@@ -10,9 +8,11 @@
 namespace semcache::channel {
 
 ChannelPipeline::ChannelPipeline(std::unique_ptr<ChannelCode> code,
-                                 std::unique_ptr<BitChannel> channel,
+                                 Modulation mod,
+                                 std::unique_ptr<SymbolChannel> channel,
                                  std::size_t interleave_depth)
     : code_(std::move(code)),
+      mod_(mod),
       channel_(std::move(channel)),
       interleaver_(interleave_depth) {
   SEMCACHE_CHECK(code_ != nullptr, "pipeline: null code");
@@ -24,18 +24,22 @@ BitVec ChannelPipeline::transmit(const BitVec& payload, Rng& rng,
                                  ChannelObservation* obs) const {
   const BitVec coded = code_->encode(payload);
   const BitVec sent = interleaver_.interleave(coded);
+  std::vector<Symbol> symbols = modulate(sent, mod_);
+  channel_->apply(symbols, rng, slot);
   BitVec decoded;
-  std::vector<float> llrs;
-  if (soft_ && channel_->transmit_soft(sent, rng, slot, llrs, obs)) {
+  if (soft_) {
     // LLRs ride the same deinterleave permutation the hard bits would, so
-    // the trellis sees confidences in coded order. Channels without a soft
-    // output decline and drop through to the hard path.
+    // the trellis sees confidences in coded order.
+    std::vector<float> llrs;
+    demap_soft_into(llrs, symbols.data(), symbols.size(), mod_);
+    llrs.resize(sent.size());  // drop LLRs of modulation pad bits
+    if (obs != nullptr) *obs = observe_symbols(symbols, mod_);
     std::vector<float> deinterleaved = interleaver_.deinterleave(llrs);
     deinterleaved.resize(coded.size());  // drop interleaver padding
     decoded = code_->decode_soft(deinterleaved);
   } else {
     BitVec deinterleaved =
-        interleaver_.deinterleave(channel_->transmit(sent, rng, slot));
+        interleaver_.deinterleave(demodulate(symbols, mod_, sent.size()));
     deinterleaved.resize(coded.size());  // drop interleaver padding
     decoded = code_->decode(deinterleaved);
   }
@@ -72,7 +76,7 @@ std::size_t ChannelPipeline::airtime_bits(std::size_t payload_bits) const {
 }
 
 std::string ChannelPipeline::description() const {
-  return code_->name() + "+" + channel_->name();
+  return code_->name() + "+" + modulation_name(mod_) + "/" + channel_->name();
 }
 
 std::unique_ptr<ChannelCode> make_code(const std::string& name) {
@@ -93,45 +97,28 @@ std::unique_ptr<ChannelCode> make_code(const std::string& name) {
 std::unique_ptr<ChannelPipeline> make_awgn_pipeline(
     std::unique_ptr<ChannelCode> code, Modulation mod, double snr_db,
     std::size_t interleave_depth) {
-  auto channel = std::make_unique<ModulatedChannel>(
-      mod, std::make_unique<AwgnChannel>(snr_db));
-  return std::make_unique<ChannelPipeline>(std::move(code), std::move(channel),
-                                           interleave_depth);
-}
-
-std::unique_ptr<ChannelPipeline> make_bsc_pipeline(
-    std::unique_ptr<ChannelCode> code, double flip_probability) {
   return std::make_unique<ChannelPipeline>(
-      std::move(code), std::make_unique<BscChannel>(flip_probability), 1);
+      std::move(code), mod, std::make_unique<AwgnChannel>(snr_db),
+      interleave_depth);
 }
 
 std::unique_ptr<ChannelPipeline> make_rayleigh_pipeline(
     std::unique_ptr<ChannelCode> code, Modulation mod, double snr_db,
     std::size_t fade_block_len, std::size_t interleave_depth) {
-  auto channel = std::make_unique<ModulatedChannel>(
-      mod, std::make_unique<RayleighChannel>(snr_db, fade_block_len));
-  return std::make_unique<ChannelPipeline>(std::move(code), std::move(channel),
-                                           interleave_depth);
+  return std::make_unique<ChannelPipeline>(
+      std::move(code), mod,
+      std::make_unique<RayleighChannel>(snr_db, fade_block_len),
+      interleave_depth);
 }
 
 std::unique_ptr<ChannelPipeline> make_burst_pipeline(
     std::unique_ptr<ChannelCode> code, Modulation mod,
     const GilbertElliottConfig& burst, std::size_t interleave_depth) {
-  auto channel = std::make_unique<ModulatedChannel>(
-      mod, std::make_unique<GilbertElliottChannel>(burst));
-  return std::make_unique<ChannelPipeline>(std::move(code), std::move(channel),
-                                           interleave_depth);
+  return std::make_unique<ChannelPipeline>(
+      std::move(code), mod, std::make_unique<GilbertElliottChannel>(burst),
+      interleave_depth);
 }
 
-bool resolve_soft_decision(bool configured) {
-  return configured && !soft_forced_off();
-}
-
-bool soft_forced_off() {
-  const char* env = std::getenv("SEMCACHE_SOFT");
-  if (env == nullptr) return false;
-  const std::string v(env);
-  return v == "off" || v == "0";
-}
+bool resolve_soft_decision(bool configured) { return configured; }
 
 }  // namespace semcache::channel

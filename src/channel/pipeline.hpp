@@ -1,7 +1,10 @@
-// End-to-end bit transport: channel code + interleaver + physical channel.
-// This is the "Channel encoding -> Physical channel -> Channel decoding"
-// segment of the paper's workflow; both semantic payloads (quantized
-// features) and traditional payloads (compressed text bits) ride on it.
+// End-to-end bit transport: channel code, interleaver, modulation and a
+// physical symbol channel. This is the "Channel encoding -> Physical
+// channel -> Channel decoding" segment of the paper's workflow; both
+// semantic payloads (quantized features) and traditional payloads
+// (compressed text bits) ride on it. One function runs every stage:
+// encode -> interleave -> modulate -> SymbolChannel::apply -> hard demap
+// or soft LLR demap -> deinterleave -> decode.
 #pragma once
 
 #include <memory>
@@ -17,11 +20,11 @@ namespace semcache::channel {
 
 /// A const function of (payload, rng, slot): the pipeline holds only its
 /// configuration, so one pipeline serves any number of concurrent
-/// transmits with distinct rngs.
+/// transmits with distinct rngs (the SymbolChannel contract).
 class ChannelPipeline {
  public:
-  ChannelPipeline(std::unique_ptr<ChannelCode> code,
-                  std::unique_ptr<BitChannel> channel,
+  ChannelPipeline(std::unique_ptr<ChannelCode> code, Modulation mod,
+                  std::unique_ptr<SymbolChannel> channel,
                   std::size_t interleave_depth = 1);
 
   /// Transmit payload bits; returns the receiver's reconstruction, trimmed
@@ -47,9 +50,9 @@ class ChannelPipeline {
   std::size_t airtime_bits(std::size_t payload_bits) const;
 
   /// Switch the receive side between hard-decision slicing (default; the
-  /// pre-existing bit-exact path) and soft-decision LLR decoding. Soft
-  /// mode silently falls back to hard for channels without a soft output
-  /// (BSC). Not thread-safe against in-flight transmits.
+  /// pre-existing bit-exact path) and soft-decision LLR decoding. Every
+  /// channel has a soft output, so this is the only switch on the receive
+  /// path. Not thread-safe against in-flight transmits.
   void set_soft_decision(bool on) { soft_ = on; }
   bool soft_decision() const { return soft_; }
 
@@ -58,7 +61,8 @@ class ChannelPipeline {
 
  private:
   std::unique_ptr<ChannelCode> code_;
-  std::unique_ptr<BitChannel> channel_;
+  Modulation mod_;
+  std::unique_ptr<SymbolChannel> channel_;
   BlockInterleaver interleaver_;
   bool soft_ = false;
 };
@@ -71,8 +75,6 @@ std::unique_ptr<ChannelCode> make_code(const std::string& name);
 std::unique_ptr<ChannelPipeline> make_awgn_pipeline(
     std::unique_ptr<ChannelCode> code, Modulation mod, double snr_db,
     std::size_t interleave_depth = 1);
-std::unique_ptr<ChannelPipeline> make_bsc_pipeline(
-    std::unique_ptr<ChannelCode> code, double flip_probability);
 std::unique_ptr<ChannelPipeline> make_rayleigh_pipeline(
     std::unique_ptr<ChannelCode> code, Modulation mod, double snr_db,
     std::size_t fade_block_len, std::size_t interleave_depth);
@@ -80,13 +82,9 @@ std::unique_ptr<ChannelPipeline> make_burst_pipeline(
     std::unique_ptr<ChannelCode> code, Modulation mod,
     const GilbertElliottConfig& burst, std::size_t interleave_depth = 1);
 
-/// Resolve the effective soft-decision flag against SEMCACHE_SOFT:
-/// "off"/"0" forces hard decisions even over an explicit configuration
-/// (the CI floor leg, mirroring SEMCACHE_SIMD=scalar); anything else
-/// (including unset) keeps `configured`.
+/// The engaged soft-decision flag for a configured one. Nothing overrides
+/// the configuration, so it returns `configured`; perfbench reports the
+/// engaged decision through it.
 bool resolve_soft_decision(bool configured);
-/// True when SEMCACHE_SOFT force-disables soft decisions — soft-asserting
-/// tests skip themselves under the floor leg.
-bool soft_forced_off();
 
 }  // namespace semcache::channel

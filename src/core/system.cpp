@@ -63,8 +63,7 @@ std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
         channel::make_code(ch.code), ch.modulation, ch.snr_db,
         ch.interleave_depth);
   }
-  sys->pipeline_->set_soft_decision(
-      channel::resolve_soft_decision(ch.soft_decision));
+  sys->pipeline_->set_soft_decision(ch.soft_decision);
 
   // Lane worker pool (README "Threading model"): resolved once at build —
   // an explicit num_threads wins, SEMCACHE_THREADS fills in for the
@@ -80,19 +79,17 @@ std::unique_ptr<SemanticEdgeSystem> SemanticEdgeSystem::build(
   sys->build_topology();
 
   // Fault plane: validate the config once (throws on bad knobs) and wire
-  // the link layer. Outage sinks are attached unconditionally so explicit
-  // Link::add_outage windows (tests, scenario scripts) land in SystemStats
-  // even when no flap schedule is configured; flap schedules get a
-  // per-link deterministic phase so a fleet of links never flaps in
-  // lockstep.
+  // the link layer. Flap schedules are the only outages; each link gets a
+  // deterministic phase so a fleet of links never flaps in lockstep, and
+  // its outage counters land in SystemStats.
   sys->fault_plane_ = FaultPlane(sys->config_.faults);
   const FaultConfig& faults = sys->config_.faults;
   edge::Network& net = *sys->topology_.net;
-  for (edge::LinkId id = 0; id < net.link_count(); ++id) {
-    edge::Link& link = net.link_at(id);
-    link.set_outage_sinks(&sys->stats_.outage_drops,
-                          &sys->stats_.outage_queued);
-    if (faults.link_faults_active()) {
+  if (faults.link_faults_active()) {
+    for (edge::LinkId id = 0; id < net.link_count(); ++id) {
+      edge::Link& link = net.link_at(id);
+      link.set_outage_sinks(&sys->stats_.outage_drops,
+                            &sys->stats_.outage_queued);
       link.set_outage_policy(faults.outage_policy);
       link.set_flap_schedule(faults.link_flap_period_s, faults.link_flap_down_s,
                              sys->fault_plane_.flap_phase_s(id));

@@ -54,9 +54,8 @@ struct ChannelConfig {
   /// byte-identical across thread and shard counts).
   std::string medium = "awgn";
   channel::GilbertElliottConfig burst;
-  /// Soft-decision (LLR) receive path. Resolved against SEMCACHE_SOFT at
-  /// build ("off" forces hard). The hard default is bit-identical to
-  /// earlier builds.
+  /// Soft-decision (LLR) receive path. The hard default is bit-identical
+  /// to earlier builds.
   bool soft_decision = false;
 };
 

@@ -3,19 +3,17 @@
 // small feature messages queued behind them — the contention that makes
 // caching pay off (E5).
 //
-// Outage model (the fault plane's link layer): a link can be DOWN during
-// explicit [start, end) windows and/or on a periodic flap schedule (down
-// for `down_s` at the start of every `period_s` window, phase-shifted per
-// link). Admission is checked at the moment a transfer WOULD start (after
-// FIFO queueing): kQueue shifts the start to the end of the outage and
-// counts it queued; kDrop refuses the send — the handler is never
-// scheduled, nothing is charged, and kDropped is returned.
+// Outage model (the fault plane's link layer): a link can be DOWN on a
+// periodic flap schedule (down for `down_s` at the start of every
+// `period_s` window, phase-shifted per link). Admission is checked at the
+// moment a transfer WOULD start (after FIFO queueing): kQueue shifts the
+// start to the end of the outage and counts it queued; kDrop refuses the
+// send — the handler is never scheduled, nothing is charged, and
+// kDropped is returned.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <utility>
-#include <vector>
 
 #include "edge/node.hpp"
 #include "edge/sim.hpp"
@@ -58,17 +56,11 @@ class Link {
   /// window, the whole schedule shifted by `phase_s`. period_s <= 0 or
   /// down_s <= 0 clears the schedule.
   void set_flap_schedule(double period_s, double down_s, double phase_s);
-  /// Explicit outage window [start, end) (tests and scripted scenarios).
-  /// Windows are kept sorted and coalesced (overlapping or adjacent
-  /// windows merge into one), so queries binary-search a disjoint list.
-  void add_outage(SimTime start, SimTime end);
   void set_outage_policy(OutagePolicy policy) { outage_policy_ = policy; }
   OutagePolicy outage_policy() const { return outage_policy_; }
   bool is_down(SimTime t) const;
   /// Earliest time >= t at which the link is up.
   SimTime next_up(SimTime t) const;
-  /// Stored (coalesced) explicit outage windows — memory audits.
-  std::size_t outage_window_count() const { return outages_.size(); }
 
   /// Mirror the outage counters into external sinks (the system wires
   /// SystemStats here; edge:: must not depend on core::). Null clears.
@@ -83,10 +75,8 @@ class Link {
   std::size_t outage_queued() const { return outage_queued_; }
 
  private:
-  /// Covering outage window for t, or outages_.end(). outages_ is sorted
-  /// and disjoint, so at most one window can cover any instant.
-  std::vector<std::pair<SimTime, SimTime>>::const_iterator window_covering(
-      SimTime t) const;
+  /// Down time left at t on the flap schedule (0 while the link is up).
+  double down_remaining(SimTime t) const;
 
   LinkId id_;
   NodeId from_;
@@ -100,7 +90,6 @@ class Link {
   double flap_period_ = 0.0;
   double flap_down_ = 0.0;
   double flap_phase_ = 0.0;
-  std::vector<std::pair<SimTime, SimTime>> outages_;  ///< sorted, disjoint
   OutagePolicy outage_policy_ = OutagePolicy::kQueue;
   std::size_t outage_drops_ = 0;
   std::size_t outage_queued_ = 0;

@@ -73,11 +73,6 @@ std::size_t Network::approx_byte_size() const {
                       links_.capacity() * sizeof(links_[0]);
   for (const auto& n : nodes_) total += sizeof(Node) + n->name().capacity();
   total += links_.size() * sizeof(Link);
-  // Scripted outage schedules hang off the links (fault-plane scenarios
-  // can carry thousands of windows per link before coalescing).
-  for (const auto& l : links_) {
-    total += l->outage_window_count() * sizeof(std::pair<SimTime, SimTime>);
-  }
   // Hash map entry: key + value + a node pointer / bucket slot of overhead.
   total += adjacency_.size() *
            (sizeof(std::uint64_t) + sizeof(LinkId) + 2 * sizeof(void*));

@@ -17,11 +17,13 @@ class SoftmaxCrossEntropy {
  public:
   /// logits: (N x C); targets: N class indices. Returns mean CE in nats.
   double forward(const Tensor& logits, std::span<const std::int32_t> targets);
-  /// Returns dL/dlogits = (softmax - onehot) / N.
-  Tensor backward() const;
+  /// Returns dL/dlogits = (softmax - onehot) / N, held in a member that
+  /// the next backward() overwrites.
+  const Tensor& backward();
 
  private:
   Tensor probs_;
+  Tensor grad_;
   std::vector<std::int32_t> targets_;
 };
 

@@ -157,7 +157,7 @@ double SemanticCodec::forward_loss(std::span<const std::int32_t> surface,
 }
 
 void SemanticCodec::backward() {
-  const Tensor dlogits = loss_.backward();
+  const Tensor& dlogits = loss_.backward();
   encoder_->backward_batch(decoder_->backward_batch(dlogits));
 }
 

@@ -493,13 +493,20 @@ Tensor affine(const Tensor& x, const Tensor& w, const Tensor& bias) {
 }
 
 Tensor row_softmax(const Tensor& logits) {
+  Tensor out;
+  row_softmax_into(out, logits);
+  return out;
+}
+
+void row_softmax_into(Tensor& out, const Tensor& logits) {
   SEMCACHE_CHECK(logits.rank() == 2, "row_softmax: rank-2 required");
   const std::size_t m = logits.dim(0);
   const std::size_t n = logits.dim(1);
   require_rows_and_cols(m, n, "row_softmax");
-  Tensor out({m, n});
+  SEMCACHE_CHECK(&out != &logits,
+                 "row_softmax_into: output must not alias logits");
+  out.resize({m, n});
   softmax_rows(m, n, logits.data(), out.data());
-  return out;
 }
 
 std::vector<std::int32_t> row_argmax(const Tensor& t) {

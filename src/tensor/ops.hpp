@@ -94,6 +94,9 @@ float expf(float x);
 /// e_j = expf(x_j - max), summed in ascending column order, then each
 /// e_j * (1 / sum). Throws on zero rows or columns.
 Tensor row_softmax(const Tensor& logits);
+/// row_softmax into `out` (resized, reusing capacity; must not alias
+/// `logits`).
+void row_softmax_into(Tensor& out, const Tensor& logits);
 /// Row-wise argmax of a rank-2 tensor: the first index of each row's
 /// maximum (NaN as the `>` chain treats it). Throws on zero rows or columns.
 std::vector<std::int32_t> row_argmax(const Tensor& t);

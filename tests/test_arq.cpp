@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <string>
 
 #include "channel/arq.hpp"
@@ -14,11 +15,23 @@
 namespace semcache::channel {
 namespace {
 
+using test::bpsk_snr_db_for_ber;
 using test::random_bits;
+
+// A BPSK link over AWGN: +inf dB is noiseless, and at
+// bpsk_snr_db_for_ber(p) each bit on the air flips with probability p.
+std::unique_ptr<ChannelPipeline> bpsk_link(std::unique_ptr<ChannelCode> code,
+                                           double snr_db) {
+  return make_awgn_pipeline(std::move(code), Modulation::kBpsk, snr_db);
+}
+
+constexpr double kNoiseless = std::numeric_limits<double>::infinity();
+// Every bit nearly a coin flip (BER 0.48): no CRC ever passes.
+constexpr double kHopeless = -30.0;
 
 TEST(Arq, CleanChannelSingleAttempt) {
   Rng rng(1);
-  const auto clean = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.0);
+  const auto clean = bpsk_link(std::make_unique<IdentityCode>(), kNoiseless);
   const BitVec payload = random_bits(64, rng);
   const ArqResult r = arq_transmit(*clean, payload, rng, 4);
   EXPECT_TRUE(r.delivered);
@@ -30,13 +43,15 @@ TEST(Arq, CleanChannelSingleAttempt) {
 TEST(Arq, RetriesUntilDelivered) {
   // At BER 0.5% over 112 framed bits, p(clean attempt) ~ 0.57, so eight
   // tries deliver with probability ~0.999 — and retries genuinely happen.
-  // Two channels at that BER: BSC(0.005), and uncoded QPSK over AWGN at
-  // 8.2 dB (BER Q(sqrt(10^0.82)) ~ 0.005). Both key their noise on the
-  // rng, so a key that failed to advance would repeat a failed attempt's
-  // noise on every retry.
+  // Two channels at that BER: uncoded BPSK over AWGN at the SNR
+  // bpsk_awgn_ber gives, and uncoded QPSK at 8.2 dB (BER
+  // Q(sqrt(10^0.82)) ~ 0.005). Both key their noise on the rng, so a key
+  // that failed to advance would repeat a failed attempt's noise on every
+  // retry.
   const std::function<std::unique_ptr<ChannelPipeline>()> channels[] = {
       [] {
-        return make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.005);
+        return bpsk_link(std::make_unique<IdentityCode>(),
+                         bpsk_snr_db_for_ber(0.005));
       },
       [] {
         return make_awgn_pipeline(std::make_unique<IdentityCode>(),
@@ -64,8 +79,7 @@ TEST(Arq, RetriesUntilDelivered) {
 
 TEST(Arq, GivesUpAfterBudget) {
   Rng rng(3);
-  // Half the bits flip: CRC can never pass.
-  const auto noisy = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.5);
+  const auto noisy = bpsk_link(std::make_unique<IdentityCode>(), kHopeless);
   const BitVec payload = random_bits(64, rng);
   const ArqResult r = arq_transmit(*noisy, payload, rng, 3);
   EXPECT_FALSE(r.delivered);
@@ -75,7 +89,7 @@ TEST(Arq, GivesUpAfterBudget) {
 
 TEST(Arq, AirtimeAccumulatesAcrossAttempts) {
   Rng rng(4);
-  const auto noisy = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.5);
+  const auto noisy = bpsk_link(std::make_unique<IdentityCode>(), kHopeless);
   const BitVec payload = random_bits(40, rng);
   const ArqResult r = arq_transmit(*noisy, payload, rng, 5);
   EXPECT_EQ(r.attempts, 5u);
@@ -98,10 +112,9 @@ TEST(Arq, AirtimeIsTheOnAirLengthOfEachAttempt) {
 TEST(Arq, CodedArqNeedsFewerRetries) {
   Rng rng_a(5), rng_b(5);
   std::size_t uncoded_attempts = 0, coded_attempts = 0;
-  const auto uncoded =
-      make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.02);
-  const auto coded =
-      make_bsc_pipeline(std::make_unique<ConvolutionalCode>(), 0.02);
+  const double snr_db = bpsk_snr_db_for_ber(0.02);
+  const auto uncoded = bpsk_link(std::make_unique<IdentityCode>(), snr_db);
+  const auto coded = bpsk_link(std::make_unique<ConvolutionalCode>(), snr_db);
   for (int i = 0; i < 40; ++i) {
     Rng prng(static_cast<std::uint64_t>(i));
     const BitVec payload = random_bits(96, prng);
@@ -113,7 +126,7 @@ TEST(Arq, CodedArqNeedsFewerRetries) {
 
 TEST(Arq, ValidatesArguments) {
   Rng rng(8);
-  const auto clean = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.0);
+  const auto clean = bpsk_link(std::make_unique<IdentityCode>(), kNoiseless);
   EXPECT_THROW(arq_transmit(*clean, random_bits(8, rng), rng, 0), Error);
 }
 
@@ -123,7 +136,8 @@ class ArqBudgetSweep : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(ArqBudgetSweep, DeliveryRateGrowsWithBudget) {
   Rng rng(6);
   std::size_t delivered = 0;
-  const auto noisy = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.03);
+  const auto noisy = bpsk_link(std::make_unique<IdentityCode>(),
+                               bpsk_snr_db_for_ber(0.03));
   for (int i = 0; i < 60; ++i) {
     const BitVec payload = random_bits(64, rng);
     if (arq_transmit(*noisy, payload, rng, GetParam()).delivered) ++delivered;

@@ -20,7 +20,18 @@
 namespace semcache::channel {
 namespace {
 
+using test::bpsk_snr_db_for_ber;
 using test::random_bits;
+
+constexpr double kNoiseless = std::numeric_limits<double>::infinity();
+
+// Modulation and one symbol channel with nothing around them: an
+// uncoded depth-1 pipeline, whose interleaver is the identity.
+std::unique_ptr<ChannelPipeline> bare_link(
+    Modulation m, std::unique_ptr<SymbolChannel> channel) {
+  return std::make_unique<ChannelPipeline>(std::make_unique<IdentityCode>(),
+                                           m, std::move(channel), 1);
+}
 
 TEST(Crc, KnownVector) {
   // CRC-32 of "123456789" is 0xCBF43926.
@@ -133,16 +144,19 @@ TEST(Conv, CorrectsScatteredErrors) {
   EXPECT_EQ(code.decode(coded), info);
 }
 
-TEST(Conv, BeatsUncodedOnBsc) {
+TEST(Conv, BeatsUncodedOnAwgn) {
+  // Hard decisions over BPSK at a raw BER of 4%.
   Rng rng(6);
   ConvolutionalCode code;
-  BscChannel bsc(0.04);
+  const auto link = bare_link(
+      Modulation::kBpsk,
+      std::make_unique<AwgnChannel>(bpsk_snr_db_for_ber(0.04)));
   std::size_t coded_errors = 0, uncoded_errors = 0, total = 0;
   for (int trial = 0; trial < 60; ++trial) {
     const BitVec info = random_bits(120, rng);
     const BitVec rx_coded =
-        code.decode(bsc.transmit(code.encode(info), rng, 0));
-    const BitVec rx_raw = bsc.transmit(info, rng, 0);
+        code.decode(link->transmit(code.encode(info), rng));
+    const BitVec rx_raw = link->transmit(info, rng);
     coded_errors += hamming_distance(info, rx_coded);
     uncoded_errors += hamming_distance(info, rx_raw);
     total += info.size();
@@ -208,12 +222,12 @@ TEST(Physical, BpskAwgnBerMatchesTheory) {
   // Empirical BER within a factor band of Q(sqrt(2 Es/N0)).
   for (const double snr_db : {0.0, 4.0}) {
     Rng rng(10);
-    ModulatedChannel ch(Modulation::kBpsk,
-                        std::make_unique<AwgnChannel>(snr_db));
+    const auto ch =
+        bare_link(Modulation::kBpsk, std::make_unique<AwgnChannel>(snr_db));
     std::size_t errors = 0, total = 0;
     for (int trial = 0; trial < 40; ++trial) {
       const BitVec bits = random_bits(2000, rng);
-      errors += hamming_distance(bits, ch.transmit(bits, rng, 0));
+      errors += hamming_distance(bits, ch->transmit(bits, rng));
       total += bits.size();
     }
     const double ber = errors / static_cast<double>(total);
@@ -227,11 +241,11 @@ TEST(Physical, AwgnBerDecreasesWithSnr) {
   Rng rng(11);
   double prev = 1.0;
   for (const double snr_db : {-2.0, 2.0, 6.0, 10.0}) {
-    ModulatedChannel ch(Modulation::kQpsk,
-                        std::make_unique<AwgnChannel>(snr_db));
+    const auto ch =
+        bare_link(Modulation::kQpsk, std::make_unique<AwgnChannel>(snr_db));
     const BitVec bits = random_bits(20000, rng);
     const double ber =
-        hamming_distance(bits, ch.transmit(bits, rng, 0)) / 20000.0;
+        hamming_distance(bits, ch->transmit(bits, rng)) / 20000.0;
     EXPECT_LT(ber, prev);
     prev = ber;
   }
@@ -240,37 +254,16 @@ TEST(Physical, AwgnBerDecreasesWithSnr) {
 TEST(Physical, RayleighWorseThanAwgn) {
   Rng rng(12);
   const double snr_db = 8.0;
-  ModulatedChannel awgn(Modulation::kBpsk,
-                        std::make_unique<AwgnChannel>(snr_db));
-  ModulatedChannel ray(Modulation::kBpsk,
-                       std::make_unique<RayleighChannel>(snr_db, 16));
+  const auto awgn =
+      bare_link(Modulation::kBpsk, std::make_unique<AwgnChannel>(snr_db));
+  const auto ray = bare_link(Modulation::kBpsk,
+                             std::make_unique<RayleighChannel>(snr_db, 16));
   const BitVec bits = random_bits(40000, rng);
-  const double awgn_ber = hamming_distance(bits, awgn.transmit(bits, rng, 0)) /
+  const double awgn_ber = hamming_distance(bits, awgn->transmit(bits, rng)) /
                           static_cast<double>(bits.size());
-  const double ray_ber = hamming_distance(bits, ray.transmit(bits, rng, 0)) /
+  const double ray_ber = hamming_distance(bits, ray->transmit(bits, rng)) /
                          static_cast<double>(bits.size());
   EXPECT_GT(ray_ber, awgn_ber * 2.0);
-}
-
-TEST(Physical, BscFlipRateMatches) {
-  Rng rng(13);
-  BscChannel bsc(0.1);
-  const BitVec bits = random_bits(50000, rng);
-  const double rate =
-      hamming_distance(bits, bsc.transmit(bits, rng, 0)) / 50000.0;
-  EXPECT_NEAR(rate, 0.1, 0.01);
-}
-
-TEST(Physical, BscZeroIsLossless) {
-  Rng rng(14);
-  BscChannel bsc(0.0);
-  const BitVec bits = random_bits(500, rng);
-  EXPECT_EQ(bsc.transmit(bits, rng, 0), bits);
-}
-
-TEST(Physical, BscValidatesProbability) {
-  EXPECT_THROW(BscChannel(0.6), Error);
-  EXPECT_THROW(BscChannel(-0.1), Error);
 }
 
 TEST(Physical, SnrMustLeaveAFiniteNoiseLevel) {
@@ -297,7 +290,8 @@ TEST(Physical, SnrMustLeaveAFiniteNoiseLevel) {
 
 TEST(Pipeline, LosslessOnCleanChannel) {
   Rng rng(15);
-  auto pipe = make_bsc_pipeline(std::make_unique<ConvolutionalCode>(), 0.0);
+  auto pipe = make_awgn_pipeline(std::make_unique<ConvolutionalCode>(),
+                                 Modulation::kBpsk, kNoiseless);
   const BitVec payload = random_bits(96, rng);
   EXPECT_EQ(pipe->transmit(payload, rng), payload);
 }
@@ -328,12 +322,12 @@ TEST(Pipeline, TransmitBatchMatchesSequentialBitsAndStats) {
   }
 }
 
-// Hands bits back unchanged and records how many it was handed.
-class RecordingChannel final : public BitChannel {
+// Leaves symbols unchanged and records how many it was handed; under BPSK
+// that is the number of bits on the air.
+class RecordingChannel final : public SymbolChannel {
  public:
-  BitVec transmit(const BitVec& bits, Rng&, std::uint64_t) override {
-    lengths.push_back(bits.size());
-    return bits;
+  void apply(std::vector<Symbol>& symbols, Rng&, std::uint64_t) override {
+    lengths.push_back(symbols.size());
   }
   std::string name() const override { return "recording"; }
   std::vector<std::size_t> lengths;
@@ -346,7 +340,8 @@ TEST(Pipeline, AirtimeBitsIsTheOnAirLength) {
     for (const std::size_t depth : {1u, 8u}) {
       auto channel = std::make_unique<RecordingChannel>();
       const RecordingChannel& recorder = *channel;
-      const ChannelPipeline pipe(make_code(name), std::move(channel), depth);
+      const ChannelPipeline pipe(make_code(name), Modulation::kBpsk,
+                                 std::move(channel), depth);
       for (std::size_t n = 0; n <= 40; ++n) {
         const BitVec payload = random_bits(n, rng);
         EXPECT_EQ(pipe.transmit(payload, rng), payload);
@@ -358,7 +353,8 @@ TEST(Pipeline, AirtimeBitsIsTheOnAirLength) {
 }
 
 TEST(Pipeline, TransmitBatchRejectsRngCountMismatch) {
-  auto pipe = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.0);
+  auto pipe = make_awgn_pipeline(std::make_unique<IdentityCode>(),
+                                 Modulation::kBpsk, kNoiseless);
   Rng rng(20);
   std::vector<BitVec> payloads = {random_bits(8, rng)};
   std::vector<Rng> rngs;  // empty: one rng short
@@ -374,9 +370,13 @@ TEST(Pipeline, MakeCodeFactory) {
 }
 
 TEST(Pipeline, CodedBeatsUncodedAtModerateNoise) {
+  // Hard decisions over BPSK at a raw BER of 3%.
   Rng rng(16);
-  auto coded = make_bsc_pipeline(std::make_unique<ConvolutionalCode>(), 0.03);
-  auto uncoded = make_bsc_pipeline(std::make_unique<IdentityCode>(), 0.03);
+  const double snr_db = bpsk_snr_db_for_ber(0.03);
+  auto coded = make_awgn_pipeline(std::make_unique<ConvolutionalCode>(),
+                                  Modulation::kBpsk, snr_db);
+  auto uncoded = make_awgn_pipeline(std::make_unique<IdentityCode>(),
+                                    Modulation::kBpsk, snr_db);
   std::size_t coded_err = 0, uncoded_err = 0;
   for (int i = 0; i < 40; ++i) {
     const BitVec payload = random_bits(128, rng);

@@ -193,15 +193,9 @@ TEST(SoftViterbi, BeatsHardSlicingAtLowSnr) {
 }
 
 TEST(SoftViterbi, EnvResolution) {
-  // resolve_soft_decision: "off" forces hard decisions; anything else
-  // keeps the configured value.
-  if (channel::soft_forced_off()) {
-    EXPECT_FALSE(channel::resolve_soft_decision(true));
-    EXPECT_FALSE(channel::resolve_soft_decision(false));
-  } else {
-    EXPECT_TRUE(channel::resolve_soft_decision(true));
-    EXPECT_FALSE(channel::resolve_soft_decision(false));
-  }
+  // Nothing overrides the configured soft-decision flag.
+  EXPECT_TRUE(channel::resolve_soft_decision(true));
+  EXPECT_FALSE(channel::resolve_soft_decision(false));
 }
 
 // --------------------------------------------------------- Gilbert–Elliott
@@ -458,10 +452,6 @@ AdaptiveRun run_adaptive_link() {
 }
 
 TEST(AdaptiveRate, TransmitSwitchesRatesReproducibly) {
-  if (channel::soft_forced_off()) {
-    GTEST_SKIP() << "SEMCACHE_SOFT=off: adaptive link runs hard decisions "
-                    "and never observes";
-  }
   const AdaptiveRun a = run_adaptive_link();
   const AdaptiveRun b = run_adaptive_link();
   EXPECT_EQ(a.decoded, b.decoded);
@@ -478,10 +468,6 @@ TEST(AdaptiveRate, TransmitSwitchesRatesReproducibly) {
 }
 
 TEST(AdaptiveRate, TransmitMatchesTheRecordedLink) {
-  if (channel::soft_forced_off()) {
-    GTEST_SKIP() << "SEMCACHE_SOFT=off: adaptive link runs hard decisions "
-                    "and never observes";
-  }
   // Recorded from the three-pipeline adaptive link class that
   // adaptive_transmit replaced, on the same scenario: the rate of every
   // slot, and FNV-1a over the decoded bits of all 120 messages, one byte
@@ -497,14 +483,16 @@ TEST(AdaptiveRate, TransmitMatchesTheRecordedLink) {
   EXPECT_EQ(common::stable_hash(bits), 0x3d8505783aed2b45ULL);
 }
 
-TEST(AdaptiveRate, RungWithoutSoftOutputHoldsTheRate) {
-  // A soft-decision pipeline over a BSC decodes hard and measures no SNR,
-  // so the controller must not read a 0 dB estimate and step down.
+TEST(AdaptiveRate, HardRungHoldsTheRate) {
+  // A hard-decision rung measures no SNR, so the controller must not read
+  // a 0 dB estimate and step down. At 2 dB a real estimate would move it
+  // off 3/4 on the first message.
   channel::RateLadder ladder;
   for (std::size_t r = 0; r < channel::kCodeRateCount; ++r) {
-    auto pipe = channel::make_bsc_pipeline(
-        std::make_unique<ConvolutionalCode>(static_cast<CodeRate>(r)), 0.01);
-    pipe->set_soft_decision(true);
+    auto pipe = channel::make_awgn_pipeline(
+        std::make_unique<ConvolutionalCode>(static_cast<CodeRate>(r)),
+        Modulation::kQpsk, 2.0);
+    pipe->set_soft_decision(false);
     ladder[r] = std::move(pipe);
   }
   AdaptiveRateConfig cfg;

@@ -5,6 +5,8 @@
 // touch behaviour, and the traditional baseline.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/baselines.hpp"
 #include "core/system.hpp"
 #include "test_util.hpp"
@@ -258,8 +260,9 @@ TEST(Baseline, TraditionalCleanChannelPerfect) {
   text::World world = text::World::generate(wc, rng);
   Rng trng(82);
   TraditionalCodec codec(world, trng, 500);
-  auto pipe = channel::make_bsc_pipeline(
-      std::make_unique<channel::IdentityCode>(), 0.0);
+  auto pipe = channel::make_awgn_pipeline(
+      std::make_unique<channel::IdentityCode>(), channel::Modulation::kBpsk,
+      std::numeric_limits<double>::infinity());
   Rng crng(83);
   for (int i = 0; i < 10; ++i) {
     const auto msg = world.sample_sentence(i % 2, crng);
@@ -299,8 +302,9 @@ TEST(Baseline, TraditionalDegradesOnNoisyChannel) {
   text::World world = text::World::generate(wc, rng);
   Rng trng(88);
   TraditionalCodec codec(world, trng, 500);
-  auto noisy = channel::make_bsc_pipeline(
-      std::make_unique<channel::IdentityCode>(), 0.05);
+  auto noisy = channel::make_awgn_pipeline(
+      std::make_unique<channel::IdentityCode>(), channel::Modulation::kBpsk,
+      test::bpsk_snr_db_for_ber(0.05));
   Rng crng(89);
   metrics::OnlineStats acc;
   for (int i = 0; i < 40; ++i) {

@@ -9,7 +9,8 @@
 // per-stage vectors and the delivery chain's hop closures, which make up
 // the drain. The bounds are ceilings to tighten as those go, never to
 // loosen. A second test pins the floor under those counts: a warmed-up
-// codec pass, and each layer's forward and backward, allocate nothing.
+// codec pass, each layer's forward and backward, and a codec training
+// step allocate nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +24,7 @@
 #include "core/system.hpp"
 #include "nn/gru.hpp"
 #include "nn/layers.hpp"
+#include "nn/optimizer.hpp"
 #include "semantic/codec.hpp"
 #include "test_util.hpp"
 
@@ -179,6 +181,29 @@ TEST(ServeAllocations, WarmedCodecAndLayerPassesAllocateNothing) {
   EXPECT_EQ(allocations_of([&] { gru.forward(xs); }), 0u) << "gru forward";
   EXPECT_EQ(allocations_of([&] { gru.backward(grad_hs); }), 0u)
       << "gru backward";
+
+  // CodecTrainer::finetune's step, feature noise on: the loss pass and
+  // backward alone, then the whole step.
+  std::vector<std::int32_t> meanings(surface.size());
+  for (std::size_t i = 0; i < meanings.size(); ++i) {
+    meanings[i] = static_cast<std::int32_t>((5 * i + 1) % cc.meaning_vocab);
+  }
+  const auto loss_pass = [&] {
+    codec.forward_loss_batch(surface, meanings, kSentences, 0.1f, &rng);
+  };
+  EXPECT_EQ(allocations_of(loss_pass), 0u) << "forward_loss_batch";
+  EXPECT_EQ(allocations_of([&] { codec.backward(); }), 0u) << "backward";
+  nn::Adam opt(1e-3);
+  nn::ParameterSet params = codec.parameters();
+  EXPECT_EQ(allocations_of([&] {
+              nn::Optimizer::zero_grad(params.params());
+              loss_pass();
+              codec.backward();
+              nn::Optimizer::clip_grad_norm(params.params(), 5.0);
+              opt.step(params.params());
+            }),
+            0u)
+      << "training step";
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "channel/modulation.hpp"
 #include "channel/noise.hpp"
 #include "channel/physical.hpp"
+#include "channel/pipeline.hpp"
 #include "channel/simd.hpp"
 #include "common/cpu.hpp"
 #include "common/rng.hpp"
@@ -1094,10 +1095,10 @@ TEST(SimdChannel, ModulatedTransmitTierTwin) {
        {Modulation::kBpsk, Modulation::kQpsk, Modulation::kQam16}) {
     auto run = [&](common::SimdTier tier) {
       TierGuard guard(tier);
-      channel::ModulatedChannel ch(
-          m, std::make_unique<channel::AwgnChannel>(6.0));
+      const auto link = channel::make_awgn_pipeline(
+          std::make_unique<channel::IdentityCode>(), m, 6.0);
       Rng rng(1234);
-      return ch.transmit(payload, rng, 0);
+      return link->transmit(payload, rng, 0);
     };
     EXPECT_EQ(run(common::SimdTier::kScalar), run(common::SimdTier::kAvx2))
         << channel::modulation_name(m);

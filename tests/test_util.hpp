@@ -17,6 +17,7 @@
 #include <span>
 #include <string>
 
+#include "channel/physical.hpp"
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "core/system.hpp"
@@ -51,6 +52,18 @@ inline BitVec random_bits(std::size_t n, Rng& rng) {
   BitVec bits(n);
   for (auto& b : bits) b = rng.bernoulli(0.5) ? 1 : 0;
   return bits;
+}
+
+/// The Es/N0 (dB) at which uncoded BPSK over AWGN flips each bit with
+/// probability `ber`: channel::bpsk_awgn_ber inverted by bisection. QPSK
+/// flips each bit as often as BPSK at 10 log10(2) ~ 3 dB less Es/N0.
+inline double bpsk_snr_db_for_ber(double ber) {
+  double lo = -30.0, hi = 30.0;
+  for (int i = 0; i < 64; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (channel::bpsk_awgn_ber(mid) > ber ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
 }
 
 /// Fixture for tests whose only setup is a deterministic RNG. Derive and
