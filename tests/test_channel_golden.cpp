@@ -355,5 +355,60 @@ TEST(PipelineGolden, NoisyOutputBitsPinned) {
   }
 }
 
+// The same pin at the shape every workload sends: 128-bit payloads over
+// the codes the serving channel and the adaptive ladder run, with the
+// punctured rates under noise. Depth 3 pads a 260-bit conv_k3_r12 frame
+// by one bit, and conv_k3_r23's 195 bits pad QPSK's last symbol. QPSK
+// runs at serve's 3 dB; at both SNRs every case delivers some payloads
+// corrupted, while soft conv_k3_r12 delivers most of them clean.
+constexpr NoisyModulation kServeModulations[] = {{Modulation::kQpsk, 3.0},
+                                                 {Modulation::kQam16, 8.0}};
+constexpr const char* kServeCodes[] = {"conv_k3_r12", "conv_k3_r23",
+                                       "conv_k3_r34", "hamming74"};
+
+// [AWGN, Gilbert–Elliott][QPSK, 16-QAM][hard, soft].
+constexpr std::uint64_t kServeGolden[2][2][2] = {
+    // AWGN
+    {{0x0A6FBBFF337109A9ULL, 0xEA937369F4CB0010ULL},
+     {0x35235735CE050A54ULL, 0x4B5127A3F1E85E16ULL}},
+    // Gilbert–Elliott
+    {{0xEB3551A8E7A87E5AULL, 0x541FCF730BB6FC19ULL},
+     {0x32828784AA202C03ULL, 0x9E1B38DBDF7D1B45ULL}}};
+
+TEST(PipelineGolden, ServeShapeOutputBitsPinned) {
+  for (const NoisyChannel channel :
+       {NoisyChannel::kAwgn, NoisyChannel::kBurst}) {
+    for (std::size_t m = 0; m < 2; ++m) {
+      for (const bool soft : {false, true}) {
+        std::string bits;
+        for (const char* code : kServeCodes) {
+          for (const std::size_t depth : {1u, 3u, 8u}) {
+            auto pipe =
+                noisy_pipeline(channel, kServeModulations[m], code, depth);
+            pipe->set_soft_decision(soft);
+            Rng payload_rng(17);
+            const Rng noise(19);
+            std::size_t corrupted = 0;
+            for (std::uint64_t slot = 0; slot < 24; ++slot) {
+              const BitVec payload = test::random_bits(128, payload_rng);
+              Rng rng = noise.fork(slot);
+              const BitVec decoded = pipe->transmit(payload, rng, slot);
+              corrupted += decoded != payload;
+              bits.append(decoded.begin(), decoded.end());
+            }
+            EXPECT_GT(corrupted, 0u)
+                << pipe->description() << (soft ? " soft" : " hard")
+                << " depth " << depth;
+          }
+        }
+        EXPECT_EQ(common::stable_hash(bits),
+                  kServeGolden[static_cast<int>(channel)][m][soft])
+            << "channel " << static_cast<int>(channel) << " modulation "
+            << m << (soft ? " soft" : " hard");
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace semcache::channel
