@@ -4,8 +4,8 @@
 // fine-tune, its Adam step on both SIMD tiers and its gradient clipping
 // above and below the cap, the serving mismatch's cross-entropy on both
 // SIMD tiers, the selector forward pass, cache get/put and
-// eviction, gradient-sync compression, Viterbi decoding, Huffman coding,
-// quantization, and the event loop.
+// eviction, gradient-sync compression, Viterbi decoding, one message's
+// channel pipeline, Huffman coding, quantization, and the event loop.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "channel/convolutional.hpp"
 #include "channel/modulation.hpp"
 #include "channel/physical.hpp"
+#include "channel/pipeline.hpp"
 #include "channel/simd.hpp"
 #include "common/cpu.hpp"
 #include "compress/huffman.hpp"
@@ -614,6 +615,34 @@ static void BM_ViterbiDecodeSoft(benchmark::State& state) {
 }
 BENCHMARK(BM_ViterbiDecodeSoft)->Arg(64)->Arg(512);
 
+// One served message's channel: ChannelPipeline::transmit of a 128-bit
+// payload over QPSK at interleaver depth 8, each message on a fresh fork
+// at its own slot, as transmit_pairs sends it. Arg(0) is personalize's and
+// city's hard hamming74 at 10 dB, Arg(1) serve's soft conv_k3_r12 at 3 dB.
+// Informational: no gate reads these rows.
+static void BM_PipelineTransmit(benchmark::State& state) {
+  const bool soft = state.range(0) == 1;
+  const auto pipe = channel::make_awgn_pipeline(
+      channel::make_code(soft ? "conv_k3_r12" : "hamming74"),
+      channel::Modulation::kQpsk, soft ? 3.0 : 10.0, 8);
+  pipe->set_soft_decision(soft);
+  Rng rng(23);
+  std::vector<BitVec> payloads(64, BitVec(128));
+  for (auto& p : payloads) {
+    for (auto& b : p) b = rng.bernoulli(0.5) ? 1 : 0;
+  }
+  const Rng noise(29);
+  std::uint64_t slot = 0;
+  for (auto _ : state) {
+    Rng fork = noise.fork(0xC4A2 ^ (slot * 2654435761ULL));
+    benchmark::DoNotOptimize(
+        pipe->transmit(payloads[slot % payloads.size()], fork, slot));
+    ++slot;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PipelineTransmit)->Arg(0)->Arg(1);
+
 static void BM_HuffmanEncode(benchmark::State& state) {
   Rng rng(6);
   std::vector<std::uint8_t> data(1024);
@@ -725,7 +754,7 @@ BENCHMARK(BM_SimulatorEventLoop)->Arg(1000)->Arg(100000);
 // lying). Output bits are tier-invariant by contract (test_simd), so the
 // rows differ in wall time only. The AVX2 noise generator and the SSE
 // weighted trellis (the hard decode runs it at weight 1) with its
-// branch-free survivor stores carry the gap; the 16-QAM map and hard
+// decision-byte stores carry the gap; the 16-QAM map and hard
 // demap run the same scalar loops on both tiers.
 // regression_gate.speedup requires /1 to beat /0 by more than 1.3x.
 static void BM_ChannelBatchSimd(benchmark::State& state) {

@@ -33,60 +33,6 @@ const RateRow& rate_row(CodeRate rate) {
 
 std::size_t kept_in(std::uint8_t keep) { return (keep & 1u) + (keep >> 1); }
 
-// Output pair for (state, input bit). State holds the last K-1 input bits,
-// most-recent bit in the LSB.
-struct Transition {
-  std::uint8_t out0;  // from generator G1
-  std::uint8_t out1;  // from generator G2
-  std::uint8_t next_state;
-};
-
-Transition transition(std::uint8_t state, std::uint8_t input) {
-  // Shift register contents: [input, state bits] = K bits total.
-  const std::uint8_t reg =
-      static_cast<std::uint8_t>((input << (ConvolutionalCode::kConstraint - 1)) | state);
-  auto parity = [](std::uint8_t v) -> std::uint8_t {
-    v ^= static_cast<std::uint8_t>(v >> 4);
-    v ^= static_cast<std::uint8_t>(v >> 2);
-    v ^= static_cast<std::uint8_t>(v >> 1);
-    return v & 1;
-  };
-  Transition t;
-  t.out0 = parity(reg & ConvolutionalCode::kG1);
-  t.out1 = parity(reg & ConvolutionalCode::kG2);
-  t.next_state = static_cast<std::uint8_t>(reg >> 1);
-  return t;
-}
-
-// Build the add-compare-select tables once: for every next-state, its two
-// predecessors' expected outputs plus the packed survivor bytes. Indexing
-// by NEXT state (not by source state) is what lets one pass update all
-// four metrics with no transition scan.
-detail::ViterbiTables build_viterbi_tables() {
-  detail::ViterbiTables tb{};
-  for (std::uint8_t ns = 0; ns < 4; ++ns) {
-    const std::uint8_t in = ns >> 1;  // input bit that reaches ns
-    const std::uint8_t pa = detail::kViterbiPredA[ns];
-    const std::uint8_t pb = detail::kViterbiPredB[ns];
-    const Transition ta = transition(pa, in);
-    const Transition tb_ = transition(pb, in);
-    SEMCACHE_CHECK(ta.next_state == ns && tb_.next_state == ns,
-                   "conv: predecessor table inconsistent");
-    tb.surv_a[ns] = static_cast<std::uint8_t>((in << 4) | pa);
-    tb.surv_b[ns] = static_cast<std::uint8_t>((in << 4) | pb);
-    tb.exp0_a[ns] = ta.out0;
-    tb.exp1_a[ns] = ta.out1;
-    tb.exp0_b[ns] = tb_.out0;
-    tb.exp1_b[ns] = tb_.out1;
-  }
-  return tb;
-}
-
-const detail::ViterbiTables& viterbi_tables() {
-  static const detail::ViterbiTables kTables = build_viterbi_tables();
-  return kTables;
-}
-
 // Metric + branch with the sentinel as a saturation ceiling: a metric can
 // never exceed kViterbiInf, so the old size_t arithmetic's latent wrap on
 // pathologically long frames (sentinel + branch overflowing and beating a
@@ -98,84 +44,80 @@ std::uint32_t sat_add(std::uint32_t metric, std::uint32_t branch) {
   return cand < detail::kViterbiInf ? cand : detail::kViterbiInf;
 }
 
-// One add-compare-select step over next-states [0, states): each branch
-// pays the step's weight for every expected output bit that mismatches
-// rx. Predecessor A is the lower source state — the one the reference
-// decoder's ascending-s scan visited first — so ties keep A and B wins
-// only strictly.
-void acs_step(const detail::ViterbiTables& tb, std::uint8_t rx,
-              const std::uint8_t* weights, std::size_t states,
-              std::uint32_t* metric, std::uint8_t* sv) {
-  // Mismatch cost of each expected output pair e = G1 | G2 << 1: the
-  // pair equal to rx costs nothing, each differing bit costs its weight.
-  std::uint32_t cost[4];
-  cost[rx] = 0;
-  cost[rx ^ 1u] = weights[0];
-  cost[rx ^ 2u] = weights[1];
-  cost[rx ^ 3u] = weights[0] + weights[1];
+// One add-compare-select step over next-states [0, states). Next-state
+// ns = u[t] << 1 | u[t-1] has predecessors A = (ns & 1) << 1 and B = A | 1
+// (u[t-2] = 0 or 1). G1 = 7 emits u[t] ^ u[t-1] ^ u[t-2] and G2 = 5 emits
+// u[t] ^ u[t-2], so the branch from A expects (G1, G2) = (0, 0), (1, 0),
+// (1, 1), (0, 1) for ns = 0..3, and the branch from B expects both bits
+// flipped, which is A's branch into ns ^ 2. `cost` holds the step's
+// costs of expecting 0 and 1 for G1, then for G2. Predecessor A is the
+// lower source state — the one the reference decoder's ascending-s scan
+// visited first — so ties keep A and B wins only strictly. Returns the
+// step's decision byte: bit ns is set when B won next-state ns.
+std::uint8_t acs_step(const std::uint8_t* cost, std::size_t states,
+                      std::uint32_t* metric) {
+  const std::uint32_t bma[4] = {
+      std::uint32_t{cost[0]} + cost[2], std::uint32_t{cost[1]} + cost[2],
+      std::uint32_t{cost[1]} + cost[3], std::uint32_t{cost[0]} + cost[3]};
   std::uint32_t next[4];
+  std::uint8_t decision = 0;
   for (std::size_t ns = 0; ns < states; ++ns) {
-    const std::uint32_t bma = cost[tb.exp0_a[ns] | tb.exp1_a[ns] << 1];
-    const std::uint32_t bmb = cost[tb.exp0_b[ns] | tb.exp1_b[ns] << 1];
-    const std::uint32_t ca = sat_add(metric[detail::kViterbiPredA[ns]], bma);
-    const std::uint32_t cb = sat_add(metric[detail::kViterbiPredB[ns]], bmb);
-    if (cb < ca) {
-      next[ns] = cb;
-      sv[ns] = tb.surv_b[ns];
-    } else {
-      next[ns] = ca;
-      sv[ns] = tb.surv_a[ns];
-    }
+    const std::size_t a = (ns & 1) << 1;
+    const std::uint32_t ca = sat_add(metric[a], bma[ns]);
+    const std::uint32_t cb = sat_add(metric[a | 1], bma[ns ^ 2]);
+    next[ns] = cb < ca ? cb : ca;
+    decision |= static_cast<std::uint8_t>((cb < ca) << ns);
   }
   for (std::size_t ns = 0; ns < states; ++ns) metric[ns] = next[ns];
+  return decision;
 }
 
-// The one Viterbi engine, over `steps` trellis steps. rx[t] packs step
-// t's hard bits (G1 | G2 << 1); weights[2t] and weights[2t+1] are their
-// mismatch costs, 0 for an erasure. Returns the information bits (zero
-// tail dropped).
-BitVec viterbi(const std::uint8_t* rx, const std::uint8_t* weights,
+// The one Viterbi engine, over `steps` trellis steps. costs[4t..4t+3] are
+// step t's costs of expecting 0 and 1 for its G1 bit, then its G2 bit: a
+// received bit's weight where the expectation mismatches it, 0 where it
+// matches, 0 both ways for an erasure. decisions holds one byte a step.
+// Returns the information bits (zero tail dropped).
+BitVec viterbi(const std::uint8_t* costs, std::uint8_t* decisions,
                std::size_t steps) {
   const std::size_t info_len = steps - (ConvolutionalCode::kConstraint - 1);
-  const detail::ViterbiTables& tables = viterbi_tables();
 
   std::array<std::uint32_t, ConvolutionalCode::kStates> metric;
   metric.fill(detail::kViterbiInf);
   metric[0] = 0;  // encoder starts in the zero state
 
-  // survivor[4 * t + s] = (input << 4) | previous state. Dead next-states
-  // keep a saturated metric; the zero-tail traceback never visits them.
-  std::vector<std::uint8_t> survivor(4 * steps, 0);
-
+  // Dead next-states keep a saturated metric; the zero-tail traceback
+  // never visits them.
   const detail::Avx2ChannelKernels* k = detail::engaged_channel_kernels();
   if (k != nullptr) {
-    k->viterbi_acs_weighted(tables, rx, weights, info_len, metric.data(),
-                            survivor.data());
+    k->viterbi_acs(costs, info_len, metric.data(), decisions);
   } else {
     for (std::size_t t = 0; t < info_len; ++t) {
-      acs_step(tables, rx[t], weights + 2 * t, 4, metric.data(),
-               survivor.data() + 4 * t);
+      decisions[t] = acs_step(costs + 4 * t, 4, metric.data());
     }
   }
 
   // Tail steps admit only input 0 (next-states 0 and 1); states 2 and 3
-  // become unreachable and keep survivor byte 0.
+  // become unreachable.
   for (std::size_t t = info_len; t < steps; ++t) {
-    acs_step(tables, rx[t], weights + 2 * t, 2, metric.data(),
-             survivor.data() + 4 * t);
+    decisions[t] = acs_step(costs + 4 * t, 2, metric.data());
     metric[2] = detail::kViterbiInf;
     metric[3] = detail::kViterbiInf;
   }
 
-  // Traceback from state 0 (guaranteed by the zero tail).
-  BitVec decoded(steps, 0);
+  // Traceback from state 0 (guaranteed by the zero tail). Next-state ns
+  // came from A = (ns & 1) << 1, or from B = A | 1 where its decision bit
+  // is set, on input ns >> 1.
   std::uint8_t state = 0;
-  for (std::size_t t = steps; t-- > 0;) {
-    const std::uint8_t packed = survivor[4 * t + state];
-    decoded[t] = static_cast<std::uint8_t>((packed >> 4) & 1);
-    state = packed & 0x0F;
+  const auto back = [&](std::size_t t) {
+    state = static_cast<std::uint8_t>((state & 1) << 1 |
+                                      ((decisions[t] >> state) & 1));
+  };
+  for (std::size_t t = steps; t-- > info_len;) back(t);
+  BitVec decoded(info_len);
+  for (std::size_t t = info_len; t-- > 0;) {
+    decoded[t] = state >> 1;
+    back(t);
   }
-  decoded.resize(info_len);  // drop the tail bits
   return decoded;
 }
 
@@ -201,10 +143,14 @@ std::size_t kept_bits(const RateRow& r, std::size_t steps) {
 }
 
 // Depuncture `received` values of rate `r` into the trellis and decode
-// them: `slice(i, weight)` returns received value i's hard bit and sets
-// its branch weight; deleted positions stay bit 0 at weight 0.
-template <typename Slice>
-BitVec decode_received(const RateRow& r, std::size_t received, Slice slice) {
+// them. `fill(cost)` writes each received value's two costs in stream
+// order: cost[2i] of expecting 0 and cost[2i + 1] of expecting 1, its
+// branch weight on the side its bit rules out and 0 on the other. Deleted
+// positions cost 0 both ways. The fills are flat loops over raw pointers
+// with hoisted lengths: a byte store may alias anything, so a loop that
+// wrote through a byte reference or re-read a vector's size stayed scalar.
+template <typename Fill>
+BitVec decode_received(const RateRow& r, std::size_t received, Fill fill) {
   std::size_t steps = received / kept_bits(r, r.period) * r.period;
   while (kept_bits(r, steps) < received) ++steps;
   SEMCACHE_CHECK(kept_bits(r, steps) == received,
@@ -212,33 +158,28 @@ BitVec decode_received(const RateRow& r, std::size_t received, Slice slice) {
                  "pattern");
   SEMCACHE_CHECK(steps >= ConvolutionalCode::kConstraint - 1,
                  "conv: coded stream shorter than the termination tail");
-  // One allocation holds the trellis input: rx, then two weights a step.
-  std::vector<std::uint8_t> input(3 * steps, 0);
-  std::uint8_t* rx = input.data();
-  std::uint8_t* weights = rx + steps;
+  // Per-thread trellis input: four costs and a decision byte a step, then
+  // (punctured) the received costs in stream order.
+  static thread_local std::vector<std::uint8_t> scratch;
+  scratch.resize(5 * steps + (r.period == 1 ? 0 : 2 * received));
+  std::uint8_t* costs = scratch.data();
+  std::uint8_t* decisions = costs + 4 * steps;
   if (r.period == 1) {
-    // Keep-all: the stream is already in mother layout. A straight loop;
-    // cycling the masks here made the soft decode 1.5x slower.
-    for (std::size_t t = 0; t < steps; ++t) {
-      rx[t] = static_cast<std::uint8_t>(
-          slice(2 * t, weights[2 * t]) |
-          (slice(2 * t + 1, weights[2 * t + 1]) << 1));
-    }
-    return viterbi(rx, weights, steps);
+    fill(costs);  // keep-all: stream order is trellis order
+    return viterbi(costs, decisions, steps);
   }
-  std::size_t pos = 0;
-  std::size_t p = 0;
-  for (std::size_t t = 0; t < steps; ++t) {
-    const std::uint8_t keep = r.keep[p];
+  std::uint8_t* stream = decisions + steps;
+  fill(stream);
+  for (std::size_t t = 0, p = 0; t < steps; ++t) {
+    for (std::size_t g = 0; g < 2; ++g) {  // G1, then G2
+      const bool kept = ((r.keep[p] >> g) & 1u) != 0;
+      costs[4 * t + 2 * g] = kept ? stream[0] : 0;
+      costs[4 * t + 2 * g + 1] = kept ? stream[1] : 0;
+      stream += kept ? 2 : 0;
+    }
     p = p + 1 == r.period ? 0 : p + 1;
-    std::uint8_t bits = 0;
-    if ((keep & 1u) != 0) bits = slice(pos++, weights[2 * t]);
-    if ((keep & 2u) != 0) {
-      bits |= static_cast<std::uint8_t>(slice(pos++, weights[2 * t + 1]) << 1);
-    }
-    rx[t] = bits;
   }
-  return viterbi(rx, weights, steps);
+  return viterbi(costs, decisions, steps);
 }
 }  // namespace
 
@@ -257,45 +198,55 @@ std::size_t ConvolutionalCode::encoded_length(std::size_t info_bits) const {
 }
 
 BitVec ConvolutionalCode::encode(const BitVec& info) const {
-  const std::size_t steps = info.size() + kConstraint - 1;
-  BitVec mother;
-  mother.reserve(2 * steps);
-  std::uint8_t state = 0;
-  auto push = [&](std::uint8_t bit) {
-    const Transition t = transition(state, bit);
-    mother.push_back(t.out0);
-    mother.push_back(t.out1);
-    state = t.next_state;
-  };
-  for (const std::uint8_t b : info) push(b & 1);
-  for (std::size_t i = 0; i < kConstraint - 1; ++i) push(0);  // zero tail
-  // Keep-all: the mother stream is the codeword. Checking a mask per
-  // step while encoding made the rate-1/2 encode about 2x slower.
   const RateRow& r = rate_row(rate_);
-  if (r.period == 1) return mother;
-  BitVec out;
-  out.reserve(kept_bits(r, steps));
-  for (std::size_t t = 0, p = 0; t < steps; ++t) {
-    if ((r.keep[p] & 1u) != 0) out.push_back(mother[2 * t]);
-    if ((r.keep[p] & 2u) != 0) out.push_back(mother[2 * t + 1]);
-    p = p + 1 == r.period ? 0 : p + 1;
-  }
+  BitVec out(encoded_length(info.size()));
+  std::uint8_t* o = out.data();
+  // u1 and u2 hold the two previous inputs: G1 = 7 emits u ^ u1 ^ u2 and
+  // G2 = 5 emits u ^ u2. Keep-all writes both; a punctured rate walks its
+  // keep masks.
+  std::uint8_t u1 = 0, u2 = 0;
+  std::size_t p = 0;
+  const auto step = [&](std::uint8_t u) {
+    if (r.period == 1) {
+      o[0] = u ^ u1 ^ u2;
+      o[1] = u ^ u2;
+      o += 2;
+    } else {
+      if ((r.keep[p] & 1u) != 0) *o++ = u ^ u1 ^ u2;
+      if ((r.keep[p] & 2u) != 0) *o++ = u ^ u2;
+      p = p + 1 == r.period ? 0 : p + 1;
+    }
+    u2 = u1;
+    u1 = u;
+  };
+  for (const std::uint8_t b : info) step(b & 1);
+  for (std::size_t i = 0; i < kConstraint - 1; ++i) step(0);  // zero tail
   return out;
 }
 
 BitVec ConvolutionalCode::decode(const BitVec& coded) const {
   return decode_received(rate_row(rate_), coded.size(),
-                         [&](std::size_t i, std::uint8_t& weight) {
-                           weight = 1;
-                           return static_cast<std::uint8_t>(coded[i] & 1);
+                         [&](std::uint8_t* cost) {
+                           const std::uint8_t* c = coded.data();
+                           const std::size_t n = coded.size();
+                           for (std::size_t i = 0; i < n; ++i) {
+                             cost[2 * i] = c[i] & 1;
+                             cost[2 * i + 1] = (c[i] & 1) ^ 1;
+                           }
                          });
 }
 
 BitVec ConvolutionalCode::decode_soft(const std::vector<float>& llrs) const {
   return decode_received(rate_row(rate_), llrs.size(),
-                         [&](std::size_t i, std::uint8_t& weight) {
-                           weight = llr_weight(llrs[i]);
-                           return static_cast<std::uint8_t>(llrs[i] >= 0.0f);
+                         [&](std::uint8_t* cost) {
+                           const float* l = llrs.data();
+                           const std::size_t n = llrs.size();
+                           for (std::size_t i = 0; i < n; ++i) {
+                             const std::uint8_t w = llr_weight(l[i]);
+                             const bool one = l[i] >= 0.0f;
+                             cost[2 * i] = one ? w : 0;
+                             cost[2 * i + 1] = one ? 0 : w;
+                           }
                          });
 }
 

@@ -3,9 +3,12 @@
 // is a row of keep masks in the osmocom style, where a periodic mask
 // deletes mother-code bits on the transmit side and the receiver
 // re-inserts them as erasures (weight 0) before one weighted Viterbi
-// trellis. Raising the rate costs coding gain but buys airtime — the
-// trade the per-link adaptive controller (adaptive.hpp) plays against
-// measured SNR.
+// trellis. The trellis reads four branch costs a step and keeps one
+// decision byte a step (bit ns set where the upper predecessor won
+// next-state ns), both in thread-local scratch, and traces back from the
+// decisions.
+// Raising the rate costs coding gain but buys airtime — the trade the
+// per-link adaptive controller (adaptive.hpp) plays against measured SNR.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +33,6 @@ class ConvolutionalCode final : public ChannelCode {
  public:
   static constexpr std::size_t kConstraint = 3;       // K
   static constexpr std::size_t kStates = 1u << (kConstraint - 1);
-  static constexpr std::uint8_t kG1 = 0b111;          // octal 7
-  static constexpr std::uint8_t kG2 = 0b101;          // octal 5
 
   explicit ConvolutionalCode(CodeRate rate = CodeRate::kR12);
 

@@ -39,17 +39,16 @@ std::uint8_t HammingCode::decode_block(std::uint8_t block) {
 }
 
 BitVec HammingCode::encode(const BitVec& info) const {
-  BitVec padded = info;
-  while (padded.size() % 4 != 0) padded.push_back(0);
-  BitVec out;
-  out.reserve(padded.size() / 4 * 7);
-  for (std::size_t i = 0; i < padded.size(); i += 4) {
+  BitVec out(encoded_length(info.size()));
+  // Nibble i takes info bits 4i.. (zero past the end) and writes codeword
+  // bits 7i.., LSB first.
+  for (std::size_t i = 0, o = 0; o < out.size(); i += 4, o += 7) {
     std::uint8_t nibble = 0;
-    for (int b = 0; b < 4; ++b) {
-      nibble |= static_cast<std::uint8_t>((padded[i + static_cast<std::size_t>(b)] & 1)
-                                          << b);
+    for (std::size_t b = 0; b < 4 && i + b < info.size(); ++b) {
+      nibble |= static_cast<std::uint8_t>((info[i + b] & 1) << b);
     }
-    append_bits(out, encode_nibble(nibble), 7);
+    const std::uint8_t block = encode_nibble(nibble);
+    for (std::size_t b = 0; b < 7; ++b) out[o + b] = (block >> b) & 1;
   }
   return out;
 }
@@ -57,12 +56,14 @@ BitVec HammingCode::encode(const BitVec& info) const {
 BitVec HammingCode::decode(const BitVec& coded) const {
   SEMCACHE_CHECK(coded.size() % 7 == 0,
                  "hamming74: coded length must be a multiple of 7");
-  BitVec out;
-  out.reserve(coded.size() / 7 * 4);
-  std::size_t pos = 0;
-  while (pos < coded.size()) {
-    const auto block = static_cast<std::uint8_t>(read_bits(coded, pos, 7));
-    append_bits(out, decode_block(block), 4);
+  BitVec out(coded.size() / 7 * 4);
+  for (std::size_t i = 0, o = 0; o < out.size(); i += 7, o += 4) {
+    std::uint8_t block = 0;
+    for (std::size_t b = 0; b < 7; ++b) {
+      block |= static_cast<std::uint8_t>((coded[i + b] & 1) << b);
+    }
+    const std::uint8_t nibble = decode_block(block);
+    for (std::size_t b = 0; b < 4; ++b) out[o + b] = (nibble >> b) & 1;
   }
   return out;
 }

@@ -1,6 +1,6 @@
 #include "channel/interleaver.hpp"
 
-#include "common/check.hpp"
+#include <algorithm>
 
 namespace semcache::channel {
 
@@ -8,46 +8,20 @@ BlockInterleaver::BlockInterleaver(std::size_t depth) : depth_(depth) {
   SEMCACHE_CHECK(depth >= 1, "interleaver: depth must be >= 1");
 }
 
-BitVec BlockInterleaver::interleave(const BitVec& bits) const {
-  if (depth_ == 1) return bits;
-  BitVec padded = bits;
-  while (padded.size() % depth_ != 0) padded.push_back(0);
-  const std::size_t width = padded.size() / depth_;
-  BitVec out;
-  out.reserve(padded.size());
-  for (std::size_t col = 0; col < width; ++col) {
-    for (std::size_t row = 0; row < depth_; ++row) {
-      out.push_back(padded[row * width + col]);
-    }
+void BlockInterleaver::interleave_into(const BitVec& bits, BitVec& out) const {
+  const std::size_t width = (bits.size() + depth_ - 1) / depth_;
+  out.resize(width * depth_);
+  // Row r of the grid lands in every depth-th slot from out[r]; what lies
+  // past the end of `bits` is padding. Raw pointers: a byte store may
+  // alias a vector's own members, which would reload them per bit.
+  const std::uint8_t* in = bits.data();
+  const std::size_t n = bits.size();
+  for (std::size_t row = 0, begin = 0; row < depth_; ++row, begin += width) {
+    const std::size_t end = std::clamp(n, begin, begin + width);
+    std::uint8_t* dst = out.data() + row;
+    for (std::size_t i = begin; i < end; ++i, dst += depth_) *dst = in[i];
+    for (std::size_t i = end; i < begin + width; ++i, dst += depth_) *dst = 0;
   }
-  return out;
-}
-
-namespace {
-template <typename Vec>
-Vec deinterleave_impl(const Vec& in, std::size_t depth) {
-  if (depth == 1) return in;
-  SEMCACHE_CHECK(in.size() % depth == 0,
-                 "deinterleave: length must be a multiple of depth");
-  const std::size_t width = in.size() / depth;
-  Vec out(in.size());
-  std::size_t idx = 0;
-  for (std::size_t col = 0; col < width; ++col) {
-    for (std::size_t row = 0; row < depth; ++row) {
-      out[row * width + col] = in[idx++];
-    }
-  }
-  return out;
-}
-}  // namespace
-
-BitVec BlockInterleaver::deinterleave(const BitVec& bits) const {
-  return deinterleave_impl(bits, depth_);
-}
-
-std::vector<float> BlockInterleaver::deinterleave(
-    const std::vector<float>& llrs) const {
-  return deinterleave_impl(llrs, depth_);
 }
 
 }  // namespace semcache::channel

@@ -87,10 +87,11 @@ std::string modulation_name(Modulation m) {
   return "?";
 }
 
-std::vector<Symbol> modulate(const BitVec& bits, Modulation m) {
+void modulate_into(std::vector<Symbol>& out, const BitVec& bits,
+                   Modulation m) {
   const std::size_t bps = bits_per_symbol(m);
   const std::size_t nsym = (bits.size() + bps - 1) / bps;
-  std::vector<Symbol> out(nsym);
+  out.resize(nsym);
   // Full symbols index `bits` directly; only the final symbol (if partial)
   // zero-pads — the old code copied the whole BitVec to pad it.
   const std::size_t full = bits.size() / bps;
@@ -101,10 +102,12 @@ std::vector<Symbol> modulate(const BitVec& bits, Modulation m) {
       }
       break;
     case Modulation::kQpsk: {
-      const auto& table = qpsk_table();
-      for (std::size_t i = 0; i < full; ++i) {
-        const std::size_t b = 2 * i;
-        out[i] = table[((bits[b] & 1u) << 1) | (bits[b + 1] & 1u)];
+      // Bit k is coordinate k: the table's +-scale, one flat loop.
+      double* d = reinterpret_cast<double*>(out.data());
+      const std::uint8_t* in = bits.data();
+      const double scale = kQpskScale;
+      for (std::size_t k = 0; k < 2 * full; ++k) {
+        d[k] = (in[k] & 1u) != 0 ? scale : -scale;
       }
       break;
     }
@@ -136,6 +139,11 @@ std::vector<Symbol> modulate(const BitVec& bits, Modulation m) {
         break;
     }
   }
+}
+
+std::vector<Symbol> modulate(const BitVec& bits, Modulation m) {
+  std::vector<Symbol> out;
+  modulate_into(out, bits, m);
   return out;
 }
 

@@ -1,6 +1,8 @@
 // Digital modulation: bits -> unit-average-energy complex symbols and hard-
 // decision demodulation. BPSK and QPSK use antipodal/Gray mapping; 16-QAM
-// uses a Gray-coded square constellation.
+// uses a Gray-coded square constellation. The map and both demaps write
+// into caller buffers (the pipeline's thread-local stage scratch);
+// modulate and demodulate wrap them for callers that want a new vector.
 #pragma once
 
 #include <complex>
@@ -19,7 +21,11 @@ enum class Modulation { kBpsk, kQpsk, kQam16 };
 std::size_t bits_per_symbol(Modulation m);
 std::string modulation_name(Modulation m);
 
-/// Map bits to symbols; pads with zero bits to a full symbol.
+/// Map bits to symbols, overwriting `out`; pads with zero bits to a full
+/// symbol.
+void modulate_into(std::vector<Symbol>& out, const BitVec& bits,
+                   Modulation m);
+/// modulate_into into a fresh vector.
 std::vector<Symbol> modulate(const BitVec& bits, Modulation m);
 
 /// Array-at-a-time hard-decision demap: overwrites `out` with

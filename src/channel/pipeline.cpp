@@ -19,29 +19,43 @@ ChannelPipeline::ChannelPipeline(std::unique_ptr<ChannelCode> code,
   SEMCACHE_CHECK(channel_ != nullptr, "pipeline: null channel");
 }
 
+namespace {
+// One thread's stage buffers, reused by every transmit it runs (the idiom
+// of ServingTable::decode's miss buffers): the pipeline stays const and
+// shared by every lane, and a warmed transmit allocates only the code's
+// output and the returned bits.
+struct StageScratch {
+  BitVec sent;                  // interleaved on-air bits
+  std::vector<Symbol> symbols;  // modulated, then received
+  BitVec hard;                  // hard path: demapped, then coded order
+  BitVec hard_coded;
+  std::vector<float> llrs;      // soft path: demapped, then coded order
+  std::vector<float> llrs_coded;
+};
+}  // namespace
+
 BitVec ChannelPipeline::transmit(const BitVec& payload, Rng& rng,
                                  std::uint64_t slot,
                                  ChannelObservation* obs) const {
+  static thread_local StageScratch s;
   const BitVec coded = code_->encode(payload);
-  const BitVec sent = interleaver_.interleave(coded);
-  std::vector<Symbol> symbols = modulate(sent, mod_);
-  channel_->apply(symbols, rng, slot);
+  interleaver_.interleave_into(coded, s.sent);
+  modulate_into(s.symbols, s.sent, mod_);
+  channel_->apply(s.symbols, rng, slot);
   BitVec decoded;
   if (soft_) {
     // LLRs ride the same deinterleave permutation the hard bits would, so
     // the trellis sees confidences in coded order.
-    std::vector<float> llrs;
-    demap_soft_into(llrs, symbols.data(), symbols.size(), mod_);
-    llrs.resize(sent.size());  // drop LLRs of modulation pad bits
-    if (obs != nullptr) *obs = observe_symbols(symbols, mod_);
-    std::vector<float> deinterleaved = interleaver_.deinterleave(llrs);
-    deinterleaved.resize(coded.size());  // drop interleaver padding
-    decoded = code_->decode_soft(deinterleaved);
+    demap_soft_into(s.llrs, s.symbols.data(), s.symbols.size(), mod_);
+    s.llrs.resize(s.sent.size());  // drop LLRs of modulation pad bits
+    if (obs != nullptr) *obs = observe_symbols(s.symbols, mod_);
+    interleaver_.deinterleave_into(s.llrs, coded.size(), s.llrs_coded);
+    decoded = code_->decode_soft(s.llrs_coded);
   } else {
-    BitVec deinterleaved =
-        interleaver_.deinterleave(demodulate(symbols, mod_, sent.size()));
-    deinterleaved.resize(coded.size());  // drop interleaver padding
-    decoded = code_->decode(deinterleaved);
+    demap_into(s.hard, s.symbols.data(), s.symbols.size(), mod_);
+    s.hard.resize(s.sent.size());  // drop modulation pad bits
+    interleaver_.deinterleave_into(s.hard, coded.size(), s.hard_coded);
+    decoded = code_->decode(s.hard_coded);
   }
   SEMCACHE_CHECK(decoded.size() >= payload.size(),
                  "pipeline: decoder returned too few bits");

@@ -4,7 +4,9 @@
 // semantic payloads (quantized features) and traditional payloads
 // (compressed text bits) ride on it. One function runs every stage:
 // encode -> interleave -> modulate -> SymbolChannel::apply -> hard demap
-// or soft LLR demap -> deinterleave -> decode.
+// or soft LLR demap -> deinterleave -> decode. The stages between the
+// code's encode and decode write into thread-local buffers, so a warmed
+// transmit allocates only the code's output and the returned bits.
 #pragma once
 
 #include <memory>
@@ -20,7 +22,8 @@ namespace semcache::channel {
 
 /// A const function of (payload, rng, slot): the pipeline holds only its
 /// configuration, so one pipeline serves any number of concurrent
-/// transmits with distinct rngs (the SymbolChannel contract).
+/// transmits with distinct rngs (the SymbolChannel contract); each thread
+/// keeps its own stage buffers.
 class ChannelPipeline {
  public:
   ChannelPipeline(std::unique_ptr<ChannelCode> code, Modulation mod,

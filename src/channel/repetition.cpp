@@ -10,10 +10,9 @@ RepetitionCode::RepetitionCode(std::size_t repeats) : repeats_(repeats) {
 }
 
 BitVec RepetitionCode::encode(const BitVec& info) const {
-  BitVec out;
-  out.reserve(info.size() * repeats_);
-  for (const std::uint8_t b : info) {
-    for (std::size_t r = 0; r < repeats_; ++r) out.push_back(b);
+  BitVec out(info.size() * repeats_);
+  for (std::size_t i = 0; i < info.size(); ++i) {
+    for (std::size_t r = 0; r < repeats_; ++r) out[i * repeats_ + r] = info[i];
   }
   return out;
 }

@@ -19,47 +19,24 @@
 
 namespace semcache::channel::detail {
 
-/// Precomputed add-compare-select tables for the K=3 Viterbi trellis.
-/// Next-state ns has two predecessors: A = kPredA[ns] (the lower state,
-/// which the reference decoder's ascending-s loop visits first and which
-/// therefore wins metric ties) and B = kPredB[ns], both consuming input
-/// bit ns >> 1.
-struct ViterbiTables {
-  std::uint8_t surv_a[4];    ///< [ns] packed (input << 4) | predecessor A
-  std::uint8_t surv_b[4];    ///< [ns] packed (input << 4) | predecessor B
-  /// Expected encoder outputs per next-state (0/1, stored wide for the SSE
-  /// kernel): exp0/exp1 are the G1/G2 bits of the branch into ns via
-  /// predecessor A and B. The ACS builds each step's branch metrics from
-  /// these and the step's two weights.
-  std::uint32_t exp0_a[4];
-  std::uint32_t exp1_a[4];
-  std::uint32_t exp0_b[4];
-  std::uint32_t exp1_b[4];
-};
-
-inline constexpr std::uint8_t kViterbiPredA[4] = {0, 2, 0, 2};
-inline constexpr std::uint8_t kViterbiPredB[4] = {1, 3, 1, 3};
-
 /// Saturation ceiling for path metrics. Well below INT32_MAX so the SSE
 /// signed compares are exact (a capped metric plus a branch of at most
 /// 2 * 255 stays below 2^31), far above any metric a frame reaches:
 /// metrics cap here instead of wrapping on pathologically long frames.
 inline constexpr std::uint32_t kViterbiInf = 1u << 30;
 
-/// Run the weighted add-compare-select recursion for the information
-/// steps [0, info_steps): step t pays weights[2t] (G1 bit) and
-/// weights[2t+1] (G2 bit) for a mismatch against the hard decisions in
-/// rx[t] = G1 | G2 << 1. Weight 1 is the Hamming metric of a hard
-/// decision; weight 0 is an erasure (a punctured position). metric[4] is
-/// updated in place and survivor bytes are written to survivor[t * 4 + ns];
-/// predecessor A keeps ties. Tail steps stay with the caller (they admit
-/// only input 0 and are at most K-1 = 2 steps).
-using ViterbiAcsWeightedFn = void (*)(const ViterbiTables& tables,
-                                      const std::uint8_t* rx,
-                                      const std::uint8_t* weights,
-                                      std::size_t info_steps,
-                                      std::uint32_t* metric,
-                                      std::uint8_t* survivor);
+/// Run the weighted add-compare-select recursion of the K=3 trellis for
+/// the information steps [0, info_steps). costs[4t..4t+3] are step t's
+/// costs of expecting 0 and 1 for its G1 bit, then its G2 bit (weight 1
+/// on the mismatching side is the Hamming metric of a hard decision; 0
+/// both ways is an erasure, a punctured position). metric[4] is updated in
+/// place and step t's decision byte is written to decisions[t]: bit ns is
+/// set when predecessor B = (ns & 1) << 1 | 1 beat A = (ns & 1) << 1 into
+/// next-state ns, so A keeps ties. Tail steps stay with the caller (they
+/// admit only input 0 and are at most K-1 = 2 steps).
+using ViterbiAcsFn = void (*)(const std::uint8_t* costs,
+                              std::size_t info_steps, std::uint32_t* metric,
+                              std::uint8_t* decisions);
 
 /// splitmix64's increment: noise index i of `key` mixes key + (i + 1) * gamma.
 inline constexpr std::uint64_t kKeyGamma = 0x9E3779B97F4A7C15ULL;
@@ -96,7 +73,7 @@ struct Avx2ChannelKernels {
   /// first + pairs - 1 of `key`, times sigma, fused-added into (re, im).
   void (*add_keyed_noise)(double* data, std::size_t pairs, std::uint64_t key,
                           std::uint64_t first, double sigma);
-  ViterbiAcsWeightedFn viterbi_acs_weighted;
+  ViterbiAcsFn viterbi_acs;
 };
 
 /// The AVX2 kernel table, or nullptr when this build carries no AVX2 code.

@@ -1,7 +1,8 @@
 // AVX2/SSE kernels for the channel plane, compiled with -mavx2 -mfma
 // -ffp-contract=off (see CMakeLists.txt) and reached through the table in
 // channel/simd.hpp. Both are bit-identical to their scalar references by
-// construction: the trellis is integer work, and the noise generator
+// construction: the trellis is integer work that keeps one decision byte
+// a step (the sign bits of its compare), and the noise generator
 // repeats the scalar reference's operations one for one, its multiply-adds
 // fused in both tiers.
 #include "channel/simd.hpp"
@@ -153,75 +154,46 @@ void add_keyed_noise_avx2(double* data, std::size_t pairs, std::uint64_t key,
   }
 }
 
-// The four survivor bytes of one trellis step, one per 32-bit lane.
-__m128i survivor_lanes(const std::uint8_t (&surv)[4]) {
-  return _mm_setr_epi32(surv[0], surv[1], surv[2], surv[3]);
-}
-
-// Survivor bytes without a data-dependent branch: blend the B byte into
-// the lanes where B won, pack the four low bytes, store them at once.
-void store_survivors(__m128i sa, __m128i sb, __m128i bwins,
-                     std::uint8_t* sv) {
-  const __m128i pick = _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1,
-                                     -1, -1, -1, -1, -1);
-  const __m128i packed =
-      _mm_shuffle_epi8(_mm_blendv_epi8(sa, sb, bwins), pick);
-  const std::uint32_t four =
-      static_cast<std::uint32_t>(_mm_cvtsi128_si32(packed));
-  std::memcpy(sv, &four, 4);
-}
-
 // Weighted add-compare-select over all four trellis states at once: lane
-// ns holds the metric of next-state ns. Branch metrics are rebuilt per
-// step from the expected-output tables — cost = w0 where the G1 bit
-// mismatches plus w1 where the G2 bit mismatches, via cmpeq/andnot
-// masking (pure integer, bit-identical to the scalar form). Capped
+// ns holds the metric of next-state ns. One 4-byte load brings the step's
+// costs; two byte shuffles spread them into the branch metrics from
+// predecessor A (G1 costs 0, 1, 1, 0 and G2 costs 0, 0, 1, 1 by lane, as
+// acs_step in convolutional.cpp lists them), and the branch from B is A's
+// into ns ^ 2 (pure integer, bit-identical to the scalar form). Capped
 // metrics stay <= kViterbiInf < 2^31, so the signed 32-bit compare is
 // exact; B wins only on strictly smaller metric, matching the reference
-// decoder's ascending-s first-writer rule.
-void viterbi_acs_weighted_avx2(const ViterbiTables& tb,
-                               const std::uint8_t* rx,
-                               const std::uint8_t* weights,
-                               std::size_t info_steps, std::uint32_t* metric,
-                               std::uint8_t* survivor) {
+// decoder's ascending-s first-writer rule. The winner's metric is
+// min(ca, cb) either way, so the compare, whose sign bits are the step's
+// decision byte, stays off the metric's dependency chain.
+void viterbi_acs_avx2(const std::uint8_t* costs, std::size_t info_steps,
+                      std::uint32_t* metric, std::uint8_t* decisions) {
   const __m128i inf = _mm_set1_epi32(static_cast<int>(kViterbiInf));
-  const __m128i e0a =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(tb.exp0_a));
-  const __m128i e1a =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(tb.exp1_a));
-  const __m128i e0b =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(tb.exp0_b));
-  const __m128i e1b =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(tb.exp1_b));
-  const __m128i sa = survivor_lanes(tb.surv_a);
-  const __m128i sb = survivor_lanes(tb.surv_b);
+  const __m128i g1 = _mm_setr_epi8(0, -1, -1, -1, 1, -1, -1, -1, 1, -1, -1,
+                                   -1, 0, -1, -1, -1);
+  const __m128i g2 = _mm_setr_epi8(2, -1, -1, -1, 2, -1, -1, -1, 3, -1, -1,
+                                   -1, 3, -1, -1, -1);
   __m128i m = _mm_loadu_si128(reinterpret_cast<const __m128i*>(metric));
   for (std::size_t t = 0; t < info_steps; ++t) {
-    const __m128i r0 = _mm_set1_epi32(rx[t] & 1);
-    const __m128i r1 = _mm_set1_epi32((rx[t] >> 1) & 1);
-    const __m128i w0 = _mm_set1_epi32(weights[2 * t]);
-    const __m128i w1 = _mm_set1_epi32(weights[2 * t + 1]);
-    // andnot(cmpeq(exp, r), w) = w where the bits differ, 0 where equal.
+    std::int32_t four;
+    std::memcpy(&four, costs + 4 * t, 4);
+    const __m128i c = _mm_cvtsi32_si128(four);
     const __m128i bma =
-        _mm_add_epi32(_mm_andnot_si128(_mm_cmpeq_epi32(e0a, r0), w0),
-                      _mm_andnot_si128(_mm_cmpeq_epi32(e1a, r1), w1));
-    const __m128i bmb =
-        _mm_add_epi32(_mm_andnot_si128(_mm_cmpeq_epi32(e0b, r0), w0),
-                      _mm_andnot_si128(_mm_cmpeq_epi32(e1b, r1), w1));
+        _mm_add_epi32(_mm_shuffle_epi8(c, g1), _mm_shuffle_epi8(c, g2));
+    const __m128i bmb = _mm_shuffle_epi32(bma, _MM_SHUFFLE(1, 0, 3, 2));
     const __m128i ma = _mm_shuffle_epi32(m, _MM_SHUFFLE(2, 0, 2, 0));
     const __m128i mb = _mm_shuffle_epi32(m, _MM_SHUFFLE(3, 1, 3, 1));
     const __m128i ca = _mm_min_epu32(_mm_add_epi32(ma, bma), inf);
     const __m128i cb = _mm_min_epu32(_mm_add_epi32(mb, bmb), inf);
-    const __m128i bwins = _mm_cmpgt_epi32(ca, cb);
-    m = _mm_blendv_epi8(ca, cb, bwins);
-    store_survivors(sa, sb, bwins, survivor + 4 * t);
+    m = _mm_min_epu32(ca, cb);
+    decisions[t] = static_cast<std::uint8_t>(
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(ca, cb))));
   }
   _mm_storeu_si128(reinterpret_cast<__m128i*>(metric), m);
 }
 
 constexpr Avx2ChannelKernels kKernels = {
     /*add_keyed_noise=*/add_keyed_noise_avx2,
-    /*viterbi_acs_weighted=*/viterbi_acs_weighted_avx2,
+    /*viterbi_acs=*/viterbi_acs_avx2,
 };
 
 }  // namespace

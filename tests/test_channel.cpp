@@ -171,17 +171,21 @@ TEST(Interleaver, RoundTrip) {
   for (const std::size_t depth : {1u, 2u, 4u, 8u}) {
     BlockInterleaver il(depth);
     BitVec bits = random_bits(64, rng);
-    EXPECT_EQ(il.deinterleave(il.interleave(bits)), bits) << "depth " << depth;
+    BitVec tx, rx;
+    il.interleave_into(bits, tx);
+    il.deinterleave_into(tx, bits.size(), rx);
+    EXPECT_EQ(rx, bits) << "depth " << depth;
   }
 }
 
 TEST(Interleaver, SpreadsBursts) {
   BlockInterleaver il(8);
   BitVec bits(64, 0);
-  BitVec tx = il.interleave(bits);
+  BitVec tx, rx;
+  il.interleave_into(bits, tx);
   // Burst of 8 consecutive flips on the wire.
   for (std::size_t i = 16; i < 24; ++i) tx[i] ^= 1;
-  const BitVec rx = il.deinterleave(tx);
+  il.deinterleave_into(tx, tx.size(), rx);
   // After deinterleaving no two errors should be adjacent.
   for (std::size_t i = 0; i + 1 < rx.size(); ++i) {
     EXPECT_FALSE(rx[i] == 1 && rx[i + 1] == 1) << "adjacent errors at " << i;
